@@ -22,7 +22,10 @@ comparisons are invariant under multiplication by a ring monomial, so term
 multiplication never re-sorts.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add as _add
+from operator import sub as _sub
 
 KERNEL = "python"
 
@@ -58,15 +61,15 @@ def expo_divides(a, b):
 
 
 def expo_sub(b, a):
-    return tuple(x - y for x, y in zip(b, a))
+    return tuple(map(_sub, b, a))
 
 
 def expo_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def expo_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def cmp_terms(p1, e1, p2, e2, weights, nelim, possplit):
@@ -144,6 +147,8 @@ def mul_term(f, expo, num, den):
     if num == 0:
         return ()
     num, den = _norm(num, den)
+    if num == 1 and den == 1:
+        return tuple((p, expo_add(e, expo), n, d) for p, e, n, d in f)
     return tuple((p, expo_add(e, expo)) + frac_mul(n, d, num, den) for p, e, n, d in f)
 
 
@@ -204,39 +209,84 @@ def mul(f, g, weights, nelim, possplit):
     return tuple(out)
 
 
+def _heap_entry(pos, expo, weights, nelim, possplit):
+    """Heap entry of a module monomial: its sort_key negated, then the monomial.
+
+    heapq pops the smallest entry, which is the largest term in the order, and
+    the tuple comparison runs in C.
+    """
+    return (
+        -1 if possplit and pos < possplit else 0,
+        -sum(expo[:nelim]) if nelim else 0,
+        -weights[pos] - sum(expo),
+        expo[::-1],
+        pos,
+        expo,
+    )
+
+
 def reduce(f, basis, weights, nelim, possplit, track=False):
-    """Full normal form of f modulo basis (first matching divisor wins).
+    """Full normal form of f modulo basis, by heap division.
+
+    Division order: the largest pending term (in the monomial order) is taken
+    first.  Its divisor is the first basis element, in list order, whose
+    leading term has the same position and a monomial dividing it; if there is
+    none, the term moves to the remainder.  Exact arithmetic and this order
+    fix every step, so the remainder and the cofactors are the same on every
+    kernel.
 
     Returns (remainder, cofactors) where cofactors[i] is the ring poly q_i with
     f = sum q_i basis_i + remainder; cofactors is None unless track is set.
     """
+    leads = [b[0] for b in basis]
     cofs = [[] for _ in basis] if track else None
+    # Pending terms: (pos, expo) -> coefficient.  The heap holds an entry for
+    # every pending term; a term that cancels leaves its entry behind, to be
+    # skipped when popped.
+    pending = {}
+    heap = []
+    for pos, expo, num, den in f:
+        pending[pos, expo] = (num, den)
+        heap.append(_heap_entry(pos, expo, weights, nelim, possplit))
+    heapify(heap)
     out = []
-    work = list(f)
-    wi = 0
-    nb = len(basis)
-    while wi < len(work):
-        pos, expo, num, den = work[wi]
-        hit = -1
-        for i in range(nb):
-            lt = basis[i][0]
-            if lt[0] == pos and expo_divides(lt[1], expo):
-                hit = i
-                break
-        if hit < 0:
-            out.append(work[wi])
-            wi += 1
+    while heap:
+        entry = heappop(heap)
+        pos = entry[4]
+        expo = entry[5]
+        coeff = pending.pop((pos, expo), None)
+        if coeff is None:
             continue
-        b = basis[hit]
-        lt = b[0]
-        qe = expo_sub(expo, lt[1])
-        qn, qd = frac_div(num, den, lt[2], lt[3])
+        num, den = coeff
+        for i, lt in enumerate(leads):
+            if lt[0] == pos and expo_divides(lt[1], expo):
+                break
+        else:
+            out.append((pos, expo, num, den))
+            continue
+        _, lexpo, lnum, lden = leads[i]
+        qe = expo_sub(expo, lexpo)
+        qn, qd = frac_div(num, den, lnum, lden)
         if track:
-            cofs[hit].append((qe, qn, qd))
-        # work[wi:] - q * b; the leading terms cancel exactly
-        scaled = mul_term(b, qe, -qn, qd)
-        work = _merge(work[wi:], scaled, weights, nelim, possplit)
-        wi = 0
+            cofs[i].append((qe, qn, qd))
+        # pending -= q * basis[i]; the leading terms cancel exactly, so only
+        # the tail is added, and every new monomial is below expo.
+        for p, e, n, d in basis[i][1:]:
+            e = expo_add(e, qe)
+            key = (p, e)
+            tn = -qn * n
+            td = qd * d
+            old = pending.get(key)
+            if old is None:
+                pending[key] = _norm(tn, td)
+                heappush(heap, _heap_entry(p, e, weights, nelim, possplit))
+            else:
+                n0, d0 = old
+                tn, td = _norm(n0 * td + tn * d0, d0 * td)
+                if tn:
+                    pending[key] = (tn, td)
+                else:
+                    del pending[key]
     if track:
         ring_order = ((0,), nelim, 0)
         cofs = [canon([(0, e, n, d) for e, n, d in c], *ring_order) for c in cofs]

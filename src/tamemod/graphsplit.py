@@ -177,7 +177,10 @@ def predicate_from_config(cfg) -> TamenessPredicate:
         if name == MaxBlockCount.name:
             if not arg:
                 raise ValidationError("max-blocks needs a block bound, e.g. max-blocks:2")
-            return MaxBlockCount(int(arg))
+            try:
+                return MaxBlockCount(int(arg))
+            except ValueError:
+                raise ValidationError(f"max-blocks bound must be an integer, got {arg!r}") from None
         if name == CoBlocked.name:
             if not arg:
                 raise ValidationError("co-blocked needs edges, e.g. co-blocked:a,b")
@@ -185,12 +188,20 @@ def predicate_from_config(cfg) -> TamenessPredicate:
         if name in PREDICATES:
             return PREDICATES[name]()
         raise ValidationError(f"unknown predicate {name!r}")
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"predicate must be a string or an object, got {type(cfg).__name__}")
     name = cfg.get("name")
     if name == MaxBlockCount.name:
-        return MaxBlockCount(int(cfg["k"]))
+        k = cfg.get("k")
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ValidationError(f"max-blocks needs an integer \"k\", got {k!r}")
+        return MaxBlockCount(k)
     if name == CoBlocked.name:
-        return CoBlocked(cfg["edges"])
-    if name in PREDICATES:
+        edges = cfg.get("edges")
+        if not isinstance(edges, list) or not all(isinstance(x, str) for x in edges):
+            raise ValidationError(f"co-blocked needs \"edges\", an array of edge names, got {edges!r}")
+        return CoBlocked(edges)
+    if isinstance(name, str) and name in PREDICATES:
         return PREDICATES[name]()
     raise ValidationError(f"unknown predicate {name!r}")
 

@@ -12,6 +12,7 @@ on every call.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -580,14 +581,23 @@ def harness(
     own RNG stream from (seed, index) and results are merged in index order.
     """
     tasks = [(i, seed, split, pred_split, pred_base, max_level) for i in range(samples)]
-    if jobs <= 1:
-        results = [_harness_sample(t) for t in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_harness_sample, tasks))
+    results = _map_tasks(_harness_sample, tasks, jobs)
     return tuple(sorted(results, key=lambda r: r.sample))
+
+
+def _map_tasks(fn, tasks: list, jobs: int) -> list:
+    """fn over tasks, in order, on at most `jobs` worker processes.
+
+    The pool never has more workers than cores or tasks; with one worker the
+    tasks run in this process.
+    """
+    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
+    if jobs <= 1:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +654,5 @@ def transform_corpus(
     Row order and content are deterministic for a fixed seed regardless of the
     worker count."""
     tasks = [(i, seed, split, pred, max_level) for i in range(samples)]
-    if jobs <= 1:
-        rows = [_corpus_sample(t) for t in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_corpus_sample, tasks))
+    rows = _map_tasks(_corpus_sample, tasks, jobs)
     return sorted(rows, key=lambda r: r["sample"])

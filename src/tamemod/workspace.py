@@ -21,12 +21,49 @@ from .partition import Partition, make_partition
 from .serre import Certificate, ExtNode, GenNode, QuotNode, SubNode, ZeroNode
 
 
+_REQUIRED = object()
+_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind, where):
+    """value when it has the JSON type kind; ValidationError naming where otherwise.
+
+    JSON booleans are never valid here, although Python counts them as ints.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"{where} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _get(data, key, kind, where, default=_REQUIRED):
+    """data[key] checked by _typed; a missing key is an error unless a default is given."""
+    _typed(data, dict, where)
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValidationError(f"{where} is missing {key!r}")
+        return default
+    return _typed(data[key], kind, f"{where}.{key}")
+
+
+def _get_list(data, key, kind, where, default=_REQUIRED):
+    """data[key] as an array whose items all have the JSON type kind."""
+    items = _get(data, key, list, where, default)
+    for i, item in enumerate(items):
+        _typed(item, kind, f"{where}.{key}[{i}]")
+    return items
+
+
 def _coeff_str(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _coeff_parse(s) -> tuple[int, int]:
-    frac = Fraction(s)
+def _coeff_parse(s, where) -> tuple[int, int]:
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ValidationError(f"{where} must be a rational string, got {type(s).__name__}")
+    try:
+        frac = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{where} is not a rational number: {s!r}") from None
     return frac.numerator, frac.denominator
 
 
@@ -38,12 +75,17 @@ def _term_to_json(ring: EdgeRing, pos, expo, num, den, with_gen: bool):
     return out
 
 
-def _term_from_json(ring: EdgeRing, data, with_gen: bool):
-    num, den = _coeff_parse(data["c"])
+def _term_from_json(ring: EdgeRing, data, with_gen: bool, where: str):
+    _typed(data, dict, where)
+    if "c" not in data:
+        raise ValidationError(f"{where} is missing 'c'")
+    num, den = _coeff_parse(data["c"], f"{where}.c")
     expo = [0] * ring.nvars
-    for v, e in data.get("m", {}).items():
-        expo[ring.index(v)] = int(e)
-    pos = int(data.get("g", 0)) if with_gen else 0
+    for v, e in _get(data, "m", dict, where, {}).items():
+        if _typed(e, int, f"{where}.m.{v}") < 0:
+            raise ValidationError(f"{where}.m.{v} must not be negative, got {e}")
+        expo[ring.index(v)] = e
+    pos = _get(data, "g", int, where, 0) if with_gen else 0
     return (pos, tuple(expo), num, den)
 
 
@@ -51,8 +93,8 @@ def poly_to_json(p: GradedPoly) -> list:
     return [_term_to_json(p.ring, *t, with_gen=False) for t in p.terms]
 
 
-def poly_from_json(ring: EdgeRing, data) -> GradedPoly:
-    raw = [_term_from_json(ring, t, with_gen=False) for t in data]
+def poly_from_json(ring: EdgeRing, data, where: str = "poly") -> GradedPoly:
+    raw = [_term_from_json(ring, t, False, f"{where}[{i}]") for i, t in enumerate(_typed(data, list, where))]
     return GradedPoly(ring, K.canon(raw, (0,), 0, 0))
 
 
@@ -60,10 +102,10 @@ def free_to_json(x: FreeElement) -> list:
     return [_term_to_json(x.ring, *t, with_gen=True) for t in x.terms]
 
 
-def free_from_json(module: FreeModule, data) -> FreeElement:
+def free_from_json(module: FreeModule, data, where: str = "element") -> FreeElement:
     raw = []
-    for t in data:
-        term = _term_from_json(module.ring, t, with_gen=True)
+    for i, t in enumerate(_typed(data, list, where)):
+        term = _term_from_json(module.ring, t, True, f"{where}[{i}]")
         if not 0 <= term[0] < module.rank:
             raise ValidationError(f"generator index {term[0]} out of range")
         raw.append(term)
@@ -79,10 +121,12 @@ def module_to_json(m: PresentedModule) -> dict:
 
 
 def module_from_json(data) -> PresentedModule:
-    ring = EdgeRing(tuple(data["ring"]))
-    weights = tuple(int(w) for w in data["gen_weights"])
+    where = "module"
+    ring = EdgeRing(tuple(_get_list(data, "ring", str, where)))
+    weights = tuple(_get_list(data, "gen_weights", int, where))
     free = FreeModule(ring, weights)
-    rels = [free_from_json(free, r) for r in data.get("relations", [])]
+    relations = _get(data, "relations", list, where, [])
+    rels = [free_from_json(free, r, f"{where}.relations[{i}]") for i, r in enumerate(relations)]
     return PresentedModule(ring, weights, rels)
 
 
@@ -90,8 +134,13 @@ def partition_to_json(p: Partition) -> dict:
     return {"ground": list(p.ground), "blocks": [list(b) for b in p.blocks]}
 
 
-def partition_from_json(data) -> Partition:
-    return make_partition(data["ground"], data["blocks"])
+def partition_from_json(data, where: str = "partition") -> Partition:
+    ground = _get_list(data, "ground", str, where)
+    blocks = _get_list(data, "blocks", list, where)
+    for i, block in enumerate(blocks):
+        for j, edge in enumerate(block):
+            _typed(edge, str, f"{where}.blocks[{i}][{j}]")
+    return make_partition(ground, blocks)
 
 
 def map_to_json(phi: ModuleMap, module_ids: dict) -> dict:
@@ -104,15 +153,20 @@ def map_to_json(phi: ModuleMap, module_ids: dict) -> dict:
 
 
 def map_from_json(data, modules: dict, map_id: str) -> ModuleMap:
+    where = f"map {map_id!r}"
+    ends = {}
     for key in ("source", "target"):
-        if data[key] not in modules:
-            raise ValidationError(f"map {map_id!r} references unknown module {data[key]!r}")
-    source = modules[data["source"]]
-    target = modules[data["target"]]
+        mid = _get(data, key, str, where)
+        if mid not in modules:
+            raise ValidationError(f"{where} references unknown module {mid!r}")
+        ends[key] = modules[mid]
+    target = ends["target"]
     matrix = [
-        [poly_from_json(target.ring, entry) for entry in row] for row in data["matrix"]
+        [poly_from_json(target.ring, entry, f"{where}.matrix[{i}][{j}]") for j, entry in enumerate(row)]
+        for i, row in enumerate(_get_list(data, "matrix", list, where))
     ]
-    return ModuleMap(source, target, matrix, int(data.get("degree", 0)), check=True)
+    degree = _get(data, "degree", int, where, 0)
+    return ModuleMap(ends["source"], target, matrix, degree, check=True)
 
 
 def cert_to_json(cert: Certificate, partition_ids: dict, map_ids: dict) -> dict:
@@ -148,31 +202,34 @@ def cert_to_json(cert: Certificate, partition_ids: dict, map_ids: dict) -> dict:
 
 
 def cert_from_json(data, partitions: dict, maps: dict, cert_id: str) -> Certificate:
-    kind = data.get("kind")
-    if kind == "gen":
-        pid = data["partition"]
-        if pid not in partitions:
-            raise ValidationError(f"certificate {cert_id!r} references unknown partition {pid!r}")
-        return GenNode(partitions[pid], int(data.get("shift", 0)))
-    if kind == "zero":
-        return ZeroNode(EdgeRing(tuple(data["ring"])))
-    if kind in ("sub", "quot"):
-        wid = data["witness"]
+    where = f"certificate {cert_id!r}"
+
+    def witness(key):
+        wid = _get(data, key, str, where)
         if wid not in maps:
-            raise ValidationError(f"certificate {cert_id!r} references unknown map {wid!r}")
-        parent = cert_from_json(data["parent"], partitions, maps, cert_id)
+            raise ValidationError(f"{where} references unknown map {wid!r}")
+        return maps[wid]
+
+    kind = _get(data, "kind", str, where)
+    if kind == "gen":
+        pid = _get(data, "partition", str, where)
+        if pid not in partitions:
+            raise ValidationError(f"{where} references unknown partition {pid!r}")
+        return GenNode(partitions[pid], _get(data, "shift", int, where, 0))
+    if kind == "zero":
+        return ZeroNode(EdgeRing(tuple(_get_list(data, "ring", str, where))))
+    if kind in ("sub", "quot"):
+        wit = witness("witness")
+        parent = cert_from_json(_get(data, "parent", dict, where), partitions, maps, cert_id)
         node = SubNode if kind == "sub" else QuotNode
-        return node(parent, maps[wid])
+        return node(parent, wit)
     if kind == "ext":
-        for key in ("injection", "projection"):
-            if data[key] not in maps:
-                raise ValidationError(
-                    f"certificate {cert_id!r} references unknown map {data[key]!r}"
-                )
-        left = cert_from_json(data["left"], partitions, maps, cert_id)
-        right = cert_from_json(data["right"], partitions, maps, cert_id)
-        return ExtNode(left, right, maps[data["injection"]], maps[data["projection"]])
-    raise ValidationError(f"certificate {cert_id!r} has unknown kind {kind!r}")
+        injection = witness("injection")
+        projection = witness("projection")
+        left = cert_from_json(_get(data, "left", dict, where), partitions, maps, cert_id)
+        right = cert_from_json(_get(data, "right", dict, where), partitions, maps, cert_id)
+        return ExtNode(left, right, injection, projection)
+    raise ValidationError(f"{where} has unknown kind {kind!r}")
 
 
 @dataclass
@@ -256,21 +313,23 @@ class Workspace:
     @classmethod
     def from_json(cls, data: dict) -> "Workspace":
         ws = cls()
+        where = "workspace"
+        _typed(data, dict, where)
         if "graph" in data:
-            ws.graph = EdgeGraph(tuple(data["graph"]))
-        ws.split = data.get("split")
+            ws.graph = EdgeGraph(tuple(_get_list(data, "graph", str, where)))
+        ws.split = _get(data, "split", str, where, None)
         if "predicate" in data:
             ws.predicate = predicate_from_config(data["predicate"])
-        for k, p in data.get("partitions", {}).items():
-            ws.partitions[k] = partition_from_json(p)
-        for k, m in data.get("modules", {}).items():
+        for k, p in _get(data, "partitions", dict, where, {}).items():
+            ws.partitions[k] = partition_from_json(p, f"partition {k!r}")
+        for k, m in _get(data, "modules", dict, where, {}).items():
             try:
                 ws.modules[k] = module_from_json(m)
             except ValidationError as exc:
                 raise ValidationError(f"module {k!r}: {exc}") from exc
-        for k, f in data.get("maps", {}).items():
+        for k, f in _get(data, "maps", dict, where, {}).items():
             ws.maps[k] = map_from_json(f, ws.modules, k)
-        for k, c in data.get("certificates", {}).items():
+        for k, c in _get(data, "certificates", dict, where, {}).items():
             ws.certificates[k] = cert_from_json(c, ws.partitions, ws.maps, k)
         return ws
 

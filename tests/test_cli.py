@@ -60,6 +60,24 @@ def test_functor_unknown_module(tmp_path):
     assert run("functor", "--in", RELATED, "--module", "nope", "--degree", "0", "--out", str(out)) == 2
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [(lambda m: m.pop("ring"), "missing 'ring'"), (lambda m: m.update(gen_weights=["x"]), "must be an integer")],
+    ids=["no-ring", "string-weight"],
+)
+def test_functor_bad_module_json_is_validation_error(tmp_path, capsys, damage, message):
+    data = json.load(open(RELATED))
+    damage(data["modules"]["M_partition"])
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    argv = ("functor", "--in", str(src), "--module", "M_partition", "--split", "e", "--degree", "0", "--out", str(out))
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and message in err
+    assert not out.exists()
+
+
 # -- cert ---------------------------------------------------------------------------
 
 

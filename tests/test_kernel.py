@@ -101,6 +101,75 @@ def test_reduce_tracks_exact_cofactors(K):
         assert recombined == f
 
 
+def reference_reduce(f, basis, weights, nelim, possplit, track=False):
+    """Division by re-merging the whole pending tail after every step.
+
+    The merge-based reduce that heap division replaced, kept as the oracle:
+    the largest pending term goes first and the first basis element whose
+    leading monomial divides it is the divisor.
+    """
+    K = IMPLS["python"]
+    cofs = [[] for _ in basis] if track else None
+    out = []
+    work = tuple(f)
+    while work:
+        pos, expo, num, den = work[0]
+        hit = next(
+            (i for i, b in enumerate(basis) if b[0][0] == pos and K.expo_divides(b[0][1], expo)),
+            None,
+        )
+        if hit is None:
+            out.append(work[0])
+            work = work[1:]
+            continue
+        _, lexpo, lnum, lden = basis[hit][0]
+        qe = K.expo_sub(expo, lexpo)
+        qn, qd = K.frac_div(num, den, lnum, lden)
+        if track:
+            cofs[hit].append((0, qe, qn, qd))
+        work = K.sub(work, K.mul_term(basis[hit], qe, qn, qd), weights, nelim, possplit)
+    if track:
+        cofs = [K.canon(c, (0,), nelim, 0) for c in cofs]
+    return tuple(out), cofs
+
+
+@st.composite
+def division_cases(draw):
+    """(f, basis, order, multiple): 1-3 positions, every nelim/possplit
+    combination, a basis that need not be a Groebner basis and whose leading
+    coefficients need not be 1.  When `multiple` is set, f is a multiple of
+    the one basis element, so the division cancels it to zero."""
+    K = IMPLS["python"]
+    npos = draw(st.integers(1, 3))
+    nvars = draw(st.integers(1, 3))
+    weights = tuple(draw(st.lists(st.integers(0, 2), min_size=npos, max_size=npos)))
+    order = (weights, draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    expo = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeff = st.tuples(st.integers(-6, 6).filter(bool), st.integers(1, 5))
+
+    def poly(max_terms, npos=npos, order=order):
+        terms = st.lists(st.tuples(st.integers(0, npos - 1), expo, coeff), max_size=max_terms)
+        return terms.map(lambda ts: K.canon([(p, e, n, d) for p, e, (n, d) in ts], *order))
+
+    basis = [b for b in draw(st.lists(poly(4), min_size=1, max_size=3)) if b]
+    if basis and draw(st.booleans()):
+        q = draw(poly(3, npos=1, order=((0,), order[1], 0)))
+        return K.mul(q, basis[0], *order), basis[:1], order, True
+    return draw(poly(8)), basis, order, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases(), st.booleans())
+def test_reduce_matches_reference(case, track):
+    """Remainder and cofactors of every kernel equal the merge-based division's."""
+    f, basis, order, multiple = case
+    expected = reference_reduce(f, basis, *order, track)
+    if multiple:
+        assert expected[0] == ()
+    for K in IMPLS.values():
+        assert K.reduce(f, list(basis), *order, track) == expected
+
+
 def test_parity_between_kernels():
     if len(IMPLS) < 2:
         pytest.skip("compiled kernel not built")

@@ -253,6 +253,39 @@ def test_harness_deterministic_across_jobs(split_abe):
     assert one == two
 
 
+class RecordingExecutor:
+    """Stand-in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cores, samples, expected", [(2, 3, [2]), (8, 3, [3]), (8, 1, [])])
+def test_jobs_clamped_to_cores_and_tasks(split_abe, monkeypatch, cores, samples, expected):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(RecordingExecutor, "created", [])
+    reports = harness(split_abe, PRED, PRED, samples=samples, seed=9, max_level=1, jobs=10**6)
+    assert len(reports) == samples
+    rows = transform_corpus(split_abe, PRED, samples=samples, seed=5, max_level=1, jobs=10**6)
+    assert [r["sample"] for r in rows] == list(range(samples))
+    assert RecordingExecutor.created == expected * 2
+
+
 def test_transform_corpus_rows(split_abe):
     rows = transform_corpus(split_abe, MaxBlockCount(2), samples=4, seed=5, max_level=2)
     assert [r["sample"] for r in rows] == [0, 1, 2, 3]

@@ -1,11 +1,15 @@
 """Workspace JSON round-trips and referential integrity."""
 
+import copy
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tamemod.errors import ValidationError
+from tamemod.errors import StructuralError, ValidationError
 from tamemod.exactalg import EdgeRing, FreeModule
 from tamemod.gradedmod import ModuleMap, PresentedModule, cokernel, submodule_from_elements
 from tamemod.graphsplit import AlwaysTame, EdgeGraph, MaxBlockCount, tame_partitions, split_edge
@@ -123,3 +127,76 @@ def test_shipped_workspaces_load_and_verify():
         ws = Workspace.load(name)
         cert = ws.certificate(cid)
         assert verify(cert, ws.predicate), name
+
+
+SHIPPED = {
+    name: json.load(open(name))
+    for name in ("workspaces/gen_related.json", "workspaces/gen_unrelated.json", "workspaces/sub_ideal.json")
+}
+WRONG_VALUES = (None, True, 2.5, 7, -1, "x", "1/0", [], ["x"], [7], {}, {"x": 1})
+
+
+def _paths(node, path=()):
+    """Every path into a JSON tree, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def damaged_workspaces(draw):
+    """A shipped workspace with 1-3 keys dropped or values swapped for other types."""
+    data = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(damaged_workspaces())
+def test_damaged_workspace_raises_only_validation_errors(data):
+    """A damaged workspace loads or raises a validation error (CLI exit 2),
+    never a bare KeyError/TypeError/ValueError."""
+    try:
+        Workspace.from_json(data)
+    except Exception as exc:
+        assert type(exc) in (ValidationError, StructuralError), repr(exc)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda m: m.pop("ring"), "missing 'ring'"),
+        (lambda m: m.update(gen_weights=["x"]), r"gen_weights\[0\] must be an integer"),
+        (lambda m: m.update(gen_weights=[True]), r"gen_weights\[0\] must be an integer"),
+        (lambda m: m["relations"][0][0].update(c="1/0"), "not a rational number"),
+        (lambda m: m["relations"][0][0].update(m={"e": -1}), "must not be negative"),
+    ],
+    ids=["no-ring", "string-weight", "bool-weight", "zero-denominator", "negative-exponent"],
+)
+def test_module_schema_errors(damage, message):
+    data = copy.deepcopy(SHIPPED["workspaces/gen_related.json"]["modules"]["M_partition"])
+    damage(data)
+    with pytest.raises(ValidationError, match=message):
+        module_from_json(data)
+
+
+@pytest.mark.parametrize("cfg", ["max-blocks:x", {"name": "max-blocks", "k": "2"}, {"name": ["x"]}, 7])
+def test_bad_predicate_config(cfg):
+    data = {"predicate": cfg}
+    with pytest.raises(ValidationError) as info:
+        Workspace.from_json(data)
+    assert type(info.value) is ValidationError
