@@ -37,7 +37,6 @@ from .gradedmod import (
     pullback,
     six_term,
     submodule_from_elements,
-    submodule_generators,
 )
 from .graphsplit import (
     AlwaysTame,

@@ -93,13 +93,7 @@ def cmd_cert(args) -> int:
     # transform
     pred_split = _predicate(ws, args.pred)
     pred_base = predicate_from_config(args.base_pred) if args.base_pred else pred_split
-    ring = cert.root.ring
-    e = getattr(args, "split", None) or ws.split
-    if not e:
-        raise ValidationError("no split edge: pass --split or set \"split\" in the workspace")
-    e_prime = e + "'"
-    if e not in ring.variables or e_prime not in ring.variables:
-        raise ValidationError(f"certificate ring does not contain the split pair {e!r}, {e_prime!r}")
+    e, e_prime = _split_edges(ws, args, cert.root.ring)
     out_cert = transform(cert, e, e_prime, args.degree, pred_split=pred_split, pred_base=pred_base)
     out_ws = Workspace(graph=ws.graph, split=ws.split, predicate=pred_base)
     out_id = f"{args.cert}_f{args.degree}"

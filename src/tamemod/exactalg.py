@@ -584,19 +584,6 @@ def substitute_free(x: FreeElement, dst: FreeModule, mapping: dict) -> FreeEleme
     return FreeElement(dst, K.canon(raw, *dst.order()))
 
 
-def _fresh_var(ring: EdgeRing, base: str = "~t") -> str:
-    name = base
-    while name in ring.variables:
-        name += "'"
-    return name
-
-
-def _with_aux_var(ring: EdgeRing):
-    t = _fresh_var(ring)
-    ext = EdgeRing((t,) + ring.variables)
-    return ext, t
-
-
 _ELIM_ORDER = ((0,), 1, 0)
 
 
@@ -604,16 +591,38 @@ def _lift_terms(terms: tuple) -> tuple:
     return tuple((p, (0,) + e, n, d) for p, e, n, d in terms)
 
 
-def _drop_aux(terms: tuple) -> tuple:
-    return tuple((p, e[1:], n, d) for p, e, n, d in terms)
-
-
 def _elim_gb(items: Iterable[tuple]) -> tuple:
     return _groebner_raw(tuple(t for t in items if t), _ELIM_ORDER)
 
 
+def _t_free(gb: tuple) -> tuple:
+    """The t-free elements of a reduced elimination basis, with t dropped.
+
+    By the elimination theorem (Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, Ch. 3 Sec. 1) they are a Groebner basis of the elimination
+    ideal.  The elimination order restricted to t-free monomials is the ring
+    order, so they are already its reduced basis, in _groebner_raw's order; a
+    second Groebner pass would return them unchanged.
+    """
+    return tuple(
+        tuple((p, e[1:], n, d) for p, e, n, d in g)
+        for g in gb
+        if all(t[1][0] == 0 for t in g)
+    )
+
+
 def _contains_unit(gb: tuple) -> bool:
     return any(sum(g[0][1]) == 0 for g in gb)
+
+
+def _rabinowitsch_gb(ideal: tuple, h: tuple, nvars: int) -> tuple:
+    """Elimination basis of I + (1 - t*h) in one auxiliary variable t, which
+    comes first and dominates the order."""
+    items = [_lift_terms(g) for g in ideal]
+    th = K.mul(((0, (1,) + (0,) * nvars, 1, 1),), _lift_terms(h), *_ELIM_ORDER)
+    one = ((0, (0,) * (nvars + 1), 1, 1),)
+    items.append(K.sub(one, th, *_ELIM_ORDER))
+    return _elim_gb(items)
 
 
 def radical_member(f: GradedPoly, ideal_gens: Sequence[GradedPoly]) -> bool:
@@ -625,29 +634,20 @@ def radical_member(f: GradedPoly, ideal_gens: Sequence[GradedPoly]) -> bool:
             raise StructuralError("ideal generators from a different ring")
     if f.is_zero():
         return True
-    ext, t = _with_aux_var(f.ring)
-    items = [_lift_terms(g.terms) for g in gens]
-    tf = K.mul(((0, (1,) + (0,) * f.ring.nvars, 1, 1),), _lift_terms(f.terms), *_ELIM_ORDER)
-    one = ((0, (0,) * ext.nvars, 1, 1),)
-    items.append(K.sub(one, tf, *_ELIM_ORDER))
-    return _contains_unit(_elim_gb(items))
+    return _contains_unit(_rabinowitsch_gb(tuple(g.terms for g in gens), f.terms, f.ring.nvars))
 
 
 @lru_cache(maxsize=65536)
 def _saturate_raw(ideal: tuple, h: tuple, nvars: int) -> tuple:
+    """(I : h^infinity) = (I + (1 - t*h)) intersected with the ring."""
     if not h:
         return (((0, (0,) * nvars, 1, 1),),)
-    items = [_lift_terms(g) for g in ideal]
-    th = K.mul(((0, (1,) + (0,) * nvars, 1, 1),), _lift_terms(h), *_ELIM_ORDER)
-    one = ((0, (0,) * (nvars + 1), 1, 1),)
-    items.append(K.sub(one, th, *_ELIM_ORDER))
-    gb = _elim_gb(items)
-    kept = tuple(_drop_aux(g) for g in gb if all(t[1][0] == 0 for t in g))
-    return _groebner_raw(kept, _RING_ORDER)
+    return _t_free(_rabinowitsch_gb(ideal, h, nvars))
 
 
 @lru_cache(maxsize=65536)
 def _intersect_raw(a: tuple, b: tuple, nvars: int) -> tuple:
+    """I and J intersected = (t*I + (1 - t)*J) intersected with the ring."""
     if not a or not b:
         return ()
     t_mono = ((0, (1,) + (0,) * nvars, 1, 1),)
@@ -655,18 +655,7 @@ def _intersect_raw(a: tuple, b: tuple, nvars: int) -> tuple:
     one_minus_t = K.sub(one, t_mono, *_ELIM_ORDER)
     items = [K.mul(t_mono, _lift_terms(g), *_ELIM_ORDER) for g in a]
     items += [K.mul(one_minus_t, _lift_terms(g), *_ELIM_ORDER) for g in b]
-    gb = _elim_gb(items)
-    kept = tuple(_drop_aux(g) for g in gb if all(t[1][0] == 0 for t in g))
-    return _groebner_raw(kept, _RING_ORDER)
-
-
-def saturate(ideal_gens: Sequence[GradedPoly], h: GradedPoly) -> tuple:
-    """Saturation (I : h^infinity), as a reduced Groebner basis."""
-    ring = h.ring
-    raw = _saturate_raw(
-        tuple(g.terms for g in ideal_gens if not g.is_zero()), h.terms, ring.nvars
-    )
-    return tuple(GradedPoly(ring, g) for g in raw)
+    return _t_free(_elim_gb(items))
 
 
 def saturate_by_ideal(ideal_gens: Sequence[GradedPoly], by: Sequence[GradedPoly], ring: EdgeRing) -> tuple:

@@ -3,14 +3,13 @@ maps between them.
 
 Carries the contraction functor F0(M) = M/(e - e'), its derived torsion
 functor F1(M) = ker(M --(e-e')--> M) restricted to the contracted ring, the
-kernel/cokernel/image/pullback toolbox, annihilators and cyclic covers, Hilbert
-functions, and the support criterion deciding membership in the Serre
+kernel/cokernel/image/pullback toolbox, annihilators and cyclic submodules,
+Hilbert functions, and the support criterion deciding membership in the Serre
 subcategory generated by a list of partition modules.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -33,6 +32,9 @@ from .exactalg import (
     substitute_poly,
     syzygies,
 )
+
+# Largest antichain of tame subspaces is_tame_support will sweep.
+MAX_TAME_SUBSPACES = 512
 
 
 class PresentedModule:
@@ -334,8 +336,12 @@ def submodule_from_elements(m: PresentedModule, elems: Sequence[FreeElement]):
     return sub, incl
 
 
-def kernel(phi: ModuleMap):
-    """Kernel presentation and its inclusion into the source."""
+def _kernel_span(phi: ModuleMap):
+    """Kernel of phi as (presentation, generators in the source free cover).
+
+    The generators are the nonzero classes of the reduced Groebner basis of
+    the source-side projections of the syzygies of phi's columns together
+    with the target relations."""
     src = phi.source
     free = src.free_cover
     items = [phi.apply_free(free.gen(j)) for j in range(src.rank)]
@@ -346,8 +352,13 @@ def kernel(phi: ModuleMap):
         if not x.is_zero():
             raw.append(x)
     span = groebner(raw, module=free)
-    sub, kept = _presentation_of_span(src, list(span))
-    incl = ModuleMap.from_columns(sub, src, kept, 0, check=False)
+    return _presentation_of_span(src, list(span))
+
+
+def kernel(phi: ModuleMap):
+    """Kernel presentation and its inclusion into the source."""
+    sub, kept = _kernel_span(phi)
+    incl = ModuleMap.from_columns(sub, phi.source, kept, 0, check=False)
     return sub, incl
 
 
@@ -488,31 +499,13 @@ class TorsionData:
 
 @lru_cache(maxsize=8192)
 def torsion_data(m: PresentedModule, e: str, e_prime: str) -> TorsionData:
-    bring = _base_ring(m.ring, e, e_prime)
+    """The kernel of the degree-1 map (e - e') . : M -> M, contracted by f0."""
+    _base_ring(m.ring, e, e_prime)
     d = m.ring.var(e) - m.ring.var(e_prime)
-    free = m.free_cover
-    items = [d * free.gen(j) for j in range(m.rank)] + list(m.relations)
-    raw = []
-    for s in syzygies(items, module=free):
-        x = _project_head(s, free, m.rank)
-        if not x.is_zero():
-            raw.append(x)
-    span = groebner(raw, module=free)
-    gb = m.relation_gb()
-    kept = tuple(x for x in span if not normal_form(x, gb).is_zero())
-    if not kept:
-        return TorsionData((), PresentedModule.zero(bring))
-    weights = tuple(x.weight() for x in kept)
-    rel_free_split = FreeModule(m.ring, weights)
-    rel_free_base = FreeModule(bring, weights)
-    rels = []
-    for s in syzygies(list(kept) + list(m.relations), module=free):
-        r = _project_head(s, rel_free_split, len(kept))
-        rb = substitute_free(r, rel_free_base, {e_prime: e})
-        if not rb.is_zero():
-            rels.append(rb)
-    pres = PresentedModule(bring, weights, rels)
-    return TorsionData(kept, pres)
+    zero = m.ring.zero()
+    matrix = [[d if i == j else zero for j in range(m.rank)] for i in range(m.rank)]
+    sub, kept = _kernel_span(ModuleMap(m, m, matrix, 1, check=False))
+    return TorsionData(kept, f0(sub, e, e_prime))
 
 
 def f1(m: PresentedModule, e: str, e_prime: str) -> PresentedModule:
@@ -574,11 +567,7 @@ class ShortExactSequence:
             problems.append("inclusion is not injective")
         if not self.proj.is_epi():
             problems.append("projection is not surjective")
-        mid = self.incl.target
-        im_cols = [self.incl.column(j) for j in range(self.incl.source.rank)]
-        _, ker_incl = kernel(self.proj)
-        ker_cols = [ker_incl.column(j) for j in range(ker_incl.source.rank)]
-        if not same_submodule(mid, im_cols, ker_cols):
+        if not exact_at(self.incl, self.proj):
             problems.append("image of the inclusion differs from the kernel of the projection")
         return problems
 
@@ -589,6 +578,14 @@ def same_submodule(ambient: PresentedModule, gens_a: Sequence[FreeElement], gens
     a = groebner(list(gens_a) + list(ambient.relations), module=free)
     b = groebner(list(gens_b) + list(ambient.relations), module=free)
     return a == b
+
+
+def exact_at(fin: ModuleMap, fout: ModuleMap) -> bool:
+    """Exactness of fin followed by fout: the image of fin is the kernel of fout."""
+    im_cols = [fin.column(j) for j in range(fin.source.rank)]
+    _, ker_incl = kernel(fout)
+    ker_cols = [ker_incl.column(j) for j in range(ker_incl.source.rank)]
+    return same_submodule(fin.target, im_cols, ker_cols)
 
 
 def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
@@ -650,11 +647,7 @@ class SixTermSequence:
             ("F0(A)", f0i, f0p),
         ]
         for name, fin, fout in junctions:
-            mid = fin.target
-            im_cols = [fin.column(j) for j in range(fin.source.rank)]
-            _, ker_incl = kernel(fout)
-            ker_cols = [ker_incl.column(j) for j in range(ker_incl.source.rank)]
-            if not same_submodule(mid, im_cols, ker_cols):
+            if not exact_at(fin, fout):
                 problems.append(f"exactness fails at {name}")
         if not f0p.is_epi():
             problems.append("F0(A) -> F0(C) not surjective")
@@ -684,7 +677,7 @@ def six_term(ses: ShortExactSequence, e: str, e_prime: str) -> SixTermSequence:
 
 
 # ---------------------------------------------------------------------------
-# Annihilators, cyclic submodules, covers
+# Annihilators and cyclic submodules
 
 
 def annihilator(m: PresentedModule, x: FreeElement) -> tuple[GradedPoly, ...]:
@@ -738,56 +731,19 @@ def cyclic_submodule(m: PresentedModule, x: FreeElement) -> CyclicSubmodule:
     return CyclicSubmodule(zero_mod, ModuleMap.zero_map(zero_mod, m), 0)
 
 
-@dataclass(frozen=True)
-class SubmoduleCover:
-    """A submodule S with a finite cyclic cover: the pieces R*x_i with their
-    inclusions into the ambient module, and the assembled surjection from
-    their direct sum onto S."""
-
-    sub: PresentedModule
-    inclusion: ModuleMap  # S -> M
-    pieces: tuple[CyclicSubmodule, ...]
-    total: PresentedModule  # direct sum of the pieces
-    surjection: ModuleMap  # total -> S
-
-
-def submodule_generators(m: PresentedModule, elems: Sequence[FreeElement]) -> SubmoduleCover:
-    for x in elems:
-        if not x.is_homogeneous:
-            raise ValidationError(f"inhomogeneous submodule generator {x}")
-    gb = m.relation_gb()
-    kept = [x for x in elems if not normal_form(x, gb).is_zero()]
-    sub, incl = submodule_from_elements(m, kept)
-    pieces = tuple(cyclic_submodule(m, x) for x in kept)
-    if not pieces:
-        zero_mod = PresentedModule.zero(m.ring)
-        return SubmoduleCover(sub, incl, (), zero_mod, ModuleMap.zero_map(zero_mod, sub))
-    total, _, _ = direct_sum([p.module for p in pieces])
-    zero = m.ring.zero()
-    one = m.ring.one()
-    matrix = [[zero] * total.rank for _ in range(sub.rank)]
-    for j in range(len(kept)):
-        matrix[j][j] = one
-    surj = ModuleMap(total, sub, matrix, 0, check=True)
-    return SubmoduleCover(sub, incl, pieces, total, surj)
-
-
 # ---------------------------------------------------------------------------
 # Support criterion for tameness
 
 
-def is_tame_support(
-    m: PresentedModule,
-    tame: Sequence,
-    product_cap: int = 64,
-    partition_cap: int = 512,
-) -> bool:
+def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     """Decide Supp(M) within the union of the tame partition subspaces.
 
-    Equivalent to prod_P I_P lying in rad(Ann M).  Products of generators are
-    tested directly when their number stays under product_cap; beyond that an
-    equivalent successive-saturation sweep is used (components covered by some
-    subspace are saturated away; containment holds iff nothing survives).
+    Equivalent to prod_P I_P lying in rad(Ann M).  After the quick check of
+    support inside a single subspace, one successive-saturation sweep decides:
+    Ann M is saturated by each I_P in turn, finest partitions first, which
+    removes the components covered by that subspace; containment holds iff
+    the unit ideal is reached.  More than MAX_TAME_SUBSPACES partitions in the
+    reduced antichain raise ResourceCapError.
     """
     from .partition import partition_ideal
 
@@ -809,29 +765,17 @@ def is_tame_support(
     ann = annihilator_ideal(m)
     if ann and ideal_contains_one(ann, m.ring):
         return True
-    ideals = [partition_ideal(p, m.ring) for p in keep]
-    if len(keep) > partition_cap:
+    if len(keep) > MAX_TAME_SUBSPACES:
         raise ResourceCapError(
-            f"{len(keep)} tame subspaces exceed the partition cap {partition_cap}"
+            f"{len(keep)} tame subspaces exceed the partition cap {MAX_TAME_SUBSPACES}"
         )
+    ideals = [partition_ideal(p, m.ring) for p in keep]
     # Quick win: support inside a single subspace.
     for gens in ideals:
         if all(radical_member(g, ann) for g in gens):
             return True
     if len(keep) == 1:
         return False
-    count = 1
-    for gens in ideals:
-        count *= max(len(gens), 1)
-    if count <= product_cap:
-        for combo in itertools.product(*[gens for gens in ideals if gens]):
-            g = m.ring.one()
-            for f in combo:
-                g = g * f
-            if not radical_member(g, ann):
-                return False
-        return True
-    # Successive saturation, finest partitions first.
     order = sorted(range(len(keep)), key=lambda i: (-keep[i].block_count, keep[i].blocks))
     current = ann
     for i in order:

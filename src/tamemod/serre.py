@@ -24,10 +24,12 @@ from .gradedmod import (
     ModuleMap,
     PresentedModule,
     ShortExactSequence,
+    _base_ring,
     _monomials,
     cokernel,
     connecting_map,
     direct_sum,
+    exact_at,
     f0,
     f1,
     image,
@@ -36,7 +38,6 @@ from .gradedmod import (
     is_tame_support,
     kernel,
     pullback,
-    same_submodule,
     submodule_from_elements,
 )
 from .graphsplit import SplitResult, TamenessPredicate, tame_partitions
@@ -246,11 +247,7 @@ def verify(c: Certificate, pred: TamenessPredicate, _path: tuple = ()) -> Verify
             return _fail(_path, "extension injection is not injective")
         if not c.projection.is_epi():
             return _fail(_path, "extension projection is not surjective")
-        mid = c.injection.target
-        im_cols = [c.injection.column(j) for j in range(c.injection.source.rank)]
-        _, ker_incl = kernel(c.projection)
-        ker_cols = [ker_incl.column(j) for j in range(ker_incl.source.rank)]
-        if not same_submodule(mid, im_cols, ker_cols):
+        if not exact_at(c.injection, c.projection):
             return _fail(_path, "extension is not exact in the middle")
         return VerifyResult(True)
     raise StructuralError(f"unknown certificate node {c!r}")
@@ -291,11 +288,6 @@ def transform(
     return out
 
 
-def _base_ring_for(c: Certificate, e: str, e_prime: str) -> EdgeRing:
-    ring = c.root.ring
-    return EdgeRing(tuple(v for v in ring.variables if v != e_prime))
-
-
 def _zero_cert_for(presentation: PresentedModule) -> Certificate:
     """Certificate for a zero module given by a possibly non-empty presentation."""
     if presentation.rank == 0:
@@ -308,12 +300,12 @@ def _transform(c, e, e_prime, i, trace, depth) -> Certificate:
     if trace is not None:
         trace.append((depth, i, type_level(c)))
     if isinstance(c, ZeroNode):
-        return ZeroNode(_base_ring_for(c, e, e_prime))
+        return ZeroNode(_base_ring(c.root.ring, e, e_prime))
     if isinstance(c, GenNode):
         merged = merge_edges(c.partition, e, e_prime)
         if i == 0 or related(c.partition, e, e_prime):
             return GenNode(merged, c.shift)
-        return ZeroNode(_base_ring_for(c, e, e_prime))
+        return ZeroNode(_base_ring(c.root.ring, e, e_prime))
     if isinstance(c, QuotNode):
         return _via_quot(c.parent, c.witness, e, e_prime, i, trace, depth)
     if isinstance(c, ExtNode):
@@ -484,6 +476,8 @@ def random_certificate(
     """
     if not tame_list:
         raise ValidationError("need at least one tame partition to seed certificates")
+    if max_level < 0:
+        raise ValidationError(f"max_level must be non-negative, got {max_level}")
     ring = partition_module(tame_list[0]).ring
 
     def build(level: int) -> Certificate:
@@ -580,9 +574,17 @@ def harness(
     Deterministic for a fixed seed regardless of jobs: each sample derives its
     own RNG stream from (seed, index) and results are merged in index order.
     """
+    _check_counts(samples, jobs)
     tasks = [(i, seed, split, pred_split, pred_base, max_level) for i in range(samples)]
     results = _map_tasks(_harness_sample, tasks, jobs)
     return tuple(sorted(results, key=lambda r: r.sample))
+
+
+def _check_counts(samples: int, jobs: int):
+    if samples < 0:
+        raise ValidationError(f"samples must be non-negative, got {samples}")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
 
 
 def _map_tasks(fn, tasks: list, jobs: int) -> list:
@@ -653,6 +655,7 @@ def transform_corpus(
 
     Row order and content are deterministic for a fixed seed regardless of the
     worker count."""
+    _check_counts(samples, jobs)
     tasks = [(i, seed, split, pred, max_level) for i in range(samples)]
     rows = _map_tasks(_corpus_sample, tasks, jobs)
     return sorted(rows, key=lambda r: r["sample"])

@@ -153,6 +153,14 @@ def test_cert_transform_needs_out():
     assert run("cert", "transform", "--in", SUB_IDEAL, "--cert", "c_ideal") == 2
 
 
+def test_cert_transform_split_not_in_ring(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert run("cert", "transform", "--in", SUB_IDEAL, "--cert", "c_ideal",
+               "--split", "a", "--out", str(out)) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- harness -------------------------------------------------------------------------
 
 
@@ -199,3 +207,14 @@ def test_harness_cap_exit_code():
 
 def test_harness_needs_edges_or_graph():
     assert run("harness", "--pred", "always-true", "--samples", "1") == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--max-level", "-1", "max_level"), ("--samples", "-3", "samples"), ("--jobs", "0", "jobs")],
+)
+def test_harness_bad_counts_exit_2(capsys, flag, value, message):
+    base = ["harness", "--edges", "2", "--pred", "always-true", "--samples", "1"]
+    assert run(*base, flag, value) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and message in err

@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 
 from tamemod.errors import StructuralError
 from tamemod.exactalg import (
+    _RING_ORDER,
     EdgeRing,
     FreeModule,
     GradedPoly,
+    _groebner_raw,
+    _intersect_raw,
+    _saturate_raw,
     groebner,
     intersect_ideals,
     normal_form,
     radical_member,
     reduce_with_expression,
-    saturate,
     saturate_by_ideal,
     syzygies,
 )
@@ -186,7 +189,7 @@ def test_radical_zero_polynomial(ring_xy):
 
 def test_saturate_strips_powers(ring_xy):
     x, y = ring_xy.var("x"), ring_xy.var("y")
-    assert saturate([x * x * y], x) == (y,)
+    assert saturate_by_ideal([x * x * y], [x], ring_xy) == (y,)
 
 
 def test_intersection_of_coordinate_ideals(ring_xy):
@@ -206,6 +209,30 @@ def test_saturate_by_whole_ideal(ring_xy):
 def test_saturate_by_zero_ideal(ring_xy):
     out = saturate_by_ideal([ring_xy.var("x")], [], ring_xy)
     assert out == (ring_xy.one(),)
+
+
+def test_elimination_outputs_are_reduced_bases():
+    # the t-free part of the elimination basis is already the reduced basis
+    # in the ring order: a Groebner pass leaves it unchanged
+    R = EdgeRing(("x", "y", "z"))
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    ideals = [
+        [x * y],
+        [x * x * y, y * z],
+        [x - y, y * z],
+        [x * y - z * z, x * z],
+        [x * x - y * y, x * y * z],
+        [x * y - y * z, x * z - z * z],
+    ]
+    hs = [x, y - z, x + y + z]
+    for a in ideals:
+        raw_a = tuple(g.terms for g in a)
+        for h in hs:
+            out = _saturate_raw(raw_a, h.terms, R.nvars)
+            assert _groebner_raw(out, _RING_ORDER) == out
+        for b in ideals:
+            out = _intersect_raw(raw_a, tuple(g.terms for g in b), R.nvars)
+            assert _groebner_raw(out, _RING_ORDER) == out
 
 
 # -- arithmetic exactness --------------------------------------------------------

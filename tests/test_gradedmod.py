@@ -1,11 +1,12 @@
 """Presented modules, maps, functors, homological toolbox, support criterion."""
 
+import itertools
 import random
 
 import pytest
 
 from tamemod.errors import StructuralError, ValidationError
-from tamemod.exactalg import EdgeRing, groebner, normal_form
+from tamemod.exactalg import EdgeRing, groebner, normal_form, radical_member
 from tamemod.gradedmod import (
     ModuleMap,
     PresentedModule,
@@ -26,7 +27,6 @@ from tamemod.gradedmod import (
     pullback,
     six_term,
     submodule_from_elements,
-    submodule_generators,
     torsion_data,
 )
 from tamemod.graphsplit import iter_partitions
@@ -332,30 +332,6 @@ def test_cyclic_submodule_of_zero_element():
     assert cs.module.is_zero()
 
 
-def test_submodule_generators_cover():
-    R = EdgeRing(("x", "y"))
-    m = PresentedModule.free(R, (0,))
-    cover = submodule_generators(m, [R.var("x") * m.gen(0), R.var("y") * m.gen(0)])
-    assert len(cover.pieces) == 2
-    for piece in cover.pieces:
-        assert piece.module.same_presentation(m.shift(1))  # Ann = 0: shifted free
-    assert cover.surjection.is_epi()
-    assert cover.inclusion.is_mono()
-
-
-def test_submodule_generators_whole_module(zp_related):
-    cover = submodule_generators(zp_related, [zp_related.gen(0)])
-    assert len(cover.pieces) == 1
-    assert cover.surjection.is_epi()
-
-
-def test_submodule_generators_zero():
-    R = EdgeRing(("x",))
-    m = PresentedModule.free(R, (0,))
-    cover = submodule_generators(m, [])
-    assert cover.sub.is_zero() and cover.pieces == ()
-
-
 # -- support criterion ------------------------------------------------------------------------
 
 
@@ -391,20 +367,43 @@ def test_tame_support_union_of_two(p_related):
     assert not is_tame_support(total, [q])
 
 
+def _product_oracle(m, tame):
+    """Literal support check: every product of one generator from each
+    partition ideal lies in rad(Ann M)."""
+    ann = annihilator_ideal(m)
+    ideals = [partition_ideal(p, m.ring) for p in tame]
+    for combo in itertools.product(*ideals):
+        g = m.ring.one()
+        for f in combo:
+            g = g * f
+        if not radical_member(g, ann):
+            return False
+    return True
+
+
 def test_tame_support_routes_agree(p_related):
-    # the literal product route and the saturation sweep agree
+    # the saturation sweep agrees with the literal product check on every
+    # antichain of non-discrete partitions of {a, e, e'}
     ground = ["a", "e", "e'"]
-    parts = [p for p in iter_partitions(ground) if not p.is_discrete()]
+    ring = partition_module(p_related).ring
+    parts = list(iter_partitions(ground))
+    nondiscrete = [p for p in parts if not p.is_discrete()]
+    antichains = [
+        list(c)
+        for k in range(1, len(nondiscrete) + 1)
+        for c in itertools.combinations(nondiscrete, k)
+        if not any(p != q and p.refines(q) for p in c for q in c)
+    ]
+    assert len(antichains) == 8
     q = make_partition(ground, [["a", "e"], ["e'"]])
-    mq = partition_module(q)
-    big = direct_sum([mq, partition_module(p_related)])[0]
-    assert is_tame_support(big, parts, product_cap=64) == is_tame_support(
-        big, parts, product_cap=0
-    )
-    free = PresentedModule.free(mq.ring, (0,))
-    assert is_tame_support(free, parts, product_cap=64) == is_tame_support(
-        free, parts, product_cap=0
-    )
+    modules = [partition_module(p, ring) for p in parts]
+    modules += [
+        PresentedModule.free(ring, (0,)),
+        direct_sum([partition_module(q, ring), partition_module(p_related, ring)])[0],
+    ]
+    for tame in antichains:
+        for m in modules:
+            assert is_tame_support(m, tame) == _product_oracle(m, tame), (tame, m)
 
 
 def test_rank_weights_of_annihilator_ideal(zp_related, p_related):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tamemod.errors import CertificateError, StructuralError
+from tamemod.errors import CertificateError, StructuralError, ValidationError
 from tamemod.exactalg import EdgeRing
 from tamemod.gradedmod import (
     ModuleMap,
@@ -168,6 +168,14 @@ def test_transform_sub_of_gen_is_quot_of_gen(p_related):
     assert is_tame_support(out.root, list(tame_partitions(PRED, EdgeGraph(("a", "e")))))
 
 
+def test_transform_zero_checks_split_pair(p_related):
+    ring = GenNode(p_related, 0).root.ring
+    assert transform(ZeroNode(ring), "e", "e'", 1) == ZeroNode(EdgeRing(("a", "e")))
+    for e, e_prime in (("e", "e"), ("e", "x")):
+        with pytest.raises(ValidationError):
+            transform(ZeroNode(ring), e, e_prime, 0)
+
+
 def test_transform_rejects_unverifiable_input(p_related):
     cert = GenNode(p_related, 0)
     with pytest.raises(CertificateError):
@@ -284,6 +292,12 @@ def test_jobs_clamped_to_cores_and_tasks(split_abe, monkeypatch, cores, samples,
     rows = transform_corpus(split_abe, PRED, samples=samples, seed=5, max_level=1, jobs=10**6)
     assert [r["sample"] for r in rows] == list(range(samples))
     assert RecordingExecutor.created == expected * 2
+
+
+@pytest.mark.parametrize("samples, jobs", [(-1, 1), (2, 0)])
+def test_transform_corpus_rejects_bad_counts(split_abe, samples, jobs):
+    with pytest.raises(ValidationError):
+        transform_corpus(split_abe, AlwaysTame(), samples=samples, seed=0, jobs=jobs)
 
 
 def test_transform_corpus_rows(split_abe):
