@@ -348,8 +348,33 @@ def _monic(f: tuple) -> tuple:
 
 
 def _buchberger(items: Sequence[tuple], order: tuple, cap: int = MAX_BASIS) -> list:
+    """A Groebner basis of the items, not yet reduced (see _autoreduce).
+
+    Pairs are selected by the sugar strategy (Giovini, Mora, Niesi, Robbiano
+    and Traverso, "One sugar cube, please", 1991): least sugar first, then
+    least lcm in the order.  An input's sugar is its largest weighted degree;
+    a new element takes its pair's sugar, the larger of the two elements'
+    sugars each raised by the degree from its leading monomial to the lcm.
+    For homogeneous input sugar is the degree.  Selecting by the order alone
+    is wrong for _tracked_raw's order on F + R^m, whose first field is the
+    position block: it reduces every pair led in the auxiliary positions
+    before any pair led in F, whatever their degrees, and most of those
+    reductions end in zero.
+
+    Two criteria of Buchberger ("A criterion for detecting unnecessary
+    reductions in the construction of Groebner bases", 1979) skip pairs.
+    The product criterion skips a pair whose leading monomials are coprime.
+    It holds only when both elements lie in a single position, where the
+    pair is the polynomial case times one basis vector; it is not valid for
+    elements spread over several positions.  The chain criterion skips a pair
+    (i, j) when some k leads in their position, lt_k divides their lcm, and
+    neither (i, k) nor (j, k) is pending.  A pair skipped by either criterion
+    is no longer pending.
+    """
     weights, nelim, possplit = order
     basis = [_monic(f) for f in items if f]
+    sugar = [max(sum(t[1]) + weights[t[0]] for t in f) for f in basis]
+    one_pos = [all(t[0] == f[0][0] for t in f) for f in basis]
     heap: list = []
     treated: set = set()
 
@@ -359,19 +384,21 @@ def _buchberger(items: Sequence[tuple], order: tuple, cap: int = MAX_BASIS) -> l
             lti = basis[i][0]
             if lti[0] == ltj[0]:
                 lcm = K.expo_lcm(lti[1], ltj[1])
+                deg = sum(lcm)
+                pair_sugar = max(sugar[i] + deg - sum(lti[1]), sugar[j] + deg - sum(ltj[1]))
                 key = K.sort_key(lti[0], lcm, weights, nelim, possplit)
-                heapq.heappush(heap, (key, i, j))
+                heapq.heappush(heap, (pair_sugar, key, i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        pair_sugar, _, i, j = heapq.heappop(heap)
         treated.add((i, j))
         lti, ltj = basis[i][0], basis[j][0]
+        if one_pos[i] and one_pos[j] and not any(a and b for a, b in zip(lti[1], ltj[1])):
+            continue
         lcm = K.expo_lcm(lti[1], ltj[1])
-        # Buchberger's chain criterion (the coprimality criterion is not
-        # valid for submodules of free modules, so it is not applied).
         skip = False
         for k in range(len(basis)):
             if k == i or k == j:
@@ -391,6 +418,8 @@ def _buchberger(items: Sequence[tuple], order: tuple, cap: int = MAX_BASIS) -> l
         r, _ = K.reduce(s, basis, weights, nelim, possplit, False)
         if r:
             basis.append(_monic(r))
+            sugar.append(pair_sugar)
+            one_pos.append(all(t[0] == r[0][0] for t in r))
             if len(basis) > cap:
                 raise ResourceCapError(f"Groebner basis exceeded {cap} elements")
             push_pairs(len(basis) - 1)

@@ -178,9 +178,10 @@ def predicate_from_config(cfg) -> TamenessPredicate:
             if not arg:
                 raise ValidationError("max-blocks needs a block bound, e.g. max-blocks:2")
             try:
-                return MaxBlockCount(int(arg))
+                k = int(arg)
             except ValueError:
                 raise ValidationError(f"max-blocks bound must be an integer, got {arg!r}") from None
+            return MaxBlockCount(k)
         if name == CoBlocked.name:
             if not arg:
                 raise ValidationError("co-blocked needs edges, e.g. co-blocked:a,b")

@@ -211,7 +211,12 @@ def test_harness_needs_edges_or_graph():
 
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--max-level", "-1", "max_level"), ("--samples", "-3", "samples"), ("--jobs", "0", "jobs")],
+    [
+        ("--max-level", "-1", "max_level"),
+        ("--samples", "-3", "samples"),
+        ("--jobs", "0", "jobs"),
+        ("--pred", "max-blocks:-1", "block bound must be positive"),
+    ],
 )
 def test_harness_bad_counts_exit_2(capsys, flag, value, message):
     base = ["harness", "--edges", "2", "--pred", "always-true", "--samples", "1"]

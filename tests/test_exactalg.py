@@ -1,21 +1,28 @@
 """Groebner, normal form, syzygy, and radical-membership behavior."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tamemod.errors import StructuralError
 from tamemod.exactalg import (
+    _ELIM_ORDER,
     _RING_ORDER,
     EdgeRing,
     FreeModule,
     GradedPoly,
+    K,
+    _autoreduce,
     _groebner_raw,
     _intersect_raw,
+    _lift_terms,
+    _monic,
     _saturate_raw,
+    _tracked_raw,
     groebner,
     intersect_ideals,
     normal_form,
@@ -233,6 +240,120 @@ def test_elimination_outputs_are_reduced_bases():
         for b in ideals:
             out = _intersect_raw(raw_a, tuple(g.terms for g in b), R.nvars)
             assert _groebner_raw(out, _RING_ORDER) == out
+
+
+# -- pair criteria and selection ------------------------------------------------
+
+
+def _oracle_gb(items, order):
+    """Buchberger with no criteria: every same-position pair, first in first out."""
+    basis = [_monic(f) for f in items if f]
+    pairs = deque((i, j) for j in range(len(basis)) for i in range(j) if basis[i][0][0] == basis[j][0][0])
+    while pairs:
+        i, j = pairs.popleft()
+        r, _ = K.reduce(K.spoly(basis[i], basis[j], *order), basis, *order, False)
+        if r:
+            basis.append(_monic(r))
+            n = len(basis) - 1
+            pairs.extend((i, n) for i in range(n) if basis[i][0][0] == r[0][0])
+    return _autoreduce(basis, order)
+
+
+def _raw_element(nvars, positions, order):
+    """Strategy: a nonzero canonical raw element with small terms in the given positions."""
+    term = st.tuples(
+        st.sampled_from(positions),
+        st.tuples(*[st.integers(0, 2)] * nvars),
+        st.integers(-3, 3).filter(bool),
+        st.just(1),
+    )
+    return st.lists(term, min_size=1, max_size=3).map(lambda ts: K.canon(ts, *order)).filter(bool)
+
+
+def _raw_elements(nvars, positions, order, max_size=3):
+    return st.lists(_raw_element(nvars, positions, order), min_size=1, max_size=max_size).map(tuple)
+
+
+_MODULE_ORDER = ((0, 1), 0, 0)
+
+_oracle_settings = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@_oracle_settings
+@given(st.integers(1, 3).flatmap(lambda n: _raw_elements(n, [0], _RING_ORDER)))
+def test_criteria_match_oracle_ideals(items):
+    assert _groebner_raw(items, _RING_ORDER) == _oracle_gb(items, _RING_ORDER)
+
+
+@_oracle_settings
+@given(
+    st.integers(1, 2).flatmap(
+        lambda n: st.tuples(_raw_elements(n, [0], _RING_ORDER, 2), _raw_element(n, [0], _RING_ORDER))
+    )
+)
+def test_criteria_match_oracle_rabinowitsch(ideal_h):
+    # I + (1 - t*h) under the elimination order: inhomogeneous input
+    ideal, h = ideal_h
+    nvars = len(h[0][1])
+    th = K.mul(((0, (1,) + (0,) * nvars, 1, 1),), _lift_terms(h), *_ELIM_ORDER)
+    one = ((0, (0,) * (nvars + 1), 1, 1),)
+    items = tuple(_lift_terms(g) for g in ideal) + (K.sub(one, th, *_ELIM_ORDER),)
+    assert _groebner_raw(items, _ELIM_ORDER) == _oracle_gb(items, _ELIM_ORDER)
+
+
+@_oracle_settings
+@given(st.integers(1, 3).flatmap(lambda n: _raw_elements(n, [0, 1], _MODULE_ORDER, 4)))
+@example((((0, (1, 0), 1, 1),), ((0, (0, 2), 1, 1), (1, (0, 0), 1, 1))))
+def test_criteria_match_oracle_rank2(items):
+    # random positions mix elements in one position with elements in both;
+    # the example's coprime pair x*e0, y^2*e0 + e1 has S-polynomial -x*e1,
+    # which is not zero modulo the pair
+    assert _groebner_raw(items, _MODULE_ORDER) == _oracle_gb(items, _MODULE_ORDER)
+
+
+@_oracle_settings
+@given(
+    st.sampled_from([(1, [0], _RING_ORDER), (2, [0, 1], _MODULE_ORDER)]).flatmap(
+        lambda c: st.tuples(st.just(c[0]), st.just(c[2]), _raw_elements(2, c[1], c[2]))
+    )
+)
+def test_criteria_match_oracle_tracked(case):
+    rank, order, items = case
+    basis, porder = _tracked_raw(items, rank, order, 2)
+    embedded = [g + ((rank + i, (0, 0), 1, 1),) for i, g in enumerate(items)]
+    assert basis == _oracle_gb(embedded, porder)
+
+
+def _count_spolys(monkeypatch):
+    _groebner_raw.cache_clear()
+    _tracked_raw.cache_clear()
+    calls = []
+    spoly = K.spoly
+
+    def counting(*args):
+        calls.append(1)
+        return spoly(*args)
+
+    monkeypatch.setattr(K, "spoly", counting)
+    return calls
+
+
+def test_product_criterion_skips_coprime_leads(monkeypatch):
+    R = EdgeRing(("x", "y", "z"))
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    calls = _count_spolys(monkeypatch)
+    assert set(groebner([x**2, y**2, z**2])) == {x**2, y**2, z**2}
+    assert len(calls) == 0
+
+
+def test_syzygy_spoly_count(monkeypatch):
+    # 7 S-polynomials with sugar selection and the chain criterion; selection
+    # by the order alone makes 8, and dropping the chain criterion makes 9
+    R = EdgeRing(("x", "y", "z"))
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    calls = _count_spolys(monkeypatch)
+    syzygies([x * x - y * z, x * y, z * z])
+    assert len(calls) == 7
 
 
 # -- arithmetic exactness --------------------------------------------------------

@@ -194,7 +194,9 @@ def test_module_schema_errors(damage, message):
         module_from_json(data)
 
 
-@pytest.mark.parametrize("cfg", ["max-blocks:x", {"name": "max-blocks", "k": "2"}, {"name": ["x"]}, 7])
+@pytest.mark.parametrize(
+    "cfg", ["max-blocks:x", {"name": "max-blocks", "k": "2"}, {"name": ["x"]}, 7, "max-blocks:-1"]
+)
 def test_bad_predicate_config(cfg):
     data = {"predicate": cfg}
     with pytest.raises(ValidationError) as info:
