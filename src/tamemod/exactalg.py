@@ -427,19 +427,22 @@ def _buchberger(items: Sequence[tuple], order: tuple, cap: int = MAX_BASIS) -> l
 
 
 def _autoreduce(basis: Sequence[tuple], order: tuple) -> tuple:
+    """The reduced Groebner basis from a Groebner basis, largest lead first.
+
+    Elements are taken in ascending lead order; one whose lead a kept lead
+    divides is dropped, and each kept one is reduced against the smaller ones
+    already kept and reduced.  Every tail term lies below its own lead, so no
+    larger lead divides it, and the result is the unique reduced basis.
+    """
     weights, nelim, possplit = order
-    by_lm = sorted(basis, key=lambda f: K.sort_key(f[0][0], f[0][1], weights, nelim, possplit))
-    mins: list = []
-    for g in by_lm:
+    out: list = []
+    for g in sorted(basis, key=lambda f: K.sort_key(f[0][0], f[0][1], weights, nelim, possplit)):
         lt = g[0]
-        if not any(h[0][0] == lt[0] and K.expo_divides(h[0][1], lt[1]) for h in mins):
-            mins.append(g)
-    out = []
-    for idx, g in enumerate(mins):
-        others = mins[:idx] + mins[idx + 1 :]
-        r, _ = K.reduce(g, others, weights, nelim, possplit, False)
+        if any(h[0][0] == lt[0] and K.expo_divides(h[0][1], lt[1]) for h in out):
+            continue
+        r, _ = K.reduce(g, out, weights, nelim, possplit, False)
         out.append(_monic(r))
-    out.sort(key=lambda f: K.sort_key(f[0][0], f[0][1], weights, nelim, possplit), reverse=True)
+    out.reverse()
     return tuple(out)
 
 
@@ -454,23 +457,28 @@ def _reduce_raw(f: tuple, gb: tuple, order: tuple) -> tuple:
 
 
 @lru_cache(maxsize=65536)
-def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int) -> tuple:
-    """Reduced Groebner basis of {g_i + eps_i} in F + R^m.
+def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tuple = ()) -> tuple:
+    """Reduced Groebner basis of {g_i + eps_i} and the modulo elements in F + R^m.
 
-    Elements with a nonzero F-part carry their expression in the inputs;
-    elements supported purely on the auxiliary positions are syzygies.
-    Returns (basis, product order).
+    Only the m items carry an auxiliary basis vector eps_i; the modulo
+    elements enter with no auxiliary part, so their cofactors are never
+    carried.  The order puts F above the auxiliary positions, so the elements
+    with a nonzero F-part are a Groebner basis of the span of items and
+    modulo, each carrying its expression in the items, and the elements
+    supported purely on the auxiliary positions are a reduced basis of
+    {a : sum a_i g_i lies in the span of modulo} (the module quotient that
+    Singular and Macaulay2 call modulo).  Returns (basis, product order).
     """
     weights, nelim, _ = order
     aux = []
     for g in items:
         w = {sum(t[1]) + weights[t[0]] for t in g}
         aux.append(w.pop() if len(w) == 1 else 0)
-    pweights = tuple(weights) + tuple(aux) if items else tuple(weights)
+    pweights = tuple(weights) + tuple(aux)
     porder = (pweights, nelim, rank)
     zero_expo = (0,) * nvars
     embedded = [g + ((rank + i, zero_expo, 1, 1),) for i, g in enumerate(items)]
-    basis = _autoreduce(_buchberger(embedded, porder), porder)
+    basis = _autoreduce(_buchberger(embedded + list(modulo), porder), porder)
     return basis, porder
 
 
@@ -536,23 +544,31 @@ def normal_form(f, gb: Sequence):
     return FreeElement(mod, r)
 
 
-def reduce_with_expression(f, gens: Sequence):
-    """Normal form of f against the submodule generated by gens, together with
-    an exact expression: f = sum cof_i * gens_i + remainder."""
-    poly_in = isinstance(f, GradedPoly)
-    if not list(gens):
+def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
+    """Normal form of f against the submodule generated by gens and modulo,
+    with cofactors for gens alone: f - remainder - sum cof_i * gens_i lies in
+    the submodule generated by modulo, and is zero when modulo is empty.
+
+    With no gens, f is still reduced against modulo and the cofactors are ().
+    """
+    gens = list(gens)
+    every = gens + list(modulo)
+    if not every:
         return f, ()
-    mod, items, was_poly = _coerce_inputs(gens)
+    poly_in = isinstance(f, GradedPoly)
+    mod, items, was_poly = _coerce_inputs(every)
     if poly_in:
         if not was_poly or f.ring != mod.ring:
             raise StructuralError("polynomial reduced against incompatible generators")
     elif was_poly or f.module != mod:
         raise StructuralError("element reduced against incompatible generators")
-    items = tuple(items)
-    basis, porder = _tracked_raw(items, mod.rank, mod.order(), mod.ring.nvars)
+    k = len(gens)
+    basis, porder = _tracked_raw(
+        tuple(items[:k]), mod.rank, mod.order(), mod.ring.nvars, tuple(items[k:])
+    )
     rhat, _ = K.reduce(f.terms, list(basis), *porder, False)
     rem, aux = _split_tracked(rhat, mod.rank)
-    cof_terms = [[] for _ in items]
+    cof_terms = [[] for _ in range(k)]
     for i, e, n, d in aux:
         cof_terms[i].append((0, e, -n, d))
     cofs = tuple(
@@ -562,17 +578,23 @@ def reduce_with_expression(f, gens: Sequence):
     return rem_v, cofs
 
 
-def syzygies(gens: Sequence, module: FreeModule | None = None):
-    """Generators of the relation module {s : sum s_i gens_i = 0}.
+def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence = ()):
+    """Reduced basis of the relations {s : sum s_i gens_i lies in the span of
+    modulo}; with modulo empty, the syzygies {s : sum s_i gens_i = 0}.
 
     The result lives in the free module indexed by gens, with generator
-    weights matching the input weights.
+    weights matching the input weights (0 for a zero or inhomogeneous
+    generator), and is its reduced Groebner basis, largest lead first.  The
+    modulo elements live in the same module as gens and carry no cofactors.
     """
-    mod, items, _ = _coerce_inputs(gens, module)
-    items = tuple(items)
-    if not items:
+    gens = list(gens)
+    mod, items, _ = _coerce_inputs(gens + list(modulo), module)
+    k = len(gens)
+    if not k:
         return ()
-    basis, _ = _tracked_raw(items, mod.rank, mod.order(), mod.ring.nvars)
+    basis, _ = _tracked_raw(
+        tuple(items[:k]), mod.rank, mod.order(), mod.ring.nvars, tuple(items[k:])
+    )
     sweights = []
     for g in gens:
         w = g.weight() if g.is_homogeneous else None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from ._core import impl as K
@@ -301,11 +302,6 @@ class ModuleMap:
 # Kernels, cokernels, images, sums, pullbacks
 
 
-def _project_head(elem: FreeElement, free: FreeModule, count: int) -> FreeElement:
-    terms = tuple(t for t in elem.terms if t[0] < count)
-    return FreeElement(free, K.canon(terms, *free.order()))
-
-
 def _presentation_of_span(ambient: PresentedModule, gens: Sequence[FreeElement]):
     """Presentation of the submodule generated by gens (given in the free
     cover), with generators exactly the nonzero classes among gens."""
@@ -314,13 +310,7 @@ def _presentation_of_span(ambient: PresentedModule, gens: Sequence[FreeElement])
     if not kept:
         return PresentedModule.zero(ambient.ring), ()
     weights = tuple(g.weight() for g in kept)
-    items = list(kept) + list(ambient.relations)
-    rel_free = FreeModule(ambient.ring, weights)
-    rels = []
-    for s in syzygies(items, module=ambient.free_cover):
-        r = _project_head(s, rel_free, len(kept))
-        if not r.is_zero():
-            rels.append(r)
+    rels = syzygies(kept, module=ambient.free_cover, modulo=ambient.relations)
     return PresentedModule(ambient.ring, weights, rels), tuple(kept)
 
 
@@ -339,19 +329,16 @@ def submodule_from_elements(m: PresentedModule, elems: Sequence[FreeElement]):
 def _kernel_span(phi: ModuleMap):
     """Kernel of phi as (presentation, generators in the source free cover).
 
-    The generators are the nonzero classes of the reduced Groebner basis of
-    the source-side projections of the syzygies of phi's columns together
-    with the target relations."""
+    The generators are the nonzero classes of the reduced Groebner basis, in
+    the source free cover, of the syzygies of phi's columns modulo the target
+    relations.  That syzygy basis is reduced in the order its own weights
+    give, which differs from the source cover's where a column is zero (its
+    weight is then 0, not the source weight), hence the Groebner pass."""
     src = phi.source
     free = src.free_cover
-    items = [phi.apply_free(free.gen(j)) for j in range(src.rank)]
-    items += list(phi.target.relations)
-    raw = []
-    for s in syzygies(items, module=phi.target.free_cover):
-        x = _project_head(s, free, src.rank)
-        if not x.is_zero():
-            raw.append(x)
-    span = groebner(raw, module=free)
+    cols = [phi.apply_free(free.gen(j)) for j in range(src.rank)]
+    syz = syzygies(cols, module=phi.target.free_cover, modulo=phi.target.relations)
+    span = groebner([FreeElement(free, K.canon(s.terms, *free.order())) for s in syz], module=free)
     return _presentation_of_span(src, list(span))
 
 
@@ -530,15 +517,14 @@ def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
     src1, tgt1 = td_s.presentation, td_t.presentation
     if not td_s.kgens:
         return ModuleMap.zero_map(src1, tgt1, phi.degree)
-    lift_items = list(td_t.kgens) + list(phi.target.relations)
     mapping = {e_prime: e}
     cols = []
     for x in td_s.kgens:
         y = phi.apply_free(x)
-        rem, cofs = reduce_with_expression(y, lift_items)
+        rem, cofs = reduce_with_expression(y, td_t.kgens, modulo=phi.target.relations)
         if not rem.is_zero():
             raise StructuralError("image of a torsion element is not torsion")
-        cols.append([substitute_poly(c, tgt1.ring, mapping) for c in cofs[: len(td_t.kgens)]])
+        cols.append([substitute_poly(c, tgt1.ring, mapping) for c in cofs])
     matrix = tuple(
         tuple(cols[j][i] for j in range(len(td_s.kgens))) for i in range(tgt1.rank)
     )
@@ -606,19 +592,19 @@ def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
     d = a_mod.ring.var(e) - a_mod.ring.var(e_prime)
     fa = a_mod.free_cover
     fb = b_mod.free_cover
-    lift_a = [ses.proj.apply_free(fa.gen(j)) for j in range(a_mod.rank)] + list(c_mod.relations)
-    lift_b = [ses.incl.apply_free(fb.gen(j)) for j in range(b_mod.rank)] + list(a_mod.relations)
+    lift_a = [ses.proj.apply_free(fa.gen(j)) for j in range(a_mod.rank)]
+    lift_b = [ses.incl.apply_free(fb.gen(j)) for j in range(b_mod.rank)]
     mapping = {e_prime: e}
     cols = []
     for c in td_c.kgens:
-        rem, cof = reduce_with_expression(c, lift_a)
+        rem, cof = reduce_with_expression(c, lift_a, modulo=c_mod.relations)
         if not rem.is_zero():
             raise StructuralError("projection is not surjective; cannot lift torsion class")
         a_lift = fa.zero()
         for j in range(a_mod.rank):
             a_lift = a_lift + cof[j] * fa.gen(j)
         w = d * a_lift
-        rem2, cof2 = reduce_with_expression(w, lift_b)
+        rem2, cof2 = reduce_with_expression(w, lift_b, modulo=a_mod.relations)
         if not rem2.is_zero():
             raise StructuralError("(e-e') times the lift does not come from the subobject")
         b_elem = fb.zero()
@@ -681,17 +667,16 @@ def six_term(ses: ShortExactSequence, e: str, e_prime: str) -> SixTermSequence:
 
 
 def annihilator(m: PresentedModule, x: FreeElement) -> tuple[GradedPoly, ...]:
-    """Generators of {r : r*x = 0 in M}, as a reduced Groebner basis."""
+    """Generators of {r : r*x = 0 in M}, as a reduced Groebner basis.
+
+    They are the syzygies of x modulo the relations of M, a reduced basis in
+    the rank-1 order of weight(x), which is the ring order shifted.
+    """
     if x.module != m.free_cover:
         raise StructuralError("element outside the module's free cover")
     if not x.is_homogeneous:
         raise ValidationError(f"inhomogeneous element {x}")
-    gens = []
-    for s in syzygies([x] + list(m.relations), module=m.free_cover):
-        c = s.component(0)
-        if not c.is_zero():
-            gens.append(c)
-    return groebner(gens, module=FreeModule(m.ring, (0,))) if gens else ()
+    return tuple(s.component(0) for s in syzygies([x], module=m.free_cover, modulo=m.relations))
 
 
 @lru_cache(maxsize=8192)
@@ -735,6 +720,17 @@ def cyclic_submodule(m: PresentedModule, x: FreeElement) -> CyclicSubmodule:
 # Support criterion for tameness
 
 
+def _finest(tame: Sequence) -> list:
+    """The partitions in tame that no other one refines, in tame's order.
+
+    All share one ground set.  q refines p iff q's same-block pairs are a
+    subset of p's, and distinct partitions have distinct pair sets, so q != p
+    refines p iff q's pair set is a proper subset of p's.
+    """
+    pairs = [frozenset(pr for b in p.blocks for pr in combinations(b, 2)) for p in tame]
+    return [p for p, s in zip(tame, pairs) if not any(t < s for t in pairs)]
+
+
 def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     """Decide Supp(M) within the union of the tame partition subspaces.
 
@@ -759,7 +755,7 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
         return True
     # Antichain reduction: a partition refined by another tame one covers a
     # smaller subspace and is redundant in the union.
-    keep = [p for p in tame if not any(q != p and q.refines(p) for q in tame)]
+    keep = _finest(tame)
     if any(p.is_discrete() for p in keep):
         return True
     ann = annihilator_ideal(m)

@@ -13,10 +13,12 @@ from tamemod.exactalg import (
     _ELIM_ORDER,
     _RING_ORDER,
     EdgeRing,
+    FreeElement,
     FreeModule,
     GradedPoly,
     K,
     _autoreduce,
+    _buchberger,
     _groebner_raw,
     _intersect_raw,
     _lift_terms,
@@ -314,14 +316,46 @@ def test_criteria_match_oracle_rank2(items):
 @_oracle_settings
 @given(
     st.sampled_from([(1, [0], _RING_ORDER), (2, [0, 1], _MODULE_ORDER)]).flatmap(
-        lambda c: st.tuples(st.just(c[0]), st.just(c[2]), _raw_elements(2, c[1], c[2]))
+        lambda c: st.tuples(
+            st.just(c[0]),
+            st.just(c[2]),
+            _raw_elements(2, c[1], c[2]),
+            st.one_of(st.just(()), _raw_elements(2, c[1], c[2], 2)),
+        )
     )
 )
 def test_criteria_match_oracle_tracked(case):
-    rank, order, items = case
-    basis, porder = _tracked_raw(items, rank, order, 2)
+    # the modulo elements enter with no auxiliary position
+    rank, order, items, modulo = case
+    basis, porder = _tracked_raw(items, rank, order, 2, modulo)
     embedded = [g + ((rank + i, (0, 0), 1, 1),) for i, g in enumerate(items)]
-    assert basis == _oracle_gb(embedded, porder)
+    assert basis == _oracle_gb(embedded + list(modulo), porder)
+    assert all(t[0] < rank + len(items) for v in basis for t in v)
+
+
+def _reference_autoreduce(basis, order):
+    """Minimal elements, each reduced against all the other minimal ones."""
+    key = lambda f: K.sort_key(f[0][0], f[0][1], *order)
+    mins = []
+    for g in sorted(basis, key=key):
+        if not any(h[0][0] == g[0][0] and K.expo_divides(h[0][1], g[0][1]) for h in mins):
+            mins.append(g)
+    out = [_monic(K.reduce(g, mins[:i] + mins[i + 1 :], *order, False)[0]) for i, g in enumerate(mins)]
+    return tuple(sorted(out, key=key, reverse=True))
+
+
+@_oracle_settings
+@given(
+    st.sampled_from([(1, [0], _RING_ORDER), (2, [0, 1], _MODULE_ORDER), (2, [0], _ELIM_ORDER)]).flatmap(
+        lambda c: st.tuples(st.just(c[2]), _raw_elements(c[0] + 1, c[1], c[2], 4))
+    )
+)
+def test_autoreduce_matches_reference(case):
+    # ascending leads, each tail reduced only against the smaller elements,
+    # give the same reduced basis as reducing against all the others
+    order, items = case
+    basis = _buchberger(items, order)
+    assert _autoreduce(basis, order) == _reference_autoreduce(basis, order)
 
 
 def _count_spolys(monkeypatch):
@@ -354,6 +388,76 @@ def test_syzygy_spoly_count(monkeypatch):
     calls = _count_spolys(monkeypatch)
     syzygies([x * x - y * z, x * y, z * z])
     assert len(calls) == 7
+
+
+# -- syzygies and lifts modulo relations ---------------------------------------
+
+
+def _as_elements(raws, module):
+    return [FreeElement(module, g) for g in raws]
+
+
+def _projected_syzygies(gens, modulo, module):
+    """Test-only reference: syzygies of gens + modulo, cut to the gens' positions."""
+    k = len(gens)
+    smod = FreeModule(module.ring, tuple(g.weight() if g.is_homogeneous else 0 for g in gens))
+    out = []
+    for s in syzygies(gens + modulo, module=module):
+        head = tuple(t for t in s.terms if t[0] < k)
+        if head:
+            out.append(FreeElement(smod, K.canon(head, *smod.order())))
+    return smod, out
+
+
+_MODULO_CASES = st.sampled_from([(1, (0,)), (2, (0, 1)), (3, (0, 0))]).flatmap(
+    lambda c: st.tuples(
+        st.just(c),
+        _raw_elements(c[0], list(range(len(c[1]))), (c[1], 0, 0)),
+        _raw_elements(c[0], list(range(len(c[1]))), (c[1], 0, 0), 2),
+    )
+)
+
+
+@_oracle_settings
+@given(_MODULO_CASES)
+def test_syzygies_modulo_matches_projection(case):
+    (nvars, weights), graw, rraw = case
+    module = FreeModule(EdgeRing(("x", "y", "z")[:nvars]), weights)
+    gens, rels = _as_elements(graw, module), _as_elements(rraw, module)
+    out = syzygies(gens, module=module, modulo=rels)
+    smod, reference = _projected_syzygies(gens, rels, module)
+    assert all(s.module == smod for s in out)
+    # the output is already the reduced basis: a fixed point of groebner
+    assert groebner(list(out), module=smod) == out
+    assert out == groebner(reference, module=smod)
+    for s in out:
+        total = module.zero()
+        for c, g in zip(s.components(), gens):
+            total = total + c * g
+        assert normal_form(total, groebner(rels, module=module)).is_zero()
+
+
+@_oracle_settings
+@given(_MODULO_CASES, st.data())
+def test_reduce_with_expression_modulo(case, data):
+    (nvars, weights), graw, rraw = case
+    module = FreeModule(EdgeRing(("x", "y", "z")[:nvars]), weights)
+    gens, rels = _as_elements(graw, module), _as_elements(rraw, module)
+    (f,) = _as_elements(data.draw(_raw_elements(nvars, list(range(len(weights))), module.order(), 1)), module)
+    rem, cofs = reduce_with_expression(f, gens, modulo=rels)
+    assert len(cofs) == len(gens)
+    assert rem == normal_form(f, groebner(gens + rels, module=module))
+    rest = f - rem
+    for c, g in zip(cofs, gens):
+        rest = rest - c * g
+    assert normal_form(rest, groebner(rels, module=module)).is_zero()
+
+
+def test_reduce_with_expression_no_gens_still_reduces_modulo(ring_xy):
+    x, y = ring_xy.var("x"), ring_xy.var("y")
+    assert reduce_with_expression(x * x + y, [], modulo=[x]) == (y, ())
+    assert reduce_with_expression(x * y, [], modulo=[x]) == (ring_xy.zero(), ())
+    assert reduce_with_expression(x + y, []) == (x + y, ())
 
 
 # -- arithmetic exactness --------------------------------------------------------

@@ -28,8 +28,18 @@ from tamemod.gradedmod import (
     six_term,
     submodule_from_elements,
     torsion_data,
+    _finest,
 )
-from tamemod.graphsplit import iter_partitions
+from tamemod.graphsplit import (
+    AlwaysTame,
+    CoBlocked,
+    DiscreteOnly,
+    EdgeGraph,
+    MaxBlockCount,
+    iter_partitions,
+    split_edge,
+    tame_partitions,
+)
 from tamemod.partition import make_partition, merge_edges, partition_ideal, partition_module
 from tamemod.serre import random_homogeneous_element
 
@@ -228,6 +238,20 @@ def test_induced_f1_of_torsion_inclusion_is_iso(zp_related):
     assert ind.is_mono() and ind.is_epi()
 
 
+def test_induced_f1_into_torsion_free_target():
+    # M = R/(a, e - e') is all torsion and N = R/(a) has none, so the lift of
+    # the image a * 1 has no torsion generators to use and must still reduce
+    # against the relations of N
+    R = EdgeRing(("a", "e", "e'"))
+    a, e, ep = R.var("a"), R.var("e"), R.var("e'")
+    m = PresentedModule.from_ideal(R, [a, e - ep])
+    n = PresentedModule.from_ideal(R, [a])
+    assert torsion_data(m, "e", "e'").kgens
+    assert not torsion_data(n, "e", "e'").kgens
+    ind = induced_map_f1(ModuleMap(m, n, ((a,),), 1), "e", "e'")
+    assert (ind.source.rank, ind.target.rank) == (1, 0)
+
+
 def test_f1_left_exact_on_monos(zp_related):
     rng = random.Random(31)
     m = zp_related
@@ -404,6 +428,25 @@ def test_tame_support_routes_agree(p_related):
     for tame in antichains:
         for m in modules:
             assert is_tame_support(m, tame) == _product_oracle(m, tame), (tame, m)
+
+
+@pytest.mark.parametrize("base", [("a", "b", "e"), ("a", "b", "c", "e"), ("a", "b", "c", "d", "e")])
+def test_finest_matches_refines_oracle(base):
+    def oracle(tame):
+        return [p for p in tame if not any(q != p and q.refines(p) for q in tame)]
+
+    split = split_edge(EdgeGraph(base), "e")
+    preds = (AlwaysTame(), MaxBlockCount(2), MaxBlockCount(3), CoBlocked(["a", "b"]), DiscreteOnly())
+    for g in (split.split_graph, split.base_graph):
+        for pred in preds:
+            tame = list(tame_partitions(pred, g))
+            assert _finest(tame) == oracle(tame), pred
+        # random subsets, so that the kept list is not always a single partition
+        parts = list(iter_partitions(g.edges))
+        rng = random.Random(len(parts))
+        for _ in range(20):
+            tame = rng.sample(parts, rng.randint(1, min(12, len(parts))))
+            assert _finest(tame) == oracle(tame)
 
 
 def test_rank_weights_of_annihilator_ideal(zp_related, p_related):

@@ -5,19 +5,22 @@ import random
 import pytest
 
 from tamemod.errors import CertificateError, StructuralError, ValidationError
-from tamemod.exactalg import EdgeRing
+from tamemod.exactalg import K, EdgeRing, FreeElement, FreeModule, groebner, normal_form, syzygies
 from tamemod.gradedmod import (
     ModuleMap,
     PresentedModule,
+    annihilator,
     cokernel,
     direct_sum,
     f0,
     f1,
     is_tame_support,
     submodule_from_elements,
+    torsion_data,
 )
 from tamemod.graphsplit import (
     AlwaysTame,
+    CoBlocked,
     DiscreteOnly,
     EdgeGraph,
     MaxBlockCount,
@@ -304,3 +307,67 @@ def test_transform_corpus_rows(split_abe):
     rows = transform_corpus(split_abe, MaxBlockCount(2), samples=4, seed=5, max_level=2)
     assert [r["sample"] for r in rows] == [0, 1, 2, 3]
     assert all(r["ok"] for r in rows)
+
+
+# -- syzygies modulo relations against the tracked-relations reference --------------
+
+
+def _projected_syzygies(ambient, gens, weights):
+    """Test-only reference: syzygies of gens with ambient's relations as
+    tracked items, cut to the positions of gens."""
+    free = FreeModule(ambient.ring, weights)
+    out = []
+    for s in syzygies(list(gens) + list(ambient.relations), module=ambient.free_cover):
+        head = tuple(t for t in s.terms if t[0] < len(gens))
+        if head:
+            out.append(FreeElement(free, K.canon(head, *free.order())))
+    return out
+
+
+def _reference_kgens(m, e, e_prime):
+    d = m.ring.var(e) - m.ring.var(e_prime)
+    raw = _projected_syzygies(m, [d * m.gen(j) for j in range(m.rank)], m.gen_weights)
+    gb = m.relation_gb()
+    return tuple(x for x in groebner(raw, module=m.free_cover) if not normal_form(x, gb).is_zero())
+
+
+def _nodes(c):
+    yield c
+    for child in c.children():
+        yield from _nodes(child)
+
+
+def test_modulo_path_matches_tracked_relations():
+    # 15 random certificates per shipped predicate, max level 2, and their
+    # degree-0 and degree-1 transforms: sub-node presentations, torsion
+    # generators and annihilators equal those of the tracked-relations path
+    split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
+    e, ep = split.e, split.e_prime
+    preds = (AlwaysTame(), MaxBlockCount(2), CoBlocked(["a", "b"]), DiscreteOnly())
+    checked = 0
+    for pred in preds:
+        tame = tame_partitions(pred, split.split_graph)
+        rng = random.Random(f"modulo:{pred.describe()}")
+        for _ in range(15):
+            cert = random_certificate(rng, tame, 2)
+            nodes = list(_nodes(cert))
+            nodes += [n for i in (0, 1) for n in _nodes(transform(cert, e, ep, i))]
+            for node in nodes:
+                m = node.root
+                if isinstance(node, SubNode):
+                    w = node.witness
+                    cols = [w.column(j) for j in range(m.rank)]
+                    rels = _projected_syzygies(w.target, cols, m.gen_weights)
+                    assert m.same_presentation(PresentedModule(m.ring, m.gen_weights, rels))
+                if m.ring.variables != split.split_graph.edges:
+                    continue
+                td = torsion_data(m, e, ep)
+                assert td.kgens == _reference_kgens(m, e, ep)
+                weights = tuple(x.weight() for x in td.kgens)
+                ref_sub = PresentedModule(m.ring, weights, _projected_syzygies(m, td.kgens, weights))
+                assert td.presentation.same_presentation(f0(ref_sub, e, ep))
+                for i, w in enumerate(m.gen_weights):
+                    ref_ann = [s.component(0) for s in _projected_syzygies(m, [m.gen(i)], (w,))]
+                    assert annihilator(m, m.gen(i)) == (groebner(ref_ann) if ref_ann else ())
+                checked += 1
+    assert checked > 100
