@@ -1,38 +1,17 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The term kernel: one pure-Python module, `impl`.
 
-Set TAMEMOD_KERNEL=python or TAMEMOD_KERNEL=c to force a choice; forcing "c"
-raises if the extension was not built.
+It holds the tuple-layout arithmetic of GradedPoly and FreeElement (canon,
+neg, scale, add, sub, mul) and the packed-monomial division and S-polynomials
+that the Groebner engine runs on (Packing, mul_term, reduce, spoly).  Each
+packed monomial is two integers: an order key whose integer comparison is the
+monomial order, and a divisibility key with one guard bit per field.  Fields
+are 16 bits wide, so a weighted degree or position of 32768 or more raises
+ResourceCapError; see `_pure` for the field order and the bound.
 """
 
-import os
-
-from . import _pure
-
-_forced = os.environ.get("TAMEMOD_KERNEL", "").strip().lower()
-
-_fast = None
-if _forced != "python":
-    try:
-        from . import _speedups as _fast
-    except ImportError:
-        _fast = None
-    if _forced == "c" and _fast is None:
-        raise ImportError(
-            "TAMEMOD_KERNEL=c requested but the compiled kernel is not built; "
-            "reinstall with a C compiler or unset TAMEMOD_KERNEL"
-        )
-
-impl = _fast if _fast is not None else _pure
+from . import _pure as impl
 
 
 def kernel_name():
-    """Name of the active kernel: "c" or "python"."""
-    return "c" if impl is not _pure else "python"
-
-
-def implementations():
-    """All importable kernels, keyed by name (for parity tests and benchmarks)."""
-    out = {"python": _pure}
-    if _fast is not None:
-        out["c"] = _fast
-    return out
+    """Name of the kernel, stamped on benchmark results."""
+    return "python"

@@ -1,10 +1,6 @@
-"""Pure-Python kernel for sparse exact-rational term arithmetic.
+"""Sparse exact-rational term arithmetic, in two layouts.
 
-This is the fallback twin of the compiled extension ``_speedups``; both expose
-the same functions on the same data layout, and ``tamemod._core`` picks one at
-import time.
-
-Data layout (shared with the compiled kernel):
+Tuple layout, for values and the arithmetic of GradedPoly and FreeElement:
 
   term  = (pos, expo, num, den)
           pos:  generator index in the ambient free module (0 for ring polys)
@@ -20,14 +16,58 @@ The order is graded reverse-lexicographic on the exponents (ties broken by
 position), optionally preceded by the two elimination comparisons.  All
 comparisons are invariant under multiplication by a ring monomial, so term
 multiplication never re-sorts.
+
+Packed layout, for division and Groebner bases (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007):
+
+  term  = (key, dkey, num, den), num/den as above, so a packed term keeps its
+          coefficient at t[2] and t[3]
+
+The order key packs these fields of BITS bits each, from the top down:
+
+  position block      1 if possplit and pos < possplit else 0
+  elimination degree  e_0 + ... + e_(nelim-1)
+  weighted degree     w + e_0 + ... + e_(n-1)
+  Q_k, k = n-1 .. 0   w + e_0 + ... + e_(k-1)
+  MAXPOS - pos        MAXPOS = len(weights) - 1
+
+where w = weights[pos] - min(weights) (a common shift leaves the order
+alone).  With the weighted degree equal, the first Q_k that differs marks the
+rightmost differing exponent, and the larger Q_k has the smaller exponent
+there, so comparing keys as integers is cmp_terms.  Every field is linear in
+the exponents, key = base[pos] + sum of e_i * C_i, so multiplying by a ring
+monomial adds one integer to the key.
+
+The divisibility key packs pos in its lowest field and e_i in field i + 1.
+A divides B iff (dkey_B - dkey_A) & DIVMASK == 0: a field where A's exponent
+is larger borrows and sets its guard bit, the top bit of the field, and a
+different position leaves a nonzero lowest field.
+
+Bound: every field value stays below LIMIT = 2**(BITS - 1) = 32768, so the
+weighted degree w + sum(expo) of every term, and the number of positions,
+must be below 32768, with at most 60 variables.  The sum of two in-range
+fields cannot carry into the next field, only into its guard bit.  pack()
+checks its input, and reduce() checks the guard bits of every term it takes
+as a divisor's target or into the remainder, so new basis elements and
+remainders are checked too; a term out of range raises ResourceCapError.
 """
 
+import struct
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add as _add
-from operator import sub as _sub
+from operator import mul as _mul
 
-KERNEL = "python"
+from ..errors import ResourceCapError
+
+BITS = 16
+LIMIT = 1 << (BITS - 1)
+FIELD = (1 << BITS) - 1
+MAX_FIELDS = 64
+GUARD = sum(LIMIT << (BITS * i) for i in range(MAX_FIELDS))
+DIVMASK = GUARD | FIELD
 
 
 def _norm(num, den):
@@ -40,18 +80,6 @@ def _norm(num, den):
     return num, den
 
 
-def frac_add(n1, d1, n2, d2):
-    return _norm(n1 * d2 + n2 * d1, d1 * d2)
-
-
-def frac_mul(n1, d1, n2, d2):
-    return _norm(n1 * n2, d1 * d2)
-
-
-def frac_div(n1, d1, n2, d2):
-    return _norm(n1 * d2, d1 * n2)
-
-
 def expo_divides(a, b):
     """True when monomial a divides monomial b (componentwise <=)."""
     for x, y in zip(a, b):
@@ -60,16 +88,8 @@ def expo_divides(a, b):
     return True
 
 
-def expo_sub(b, a):
-    return tuple(map(_sub, b, a))
-
-
 def expo_add(a, b):
     return tuple(map(_add, a, b))
-
-
-def expo_lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 def cmp_terms(p1, e1, p2, e2, weights, nelim, possplit):
@@ -119,7 +139,7 @@ def canon(terms, weights, nelim, possplit):
         key = (pos, expo)
         if key in acc:
             n0, d0 = acc[key]
-            n, d = frac_add(n0, d0, num, den)
+            n, d = _norm(n0 * den + num * d0, d0 * den)
             if n == 0:
                 del acc[key]
             else:
@@ -136,20 +156,11 @@ def neg(f):
 
 
 def scale(f, num, den):
+    """Multiply by a rational; either layout, since only t[2] and t[3] change."""
     if num == 0:
         return ()
     num, den = _norm(num, den)
-    return tuple((p, e) + frac_mul(n, d, num, den) for p, e, n, d in f)
-
-
-def mul_term(f, expo, num, den):
-    """Multiply by a ring term; order-preserving, so no re-sort."""
-    if num == 0:
-        return ()
-    num, den = _norm(num, den)
-    if num == 1 and den == 1:
-        return tuple((p, expo_add(e, expo), n, d) for p, e, n, d in f)
-    return tuple((p, expo_add(e, expo)) + frac_mul(n, d, num, den) for p, e, n, d in f)
+    return tuple((p, e) + _norm(n * num, d * den) for p, e, n, d in f)
 
 
 def _merge(f, g, weights, nelim, possplit):
@@ -170,7 +181,7 @@ def _merge(f, g, weights, nelim, possplit):
             out.append(tg)
             j += 1
         else:
-            n, d = frac_add(tf[2], tf[3], tg[2], tg[3])
+            n, d = _norm(tf[2] * tg[3] + tg[2] * tf[3], tf[3] * tg[3])
             if n != 0:
                 out.append((tf[0], tf[1], n, d))
             i += 1
@@ -196,10 +207,10 @@ def mul(f, g, weights, nelim, possplit):
     for _, ef, nf_, df in f:
         for pos, eg, ng_, dg in g:
             key = (pos, expo_add(ef, eg))
-            n2, d2 = frac_mul(nf_, df, ng_, dg)
+            n2, d2 = _norm(nf_ * ng_, df * dg)
             if key in acc:
                 n0, d0 = acc[key]
-                n2, d2 = frac_add(n0, d0, n2, d2)
+                n2, d2 = _norm(n0 * d2 + n2 * d0, d0 * d2)
             if n2 == 0:
                 acc.pop(key, None)
             else:
@@ -209,97 +220,235 @@ def mul(f, g, weights, nelim, possplit):
     return tuple(out)
 
 
-def _heap_entry(pos, expo, weights, nelim, possplit):
-    """Heap entry of a module monomial: its sort_key negated, then the monomial.
-
-    heapq pops the smallest entry, which is the largest term in the order, and
-    the tuple comparison runs in C.
-    """
-    return (
-        -1 if possplit and pos < possplit else 0,
-        -sum(expo[:nelim]) if nelim else 0,
-        -weights[pos] - sum(expo),
-        expo[::-1],
-        pos,
-        expo,
-    )
+# ---------------------------------------------------------------------------
+# Packed layout
 
 
-def reduce(f, basis, weights, nelim, possplit, track=False):
-    """Full normal form of f modulo basis, by heap division.
+class Packing:
+    """The packed layout of one order on a fixed number of variables."""
+
+    __slots__ = ("base", "shift", "coef", "dkeys", "wshift", "eshift", "esrc", "prefix", "low", "fill")
+
+    def __init__(self, weights, nelim, possplit, nvars):
+        npos = len(weights)
+        if nvars + 4 > MAX_FIELDS or npos > LIMIT:
+            raise ResourceCapError(
+                f"packed monomials hold at most {MAX_FIELDS - 4} variables and {LIMIT} positions"
+            )
+        n = nvars
+        # fields, bottom up: 0 MAXPOS - pos, 1..n Q_0..Q_(n-1), n+1 weighted
+        # degree, n+2 elimination degree, n+3 position block
+        self.wshift = BITS * (n + 1)
+        self.eshift = BITS * (n + 2) if nelim else 0
+        self.esrc = BITS * nelim
+        lo = min(weights)
+        self.shift = tuple(w - lo for w in weights)
+        qfields = sum(1 << (BITS * (k + 1)) for k in range(n))
+        self.base = tuple(
+            ((1 if possplit and p < possplit else 0) << (BITS * (n + 3)))
+            + ((w - lo) << self.wshift)
+            + (w - lo) * qfields
+            + (npos - 1 - p)
+            for p, w in enumerate(weights)
+        )
+        # e_i counts in Q_k for k > i (fields i+2..n), the weighted degree,
+        # and the elimination degree when i < nelim
+        self.coef = tuple(
+            sum(1 << (BITS * (k + 1)) for k in range(i + 1, n))
+            + (1 << self.wshift)
+            + ((1 << self.eshift) if i < nelim else 0)
+            for i in range(n)
+        )
+        self.dkeys = struct.Struct(f"<{n + 1}H")
+        self.prefix = sum(1 << (BITS * j) for j in range(n))
+        self.low = sum(FIELD << (BITS * q) for q in range(1, n + 1))
+        self.fill = sum((LIMIT - 1) << (BITS * q) for q in range(1, n + 1))
+
+    def pack(self, f, monomials=None):
+        """Packed terms of a canonical tuple-layout poly, in the same order.
+
+        A dict given as monomials records each exponent tuple by its
+        divisibility key, so that unpack can share it."""
+        base, shift, coef, dkeys = self.base, self.shift, self.coef, self.dkeys
+        out = []
+        for pos, expo, num, den in f:
+            if shift[pos] + sum(expo) >= LIMIT:
+                raise ResourceCapError(
+                    f"weighted degree {shift[pos] + sum(expo)} does not fit a packed field "
+                    f"(limit {LIMIT - 1})"
+                )
+            dkey = int.from_bytes(dkeys.pack(pos, *expo), "little")
+            if monomials is not None:
+                monomials[dkey] = expo
+            out.append((base[pos] + sum(map(_mul, expo, coef)), dkey, num, den))
+        return tuple(out)
+
+    def unpack(self, f, monomials=None):
+        """Tuple-layout terms of a packed poly.  Exponent tuples recorded in
+        the dict monomials (see pack) are shared, and new ones are added."""
+        if monomials is None:
+            monomials = {}
+        nbytes = self.dkeys.size
+        decode = self.dkeys.unpack
+        out = []
+        for t in f:
+            dkey = t[1]
+            expo = monomials.get(dkey)
+            if expo is None:
+                expo = monomials[dkey] = decode(dkey.to_bytes(nbytes, "little"))[1:]
+            out.append((dkey & FIELD, expo, t[2], t[3]))
+        return tuple(out)
+
+    def lcm(self, s, t):
+        """(key, dkey) of the lcm of two packed terms in the same position."""
+        a = s[1]
+        b = t[1]
+        ge = ((a | GUARD) - b) & GUARD  # guard set where a's field >= b's
+        m = ge - (ge >> (BITS - 1))
+        d = b ^ ((a ^ b) & m)
+        # the key delta of lcm / s from its dkey delta, whose product with
+        # `prefix` holds the prefix sums e_0 + ... + e_(q-1) in fields q = 1..n
+        p = (d - a) * self.prefix
+        key = s[0] + ((p & self.low) << BITS)
+        if self.eshift:
+            key += ((p >> self.esrc) & FIELD) << self.eshift
+        return key, d
+
+    def wdeg(self, key):
+        """The weighted-degree field of a key or key delta."""
+        return (key >> self.wshift) & FIELD
+
+    def support(self, dkey):
+        """Bitmask with a guard bit set for every variable of nonzero exponent."""
+        return (dkey + self.fill) & GUARD
+
+
+@lru_cache(maxsize=1024)
+def packing(weights, nelim, possplit, nvars):
+    """The Packing of an order on nvars variables, built once per order."""
+    return Packing(weights, nelim, possplit, nvars)
+
+
+def mul_term(f, key, dkey, num, den):
+    """Multiply a packed poly by the ring term with packed deltas key, dkey;
+    order-preserving, so no re-sort."""
+    if num == 0:
+        return ()
+    num, den = _norm(num, den)
+    if num == 1 and den == 1:
+        return tuple((k + key, d + dkey, n, dn) for k, d, n, dn in f)
+    return tuple((k + key, d + dkey) + _norm(n * num, dn * den) for k, d, n, dn in f)
+
+
+def reduce(f, basis, track=False):
+    """Full normal form of packed f modulo packed basis, by heap division.
 
     Division order: the largest pending term (in the monomial order) is taken
     first.  Its divisor is the first basis element, in list order, whose
     leading term has the same position and a monomial dividing it; if there is
     none, the term moves to the remainder.  Exact arithmetic and this order
-    fix every step, so the remainder and the cofactors are the same on every
-    kernel.
+    fix every step, so the remainder and the cofactors are fixed too.
 
     Returns (remainder, cofactors) where cofactors[i] is the ring poly q_i with
-    f = sum q_i basis_i + remainder; cofactors is None unless track is set.
+    f = sum q_i basis_i + remainder, as packed terms whose keys are the deltas
+    of its monomials; cofactors is None unless track is set.  Raises
+    ResourceCapError when a term it takes has a field out of range.
     """
     leads = [b[0] for b in basis]
     cofs = [[] for _ in basis] if track else None
-    # Pending terms: (pos, expo) -> coefficient.  The heap holds an entry for
-    # every pending term; a term that cancels leaves its entry behind, to be
-    # skipped when popped.
+    # Pending terms by key.  The heap holds the negated key of every pending
+    # term; a term that cancels leaves its entry behind, to be skipped when
+    # popped.
     pending = {}
     heap = []
-    for pos, expo, num, den in f:
-        pending[pos, expo] = (num, den)
-        heap.append(_heap_entry(pos, expo, weights, nelim, possplit))
+    for t in f:
+        pending[t[0]] = t
+        heap.append(-t[0])
     heapify(heap)
     out = []
     while heap:
-        entry = heappop(heap)
-        pos = entry[4]
-        expo = entry[5]
-        coeff = pending.pop((pos, expo), None)
-        if coeff is None:
+        key = -heappop(heap)
+        t = pending.pop(key, None)
+        if t is None:
             continue
-        num, den = coeff
+        if key & GUARD:
+            raise ResourceCapError(f"a monomial degree reached the packed field limit {LIMIT}")
+        dkey = t[1]
         for i, lt in enumerate(leads):
-            if lt[0] == pos and expo_divides(lt[1], expo):
+            if not (dkey - lt[1]) & DIVMASK:
                 break
         else:
-            out.append((pos, expo, num, den))
+            out.append(t)
             continue
-        _, lexpo, lnum, lden = leads[i]
-        qe = expo_sub(expo, lexpo)
-        qn, qd = frac_div(num, den, lnum, lden)
+        qkey = key - lt[0]
+        qdkey = dkey - lt[1]
+        qn, qden = _norm(t[2] * lt[3], t[3] * lt[2])
         if track:
-            cofs[i].append((qe, qn, qd))
+            # popped keys strictly decrease, so each cofactor comes out
+            # canonical: descending and without repeats
+            cofs[i].append((qkey, qdkey, qn, qden))
         # pending -= q * basis[i]; the leading terms cancel exactly, so only
-        # the tail is added, and every new monomial is below expo.
-        for p, e, n, d in basis[i][1:]:
-            e = expo_add(e, qe)
-            key = (p, e)
+        # the tail is added, and every new monomial is below key.
+        tail = iter(basis[i])
+        next(tail)
+        for k, d, n, dn in tail:
+            k += qkey
             tn = -qn * n
-            td = qd * d
-            old = pending.get(key)
+            td = qden * dn
+            old = pending.get(k)
             if old is None:
-                pending[key] = _norm(tn, td)
-                heappush(heap, _heap_entry(p, e, weights, nelim, possplit))
+                g = gcd(tn, td)
+                if g > 1:
+                    tn //= g
+                    td //= g
+                pending[k] = (k, d + qdkey, tn, td)
+                heappush(heap, -k)
             else:
-                n0, d0 = old
-                tn, td = _norm(n0 * td + tn * d0, d0 * td)
+                d0 = old[3]
+                tn = old[2] * td + tn * d0
                 if tn:
-                    pending[key] = (tn, td)
+                    td *= d0
+                    g = gcd(tn, td)
+                    if g > 1:
+                        tn //= g
+                        td //= g
+                    pending[k] = (k, old[1], tn, td)
                 else:
-                    del pending[key]
+                    del pending[k]
     if track:
-        ring_order = ((0,), nelim, 0)
-        cofs = [canon([(0, e, n, d) for e, n, d in c], *ring_order) for c in cofs]
+        cofs = [tuple(c) for c in cofs]
     return tuple(out), cofs
 
 
-def spoly(f, g, weights, nelim, possplit):
-    """S-polynomial of two polys whose leading terms share a position."""
-    p1, e1, n1, d1 = f[0]
-    p2, e2, n2, d2 = g[0]
-    if p1 != p2:
-        raise ValueError("spoly requires leading terms in the same position")
-    lcm = expo_lcm(e1, e2)
-    a = mul_term(f, expo_sub(lcm, e1), d1, n1)
-    b = mul_term(g, expo_sub(lcm, e2), d2, n2)
-    return sub(a, b, weights, nelim, possplit)
+def spoly(f, g, lcm):
+    """S-polynomial of two packed polys whose leading terms share a position,
+    given the (key, dkey) of the lcm of their leading monomials."""
+    lk, ld = lcm
+    k1, d1, n1, den1 = f[0]
+    k2, d2, n2, den2 = g[0]
+    a = mul_term(f, lk - k1, ld - d1, den1, n1)
+    b = mul_term(g, lk - k2, ld - d2, den2, n2)
+    # a - b by a two-pointer merge on the keys; the leading terms cancel
+    out = []
+    i = 1
+    j = 1
+    na = len(a)
+    nb = len(b)
+    while i < na and j < nb:
+        ta = a[i]
+        tb = b[j]
+        if ta[0] > tb[0]:
+            out.append(ta)
+            i += 1
+        elif ta[0] < tb[0]:
+            out.append((tb[0], tb[1], -tb[2], tb[3]))
+            j += 1
+        else:
+            n, d = _norm(ta[2] * tb[3] - tb[2] * ta[3], ta[3] * tb[3])
+            if n:
+                out.append((ta[0], ta[1], n, d))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend((t[0], t[1], -t[2], t[3]) for t in b[j:])
+    return tuple(out)

@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ._core import impl as K
+from ._core._pure import DIVMASK, FIELD
 from .errors import ResourceCapError, StructuralError, ValidationError
 
 # Generous guard against runaway Groebner runs on adversarial random input.
@@ -347,19 +348,19 @@ def _monic(f: tuple) -> tuple:
     return K.scale(f, d, n)
 
 
-def _buchberger(items: Sequence[tuple], order: tuple, cap: int = MAX_BASIS) -> list:
-    """A Groebner basis of the items, not yet reduced (see _autoreduce).
+def _buchberger(items: Sequence[tuple], pk, cap: int = MAX_BASIS) -> list:
+    """A Groebner basis of the packed items, not yet reduced (see _autoreduce).
 
-    Pairs are selected by the sugar strategy (Giovini, Mora, Niesi, Robbiano
-    and Traverso, "One sugar cube, please", 1991): least sugar first, then
-    least lcm in the order.  An input's sugar is its largest weighted degree;
-    a new element takes its pair's sugar, the larger of the two elements'
-    sugars each raised by the degree from its leading monomial to the lcm.
-    For homogeneous input sugar is the degree.  Selecting by the order alone
-    is wrong for _tracked_raw's order on F + R^m, whose first field is the
-    position block: it reduces every pair led in the auxiliary positions
-    before any pair led in F, whatever their degrees, and most of those
-    reductions end in zero.
+    pk is the Packing of the order.  Pairs are selected by the sugar strategy
+    (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube, please",
+    1991): least sugar first, then least lcm in the order.  An input's sugar
+    is its largest weighted degree; a new element takes its pair's sugar, the
+    larger of the two elements' sugars each raised by the degree from its
+    leading monomial to the lcm.  For homogeneous input sugar is the degree.
+    Selecting by the order alone is wrong for _tracked_raw's order on
+    F + R^m, whose first field is the position block: it reduces every pair
+    led in the auxiliary positions before any pair led in F, whatever their
+    degrees, and most of those reductions end in zero.
 
     Two criteria of Buchberger ("A criterion for detecting unnecessary
     reductions in the construction of Groebner bases", 1979) skip pairs.
@@ -371,42 +372,39 @@ def _buchberger(items: Sequence[tuple], order: tuple, cap: int = MAX_BASIS) -> l
     neither (i, k) nor (j, k) is pending.  A pair skipped by either criterion
     is no longer pending.
     """
-    weights, nelim, possplit = order
+    wdeg = pk.wdeg
     basis = [_monic(f) for f in items if f]
-    sugar = [max(sum(t[1]) + weights[t[0]] for t in f) for f in basis]
-    one_pos = [all(t[0] == f[0][0] for t in f) for f in basis]
+    sugar = [max(wdeg(t[0]) for t in f) for f in basis]
+    leads = [f[0] for f in basis]
+    pos = [lt[1] & FIELD for lt in leads]
+    one_pos = [all(t[1] & FIELD == p for t in f) for f, p in zip(basis, pos)]
+    support = [pk.support(lt[1]) for lt in leads]
     heap: list = []
     treated: set = set()
 
     def push_pairs(j: int):
-        ltj = basis[j][0]
+        ltj = leads[j]
         for i in range(j):
-            lti = basis[i][0]
-            if lti[0] == ltj[0]:
-                lcm = K.expo_lcm(lti[1], ltj[1])
-                deg = sum(lcm)
-                pair_sugar = max(sugar[i] + deg - sum(lti[1]), sugar[j] + deg - sum(ltj[1]))
-                key = K.sort_key(lti[0], lcm, weights, nelim, possplit)
-                heapq.heappush(heap, (pair_sugar, key, i, j))
+            if pos[i] == pos[j]:
+                lti = leads[i]
+                lcm_key, lcm_dkey = pk.lcm(lti, ltj)
+                pair_sugar = max(sugar[i] + wdeg(lcm_key - lti[0]), sugar[j] + wdeg(lcm_key - ltj[0]))
+                heapq.heappush(heap, (pair_sugar, lcm_key, i, j, lcm_dkey))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     while heap:
-        pair_sugar, _, i, j = heapq.heappop(heap)
+        pair_sugar, lcm_key, i, j, lcm_dkey = heapq.heappop(heap)
         treated.add((i, j))
-        lti, ltj = basis[i][0], basis[j][0]
-        if one_pos[i] and one_pos[j] and not any(a and b for a, b in zip(lti[1], ltj[1])):
+        if one_pos[i] and one_pos[j] and not support[i] & support[j]:
             continue
-        lcm = K.expo_lcm(lti[1], ltj[1])
         skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            ltk = basis[k][0]
+        for k, ltk in enumerate(leads):
             if (
-                ltk[0] == lti[0]
-                and K.expo_divides(ltk[1], lcm)
+                not (lcm_dkey - ltk[1]) & DIVMASK
+                and k != i
+                and k != j
                 and (min(i, k), max(i, k)) in treated
                 and (min(j, k), max(j, k)) in treated
             ):
@@ -414,46 +412,61 @@ def _buchberger(items: Sequence[tuple], order: tuple, cap: int = MAX_BASIS) -> l
                 break
         if skip:
             continue
-        s = K.spoly(basis[i], basis[j], weights, nelim, possplit)
-        r, _ = K.reduce(s, basis, weights, nelim, possplit, False)
+        s = K.spoly(basis[i], basis[j], (lcm_key, lcm_dkey))
+        r, _ = K.reduce(s, basis, False)
         if r:
-            basis.append(_monic(r))
+            r = _monic(r)
+            basis.append(r)
             sugar.append(pair_sugar)
-            one_pos.append(all(t[0] == r[0][0] for t in r))
+            leads.append(r[0])
+            pos.append(r[0][1] & FIELD)
+            one_pos.append(all(t[1] & FIELD == pos[-1] for t in r))
+            support.append(pk.support(r[0][1]))
             if len(basis) > cap:
                 raise ResourceCapError(f"Groebner basis exceeded {cap} elements")
             push_pairs(len(basis) - 1)
     return basis
 
 
-def _autoreduce(basis: Sequence[tuple], order: tuple) -> tuple:
-    """The reduced Groebner basis from a Groebner basis, largest lead first.
+def _autoreduce(basis: Sequence[tuple]) -> tuple:
+    """The reduced Groebner basis from a packed Groebner basis, largest lead first.
 
     Elements are taken in ascending lead order; one whose lead a kept lead
     divides is dropped, and each kept one is reduced against the smaller ones
     already kept and reduced.  Every tail term lies below its own lead, so no
     larger lead divides it, and the result is the unique reduced basis.
     """
-    weights, nelim, possplit = order
     out: list = []
-    for g in sorted(basis, key=lambda f: K.sort_key(f[0][0], f[0][1], weights, nelim, possplit)):
-        lt = g[0]
-        if any(h[0][0] == lt[0] and K.expo_divides(h[0][1], lt[1]) for h in out):
+    for g in sorted(basis, key=lambda f: f[0][0]):
+        d = g[0][1]
+        if any(not (d - h[0][1]) & DIVMASK for h in out):
             continue
-        r, _ = K.reduce(g, out, weights, nelim, possplit, False)
+        r, _ = K.reduce(g, out, False)
         out.append(_monic(r))
     out.reverse()
     return tuple(out)
 
 
+def _packed_run(items: Sequence[tuple], order: tuple, nvars: int) -> tuple:
+    """The reduced Groebner basis of tuple-layout items, run on packed terms:
+    the items are packed once and the basis unpacked once, sharing the
+    items' exponent tuples."""
+    pk = K.packing(*order, nvars)
+    monomials: dict = {}
+    basis = _autoreduce(_buchberger([pk.pack(f, monomials) for f in items], pk))
+    return tuple(pk.unpack(f, monomials) for f in basis)
+
+
 @lru_cache(maxsize=65536)
 def _groebner_raw(items: tuple, order: tuple) -> tuple:
-    return _autoreduce(_buchberger(items, order), order)
+    return _packed_run(items, order, len(items[0][0][1])) if items else ()
 
 
-def _reduce_raw(f: tuple, gb: tuple, order: tuple) -> tuple:
-    r, _ = K.reduce(f, list(gb), *order, False)
-    return r
+def _reduce_raw(f: tuple, gb: tuple, order: tuple, nvars: int) -> tuple:
+    pk = K.packing(*order, nvars)
+    monomials: dict = {}
+    r, _ = K.reduce(pk.pack(f, monomials), [pk.pack(g, monomials) for g in gb], False)
+    return pk.unpack(r, monomials)
 
 
 @lru_cache(maxsize=65536)
@@ -478,8 +491,7 @@ def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tupl
     porder = (pweights, nelim, rank)
     zero_expo = (0,) * nvars
     embedded = [g + ((rank + i, zero_expo, 1, 1),) for i, g in enumerate(items)]
-    basis = _autoreduce(_buchberger(embedded + list(modulo), porder), porder)
-    return basis, porder
+    return _packed_run(embedded + list(modulo), porder, nvars), porder
 
 
 def _split_tracked(v: tuple, rank: int):
@@ -534,13 +546,13 @@ def normal_form(f, gb: Sequence):
             if not isinstance(g, GradedPoly) or g.ring != f.ring:
                 raise StructuralError("basis element in a different ring")
         mod = FreeModule(f.ring, (0,))
-        r = _reduce_raw(f.terms, tuple(g.terms for g in gb if not g.is_zero()), mod.order())
+        r = _reduce_raw(f.terms, tuple(g.terms for g in gb if not g.is_zero()), mod.order(), f.ring.nvars)
         return GradedPoly(f.ring, r)
     mod = f.module
     for g in gb:
         if not isinstance(g, FreeElement) or g.module != mod:
             raise StructuralError("basis element in a different module")
-    r = _reduce_raw(f.terms, tuple(g.terms for g in gb if not g.is_zero()), mod.order())
+    r = _reduce_raw(f.terms, tuple(g.terms for g in gb if not g.is_zero()), mod.order(), mod.ring.nvars)
     return FreeElement(mod, r)
 
 
@@ -566,8 +578,7 @@ def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
     basis, porder = _tracked_raw(
         tuple(items[:k]), mod.rank, mod.order(), mod.ring.nvars, tuple(items[k:])
     )
-    rhat, _ = K.reduce(f.terms, list(basis), *porder, False)
-    rem, aux = _split_tracked(rhat, mod.rank)
+    rem, aux = _split_tracked(_reduce_raw(f.terms, basis, porder, mod.ring.nvars), mod.rank)
     cof_terms = [[] for _ in range(k)]
     for i, e, n, d in aux:
         cof_terms[i].append((0, e, -n, d))

@@ -304,14 +304,20 @@ class ModuleMap:
 
 def _presentation_of_span(ambient: PresentedModule, gens: Sequence[FreeElement]):
     """Presentation of the submodule generated by gens (given in the free
-    cover), with generators exactly the nonzero classes among gens."""
+    cover), with generators exactly the nonzero classes among gens.
+
+    Its relations are the syzygy basis, which is already the reduced Groebner
+    basis in the new free cover (weights of the kept generators), so they
+    also seed its relation_gb."""
     gb = ambient.relation_gb()
     kept = [g for g in gens if not normal_form(g, gb).is_zero()]
     if not kept:
         return PresentedModule.zero(ambient.ring), ()
     weights = tuple(g.weight() for g in kept)
     rels = syzygies(kept, module=ambient.free_cover, modulo=ambient.relations)
-    return PresentedModule(ambient.ring, weights, rels), tuple(kept)
+    sub = PresentedModule(ambient.ring, weights, rels)
+    sub._cache["gb"] = sub.relations
+    return sub, tuple(kept)
 
 
 def submodule_from_elements(m: PresentedModule, elems: Sequence[FreeElement]):
@@ -332,13 +338,18 @@ def _kernel_span(phi: ModuleMap):
     The generators are the nonzero classes of the reduced Groebner basis, in
     the source free cover, of the syzygies of phi's columns modulo the target
     relations.  That syzygy basis is reduced in the order its own weights
-    give, which differs from the source cover's where a column is zero (its
-    weight is then 0, not the source weight), hence the Groebner pass."""
+    give: the column weights, with 0 for a zero column.  ModuleMap checks
+    every entry's weight, so a nonzero column has its source weight plus
+    phi's degree, and with no zero column the two orders agree and the basis
+    is used as it is; otherwise a Groebner pass in the source cover gives it."""
     src = phi.source
     free = src.free_cover
     cols = [phi.apply_free(free.gen(j)) for j in range(src.rank)]
     syz = syzygies(cols, module=phi.target.free_cover, modulo=phi.target.relations)
-    span = groebner([FreeElement(free, K.canon(s.terms, *free.order())) for s in syz], module=free)
+    if not any(c.is_zero() for c in cols):
+        span = [FreeElement(free, s.terms) for s in syz]
+    else:
+        span = groebner([FreeElement(free, K.canon(s.terms, *free.order())) for s in syz], module=free)
     return _presentation_of_span(src, list(span))
 
 

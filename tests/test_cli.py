@@ -78,6 +78,19 @@ def test_functor_bad_module_json_is_validation_error(tmp_path, capsys, damage, m
     assert not out.exists()
 
 
+def test_functor_huge_exponent_exit_3(tmp_path, capsys):
+    # a^40000 does not fit a packed monomial field (weighted degree < 32768)
+    data = json.load(open(RELATED))
+    data["modules"]["M_partition"]["relations"] = [[{"c": "1", "g": 0, "m": {"a": 40000}}]]
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    argv = ("functor", "--in", str(src), "--module", "M_partition", "--split", "e", "--degree", "0", "--out", str(out))
+    assert run(*argv) == 3
+    assert "resource cap exceeded" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- cert ---------------------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tamemod._core._pure import FIELD
 from tamemod.errors import StructuralError
 from tamemod.exactalg import (
     _ELIM_ORDER,
@@ -248,17 +249,25 @@ def test_elimination_outputs_are_reduced_bases():
 
 
 def _oracle_gb(items, order):
-    """Buchberger with no criteria: every same-position pair, first in first out."""
-    basis = [_monic(f) for f in items if f]
-    pairs = deque((i, j) for j in range(len(basis)) for i in range(j) if basis[i][0][0] == basis[j][0][0])
+    """Buchberger with no criteria on the packed kernel: every same-position
+    pair, first in first out, then _autoreduce; returned in the tuple layout."""
+    pk = K.packing(*order, len(items[0][0][1]))
+    basis = [_monic(pk.pack(f)) for f in items if f]
+    pairs = deque((i, j) for j in range(len(basis)) for i in range(j) if _pos(basis[i]) == _pos(basis[j]))
     while pairs:
         i, j = pairs.popleft()
-        r, _ = K.reduce(K.spoly(basis[i], basis[j], *order), basis, *order, False)
+        lcm = pk.lcm(basis[i][0], basis[j][0])
+        r, _ = K.reduce(K.spoly(basis[i], basis[j], lcm), basis, False)
         if r:
             basis.append(_monic(r))
             n = len(basis) - 1
-            pairs.extend((i, n) for i in range(n) if basis[i][0][0] == r[0][0])
-    return _autoreduce(basis, order)
+            pairs.extend((i, n) for i in range(n) if _pos(basis[i]) == _pos(r))
+    return tuple(map(pk.unpack, _autoreduce(basis)))
+
+
+def _pos(f):
+    """Position of a packed poly's leading term."""
+    return f[0][1] & FIELD
 
 
 def _raw_element(nvars, positions, order):
@@ -333,14 +342,17 @@ def test_criteria_match_oracle_tracked(case):
     assert all(t[0] < rank + len(items) for v in basis for t in v)
 
 
-def _reference_autoreduce(basis, order):
-    """Minimal elements, each reduced against all the other minimal ones."""
-    key = lambda f: K.sort_key(f[0][0], f[0][1], *order)
+def _reference_autoreduce(basis, pk, order):
+    """Minimal elements, each reduced against all the other minimal ones,
+    with leads compared and divided in the tuple layout."""
+    lead = lambda f: pk.unpack(f[:1])[0]
+    key = lambda f: K.sort_key(lead(f)[0], lead(f)[1], *order)
     mins = []
     for g in sorted(basis, key=key):
-        if not any(h[0][0] == g[0][0] and K.expo_divides(h[0][1], g[0][1]) for h in mins):
+        p, e = lead(g)[:2]
+        if not any(lead(h)[0] == p and K.expo_divides(lead(h)[1], e) for h in mins):
             mins.append(g)
-    out = [_monic(K.reduce(g, mins[:i] + mins[i + 1 :], *order, False)[0]) for i, g in enumerate(mins)]
+    out = [_monic(K.reduce(g, mins[:i] + mins[i + 1 :], False)[0]) for i, g in enumerate(mins)]
     return tuple(sorted(out, key=key, reverse=True))
 
 
@@ -354,8 +366,9 @@ def test_autoreduce_matches_reference(case):
     # ascending leads, each tail reduced only against the smaller elements,
     # give the same reduced basis as reducing against all the others
     order, items = case
-    basis = _buchberger(items, order)
-    assert _autoreduce(basis, order) == _reference_autoreduce(basis, order)
+    pk = K.packing(*order, len(items[0][0][1]))
+    basis = _buchberger([pk.pack(f) for f in items], pk)
+    assert _autoreduce(basis) == _reference_autoreduce(basis, pk, order)
 
 
 def _count_spolys(monkeypatch):

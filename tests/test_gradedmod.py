@@ -137,6 +137,18 @@ def test_kernel_of_projection_to_quotient():
     assert incl.column(0) == a.free_cover.element([R.var("x") - R.var("y")])
 
 
+def test_kernel_of_zero_columns_in_source_order():
+    # both columns are zero, so the syzygy basis g0, g1 is ordered with
+    # weights (0, 0); the kernel's generators come in the source cover's
+    # order, where g1 has weight 1 and comes first
+    R = EdgeRing(("x",))
+    src = PresentedModule.free(R, (0, 1))
+    k, incl = kernel(ModuleMap.zero_map(src, PresentedModule.free(R, (0,))))
+    assert k.gen_weights == (1, 0)
+    assert (incl.column(0), incl.column(1)) == (src.gen(1), src.gen(0))
+    assert k.relation_gb() == groebner(list(k.relations), module=k.free_cover)
+
+
 def test_image_factors_map():
     R = EdgeRing(("x",))
     a1 = PresentedModule.free(R, (1,))

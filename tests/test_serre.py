@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tamemod.gradedmod as gm
 from tamemod.errors import CertificateError, StructuralError, ValidationError
 from tamemod.exactalg import K, EdgeRing, FreeElement, FreeModule, groebner, normal_form, syzygies
 from tamemod.gradedmod import (
@@ -337,14 +338,12 @@ def _nodes(c):
         yield from _nodes(child)
 
 
-def test_modulo_path_matches_tracked_relations():
-    # 15 random certificates per shipped predicate, max level 2, and their
-    # degree-0 and degree-1 transforms: sub-node presentations, torsion
-    # generators and annihilators equal those of the tracked-relations path
+def _modulo_corpus():
+    """(split, node) for 15 random certificates per shipped predicate, max
+    level 2, and their degree-0 and degree-1 transforms."""
     split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
     e, ep = split.e, split.e_prime
     preds = (AlwaysTame(), MaxBlockCount(2), CoBlocked(["a", "b"]), DiscreteOnly())
-    checked = 0
     for pred in preds:
         tame = tame_partitions(pred, split.split_graph)
         rng = random.Random(f"modulo:{pred.describe()}")
@@ -353,21 +352,67 @@ def test_modulo_path_matches_tracked_relations():
             nodes = list(_nodes(cert))
             nodes += [n for i in (0, 1) for n in _nodes(transform(cert, e, ep, i))]
             for node in nodes:
-                m = node.root
-                if isinstance(node, SubNode):
-                    w = node.witness
-                    cols = [w.column(j) for j in range(m.rank)]
-                    rels = _projected_syzygies(w.target, cols, m.gen_weights)
-                    assert m.same_presentation(PresentedModule(m.ring, m.gen_weights, rels))
-                if m.ring.variables != split.split_graph.edges:
-                    continue
-                td = torsion_data(m, e, ep)
-                assert td.kgens == _reference_kgens(m, e, ep)
-                weights = tuple(x.weight() for x in td.kgens)
-                ref_sub = PresentedModule(m.ring, weights, _projected_syzygies(m, td.kgens, weights))
-                assert td.presentation.same_presentation(f0(ref_sub, e, ep))
-                for i, w in enumerate(m.gen_weights):
-                    ref_ann = [s.component(0) for s in _projected_syzygies(m, [m.gen(i)], (w,))]
-                    assert annihilator(m, m.gen(i)) == (groebner(ref_ann) if ref_ann else ())
-                checked += 1
+                yield split, node
+
+
+def test_modulo_path_matches_tracked_relations():
+    # sub-node presentations, torsion generators and annihilators equal those
+    # of the tracked-relations path
+    checked = 0
+    for split, node in _modulo_corpus():
+        e, ep = split.e, split.e_prime
+        m = node.root
+        if isinstance(node, SubNode):
+            w = node.witness
+            cols = [w.column(j) for j in range(m.rank)]
+            rels = _projected_syzygies(w.target, cols, m.gen_weights)
+            assert m.same_presentation(PresentedModule(m.ring, m.gen_weights, rels))
+        if m.ring.variables != split.split_graph.edges:
+            continue
+        td = torsion_data(m, e, ep)
+        assert td.kgens == _reference_kgens(m, e, ep)
+        weights = tuple(x.weight() for x in td.kgens)
+        ref_sub = PresentedModule(m.ring, weights, _projected_syzygies(m, td.kgens, weights))
+        assert td.presentation.same_presentation(f0(ref_sub, e, ep))
+        for i, w in enumerate(m.gen_weights):
+            ref_ann = [s.component(0) for s in _projected_syzygies(m, [m.gen(i)], (w,))]
+            assert annihilator(m, m.gen(i)) == (groebner(ref_ann) if ref_ann else ())
+        checked += 1
     assert checked > 100
+
+
+def test_skipped_groebner_passes_are_fixed_points(monkeypatch):
+    # over the same corpus, every kernel span that skips its Groebner pass
+    # and every seeded relation_gb equal what the pass would return
+    for fn in (gm.torsion_data, gm.f0, gm.annihilator_ideal):
+        fn.cache_clear()
+    spans = []
+    counts = {"span": 0, "fixed": 0, "seeded": 0}
+    presentation_of_span, kernel_span = gm._presentation_of_span, gm._kernel_span
+
+    def checked_presentation(ambient, gens):
+        sub, kept = presentation_of_span(ambient, gens)
+        assert sub.relation_gb() == groebner(list(sub.relations), module=sub.free_cover)
+        counts["seeded"] += bool(sub.relations)
+        spans.append(tuple(gens))
+        return sub, kept
+
+    def checked_kernel_span(phi):
+        out = kernel_span(phi)
+        src = phi.source
+        free = src.free_cover
+        cols = [phi.apply_free(free.gen(j)) for j in range(src.rank)]
+        syz = syzygies(cols, module=phi.target.free_cover, modulo=phi.target.relations)
+        passed = groebner([FreeElement(free, K.canon(s.terms, *free.order())) for s in syz], module=free)
+        assert spans[-1] == passed
+        counts["span"] += 1
+        counts["fixed"] += spans[-1] == tuple(FreeElement(free, s.terms) for s in syz)
+        return out
+
+    monkeypatch.setattr(gm, "_presentation_of_span", checked_presentation)
+    monkeypatch.setattr(gm, "_kernel_span", checked_kernel_span)
+    for split, node in _modulo_corpus():
+        m = node.root
+        if m.ring.variables == split.split_graph.edges:
+            torsion_data(m, split.e, split.e_prime)
+    assert counts["span"] > 100 and counts["fixed"] > 100 and counts["seeded"] > 100
