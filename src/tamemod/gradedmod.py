@@ -731,7 +731,8 @@ def cyclic_submodule(m: PresentedModule, x: FreeElement) -> CyclicSubmodule:
 # Support criterion for tameness
 
 
-def _finest(tame: Sequence) -> list:
+@lru_cache(maxsize=256)
+def _finest(tame: tuple) -> tuple:
     """The partitions in tame that no other one refines, in tame's order.
 
     All share one ground set.  q refines p iff q's same-block pairs are a
@@ -739,7 +740,27 @@ def _finest(tame: Sequence) -> list:
     refines p iff q's pair set is a proper subset of p's.
     """
     pairs = [frozenset(pr for b in p.blocks for pr in combinations(b, 2)) for p in tame]
-    return [p for p, s in zip(tame, pairs) if not any(t < s for t in pairs)]
+    return tuple(p for p, s in zip(tame, pairs) if not any(t < s for t in pairs))
+
+
+@lru_cache(maxsize=256)
+def _sweep_plan(keep: tuple, ring: EdgeRing) -> tuple:
+    """(steps, order) for an antichain of non-discrete partitions.
+
+    steps[i] belongs to keep[i]: its chain, the pairs (a, b) joining
+    consecutive elements of a block, each with x_a - x_b, the generators of
+    partition_ideal in their order; and the frozenset of all its same-block
+    pairs (a, b), a before b.  order is the sweep order, most blocks first.
+    """
+    from .partition import partition_ideal
+
+    steps = []
+    for p in keep:
+        chain = [pr for b in p.blocks for pr in zip(b, b[1:])]
+        pairs = frozenset(pr for b in p.blocks for pr in combinations(b, 2))
+        steps.append((tuple(zip(chain, partition_ideal(p, ring))), pairs))
+    order = tuple(sorted(range(len(keep)), key=lambda i: (-keep[i].block_count, keep[i].blocks)))
+    return tuple(steps), order
 
 
 def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
@@ -751,10 +772,20 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     removes the components covered by that subspace; containment holds iff
     the unit ideal is reached.  More than MAX_TAME_SUBSPACES partitions in the
     reduced antichain raise ResourceCapError.
-    """
-    from .partition import partition_ideal
 
-    tame = list(dict.fromkeys(tame))
+    Every I_P is generated by linear forms x_a - x_b, so the sweep keeps, for
+    the current ideal J, a table of the single saturations J : g^infinity by
+    those forms, and I_P's step folds intersect_ideals over its chain
+    generators' entries, which is saturate_by_ideal's own rule.  Two standard
+    facts (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 4 Sec. 4)
+    let it skip work: J : I^infinity lies in J : h^infinity for h in I, and
+    saturations commute.  So once J : g^infinity = J, g stays a no-op for
+    every later J, which is a saturation of this one; and a partition with a
+    no-op g among its same-block pairs leaves J unchanged, since
+    J <= J : I_P^infinity <= J : g^infinity = J, and is skipped.  The table
+    is rebuilt only when a step really changes J.
+    """
+    tame = tuple(dict.fromkeys(tame))
     if not tame:
         return m.is_zero()
     for p in tame:
@@ -776,17 +807,37 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
         raise ResourceCapError(
             f"{len(keep)} tame subspaces exceed the partition cap {MAX_TAME_SUBSPACES}"
         )
-    ideals = [partition_ideal(p, m.ring) for p in keep]
+    steps, order = _sweep_plan(keep, m.ring)
     # Quick win: support inside a single subspace.
-    for gens in ideals:
-        if all(radical_member(g, ann) for g in gens):
+    in_radical = {}
+    for chain, _ in steps:
+        for pr, g in chain:
+            if pr not in in_radical:
+                in_radical[pr] = radical_member(g, ann)
+            if not in_radical[pr]:
+                break
+        else:
             return True
     if len(keep) == 1:
         return False
-    order = sorted(range(len(keep)), key=lambda i: (-keep[i].block_count, keep[i].blocks))
     current = ann
+    sat = {}  # pair -> current : g^infinity
+    noop = set()  # pairs g with current : g^infinity = current, now and from here on
     for i in order:
-        current = saturate_by_ideal(current, ideals[i], m.ring)
-        if ideal_contains_one(current, m.ring):
-            return True
+        chain, pairs = steps[i]
+        if not noop.isdisjoint(pairs):
+            continue
+        acc = None
+        for pr, g in chain:
+            if pr not in sat:
+                sat[pr] = saturate_by_ideal(current, [g], m.ring)
+                if sat[pr] == current:
+                    noop.add(pr)
+                    break
+            acc = sat[pr] if acc is None else intersect_ideals(acc, sat[pr], m.ring)
+        else:
+            if acc != current:
+                current, sat = acc, {}
+                if ideal_contains_one(current, m.ring):
+                    return True
     return False

@@ -5,8 +5,17 @@ import random
 
 import pytest
 
-from tamemod.errors import StructuralError, ValidationError
-from tamemod.exactalg import EdgeRing, groebner, normal_form, radical_member
+from tamemod import gradedmod
+from tamemod import partition as partition_mod
+from tamemod.errors import ResourceCapError, StructuralError, ValidationError
+from tamemod.exactalg import (
+    EdgeRing,
+    groebner,
+    ideal_contains_one,
+    normal_form,
+    radical_member,
+    saturate_by_ideal,
+)
 from tamemod.gradedmod import (
     ModuleMap,
     PresentedModule,
@@ -452,13 +461,134 @@ def test_finest_matches_refines_oracle(base):
     for g in (split.split_graph, split.base_graph):
         for pred in preds:
             tame = list(tame_partitions(pred, g))
-            assert _finest(tame) == oracle(tame), pred
+            assert _finest(tuple(tame)) == tuple(oracle(tame)), pred
         # random subsets, so that the kept list is not always a single partition
         parts = list(iter_partitions(g.edges))
         rng = random.Random(len(parts))
         for _ in range(20):
             tame = rng.sample(parts, rng.randint(1, min(12, len(parts))))
-            assert _finest(tame) == oracle(tame)
+            assert _finest(tuple(tame)) == tuple(oracle(tame))
+
+
+def _reference_tame_support(m, tame):
+    """Test-only oracle: the saturation sweep as it ran before the per-pair
+    saturation table, one saturate_by_ideal call per partition and step."""
+    tame = tuple(dict.fromkeys(tame))
+    if not tame:
+        return m.is_zero()
+    if m.is_zero():
+        return True
+    keep = _finest(tame)
+    if any(p.is_discrete() for p in keep):
+        return True
+    ann = annihilator_ideal(m)
+    if ann and ideal_contains_one(ann, m.ring):
+        return True
+    ideals = [partition_ideal(p, m.ring) for p in keep]
+    for gens in ideals:
+        if all(radical_member(g, ann) for g in gens):
+            return True
+    if len(keep) == 1:
+        return False
+    order = sorted(range(len(keep)), key=lambda i: (-keep[i].block_count, keep[i].blocks))
+    current = ann
+    for i in order:
+        current = saturate_by_ideal(current, ideals[i], m.ring)
+        if ideal_contains_one(current, m.ring):
+            return True
+    return False
+
+
+def _split_abce():
+    return split_edge(EdgeGraph(("a", "b", "c", "e")), "e").split_graph
+
+
+def _tame_sweep_cases():
+    """(module, tame list) pairs on {a, b, c, e, e'}: wild partition modules,
+    tame + wild sums and sums of tame modules from different subspaces, for
+    three predicates and for random antichains, so that sweeps end both ways."""
+    g = _split_abce()
+    parts = list(iter_partitions(g.edges))
+    ring = partition_module(parts[0]).ring
+    rng = random.Random(77)
+
+    def mod(p):
+        return partition_module(p, ring).shift(rng.randint(0, 1))
+
+    cases = []
+    for pred in (MaxBlockCount(2), MaxBlockCount(3), CoBlocked(["a", "b"])):
+        tame = list(tame_partitions(pred, g))
+        wild = [p for p in parts if not pred(p)]
+        coarse = [p for p in tame if not p.is_discrete()]
+        for _ in range(4):
+            cases.append((mod(rng.choice(wild)), tame))
+            cases.append((direct_sum([mod(rng.choice(tame)), mod(rng.choice(wild))])[0], tame))
+            p, q = rng.sample(coarse, 2)
+            cases.append((direct_sum([mod(p), mod(q)])[0], tame))
+    nondiscrete = [p for p in parts if not p.is_discrete()]
+    for _ in range(24):
+        tame = list(_finest(tuple(rng.sample(nondiscrete, rng.randint(2, 8)))))
+        pick = [rng.choice(tame if rng.random() < 0.6 else nondiscrete) for _ in range(rng.randint(1, 3))]
+        cases.append((direct_sum([mod(p) for p in pick])[0], tame))
+    return cases
+
+
+def test_tame_support_matches_reference_sweep():
+    verdicts = []
+    for m, tame in _tame_sweep_cases():
+        got = is_tame_support(m, tame)
+        assert got == _reference_tame_support(m, tame), (tame, m)
+        verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(gradedmod, name)
+
+        def counting(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(gradedmod, name, counting)
+    return calls
+
+
+def test_tame_support_sweep_work(monkeypatch):
+    # Z[abe|ce'] + Z[ae|be'|c] under max-blocks:2 (15 two-block subspaces):
+    # one step removes the tame component, the wild one stays.  One
+    # saturate_by_ideal call per partition and one radical_member call per
+    # chain generator until the first failure made 15 and 17; the per-pair
+    # table, the no-op skip and the memoized quick check make 7 and 6.
+    g = _split_abce()
+    tame_p = make_partition(g.edges, [["a", "b", "e"], ["c", "e'"]])
+    wild_p = make_partition(g.edges, [["a", "e"], ["b", "e'"], ["c"]])
+    m = direct_sum([partition_module(tame_p), partition_module(wild_p)])[0]
+    tame = list(tame_partitions(MaxBlockCount(2), g))
+    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "radical_member"))
+    assert not is_tame_support(m, tame)
+    assert calls == {"saturate_by_ideal": 7, "radical_member": 6}
+
+
+def test_tame_support_partition_cap(monkeypatch):
+    g = _split_abce()
+    tame = list(tame_partitions(MaxBlockCount(2), g))
+    ring = partition_module(tame[0]).ring
+    built = []
+    ideal_of = partition_mod.partition_ideal
+
+    def recording(p, r=None):
+        built.append(p)
+        return ideal_of(p, r)
+
+    monkeypatch.setattr(partition_mod, "partition_ideal", recording)
+    monkeypatch.setattr(gradedmod, "MAX_TAME_SUBSPACES", 3)
+    gradedmod._sweep_plan.cache_clear()  # a plan cached by another test would hide a build
+    with pytest.raises(ResourceCapError):
+        is_tame_support(PresentedModule.free(ring, (0,)), tame)
+    assert is_tame_support(PresentedModule.zero(ring), tame)
+    assert built == []
 
 
 def test_rank_weights_of_annihilator_ideal(zp_related, p_related):
