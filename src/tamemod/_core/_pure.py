@@ -51,6 +51,20 @@ fields cannot carry into the next field, only into its guard bit.  pack()
 checks its input, and reduce() checks the guard bits of every term it takes
 as a divisor's target or into the remainder, so new basis elements and
 remainders are checked too; a term out of range raises ResourceCapError.
+
+Exponent table: the exponent part of a key, sum of e_i * C_i, depends only
+on the number of variables and on nelim, not on the weights or possplit, and
+the divisibility key is pos plus an exponent part.  So every Packing of one
+(nvars, nelim) shares one table that maps an exponent tuple to its key part,
+dkey part and degree, and maps the dkey part back to the tuple.  pack() is
+one lookup per term, key = base[pos] + key part and dkey = dkey part + pos;
+only a tuple not yet in the table is encoded.  unpack() returns the table's
+own tuples, so the bases it builds share them.  The cap is checked on every
+term, shift[pos] + degree < LIMIT, since a tuple entered under a small shift
+can overflow under a larger one, and a tuple whose degree does not fit a
+field never enters.  The table is an lru cache like the Packings and the
+bases, so clearing the lru caches drops it, and a table that reaches
+TABLE_CAP entries is emptied before the next tuple enters.
 """
 
 import struct
@@ -224,10 +238,23 @@ def mul(f, g, weights, nelim, possplit):
 # Packed layout
 
 
+# entries an exponent table holds before it is emptied; a dropped tuple is
+# encoded again on its next use
+TABLE_CAP = 65536
+
+
+@lru_cache(maxsize=None)
+def _exponent_table(nvars, nelim):
+    """The exponent table of every Packing on nvars variables with an
+    elimination block of nelim: a dict from exponent tuple to (key part,
+    dkey part, degree), and a dict from dkey part back to the tuple."""
+    return {}, {}
+
+
 class Packing:
     """The packed layout of one order on a fixed number of variables."""
 
-    __slots__ = ("base", "shift", "coef", "dkeys", "wshift", "eshift", "esrc", "prefix", "low", "fill")
+    __slots__ = ("base", "shift", "coef", "dkeys", "table", "expos", "wshift", "eshift", "esrc", "prefix", "low", "fill")
 
     def __init__(self, weights, nelim, possplit, nvars):
         npos = len(weights)
@@ -260,43 +287,55 @@ class Packing:
             for i in range(n)
         )
         self.dkeys = struct.Struct(f"<{n + 1}H")
+        self.table, self.expos = _exponent_table(nvars, nelim)
         self.prefix = sum(1 << (BITS * j) for j in range(n))
         self.low = sum(FIELD << (BITS * q) for q in range(1, n + 1))
         self.fill = sum((LIMIT - 1) << (BITS * q) for q in range(1, n + 1))
 
-    def pack(self, f, monomials=None):
-        """Packed terms of a canonical tuple-layout poly, in the same order.
+    def _enter(self, expo):
+        """Add an exponent tuple to the table; its degree must fit a field."""
+        deg = sum(expo)
+        if deg >= LIMIT:
+            raise ResourceCapError(f"degree {deg} does not fit a packed field (limit {LIMIT - 1})")
+        dpart = int.from_bytes(self.dkeys.pack(0, *expo), "little")
+        if len(self.table) >= TABLE_CAP:
+            self.table.clear()
+            self.expos.clear()
+        entry = self.table[expo] = (sum(map(_mul, expo, self.coef)), dpart, deg)
+        self.expos[dpart] = expo
+        return entry
 
-        A dict given as monomials records each exponent tuple by its
-        divisibility key, so that unpack can share it."""
-        base, shift, coef, dkeys = self.base, self.shift, self.coef, self.dkeys
+    def pack(self, f):
+        """Packed terms of a canonical tuple-layout poly, in the same order."""
+        base, shift, table = self.base, self.shift, self.table
         out = []
         for pos, expo, num, den in f:
-            if shift[pos] + sum(expo) >= LIMIT:
+            entry = table.get(expo)
+            if entry is None:
+                entry = self._enter(expo)
+            kpart, dpart, deg = entry
+            # a tuple entered under a small shift can overflow under this one
+            if shift[pos] + deg >= LIMIT:
                 raise ResourceCapError(
-                    f"weighted degree {shift[pos] + sum(expo)} does not fit a packed field "
+                    f"weighted degree {shift[pos] + deg} does not fit a packed field "
                     f"(limit {LIMIT - 1})"
                 )
-            dkey = int.from_bytes(dkeys.pack(pos, *expo), "little")
-            if monomials is not None:
-                monomials[dkey] = expo
-            out.append((base[pos] + sum(map(_mul, expo, coef)), dkey, num, den))
+            out.append((base[pos] + kpart, dpart + pos, num, den))
         return tuple(out)
 
-    def unpack(self, f, monomials=None):
-        """Tuple-layout terms of a packed poly.  Exponent tuples recorded in
-        the dict monomials (see pack) are shared, and new ones are added."""
-        if monomials is None:
-            monomials = {}
-        nbytes = self.dkeys.size
-        decode = self.dkeys.unpack
+    def unpack(self, f):
+        """Tuple-layout terms of a packed poly, with the table's own exponent
+        tuples."""
+        expos = self.expos
         out = []
         for t in f:
-            dkey = t[1]
-            expo = monomials.get(dkey)
+            pos = t[1] & FIELD
+            dpart = t[1] - pos
+            expo = expos.get(dpart)
             if expo is None:
-                expo = monomials[dkey] = decode(dkey.to_bytes(nbytes, "little"))[1:]
-            out.append((dkey & FIELD, expo, t[2], t[3]))
+                expo = self.dkeys.unpack(dpart.to_bytes(self.dkeys.size, "little"))[1:]
+                self._enter(expo)
+            out.append((pos, expo, t[2], t[3]))
         return tuple(out)
 
     def lcm(self, s, t):

@@ -345,6 +345,8 @@ class FreeElement:
 
 def _monic(f: tuple) -> tuple:
     _, _, n, d = f[0]
+    if n == d:  # coefficients are normalized, so the lead is 1/1
+        return f
     return K.scale(f, d, n)
 
 
@@ -449,12 +451,12 @@ def _autoreduce(basis: Sequence[tuple]) -> tuple:
 
 def _packed_run(items: Sequence[tuple], order: tuple, nvars: int) -> tuple:
     """The reduced Groebner basis of tuple-layout items, run on packed terms:
-    the items are packed once and the basis unpacked once, sharing the
-    items' exponent tuples."""
+    the items are packed once and the basis unpacked once.  Packing looks each
+    exponent tuple up in the exponent table of (nvars, nelim), and unpacking
+    returns the table's own tuples, so bases share them."""
     pk = K.packing(*order, nvars)
-    monomials: dict = {}
-    basis = _autoreduce(_buchberger([pk.pack(f, monomials) for f in items], pk))
-    return tuple(pk.unpack(f, monomials) for f in basis)
+    basis = _autoreduce(_buchberger([pk.pack(f) for f in items], pk))
+    return tuple(pk.unpack(f) for f in basis)
 
 
 @lru_cache(maxsize=65536)
@@ -464,9 +466,8 @@ def _groebner_raw(items: tuple, order: tuple) -> tuple:
 
 def _reduce_raw(f: tuple, gb: tuple, order: tuple, nvars: int) -> tuple:
     pk = K.packing(*order, nvars)
-    monomials: dict = {}
-    r, _ = K.reduce(pk.pack(f, monomials), [pk.pack(g, monomials) for g in gb], False)
-    return pk.unpack(r, monomials)
+    r, _ = K.reduce(pk.pack(f), [pk.pack(g) for g in gb], False)
+    return pk.unpack(r)
 
 
 @lru_cache(maxsize=65536)

@@ -23,7 +23,6 @@ from .exactalg import (
     FreeModule,
     GradedPoly,
     groebner,
-    ideal_contains_one,
     intersect_ideals,
     normal_form,
     radical_member,
@@ -771,7 +770,7 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     Ann M is saturated by each I_P in turn, finest partitions first, which
     removes the components covered by that subspace; containment holds iff
     the unit ideal is reached.  More than MAX_TAME_SUBSPACES partitions in the
-    reduced antichain raise ResourceCapError.
+    reduced antichain raise ResourceCapError before any algebra is done.
 
     Every I_P is generated by linear forms x_a - x_b, so the sweep keeps, for
     the current ideal J, a table of the single saturations J : g^infinity by
@@ -800,13 +799,12 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     keep = _finest(tame)
     if any(p.is_discrete() for p in keep):
         return True
-    ann = annihilator_ideal(m)
-    if ann and ideal_contains_one(ann, m.ring):
-        return True
     if len(keep) > MAX_TAME_SUBSPACES:
         raise ResourceCapError(
             f"{len(keep)} tame subspaces exceed the partition cap {MAX_TAME_SUBSPACES}"
         )
+    # M is nonzero, so Ann M is a proper ideal
+    ann = annihilator_ideal(m)
     steps, order = _sweep_plan(keep, m.ring)
     # Quick win: support inside a single subspace.
     in_radical = {}
@@ -838,6 +836,7 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
         else:
             if acc != current:
                 current, sat = acc, {}
-                if ideal_contains_one(current, m.ring):
+                # a reduced basis, and the reduced basis of the unit ideal is (1)
+                if current == (m.ring.one(),):
                     return True
     return False

@@ -403,6 +403,26 @@ def test_syzygy_spoly_count(monkeypatch):
     assert len(calls) == 7
 
 
+def test_monic_inputs_are_not_rescaled(monkeypatch):
+    # 6 scale calls, one per lead that is not 1; the parent rescaled every
+    # input, S-pair remainder and autoreduced element and made 14
+    R = EdgeRing(("x", "y", "z"))
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    f = K.packing(*_RING_ORDER, 3).pack((x * y + 3 * z * z).terms)
+    assert _monic(f) is f
+    _groebner_raw.cache_clear()
+    calls = []
+    scale = K.scale
+
+    def counting(*args):
+        calls.append(1)
+        return scale(*args)
+
+    monkeypatch.setattr(K, "scale", counting)
+    groebner([2 * x * x - y * z, x * y + 3 * z * z, y**3 - x * z])
+    assert len(calls) == 6
+
+
 # -- syzygies and lifts modulo relations ---------------------------------------
 
 

@@ -585,10 +585,12 @@ def test_tame_support_partition_cap(monkeypatch):
     monkeypatch.setattr(partition_mod, "partition_ideal", recording)
     monkeypatch.setattr(gradedmod, "MAX_TAME_SUBSPACES", 3)
     gradedmod._sweep_plan.cache_clear()  # a plan cached by another test would hide a build
+    calls = _count_calls(monkeypatch, ("annihilator_ideal",))
     with pytest.raises(ResourceCapError):
         is_tame_support(PresentedModule.free(ring, (0,)), tame)
     assert is_tame_support(PresentedModule.zero(ring), tame)
     assert built == []
+    assert calls == {"annihilator_ideal": 0}
 
 
 def test_rank_weights_of_annihilator_ideal(zp_related, p_related):

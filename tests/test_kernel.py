@@ -3,7 +3,9 @@ monomial layout against the tuple-layout order, and heap division against a
 merge-based reference."""
 
 import random
+import struct
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,95 @@ def test_packed_keys_match_tuple_order(case):
         assert pk.lcm((k1, d1), (k2, d2)) == (kl, dl)
         coprime = not any(x and y for x, y in zip(e1, e2))
         assert coprime == (not pk.support(d1) & pk.support(d2))
+
+
+# -- the shared exponent table against per-term encoding ----------------------
+
+
+def reference_pack(pk, f):
+    """The struct-based Packing.pack that the exponent table replaced, kept as
+    the oracle: every term is checked and encoded afresh."""
+    base, shift, coef = pk.base, pk.shift, pk.coef
+    dkeys = struct.Struct(f"<{len(coef) + 1}H")
+    out = []
+    for pos, expo, num, den in f:
+        if shift[pos] + sum(expo) >= LIMIT:
+            raise ResourceCapError(
+                f"weighted degree {shift[pos] + sum(expo)} does not fit a packed field "
+                f"(limit {LIMIT - 1})"
+            )
+        dkey = int.from_bytes(dkeys.pack(pos, *expo), "little")
+        out.append((base[pos] + sum(map(mul, expo, coef)), dkey, num, den))
+    return tuple(out)
+
+
+@st.composite
+def table_cases(draw):
+    """Orders on one variable count, with both elimination blocks 0 and 1,
+    weights that may be negative and possplit 0 or some k, and polys drawn
+    from a few shared exponent tuples, one of them often of a degree just
+    below LIMIT, so that it fits some positions of some orders and not
+    others."""
+    nvars = draw(st.integers(1, 4))
+    orders = []
+    for nelim in (0, 1, 0, 1):
+        npos = draw(st.integers(1, 3))
+        weights = tuple(draw(st.lists(st.integers(-3, 3), min_size=npos, max_size=npos)))
+        orders.append((weights, nelim, draw(st.sampled_from([0, draw(st.integers(1, npos))]))))
+    expo = st.tuples(*[st.integers(0, 3)] * nvars)
+    pool = draw(st.lists(expo, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pool.append((LIMIT - 1 - draw(st.integers(0, 6)),) + (0,) * (nvars - 1))
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.sampled_from(orders))
+        npos = len(order[0])
+        terms = [
+            (draw(st.integers(0, npos - 1)), tuple(draw(st.sampled_from(pool))), draw(st.integers(-3, 3)), 1)
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+        steps.append((order, impl.canon(terms, *order)))
+    return nvars, steps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table_cases())
+def test_table_pack_matches_reference(case):
+    nvars, steps = case
+    tables = {}
+    for order, f in steps:
+        pk = impl.packing(*order, nvars)
+        # orders of one nelim share one table, whatever their weights
+        assert tables.setdefault(order[1], pk.expos) is pk.expos
+        try:
+            expected = reference_pack(pk, f)
+        except ResourceCapError:
+            with pytest.raises(ResourceCapError):
+                pk.pack(f)
+            continue
+        packed = pk.pack(f)
+        assert packed == expected
+        back = pk.unpack(packed)
+        assert back == f
+        # the exponent tuples are the table's own
+        assert all(e is pk.expos[d - p] for (p, e, _, _), (_, d, _, _) in zip(back, packed))
+
+
+def test_table_is_emptied_at_its_cap(monkeypatch):
+    # 29 distinct tuples, over three times the cap, packed and unpacked
+    # under two orders that share the table
+    monkeypatch.setattr(impl, "TABLE_CAP", 8)
+    impl.packing.cache_clear()  # a table filled by another test starts empty
+    impl._exponent_table.cache_clear()
+    orders = [((0, 2), 1, 0), ((1, -1), 1, 1)]
+    for k in range(24):
+        order = orders[k % 2]
+        pk = impl.packing(*order, 3)
+        f = impl.canon([(k % 2, (k, 1, 0), 1, 1), (0, (k % 5, 0, 2), -2, 1)], *order)
+        packed = pk.pack(f)
+        assert packed == reference_pack(pk, f)
+        assert pk.unpack(packed) == f
+        assert len(pk.table) <= 8 and len(pk.expos) <= 8
 
 
 # -- heap division against the merge-based reference --------------------------
