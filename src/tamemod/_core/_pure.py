@@ -15,7 +15,10 @@ Tuple layout, for values and the arithmetic of GradedPoly and FreeElement:
 The order is graded reverse-lexicographic on the exponents (ties broken by
 position), optionally preceded by the two elimination comparisons.  All
 comparisons are invariant under multiplication by a ring monomial, so term
-multiplication never re-sorts.
+multiplication never re-sorts.  The order is written down once, as the packed
+order key below: canon, add, sub and mul sort and merge tuple-layout terms by
+packing them, so reduced Groebner bases and the values built from them share
+one order by construction.
 
 Packed layout, for division and Groebner bases (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -35,9 +38,9 @@ The order key packs these fields of BITS bits each, from the top down:
 where w = weights[pos] - min(weights) (a common shift leaves the order
 alone).  With the weighted degree equal, the first Q_k that differs marks the
 rightmost differing exponent, and the larger Q_k has the smaller exponent
-there, so comparing keys as integers is cmp_terms.  Every field is linear in
-the exponents, key = base[pos] + sum of e_i * C_i, so multiplying by a ring
-monomial adds one integer to the key.
+there, so comparing keys as integers is the monomial order.  Every field is
+linear in the exponents, key = base[pos] + sum of e_i * C_i, so multiplying
+by a ring monomial adds one integer to the key.
 
 The divisibility key packs pos in its lowest field and e_i in field i + 1.
 A divides B iff (dkey_B - dkey_A) & DIVMASK == 0: a field where A's exponent
@@ -51,6 +54,9 @@ fields cannot carry into the next field, only into its guard bit.  pack()
 checks its input, and reduce() checks the guard bits of every term it takes
 as a divisor's target or into the remainder, so new basis elements and
 remainders are checked too; a term out of range raises ResourceCapError.
+Since canon, add, sub and mul pack their terms, a tuple-layout value out of
+range raises ResourceCapError where it is canonicalized, before it reaches a
+Groebner or division step.
 
 Exponent table: the exponent part of a key, sum of e_i * C_i, depends only
 on the number of variables and on nelim, not on the weights or possplit, and
@@ -106,46 +112,11 @@ def expo_add(a, b):
     return tuple(map(_add, a, b))
 
 
-def cmp_terms(p1, e1, p2, e2, weights, nelim, possplit):
-    """Three-way comparison of module monomials; positive when the first is larger."""
-    if possplit:
-        b1 = 1 if p1 < possplit else 0
-        b2 = 1 if p2 < possplit else 0
-        if b1 != b2:
-            return b1 - b2
-    if nelim:
-        s1 = 0
-        s2 = 0
-        for i in range(nelim):
-            s1 += e1[i]
-            s2 += e2[i]
-        if s1 != s2:
-            return s1 - s2
-    w1 = weights[p1]
-    for x in e1:
-        w1 += x
-    w2 = weights[p2]
-    for x in e2:
-        w2 += x
-    if w1 != w2:
-        return w1 - w2
-    for i in range(len(e1) - 1, -1, -1):
-        if e1[i] != e2[i]:
-            # grevlex: smaller exponent at the rightmost difference wins
-            return e2[i] - e1[i]
-    return p2 - p1
-
-
-def sort_key(pos, expo, weights, nelim, possplit):
-    """Tuple key realizing cmp_terms for max()/sort()."""
-    blk = 1 if (possplit and pos < possplit) else 0
-    elim = sum(expo[:nelim]) if nelim else 0
-    wdeg = sum(expo) + weights[pos]
-    return (blk, elim, wdeg, tuple(-e for e in reversed(expo)), -pos)
-
-
 def canon(terms, weights, nelim, possplit):
-    """Merge duplicates, drop zeros, sort descending; returns a canonical poly."""
+    """Merge duplicates, drop zeros, sort descending; returns a canonical poly.
+
+    The terms are sorted by their packed order keys, so a term that does not
+    fit the packed layout raises ResourceCapError here."""
     acc = {}
     for pos, expo, num, den in terms:
         if num == 0:
@@ -160,9 +131,10 @@ def canon(terms, weights, nelim, possplit):
                 acc[key] = (n, d)
         else:
             acc[key] = _norm(num, den)
-    out = [(pos, expo, n, d) for (pos, expo), (n, d) in acc.items()]
-    out.sort(key=lambda t: sort_key(t[0], t[1], weights, nelim, possplit), reverse=True)
-    return tuple(out)
+    if not acc:
+        return ()
+    pk = packing(weights, nelim, possplit, len(next(iter(acc))[1]))
+    return pk.unpack(sorted(pk.pack(k + c for k, c in acc.items()), reverse=True))
 
 
 def neg(f):
@@ -177,61 +149,22 @@ def scale(f, num, den):
     return tuple((p, e) + _norm(n * num, d * den) for p, e, n, d in f)
 
 
-def _merge(f, g, weights, nelim, possplit):
-    """Sum of two canonical polys via a sorted two-pointer merge."""
-    out = []
-    i = 0
-    j = 0
-    nf = len(f)
-    ng = len(g)
-    while i < nf and j < ng:
-        tf = f[i]
-        tg = g[j]
-        c = cmp_terms(tf[0], tf[1], tg[0], tg[1], weights, nelim, possplit)
-        if c > 0:
-            out.append(tf)
-            i += 1
-        elif c < 0:
-            out.append(tg)
-            j += 1
-        else:
-            n, d = _norm(tf[2] * tg[3] + tg[2] * tf[3], tf[3] * tg[3])
-            if n != 0:
-                out.append((tf[0], tf[1], n, d))
-            i += 1
-            j += 1
-    if i < nf:
-        out.extend(f[i:])
-    if j < ng:
-        out.extend(g[j:])
-    return out
-
-
 def add(f, g, weights, nelim, possplit):
-    return tuple(_merge(f, g, weights, nelim, possplit))
+    return sub(f, neg(g), weights, nelim, possplit)
 
 
 def sub(f, g, weights, nelim, possplit):
-    return tuple(_merge(f, neg(g), weights, nelim, possplit))
+    """Difference of two canonical polys, merged on their packed keys."""
+    if not (f or g):
+        return ()
+    pk = packing(weights, nelim, possplit, len((f or g)[0][1]))
+    return pk.unpack(_minus(pk.pack(f), pk.pack(g), 0, 0))
 
 
 def mul(f, g, weights, nelim, possplit):
     """Product of a ring poly f (all positions 0) with a module poly g."""
-    acc = {}
-    for _, ef, nf_, df in f:
-        for pos, eg, ng_, dg in g:
-            key = (pos, expo_add(ef, eg))
-            n2, d2 = _norm(nf_ * ng_, df * dg)
-            if key in acc:
-                n0, d0 = acc[key]
-                n2, d2 = _norm(n0 * d2 + n2 * d0, d0 * d2)
-            if n2 == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = (n2, d2)
-    out = [(pos, expo, n, d) for (pos, expo), (n, d) in acc.items()]
-    out.sort(key=lambda t: sort_key(t[0], t[1], weights, nelim, possplit), reverse=True)
-    return tuple(out)
+    terms = [(pos, expo_add(ef, eg), nf * ng, df * dg) for _, ef, nf, df in f for pos, eg, ng, dg in g]
+    return canon(terms, weights, nelim, possplit)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +400,13 @@ def spoly(f, g, lcm):
     k2, d2, n2, den2 = g[0]
     a = mul_term(f, lk - k1, ld - d1, den1, n1)
     b = mul_term(g, lk - k2, ld - d2, den2, n2)
-    # a - b by a two-pointer merge on the keys; the leading terms cancel
+    # the leading terms cancel
+    return _minus(a, b, 1, 1)
+
+
+def _minus(a, b, i, j):
+    """a[i:] - b[j:] of two packed polys, by a two-pointer merge on the keys."""
     out = []
-    i = 1
-    j = 1
     na = len(a)
     nb = len(b)
     while i < na and j < nb:

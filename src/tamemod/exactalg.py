@@ -119,12 +119,6 @@ class GradedPoly:
             raise ValidationError(f"inhomogeneous polynomial {self}")
         return ws.pop()
 
-    def coefficient(self, expo: tuple) -> Fraction:
-        for _, e, n, d in self.terms:
-            if e == tuple(expo):
-                return Fraction(n, d)
-        return Fraction(0)
-
     def _check(self, other: "GradedPoly"):
         if self.ring != other.ring:
             raise StructuralError("polynomials from different rings")

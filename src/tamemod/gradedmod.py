@@ -44,12 +44,12 @@ class PresentedModule:
     instances as immutable; equality and hashing are structural.
     """
 
-    __slots__ = ("ring", "gen_weights", "relations", "_cache")
+    __slots__ = ("ring", "gen_weights", "free_cover", "relations", "_cache")
 
     def __init__(self, ring: EdgeRing, gen_weights: Sequence[int], relations: Sequence[FreeElement] = ()):
         self.ring = ring
         self.gen_weights = tuple(int(w) for w in gen_weights)
-        free = FreeModule(ring, self.gen_weights)
+        self.free_cover = free = FreeModule(ring, self.gen_weights)
         rels = []
         for r in relations:
             if not isinstance(r, FreeElement) or r.module != free:
@@ -79,10 +79,6 @@ class PresentedModule:
         return cls(ring, (shift,), rels)
 
     # -- basic structure ----------------------------------------------
-
-    @property
-    def free_cover(self) -> FreeModule:
-        return FreeModule(self.ring, self.gen_weights)
 
     @property
     def rank(self) -> int:
@@ -390,11 +386,11 @@ def image(phi: ModuleMap) -> ImageResult:
     zero = phi.target.ring.zero()
     one = phi.target.ring.one()
     matrix = [[zero] * phi.source.rank for _ in range(img.rank)]
-    gb = phi.target.relation_gb()
+    # a column is kept exactly when its class is nonzero
     for j, c in enumerate(cols):
-        if normal_form(c, gb).is_zero():
-            continue
-        matrix[col_index[c]][j] = one
+        idx = col_index.get(c)
+        if idx is not None:
+            matrix[idx][j] = one
     proj = ModuleMap(phi.source, img, matrix, phi.degree, check=True)
     return ImageResult(img, incl, proj)
 

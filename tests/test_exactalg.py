@@ -3,10 +3,12 @@
 import random
 from collections import deque
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_kernel import cmp_terms
 
 from tamemod._core._pure import FIELD
 from tamemod.errors import StructuralError
@@ -346,7 +348,7 @@ def _reference_autoreduce(basis, pk, order):
     """Minimal elements, each reduced against all the other minimal ones,
     with leads compared and divided in the tuple layout."""
     lead = lambda f: pk.unpack(f[:1])[0]
-    key = lambda f: K.sort_key(lead(f)[0], lead(f)[1], *order)
+    key = cmp_to_key(lambda f, g: cmp_terms(*lead(f)[:2], *lead(g)[:2], *order))
     mins = []
     for g in sorted(basis, key=key):
         p, e = lead(g)[:2]

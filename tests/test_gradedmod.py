@@ -169,6 +169,21 @@ def test_image_factors_map():
     assert img.inclusion.compose(img.projection) == mult
 
 
+def test_image_projection_with_repeated_and_dead_columns():
+    # columns x, x^2, x into Q[x]/(x^2): x^2 is a nonzero element of the
+    # relations, so its class is zero, and both x columns go to the image
+    # generator of the first
+    R = EdgeRing(("x",))
+    x = R.var("x")
+    tgt = PresentedModule.from_ideal(R, [x * x])
+    phi = ModuleMap(PresentedModule.free(R, (1, 2, 1)), tgt, ((x, x * x, x),), 0)
+    img = image(phi)
+    zero, one = R.zero(), R.one()
+    assert img.module.rank == 2
+    assert img.projection.matrix == ((one, zero, one), (zero, zero, zero))
+    assert img.inclusion.compose(img.projection).matrix == ((x, zero, x),)
+
+
 def test_pullback_of_identity(zp_related):
     ident = ModuleMap.identity(zp_related)
     pb = pullback(ident, ident)

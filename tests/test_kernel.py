@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamemod._core import impl, kernel_name
-from tamemod._core._pure import DIVMASK, LIMIT
+from tamemod._core._pure import DIVMASK, LIMIT, _norm
 from tamemod.errors import ResourceCapError
 
 ORDER = ((0, 1), 0, 0)  # two positions, weights 0 and 1
@@ -37,6 +37,39 @@ def K(request):
     return impl
 
 
+# The kernel's own comparison before the packed key became the only
+# definition of the order, kept as the reference the packed order is checked
+# against.
+def cmp_terms(p1, e1, p2, e2, weights, nelim, possplit):
+    """Three-way comparison of module monomials; positive when the first is larger."""
+    if possplit:
+        b1 = 1 if p1 < possplit else 0
+        b2 = 1 if p2 < possplit else 0
+        if b1 != b2:
+            return b1 - b2
+    if nelim:
+        s1 = 0
+        s2 = 0
+        for i in range(nelim):
+            s1 += e1[i]
+            s2 += e2[i]
+        if s1 != s2:
+            return s1 - s2
+    w1 = weights[p1]
+    for x in e1:
+        w1 += x
+    w2 = weights[p2]
+    for x in e2:
+        w2 += x
+    if w1 != w2:
+        return w1 - w2
+    for i in range(len(e1) - 1, -1, -1):
+        if e1[i] != e2[i]:
+            # grevlex: smaller exponent at the rightmost difference wins
+            return e2[i] - e1[i]
+    return p2 - p1
+
+
 def test_canon_merges_and_drops_zeros(K):
     e = (1, 0, 0)
     terms = [(0, e, 1, 2), (0, e, 1, 2), (0, (0, 1, 0), 0, 1)]
@@ -49,7 +82,7 @@ def test_canon_sorted_descending(K):
     for _ in range(50):
         f = K.canon(rand_terms(rng), *ORDER)
         for a, b in zip(f, f[1:]):
-            assert K.cmp_terms(a[0], a[1], b[0], b[1], *ORDER) > 0
+            assert cmp_terms(a[0], a[1], b[0], b[1], *ORDER) > 0
 
 
 def test_coefficients_normalized(K):
@@ -172,8 +205,8 @@ def test_packed_keys_match_tuple_order(case):
     order, nvars, (p1, e1), (p2, e2) = case
     pk = impl.packing(*order, nvars)
     (k1, d1, _, _), (k2, d2, _, _) = pk.pack(((p1, e1, 1, 1), (p2, e2, 1, 1)))
-    s1, s2 = impl.sort_key(p1, e1, *order), impl.sort_key(p2, e2, *order)
-    assert _sign(k1 - k2) == _sign(impl.cmp_terms(p1, e1, p2, e2, *order)) == (s1 > s2) - (s1 < s2)
+    s1, s2 = sort_key(p1, e1, *order), sort_key(p2, e2, *order)
+    assert _sign(k1 - k2) == _sign(cmp_terms(p1, e1, p2, e2, *order)) == (s1 > s2) - (s1 < s2)
     # divisibility key: componentwise <= in the same position
     assert (not (d2 - d1) & DIVMASK) == (p1 == p2 and all(x <= y for x, y in zip(e1, e2)))
     assert pk.unpack(((k1, d1, 1, 1),)) == ((p1, e1, 1, 1),)
@@ -187,6 +220,146 @@ def test_packed_keys_match_tuple_order(case):
         assert pk.lcm((k1, d1), (k2, d2)) == (kl, dl)
         coprime = not any(x and y for x, y in zip(e1, e2))
         assert coprime == (not pk.support(d1) & pk.support(d2))
+
+
+# -- tuple-layout arithmetic against the tuple-layout order ------------------
+
+
+def sort_key(pos, expo, weights, nelim, possplit):
+    """Tuple key realizing cmp_terms for max()/sort()."""
+    blk = 1 if (possplit and pos < possplit) else 0
+    elim = sum(expo[:nelim]) if nelim else 0
+    wdeg = sum(expo) + weights[pos]
+    return (blk, elim, wdeg, tuple(-e for e in reversed(expo)), -pos)
+
+
+def reference_canon(terms, weights, nelim, possplit):
+    """The canon that sorted by sort_key, kept as the oracle."""
+    acc = {}
+    for pos, expo, num, den in terms:
+        if num == 0:
+            continue
+        key = (pos, expo)
+        if key in acc:
+            n0, d0 = acc[key]
+            n, d = _norm(n0 * den + num * d0, d0 * den)
+            if n == 0:
+                del acc[key]
+            else:
+                acc[key] = (n, d)
+        else:
+            acc[key] = _norm(num, den)
+    out = [(pos, expo, n, d) for (pos, expo), (n, d) in acc.items()]
+    out.sort(key=lambda t: sort_key(t[0], t[1], weights, nelim, possplit), reverse=True)
+    return tuple(out)
+
+
+def reference_merge(f, g, weights, nelim, possplit):
+    """The add that merged two canonical polys by cmp_terms, kept as the
+    oracle."""
+    out = []
+    i = 0
+    j = 0
+    nf = len(f)
+    ng = len(g)
+    while i < nf and j < ng:
+        tf = f[i]
+        tg = g[j]
+        c = cmp_terms(tf[0], tf[1], tg[0], tg[1], weights, nelim, possplit)
+        if c > 0:
+            out.append(tf)
+            i += 1
+        elif c < 0:
+            out.append(tg)
+            j += 1
+        else:
+            n, d = _norm(tf[2] * tg[3] + tg[2] * tf[3], tf[3] * tg[3])
+            if n != 0:
+                out.append((tf[0], tf[1], n, d))
+            i += 1
+            j += 1
+    if i < nf:
+        out.extend(f[i:])
+    if j < ng:
+        out.extend(g[j:])
+    return tuple(out)
+
+
+def reference_mul(f, g, weights, nelim, possplit):
+    """The mul that merged products in a dict and sorted by sort_key, kept as
+    the oracle."""
+    acc = {}
+    for _, ef, nf_, df in f:
+        for pos, eg, ng_, dg in g:
+            key = (pos, impl.expo_add(ef, eg))
+            n2, d2 = _norm(nf_ * ng_, df * dg)
+            if key in acc:
+                n0, d0 = acc[key]
+                n2, d2 = _norm(n0 * d2 + n2 * d0, d0 * d2)
+            if n2 == 0:
+                acc.pop(key, None)
+            else:
+                acc[key] = (n2, d2)
+    out = [(pos, expo, n, d) for (pos, expo), (n, d) in acc.items()]
+    out.sort(key=lambda t: sort_key(t[0], t[1], weights, nelim, possplit), reverse=True)
+    return tuple(out)
+
+
+@st.composite
+def arithmetic_cases(draw):
+    """An order on 1-6 variables and 1-4 positions, with weights that may be
+    negative, nelim 0 or 1 and possplit 0 or a k that splits the positions,
+    and raw terms drawn from a few shared exponent tuples, so with repeats,
+    and with zero coefficients.  One tuple is often of a degree just below
+    LIMIT, so that it fits some positions and not others, and a product with
+    it may not fit at all."""
+    nvars = draw(st.integers(1, 6))
+    npos = draw(st.integers(1, 4))
+    weights = tuple(draw(st.lists(st.integers(-3, 3), min_size=npos, max_size=npos)))
+    order = (weights, draw(st.integers(0, 1)), draw(st.sampled_from([0, draw(st.integers(1, max(1, npos - 1)))])))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pool.append((LIMIT - 1 - draw(st.integers(0, 8)),) + (0,) * (nvars - 1))
+
+    def raw(npos):
+        term = st.tuples(st.integers(0, npos - 1), st.sampled_from(pool), st.integers(-3, 3), st.integers(1, 3))
+        return draw(st.lists(term, min_size=1, max_size=6))
+
+    return order, raw(npos), raw(npos), raw(1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(arithmetic_cases())
+def test_arithmetic_matches_tuple_order(case):
+    """canon, add, sub and mul equal the sort_key and cmp_terms code, or,
+    where a term they pack does not fit a field, raise ResourceCapError."""
+    order, ra, rb, rq = case
+    weights = order[0]
+    lo = min(weights)
+
+    def check(expected, packed, call):
+        if all(weights[p] - lo + sum(e) < LIMIT for f in packed for p, e, _, _ in f):
+            assert call() == expected
+        else:
+            with pytest.raises(ResourceCapError):
+                call()
+
+    a, b, q = (reference_canon(r, *order) for r in (ra, rb, rq))
+    check(a, [a], lambda: impl.canon(ra, *order))
+    check(reference_merge(a, b, *order), [a, b], lambda: impl.add(a, b, *order))
+    check(reference_merge(a, impl.neg(b), *order), [a, b], lambda: impl.sub(a, b, *order))
+    prod = reference_mul(q, b, *order)
+    check(prod, [prod], lambda: impl.mul(q, b, *order))
+
+
+def test_canon_raises_past_60_variables():
+    # a packed key holds at most 60 exponent fields
+    x = ((0, (1,) + (0,) * 59, 1, 1),)
+    assert impl.canon(x, (0,), 0, 0) == x
+    x = ((0, (1,) + (0,) * 60, 1, 1),)
+    for op in (lambda: impl.canon(x, (0,), 0, 0), lambda: impl.add(x, x, (0,), 0, 0), lambda: impl.mul(x, x, (0,), 0, 0)):
+        with pytest.raises(ResourceCapError):
+            op()
 
 
 # -- the shared exponent table against per-term encoding ----------------------
@@ -234,7 +407,7 @@ def table_cases(draw):
             (draw(st.integers(0, npos - 1)), tuple(draw(st.sampled_from(pool))), draw(st.integers(-3, 3)), 1)
             for _ in range(draw(st.integers(0, 4)))
         ]
-        steps.append((order, impl.canon(terms, *order)))
+        steps.append((order, terms))
     return nvars, steps
 
 
@@ -243,13 +416,17 @@ def table_cases(draw):
 def test_table_pack_matches_reference(case):
     nvars, steps = case
     tables = {}
-    for order, f in steps:
+    for order, terms in steps:
         pk = impl.packing(*order, nvars)
         # orders of one nelim share one table, whatever their weights
         assert tables.setdefault(order[1], pk.expos) is pk.expos
         try:
+            f = impl.canon(terms, *order)
             expected = reference_pack(pk, f)
         except ResourceCapError:
+            f = reference_canon(terms, *order)
+            with pytest.raises(ResourceCapError):
+                reference_pack(pk, f)
             with pytest.raises(ResourceCapError):
                 pk.pack(f)
             continue
