@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from .errors import CertificateError, ResourceCapError, ValidationError
 from .gradedmod import f0, f1
@@ -25,6 +26,9 @@ from .serre import harness, transform, type_level, verify
 from .workspace import Workspace, module_to_json
 
 WEIGHT_BOUND_ENV = "TAMEMOD_WEIGHT_BOUND"
+
+# Most monomials a functor's Hilbert table may enumerate.
+MAX_HILBERT_MONOMIALS = 1 << 20
 
 
 def _weight_bound(args, module) -> int:
@@ -67,6 +71,14 @@ def cmd_functor(args) -> int:
     e, e_prime = _split_edges(ws, args, module.ring)
     out_mod = f0(module, e, e_prime) if args.degree == 0 else f1(module, e, e_prime)
     bound = _weight_bound(args, out_mod)
+    n = out_mod.ring.nvars
+    # the table lists, for each generator of weight w, every monomial of degree <= bound - w
+    count = sum(comb(bound - w + n, n) for w in out_mod.gen_weights if w <= bound)
+    if count > MAX_HILBERT_MONOMIALS:
+        raise ResourceCapError(
+            f"a Hilbert table to weight {bound} enumerates {count} monomials, "
+            f"over the cap of {MAX_HILBERT_MONOMIALS}"
+        )
     doc = {
         "degree": args.degree,
         "module": module_to_json(out_mod),
@@ -184,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("--split", help="split edge name (defaults to the workspace's)")
     p_fun.add_argument("--degree", type=int, choices=(0, 1), required=True)
     p_fun.add_argument("--out", required=True, help="output JSON file")
-    p_fun.add_argument("--weight-bound", type=int, help=f"Hilbert table bound (or ${WEIGHT_BOUND_ENV})")
+    p_fun.add_argument("--weight-bound", type=int, help=f"Hilbert table bound (or ${WEIGHT_BOUND_ENV}); the table may list at most {MAX_HILBERT_MONOMIALS} monomials")
     p_fun.set_defaults(func=cmd_functor)
 
     p_cert = sub.add_parser("cert", help="verify, transform, or measure certificates")
@@ -225,7 +237,8 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except ResourceCapError as exc:
+    except (ResourceCapError, RecursionError) as exc:
+        # a RecursionError is an input nested deeper than the interpreter's stack
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:

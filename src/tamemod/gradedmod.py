@@ -173,19 +173,17 @@ def _monomials(total: int, n: int) -> tuple:
 class ModuleMap:
     """Weight-homogeneous map between presented modules.
 
-    matrix[i][j] is the coefficient of target generator i in the image of
-    source generator j; every entry is homogeneous of weight
-    source_weight[j] + degree - target_weight[i].  Construction checks
-    well-definedness: each source relation must land in the target's relation
-    submodule.
+    columns[j] is the image of source generator j in the target's free cover,
+    and every term of it has weight source_weight[j] + degree.  The columns
+    are the map's one stored form; matrix, whose entry (i, j) is the
+    coefficient of target generator i in columns[j], is built from them on
+    demand for JSON and display.  Construction checks well-definedness: each
+    source relation must land in the target's relation submodule.
     """
 
-    __slots__ = ("source", "target", "matrix", "degree", "_cache")
+    __slots__ = ("source", "target", "columns", "degree")
 
     def __init__(self, source: PresentedModule, target: PresentedModule, matrix, degree: int = 0, check: bool = True):
-        self.source = source
-        self.target = target
-        self.degree = int(degree)
         rows = tuple(tuple(row) for row in matrix)
         if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
             raise StructuralError(
@@ -196,17 +194,29 @@ class ModuleMap:
             for j, entry in enumerate(row):
                 if not isinstance(entry, GradedPoly) or entry.ring != target.ring:
                     raise StructuralError(f"matrix entry ({i},{j}) not in the target ring")
-                if entry.is_zero():
-                    continue
-                expected = source.gen_weights[j] + self.degree - target.gen_weights[i]
-                if entry.weight() != expected:
+        free = target.free_cover
+        columns = [free.element([row[j] for row in rows]) for j in range(source.rank)]
+        self._setup(source, target, columns, degree, check)
+
+    def _setup(self, source, target, columns, degree, check):
+        self.source = source
+        self.target = target
+        self.degree = int(degree)
+        self.columns = columns = tuple(columns)
+        free = target.free_cover
+        if len(columns) != source.rank:
+            raise StructuralError(f"{len(columns)} columns for a source of rank {source.rank}")
+        for j, col in enumerate(columns):
+            if not isinstance(col, FreeElement) or col.module != free:
+                raise StructuralError(f"column {j} is not in the target's free cover")
+            top = source.gen_weights[j] + self.degree
+            for i, e, _, _ in col.terms:
+                if sum(e) + free.weights[i] != top:
                     raise StructuralError(
-                        f"entry ({i},{j}) has weight {entry.weight()}, expected {expected}"
+                        f"entry ({i},{j}) has weight {sum(e)}, expected {top - free.weights[i]}"
                     )
         if source.ring != target.ring:
             raise StructuralError("source and target over different rings")
-        self.matrix = rows
-        self._cache = {}
         if check:
             gb = target.relation_gb()
             for r in source.relations:
@@ -217,38 +227,24 @@ class ModuleMap:
 
     @classmethod
     def from_columns(cls, source: PresentedModule, target: PresentedModule, columns: Sequence[FreeElement], degree: int = 0, check: bool = True) -> "ModuleMap":
-        matrix = tuple(
-            tuple(col.component(i) for col in columns) for i in range(target.rank)
-        )
-        return cls(source, target, matrix, degree, check)
+        phi = cls.__new__(cls)
+        phi._setup(source, target, columns, degree, check)
+        return phi
 
     @classmethod
     def identity(cls, m: PresentedModule) -> "ModuleMap":
-        one = m.ring.one()
-        zero = m.ring.zero()
-        matrix = tuple(
-            tuple(one if i == j else zero for j in range(m.rank)) for i in range(m.rank)
-        )
-        return cls(m, m, matrix, 0, check=False)
+        return cls.from_columns(m, m, [m.gen(j) for j in range(m.rank)], 0, check=False)
 
     @classmethod
     def zero_map(cls, source: PresentedModule, target: PresentedModule, degree: int = 0) -> "ModuleMap":
-        zero = target.ring.zero()
-        matrix = tuple(tuple(zero for _ in range(source.rank)) for _ in range(target.rank))
-        return cls(source, target, matrix, degree, check=False)
+        return cls.from_columns(source, target, [target.free_cover.zero()] * source.rank, degree, check=False)
 
     # -- structure ------------------------------------------------------
 
-    def column(self, j: int) -> FreeElement:
-        cols = self._cache.get("cols")
-        if cols is None:
-            free = self.target.free_cover
-            cols = tuple(
-                free.element([self.matrix[i][jj] for i in range(self.target.rank)])
-                for jj in range(self.source.rank)
-            )
-            self._cache["cols"] = cols
-        return cols[j]
+    @property
+    def matrix(self) -> tuple:
+        comps = [col.components() for col in self.columns]
+        return tuple(tuple(c[i] for c in comps) for i in range(self.target.rank))
 
     def apply_free(self, x: FreeElement) -> FreeElement:
         """Image of a free-cover representative."""
@@ -256,7 +252,7 @@ class ModuleMap:
             raise StructuralError("element not in the source free cover")
         raw = []
         for p, e, n, d in x.terms:
-            for q, e2, n2, d2 in self.column(p).terms:
+            for q, e2, n2, d2 in self.columns[p].terms:
                 raw.append((q, K.expo_add(e, e2), n * n2, d * d2))
         free = self.target.free_cover
         return FreeElement(free, K.canon(raw, *free.order()))
@@ -265,7 +261,7 @@ class ModuleMap:
         """self after other; the middle modules must present the same module."""
         if other.target != self.source and not other.target.same_presentation(self.source):
             raise StructuralError("composition mismatch")
-        cols = [self.apply_free(other.column(j)) for j in range(other.source.rank)]
+        cols = [self.apply_free(c) for c in other.columns]
         return ModuleMap.from_columns(
             other.source, self.target, cols, self.degree + other.degree, check=False
         )
@@ -281,12 +277,12 @@ class ModuleMap:
             isinstance(other, ModuleMap)
             and self.source == other.source
             and self.target == other.target
-            and self.matrix == other.matrix
+            and self.columns == other.columns
             and self.degree == other.degree
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.matrix, self.degree))
+        return hash((self.source, self.target, self.columns, self.degree))
 
     def __repr__(self):
         rows = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.matrix)
@@ -334,18 +330,16 @@ def _kernel_span(phi: ModuleMap):
     the source free cover, of the syzygies of phi's columns modulo the target
     relations.  That syzygy basis is reduced in the order its own weights
     give: the column weights, with 0 for a zero column.  ModuleMap checks
-    every entry's weight, so a nonzero column has its source weight plus
+    every column's weight, so a nonzero column has its source weight plus
     phi's degree, and with no zero column the two orders agree and the basis
     is used as it is; otherwise a Groebner pass in the source cover gives it."""
-    src = phi.source
-    free = src.free_cover
-    cols = [phi.apply_free(free.gen(j)) for j in range(src.rank)]
-    syz = syzygies(cols, module=phi.target.free_cover, modulo=phi.target.relations)
-    if not any(c.is_zero() for c in cols):
+    free = phi.source.free_cover
+    syz = syzygies(phi.columns, module=phi.target.free_cover, modulo=phi.target.relations)
+    if not any(c.is_zero() for c in phi.columns):
         span = [FreeElement(free, s.terms) for s in syz]
     else:
         span = groebner([FreeElement(free, K.canon(s.terms, *free.order())) for s in syz], module=free)
-    return _presentation_of_span(src, list(span))
+    return _presentation_of_span(phi.source, list(span))
 
 
 def kernel(phi: ModuleMap):
@@ -358,13 +352,9 @@ def kernel(phi: ModuleMap):
 def cokernel(phi: ModuleMap):
     """Cokernel presentation and the projection from the target."""
     tgt = phi.target
-    rels = list(tgt.relations)
-    for j in range(phi.source.rank):
-        col = phi.column(j)
-        if not col.is_zero():
-            rels.append(col)
+    rels = list(tgt.relations) + [c for c in phi.columns if not c.is_zero()]
     coker = PresentedModule(tgt.ring, tgt.gen_weights, rels)
-    proj = ModuleMap(tgt, coker, ModuleMap.identity(tgt).matrix, 0, check=False)
+    proj = ModuleMap.from_columns(tgt, coker, [coker.gen(j) for j in range(coker.rank)], 0, check=False)
     return coker, proj
 
 
@@ -376,22 +366,16 @@ class ImageResult:
 
 
 def image(phi: ModuleMap) -> ImageResult:
-    cols = [phi.column(j) for j in range(phi.source.rank)]
-    img, kept = _presentation_of_span(phi.target, cols)
+    img, kept = _presentation_of_span(phi.target, phi.columns)
     incl = ModuleMap.from_columns(img, phi.target, kept, 0, check=False)
     # projection: source gen j goes to the image generator of its column
     col_index = {}
     for idx, c in enumerate(kept):
         col_index.setdefault(c, idx)
-    zero = phi.target.ring.zero()
-    one = phi.target.ring.one()
-    matrix = [[zero] * phi.source.rank for _ in range(img.rank)]
     # a column is kept exactly when its class is nonzero
-    for j, c in enumerate(cols):
-        idx = col_index.get(c)
-        if idx is not None:
-            matrix[idx][j] = one
-    proj = ModuleMap(phi.source, img, matrix, phi.degree, check=True)
+    zero = img.free_cover.zero()
+    cols = [img.gen(col_index[c]) if c in col_index else zero for c in phi.columns]
+    proj = ModuleMap.from_columns(phi.source, img, cols, phi.degree, check=True)
     return ImageResult(img, incl, proj)
 
 
@@ -416,19 +400,14 @@ def direct_sum(mods: Sequence[PresentedModule]):
             )
         offset += m.rank
     total = PresentedModule(ring, weights, rels)
-    zero = ring.zero()
-    one = ring.one()
     injections = []
     projections = []
-    for mi, m in enumerate(mods):
-        off = offsets[mi]
-        inj = [[zero] * m.rank for _ in range(total.rank)]
-        prj = [[zero] * total.rank for _ in range(m.rank)]
-        for j in range(m.rank):
-            inj[off + j][j] = one
-            prj[j][off + j] = one
-        injections.append(ModuleMap(m, total, inj, 0, check=False))
-        projections.append(ModuleMap(total, m, prj, 0, check=False))
+    for m, off in zip(mods, offsets):
+        inj = [total.gen(off + j) for j in range(m.rank)]
+        zero = m.free_cover.zero()
+        prj = [m.gen(k - off) if off <= k < off + m.rank else zero for k in range(total.rank)]
+        injections.append(ModuleMap.from_columns(m, total, inj, 0, check=False))
+        projections.append(ModuleMap.from_columns(total, m, prj, 0, check=False))
     return total, tuple(injections), tuple(projections)
 
 
@@ -446,11 +425,7 @@ def pullback(f: ModuleMap, g: ModuleMap) -> PullbackResult:
     if f.degree != g.degree:
         raise StructuralError("pullback of maps with different degrees")
     total, injs, projs = direct_sum([f.source, g.source])
-    cols = []
-    for j in range(f.source.rank):
-        cols.append(f.column(j))
-    for j in range(g.source.rank):
-        cols.append(-g.column(j))
+    cols = list(f.columns) + [-c for c in g.columns]
     diff = ModuleMap.from_columns(total, f.target, cols, f.degree, check=False)
     p, incl = kernel(diff)
     return PullbackResult(p, projs[0].compose(incl), projs[1].compose(incl))
@@ -495,9 +470,8 @@ def torsion_data(m: PresentedModule, e: str, e_prime: str) -> TorsionData:
     """The kernel of the degree-1 map (e - e') . : M -> M, contracted by f0."""
     _base_ring(m.ring, e, e_prime)
     d = m.ring.var(e) - m.ring.var(e_prime)
-    zero = m.ring.zero()
-    matrix = [[d if i == j else zero for j in range(m.rank)] for i in range(m.rank)]
-    sub, kept = _kernel_span(ModuleMap(m, m, matrix, 1, check=False))
+    cols = [d * m.gen(j) for j in range(m.rank)]
+    sub, kept = _kernel_span(ModuleMap.from_columns(m, m, cols, 1, check=False))
     return TorsionData(kept, f0(sub, e, e_prime))
 
 
@@ -510,11 +484,8 @@ def induced_map_f0(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
     src0 = f0(phi.source, e, e_prime)
     tgt0 = f0(phi.target, e, e_prime)
     mapping = {e_prime: e}
-    matrix = tuple(
-        tuple(substitute_poly(entry, tgt0.ring, mapping) for entry in row)
-        for row in phi.matrix
-    )
-    return ModuleMap(src0, tgt0, matrix, phi.degree, check=True)
+    cols = [substitute_free(c, tgt0.free_cover, mapping) for c in phi.columns]
+    return ModuleMap.from_columns(src0, tgt0, cols, phi.degree, check=True)
 
 
 def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
@@ -530,11 +501,8 @@ def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
         rem, cofs = reduce_with_expression(y, td_t.kgens, modulo=phi.target.relations)
         if not rem.is_zero():
             raise StructuralError("image of a torsion element is not torsion")
-        cols.append([substitute_poly(c, tgt1.ring, mapping) for c in cofs])
-    matrix = tuple(
-        tuple(cols[j][i] for j in range(len(td_s.kgens))) for i in range(tgt1.rank)
-    )
-    return ModuleMap(src1, tgt1, matrix, phi.degree, check=True)
+        cols.append(tgt1.free_cover.element([substitute_poly(c, tgt1.ring, mapping) for c in cofs]))
+    return ModuleMap.from_columns(src1, tgt1, cols, phi.degree, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +542,8 @@ def same_submodule(ambient: PresentedModule, gens_a: Sequence[FreeElement], gens
 
 def exact_at(fin: ModuleMap, fout: ModuleMap) -> bool:
     """Exactness of fin followed by fout: the image of fin is the kernel of fout."""
-    im_cols = [fin.column(j) for j in range(fin.source.rank)]
     _, ker_incl = kernel(fout)
-    ker_cols = [ker_incl.column(j) for j in range(ker_incl.source.rank)]
-    return same_submodule(fin.target, im_cols, ker_cols)
+    return same_submodule(fin.target, fin.columns, ker_incl.columns)
 
 
 def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
@@ -596,27 +562,17 @@ def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
     if not td_c.kgens:
         return ModuleMap.zero_map(f1c, f0b, 1)
     d = a_mod.ring.var(e) - a_mod.ring.var(e_prime)
-    fa = a_mod.free_cover
-    fb = b_mod.free_cover
-    lift_a = [ses.proj.apply_free(fa.gen(j)) for j in range(a_mod.rank)]
-    lift_b = [ses.incl.apply_free(fb.gen(j)) for j in range(b_mod.rank)]
     mapping = {e_prime: e}
     cols = []
     for c in td_c.kgens:
-        rem, cof = reduce_with_expression(c, lift_a, modulo=c_mod.relations)
+        rem, cof = reduce_with_expression(c, ses.proj.columns, modulo=c_mod.relations)
         if not rem.is_zero():
             raise StructuralError("projection is not surjective; cannot lift torsion class")
-        a_lift = fa.zero()
-        for j in range(a_mod.rank):
-            a_lift = a_lift + cof[j] * fa.gen(j)
-        w = d * a_lift
-        rem2, cof2 = reduce_with_expression(w, lift_b, modulo=a_mod.relations)
+        w = d * a_mod.free_cover.element(cof)
+        rem2, cof2 = reduce_with_expression(w, ses.incl.columns, modulo=a_mod.relations)
         if not rem2.is_zero():
             raise StructuralError("(e-e') times the lift does not come from the subobject")
-        b_elem = fb.zero()
-        for j in range(b_mod.rank):
-            b_elem = b_elem + cof2[j] * fb.gen(j)
-        cols.append(substitute_free(b_elem, f0b.free_cover, mapping))
+        cols.append(substitute_free(b_mod.free_cover.element(cof2), f0b.free_cover, mapping))
     return ModuleMap.from_columns(f1c, f0b, cols, 1, check=True)
 
 

@@ -331,7 +331,7 @@ def _via_quot(parent: Certificate, pi: ModuleMap, e, e_prime, i, trace, depth) -
     img = image(pi1)
     q2_mod, q2 = cokernel(img.inclusion)
     delta = connecting_map(ShortExactSequence(kappa, pi), e, e_prime)
-    dbar = ModuleMap(q2_mod, delta.target, delta.matrix, delta.degree, check=True)
+    dbar = ModuleMap.from_columns(q2_mod, delta.target, delta.columns, delta.degree, check=True)
     return ExtNode(QuotNode(cb1, img.projection), SubNode(ck0, dbar), img.inclusion, q2)
 
 
@@ -348,7 +348,7 @@ def _via_ext(left: Certificate, right: Certificate, inj: ModuleMap, proj: Module
     inj1 = induced_map_f1(inj, e, e_prime)
     proj1 = induced_map_f1(proj, e, e_prime)
     q_mod, q = cokernel(inj1)
-    pbar = ModuleMap(q_mod, proj1.target, proj1.matrix, proj1.degree, check=True)
+    pbar = ModuleMap.from_columns(q_mod, proj1.target, proj1.columns, proj1.degree, check=True)
     return ExtNode(cl1, SubNode(cr1, pbar), inj1, q)
 
 
@@ -378,7 +378,7 @@ def _via_sub(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
         p_to_l = pb.to_second
         sp_mod, q = cokernel(p_to_s)
         through = parent.projection.compose(iota)
-        jbar = ModuleMap(sp_mod, through.target, through.matrix, through.degree, check=True)
+        jbar = ModuleMap.from_columns(sp_mod, through.target, through.columns, through.degree, check=True)
         new_left = SubNode(parent.left, p_to_l)
         new_right = SubNode(parent.right, jbar)
         return _via_ext(new_left, new_right, p_to_s, q, e, e_prime, i, trace, depth)
@@ -413,24 +413,15 @@ def _sub_of_gen(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
     # of a direct sum of shifted merged partition modules.
     merged = merge_edges(parent.partition, e, e_prime)
     gb = parent.root.relation_gb()
-    kept = [
-        (j, iota.column(j))
-        for j in range(s_mod.rank)
-        if not normal_form(iota.column(j), gb).is_zero()
-    ]
+    kept = [j for j, col in enumerate(iota.columns) if not normal_form(col, gb).is_zero()]
     f0s = f0(s_mod, e, e_prime)
     if not kept:
         return _zero_cert_for(f0s)
-    pieces = [GenNode(merged, s_mod.gen_weights[j]) for j, _ in kept]
+    pieces = [GenNode(merged, s_mod.gen_weights[j]) for j in kept]
     dcert = pieces[0]
     for nxt in pieces[1:]:
         dcert = _direct_sum_cert(dcert, nxt)
-    zero = f0s.ring.zero()
-    one = f0s.ring.one()
-    matrix = [[zero] * dcert.root.rank for _ in range(f0s.rank)]
-    for t, (j, _) in enumerate(kept):
-        matrix[j][t] = one
-    theta = ModuleMap(dcert.root, f0s, matrix, 0, check=True)
+    theta = ModuleMap.from_columns(dcert.root, f0s, [f0s.gen(j) for j in kept], 0, check=True)
     return QuotNode(dcert, theta)
 
 

@@ -4,6 +4,10 @@ certificates, cross-referenced by id.
 Rationals are serialized as "num/den" strings (plain "num" when the
 denominator is 1) so round-trips stay exact; terms are emitted in the
 canonical monomial order, making serialization deterministic.
+
+A map is written as the matrix that ModuleMap derives from its columns (entry
+[i][j]: the coefficient of target generator i in the image of source generator
+j) and read back through ModuleMap's matrix constructor.
 """
 
 from __future__ import annotations

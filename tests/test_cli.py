@@ -3,9 +3,14 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import tamemod
 from tamemod.cli import main
 
 RELATED = "workspaces/gen_related.json"
@@ -24,7 +29,7 @@ def test_functor_degree1_related(tmp_path, capsys):
     out = tmp_path / "out.json"
     assert run("functor", "--in", RELATED, "--module", "M_partition", "--degree", "1", "--out", str(out)) == 0
     doc = json.loads(out.read_text())
-    src = json.load(open(RELATED))
+    src = json.loads(Path(RELATED).read_text())
     # the torsion module of Z[P] with e ~ e' has the Hilbert table of the input
     assert doc["hilbert"]["0"] == 1 and doc["hilbert"]["3"] == 4
     assert doc["module"]["gen_weights"] == [0]
@@ -66,7 +71,7 @@ def test_functor_unknown_module(tmp_path):
     ids=["no-ring", "string-weight"],
 )
 def test_functor_bad_module_json_is_validation_error(tmp_path, capsys, damage, message):
-    data = json.load(open(RELATED))
+    data = json.loads(Path(RELATED).read_text())
     damage(data["modules"]["M_partition"])
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(data))
@@ -80,7 +85,7 @@ def test_functor_bad_module_json_is_validation_error(tmp_path, capsys, damage, m
 
 def test_functor_huge_exponent_exit_3(tmp_path, capsys):
     # a^40000 does not fit a packed monomial field (weighted degree < 32768)
-    data = json.load(open(RELATED))
+    data = json.loads(Path(RELATED).read_text())
     data["modules"]["M_partition"]["relations"] = [[{"c": "1", "g": 0, "m": {"a": 40000}}]]
     src = tmp_path / "huge.json"
     src.write_text(json.dumps(data))
@@ -90,6 +95,27 @@ def test_functor_huge_exponent_exit_3(tmp_path, capsys):
     assert "resource cap exceeded" in capsys.readouterr().err
     assert not out.exists()
 
+
+
+def test_functor_weight_bound_over_the_monomial_cap_exit_3(tmp_path, capsys):
+    # a table to weight 100000 over two variables would list ~5e9 monomials
+    out = tmp_path / "out.json"
+    argv = ("functor", "--in", RELATED, "--module", "M_partition", "--degree", "0",
+            "--weight-bound", "100000", "--out", str(out))
+    start = time.perf_counter()
+    assert run(*argv) == 3
+    assert time.perf_counter() - start < 2
+    assert "resource cap exceeded" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_functor_weight_bound_under_the_cap_keeps_its_table(tmp_path):
+    out = tmp_path / "out.json"
+    argv = ("functor", "--in", RELATED, "--module", "M_partition", "--degree", "0",
+            "--weight-bound", "30", "--out", str(out))
+    assert run(*argv) == 0
+    # Z[P]/(e-e') is the polynomial ring in a and e
+    assert json.loads(out.read_text())["hilbert"] == {str(w): w + 1 for w in range(31)}
 
 # -- cert ---------------------------------------------------------------------------
 
@@ -133,7 +159,7 @@ def test_cert_transform_sub_ideal(tmp_path):
 
 
 def test_cert_transform_tampered_witness_exits_1(tmp_path, capsys):
-    doc = json.load(open(SUB_IDEAL))
+    doc = json.loads(Path(SUB_IDEAL).read_text())
     # replace the witness entry by e - e', which dies in the target: the
     # tampered inclusion is no longer injective
     doc["maps"]["w0"]["matrix"][0][0] = [
@@ -151,7 +177,7 @@ def test_cert_transform_tampered_witness_exits_1(tmp_path, capsys):
 
 
 def test_cert_verify_tampered_witness_names_node(tmp_path, capsys):
-    doc = json.load(open(SUB_IDEAL))
+    doc = json.loads(Path(SUB_IDEAL).read_text())
     doc["maps"]["w0"]["matrix"][0][0] = [
         {"c": "1", "m": {"e": 1}},
         {"c": "-1", "m": {"e'": 1}},
@@ -173,6 +199,36 @@ def test_cert_transform_split_not_in_ring(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
     assert not out.exists()
 
+
+
+def _run_cli(*argv):
+    """The CLI in a fresh interpreter, so the stack depth is what a user gets."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tamemod.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "tamemod.cli", *argv], capture_output=True, text=True, env=env)
+
+
+def test_cert_level_of_a_deep_chain_exit_3(tmp_path):
+    # 450 Sub nodes over the identity of M_partition: a valid certificate
+    # whose level is deeper than the interpreter's recursion limit allows
+    doc = json.loads(Path(RELATED).read_text())
+    doc["maps"] = {"w0": {"source": "M_partition", "target": "M_partition", "matrix": [[[{"c": "1"}]]]}}
+    node = doc["certificates"]["c_related"]
+    for _ in range(450):
+        node = {"kind": "sub", "parent": node, "witness": "w0"}
+    doc["certificates"]["c_deep"] = node
+    src = tmp_path / "deep.json"
+    src.write_text(json.dumps(doc))
+    proc = _run_cli("cert", "level", "--in", str(src), "--cert", "c_deep")
+    assert proc.returncode == 3
+    assert "resource cap exceeded" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_workspace_nested_past_the_json_decoder_exit_3(tmp_path):
+    src = tmp_path / "nested.json"
+    src.write_text('{"graph": ' + "[" * 3000 + "]" * 3000 + "}")
+    proc = _run_cli("cert", "level", "--in", str(src), "--cert", "c")
+    assert proc.returncode == 3
+    assert "resource cap exceeded" in proc.stderr and "Traceback" not in proc.stderr
 
 # -- harness -------------------------------------------------------------------------
 

@@ -10,6 +10,7 @@ from tamemod import partition as partition_mod
 from tamemod.errors import ResourceCapError, StructuralError, ValidationError
 from tamemod.exactalg import (
     EdgeRing,
+    FreeModule,
     groebner,
     ideal_contains_one,
     normal_form,
@@ -103,6 +104,23 @@ def test_map_weight_mismatch_rejected():
         ModuleMap(a, a, ((R.var("x"),),), 0)  # degree-1 entry in a degree-0 map
 
 
+
+def test_from_columns_weight_mismatch_rejected():
+    R = EdgeRing(("x",))
+    a = PresentedModule.free(R, (0,))
+    with pytest.raises(StructuralError, match=r"entry \(0,0\) has weight 1, expected 0"):
+        ModuleMap.from_columns(a, a, [R.var("x") * a.gen(0)], 0)
+
+
+def test_from_columns_foreign_column_rejected():
+    # x*g with g of weight 1 lies in another free module than the target's
+    # cover, whose g has weight 0; it is refused, not read position by position
+    R = EdgeRing(("x",))
+    foreign = R.var("x") * FreeModule(R, (1,)).gen(0)
+    src, tgt = PresentedModule.free(R, (1,)), PresentedModule.free(R, (0,))
+    with pytest.raises(StructuralError, match="free cover"):
+        ModuleMap.from_columns(src, tgt, [foreign], 0)
+
 def test_map_escaping_relation_rejected():
     R = EdgeRing(("x",))
     a = PresentedModule.from_ideal(R, [R.var("x")])  # Q[x]/(x)
@@ -143,7 +161,7 @@ def test_kernel_of_projection_to_quotient():
     proj = ModuleMap(a, c, ((R.one(),),), 0)
     k, incl = kernel(proj)
     assert k.gen_weights == (1,)
-    assert incl.column(0) == a.free_cover.element([R.var("x") - R.var("y")])
+    assert incl.columns[0] == a.free_cover.element([R.var("x") - R.var("y")])
 
 
 def test_kernel_of_zero_columns_in_source_order():
@@ -154,7 +172,7 @@ def test_kernel_of_zero_columns_in_source_order():
     src = PresentedModule.free(R, (0, 1))
     k, incl = kernel(ModuleMap.zero_map(src, PresentedModule.free(R, (0,))))
     assert k.gen_weights == (1, 0)
-    assert (incl.column(0), incl.column(1)) == (src.gen(1), src.gen(0))
+    assert (incl.columns[0], incl.columns[1]) == (src.gen(1), src.gen(0))
     assert k.relation_gb() == groebner(list(k.relations), module=k.free_cover)
 
 

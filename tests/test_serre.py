@@ -338,21 +338,36 @@ def _nodes(c):
         yield from _nodes(child)
 
 
-def _modulo_corpus():
-    """(split, node) for 15 random certificates per shipped predicate, max
-    level 2, and their degree-0 and degree-1 transforms."""
+def _modulo_corpus(per_pred=15):
+    """(split, node) for per_pred random certificates per shipped predicate,
+    max level 2, and their degree-0 and degree-1 transforms."""
     split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
     e, ep = split.e, split.e_prime
     preds = (AlwaysTame(), MaxBlockCount(2), CoBlocked(["a", "b"]), DiscreteOnly())
     for pred in preds:
         tame = tame_partitions(pred, split.split_graph)
         rng = random.Random(f"modulo:{pred.describe()}")
-        for _ in range(15):
+        for _ in range(per_pred):
             cert = random_certificate(rng, tame, 2)
             nodes = list(_nodes(cert))
             nodes += [n for i in (0, 1) for n in _nodes(transform(cert, e, ep, i))]
             for node in nodes:
                 yield split, node
+
+
+def test_witness_maps_rebuild_from_their_matrix():
+    # a map is stored as its columns; the matrix it derives gives the same map
+    # back through the matrix constructor, transformed witnesses included
+    maps = []
+    for _, node in _modulo_corpus(per_pred=5):
+        if isinstance(node, (SubNode, QuotNode)):
+            maps.append(node.witness)
+        elif isinstance(node, ExtNode):
+            maps += [node.injection, node.projection]
+    assert len(maps) > 80 and any(phi.degree == 1 for phi in maps)
+    for phi in maps:
+        again = ModuleMap(phi.source, phi.target, phi.matrix, phi.degree, check=False)
+        assert again == phi and hash(again) == hash(phi)
 
 
 def test_modulo_path_matches_tracked_relations():
@@ -364,7 +379,7 @@ def test_modulo_path_matches_tracked_relations():
         m = node.root
         if isinstance(node, SubNode):
             w = node.witness
-            cols = [w.column(j) for j in range(m.rank)]
+            cols = [w.columns[j] for j in range(m.rank)]
             rels = _projected_syzygies(w.target, cols, m.gen_weights)
             assert m.same_presentation(PresentedModule(m.ring, m.gen_weights, rels))
         if m.ring.variables != split.split_graph.edges:

@@ -4,6 +4,7 @@ import copy
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -130,7 +131,7 @@ def test_shipped_workspaces_load_and_verify():
 
 
 SHIPPED = {
-    name: json.load(open(name))
+    name: json.loads(Path(name).read_text())
     for name in ("workspaces/gen_related.json", "workspaces/gen_unrelated.json", "workspaces/sub_ideal.json")
 }
 WRONG_VALUES = (None, True, 2.5, 7, -1, "x", "1/0", [], ["x"], [7], {}, {"x": 1})
