@@ -1,33 +1,18 @@
-"""Sparse exact-rational term arithmetic, in two layouts.
+"""Sparse exact-rational term arithmetic on packed monomials (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).
 
-Tuple layout, for values and the arithmetic of GradedPoly and FreeElement:
-
-  term  = (pos, expo, num, den)
-          pos:  generator index in the ambient free module (0 for ring polys)
-          expo: tuple of per-variable exponents
-          num/den: exact rational coefficient, den > 0, gcd(|num|, den) = 1
-  poly  = tuple of terms, strictly descending in the monomial order, no zeros
+  term  = (key, dkey, num, den), num/den exact, den > 0, gcd(|num|, den) = 1
+  poly  = tuple of terms, strictly descending by key, no zeros
   order = (weights, nelim, possplit)
           weights:  per-position weight added to the exponent sum
           nelim:    leading variables forming a dominant elimination block
           possplit: positions < possplit dominate positions >= possplit
 
+A poly is packed under one order on a fixed number of variables, a Packing.
 The order is graded reverse-lexicographic on the exponents (ties broken by
-position), optionally preceded by the two elimination comparisons.  All
-comparisons are invariant under multiplication by a ring monomial, so term
-multiplication never re-sorts.  The order is written down once, as the packed
-order key below: canon, add, sub and mul sort and merge tuple-layout terms by
-packing them, so reduced Groebner bases and the values built from them share
-one order by construction.
-
-Packed layout, for division and Groebner bases (Monagan and Pearce,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007):
-
-  term  = (key, dkey, num, den), num/den as above, so a packed term keeps its
-          coefficient at t[2] and t[3]
-
-The order key packs these fields of BITS bits each, from the top down:
+position), optionally preceded by the two elimination comparisons.  The
+order key packs these fields of BITS bits each, from the top down:
 
   position block      1 if possplit and pos < possplit else 0
   elimination degree  e_0 + ... + e_(nelim-1)
@@ -35,50 +20,47 @@ The order key packs these fields of BITS bits each, from the top down:
   Q_k, k = n-1 .. 0   w + e_0 + ... + e_(k-1)
   MAXPOS - pos        MAXPOS = len(weights) - 1
 
-where w = weights[pos] - min(weights) (a common shift leaves the order
-alone).  With the weighted degree equal, the first Q_k that differs marks the
-rightmost differing exponent, and the larger Q_k has the smaller exponent
-there, so comparing keys as integers is the monomial order.  Every field is
-linear in the exponents, key = base[pos] + sum of e_i * C_i, so multiplying
-by a ring monomial adds one integer to the key.
+where w = weights[pos] - min(weights).  With the weighted degree equal, the
+first Q_k that differs marks the rightmost differing exponent, and the larger
+Q_k has the smaller exponent there, so comparing keys as integers is the
+monomial order.  Every field is linear in the exponents, key = base[pos] +
+sum of e_i * C_i, where the exponent part depends only on (nvars, nelim).
+Under ((0,), nelim, 0) the base is 0, so a ring key is its exponent part and
+the product of a ring term and a module term is the sum of their keys.
+Moving a poly to another order of the same (nvars, nelim), or to another
+position, adds base'[pos'] - base[pos] to each key (Packing.rebase).
 
 The divisibility key packs pos in its lowest field and e_i in field i + 1.
 A divides B iff (dkey_B - dkey_A) & DIVMASK == 0: a field where A's exponent
 is larger borrows and sets its guard bit, the top bit of the field, and a
 different position leaves a nonzero lowest field.
 
-Bound: every field value stays below LIMIT = 2**(BITS - 1) = 32768, so the
-weighted degree w + sum(expo) of every term, and the number of positions,
-must be below 32768, with at most 60 variables.  The sum of two in-range
-fields cannot carry into the next field, only into its guard bit.  pack()
-checks its input, and reduce() checks the guard bits of every term it takes
-as a divisor's target or into the remainder, so new basis elements and
-remainders are checked too; a term out of range raises ResourceCapError.
-Since canon, add, sub and mul pack their terms, a tuple-layout value out of
-range raises ResourceCapError where it is canonicalized, before it reaches a
-Groebner or division step.
+Bound: every field stays below LIMIT = 2**(BITS - 1) = 32768, so the weighted
+degree of every term, and the number of positions, must be below 32768, with
+at most 60 variables.  The sum of two in-range fields cannot carry into the
+next field, only into its guard bit, so a sum of keys is out of range exactly
+when a guard bit is set.  pack() checks its input, canon() (so mul()) every
+key it keeps, rebase() every key it moves, and reduce() every term it takes
+as a divisor's target or into the remainder; a term out of range raises
+ResourceCapError.
 
-Exponent table: the exponent part of a key, sum of e_i * C_i, depends only
-on the number of variables and on nelim, not on the weights or possplit, and
-the divisibility key is pos plus an exponent part.  So every Packing of one
-(nvars, nelim) shares one table that maps an exponent tuple to its key part,
-dkey part and degree, and maps the dkey part back to the tuple.  pack() is
-one lookup per term, key = base[pos] + key part and dkey = dkey part + pos;
-only a tuple not yet in the table is encoded.  unpack() returns the table's
-own tuples, so the bases it builds share them.  The cap is checked on every
-term, shift[pos] + degree < LIMIT, since a tuple entered under a small shift
-can overflow under a larger one, and a tuple whose degree does not fit a
-field never enters.  The table is an lru cache like the Packings and the
-bases, so clearing the lru caches drops it, and a table that reaches
-TABLE_CAP entries is emptied before the next tuple enters.
+Exponent tuples enter through pack() and leave through unpack(), which go
+through one exponent table per (nvars, nelim), shared by every order of that
+shape: exponent tuple to (key part, dkey part, degree), and dkey part back to
+the tuple.  The cap is checked on every term, shift[pos] + degree < LIMIT,
+since a tuple entered under a small shift can overflow under a larger one.
+The table is an lru cache like the Packings, so clearing the lru caches
+drops it, and a table that reaches TABLE_CAP entries is emptied before the
+next tuple enters.
 """
 
 import struct
 from functools import lru_cache
+from functools import reduce as _fold
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add as _add
 from operator import mul as _mul
+from operator import or_
 
 from ..errors import ResourceCapError
 
@@ -100,75 +82,60 @@ def _norm(num, den):
     return num, den
 
 
-def expo_divides(a, b):
-    """True when monomial a divides monomial b (componentwise <=)."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+def _check(keys):
+    """Raise ResourceCapError unless every key has its fields in range."""
+    if _fold(or_, keys, 0) & GUARD:
+        raise ResourceCapError(f"a monomial degree reached the packed field limit {LIMIT}")
 
 
-def expo_add(a, b):
-    return tuple(map(_add, a, b))
-
-
-def canon(terms, weights, nelim, possplit):
-    """Merge duplicates, drop zeros, sort descending; returns a canonical poly.
-
-    The terms are sorted by their packed order keys, so a term that does not
-    fit the packed layout raises ResourceCapError here."""
+def canon(terms):
+    """The canonical poly of packed terms given in any order: terms of equal
+    key merged, zeros dropped, sorted descending.  Raises ResourceCapError
+    when a kept term does not fit the packed layout."""
     acc = {}
-    for pos, expo, num, den in terms:
+    for t in terms:
+        key, num, den = t[0], t[2], t[3]
         if num == 0:
             continue
-        key = (pos, expo)
-        if key in acc:
-            n0, d0 = acc[key]
-            n, d = _norm(n0 * den + num * d0, d0 * den)
+        old = acc.get(key)
+        if old is None:
+            acc[key] = (key, t[1]) + _norm(num, den)
+        else:
+            n, d = _norm(old[2] * den + num * old[3], old[3] * den)
             if n == 0:
                 del acc[key]
             else:
-                acc[key] = (n, d)
-        else:
-            acc[key] = _norm(num, den)
-    if not acc:
-        return ()
-    pk = packing(weights, nelim, possplit, len(next(iter(acc))[1]))
-    return pk.unpack(sorted(pk.pack(k + c for k, c in acc.items()), reverse=True))
+                acc[key] = (key, old[1], n, d)
+    _check(acc)
+    return tuple(acc[k] for k in sorted(acc, reverse=True))
 
 
 def neg(f):
-    return tuple((p, e, -n, d) for p, e, n, d in f)
+    return tuple((k, d, -n, dn) for k, d, n, dn in f)
 
 
 def scale(f, num, den):
-    """Multiply by a rational; either layout, since only t[2] and t[3] change."""
+    """Multiply by a rational."""
     if num == 0:
         return ()
     num, den = _norm(num, den)
-    return tuple((p, e) + _norm(n * num, d * den) for p, e, n, d in f)
+    return tuple((k, d) + _norm(n * num, dn * den) for k, d, n, dn in f)
 
 
-def add(f, g, weights, nelim, possplit):
-    return sub(f, neg(g), weights, nelim, possplit)
+def add(f, g):
+    return sub(f, neg(g))
 
 
-def sub(f, g, weights, nelim, possplit):
-    """Difference of two canonical polys, merged on their packed keys."""
-    if not (f or g):
-        return ()
-    pk = packing(weights, nelim, possplit, len((f or g)[0][1]))
-    return pk.unpack(_minus(pk.pack(f), pk.pack(g), 0, 0))
+def sub(f, g):
+    """Difference of two canonical polys of one order, merged on their keys."""
+    return _minus(f, g, 0, 0)
 
 
-def mul(f, g, weights, nelim, possplit):
-    """Product of a ring poly f (all positions 0) with a module poly g."""
-    terms = [(pos, expo_add(ef, eg), nf * ng, df * dg) for _, ef, nf, df in f for pos, eg, ng, dg in g]
-    return canon(terms, weights, nelim, possplit)
-
-
-# ---------------------------------------------------------------------------
-# Packed layout
+def mul(f, g):
+    """Product of a ring poly f with a module poly g whose order has the same
+    number of variables and nelim: a ring key is its exponent part, so each
+    product term is the sum of two keys and of two dkeys."""
+    return canon([(kf + kg, df + dg, nf * ng, dnf * dng) for kf, df, nf, dnf in f for kg, dg, ng, dng in g])
 
 
 # entries an exponent table holds before it is emptied; a dropped tuple is
@@ -187,9 +154,11 @@ def _exponent_table(nvars, nelim):
 class Packing:
     """The packed layout of one order on a fixed number of variables."""
 
-    __slots__ = ("base", "shift", "coef", "dkeys", "table", "expos", "wshift", "eshift", "esrc", "prefix", "low", "fill")
+    __slots__ = ("args", "base", "shift", "lo", "coef", "dkeys", "table", "expos", "moves",
+                 "wshift", "eshift", "esrc", "prefix", "low", "fill")
 
     def __init__(self, weights, nelim, possplit, nvars):
+        self.args = (weights, nelim, possplit, nvars)
         npos = len(weights)
         if nvars + 4 > MAX_FIELDS or npos > LIMIT:
             raise ResourceCapError(
@@ -201,7 +170,7 @@ class Packing:
         self.wshift = BITS * (n + 1)
         self.eshift = BITS * (n + 2) if nelim else 0
         self.esrc = BITS * nelim
-        lo = min(weights)
+        self.lo = lo = min(weights)
         self.shift = tuple(w - lo for w in weights)
         qfields = sum(1 << (BITS * (k + 1)) for k in range(n))
         self.base = tuple(
@@ -224,6 +193,11 @@ class Packing:
         self.prefix = sum(1 << (BITS * j) for j in range(n))
         self.low = sum(FIELD << (BITS * q) for q in range(1, n + 1))
         self.fill = sum((LIMIT - 1) << (BITS * q) for q in range(1, n + 1))
+        self.moves = {}
+
+    def __reduce__(self):
+        # a pickle holds the order alone; unpickling looks its Packing up
+        return packing, self.args
 
     def _enter(self, expo):
         """Add an exponent tuple to the table; its degree must fit a field."""
@@ -239,7 +213,7 @@ class Packing:
         return entry
 
     def pack(self, f):
-        """Packed terms of a canonical tuple-layout poly, in the same order."""
+        """Packed terms of (pos, expo, num, den) terms, in the same order."""
         base, shift, table = self.base, self.shift, self.table
         out = []
         for pos, expo, num, den in f:
@@ -256,9 +230,14 @@ class Packing:
             out.append((base[pos] + kpart, dpart + pos, num, den))
         return tuple(out)
 
+    def build(self, f):
+        """The canonical poly of (pos, expo, num, den) terms given in any
+        order, with repeats and zero coefficients."""
+        return canon(self.pack([t for t in f if t[2]]))
+
     def unpack(self, f):
-        """Tuple-layout terms of a packed poly, with the table's own exponent
-        tuples."""
+        """(pos, expo, num, den) terms of a packed poly, with the table's own
+        exponent tuples."""
         expos = self.expos
         out = []
         for t in f:
@@ -270,6 +249,32 @@ class Packing:
                 self._enter(expo)
             out.append((pos, expo, t[2], t[3]))
         return tuple(out)
+
+    def unit(self, pos, num=1, den=1):
+        """The packed term num/den times generator pos."""
+        if self.shift[pos] >= LIMIT:
+            raise ResourceCapError(f"weight shift {self.shift[pos]} does not fit a packed field (limit {LIMIT - 1})")
+        return (self.base[pos], pos, num, den)
+
+    def rebase(self, f, src, offset=0):
+        """The terms of f, packed under src, packed under this order with
+        every position moved by offset; src has the same number of variables
+        and nelim.  Each key gains base[pos + offset] - src.base[pos], so the
+        order within a position is kept, and across positions too when that
+        delta is the same for every position."""
+        move = self.moves.get((src, offset))
+        if move is None:
+            # a position with no room for a term gets GUARD, setting every guard bit;
+            # fields grow by at most their shift's growth, so if none grows no check is due
+            room = [p - offset for p, s in enumerate(self.shift) if s < LIMIT]
+            delta = tuple(self.base[p + offset] - b if p in room else GUARD for p, b in enumerate(src.base))
+            safe = GUARD not in delta and all(self.shift[p + offset] <= s for p, s in enumerate(src.shift))
+            move = self.moves[src, offset] = (delta, safe)
+        delta, safe = move
+        out = tuple([(k + delta[d & FIELD], d + offset, n, dn) for k, d, n, dn in f])
+        if not safe:
+            _check(t[0] for t in out)
+        return out
 
     def lcm(self, s, t):
         """(key, dkey) of the lcm of two packed terms in the same position."""
@@ -289,6 +294,12 @@ class Packing:
     def wdeg(self, key):
         """The weighted-degree field of a key or key delta."""
         return (key >> self.wshift) & FIELD
+
+    def weights(self, f):
+        """The set of the weights weights[pos] + sum(expo) of f's terms, read
+        off the weighted-degree field of their keys."""
+        wshift, lo = self.wshift, self.lo
+        return {((t[0] >> wshift) & FIELD) + lo for t in f}
 
     def support(self, dkey):
         """Bitmask with a guard bit set for every variable of nonzero exponent."""

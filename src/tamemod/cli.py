@@ -32,16 +32,18 @@ MAX_HILBERT_MONOMIALS = 1 << 20
 
 
 def _weight_bound(args, module) -> int:
-    if getattr(args, "weight_bound", None) is not None:
-        return args.weight_bound
+    bound = getattr(args, "weight_bound", None)
     env = os.environ.get(WEIGHT_BOUND_ENV)
-    if env:
+    if bound is None and env:
         try:
-            return int(env)
+            bound = int(env)
         except ValueError:
             raise ValidationError(f"{WEIGHT_BOUND_ENV} must be an integer, got {env!r}")
-    top = max(module.gen_weights, default=0)
-    return top + 5
+    if bound is None:
+        return max(module.gen_weights, default=0) + 5
+    if bound < 0:
+        raise ValidationError(f"the weight bound must not be negative, got {bound}")
+    return bound
 
 
 def _split_edges(ws: Workspace, args, ring) -> tuple[str, str]:

@@ -6,6 +6,12 @@ are pure functions of their inputs.  The monomial order is weight-graded
 reverse lexicographic in the ring's fixed variable order (term over position
 for free modules); internal elimination orders extend it with dominant
 variable or position blocks.
+
+`terms` of a GradedPoly or FreeElement holds packed terms (key, dkey, num,
+den), strictly descending (see `_core._pure`), under the ring order ((0,), 0,
+0) or the free module's `order()`.  The Groebner engine takes and returns
+them as they are; exponent tuples are read off only to build values from
+exponents, to change the number of variables, and for output.
 """
 
 from __future__ import annotations
@@ -13,11 +19,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from ._core import impl as K
-from ._core._pure import DIVMASK, FIELD
+from ._core._pure import BITS, DIVMASK, FIELD, LIMIT
 from .errors import ResourceCapError, StructuralError, ValidationError
 
 # Generous guard against runaway Groebner runs on adversarial random input.
@@ -67,16 +73,21 @@ class EdgeRing:
     def one(self) -> "GradedPoly":
         return self.const(1)
 
+    @cached_property
+    def packing(self):
+        return K.packing(*_RING_ORDER, self.nvars)
+
     def const(self, c: Coeff) -> "GradedPoly":
         n, d = _coeff(c)
         if n == 0:
             return self.zero()
-        return GradedPoly(self, ((0, (0,) * self.nvars, n, d),))
+        # the constant monomial packs to key 0 and dkey 0
+        return GradedPoly(self, ((0, 0, n, d),))
 
     def var(self, name: str) -> "GradedPoly":
         i = self.index(name)
         expo = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return GradedPoly(self, ((0, expo, 1, 1),))
+        return GradedPoly(self, self.packing.pack(((0, expo, 1, 1),)))
 
     def poly(self, terms: dict) -> "GradedPoly":
         """Build from {exponent tuple: coefficient}."""
@@ -87,7 +98,7 @@ class EdgeRing:
                 raise ValidationError(f"bad exponent vector {expo} for {self.nvars} variables")
             n, d = _coeff(c)
             raw.append((0, expo, n, d))
-        return GradedPoly(self, K.canon(raw, (0,), 0, 0))
+        return GradedPoly(self, self.packing.build(raw))
 
 
 _RING_ORDER = ((0,), 0, 0)
@@ -107,12 +118,11 @@ class GradedPoly:
 
     @property
     def is_homogeneous(self) -> bool:
-        ws = {sum(t[1]) for t in self.terms}
-        return len(ws) <= 1
+        return len(self.ring.packing.weights(self.terms)) <= 1
 
     def weight(self):
         """Common weight of all terms; None for the zero polynomial."""
-        ws = {sum(t[1]) for t in self.terms}
+        ws = self.ring.packing.weights(self.terms)
         if not ws:
             return None
         if len(ws) > 1:
@@ -127,7 +137,7 @@ class GradedPoly:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check(other)
-        return GradedPoly(self.ring, K.add(self.terms, other.terms, *_RING_ORDER))
+        return GradedPoly(self.ring, K.add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -135,7 +145,7 @@ class GradedPoly:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check(other)
-        return GradedPoly(self.ring, K.sub(self.terms, other.terms, *_RING_ORDER))
+        return GradedPoly(self.ring, K.sub(self.terms, other.terms))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -150,7 +160,7 @@ class GradedPoly:
         if isinstance(other, FreeElement):
             return other.__rmul__(self)
         self._check(other)
-        return GradedPoly(self.ring, K.mul(self.terms, other.terms, *_RING_ORDER))
+        return GradedPoly(self.ring, K.mul(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -161,6 +171,10 @@ class GradedPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValidationError("negative power")
+        # the lead has the largest degree, and its k-th power is a term of the result
+        top = max(self.ring.packing.weights(self.terms[:1]), default=0)
+        if k * top >= LIMIT:
+            raise ResourceCapError(f"degree {k * top} does not fit a packed field (limit {LIMIT - 1})")
         out = self.ring.one()
         for _ in range(k):
             out = out * self
@@ -183,7 +197,7 @@ class GradedPoly:
         if not self.terms:
             return "0"
         parts = []
-        for _, expo, n, d in self.terms:
+        for _, expo, n, d in self.ring.packing.unpack(self.terms):
             mono = "*".join(
                 f"{v}^{e}" if e > 1 else v
                 for v, e in zip(self.ring.variables, expo)
@@ -221,6 +235,10 @@ class FreeModule:
     def order(self) -> tuple:
         return (self.weights if self.weights else (0,), 0, 0)
 
+    @cached_property
+    def packing(self):
+        return K.packing(*self.order(), self.ring.nvars)
+
     def zero(self) -> "FreeElement":
         return FreeElement(self, ())
 
@@ -230,17 +248,18 @@ class FreeModule:
         n, d = _coeff(c)
         if n == 0:
             return self.zero()
-        return FreeElement(self, ((i, (0,) * self.ring.nvars, n, d),))
+        return FreeElement(self, (self.packing.unit(i, n, d),))
 
     def element(self, components: Sequence[GradedPoly]) -> "FreeElement":
         if len(components) != self.rank:
             raise StructuralError(f"expected {self.rank} components")
-        raw = []
+        terms = []
         for i, p in enumerate(components):
             if p.ring != self.ring:
                 raise StructuralError("component from a different ring")
-            raw.extend((i, e, n, d) for _, e, n, d in p.terms)
-        return FreeElement(self, K.canon(raw, *self.order()))
+            terms += self.packing.rebase(p.terms, self.ring.packing, i)
+        # keys are distinct across positions, so the sort compares keys only
+        return FreeElement(self, tuple(sorted(terms, reverse=True)))
 
 
 class FreeElement:
@@ -260,22 +279,20 @@ class FreeElement:
         return not self.terms
 
     def component(self, i: int) -> GradedPoly:
-        terms = tuple((0, e, n, d) for p, e, n, d in self.terms if p == i)
-        return GradedPoly(self.ring, K.canon(terms, *_RING_ORDER))
+        """Coordinate i, a ring poly: each of its terms loses base[i] from its
+        key and i from its dkey, which keeps their order."""
+        base = self.module.packing.base
+        return GradedPoly(self.ring, tuple((k - base[i], d - i, n, dn) for k, d, n, dn in self.terms if d & FIELD == i))
 
     def components(self) -> tuple[GradedPoly, ...]:
         return tuple(self.component(i) for i in range(self.module.rank))
 
-    def _term_weight(self, t) -> int:
-        return sum(t[1]) + self.module.weights[t[0]]
-
     @property
     def is_homogeneous(self) -> bool:
-        ws = {self._term_weight(t) for t in self.terms}
-        return len(ws) <= 1
+        return len(self.module.packing.weights(self.terms)) <= 1
 
     def weight(self):
-        ws = {self._term_weight(t) for t in self.terms}
+        ws = self.module.packing.weights(self.terms)
         if not ws:
             return None
         if len(ws) > 1:
@@ -288,11 +305,11 @@ class FreeElement:
 
     def __add__(self, other):
         self._check(other)
-        return FreeElement(self.module, K.add(self.terms, other.terms, *self.module.order()))
+        return FreeElement(self.module, K.add(self.terms, other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        return FreeElement(self.module, K.sub(self.terms, other.terms, *self.module.order()))
+        return FreeElement(self.module, K.sub(self.terms, other.terms))
 
     def __neg__(self):
         return FreeElement(self.module, K.neg(self.terms))
@@ -304,7 +321,7 @@ class FreeElement:
         if isinstance(other, GradedPoly):
             if other.ring != self.ring:
                 raise StructuralError("scalar from a different ring")
-            return FreeElement(self.module, K.mul(other.terms, self.terms, *self.module.order()))
+            return FreeElement(self.module, K.mul(other.terms, self.terms))
         return NotImplemented
 
     def __mul__(self, other):
@@ -334,7 +351,7 @@ class FreeElement:
 
 
 # ---------------------------------------------------------------------------
-# Groebner machinery on raw term tuples
+# Groebner machinery on packed terms
 
 
 def _monic(f: tuple) -> tuple:
@@ -443,25 +460,10 @@ def _autoreduce(basis: Sequence[tuple]) -> tuple:
     return tuple(out)
 
 
-def _packed_run(items: Sequence[tuple], order: tuple, nvars: int) -> tuple:
-    """The reduced Groebner basis of tuple-layout items, run on packed terms:
-    the items are packed once and the basis unpacked once.  Packing looks each
-    exponent tuple up in the exponent table of (nvars, nelim), and unpacking
-    returns the table's own tuples, so bases share them."""
-    pk = K.packing(*order, nvars)
-    basis = _autoreduce(_buchberger([pk.pack(f) for f in items], pk))
-    return tuple(pk.unpack(f) for f in basis)
-
-
 @lru_cache(maxsize=65536)
-def _groebner_raw(items: tuple, order: tuple) -> tuple:
-    return _packed_run(items, order, len(items[0][0][1])) if items else ()
-
-
-def _reduce_raw(f: tuple, gb: tuple, order: tuple, nvars: int) -> tuple:
-    pk = K.packing(*order, nvars)
-    r, _ = K.reduce(pk.pack(f), [pk.pack(g) for g in gb], False)
-    return pk.unpack(r)
+def _groebner_raw(items: tuple, order: tuple, nvars: int) -> tuple:
+    """The reduced Groebner basis of packed items in the order on nvars variables."""
+    return _autoreduce(_buchberger(items, K.packing(*order, nvars))) if items else ()
 
 
 @lru_cache(maxsize=65536)
@@ -475,24 +477,21 @@ def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tupl
     modulo, each carrying its expression in the items, and the elements
     supported purely on the auxiliary positions are a reduced basis of
     {a : sum a_i g_i lies in the span of modulo} (the module quotient that
-    Singular and Macaulay2 call modulo).  Returns (basis, product order).
+    Singular and Macaulay2 call modulo).  Items and modulo elements are
+    packed in order, the basis in the product order.  Returns (basis, product
+    order).
     """
     weights, nelim, _ = order
+    pk = K.packing(*order, nvars)
     aux = []
     for g in items:
-        w = {sum(t[1]) + weights[t[0]] for t in g}
+        w = pk.weights(g)
         aux.append(w.pop() if len(w) == 1 else 0)
-    pweights = tuple(weights) + tuple(aux)
-    porder = (pweights, nelim, rank)
-    zero_expo = (0,) * nvars
-    embedded = [g + ((rank + i, zero_expo, 1, 1),) for i, g in enumerate(items)]
-    return _packed_run(embedded + list(modulo), porder, nvars), porder
-
-
-def _split_tracked(v: tuple, rank: int):
-    fpart = tuple(t for t in v if t[0] < rank)
-    apart = tuple((t[0] - rank, t[1], t[2], t[3]) for t in v if t[0] >= rank)
-    return fpart, apart
+    porder = (tuple(weights) + tuple(aux), nelim, rank)
+    ppk = K.packing(*porder, nvars)
+    embedded = [ppk.rebase(g, pk) + (ppk.unit(rank + i),) for i, g in enumerate(items)]
+    embedded += [ppk.rebase(g, pk) for g in modulo]
+    return _autoreduce(_buchberger(embedded, ppk)), porder
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +527,7 @@ def groebner(gens: Sequence, module: FreeModule | None = None):
     Returns values of the same kind as the input (polys in, polys out).
     """
     mod, items, was_poly = _coerce_inputs(gens, module)
-    gb = _groebner_raw(tuple(t for t in items if t), mod.order())
+    gb = _groebner_raw(tuple(t for t in items if t), mod.order(), mod.ring.nvars)
     if was_poly:
         return tuple(GradedPoly(mod.ring, g) for g in gb)
     return tuple(FreeElement(mod, g) for g in gb)
@@ -536,19 +535,12 @@ def groebner(gens: Sequence, module: FreeModule | None = None):
 
 def normal_form(f, gb: Sequence):
     """Remainder of f on division by gb; canonical when gb is a Groebner basis."""
-    if isinstance(f, GradedPoly):
-        for g in gb:
-            if not isinstance(g, GradedPoly) or g.ring != f.ring:
-                raise StructuralError("basis element in a different ring")
-        mod = FreeModule(f.ring, (0,))
-        r = _reduce_raw(f.terms, tuple(g.terms for g in gb if not g.is_zero()), mod.order(), f.ring.nvars)
-        return GradedPoly(f.ring, r)
-    mod = f.module
+    kind, home = (GradedPoly, "ring") if isinstance(f, GradedPoly) else (FreeElement, "module")
     for g in gb:
-        if not isinstance(g, FreeElement) or g.module != mod:
-            raise StructuralError("basis element in a different module")
-    r = _reduce_raw(f.terms, tuple(g.terms for g in gb if not g.is_zero()), mod.order(), mod.ring.nvars)
-    return FreeElement(mod, r)
+        if not isinstance(g, kind) or getattr(g, home) != getattr(f, home):
+            raise StructuralError(f"basis element in a different {home}")
+    r, _ = K.reduce(f.terms, [g.terms for g in gb if not g.is_zero()], False)
+    return kind(getattr(f, home), r)
 
 
 def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
@@ -570,16 +562,19 @@ def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
     elif was_poly or f.module != mod:
         raise StructuralError("element reduced against incompatible generators")
     k = len(gens)
-    basis, porder = _tracked_raw(
-        tuple(items[:k]), mod.rank, mod.order(), mod.ring.nvars, tuple(items[k:])
-    )
-    rem, aux = _split_tracked(_reduce_raw(f.terms, basis, porder, mod.ring.nvars), mod.rank)
+    rank = mod.rank
+    basis, porder = _tracked_raw(tuple(items[:k]), rank, mod.order(), mod.ring.nvars, tuple(items[k:]))
+    pk = mod.packing
+    ppk = K.packing(*porder, mod.ring.nvars)
+    r, _ = K.reduce(ppk.rebase(f.terms, pk), basis, False)
+    # F's positions lead the product order, so the remainder's F-part comes first
+    split = next((j for j, t in enumerate(r) if t[1] & FIELD >= rank), len(r))
+    rem = pk.rebase(r[:split], ppk)
     cof_terms = [[] for _ in range(k)]
-    for i, e, n, d in aux:
-        cof_terms[i].append((0, e, -n, d))
-    cofs = tuple(
-        GradedPoly(mod.ring, K.canon(c, *_RING_ORDER)) for c in cof_terms
-    )
+    for key, d, n, dn in r[split:]:
+        p = d & FIELD
+        cof_terms[p - rank].append((key - ppk.base[p], d - p, -n, dn))
+    cofs = tuple(GradedPoly(mod.ring, tuple(c)) for c in cof_terms)
     rem_v = GradedPoly(mod.ring, rem) if poly_in else FreeElement(mod, rem)
     return rem_v, cofs
 
@@ -598,88 +593,86 @@ def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence 
     k = len(gens)
     if not k:
         return ()
-    basis, _ = _tracked_raw(
-        tuple(items[:k]), mod.rank, mod.order(), mod.ring.nvars, tuple(items[k:])
-    )
-    sweights = []
-    for g in gens:
-        w = g.weight() if g.is_homogeneous else None
-        sweights.append(w if w is not None else 0)
-    smod = FreeModule(mod.ring, tuple(sweights))
-    out = []
-    for v in basis:
-        fpart, apart = _split_tracked(v, mod.rank)
-        if not fpart and apart:
-            out.append(FreeElement(smod, K.canon(apart, *smod.order())))
-    return tuple(out)
+    rank = mod.rank
+    basis, porder = _tracked_raw(tuple(items[:k]), rank, mod.order(), mod.ring.nvars, tuple(items[k:]))
+    # the output weights are the k auxiliary ones, so every auxiliary
+    # position moves by one delta and the order is kept; an element with an
+    # F-part leads there
+    smod = FreeModule(mod.ring, porder[0][-k:])
+    ppk = K.packing(*porder, mod.ring.nvars)
+    return tuple(FreeElement(smod, smod.packing.rebase(v, ppk, -rank)) for v in basis if v[0][1] & FIELD >= rank)
 
 
 # ---------------------------------------------------------------------------
 # Ring maps and variable elimination
 
 
-def substitute_poly(p: GradedPoly, dst: EdgeRing, mapping: dict) -> GradedPoly:
-    """Push p along the ring map sending each variable to mapping.get(v, v)."""
-    imap = [dst.index(mapping.get(v, v)) for v in p.ring.variables]
+def _substitute(terms: tuple, src, src_ring: EdgeRing, dst, dst_ring: EdgeRing, mapping: dict) -> tuple:
+    """Terms packed under src pushed along the ring map sending each variable
+    to mapping.get(v, v), packed under dst."""
+    imap = [dst_ring.index(mapping.get(v, v)) for v in src_ring.variables]
     raw = []
-    for _, e, n, d in p.terms:
-        out = [0] * dst.nvars
+    for p, e, n, d in src.unpack(terms):
+        out = [0] * dst_ring.nvars
         for i, x in enumerate(e):
             out[imap[i]] += x
-        raw.append((0, tuple(out), n, d))
-    return GradedPoly(dst, K.canon(raw, *_RING_ORDER))
+        raw.append((p, tuple(out), n, d))
+    return dst.build(raw)
+
+
+def substitute_poly(p: GradedPoly, dst: EdgeRing, mapping: dict) -> GradedPoly:
+    """Push p along the ring map sending each variable to mapping.get(v, v)."""
+    return GradedPoly(dst, _substitute(p.terms, p.ring.packing, p.ring, dst.packing, dst, mapping))
 
 
 def substitute_free(x: FreeElement, dst: FreeModule, mapping: dict) -> FreeElement:
-    imap = [dst.ring.index(mapping.get(v, v)) for v in x.ring.variables]
-    raw = []
-    for p, e, n, d in x.terms:
-        out = [0] * dst.ring.nvars
-        for i, v in enumerate(e):
-            out[imap[i]] += v
-        raw.append((p, tuple(out), n, d))
-    return FreeElement(dst, K.canon(raw, *dst.order()))
+    return FreeElement(dst, _substitute(x.terms, x.module.packing, x.ring, dst.packing, dst.ring, mapping))
 
 
 _ELIM_ORDER = ((0,), 1, 0)
 
 
-def _lift_terms(terms: tuple) -> tuple:
-    return tuple((p, (0,) + e, n, d) for p, e, n, d in terms)
+def _lift_terms(terms: tuple, nvars: int, tdeg: int = 0) -> tuple:
+    """t^tdeg times a ring poly on nvars variables, in the elimination order
+    on t and them, t first; the order of its terms is kept."""
+    src = K.packing(*_RING_ORDER, nvars)
+    return K.packing(*_ELIM_ORDER, nvars + 1).pack([(0, (tdeg,) + e, n, d) for _, e, n, d in src.unpack(terms)])
 
 
-def _elim_gb(items: Iterable[tuple]) -> tuple:
-    return _groebner_raw(tuple(t for t in items if t), _ELIM_ORDER)
+def _elim_gb(items: Iterable[tuple], nvars: int) -> tuple:
+    return _groebner_raw(tuple(t for t in items if t), _ELIM_ORDER, nvars + 1)
 
 
-def _t_free(gb: tuple) -> tuple:
+def _t_free(gb: tuple, nvars: int) -> tuple:
     """The t-free elements of a reduced elimination basis, with t dropped.
 
     By the elimination theorem (Cox-Little-O'Shea, Ideals, Varieties, and
     Algorithms, Ch. 3 Sec. 1) they are a Groebner basis of the elimination
     ideal.  The elimination order restricted to t-free monomials is the ring
     order, so they are already its reduced basis, in _groebner_raw's order; a
-    second Groebner pass would return them unchanged.
+    second Groebner pass would return them unchanged.  t's exponent is field
+    1 of a dkey.
     """
+    src = K.packing(*_ELIM_ORDER, nvars + 1)
+    dst = K.packing(*_RING_ORDER, nvars)
     return tuple(
-        tuple((p, e[1:], n, d) for p, e, n, d in g)
+        dst.pack([(0, e[1:], n, d) for _, e, n, d in src.unpack(g)])
         for g in gb
-        if all(t[1][0] == 0 for t in g)
+        if not any(t[1] >> BITS & FIELD for t in g)
     )
 
 
 def _contains_unit(gb: tuple) -> bool:
-    return any(sum(g[0][1]) == 0 for g in gb)
+    # the constant monomial has dkey 0
+    return any(g[0][1] == 0 for g in gb)
 
 
 def _rabinowitsch_gb(ideal: tuple, h: tuple, nvars: int) -> tuple:
     """Elimination basis of I + (1 - t*h) in one auxiliary variable t, which
     comes first and dominates the order."""
-    items = [_lift_terms(g) for g in ideal]
-    th = K.mul(((0, (1,) + (0,) * nvars, 1, 1),), _lift_terms(h), *_ELIM_ORDER)
-    one = ((0, (0,) * (nvars + 1), 1, 1),)
-    items.append(K.sub(one, th, *_ELIM_ORDER))
-    return _elim_gb(items)
+    items = [_lift_terms(g, nvars) for g in ideal]
+    items.append(K.sub(((0, 0, 1, 1),), _lift_terms(h, nvars, 1)))
+    return _elim_gb(items, nvars)
 
 
 def radical_member(f: GradedPoly, ideal_gens: Sequence[GradedPoly]) -> bool:
@@ -698,8 +691,8 @@ def radical_member(f: GradedPoly, ideal_gens: Sequence[GradedPoly]) -> bool:
 def _saturate_raw(ideal: tuple, h: tuple, nvars: int) -> tuple:
     """(I : h^infinity) = (I + (1 - t*h)) intersected with the ring."""
     if not h:
-        return (((0, (0,) * nvars, 1, 1),),)
-    return _t_free(_rabinowitsch_gb(ideal, h, nvars))
+        return (((0, 0, 1, 1),),)
+    return _t_free(_rabinowitsch_gb(ideal, h, nvars), nvars)
 
 
 @lru_cache(maxsize=65536)
@@ -707,12 +700,9 @@ def _intersect_raw(a: tuple, b: tuple, nvars: int) -> tuple:
     """I and J intersected = (t*I + (1 - t)*J) intersected with the ring."""
     if not a or not b:
         return ()
-    t_mono = ((0, (1,) + (0,) * nvars, 1, 1),)
-    one = ((0, (0,) * (nvars + 1), 1, 1),)
-    one_minus_t = K.sub(one, t_mono, *_ELIM_ORDER)
-    items = [K.mul(t_mono, _lift_terms(g), *_ELIM_ORDER) for g in a]
-    items += [K.mul(one_minus_t, _lift_terms(g), *_ELIM_ORDER) for g in b]
-    return _t_free(_elim_gb(items))
+    items = [_lift_terms(g, nvars, 1) for g in a]
+    items += [K.sub(_lift_terms(g, nvars), _lift_terms(g, nvars, 1)) for g in b]
+    return _t_free(_elim_gb(items, nvars), nvars)
 
 
 def saturate_by_ideal(ideal_gens: Sequence[GradedPoly], by: Sequence[GradedPoly], ring: EdgeRing) -> tuple:
@@ -739,5 +729,5 @@ def intersect_ideals(a: Sequence[GradedPoly], b: Sequence[GradedPoly], ring: Edg
 
 
 def ideal_contains_one(gens: Sequence[GradedPoly], ring: EdgeRing) -> bool:
-    gb = _groebner_raw(tuple(g.terms for g in gens if not g.is_zero()), _RING_ORDER)
+    gb = _groebner_raw(tuple(g.terms for g in gens if not g.is_zero()), _RING_ORDER, ring.nvars)
     return _contains_unit(gb)

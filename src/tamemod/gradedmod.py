@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import le
 from typing import Sequence
 
 from ._core import impl as K
+from ._core._pure import FIELD
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .exactalg import (
     EdgeRing,
@@ -117,7 +119,7 @@ class PresentedModule:
         key = ("hf", w)
         v = self._cache.get(key)
         if v is None:
-            lms = [(g.terms[0][0], g.terms[0][1]) for g in self.relation_gb()]
+            lms = [self.free_cover.packing.unpack(g.terms[:1])[0][:2] for g in self.relation_gb()]
             v = 0
             n = self.ring.nvars
             for pos, wp in enumerate(self.gen_weights):
@@ -126,7 +128,7 @@ class PresentedModule:
                     continue
                 pos_lms = [e for q, e in lms if q == pos]
                 for expo in _monomials(d, n):
-                    if not any(K.expo_divides(l, expo) for l in pos_lms):
+                    if not any(all(map(le, l, expo)) for l in pos_lms):
                         v += 1
             self._cache[key] = v
         return v
@@ -206,15 +208,14 @@ class ModuleMap:
         free = target.free_cover
         if len(columns) != source.rank:
             raise StructuralError(f"{len(columns)} columns for a source of rank {source.rank}")
+        weights = free.packing.weights
         for j, col in enumerate(columns):
             if not isinstance(col, FreeElement) or col.module != free:
                 raise StructuralError(f"column {j} is not in the target's free cover")
             top = source.gen_weights[j] + self.degree
-            for i, e, _, _ in col.terms:
-                if sum(e) + free.weights[i] != top:
-                    raise StructuralError(
-                        f"entry ({i},{j}) has weight {sum(e)}, expected {top - free.weights[i]}"
-                    )
+            if weights(col.terms) - {top}:
+                (w,), i = next((weights((t,)), t[1] & FIELD) for t in col.terms if weights((t,)) != {top})
+                raise StructuralError(f"entry ({i},{j}) has weight {w - free.weights[i]}, expected {top - free.weights[i]}")
         if source.ring != target.ring:
             raise StructuralError("source and target over different rings")
         if check:
@@ -250,12 +251,17 @@ class ModuleMap:
         """Image of a free-cover representative."""
         if x.module != self.source.free_cover:
             raise StructuralError("element not in the source free cover")
+        # a source term less its position's base is a ring term, and a ring
+        # term times a column term is the sum of their keys
+        base = x.module.packing.base
         raw = []
-        for p, e, n, d in x.terms:
-            for q, e2, n2, d2 in self.columns[p].terms:
-                raw.append((q, K.expo_add(e, e2), n * n2, d * d2))
-        free = self.target.free_cover
-        return FreeElement(free, K.canon(raw, *free.order()))
+        for k, d, n, dn in x.terms:
+            p = d & FIELD
+            k -= base[p]
+            d -= p
+            for k2, d2, n2, dn2 in self.columns[p].terms:
+                raw.append((k + k2, d + d2, n * n2, dn * dn2))
+        return FreeElement(self.target.free_cover, K.canon(raw))
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other; the middle modules must present the same module."""
@@ -338,7 +344,7 @@ def _kernel_span(phi: ModuleMap):
     if not any(c.is_zero() for c in phi.columns):
         span = [FreeElement(free, s.terms) for s in syz]
     else:
-        span = groebner([FreeElement(free, K.canon(s.terms, *free.order())) for s in syz], module=free)
+        span = groebner([free.element(s.components()) for s in syz], module=free)
     return _presentation_of_span(phi.source, list(span))
 
 
@@ -389,15 +395,15 @@ def direct_sum(mods: Sequence[PresentedModule]):
         raise StructuralError("summands over different rings")
     weights = tuple(w for m in mods for w in m.gen_weights)
     free = FreeModule(ring, weights)
+    pk = free.packing
     rels = []
     offset = 0
     offsets = []
     for m in mods:
         offsets.append(offset)
-        for r in m.relations:
-            rels.append(
-                FreeElement(free, K.canon(tuple((p + offset, e, n, d) for p, e, n, d in r.terms), *free.order()))
-            )
+        # every position of m moves by the same delta, so the order is kept
+        src = m.free_cover.packing
+        rels += [FreeElement(free, pk.rebase(r.terms, src, offset)) for r in m.relations]
         offset += m.rank
     total = PresentedModule(ring, weights, rels)
     injections = []

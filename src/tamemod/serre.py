@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._core import impl as K
 from .errors import CertificateError, StructuralError, ValidationError
 from .exactalg import EdgeRing, FreeElement, normal_form
 from .gradedmod import (
@@ -441,7 +440,7 @@ def random_homogeneous_element(rng: random.Random, m: PresentedModule, weight: i
             if rng.random() < 0.5:
                 coeff = rng.choice((-2, -1, 1, 2))
                 raw.append((pos, expo, coeff, 1))
-    return FreeElement(free, K.canon(raw, *free.order()))
+    return FreeElement(free, free.packing.build(raw))
 
 
 def _random_elements(rng, m, count, extra_weight=2):

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._core import impl as K
 from .errors import ValidationError
 from .exactalg import EdgeRing, FreeElement, FreeModule, GradedPoly
 from .gradedmod import ModuleMap, PresentedModule
@@ -94,16 +93,16 @@ def _term_from_json(ring: EdgeRing, data, with_gen: bool, where: str):
 
 
 def poly_to_json(p: GradedPoly) -> list:
-    return [_term_to_json(p.ring, *t, with_gen=False) for t in p.terms]
+    return [_term_to_json(p.ring, *t, with_gen=False) for t in p.ring.packing.unpack(p.terms)]
 
 
 def poly_from_json(ring: EdgeRing, data, where: str = "poly") -> GradedPoly:
     raw = [_term_from_json(ring, t, False, f"{where}[{i}]") for i, t in enumerate(_typed(data, list, where))]
-    return GradedPoly(ring, K.canon(raw, (0,), 0, 0))
+    return GradedPoly(ring, ring.packing.build(raw))
 
 
 def free_to_json(x: FreeElement) -> list:
-    return [_term_to_json(x.ring, *t, with_gen=True) for t in x.terms]
+    return [_term_to_json(x.ring, *t, with_gen=True) for t in x.module.packing.unpack(x.terms)]
 
 
 def free_from_json(module: FreeModule, data, where: str = "element") -> FreeElement:
@@ -113,7 +112,7 @@ def free_from_json(module: FreeModule, data, where: str = "element") -> FreeElem
         if not 0 <= term[0] < module.rank:
             raise ValidationError(f"generator index {term[0]} out of range")
         raw.append(term)
-    return FreeElement(module, K.canon(raw, *module.order()))
+    return FreeElement(module, module.packing.build(raw))
 
 
 def module_to_json(m: PresentedModule) -> dict:

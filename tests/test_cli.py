@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, exit codes, and determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -116,6 +117,53 @@ def test_functor_weight_bound_under_the_cap_keeps_its_table(tmp_path):
     assert run(*argv) == 0
     # Z[P]/(e-e') is the polynomial ring in a and e
     assert json.loads(out.read_text())["hilbert"] == {str(w): w + 1 for w in range(31)}
+
+
+@pytest.mark.parametrize("where", ["flag", "env"])
+def test_functor_negative_weight_bound_exit_2(tmp_path, monkeypatch, capsys, where):
+    out = tmp_path / "out.json"
+    argv = ["functor", "--in", RELATED, "--module", "M_partition", "--degree", "0", "--out", str(out)]
+    if where == "flag":
+        argv += ["--weight-bound", "-5"]
+    else:
+        monkeypatch.setenv("TAMEMOD_WEIGHT_BOUND", "-5")
+    assert run(*argv) == 2
+    assert "must not be negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The sha256 of each output file, which no change of internal layout may
+# move: cert transform of each shipped workspace in degrees 0 and 1, and
+# functor of each shipped module in degrees 0 and 1 with --weight-bound 30.
+GOLDEN = {
+    ("cert", "gen_related", "c_related", 0): "b533296d908ea60ae255a6b2bdd216e7482c454a3665c7c34735d7c66f6ad406",
+    ("cert", "gen_related", "c_related", 1): "b44dd29aa87b6bae0d7c8d85f26ec8dfd186c06c2385e11220e6ec2397ee44b9",
+    ("cert", "gen_unrelated", "c_unrelated", 0): "524cbe82c9aab869b3b801b3d990d8acd0395c9e7082904a5b4d6966e36b38d2",
+    ("cert", "gen_unrelated", "c_unrelated", 1): "121c3c55a4cfd170b89fd1ebcb626103eb8ab6cba519a7b9f6470219f3bcb9a7",
+    ("cert", "sub_ideal", "c_ideal", 0): "b7142caa90538cff4a00ec0edaf42868236538b5bc0e9a117ca96c5525fd14a3",
+    ("cert", "sub_ideal", "c_ideal", 1): "a8472043e7f7b821df4087d5e2184adee33069563e5afbc5a0f8b5ccf2e919e6",
+    ("functor", "gen_related", "M_partition", 0): "3d7e3fc7b1ddc3c77e4f5c941b321f8fa8c9958ce6e956932944844bdd381cca",
+    ("functor", "gen_related", "M_partition", 1): "5cc0c3e0377819782a40eec0ebdf3e9a5a117e0409826b08d3238baa5b9ce8ef",
+    ("functor", "gen_unrelated", "M_free", 0): "3d7e3fc7b1ddc3c77e4f5c941b321f8fa8c9958ce6e956932944844bdd381cca",
+    ("functor", "gen_unrelated", "M_free", 1): "eb818bce20785e1d0266957059d876bd2d1992750db66ebda736348f43900a51",
+    ("functor", "sub_ideal", "M0", 0): "39848d10895f6f5f38b9f8a00de44f4ae5c5901f2cd75a6d533e762795e6ad6f",
+    ("functor", "sub_ideal", "M0", 1): "c81c6feffff4d44f8e78829c4c40089079ec15b1eb3ebdbed1a8156829466b6a",
+    ("functor", "sub_ideal", "M1", 0): "3d7e3fc7b1ddc3c77e4f5c941b321f8fa8c9958ce6e956932944844bdd381cca",
+    ("functor", "sub_ideal", "M1", 1): "5cc0c3e0377819782a40eec0ebdf3e9a5a117e0409826b08d3238baa5b9ce8ef",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_golden_outputs(tmp_path, case):
+    command, ws, name, degree = case
+    out = tmp_path / "out.json"
+    if command == "cert":
+        argv = ("cert", "transform", "--in", f"workspaces/{ws}.json", "--cert", name, "--degree", str(degree))
+    else:
+        argv = ("functor", "--in", f"workspaces/{ws}.json", "--module", name, "--degree", str(degree),
+                "--weight-bound", "30")
+    assert run(*argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[case]
 
 # -- cert ---------------------------------------------------------------------------
 

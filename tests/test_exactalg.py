@@ -1,17 +1,21 @@
 """Groebner, normal form, syzygy, and radical-membership behavior."""
 
+import pickle
 import random
+import time
 from collections import deque
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_kernel import cmp_terms
 
+from tamemod._core import _pure
 from tamemod._core._pure import FIELD
-from tamemod.errors import StructuralError
+from tamemod.errors import ResourceCapError, StructuralError
 from tamemod.exactalg import (
     _ELIM_ORDER,
     _RING_ORDER,
@@ -36,6 +40,7 @@ from tamemod.exactalg import (
     saturate_by_ideal,
     syzygies,
 )
+from tamemod.workspace import free_to_json, poly_to_json
 
 
 def rand_poly(rng, ring, maxdeg=3, nterms=4):
@@ -241,20 +246,20 @@ def test_elimination_outputs_are_reduced_bases():
         raw_a = tuple(g.terms for g in a)
         for h in hs:
             out = _saturate_raw(raw_a, h.terms, R.nvars)
-            assert _groebner_raw(out, _RING_ORDER) == out
+            assert _groebner_raw(out, _RING_ORDER, R.nvars) == out
         for b in ideals:
             out = _intersect_raw(raw_a, tuple(g.terms for g in b), R.nvars)
-            assert _groebner_raw(out, _RING_ORDER) == out
+            assert _groebner_raw(out, _RING_ORDER, R.nvars) == out
 
 
 # -- pair criteria and selection ------------------------------------------------
 
 
-def _oracle_gb(items, order):
+def _oracle_gb(items, order, nvars):
     """Buchberger with no criteria on the packed kernel: every same-position
-    pair, first in first out, then _autoreduce; returned in the tuple layout."""
-    pk = K.packing(*order, len(items[0][0][1]))
-    basis = [_monic(pk.pack(f)) for f in items if f]
+    pair, first in first out, then _autoreduce."""
+    pk = K.packing(*order, nvars)
+    basis = [_monic(f) for f in items if f]
     pairs = deque((i, j) for j in range(len(basis)) for i in range(j) if _pos(basis[i]) == _pos(basis[j]))
     while pairs:
         i, j = pairs.popleft()
@@ -264,7 +269,7 @@ def _oracle_gb(items, order):
             basis.append(_monic(r))
             n = len(basis) - 1
             pairs.extend((i, n) for i in range(n) if _pos(basis[i]) == _pos(r))
-    return tuple(map(pk.unpack, _autoreduce(basis)))
+    return _autoreduce(basis)
 
 
 def _pos(f):
@@ -273,14 +278,15 @@ def _pos(f):
 
 
 def _raw_element(nvars, positions, order):
-    """Strategy: a nonzero canonical raw element with small terms in the given positions."""
+    """Strategy: a nonzero canonical element with small terms in the given
+    positions, packed in the order on nvars variables."""
     term = st.tuples(
         st.sampled_from(positions),
         st.tuples(*[st.integers(0, 2)] * nvars),
         st.integers(-3, 3).filter(bool),
         st.just(1),
     )
-    return st.lists(term, min_size=1, max_size=3).map(lambda ts: K.canon(ts, *order)).filter(bool)
+    return st.lists(term, min_size=1, max_size=3).map(K.packing(*order, nvars).build).filter(bool)
 
 
 def _raw_elements(nvars, positions, order, max_size=3):
@@ -293,35 +299,42 @@ _oracle_settings = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 @_oracle_settings
-@given(st.integers(1, 3).flatmap(lambda n: _raw_elements(n, [0], _RING_ORDER)))
-def test_criteria_match_oracle_ideals(items):
-    assert _groebner_raw(items, _RING_ORDER) == _oracle_gb(items, _RING_ORDER)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), _raw_elements(n, [0], _RING_ORDER))))
+def test_criteria_match_oracle_ideals(case):
+    n, items = case
+    assert _groebner_raw(items, _RING_ORDER, n) == _oracle_gb(items, _RING_ORDER, n)
 
 
 @_oracle_settings
 @given(
     st.integers(1, 2).flatmap(
-        lambda n: st.tuples(_raw_elements(n, [0], _RING_ORDER, 2), _raw_element(n, [0], _RING_ORDER))
+        lambda n: st.tuples(st.just(n), _raw_elements(n, [0], _RING_ORDER, 2), _raw_element(n, [0], _RING_ORDER))
     )
 )
-def test_criteria_match_oracle_rabinowitsch(ideal_h):
+def test_criteria_match_oracle_rabinowitsch(case):
     # I + (1 - t*h) under the elimination order: inhomogeneous input
-    ideal, h = ideal_h
-    nvars = len(h[0][1])
-    th = K.mul(((0, (1,) + (0,) * nvars, 1, 1),), _lift_terms(h), *_ELIM_ORDER)
-    one = ((0, (0,) * (nvars + 1), 1, 1),)
-    items = tuple(_lift_terms(g) for g in ideal) + (K.sub(one, th, *_ELIM_ORDER),)
-    assert _groebner_raw(items, _ELIM_ORDER) == _oracle_gb(items, _ELIM_ORDER)
+    nvars, ideal, h = case
+    epk = K.packing(*_ELIM_ORDER, nvars + 1)
+    th = K.mul(epk.pack(((0, (1,) + (0,) * nvars, 1, 1),)), _lift_terms(h, nvars))
+    assert th == _lift_terms(h, nvars, 1)
+    one = epk.pack(((0, (0,) * (nvars + 1), 1, 1),))
+    items = tuple(_lift_terms(g, nvars) for g in ideal) + (K.sub(one, th),)
+    assert _groebner_raw(items, _ELIM_ORDER, nvars + 1) == _oracle_gb(items, _ELIM_ORDER, nvars + 1)
+
+
+# x*e0 and y^2*e0 + e1 over {x, y}
+_COPRIME_PAIR = tuple(K.packing(*_MODULE_ORDER, 2).build(t) for t in ([(0, (1, 0), 1, 1)], [(0, (0, 2), 1, 1), (1, (0, 0), 1, 1)]))
 
 
 @_oracle_settings
-@given(st.integers(1, 3).flatmap(lambda n: _raw_elements(n, [0, 1], _MODULE_ORDER, 4)))
-@example((((0, (1, 0), 1, 1),), ((0, (0, 2), 1, 1), (1, (0, 0), 1, 1))))
-def test_criteria_match_oracle_rank2(items):
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), _raw_elements(n, [0, 1], _MODULE_ORDER, 4))))
+@example((2, _COPRIME_PAIR))
+def test_criteria_match_oracle_rank2(case):
     # random positions mix elements in one position with elements in both;
     # the example's coprime pair x*e0, y^2*e0 + e1 has S-polynomial -x*e1,
     # which is not zero modulo the pair
-    assert _groebner_raw(items, _MODULE_ORDER) == _oracle_gb(items, _MODULE_ORDER)
+    n, items = case
+    assert _groebner_raw(items, _MODULE_ORDER, n) == _oracle_gb(items, _MODULE_ORDER, n)
 
 
 @_oracle_settings
@@ -339,9 +352,11 @@ def test_criteria_match_oracle_tracked(case):
     # the modulo elements enter with no auxiliary position
     rank, order, items, modulo = case
     basis, porder = _tracked_raw(items, rank, order, 2, modulo)
-    embedded = [g + ((rank + i, (0, 0), 1, 1),) for i, g in enumerate(items)]
-    assert basis == _oracle_gb(embedded + list(modulo), porder)
-    assert all(t[0] < rank + len(items) for v in basis for t in v)
+    # the oracle's input goes through exponent tuples, not through rebase
+    pk, ppk = K.packing(*order, 2), K.packing(*porder, 2)
+    embedded = [ppk.pack(pk.unpack(g) + ((rank + i, (0, 0), 1, 1),)) for i, g in enumerate(items)]
+    assert basis == _oracle_gb(embedded + [ppk.pack(pk.unpack(g)) for g in modulo], porder, 2)
+    assert all(t[1] & FIELD < rank + len(items) for v in basis for t in v)
 
 
 def _reference_autoreduce(basis, pk, order):
@@ -352,7 +367,7 @@ def _reference_autoreduce(basis, pk, order):
     mins = []
     for g in sorted(basis, key=key):
         p, e = lead(g)[:2]
-        if not any(lead(h)[0] == p and K.expo_divides(lead(h)[1], e) for h in mins):
+        if not any(lead(h)[0] == p and all(map(le, lead(h)[1], e)) for h in mins):
             mins.append(g)
     out = [_monic(K.reduce(g, mins[:i] + mins[i + 1 :], False)[0]) for i, g in enumerate(mins)]
     return tuple(sorted(out, key=key, reverse=True))
@@ -361,15 +376,15 @@ def _reference_autoreduce(basis, pk, order):
 @_oracle_settings
 @given(
     st.sampled_from([(1, [0], _RING_ORDER), (2, [0, 1], _MODULE_ORDER), (2, [0], _ELIM_ORDER)]).flatmap(
-        lambda c: st.tuples(st.just(c[2]), _raw_elements(c[0] + 1, c[1], c[2], 4))
+        lambda c: st.tuples(st.just(c[2]), st.just(c[0] + 1), _raw_elements(c[0] + 1, c[1], c[2], 4))
     )
 )
 def test_autoreduce_matches_reference(case):
     # ascending leads, each tail reduced only against the smaller elements,
     # give the same reduced basis as reducing against all the others
-    order, items = case
-    pk = K.packing(*order, len(items[0][0][1]))
-    basis = _buchberger([pk.pack(f) for f in items], pk)
+    order, nvars, items = case
+    pk = K.packing(*order, nvars)
+    basis = _buchberger(items, pk)
     assert _autoreduce(basis) == _reference_autoreduce(basis, pk, order)
 
 
@@ -410,7 +425,7 @@ def test_monic_inputs_are_not_rescaled(monkeypatch):
     # input, S-pair remainder and autoreduced element and made 14
     R = EdgeRing(("x", "y", "z"))
     x, y, z = R.var("x"), R.var("y"), R.var("z")
-    f = K.packing(*_RING_ORDER, 3).pack((x * y + 3 * z * z).terms)
+    f = (x * y + 3 * z * z).terms
     assert _monic(f) is f
     _groebner_raw.cache_clear()
     calls = []
@@ -438,9 +453,9 @@ def _projected_syzygies(gens, modulo, module):
     smod = FreeModule(module.ring, tuple(g.weight() if g.is_homogeneous else 0 for g in gens))
     out = []
     for s in syzygies(gens + modulo, module=module):
-        head = tuple(t for t in s.terms if t[0] < k)
-        if head:
-            out.append(FreeElement(smod, K.canon(head, *smod.order())))
+        head = s.components()[:k]
+        if any(not c.is_zero() for c in head):
+            out.append(smod.element(head))
     return smod, out
 
 
@@ -508,3 +523,68 @@ def test_poly_arithmetic_exact(seed):
     assert (a + b) - b == a
     assert a * b == b * a
     assert a * (b + b) == (a * b) + (a * b)
+
+
+def test_power_past_the_field_limit_raises_at_once():
+    # (a + b)^40000 has the term a^40000, whose degree does not fit a packed
+    # field; k multiplications would take about an hour to find that out
+    R = EdgeRing(("a", "b"))
+    a, b = R.var("a"), R.var("b")
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        (a + b) ** 40000
+    with pytest.raises(ResourceCapError):
+        (a * b + 1) ** 16384
+    assert time.perf_counter() - start < 1
+    assert R.const(3) ** 40000 == R.const(3**40000)
+    assert (a + b) ** 2 == a * a + 2 * a * b + b * b
+
+
+def test_values_survive_the_exponent_table_emptying(monkeypatch):
+    # values hold packed integers, not table entries: emptying the exponent
+    # tables leaves their str, JSON, equality and hash as they were
+    R = EdgeRing(("x", "y", "z"))
+    M = FreeModule(R, (0, 1))
+
+    def build():
+        x, y, z = R.var("x"), R.var("y"), R.var("z")
+        return [x * y - z**2, Fraction(1, 2) * (x + y) ** 3, M.element([x**2 - y * z, Fraction(3, 2) * z]), M.gen(1, -1)]
+
+    def shown(values):
+        return [(str(v), poly_to_json(v) if isinstance(v, GradedPoly) else free_to_json(v), hash(v)) for v in values]
+
+    before = build()
+    seen = shown(before)
+    monkeypatch.setattr(_pure, "TABLE_CAP", 4)
+    for k in range(40):
+        R.poly({(k, 1, 0): 1})
+        M.element([R.poly({(0, k, 2): 1}), R.zero()])
+    assert len(R.packing.table) <= 4 and all(e not in R.packing.table for e in ((1, 1, 0), (0, 0, 2)))
+    after = build()
+    assert shown(before) == seen == shown(after)
+    assert before == after
+
+
+def test_values_pickle():
+    # a pickled value carries its order, not its Packing's tables
+    R = EdgeRing(("x", "y"))
+    x, y = R.var("x"), R.var("y")
+    M = FreeModule(R, (0, 2))
+    for v in (x * y - y**2, M.element([x**2 - y * x, R.const(Fraction(1, 3)) * y * y])):
+        w = pickle.loads(pickle.dumps(v))
+        assert w == v and hash(w) == hash(v) and str(w) == str(v)
+
+
+def test_element_and_components_round_trip():
+    # element sorts the terms of several positions into the module order; the
+    # reference builds the same element from its exponent tuples
+    R = EdgeRing(("x", "y", "z"))
+    rng = random.Random(5)
+    for weights in ((0, 1), (2, 0, 1), (0, 0, 3)):
+        M = FreeModule(R, weights)
+        for _ in range(30):
+            comps = tuple(rand_poly(rng, R) for _ in weights)
+            v = M.element(comps)
+            assert v.components() == comps
+            raw = [(i, e, n, d) for i, c in enumerate(comps) for _, e, n, d in R.packing.unpack(c.terms)]
+            assert v == FreeElement(M, M.packing.build(raw))

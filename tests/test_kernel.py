@@ -1,21 +1,22 @@
 """Kernel-level checks: canonical form, arithmetic exactness, the packed
-monomial layout against the tuple-layout order, and heap division against a
-merge-based reference."""
+monomial layout against the exponent-tuple order, and heap division against a
+reference on {(position, exponent tuple): Fraction} dicts."""
 
 import random
 import struct
 from fractions import Fraction
-from operator import mul
+from operator import add, le, mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamemod._core import impl, kernel_name
-from tamemod._core._pure import DIVMASK, LIMIT, _norm
+from tamemod._core._pure import DIVMASK, LIMIT
 from tamemod.errors import ResourceCapError
 
 ORDER = ((0, 1), 0, 0)  # two positions, weights 0 and 1
+RING = ((0,), 0, 0)
 
 
 def rand_terms(rng, nvars=3, npos=2, nterms=6):
@@ -70,24 +71,57 @@ def cmp_terms(p1, e1, p2, e2, weights, nelim, possplit):
     return p2 - p1
 
 
+def sort_key(pos, expo, weights, nelim, possplit):
+    """Tuple key realizing cmp_terms for max()/sort()."""
+    blk = 1 if (possplit and pos < possplit) else 0
+    elim = sum(expo[:nelim]) if nelim else 0
+    wdeg = sum(expo) + weights[pos]
+    return (blk, elim, wdeg, tuple(-e for e in reversed(expo)), -pos)
+
+
+def oracle(terms):
+    """{(pos, expo): Fraction} of (pos, expo, num, den) terms: repeats
+    summed, zeros dropped."""
+    acc = {}
+    for pos, expo, num, den in terms:
+        acc[pos, expo] = acc.get((pos, expo), 0) + Fraction(num, den)
+    return {m: c for m, c in acc.items() if c}
+
+
+def tuple_poly(d, weights, nelim, possplit):
+    """An oracle dict as (pos, expo, num, den) terms, descending by sort_key."""
+    monos = sorted(d, key=lambda m: sort_key(*m, weights, nelim, possplit), reverse=True)
+    return tuple((p, e, d[p, e].numerator, d[p, e].denominator) for p, e in monos)
+
+
+def reference_canon(terms, weights, nelim, possplit):
+    """The canonical exponent-tuple form of raw terms, from the oracle."""
+    return tuple_poly(oracle(terms), weights, nelim, possplit)
+
+
 def test_canon_merges_and_drops_zeros(K):
     e = (1, 0, 0)
-    terms = [(0, e, 1, 2), (0, e, 1, 2), (0, (0, 1, 0), 0, 1)]
-    out = K.canon(terms, *ORDER)
-    assert out == ((0, e, 1, 1),)
+    pk = K.packing(*ORDER, 3)
+    out = K.canon(pk.pack([(0, e, 1, 2), (0, e, 1, 2), (0, (0, 1, 0), 0, 1)]))
+    assert out == pk.pack(((0, e, 1, 1),))
 
 
 def test_canon_sorted_descending(K):
     rng = random.Random(1)
+    pk = K.packing(*ORDER, 3)
     for _ in range(50):
-        f = K.canon(rand_terms(rng), *ORDER)
-        for a, b in zip(f, f[1:]):
+        raw = rand_terms(rng)
+        f = K.canon(pk.pack(raw))
+        assert [t[0] for t in f] == sorted({t[0] for t in f}, reverse=True)
+        back = pk.unpack(f)
+        for a, b in zip(back, back[1:]):
             assert cmp_terms(a[0], a[1], b[0], b[1], *ORDER) > 0
+        assert oracle(back) == oracle(raw)
 
 
 def test_coefficients_normalized(K):
-    f = K.canon([(0, (1, 0, 0), 2, -4)], *ORDER)
-    assert f == ((0, (1, 0, 0), -1, 2),)
+    pk = K.packing(*ORDER, 3)
+    assert K.canon(pk.pack([(0, (1, 0, 0), 2, -4)])) == pk.pack(((0, (1, 0, 0), -1, 2),))
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,9 +129,10 @@ def test_coefficients_normalized(K):
 def test_add_sub_roundtrip(data):
     """(a + b) - b == a exactly."""
     rng = random.Random(data.draw(st.integers(0, 10**6)))
-    a = impl.canon(rand_terms(rng), *ORDER)
-    b = impl.canon(rand_terms(rng), *ORDER)
-    assert impl.sub(impl.add(a, b, *ORDER), b, *ORDER) == a
+    pk = impl.packing(*ORDER, 3)
+    a = pk.build(rand_terms(rng))
+    b = pk.build(rand_terms(rng))
+    assert impl.sub(impl.add(a, b), b) == a
 
 
 def _delta(pk, expo):
@@ -111,10 +146,10 @@ def test_mul_term_preserves_order(K):
     pk = K.packing(*ORDER, 3)
     key, dkey = _delta(pk, (1, 2, 0))
     for _ in range(40):
-        f = K.canon(rand_terms(rng), *ORDER)
-        g = K.mul_term(pk.pack(f), key, dkey, 3, 2)
+        f = pk.build(rand_terms(rng))
+        g = K.mul_term(f, key, dkey, 3, 2)
         assert [t[0] for t in g] == sorted((t[0] for t in g), reverse=True)
-        assert pk.unpack(g) == K.mul(((0, (1, 2, 0), 3, 2),), f, *ORDER)
+        assert g == K.mul(K.packing(*RING, 3).pack(((0, (1, 2, 0), 3, 2),)), f)
         assert g == pk.pack(pk.unpack(g))
 
 
@@ -128,23 +163,22 @@ def test_reduce_cancels_leading_terms(K):
 
 
 def test_reduce_tracks_exact_cofactors(K):
-    order = ((0,), 0, 0)
-    pk = K.packing(*order, 2)
+    pk = K.packing(*RING, 2)
     rng = random.Random(3)
     for _ in range(30):
-        f = K.canon(rand_terms(rng, nvars=2, npos=1), *order)
+        f = pk.build(rand_terms(rng, nvars=2, npos=1))
         basis = [
             b
             for b in (
-                K.canon(rand_terms(rng, nvars=2, npos=1, nterms=3), *order),
-                K.canon(rand_terms(rng, nvars=2, npos=1, nterms=3), *order),
+                pk.build(rand_terms(rng, nvars=2, npos=1, nterms=3)),
+                pk.build(rand_terms(rng, nvars=2, npos=1, nterms=3)),
             )
             if b
         ]
-        rem, cofs = K.reduce(pk.pack(f), [pk.pack(b) for b in basis], True)
-        recombined = pk.unpack(rem)
+        rem, cofs = K.reduce(f, basis, True)
+        recombined = rem
         for q, b in zip(cofs, basis):
-            recombined = K.add(recombined, K.mul(pk.unpack(q), b, *order), *order)
+            recombined = K.add(recombined, K.mul(q, b))
         assert recombined == f
 
 
@@ -222,87 +256,7 @@ def test_packed_keys_match_tuple_order(case):
         assert coprime == (not pk.support(d1) & pk.support(d2))
 
 
-# -- tuple-layout arithmetic against the tuple-layout order ------------------
-
-
-def sort_key(pos, expo, weights, nelim, possplit):
-    """Tuple key realizing cmp_terms for max()/sort()."""
-    blk = 1 if (possplit and pos < possplit) else 0
-    elim = sum(expo[:nelim]) if nelim else 0
-    wdeg = sum(expo) + weights[pos]
-    return (blk, elim, wdeg, tuple(-e for e in reversed(expo)), -pos)
-
-
-def reference_canon(terms, weights, nelim, possplit):
-    """The canon that sorted by sort_key, kept as the oracle."""
-    acc = {}
-    for pos, expo, num, den in terms:
-        if num == 0:
-            continue
-        key = (pos, expo)
-        if key in acc:
-            n0, d0 = acc[key]
-            n, d = _norm(n0 * den + num * d0, d0 * den)
-            if n == 0:
-                del acc[key]
-            else:
-                acc[key] = (n, d)
-        else:
-            acc[key] = _norm(num, den)
-    out = [(pos, expo, n, d) for (pos, expo), (n, d) in acc.items()]
-    out.sort(key=lambda t: sort_key(t[0], t[1], weights, nelim, possplit), reverse=True)
-    return tuple(out)
-
-
-def reference_merge(f, g, weights, nelim, possplit):
-    """The add that merged two canonical polys by cmp_terms, kept as the
-    oracle."""
-    out = []
-    i = 0
-    j = 0
-    nf = len(f)
-    ng = len(g)
-    while i < nf and j < ng:
-        tf = f[i]
-        tg = g[j]
-        c = cmp_terms(tf[0], tf[1], tg[0], tg[1], weights, nelim, possplit)
-        if c > 0:
-            out.append(tf)
-            i += 1
-        elif c < 0:
-            out.append(tg)
-            j += 1
-        else:
-            n, d = _norm(tf[2] * tg[3] + tg[2] * tf[3], tf[3] * tg[3])
-            if n != 0:
-                out.append((tf[0], tf[1], n, d))
-            i += 1
-            j += 1
-    if i < nf:
-        out.extend(f[i:])
-    if j < ng:
-        out.extend(g[j:])
-    return tuple(out)
-
-
-def reference_mul(f, g, weights, nelim, possplit):
-    """The mul that merged products in a dict and sorted by sort_key, kept as
-    the oracle."""
-    acc = {}
-    for _, ef, nf_, df in f:
-        for pos, eg, ng_, dg in g:
-            key = (pos, impl.expo_add(ef, eg))
-            n2, d2 = _norm(nf_ * ng_, df * dg)
-            if key in acc:
-                n0, d0 = acc[key]
-                n2, d2 = _norm(n0 * d2 + n2 * d0, d0 * d2)
-            if n2 == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = (n2, d2)
-    out = [(pos, expo, n, d) for (pos, expo), (n, d) in acc.items()]
-    out.sort(key=lambda t: sort_key(t[0], t[1], weights, nelim, possplit), reverse=True)
-    return tuple(out)
+# -- packed arithmetic against the Fraction oracle ----------------------------
 
 
 @st.composite
@@ -325,41 +279,97 @@ def arithmetic_cases(draw):
         term = st.tuples(st.integers(0, npos - 1), st.sampled_from(pool), st.integers(-3, 3), st.integers(1, 3))
         return draw(st.lists(term, min_size=1, max_size=6))
 
-    return order, raw(npos), raw(npos), raw(1)
+    return order, nvars, raw(npos), raw(npos), raw(1)
+
+
+def _fits(pk, monos):
+    return all(pk.shift[p] + sum(e) < LIMIT for p, e in monos)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(arithmetic_cases())
 def test_arithmetic_matches_tuple_order(case):
-    """canon, add, sub and mul equal the sort_key and cmp_terms code, or,
-    where a term they pack does not fit a field, raise ResourceCapError."""
-    order, ra, rb, rq = case
-    weights = order[0]
-    lo = min(weights)
+    """canon, add, sub and mul of packed terms give the oracle's Fraction sums
+    and products, descending by sort_key once unpacked, or, where a term does
+    not fit a field, raise ResourceCapError."""
+    order, nvars, ra, rb, rq = case
+    ring_order = ((0,), order[1], 0)
+    pk, ring = impl.packing(*order, nvars), impl.packing(*ring_order, nvars)
 
-    def check(expected, packed, call):
-        if all(weights[p] - lo + sum(e) < LIMIT for f in packed for p, e, _, _ in f):
-            assert call() == expected
-        else:
+    def built(layout, raw):
+        # raw terms that do not fit make pack, and so build, raise
+        kept = [t for t in raw if t[2] and _fits(layout, [t[:2]])]
+        if len(kept) < len([t for t in raw if t[2]]):
             with pytest.raises(ResourceCapError):
-                call()
+                layout.build(raw)
+        assert impl.canon(layout.pack(kept)) == layout.build(kept)
+        return layout.build(kept), oracle(kept)
 
-    a, b, q = (reference_canon(r, *order) for r in (ra, rb, rq))
-    check(a, [a], lambda: impl.canon(ra, *order))
-    check(reference_merge(a, b, *order), [a, b], lambda: impl.add(a, b, *order))
-    check(reference_merge(a, impl.neg(b), *order), [a, b], lambda: impl.sub(a, b, *order))
-    prod = reference_mul(q, b, *order)
-    check(prod, [prod], lambda: impl.mul(q, b, *order))
+    (a, da), (b, db), (q, dq) = built(pk, ra), built(pk, rb), built(ring, rq)
+    assert pk.unpack(a) == tuple_poly(da, *order) and ring.unpack(q) == tuple_poly(dq, *ring_order)
+    total = oracle([(p, e, c.numerator, c.denominator) for d in (da, db) for (p, e), c in d.items()])
+    assert pk.unpack(impl.add(a, b)) == tuple_poly(total, *order)
+    assert impl.sub(impl.add(a, b), b) == a and impl.sub(a, a) == ()
+    assert pk.unpack(impl.sub(a, impl.neg(b))) == tuple_poly(total, *order)
+    prod = {}
+    for (_, e1), c1 in dq.items():
+        for (p, e2), c2 in db.items():
+            m = (p, tuple(map(add, e1, e2)))
+            prod[m] = prod.get(m, 0) + c1 * c2
+    prod = {m: c for m, c in prod.items() if c}
+    if _fits(pk, prod):
+        assert pk.unpack(impl.mul(q, b)) == tuple_poly(prod, *order)
+    else:
+        with pytest.raises(ResourceCapError):
+            impl.mul(q, b)
 
 
 def test_canon_raises_past_60_variables():
     # a packed key holds at most 60 exponent fields
     x = ((0, (1,) + (0,) * 59, 1, 1),)
-    assert impl.canon(x, (0,), 0, 0) == x
-    x = ((0, (1,) + (0,) * 60, 1, 1),)
-    for op in (lambda: impl.canon(x, (0,), 0, 0), lambda: impl.add(x, x, (0,), 0, 0), lambda: impl.mul(x, x, (0,), 0, 0)):
+    pk = impl.packing((0,), 0, 0, 60)
+    assert pk.unpack(impl.mul(pk.build(x), pk.build(x))) == ((0, (2,) + (0,) * 59, 1, 1),)
+    with pytest.raises(ResourceCapError):
+        impl.packing((0,), 0, 0, 61)
+
+
+@st.composite
+def rebase_cases(draw):
+    """Two orders on one (nvars, nelim), weights that may be negative, a
+    position offset that keeps the source positions in the target, and a
+    poly in the source order drawn from a few exponent tuples, one often of a
+    degree just below LIMIT, so that it fits the source and may not fit the
+    target."""
+    nvars = draw(st.integers(1, 4))
+    nelim = draw(st.integers(0, 1))
+    nsrc = draw(st.integers(1, 3))
+    offset = draw(st.integers(0, 2))
+    orders = []
+    for npos in (nsrc, nsrc + offset + draw(st.integers(0, 1))):
+        weights = tuple(draw(st.lists(st.integers(-3, 3), min_size=npos, max_size=npos)))
+        orders.append((weights, nelim, draw(st.sampled_from([0, draw(st.integers(1, npos))]))))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pool.append((LIMIT - 1 - draw(st.integers(0, 3)),) + (0,) * (nvars - 1))
+    term = st.tuples(st.integers(0, nsrc - 1), st.sampled_from(pool), st.integers(-3, 3), st.just(1))
+    src = impl.packing(*orders[0], nvars)
+    raw = [t for t in draw(st.lists(term, max_size=6)) if _fits(src, [t[:2]])]
+    return src, impl.packing(*orders[1], nvars), offset, src.build(raw)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rebase_cases())
+def test_rebase_matches_repacking(case):
+    """rebase equals packing the terms' exponent tuples again under the
+    target order at the moved positions, or raises ResourceCapError where a
+    term does not fit the target."""
+    src, dst, offset, f = case
+    moved = [(p + offset, e, n, d) for p, e, n, d in src.unpack(f)]
+    if _fits(dst, [t[:2] for t in moved]):
+        assert dst.rebase(f, src, offset) == dst.pack(moved)
+    else:
         with pytest.raises(ResourceCapError):
-            op()
+            dst.rebase(f, src, offset)
 
 
 # -- the shared exponent table against per-term encoding ----------------------
@@ -420,13 +430,10 @@ def test_table_pack_matches_reference(case):
         pk = impl.packing(*order, nvars)
         # orders of one nelim share one table, whatever their weights
         assert tables.setdefault(order[1], pk.expos) is pk.expos
+        f = reference_canon(terms, *order)
         try:
-            f = impl.canon(terms, *order)
             expected = reference_pack(pk, f)
         except ResourceCapError:
-            f = reference_canon(terms, *order)
-            with pytest.raises(ResourceCapError):
-                reference_pack(pk, f)
             with pytest.raises(ResourceCapError):
                 pk.pack(f)
             continue
@@ -448,58 +455,54 @@ def test_table_is_emptied_at_its_cap(monkeypatch):
     for k in range(24):
         order = orders[k % 2]
         pk = impl.packing(*order, 3)
-        f = impl.canon([(k % 2, (k, 1, 0), 1, 1), (0, (k % 5, 0, 2), -2, 1)], *order)
+        f = reference_canon([(k % 2, (k, 1, 0), 1, 1), (0, (k % 5, 0, 2), -2, 1)], *order)
         packed = pk.pack(f)
         assert packed == reference_pack(pk, f)
         assert pk.unpack(packed) == f
         assert len(pk.table) <= 8 and len(pk.expos) <= 8
 
 
-# -- heap division against the merge-based reference --------------------------
+# -- heap division against the Fraction reference ------------------------------
 
 
-def reference_reduce(f, basis, weights, nelim, possplit, track=False):
-    """Division by re-merging the whole pending tail after every step, on the
-    tuple layout.
-
-    The merge-based reduce that heap division replaced, kept as the oracle:
-    the largest pending term goes first and the first basis element whose
-    leading monomial divides it is the divisor.
-    """
-    K = impl
-    cofs = [[] for _ in basis] if track else None
+def reference_reduce(f, basis, order, track=False):
+    """Division on {(pos, expo): Fraction} dicts, kept as the oracle: the
+    largest pending term by sort_key goes first, and the first basis element
+    whose leading monomial divides it is the divisor.  f and basis are in
+    (pos, expo, num, den) terms, descending; returns the remainder in that
+    form and, with track, the cofactors as {(0, expo): Fraction} dicts."""
+    work = oracle(f)
+    cofs = [{} for _ in basis] if track else None
     out = []
-    work = tuple(f)
     while work:
-        pos, expo, num, den = work[0]
-        hit = next(
-            (i for i, b in enumerate(basis) if b[0][0] == pos and K.expo_divides(b[0][1], expo)),
-            None,
-        )
+        pos, expo = max(work, key=lambda m: sort_key(*m, *order))
+        c = work.pop((pos, expo))
+        hit = next((i for i, b in enumerate(basis) if b[0][0] == pos and all(map(le, b[0][1], expo))), None)
         if hit is None:
-            out.append(work[0])
-            work = work[1:]
+            out.append((pos, expo, c.numerator, c.denominator))
             continue
         _, lexpo, lnum, lden = basis[hit][0]
         qe = tuple(x - y for x, y in zip(expo, lexpo))
-        q = Fraction(num, den) / Fraction(lnum, lden)
-        term = (0, qe, q.numerator, q.denominator)
+        q = c / Fraction(lnum, lden)
         if track:
-            cofs[hit].append(term)
-        work = K.sub(work, K.mul((term,), basis[hit], weights, nelim, possplit), weights, nelim, possplit)
-    if track:
-        cofs = [K.canon(c, (0,), nelim, 0) for c in cofs]
+            cofs[hit][0, qe] = q
+        for p, e, n, d in basis[hit][1:]:
+            m = (p, tuple(map(add, e, qe)))
+            v = work.get(m, 0) - q * Fraction(n, d)
+            if v:
+                work[m] = v
+            else:
+                work.pop(m, None)
     return tuple(out), cofs
 
 
 @st.composite
 def division_cases(draw):
-    """(f, basis, order, multiple): 1-3 positions, weights that may be
-    negative, every nelim/possplit combination, a basis that need not be a
-    Groebner basis and whose leading coefficients need not be 1.  When
-    `multiple` is set, f is a multiple of the one basis element, so the
+    """(f, basis, order, nvars, multiple), packed: 1-3 positions, weights
+    that may be negative, every nelim/possplit combination, a basis that need
+    not be a Groebner basis and whose leading coefficients need not be 1.
+    When `multiple` is set, f is a multiple of the one basis element, so the
     division cancels it to zero."""
-    K = impl
     npos = draw(st.integers(1, 3))
     nvars = draw(st.integers(1, 3))
     weights = tuple(draw(st.lists(st.integers(-2, 2), min_size=npos, max_size=npos)))
@@ -508,30 +511,32 @@ def division_cases(draw):
     coeff = st.tuples(st.integers(-6, 6).filter(bool), st.integers(1, 5))
 
     def poly(max_terms, npos=npos, order=order):
+        pk = impl.packing(*order, nvars)
         terms = st.lists(st.tuples(st.integers(0, npos - 1), expo, coeff), max_size=max_terms)
-        return terms.map(lambda ts: K.canon([(p, e, n, d) for p, e, (n, d) in ts], *order))
+        return terms.map(lambda ts: pk.build([(p, e, n, d) for p, e, (n, d) in ts]))
 
     basis = [b for b in draw(st.lists(poly(4), min_size=1, max_size=3)) if b]
     if basis and draw(st.booleans()):
         q = draw(poly(3, npos=1, order=((0,), order[1], 0)))
-        return K.mul(q, basis[0], *order), basis[:1], order, True
-    return draw(poly(8)), basis, order, False
+        return impl.mul(q, basis[0]), basis[:1], order, nvars, True
+    return draw(poly(8)), basis, order, nvars, False
 
 
 @settings(max_examples=300, deadline=None)
 @given(division_cases(), st.booleans())
 def test_reduce_matches_reference(case, track):
-    """Packed remainder and cofactors equal the merge-based division's."""
-    f, basis, order, multiple = case
-    nvars = len((f or basis[0])[0][1]) if (f or basis) else 1
-    expected_rem, expected_cofs = reference_reduce(f, basis, *order, track)
+    """Packed remainder and cofactors equal the reference division's."""
+    f, basis, order, nvars, multiple = case
+    pk, ring = impl.packing(*order, nvars), impl.packing((0,), order[1], 0, nvars)
+    expected_rem, expected_cofs = reference_reduce(pk.unpack(f), [pk.unpack(b) for b in basis], order, track)
     if multiple:
         assert expected_rem == ()
-    pk = impl.packing(*order, nvars)
-    rem, cofs = impl.reduce(pk.pack(f), [pk.pack(b) for b in basis], track)
-    assert rem == pk.pack(expected_rem)
+    rem, cofs = impl.reduce(f, basis, track)
+    assert pk.unpack(rem) == expected_rem
     if track:
-        assert [pk.unpack(c) for c in cofs] == expected_cofs
+        # a cofactor's keys are the deltas of its monomials: ring keys
+        assert [oracle(ring.unpack(c)) for c in cofs] == expected_cofs
+        assert all(c == impl.canon(c) for c in cofs)
     else:
         assert cofs is None
 

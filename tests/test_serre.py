@@ -6,7 +6,7 @@ import pytest
 
 import tamemod.gradedmod as gm
 from tamemod.errors import CertificateError, StructuralError, ValidationError
-from tamemod.exactalg import K, EdgeRing, FreeElement, FreeModule, groebner, normal_form, syzygies
+from tamemod.exactalg import EdgeRing, FreeElement, FreeModule, groebner, normal_form, syzygies
 from tamemod.gradedmod import (
     ModuleMap,
     PresentedModule,
@@ -319,9 +319,9 @@ def _projected_syzygies(ambient, gens, weights):
     free = FreeModule(ambient.ring, weights)
     out = []
     for s in syzygies(list(gens) + list(ambient.relations), module=ambient.free_cover):
-        head = tuple(t for t in s.terms if t[0] < len(gens))
-        if head:
-            out.append(FreeElement(free, K.canon(head, *free.order())))
+        head = s.components()[: len(gens)]
+        if any(not c.is_zero() for c in head):
+            out.append(free.element(head))
     return out
 
 
@@ -368,6 +368,44 @@ def test_witness_maps_rebuild_from_their_matrix():
     for phi in maps:
         again = ModuleMap(phi.source, phi.target, phi.matrix, phi.degree, check=False)
         assert again == phi and hash(again) == hash(phi)
+
+
+def _values_of(node):
+    """Every GradedPoly and FreeElement a certificate node holds: the
+    relations and relation basis of its root and of its witness maps' source
+    and target, and those maps' columns and matrix entries."""
+    maps = []
+    if isinstance(node, (SubNode, QuotNode)):
+        maps = [node.witness]
+    elif isinstance(node, ExtNode):
+        maps = [node.injection, node.projection]
+    for m in [node.root] + [m for phi in maps for m in (phi.source, phi.target)]:
+        yield from m.relations
+        yield from m.relation_gb()
+    for phi in maps:
+        yield from phi.columns
+        yield from (x for row in phi.matrix for x in row)
+
+
+def test_values_hold_terms_packed_in_their_own_order():
+    # a value's terms are those its exponent tuples pack to under its own
+    # ring's or free module's order, strictly descending; terms carried over
+    # from an order whose bases differ would not be
+    split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
+    checked = 0
+    for pred in (AlwaysTame(), MaxBlockCount(2), CoBlocked(["a", "b"]), DiscreteOnly()):
+        tame = tame_partitions(pred, split.split_graph)
+        rng = random.Random(f"layout:{pred.describe()}")
+        for _ in range(3):
+            cert = random_certificate(rng, tame, 1)
+            trees = [cert] + [transform(cert, split.e, split.e_prime, i) for i in (0, 1)]
+            for x in (x for tree in trees for node in _nodes(tree) for x in _values_of(node)):
+                pk = x.module.packing if isinstance(x, FreeElement) else x.ring.packing
+                assert x.terms == pk.pack(pk.unpack(x.terms))
+                keys = [t[0] for t in x.terms]
+                assert keys == sorted(set(keys), reverse=True)
+                checked += 1
+    assert checked > 800
 
 
 def test_modulo_path_matches_tracked_relations():
@@ -418,10 +456,11 @@ def test_skipped_groebner_passes_are_fixed_points(monkeypatch):
         free = src.free_cover
         cols = [phi.apply_free(free.gen(j)) for j in range(src.rank)]
         syz = syzygies(cols, module=phi.target.free_cover, modulo=phi.target.relations)
-        passed = groebner([FreeElement(free, K.canon(s.terms, *free.order())) for s in syz], module=free)
+        moved = tuple(free.element(s.components()) for s in syz)
+        passed = groebner(list(moved), module=free)
         assert spans[-1] == passed
         counts["span"] += 1
-        counts["fixed"] += spans[-1] == tuple(FreeElement(free, s.terms) for s in syz)
+        counts["fixed"] += spans[-1] == moved
         return out
 
     monkeypatch.setattr(gm, "_presentation_of_span", checked_presentation)
