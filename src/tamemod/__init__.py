@@ -74,7 +74,6 @@ from .serre import (
     transform,
     type_level,
     verify,
-    zero_certificate,
 )
 from .workspace import Workspace
 

@@ -140,6 +140,8 @@ class CoBlocked(TamenessPredicate):
         self.edges = tuple(sorted(set(edges)))
         if not self.edges:
             raise ValidationError("co-blocked predicate needs at least one edge")
+        if "" in self.edges:
+            raise ValidationError("co-blocked edge names must not be empty")
 
     def __call__(self, p: Partition) -> bool:
         present = [x for x in self.edges if x in p.ground]

@@ -44,13 +44,42 @@ from .partition import Partition, merge_edges, partition_module, related
 
 
 class Certificate:
-    """Base node; root is the presented module the node certifies."""
+    """Base node of a derivation tree; root is the presented module it certifies.
+
+    A node kind names its parts once, as class attributes: data_parts (leaf
+    values), child_parts (subcertificates) and witness_parts (module maps).
+    A leaf's constructor takes its data; any other takes its children, then
+    its witnesses, each in the order named.  Equality, hashing, children(),
+    witnesses(), verify's walk and the workspace JSON all read these names.
+    """
 
     kind = "abstract"
+    data_parts: tuple[str, ...] = ()
+    child_parts: tuple[str, ...] = ()
+    witness_parts: tuple[str, ...] = ()
     root: PresentedModule
 
     def children(self) -> tuple["Certificate", ...]:
-        return ()
+        return tuple(getattr(self, name) for name in self.child_parts)
+
+    def witnesses(self) -> tuple[ModuleMap, ...]:
+        return tuple(getattr(self, name) for name in self.witness_parts)
+
+    def _parts(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.data_parts + self.child_parts + self.witness_parts)
+
+    def __eq__(self, other):
+        # one part at a time with ==, which spends one level of the recursion
+        # limit per level of a chain; comparing tuples or using != spends two
+        if type(other) is not type(self):
+            return False
+        for mine, theirs in zip(self._parts(), other._parts()):
+            if not mine == theirs:
+                return False
+        return True
+
+    def __hash__(self):
+        return hash((self.kind, self._parts()))
 
     def __repr__(self):
         return f"<{self.kind} certificate, level {type_level(self)}, root rank {self.root.rank}>"
@@ -58,41 +87,29 @@ class Certificate:
 
 class GenNode(Certificate):
     kind = "gen"
+    data_parts = ("partition", "shift")
 
     def __init__(self, partition: Partition, shift: int = 0):
         self.partition = partition
         self.shift = int(shift)
         self.root = partition_module(partition).shift(self.shift)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GenNode)
-            and self.partition == other.partition
-            and self.shift == other.shift
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.partition, self.shift))
-
 
 class ZeroNode(Certificate):
     """Distinguished leaf for the zero module, valid under every predicate."""
 
     kind = "zero"
+    data_parts = ("ring",)
 
     def __init__(self, ring: EdgeRing):
         self.ring = ring
         self.root = PresentedModule.zero(ring)
 
-    def __eq__(self, other):
-        return isinstance(other, ZeroNode) and self.ring == other.ring
-
-    def __hash__(self):
-        return hash((self.kind, self.ring))
-
 
 class SubNode(Certificate):
     kind = "sub"
+    child_parts = ("parent",)
+    witness_parts = ("witness",)
 
     def __init__(self, parent: Certificate, witness: ModuleMap):
         if not witness.target.same_presentation(parent.root):
@@ -101,22 +118,11 @@ class SubNode(Certificate):
         self.witness = witness
         self.root = witness.source
 
-    def children(self):
-        return (self.parent,)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubNode)
-            and self.parent == other.parent
-            and self.witness == other.witness
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.parent, self.witness))
-
 
 class QuotNode(Certificate):
     kind = "quot"
+    child_parts = ("parent",)
+    witness_parts = ("witness",)
 
     def __init__(self, parent: Certificate, witness: ModuleMap):
         if not witness.source.same_presentation(parent.root):
@@ -125,24 +131,13 @@ class QuotNode(Certificate):
         self.witness = witness
         self.root = witness.target
 
-    def children(self):
-        return (self.parent,)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotNode)
-            and self.parent == other.parent
-            and self.witness == other.witness
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.parent, self.witness))
-
 
 class ExtNode(Certificate):
     """Extension 0 -> left -> root -> right -> 0 with both witness maps."""
 
     kind = "ext"
+    child_parts = ("left", "right")
+    witness_parts = ("injection", "projection")
 
     def __init__(self, left: Certificate, right: Certificate, injection: ModuleMap, projection: ModuleMap):
         if not injection.source.same_presentation(left.root):
@@ -157,31 +152,24 @@ class ExtNode(Certificate):
         self.projection = projection
         self.root = injection.target
 
-    def children(self):
-        return (self.left, self.right)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtNode)
-            and self.left == other.left
-            and self.right == other.right
-            and self.injection == other.injection
-            and self.projection == other.projection
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.left, self.right, self.injection, self.projection))
-
-
-def zero_certificate(ring: EdgeRing) -> ZeroNode:
-    return ZeroNode(ring)
+# Every node kind, by its JSON name; a Certificate subclass outside it is
+# rejected by verify and by the workspace serializer.
+KINDS: dict[str, type[Certificate]] = {cls.kind: cls for cls in (ZeroNode, GenNode, SubNode, QuotNode, ExtNode)}
 
 
 def type_level(c: Certificate) -> int:
-    """0 for leaves; 1 + the maximum over children otherwise."""
-    if isinstance(c, (GenNode, ZeroNode)):
-        return 0
-    return 1 + max(type_level(ch) for ch in c.children())
+    """0 for leaves; 1 + the maximum over children otherwise.
+
+    Walks an explicit stack, so a deep chain needs no interpreter frame per level."""
+    deepest = 0
+    stack = [(c, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        for child in node.children():
+            stack.append((child, depth + 1))
+    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -204,52 +192,34 @@ class VerifyResult:
         return f"fail at {where}: {self.reason}"
 
 
-def _fail(path, reason):
-    return VerifyResult(False, tuple(path), reason)
-
-
 def verify(c: Certificate, pred: TamenessPredicate, _path: tuple = ()) -> VerifyResult:
     """Step-local verification of every node.
 
-    Gen needs a tame partition; Sub needs an injective witness; Quot a
-    surjective one; Ext an exact pair.  Structural mismatches raise
-    StructuralError (they are certificate construction bugs, not mathematical
-    failures)."""
-    if isinstance(c, ZeroNode):
-        return VerifyResult(True)
-    if isinstance(c, GenNode):
-        if not pred(c.partition):
-            return _fail(_path, f"partition {c.partition} is not tame")
-        return VerifyResult(True)
-    if isinstance(c, SubNode):
-        inner = verify(c.parent, pred, _path + ("parent",))
+    Children are verified first, in the order of child_parts, and a failure
+    is reported at the path of child part names that leads to it.  Gen needs
+    a tame partition; Sub needs an injective witness; Quot a surjective one;
+    Ext an exact pair.  Structural mismatches raise StructuralError (they are
+    certificate construction bugs, not mathematical failures)."""
+    if KINDS.get(c.kind) is not type(c):
+        raise StructuralError(f"unknown certificate node {c!r}")
+    for name in c.child_parts:
+        inner = verify(getattr(c, name), pred, _path + (name,))
         if not inner:
             return inner
-        if not c.witness.is_mono():
-            return _fail(_path, "sub witness is not injective")
-        return VerifyResult(True)
-    if isinstance(c, QuotNode):
-        inner = verify(c.parent, pred, _path + ("parent",))
-        if not inner:
-            return inner
-        if not c.witness.is_epi():
-            return _fail(_path, "quot witness is not surjective")
-        return VerifyResult(True)
+    if isinstance(c, GenNode) and not pred(c.partition):
+        return VerifyResult(False, _path, f"partition {c.partition} is not tame")
+    if isinstance(c, SubNode) and not c.witness.is_mono():
+        return VerifyResult(False, _path, "sub witness is not injective")
+    if isinstance(c, QuotNode) and not c.witness.is_epi():
+        return VerifyResult(False, _path, "quot witness is not surjective")
     if isinstance(c, ExtNode):
-        inner = verify(c.left, pred, _path + ("left",))
-        if not inner:
-            return inner
-        inner = verify(c.right, pred, _path + ("right",))
-        if not inner:
-            return inner
         if not c.injection.is_mono():
-            return _fail(_path, "extension injection is not injective")
+            return VerifyResult(False, _path, "extension injection is not injective")
         if not c.projection.is_epi():
-            return _fail(_path, "extension projection is not surjective")
+            return VerifyResult(False, _path, "extension projection is not surjective")
         if not exact_at(c.injection, c.projection):
-            return _fail(_path, "extension is not exact in the middle")
-        return VerifyResult(True)
-    raise StructuralError(f"unknown certificate node {c!r}")
+            return VerifyResult(False, _path, "extension is not exact in the middle")
+    return VerifyResult(True)
 
 
 # ---------------------------------------------------------------------------

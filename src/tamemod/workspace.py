@@ -8,6 +8,12 @@ canonical monomial order, making serialization deterministic.
 A map is written as the matrix that ModuleMap derives from its columns (entry
 [i][j]: the coefficient of target generator i in the image of source generator
 j) and read back through ModuleMap's matrix constructor.
+
+A certificate is one object per node, tagged with its "kind", a key of
+serre.KINDS.  A Gen node gives its partition id and shift, a Zero node its
+ring's variables.  Every other node nests each child certificate under the
+name of that child part, and gives each witness map by its map id under the
+name of that witness part, as the node's class declares them.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .exactalg import EdgeRing, FreeElement, FreeModule, GradedPoly
 from .gradedmod import ModuleMap, PresentedModule
 from .graphsplit import EdgeGraph, TamenessPredicate, predicate_from_config
 from .partition import Partition, make_partition
-from .serre import Certificate, ExtNode, GenNode, QuotNode, SubNode, ZeroNode
+from .serre import KINDS, Certificate, GenNode, ZeroNode
 
 
 _REQUIRED = object()
@@ -173,6 +179,8 @@ def map_from_json(data, modules: dict, map_id: str) -> ModuleMap:
 
 
 def cert_to_json(cert: Certificate, partition_ids: dict, map_ids: dict) -> dict:
+    if KINDS.get(cert.kind) is not type(cert):
+        raise ValidationError(f"cannot serialize certificate node {cert!r}")
     if isinstance(cert, GenNode):
         return {
             "kind": "gen",
@@ -181,38 +189,16 @@ def cert_to_json(cert: Certificate, partition_ids: dict, map_ids: dict) -> dict:
         }
     if isinstance(cert, ZeroNode):
         return {"kind": "zero", "ring": list(cert.ring.variables)}
-    if isinstance(cert, SubNode):
-        return {
-            "kind": "sub",
-            "parent": cert_to_json(cert.parent, partition_ids, map_ids),
-            "witness": map_ids[cert.witness],
-        }
-    if isinstance(cert, QuotNode):
-        return {
-            "kind": "quot",
-            "parent": cert_to_json(cert.parent, partition_ids, map_ids),
-            "witness": map_ids[cert.witness],
-        }
-    if isinstance(cert, ExtNode):
-        return {
-            "kind": "ext",
-            "left": cert_to_json(cert.left, partition_ids, map_ids),
-            "right": cert_to_json(cert.right, partition_ids, map_ids),
-            "injection": map_ids[cert.injection],
-            "projection": map_ids[cert.projection],
-        }
-    raise ValidationError(f"cannot serialize certificate node {cert!r}")
+    out = {"kind": cert.kind}
+    for name in cert.child_parts:
+        out[name] = cert_to_json(getattr(cert, name), partition_ids, map_ids)
+    for name in cert.witness_parts:
+        out[name] = map_ids[getattr(cert, name)]
+    return out
 
 
 def cert_from_json(data, partitions: dict, maps: dict, cert_id: str) -> Certificate:
     where = f"certificate {cert_id!r}"
-
-    def witness(key):
-        wid = _get(data, key, str, where)
-        if wid not in maps:
-            raise ValidationError(f"{where} references unknown map {wid!r}")
-        return maps[wid]
-
     kind = _get(data, "kind", str, where)
     if kind == "gen":
         pid = _get(data, "partition", str, where)
@@ -221,18 +207,20 @@ def cert_from_json(data, partitions: dict, maps: dict, cert_id: str) -> Certific
         return GenNode(partitions[pid], _get(data, "shift", int, where, 0))
     if kind == "zero":
         return ZeroNode(EdgeRing(tuple(_get_list(data, "ring", str, where))))
-    if kind in ("sub", "quot"):
-        wit = witness("witness")
-        parent = cert_from_json(_get(data, "parent", dict, where), partitions, maps, cert_id)
-        node = SubNode if kind == "sub" else QuotNode
-        return node(parent, wit)
-    if kind == "ext":
-        injection = witness("injection")
-        projection = witness("projection")
-        left = cert_from_json(_get(data, "left", dict, where), partitions, maps, cert_id)
-        right = cert_from_json(_get(data, "right", dict, where), partitions, maps, cert_id)
-        return ExtNode(left, right, injection, projection)
-    raise ValidationError(f"{where} has unknown kind {kind!r}")
+    if kind not in KINDS:
+        raise ValidationError(f"{where} has unknown kind {kind!r}")
+    node = KINDS[kind]
+    # witness ids are checked before any child is parsed
+    witnesses = []
+    for key in node.witness_parts:
+        wid = _get(data, key, str, where)
+        if wid not in maps:
+            raise ValidationError(f"{where} references unknown map {wid!r}")
+        witnesses.append(maps[wid])
+    children = []
+    for key in node.child_parts:
+        children.append(cert_from_json(_get(data, key, dict, where), partitions, maps, cert_id))
+    return node(*children, *witnesses)
 
 
 @dataclass
@@ -268,29 +256,19 @@ class Workspace:
 
     def _intern_nodes(self, cert: Certificate):
         if isinstance(cert, GenNode):
-            self._intern_partition(cert.partition)
-        elif isinstance(cert, (SubNode, QuotNode)):
-            self._intern_map(cert.witness)
-            self._intern_nodes(cert.parent)
-        elif isinstance(cert, ExtNode):
-            self._intern_map(cert.injection)
-            self._intern_map(cert.projection)
-            self._intern_nodes(cert.left)
-            self._intern_nodes(cert.right)
+            self._intern(self.partitions, "P", cert.partition)
+        for phi in cert.witnesses():
+            self._intern(self.modules, "M", phi.source)
+            self._intern(self.modules, "M", phi.target)
+            self._intern(self.maps, "w", phi)
+        for child in cert.children():
+            self._intern_nodes(child)
 
-    def _intern_partition(self, p: Partition):
-        if p not in self.partitions.values():
-            self.partitions[f"P{len(self.partitions)}"] = p
-
-    def _intern_module(self, m: PresentedModule) -> None:
-        if m not in self.modules.values():
-            self.modules[f"M{len(self.modules)}"] = m
-
-    def _intern_map(self, phi: ModuleMap) -> None:
-        self._intern_module(phi.source)
-        self._intern_module(phi.target)
-        if phi not in self.maps.values():
-            self.maps[f"w{len(self.maps)}"] = phi
+    @staticmethod
+    def _intern(table: dict, prefix: str, value) -> None:
+        """Add value to table, unless it is there, under the id prefix + its count."""
+        if value not in table.values():
+            table[f"{prefix}{len(table)}"] = value
 
     # -- (de)serialization ----------------------------------------------
 

@@ -13,6 +13,7 @@ import pytest
 
 import tamemod
 from tamemod.cli import main
+from tamemod.workspace import Workspace
 
 RELATED = "workspaces/gen_related.json"
 UNRELATED = "workspaces/gen_unrelated.json"
@@ -255,17 +256,39 @@ def _run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "tamemod.cli", *argv], capture_output=True, text=True, env=env)
 
 
-def test_cert_level_of_a_deep_chain_exit_3(tmp_path):
-    # 450 Sub nodes over the identity of M_partition: a valid certificate
-    # whose level is deeper than the interpreter's recursion limit allows
+def _deep_chain(tmp_path, levels):
+    """A workspace whose certificate c_deep is `levels` Sub nodes over the
+    identity of M_partition, above the Gen leaf c_related: a valid certificate
+    of that level.  The text is written directly, since encoding it with json
+    would itself recurse once per level."""
     doc = json.loads(Path(RELATED).read_text())
     doc["maps"] = {"w0": {"source": "M_partition", "target": "M_partition", "matrix": [[[{"c": "1"}]]]}}
-    node = doc["certificates"]["c_related"]
-    for _ in range(450):
-        node = {"kind": "sub", "parent": node, "witness": "w0"}
-    doc["certificates"]["c_deep"] = node
-    src = tmp_path / "deep.json"
-    src.write_text(json.dumps(doc))
+    leaf = json.dumps(doc["certificates"]["c_related"])
+    doc["certificates"]["c_deep"] = "DEEP"
+    text = '{"kind": "sub", "parent": ' * levels + leaf + ', "witness": "w0"}' * levels
+    src = tmp_path / f"deep{levels}.json"
+    src.write_text(json.dumps(doc).replace('"DEEP"', text))
+    return src
+
+
+def test_deep_chains_get_a_result(tmp_path):
+    # the deepest chains each action must keep handling in a fresh interpreter
+    src = _deep_chain(tmp_path, 900)
+    level = _run_cli("cert", "level", "--in", str(src), "--cert", "c_deep")
+    assert (level.returncode, level.stdout) == (0, "900\n")
+    checked = _run_cli("cert", "verify", "--in", str(src), "--cert", "c_deep")
+    assert (checked.returncode, checked.stdout) == (0, "certificate c_deep: pass\n")
+    src = _deep_chain(tmp_path, 450)
+    out = tmp_path / "deep450_f0.json"
+    moved = _run_cli("cert", "transform", "--in", str(src), "--cert", "c_deep", "--out", str(out))
+    assert moved.returncode == 0, moved.stderr
+    assert Workspace.load(str(out)).certificates["c_deep_f0"].kind == "quot"
+
+
+def test_cert_level_of_a_deep_chain_exit_3(tmp_path):
+    # 1,200 levels: past what the interpreter's stack allows when the
+    # workspace is read, so it ends in a resource cap, not a traceback
+    src = _deep_chain(tmp_path, 1200)
     proc = _run_cli("cert", "level", "--in", str(src), "--cert", "c_deep")
     assert proc.returncode == 3
     assert "resource cap exceeded" in proc.stderr and "Traceback" not in proc.stderr
@@ -333,6 +356,7 @@ def test_harness_needs_edges_or_graph():
         ("--samples", "-3", "samples"),
         ("--jobs", "0", "jobs"),
         ("--pred", "max-blocks:-1", "block bound must be positive"),
+        ("--pred", "co-blocked:a,", "edge names must not be empty"),
     ],
 )
 def test_harness_bad_counts_exit_2(capsys, flag, value, message):

@@ -43,7 +43,6 @@ from tamemod.serre import (
     transform_corpus,
     type_level,
     verify,
-    zero_certificate,
 )
 
 PRED = AlwaysTame()
@@ -68,11 +67,13 @@ def test_type_levels(p_related):
     assert type_level(s) == 1
     e = _direct_sum_cert(s, GenNode(p_related, 1))
     assert type_level(e) == 2
+    # the deeper child on either side
+    assert type_level(_direct_sum_cert(GenNode(p_related, 1), s)) == 2
 
 
 def test_zero_certificate_contract(p_related):
     ring = partition_module(p_related).ring
-    z = zero_certificate(ring)
+    z = ZeroNode(ring)
     assert verify(z, PRED)
     assert verify(z, DiscreteOnly())
     assert type_level(z) == 0
@@ -85,6 +86,14 @@ def test_witness_shape_enforced(p_related, p_unrelated):
     other = partition_module(p_unrelated).shift(3)
     with pytest.raises(StructuralError):
         SubNode(base, ModuleMap.zero_map(other, other))
+
+
+def test_sub_and_quot_over_the_same_parts_differ(p_related):
+    base = GenNode(p_related, 0)
+    identity = ModuleMap.identity(base.root)
+    sub, quot = SubNode(base, identity), QuotNode(base, identity)
+    assert sub.root.same_presentation(quot.root)
+    assert sub != quot and sub == SubNode(base, identity)
 
 
 # -- verify ---------------------------------------------------------------------------

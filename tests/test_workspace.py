@@ -15,9 +15,20 @@ from tamemod.exactalg import EdgeRing, FreeModule
 from tamemod.gradedmod import ModuleMap, PresentedModule, cokernel, submodule_from_elements
 from tamemod.graphsplit import AlwaysTame, EdgeGraph, MaxBlockCount, tame_partitions, split_edge
 from tamemod.partition import make_partition, partition_module
-from tamemod.serre import GenNode, SubNode, ZeroNode, random_certificate, _direct_sum_cert
+from tamemod.serre import (
+    Certificate,
+    GenNode,
+    QuotNode,
+    SubNode,
+    ZeroNode,
+    _direct_sum_cert,
+    random_certificate,
+    verify,
+)
 from tamemod.workspace import (
     Workspace,
+    cert_from_json,
+    cert_to_json,
     module_from_json,
     module_to_json,
     partition_from_json,
@@ -60,6 +71,61 @@ def test_workspace_roundtrip_with_certificates(split_abe):
     assert back.certificates == ws.certificates
     # and serialization is stable
     assert back.to_json() == data
+
+
+def test_each_kind_roundtrips_through_json(p_related):
+    # one certificate of each kind: its JSON reads back to an equal node with
+    # an equal hash
+    gen = GenNode(p_related, 1)
+    m = gen.root
+    _, incl = submodule_from_elements(m, [m.ring.var("a") * m.gen(0)])
+    _, proj = cokernel(incl)
+    certs = [
+        ZeroNode(m.ring),
+        gen,
+        SubNode(gen, incl),
+        QuotNode(gen, proj),
+        _direct_sum_cert(SubNode(gen, incl), ZeroNode(m.ring)),
+    ]
+    assert sorted(c.kind for c in certs) == ["ext", "gen", "quot", "sub", "zero"]
+    for cert in certs:
+        ws = Workspace()
+        ws.intern_certificate("c", cert)
+        partition_ids = {p: k for k, p in ws.partitions.items()}
+        map_ids = {f: k for k, f in ws.maps.items()}
+        data = cert_to_json(cert, partition_ids, map_ids)
+        back = cert_from_json(data, ws.partitions, ws.maps, "c")
+        assert back == cert and hash(back) == hash(cert)
+
+
+def test_intern_numbers_witnesses_before_children(p_related):
+    # ids follow the tree in pre-order: a node's witnesses, then its children
+    gen = GenNode(p_related, 1)
+    m = gen.root
+    _, incl = submodule_from_elements(m, [m.ring.var("a") * m.gen(0)])
+    ext = _direct_sum_cert(SubNode(gen, incl), gen)
+    ws = Workspace()
+    ws.intern_certificate("c", ext)
+    assert ws.partitions == {"P0": p_related}
+    assert ws.modules == {"M0": incl.source, "M1": ext.root, "M2": gen.root}
+    assert ws.maps == {"w0": ext.injection, "w1": ext.projection, "w2": incl}
+
+
+def test_node_outside_the_registry_is_rejected(p_related):
+    class Stray(Certificate):
+        kind = "stray"
+
+        def __init__(self, root):
+            self.root = root
+
+        def __repr__(self):
+            return "<stray certificate>"
+
+    stray = Stray(GenNode(p_related, 0).root)
+    with pytest.raises(StructuralError, match="unknown certificate node"):
+        verify(stray, AlwaysTame())
+    with pytest.raises(ValidationError, match="cannot serialize"):
+        cert_to_json(stray, {}, {})
 
 
 def test_workspace_file_roundtrip(tmp_path, p_related):
@@ -177,6 +243,15 @@ def test_damaged_workspace_raises_only_validation_errors(data):
         assert type(exc) in (ValidationError, StructuralError), repr(exc)
 
 
+def test_witness_ids_are_checked_before_children():
+    # a sub node with an unknown witness and a malformed parent reports the
+    # witness: witness ids are read before any child
+    data = copy.deepcopy(SHIPPED["workspaces/sub_ideal.json"])
+    data["certificates"]["c_ideal"].update(witness="nope", parent={"kind": "odd"})
+    with pytest.raises(ValidationError, match="unknown map 'nope'"):
+        Workspace.from_json(data)
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -196,7 +271,16 @@ def test_module_schema_errors(damage, message):
 
 
 @pytest.mark.parametrize(
-    "cfg", ["max-blocks:x", {"name": "max-blocks", "k": "2"}, {"name": ["x"]}, 7, "max-blocks:-1"]
+    "cfg",
+    [
+        "max-blocks:x",
+        {"name": "max-blocks", "k": "2"},
+        {"name": ["x"]},
+        7,
+        "max-blocks:-1",
+        "co-blocked:a,",
+        {"name": "co-blocked", "edges": [""]},
+    ],
 )
 def test_bad_predicate_config(cfg):
     data = {"predicate": cfg}
