@@ -7,17 +7,20 @@ reverse lexicographic in the ring's fixed variable order (term over position
 for free modules); internal elimination orders extend it with dominant
 variable or position blocks.
 
-`terms` of a GradedPoly or FreeElement holds packed terms (key, dkey, num,
-den), strictly descending (see `_core._pure`), under the ring order ((0,), 0,
-0) or the free module's `order()`.  The Groebner engine takes and returns
-them as they are; exponent tuples are read off only to build values from
-exponents, to change the number of variables, and for output.
+A value is packed terms in a space, a ring or a free module: `terms` holds
+(key, dkey, num, den), strictly descending (see `_core._pure`), under the
+space's order.  Every value has is_zero, is_homogeneous, weight, +, -, scalar
+*, ==, hash and repr; GradedPoly adds poly * poly, ** and str, FreeElement
+adds ring, component(s), the ring action and str.  The Groebner engine takes
+and returns terms as they are, a ring's polys as elements of its rank-1 free
+module; exponent tuples are read off only to build values from exponents, to
+change the number of variables, and for output.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -104,13 +107,13 @@ class EdgeRing:
 _RING_ORDER = ((0,), 0, 0)
 
 
-class GradedPoly:
-    """Sparse exact-rational polynomial; terms canonically sorted."""
+class _Value:
+    """What a GradedPoly and a FreeElement share (see the module docstring)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("space", "terms")
 
-    def __init__(self, ring: EdgeRing, terms: tuple):
-        self.ring = ring
+    def __init__(self, space, terms: tuple):
+        self.space = space
         self.terms = terms
 
     def is_zero(self) -> bool:
@@ -118,55 +121,71 @@ class GradedPoly:
 
     @property
     def is_homogeneous(self) -> bool:
-        return len(self.ring.packing.weights(self.terms)) <= 1
+        return len(self.space.packing.weights(self.terms)) <= 1
 
     def weight(self):
-        """Common weight of all terms; None for the zero polynomial."""
-        ws = self.ring.packing.weights(self.terms)
+        """Common weight of all terms; None for zero."""
+        ws = self.space.packing.weights(self.terms)
         if not ws:
             return None
         if len(ws) > 1:
-            raise ValidationError(f"inhomogeneous polynomial {self}")
+            raise ValidationError(f"inhomogeneous value {self!r}")
         return ws.pop()
 
-    def _check(self, other: "GradedPoly"):
-        if self.ring != other.ring:
-            raise StructuralError("polynomials from different rings")
+    def _same(self, other) -> tuple:
+        """The terms of other, a value of the same kind and space; an int or a
+        Fraction is a constant when the space is a ring."""
+        if type(other) is type(self) and other.space == self.space:
+            return other.terms
+        if isinstance(other, (int, Fraction)) and type(self.space) is EdgeRing:
+            return self.space.const(other).terms
+        raise StructuralError(f"{type(other).__name__} operand outside the space of a {type(self).__name__}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        self._check(other)
-        return GradedPoly(self.ring, K.add(self.terms, other.terms))
+        return type(self)(self.space, K.add(self.terms, self._same(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        self._check(other)
-        return GradedPoly(self.ring, K.sub(self.terms, other.terms))
+        return type(self)(self.space, K.sub(self.terms, self._same(other)))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return type(self)(self.space, K.sub(self._same(other), self.terms))
 
     def __neg__(self):
-        return GradedPoly(self.ring, K.neg(self.terms))
+        return type(self)(self.space, K.neg(self.terms))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            n, d = _coeff(other)
-            return GradedPoly(self.ring, K.scale(self.terms, n, d))
-        if isinstance(other, FreeElement):
-            return other.__rmul__(self)
-        self._check(other)
-        return GradedPoly(self.ring, K.mul(self.terms, other.terms))
+        """The multiple by an int or a Fraction."""
+        if not isinstance(other, (int, Fraction)):
+            raise StructuralError(f"cannot multiply a {type(self).__name__} by a {type(other).__name__}")
+        n, d = _coeff(other)
+        return type(self)(self.space, K.scale(self.terms, n, d))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            n, d = _coeff(other)
-            return GradedPoly(self.ring, K.scale(self.terms, n, d))
-        return NotImplemented
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.space == other.space and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.space, self.terms))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class GradedPoly(_Value):
+    """Sparse exact-rational polynomial; terms canonically sorted."""
+
+    __slots__ = ()
+    ring = _Value.space
+
+    def __mul__(self, other):
+        if type(other) is GradedPoly:
+            return GradedPoly(self.ring, K.mul(self.terms, self._same(other)))
+        if type(other) is FreeElement:
+            return other.__rmul__(self)
+        return _Value.__mul__(self, other)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -179,19 +198,6 @@ class GradedPoly:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedPoly)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.terms))
-
-    def __repr__(self):
-        return f"GradedPoly({self})"
 
     def __str__(self):
         if not self.terms:
@@ -262,21 +268,15 @@ class FreeModule:
         return FreeElement(self, tuple(sorted(terms, reverse=True)))
 
 
-class FreeElement:
+class FreeElement(_Value):
     """Element of a free module; terms carry their generator position."""
 
-    __slots__ = ("module", "terms")
-
-    def __init__(self, module: FreeModule, terms: tuple):
-        self.module = module
-        self.terms = terms
+    __slots__ = ()
+    module = _Value.space
 
     @property
     def ring(self) -> EdgeRing:
         return self.module.ring
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def component(self, i: int) -> GradedPoly:
         """Coordinate i, a ring poly: each of its terms loses base[i] from its
@@ -287,60 +287,13 @@ class FreeElement:
     def components(self) -> tuple[GradedPoly, ...]:
         return tuple(self.component(i) for i in range(self.module.rank))
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self.module.packing.weights(self.terms)) <= 1
-
-    def weight(self):
-        ws = self.module.packing.weights(self.terms)
-        if not ws:
-            return None
-        if len(ws) > 1:
-            raise ValidationError(f"inhomogeneous element {self}")
-        return ws.pop()
-
-    def _check(self, other: "FreeElement"):
-        if self.module != other.module:
-            raise StructuralError("elements of different free modules")
-
-    def __add__(self, other):
-        self._check(other)
-        return FreeElement(self.module, K.add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FreeElement(self.module, K.sub(self.terms, other.terms))
-
-    def __neg__(self):
-        return FreeElement(self.module, K.neg(self.terms))
-
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            n, d = _coeff(other)
-            return FreeElement(self.module, K.scale(self.terms, n, d))
-        if isinstance(other, GradedPoly):
+        """The ring action of a poly, or the multiple by an int or a Fraction."""
+        if type(other) is GradedPoly:
             if other.ring != self.ring:
                 raise StructuralError("scalar from a different ring")
             return FreeElement(self.module, K.mul(other.terms, self.terms))
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__rmul__(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeElement)
-            and self.module == other.module
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.module, self.terms))
-
-    def __repr__(self):
-        return f"FreeElement({self})"
+        return _Value.__mul__(self, other)
 
     def __str__(self):
         if not self.terms:
@@ -361,7 +314,7 @@ def _monic(f: tuple) -> tuple:
     return K.scale(f, d, n)
 
 
-def _buchberger(items: Sequence[tuple], pk, cap: int = MAX_BASIS) -> list:
+def _buchberger(items: Sequence[tuple], pk) -> list:
     """A Groebner basis of the packed items, not yet reduced (see _autoreduce).
 
     pk is the Packing of the order.  Pairs are selected by the sugar strategy
@@ -435,8 +388,8 @@ def _buchberger(items: Sequence[tuple], pk, cap: int = MAX_BASIS) -> list:
             pos.append(r[0][1] & FIELD)
             one_pos.append(all(t[1] & FIELD == pos[-1] for t in r))
             support.append(pk.support(r[0][1]))
-            if len(basis) > cap:
-                raise ResourceCapError(f"Groebner basis exceeded {cap} elements")
+            if len(basis) > MAX_BASIS:
+                raise ResourceCapError(f"Groebner basis exceeded {MAX_BASIS} elements")
             push_pairs(len(basis) - 1)
     return basis
 
@@ -499,26 +452,22 @@ def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tupl
 
 
 def _coerce_inputs(gens: Sequence, module: FreeModule | None = None):
-    """Common (module, raw term tuples) view of polys or free elements."""
+    """(kind, space, free module, raw term tuples) of values of one kind and
+    space.  A ring's polys live in its rank-1 free module, whose order is the
+    ring's; empty input takes the free module given."""
     gens = list(gens)
     if not gens:
         if module is None:
             raise StructuralError("empty input needs an explicit module")
-        return module, [], False
-    if all(isinstance(g, GradedPoly) for g in gens):
-        ring = gens[0].ring
-        if any(g.ring != ring for g in gens):
-            raise StructuralError("mixed rings")
-        mod = FreeModule(ring, (0,))
-        return mod, [g.terms for g in gens], True
-    if all(isinstance(g, FreeElement) for g in gens):
-        mod = gens[0].module
-        if any(g.module != mod for g in gens):
-            raise StructuralError("mixed ambient modules")
-        if module is not None and module != mod:
-            raise StructuralError("elements do not live in the requested module")
-        return mod, [g.terms for g in gens], False
-    raise StructuralError("mixed polynomial / free-element input")
+        return FreeElement, module, module, []
+    first = gens[0]
+    if not isinstance(first, _Value) or any(type(g) is not type(first) or g.space != first.space for g in gens):
+        raise StructuralError("input is not values of one kind in one space")
+    kind, space = type(first), first.space
+    mod = FreeModule(space, (0,)) if kind is GradedPoly else space
+    if module is not None and module != mod:
+        raise StructuralError("elements do not live in the requested module")
+    return kind, space, mod, [g.terms for g in gens]
 
 
 def groebner(gens: Sequence, module: FreeModule | None = None):
@@ -526,21 +475,16 @@ def groebner(gens: Sequence, module: FreeModule | None = None):
 
     Returns values of the same kind as the input (polys in, polys out).
     """
-    mod, items, was_poly = _coerce_inputs(gens, module)
+    kind, space, mod, items = _coerce_inputs(gens, module)
     gb = _groebner_raw(tuple(t for t in items if t), mod.order(), mod.ring.nvars)
-    if was_poly:
-        return tuple(GradedPoly(mod.ring, g) for g in gb)
-    return tuple(FreeElement(mod, g) for g in gb)
+    return tuple(kind(space, g) for g in gb)
 
 
 def normal_form(f, gb: Sequence):
     """Remainder of f on division by gb; canonical when gb is a Groebner basis."""
-    kind, home = (GradedPoly, "ring") if isinstance(f, GradedPoly) else (FreeElement, "module")
-    for g in gb:
-        if not isinstance(g, kind) or getattr(g, home) != getattr(f, home):
-            raise StructuralError(f"basis element in a different {home}")
-    r, _ = K.reduce(f.terms, [g.terms for g in gb if not g.is_zero()], False)
-    return kind(getattr(f, home), r)
+    kind, space, _, items = _coerce_inputs([f, *gb])
+    r, _ = K.reduce(f.terms, [g for g in items[1:] if g], False)
+    return kind(space, r)
 
 
 def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
@@ -551,19 +495,12 @@ def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
     With no gens, f is still reduced against modulo and the cofactors are ().
     """
     gens = list(gens)
-    every = gens + list(modulo)
-    if not every:
+    kind, space, mod, items = _coerce_inputs([f, *gens, *modulo])
+    if len(items) == 1:
         return f, ()
-    poly_in = isinstance(f, GradedPoly)
-    mod, items, was_poly = _coerce_inputs(every)
-    if poly_in:
-        if not was_poly or f.ring != mod.ring:
-            raise StructuralError("polynomial reduced against incompatible generators")
-    elif was_poly or f.module != mod:
-        raise StructuralError("element reduced against incompatible generators")
     k = len(gens)
     rank = mod.rank
-    basis, porder = _tracked_raw(tuple(items[:k]), rank, mod.order(), mod.ring.nvars, tuple(items[k:]))
+    basis, porder = _tracked_raw(tuple(items[1 : k + 1]), rank, mod.order(), mod.ring.nvars, tuple(items[k + 1 :]))
     pk = mod.packing
     ppk = K.packing(*porder, mod.ring.nvars)
     r, _ = K.reduce(ppk.rebase(f.terms, pk), basis, False)
@@ -575,8 +512,7 @@ def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
         p = d & FIELD
         cof_terms[p - rank].append((key - ppk.base[p], d - p, -n, dn))
     cofs = tuple(GradedPoly(mod.ring, tuple(c)) for c in cof_terms)
-    rem_v = GradedPoly(mod.ring, rem) if poly_in else FreeElement(mod, rem)
-    return rem_v, cofs
+    return kind(space, rem), cofs
 
 
 def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence = ()):
@@ -589,7 +525,7 @@ def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence 
     modulo elements live in the same module as gens and carry no cofactors.
     """
     gens = list(gens)
-    mod, items, _ = _coerce_inputs(gens + list(modulo), module)
+    _, _, mod, items = _coerce_inputs(gens + list(modulo), module)
     k = len(gens)
     if not k:
         return ()
@@ -607,26 +543,18 @@ def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence 
 # Ring maps and variable elimination
 
 
-def _substitute(terms: tuple, src, src_ring: EdgeRing, dst, dst_ring: EdgeRing, mapping: dict) -> tuple:
-    """Terms packed under src pushed along the ring map sending each variable
-    to mapping.get(v, v), packed under dst."""
-    imap = [dst_ring.index(mapping.get(v, v)) for v in src_ring.variables]
+def substitute(x, dst, mapping: dict):
+    """Push x along the ring map sending each variable to mapping.get(v, v),
+    into dst: a ring for a poly, a free module of x's rank for an element."""
+    dst_ring = dst if isinstance(dst, EdgeRing) else dst.ring
+    imap = [dst_ring.index(mapping.get(v, v)) for v in x.ring.variables]
     raw = []
-    for p, e, n, d in src.unpack(terms):
+    for p, e, n, d in x.space.packing.unpack(x.terms):
         out = [0] * dst_ring.nvars
-        for i, x in enumerate(e):
-            out[imap[i]] += x
+        for i, c in enumerate(e):
+            out[imap[i]] += c
         raw.append((p, tuple(out), n, d))
-    return dst.build(raw)
-
-
-def substitute_poly(p: GradedPoly, dst: EdgeRing, mapping: dict) -> GradedPoly:
-    """Push p along the ring map sending each variable to mapping.get(v, v)."""
-    return GradedPoly(dst, _substitute(p.terms, p.ring.packing, p.ring, dst.packing, dst, mapping))
-
-
-def substitute_free(x: FreeElement, dst: FreeModule, mapping: dict) -> FreeElement:
-    return FreeElement(dst, _substitute(x.terms, x.module.packing, x.ring, dst.packing, dst.ring, mapping))
+    return type(x)(dst, dst.packing.build(raw))
 
 
 _ELIM_ORDER = ((0,), 1, 0)
@@ -678,13 +606,10 @@ def _rabinowitsch_gb(ideal: tuple, h: tuple, nvars: int) -> tuple:
 def radical_member(f: GradedPoly, ideal_gens: Sequence[GradedPoly]) -> bool:
     """True iff some power of f lies in the ideal (Rabinowitsch trick: the
     ideal extended by 1 - t*f in one auxiliary variable becomes the unit ideal)."""
-    gens = [g for g in ideal_gens if not g.is_zero()]
-    for g in gens:
-        if g.ring != f.ring:
-            raise StructuralError("ideal generators from a different ring")
+    _, _, _, items = _coerce_inputs([f, *ideal_gens])
     if f.is_zero():
         return True
-    return _contains_unit(_rabinowitsch_gb(tuple(g.terms for g in gens), f.terms, f.ring.nvars))
+    return _contains_unit(_rabinowitsch_gb(tuple(t for t in items[1:] if t), f.terms, f.ring.nvars))
 
 
 @lru_cache(maxsize=65536)

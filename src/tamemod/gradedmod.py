@@ -30,8 +30,7 @@ from .exactalg import (
     radical_member,
     reduce_with_expression,
     saturate_by_ideal,
-    substitute_free,
-    substitute_poly,
+    substitute,
     syzygies,
 )
 
@@ -454,7 +453,7 @@ def f0(m: PresentedModule, e: str, e_prime: str) -> PresentedModule:
     """Change of scalars M/(e - e'): substitute e' by e in all relations."""
     bring = _base_ring(m.ring, e, e_prime)
     free = FreeModule(bring, m.gen_weights)
-    rels = [substitute_free(r, free, {e_prime: e}) for r in m.relations]
+    rels = [substitute(r, free, {e_prime: e}) for r in m.relations]
     return PresentedModule(bring, m.gen_weights, [r for r in rels if not r.is_zero()])
 
 
@@ -490,7 +489,7 @@ def induced_map_f0(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
     src0 = f0(phi.source, e, e_prime)
     tgt0 = f0(phi.target, e, e_prime)
     mapping = {e_prime: e}
-    cols = [substitute_free(c, tgt0.free_cover, mapping) for c in phi.columns]
+    cols = [substitute(c, tgt0.free_cover, mapping) for c in phi.columns]
     return ModuleMap.from_columns(src0, tgt0, cols, phi.degree, check=True)
 
 
@@ -507,7 +506,7 @@ def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
         rem, cofs = reduce_with_expression(y, td_t.kgens, modulo=phi.target.relations)
         if not rem.is_zero():
             raise StructuralError("image of a torsion element is not torsion")
-        cols.append(tgt1.free_cover.element([substitute_poly(c, tgt1.ring, mapping) for c in cofs]))
+        cols.append(tgt1.free_cover.element([substitute(c, tgt1.ring, mapping) for c in cofs]))
     return ModuleMap.from_columns(src1, tgt1, cols, phi.degree, check=True)
 
 
@@ -578,7 +577,7 @@ def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
         rem2, cof2 = reduce_with_expression(w, ses.incl.columns, modulo=a_mod.relations)
         if not rem2.is_zero():
             raise StructuralError("(e-e') times the lift does not come from the subobject")
-        cols.append(substitute_free(b_mod.free_cover.element(cof2), f0b.free_cover, mapping))
+        cols.append(substitute(b_mod.free_cover.element(cof2), f0b.free_cover, mapping))
     return ModuleMap.from_columns(f1c, f0b, cols, 1, check=True)
 
 

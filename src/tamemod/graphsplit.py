@@ -63,17 +63,29 @@ def split_edge(g: EdgeGraph, target: str) -> SplitResult:
 # Predicates
 
 
+def _read_int(arg: str):
+    try:
+        return int(arg)
+    except ValueError:
+        return arg  # the parameter check reports it
+
+
 class TamenessPredicate:
     """Decision procedure on partitions; subclasses must be pure and
-    deterministic.  name/params identify the predicate in configs."""
+    deterministic.  name/params identify the predicate in configs.
+
+    PARAMS names the config parameters: key -> (what the value must be, its
+    check, how the string form "name:arg" reads arg).
+    """
 
     name = "abstract"
+    PARAMS: dict = {}
 
     def __call__(self, p: Partition) -> bool:
         raise NotImplementedError
 
     def params(self) -> dict:
-        return {}
+        return {key: getattr(self, key) for key in self.PARAMS}
 
     def describe(self) -> str:
         ps = self.params()
@@ -118,6 +130,7 @@ class MaxBlockCount(TamenessPredicate):
     "Tame iff the partition has at most k blocks."
 
     name = "max-blocks"
+    PARAMS = {"k": ("an integer", lambda k: isinstance(k, int) and not isinstance(k, bool), _read_int)}
 
     def __init__(self, k: int):
         if k < 1:
@@ -127,14 +140,18 @@ class MaxBlockCount(TamenessPredicate):
     def __call__(self, p: Partition) -> bool:
         return p.block_count <= self.k
 
-    def params(self) -> dict:
-        return {"k": self.k}
-
 
 class CoBlocked(TamenessPredicate):
     "Tame iff all designated edges lie in one block."
 
     name = "co-blocked"
+    PARAMS = {
+        "edges": (
+            "an array of edge names",
+            lambda edges: isinstance(edges, list) and all(isinstance(x, str) for x in edges),
+            lambda arg: arg.split(","),
+        )
+    }
 
     def __init__(self, edges: Iterable[str]):
         self.edges = tuple(sorted(set(edges)))
@@ -172,41 +189,32 @@ PREDICATES: dict[str, Callable] = {
 
 
 def predicate_from_config(cfg) -> TamenessPredicate:
-    """Build a predicate from a config dict {"name": ..., params} or a
-    compact string like "max-blocks:2" or "co-blocked:a,b"."""
+    """Build a predicate from a config object {"name": ..., params}, or from a
+    compact string "name" or "name:arg" such as "max-blocks:2" or
+    "co-blocked:a,b", which stands for the object whose one parameter is arg.
+    A missing, extra or ill-typed parameter is a ValidationError."""
     if isinstance(cfg, str):
-        name, _, arg = cfg.partition(":")
-        if name == MaxBlockCount.name:
-            if not arg:
-                raise ValidationError("max-blocks needs a block bound, e.g. max-blocks:2")
-            try:
-                k = int(arg)
-            except ValueError:
-                raise ValidationError(f"max-blocks bound must be an integer, got {arg!r}") from None
-            return MaxBlockCount(k)
-        if name == CoBlocked.name:
-            if not arg:
-                raise ValidationError("co-blocked needs edges, e.g. co-blocked:a,b")
-            return CoBlocked(arg.split(","))
-        if name in PREDICATES:
-            return PREDICATES[name]()
-        raise ValidationError(f"unknown predicate {name!r}")
+        name, colon, arg = cfg.partition(":")
+        cfg = {"name": name}
+        if colon and name in PREDICATES:
+            params = PREDICATES[name].PARAMS
+            if len(params) != 1:
+                raise ValidationError(f"{name} takes no argument, got {arg!r}")
+            ((key, (_, _, read)),) = params.items()
+            cfg[key] = read(arg)
     if not isinstance(cfg, dict):
         raise ValidationError(f"predicate must be a string or an object, got {type(cfg).__name__}")
     name = cfg.get("name")
-    if name == MaxBlockCount.name:
-        k = cfg.get("k")
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise ValidationError(f"max-blocks needs an integer \"k\", got {k!r}")
-        return MaxBlockCount(k)
-    if name == CoBlocked.name:
-        edges = cfg.get("edges")
-        if not isinstance(edges, list) or not all(isinstance(x, str) for x in edges):
-            raise ValidationError(f"co-blocked needs \"edges\", an array of edge names, got {edges!r}")
-        return CoBlocked(edges)
-    if isinstance(name, str) and name in PREDICATES:
-        return PREDICATES[name]()
-    raise ValidationError(f"unknown predicate {name!r}")
+    if not isinstance(name, str) or name not in PREDICATES:
+        raise ValidationError(f"unknown predicate {name!r}")
+    cls = PREDICATES[name]
+    given = sorted(k for k in cfg if k != "name")
+    if given != sorted(cls.PARAMS):
+        raise ValidationError(f"{name} takes parameters {sorted(cls.PARAMS)}, got {given}")
+    for key, (what, check, _) in cls.PARAMS.items():
+        if not check(cfg[key]):
+            raise ValidationError(f"{name} needs {key!r}, {what}, got {cfg[key]!r}")
+    return cls(**{key: cfg[key] for key in cls.PARAMS})
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +246,12 @@ def iter_partitions(edges: Sequence[str]) -> Iterator[Partition]:
 
 
 @lru_cache(maxsize=1024)
-def tame_partitions(
-    pred: TamenessPredicate, g: EdgeGraph, max_edges: int = DEFAULT_ENUM_EDGES
-) -> tuple[Partition, ...]:
+def tame_partitions(pred: TamenessPredicate, g: EdgeGraph) -> tuple[Partition, ...]:
     """All partitions of E(g) satisfying pred; Bell-number growth is guarded
     by an edge-count cap."""
-    if g.size > max_edges:
+    if g.size > DEFAULT_ENUM_EDGES:
         raise ResourceCapError(
-            f"enumerating partitions of {g.size} edges exceeds the cap of {max_edges}"
+            f"enumerating partitions of {g.size} edges exceeds the cap of {DEFAULT_ENUM_EDGES}"
         )
     return tuple(p for p in iter_partitions(g.edges) if pred(p))
 

@@ -398,6 +398,12 @@ def _sub_of_gen(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
 # Random certificates and the property harness
 
 
+# Random certificates shift a generator by at most MAX_SHIFT and draw witness
+# elements of weight at most the least generator weight plus EXTRA_WEIGHT.
+MAX_SHIFT = 1
+EXTRA_WEIGHT = 2
+
+
 def random_homogeneous_element(rng: random.Random, m: PresentedModule, weight: int) -> FreeElement:
     """Sparse random element of the free cover, homogeneous of the given weight."""
     free = m.free_cover
@@ -413,12 +419,12 @@ def random_homogeneous_element(rng: random.Random, m: PresentedModule, weight: i
     return FreeElement(free, free.packing.build(raw))
 
 
-def _random_elements(rng, m, count, extra_weight=2):
+def _random_elements(rng, m, count):
     if m.rank == 0:
         return []
     base = min(m.gen_weights)
     return [
-        random_homogeneous_element(rng, m, base + rng.randint(0, extra_weight))
+        random_homogeneous_element(rng, m, base + rng.randint(0, EXTRA_WEIGHT))
         for _ in range(count)
     ]
 
@@ -427,12 +433,11 @@ def random_certificate(
     rng: random.Random,
     tame_list: Sequence[Partition],
     max_level: int,
-    max_shift: int = 1,
 ) -> Certificate:
     """Random certificate over the common ground set of tame_list.
 
     Bounded so the Groebner work stays interactive: levels <= max_level,
-    witness elements of weight at most min generator weight + 2.
+    witness elements of weight at most min generator weight + EXTRA_WEIGHT.
     """
     if not tame_list:
         raise ValidationError("need at least one tame partition to seed certificates")
@@ -444,7 +449,7 @@ def random_certificate(
         if level <= 0:
             if rng.random() < 0.08:
                 return ZeroNode(ring)
-            return GenNode(rng.choice(list(tame_list)), rng.randint(0, max_shift))
+            return GenNode(rng.choice(list(tame_list)), rng.randint(0, MAX_SHIFT))
         kind = rng.choice(("sub", "quot", "ext"))
         if kind == "ext":
             return _direct_sum_cert(build(level - 1), build(level - 1))

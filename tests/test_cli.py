@@ -357,6 +357,7 @@ def test_harness_needs_edges_or_graph():
         ("--jobs", "0", "jobs"),
         ("--pred", "max-blocks:-1", "block bound must be positive"),
         ("--pred", "co-blocked:a,", "edge names must not be empty"),
+        ("--pred", "discrete-only:x", "discrete-only takes no argument"),
     ],
 )
 def test_harness_bad_counts_exit_2(capsys, flag, value, message):

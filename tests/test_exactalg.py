@@ -1,5 +1,6 @@
 """Groebner, normal form, syzygy, and radical-membership behavior."""
 
+import operator
 import pickle
 import random
 import time
@@ -15,7 +16,7 @@ from test_kernel import cmp_terms
 
 from tamemod._core import _pure
 from tamemod._core._pure import FIELD
-from tamemod.errors import ResourceCapError, StructuralError
+from tamemod.errors import ResourceCapError, StructuralError, ValidationError
 from tamemod.exactalg import (
     _ELIM_ORDER,
     _RING_ORDER,
@@ -38,6 +39,7 @@ from tamemod.exactalg import (
     radical_member,
     reduce_with_expression,
     saturate_by_ideal,
+    substitute,
     syzygies,
 )
 from tamemod.workspace import free_to_json, poly_to_json
@@ -588,3 +590,130 @@ def test_element_and_components_round_trip():
             assert v.components() == comps
             raw = [(i, e, n, d) for i, c in enumerate(comps) for _, e, n, d in R.packing.unpack(c.terms)]
             assert v == FreeElement(M, M.packing.build(raw))
+
+
+# -- the shared value code -------------------------------------------------------
+
+# Each pair of (poly x, free element e = [g0]*(1) of weights (1, 0), 3, 1/2,
+# "a") under +, - and *: the str of the value it gives, or the error it raises.
+# Pairs of values from different spaces, and operands that are not values,
+# raise StructuralError.
+_OPERATOR_TABLE = {
+    "+": {
+        ("x", "x"): "2*x", ("x", "e"): StructuralError, ("x", 3): "x + 3", ("x", 0.5): "x + 1/2",
+        ("x", "a"): StructuralError, ("e", "x"): StructuralError, ("e", "e"): "[g0]*(2)",
+        ("e", 3): StructuralError, ("e", 0.5): StructuralError, ("e", "a"): StructuralError,
+        (3, "x"): "x + 3", (3, "e"): StructuralError, (0.5, "x"): "x + 1/2", (0.5, "e"): StructuralError,
+        ("a", "x"): StructuralError, ("a", "e"): StructuralError,
+    },
+    "-": {
+        ("x", "x"): "0", ("x", "e"): StructuralError, ("x", 3): "x - 3", ("x", 0.5): "x - 1/2",
+        ("x", "a"): StructuralError, ("e", "x"): StructuralError, ("e", "e"): "0",
+        ("e", 3): StructuralError, ("e", 0.5): StructuralError, ("e", "a"): StructuralError,
+        (3, "x"): "-x + 3", (3, "e"): StructuralError, (0.5, "x"): "-x + 1/2", (0.5, "e"): StructuralError,
+        ("a", "x"): StructuralError, ("a", "e"): StructuralError,
+    },
+    "*": {
+        ("x", "x"): "x^2", ("x", "e"): "[g0]*(x)", ("x", 3): "3*x", ("x", 0.5): "1/2*x",
+        ("x", "a"): StructuralError, ("e", "x"): StructuralError, ("e", "e"): StructuralError,
+        ("e", 3): "[g0]*(3)", ("e", 0.5): "[g0]*(1/2)", ("e", "a"): StructuralError,
+        (3, "x"): "3*x", (3, "e"): "[g0]*(3)", (0.5, "x"): "1/2*x", (0.5, "e"): "[g0]*(1/2)",
+        ("a", "x"): StructuralError, ("a", "e"): StructuralError,
+    },
+}
+
+
+def test_operator_table():
+    R = EdgeRing(("x", "y"))
+    operand = {"x": R.var("x"), "e": FreeModule(R, (1, 0)).gen(0), 3: 3, 0.5: Fraction(1, 2), "a": "a"}
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+    for name, table in _OPERATOR_TABLE.items():
+        for (a, b), want in table.items():
+            args = operand[a], operand[b]
+            if isinstance(want, str):
+                assert str(ops[name](*args)) == want, (a, name, b)
+            else:
+                with pytest.raises(want):
+                    ops[name](*args)
+
+
+def _values(seed):
+    """Seeded polys and free elements over one ring: random ones and
+    homogeneous ones, with zero among them."""
+    R = EdgeRing(("x", "y", "z"))
+    M = FreeModule(R, (0, 1))
+    rng = random.Random(seed)
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    polys = [rand_poly(rng, R) for _ in range(6)] + [R.zero(), x * y - z * z, 2 * x - y]
+    elems = [M.element([rand_poly(rng, R), rand_poly(rng, R)]) for _ in range(6)]
+    elems += [M.zero(), M.element([x, R.const(3)]), M.element([x * y, z])]
+    return R, M, polys, elems
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_shared_value_laws(seed):
+    _, _, polys, elems = _values(seed)
+    for vs in (polys, elems):
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            assert (a + b) - b == a
+            assert -(-a) == a
+            for c, d in ((3, Fraction(-2, 5)), (Fraction(1, 2), 0)):
+                assert c * (a + b) == c * a + c * b == (a + b) * c
+                assert (c + d) * a == c * a + d * a
+            if a.is_homogeneous:
+                assert (a.weight() is None) == a.is_zero()
+            else:
+                with pytest.raises(ValidationError):
+                    a.weight()
+    x, y, z = polys[-2:] + elems[-1:]
+    assert x.weight() == 2 and y.weight() == 1 and z.weight() == 2
+
+
+def test_values_hash_as_their_space_and_terms():
+    _, _, polys, elems = _values(1)
+    for p in polys:
+        assert hash(p) == hash((p.ring, p.terms))
+    for v in elems:
+        assert hash(v) == hash((v.module, v.terms))
+
+
+def test_substitute_free_element_by_components():
+    R, M, _, elems = _values(4)
+    dst = EdgeRing(("x", "y"))
+    mapping = {"z": "x"}
+    free = FreeModule(dst, M.weights)
+    for v in elems:
+        assert substitute(v, free, mapping) == free.element([substitute(c, dst, mapping) for c in v.components()])
+    assert substitute(R.var("z") * R.var("y"), dst, mapping) == dst.var("x") * dst.var("y")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda gens: groebner(gens),
+        lambda gens: syzygies(gens),
+        lambda gens: reduce_with_expression(gens[0], gens[1:]),
+        lambda gens: reduce_with_expression(gens[-1], gens[:-1]),
+    ],
+)
+def test_l1_rejects_mixed_or_foreign_input(call):
+    R = EdgeRing(("x", "y"))
+    x, e = R.var("x"), FreeModule(R, (0,)).gen(0)
+    other = EdgeRing(("x", "z")).var("x")
+    for gens in ([x, e], [e, x], [x, other], [x, "a"], ["a", x], [e, 3], [3, e]):
+        with pytest.raises(StructuralError):
+            call(gens)
+
+
+def test_old_slot_names_unpickle():
+    # a pickle whose state names the slot ring or module, as it was once
+    # called, still loads: those names are the space slot
+    R = EdgeRing(("x", "y"))
+    M = FreeModule(R, (0, 2))
+    for v, slot in ((R.var("x") - 2, "ring"), (M.gen(1, 3), "module")):
+
+        class Old:
+            def __reduce__(self):
+                return object.__new__, (type(v),), (None, {slot: v.space, "terms": v.terms})
+
+        assert pickle.loads(pickle.dumps(Old())) == v

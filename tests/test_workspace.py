@@ -280,6 +280,10 @@ def test_module_schema_errors(damage, message):
         "max-blocks:-1",
         "co-blocked:a,",
         {"name": "co-blocked", "edges": [""]},
+        "always-true:3",
+        "discrete-only:x",
+        {"name": "always-true", "k": 3},
+        {"name": "max-blocks", "k": 2, "edges": ["a"]},
     ],
 )
 def test_bad_predicate_config(cfg):
