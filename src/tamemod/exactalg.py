@@ -630,29 +630,32 @@ def _intersect_raw(a: tuple, b: tuple, nvars: int) -> tuple:
     return _t_free(_elim_gb(items, nvars), nvars)
 
 
+def _ideal_terms(gens: Sequence, ring: EdgeRing) -> tuple:
+    """The nonzero raw terms of gens, which must be polys of ring."""
+    kind, _, _, items = _coerce_inputs(gens, FreeModule(ring, (0,)))
+    if items and kind is not GradedPoly:
+        raise StructuralError("input is not values of one kind in one space")
+    return tuple(t for t in items if t)
+
+
 def saturate_by_ideal(ideal_gens: Sequence[GradedPoly], by: Sequence[GradedPoly], ring: EdgeRing) -> tuple:
     """Saturation (I : J^infinity) = intersection of the single-generator saturations."""
-    hs = [h for h in by if not h.is_zero()]
+    ideal = _ideal_terms(ideal_gens, ring)
+    hs = _ideal_terms(by, ring)
     if not hs:
         return (ring.one(),)
     acc = None
     for h in hs:
-        part = _saturate_raw(
-            tuple(g.terms for g in ideal_gens if not g.is_zero()), h.terms, ring.nvars
-        )
+        part = _saturate_raw(ideal, h, ring.nvars)
         acc = part if acc is None else _intersect_raw(acc, part, ring.nvars)
     return tuple(GradedPoly(ring, g) for g in acc)
 
 
 def intersect_ideals(a: Sequence[GradedPoly], b: Sequence[GradedPoly], ring: EdgeRing) -> tuple:
-    raw = _intersect_raw(
-        tuple(g.terms for g in a if not g.is_zero()),
-        tuple(g.terms for g in b if not g.is_zero()),
-        ring.nvars,
-    )
+    raw = _intersect_raw(_ideal_terms(a, ring), _ideal_terms(b, ring), ring.nvars)
     return tuple(GradedPoly(ring, g) for g in raw)
 
 
 def ideal_contains_one(gens: Sequence[GradedPoly], ring: EdgeRing) -> bool:
-    gb = _groebner_raw(tuple(g.terms for g in gens if not g.is_zero()), _RING_ORDER, ring.nvars)
+    gb = _groebner_raw(_ideal_terms(gens, ring), _RING_ORDER, ring.nvars)
     return _contains_unit(gb)

@@ -27,7 +27,6 @@ from .exactalg import (
     groebner,
     intersect_ideals,
     normal_form,
-    radical_member,
     reduce_with_expression,
     saturate_by_ideal,
     substitute,
@@ -722,12 +721,12 @@ def _sweep_plan(keep: tuple, ring: EdgeRing) -> tuple:
 def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     """Decide Supp(M) within the union of the tame partition subspaces.
 
-    Equivalent to prod_P I_P lying in rad(Ann M).  After the quick check of
-    support inside a single subspace, one successive-saturation sweep decides:
-    Ann M is saturated by each I_P in turn, finest partitions first, which
-    removes the components covered by that subspace; containment holds iff
-    the unit ideal is reached.  More than MAX_TAME_SUBSPACES partitions in the
-    reduced antichain raise ResourceCapError before any algebra is done.
+    Equivalent to prod_P I_P lying in rad(Ann M).  One successive-saturation
+    sweep decides: Ann M is saturated by each I_P in turn, finest partitions
+    first, which removes the components covered by that subspace; containment
+    holds iff the unit ideal is reached.  More than MAX_TAME_SUBSPACES
+    partitions in the reduced antichain raise ResourceCapError before any
+    algebra is done.
 
     Every I_P is generated by linear forms x_a - x_b, so the sweep keeps, for
     the current ideal J, a table of the single saturations J : g^infinity by
@@ -763,18 +762,6 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     # M is nonzero, so Ann M is a proper ideal
     ann = annihilator_ideal(m)
     steps, order = _sweep_plan(keep, m.ring)
-    # Quick win: support inside a single subspace.
-    in_radical = {}
-    for chain, _ in steps:
-        for pr, g in chain:
-            if pr not in in_radical:
-                in_radical[pr] = radical_member(g, ann)
-            if not in_radical[pr]:
-                break
-        else:
-            return True
-    if len(keep) == 1:
-        return False
     current = ann
     sat = {}  # pair -> current : g^infinity
     noop = set()  # pairs g with current : g^infinity = current, now and from here on

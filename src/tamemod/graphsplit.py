@@ -276,14 +276,11 @@ def check_merge_closure(
     pred_split: TamenessPredicate,
     pred_base: TamenessPredicate,
     s: SplitResult,
-    sample_limit: int | None = None,
 ) -> MergeClosureReport:
     """Test the merge-closure axiom: every split-tame partition must merge to
     a base-tame one.  A counterexample is reported, not raised."""
     checked = 0
     for p in iter_partitions(s.split_graph.edges):
-        if sample_limit is not None and checked >= sample_limit:
-            break
         if not pred_split(p):
             continue
         checked += 1

@@ -541,8 +541,7 @@ def harness(
     """
     _check_counts(samples, jobs)
     tasks = [(i, seed, split, pred_split, pred_base, max_level) for i in range(samples)]
-    results = _map_tasks(_harness_sample, tasks, jobs)
-    return tuple(sorted(results, key=lambda r: r.sample))
+    return tuple(_map_tasks(_harness_sample, tasks, jobs))
 
 
 def _check_counts(samples: int, jobs: int):
@@ -622,5 +621,4 @@ def transform_corpus(
     worker count."""
     _check_counts(samples, jobs)
     tasks = [(i, seed, split, pred, max_level) for i in range(samples)]
-    rows = _map_tasks(_corpus_sample, tasks, jobs)
-    return sorted(rows, key=lambda r: r["sample"])
+    return _map_tasks(_corpus_sample, tasks, jobs)

@@ -34,6 +34,7 @@ from tamemod.exactalg import (
     _saturate_raw,
     _tracked_raw,
     groebner,
+    ideal_contains_one,
     intersect_ideals,
     normal_form,
     radical_member,
@@ -703,6 +704,27 @@ def test_l1_rejects_mixed_or_foreign_input(call):
     for gens in ([x, e], [e, x], [x, other], [x, "a"], ["a", x], [e, 3], [3, e]):
         with pytest.raises(StructuralError):
             call(gens)
+
+
+def test_ideal_operations_reject_foreign_input():
+    # free elements, and polys of a ring with three variables
+    R = EdgeRing(("x", "y"))
+    x, y = R.var("x"), R.var("y")
+    z = EdgeRing(("x", "y", "z")).var("z")
+    calls = [
+        lambda: intersect_ideals([FreeModule(R, (0, 1)).gen(1)], [x], R),
+        lambda: saturate_by_ideal([x], [FreeModule(R, (0,)).gen(0)], R),
+        lambda: ideal_contains_one([z], R),
+        lambda: saturate_by_ideal([x * y], [z], R),
+        lambda: intersect_ideals([z], [x], R),
+    ]
+    for call in calls:
+        with pytest.raises(StructuralError):
+            call()
+    # empty lists stay valid
+    assert intersect_ideals([], [x], R) == ()
+    assert saturate_by_ideal([], [], R) == (R.one(),)
+    assert not ideal_contains_one([], R)
 
 
 def test_old_slot_names_unpickle():

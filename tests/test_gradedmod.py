@@ -51,7 +51,7 @@ from tamemod.graphsplit import (
     tame_partitions,
 )
 from tamemod.partition import make_partition, merge_edges, partition_ideal, partition_module
-from tamemod.serre import random_homogeneous_element
+from tamemod.serre import random_certificate, random_homogeneous_element
 
 
 @pytest.fixture
@@ -539,7 +539,9 @@ def _split_abce():
 def _tame_sweep_cases():
     """(module, tame list) pairs on {a, b, c, e, e'}: wild partition modules,
     tame + wild sums and sums of tame modules from different subspaces, for
-    three predicates and for random antichains, so that sweeps end both ways."""
+    three predicates and for random antichains, so that sweeps end both ways;
+    then, for the same predicates, modules with support inside a single tame
+    subspace and one-partition tame lists."""
     g = _split_abce()
     parts = list(iter_partitions(g.edges))
     ring = partition_module(parts[0]).ring
@@ -549,7 +551,8 @@ def _tame_sweep_cases():
         return partition_module(p, ring).shift(rng.randint(0, 1))
 
     cases = []
-    for pred in (MaxBlockCount(2), MaxBlockCount(3), CoBlocked(["a", "b"])):
+    preds = (MaxBlockCount(2), MaxBlockCount(3), CoBlocked(["a", "b"]))
+    for pred in preds:
         tame = list(tame_partitions(pred, g))
         wild = [p for p in parts if not pred(p)]
         coarse = [p for p in tame if not p.is_discrete()]
@@ -563,6 +566,15 @@ def _tame_sweep_cases():
         tame = list(_finest(tuple(rng.sample(nondiscrete, rng.randint(2, 8)))))
         pick = [rng.choice(tame if rng.random() < 0.6 else nondiscrete) for _ in range(rng.randint(1, 3))]
         cases.append((direct_sum([mod(p) for p in pick])[0], tame))
+    for pred in preds:
+        tame = list(tame_partitions(pred, g))
+        coarse = [p for p in tame if not p.is_discrete()]
+        p = rng.choice(coarse)
+        cases.append((mod(p), tame))
+        cases.append((direct_sum([mod(p), mod(p)])[0], tame))
+        cases.append((random_certificate(rng, tame, 2).root, tame))
+        cases.append((mod(p), [p]))
+        cases.append((mod(rng.choice([q for q in parts if not p.refines(q)])), [p]))
     return cases
 
 
@@ -591,17 +603,28 @@ def _count_calls(monkeypatch, names):
 def test_tame_support_sweep_work(monkeypatch):
     # Z[abe|ce'] + Z[ae|be'|c] under max-blocks:2 (15 two-block subspaces):
     # one step removes the tame component, the wild one stays.  One
-    # saturate_by_ideal call per partition and one radical_member call per
-    # chain generator until the first failure made 15 and 17; the per-pair
-    # table, the no-op skip and the memoized quick check make 7 and 6.
+    # saturate_by_ideal call per partition made 15; the per-pair table and
+    # the no-op skip make 7.
     g = _split_abce()
     tame_p = make_partition(g.edges, [["a", "b", "e"], ["c", "e'"]])
     wild_p = make_partition(g.edges, [["a", "e"], ["b", "e'"], ["c"]])
     m = direct_sum([partition_module(tame_p), partition_module(wild_p)])[0]
     tame = list(tame_partitions(MaxBlockCount(2), g))
-    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "radical_member"))
+    calls = _count_calls(monkeypatch, ("saturate_by_ideal",))
     assert not is_tame_support(m, tame)
-    assert calls == {"saturate_by_ideal": 7, "radical_member": 6}
+    assert calls == {"saturate_by_ideal": 7}
+
+
+def test_tame_support_single_subspace_work(monkeypatch):
+    # Z[abe|ce'] alone under max-blocks:2: its support lies in one of the 15
+    # subspaces, and the sweep reaches the unit ideal at that subspace's
+    # step after 5 saturate_by_ideal calls
+    g = _split_abce()
+    tame_p = make_partition(g.edges, [["a", "b", "e"], ["c", "e'"]])
+    tame = list(tame_partitions(MaxBlockCount(2), g))
+    calls = _count_calls(monkeypatch, ("saturate_by_ideal",))
+    assert is_tame_support(partition_module(tame_p), tame)
+    assert calls == {"saturate_by_ideal": 5}
 
 
 def test_tame_support_partition_cap(monkeypatch):

@@ -94,12 +94,6 @@ def test_merge_closure_counterexample(split_abe):
     assert not DiscreteOnly()(report.merged)
 
 
-def test_merge_closure_sample_limit(split_abe):
-    report = check_merge_closure(AlwaysTame(), AlwaysTame(), split_abe, sample_limit=3)
-    assert report.passed
-    assert report.checked == 3
-
-
 @pytest.mark.parametrize(
     "make",
     [AlwaysTame, lambda: MaxBlockCount(2), lambda: CoBlocked(["a", "b"]), DiscreteOnly],
