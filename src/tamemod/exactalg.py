@@ -80,6 +80,11 @@ class EdgeRing:
     def packing(self):
         return K.packing(*_RING_ORDER, self.nvars)
 
+    @cached_property
+    def rank_one(self) -> "FreeModule":
+        """Rank-1 free module, generator in weight 0: polys enter L1 as its elements."""
+        return FreeModule(self, (0,))
+
     def const(self, c: Coeff) -> "GradedPoly":
         n, d = _coeff(c)
         if n == 0:
@@ -464,7 +469,7 @@ def _coerce_inputs(gens: Sequence, module: FreeModule | None = None):
     if not isinstance(first, _Value) or any(type(g) is not type(first) or g.space != first.space for g in gens):
         raise StructuralError("input is not values of one kind in one space")
     kind, space = type(first), first.space
-    mod = FreeModule(space, (0,)) if kind is GradedPoly else space
+    mod = space.rank_one if kind is GradedPoly else space
     if module is not None and module != mod:
         raise StructuralError("elements do not live in the requested module")
     return kind, space, mod, [g.terms for g in gens]
@@ -606,10 +611,12 @@ def _rabinowitsch_gb(ideal: tuple, h: tuple, nvars: int) -> tuple:
 def radical_member(f: GradedPoly, ideal_gens: Sequence[GradedPoly]) -> bool:
     """True iff some power of f lies in the ideal (Rabinowitsch trick: the
     ideal extended by 1 - t*f in one auxiliary variable becomes the unit ideal)."""
-    _, _, _, items = _coerce_inputs([f, *ideal_gens])
+    if not isinstance(f, GradedPoly):
+        raise StructuralError(f"radical membership of a {type(f).__name__}, not a poly")
+    ideal = _ideal_terms(ideal_gens, f.ring)
     if f.is_zero():
         return True
-    return _contains_unit(_rabinowitsch_gb(tuple(t for t in items[1:] if t), f.terms, f.ring.nvars))
+    return _contains_unit(_rabinowitsch_gb(ideal, f.terms, f.ring.nvars))
 
 
 @lru_cache(maxsize=65536)
@@ -632,7 +639,7 @@ def _intersect_raw(a: tuple, b: tuple, nvars: int) -> tuple:
 
 def _ideal_terms(gens: Sequence, ring: EdgeRing) -> tuple:
     """The nonzero raw terms of gens, which must be polys of ring."""
-    kind, _, _, items = _coerce_inputs(gens, FreeModule(ring, (0,)))
+    kind, _, _, items = _coerce_inputs(gens, ring.rank_one)
     if items and kind is not GradedPoly:
         raise StructuralError("input is not values of one kind in one space")
     return tuple(t for t in items if t)

@@ -95,12 +95,10 @@ class PresentedModule:
         return gb
 
     def is_zero(self) -> bool:
-        z = self._cache.get("zero")
-        if z is None:
-            gb = self.relation_gb()
-            z = all(normal_form(self.gen(i), gb).is_zero() for i in range(self.rank))
-            self._cache["zero"] = z
-        return z
+        """Generator i is zero exactly when a relation basis element leads
+        with the bare generator i, the one term whose dkey is i."""
+        leads = {g.terms[0][1] for g in self.relation_gb()}
+        return all(i in leads for i in range(self.rank))
 
     def shift(self, s: int) -> "PresentedModule":
         """Add s to every generator weight."""
@@ -175,30 +173,16 @@ class ModuleMap:
 
     columns[j] is the image of source generator j in the target's free cover,
     and every term of it has weight source_weight[j] + degree.  The columns
-    are the map's one stored form; matrix, whose entry (i, j) is the
-    coefficient of target generator i in columns[j], is built from them on
-    demand for JSON and display.  Construction checks well-definedness: each
-    source relation must land in the target's relation submodule.
+    are the map's one stored form and its constructor's input; from_matrix
+    reads a matrix, whose entry (i, j) is the coefficient of target generator
+    i in columns[j], and the matrix property builds one from the columns for
+    JSON and display.  Construction checks well-definedness: each source
+    relation must land in the target's relation submodule.
     """
 
     __slots__ = ("source", "target", "columns", "degree")
 
-    def __init__(self, source: PresentedModule, target: PresentedModule, matrix, degree: int = 0, check: bool = True):
-        rows = tuple(tuple(row) for row in matrix)
-        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
-            raise StructuralError(
-                f"matrix shape {len(rows)}x{'?' if not rows else len(rows[0])} "
-                f"does not match target rank {target.rank} x source rank {source.rank}"
-            )
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                if not isinstance(entry, GradedPoly) or entry.ring != target.ring:
-                    raise StructuralError(f"matrix entry ({i},{j}) not in the target ring")
-        free = target.free_cover
-        columns = [free.element([row[j] for row in rows]) for j in range(source.rank)]
-        self._setup(source, target, columns, degree, check)
-
-    def _setup(self, source, target, columns, degree, check):
+    def __init__(self, source: PresentedModule, target: PresentedModule, columns: Sequence[FreeElement], degree: int = 0, check: bool = True):
         self.source = source
         self.target = target
         self.degree = int(degree)
@@ -225,18 +209,27 @@ class ModuleMap:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_columns(cls, source: PresentedModule, target: PresentedModule, columns: Sequence[FreeElement], degree: int = 0, check: bool = True) -> "ModuleMap":
-        phi = cls.__new__(cls)
-        phi._setup(source, target, columns, degree, check)
-        return phi
+    def from_matrix(cls, source: PresentedModule, target: PresentedModule, matrix, degree: int = 0, check: bool = True) -> "ModuleMap":
+        rows = tuple(tuple(row) for row in matrix)
+        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
+            raise StructuralError(
+                f"matrix shape {len(rows)}x{'?' if not rows else len(rows[0])} "
+                f"does not match target rank {target.rank} x source rank {source.rank}"
+            )
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                if not isinstance(entry, GradedPoly) or entry.ring != target.ring:
+                    raise StructuralError(f"matrix entry ({i},{j}) not in the target ring")
+        free = target.free_cover
+        return cls(source, target, [free.element([row[j] for row in rows]) for j in range(source.rank)], degree, check)
 
     @classmethod
     def identity(cls, m: PresentedModule) -> "ModuleMap":
-        return cls.from_columns(m, m, [m.gen(j) for j in range(m.rank)], 0, check=False)
+        return cls(m, m, [m.gen(j) for j in range(m.rank)], 0, check=False)
 
     @classmethod
     def zero_map(cls, source: PresentedModule, target: PresentedModule, degree: int = 0) -> "ModuleMap":
-        return cls.from_columns(source, target, [target.free_cover.zero()] * source.rank, degree, check=False)
+        return cls(source, target, [target.free_cover.zero()] * source.rank, degree, check=False)
 
     # -- structure ------------------------------------------------------
 
@@ -266,9 +259,7 @@ class ModuleMap:
         if other.target != self.source and not other.target.same_presentation(self.source):
             raise StructuralError("composition mismatch")
         cols = [self.apply_free(c) for c in other.columns]
-        return ModuleMap.from_columns(
-            other.source, self.target, cols, self.degree + other.degree, check=False
-        )
+        return ModuleMap(other.source, self.target, cols, self.degree + other.degree, check=False)
 
     def is_mono(self) -> bool:
         return kernel(self)[0].is_zero()
@@ -297,9 +288,9 @@ class ModuleMap:
 # Kernels, cokernels, images, sums, pullbacks
 
 
-def _presentation_of_span(ambient: PresentedModule, gens: Sequence[FreeElement]):
-    """Presentation of the submodule generated by gens (given in the free
-    cover), with generators exactly the nonzero classes among gens.
+def _span(ambient: PresentedModule, gens: Sequence[FreeElement]):
+    """Submodule generated by gens (given in the free cover), with its
+    inclusion, whose columns are exactly the nonzero classes among gens.
 
     Its relations are the syzygy basis, which is already the reduced Groebner
     basis in the new free cover (weights of the kept generators), so they
@@ -307,12 +298,12 @@ def _presentation_of_span(ambient: PresentedModule, gens: Sequence[FreeElement])
     gb = ambient.relation_gb()
     kept = [g for g in gens if not normal_form(g, gb).is_zero()]
     if not kept:
-        return PresentedModule.zero(ambient.ring), ()
-    weights = tuple(g.weight() for g in kept)
-    rels = syzygies(kept, module=ambient.free_cover, modulo=ambient.relations)
-    sub = PresentedModule(ambient.ring, weights, rels)
-    sub._cache["gb"] = sub.relations
-    return sub, tuple(kept)
+        sub = PresentedModule.zero(ambient.ring)
+    else:
+        rels = syzygies(kept, module=ambient.free_cover, modulo=ambient.relations)
+        sub = PresentedModule(ambient.ring, tuple(g.weight() for g in kept), rels)
+        sub._cache["gb"] = sub.relations
+    return sub, ModuleMap(sub, ambient, kept, 0, check=False)
 
 
 def submodule_from_elements(m: PresentedModule, elems: Sequence[FreeElement]):
@@ -322,35 +313,27 @@ def submodule_from_elements(m: PresentedModule, elems: Sequence[FreeElement]):
             raise StructuralError("generator outside the module's free cover")
         if not x.is_homogeneous:
             raise ValidationError(f"inhomogeneous submodule generator {x}")
-    sub, kept = _presentation_of_span(m, list(elems))
-    incl = ModuleMap.from_columns(sub, m, kept, 0, check=False)
-    return sub, incl
+    return _span(m, list(elems))
 
 
-def _kernel_span(phi: ModuleMap):
-    """Kernel of phi as (presentation, generators in the source free cover).
+def kernel(phi: ModuleMap):
+    """Kernel presentation and its inclusion into the source.
 
-    The generators are the nonzero classes of the reduced Groebner basis, in
-    the source free cover, of the syzygies of phi's columns modulo the target
-    relations.  That syzygy basis is reduced in the order its own weights
-    give: the column weights, with 0 for a zero column.  ModuleMap checks
-    every column's weight, so a nonzero column has its source weight plus
-    phi's degree, and with no zero column the two orders agree and the basis
-    is used as it is; otherwise a Groebner pass in the source cover gives it."""
+    The inclusion's columns are the nonzero classes of the reduced Groebner
+    basis, in the source free cover, of the syzygies of phi's columns modulo
+    the target relations.  That syzygy basis is reduced in the order its own
+    weights give: the column weights, with 0 for a zero column.  ModuleMap
+    checks every column's weight, so a nonzero column has its source weight
+    plus phi's degree, and with no zero column the two orders agree and the
+    basis is used as it is; otherwise a Groebner pass in the source cover
+    gives it."""
     free = phi.source.free_cover
     syz = syzygies(phi.columns, module=phi.target.free_cover, modulo=phi.target.relations)
     if not any(c.is_zero() for c in phi.columns):
         span = [FreeElement(free, s.terms) for s in syz]
     else:
         span = groebner([free.element(s.components()) for s in syz], module=free)
-    return _presentation_of_span(phi.source, list(span))
-
-
-def kernel(phi: ModuleMap):
-    """Kernel presentation and its inclusion into the source."""
-    sub, kept = _kernel_span(phi)
-    incl = ModuleMap.from_columns(sub, phi.source, kept, 0, check=False)
-    return sub, incl
+    return _span(phi.source, list(span))
 
 
 def cokernel(phi: ModuleMap):
@@ -358,7 +341,7 @@ def cokernel(phi: ModuleMap):
     tgt = phi.target
     rels = list(tgt.relations) + [c for c in phi.columns if not c.is_zero()]
     coker = PresentedModule(tgt.ring, tgt.gen_weights, rels)
-    proj = ModuleMap.from_columns(tgt, coker, [coker.gen(j) for j in range(coker.rank)], 0, check=False)
+    proj = ModuleMap(tgt, coker, [coker.gen(j) for j in range(coker.rank)], 0, check=False)
     return coker, proj
 
 
@@ -370,16 +353,15 @@ class ImageResult:
 
 
 def image(phi: ModuleMap) -> ImageResult:
-    img, kept = _presentation_of_span(phi.target, phi.columns)
-    incl = ModuleMap.from_columns(img, phi.target, kept, 0, check=False)
+    img, incl = _span(phi.target, phi.columns)
     # projection: source gen j goes to the image generator of its column
     col_index = {}
-    for idx, c in enumerate(kept):
+    for idx, c in enumerate(incl.columns):
         col_index.setdefault(c, idx)
     # a column is kept exactly when its class is nonzero
     zero = img.free_cover.zero()
     cols = [img.gen(col_index[c]) if c in col_index else zero for c in phi.columns]
-    proj = ModuleMap.from_columns(phi.source, img, cols, phi.degree, check=True)
+    proj = ModuleMap(phi.source, img, cols, phi.degree, check=True)
     return ImageResult(img, incl, proj)
 
 
@@ -410,8 +392,8 @@ def direct_sum(mods: Sequence[PresentedModule]):
         inj = [total.gen(off + j) for j in range(m.rank)]
         zero = m.free_cover.zero()
         prj = [m.gen(k - off) if off <= k < off + m.rank else zero for k in range(total.rank)]
-        injections.append(ModuleMap.from_columns(m, total, inj, 0, check=False))
-        projections.append(ModuleMap.from_columns(total, m, prj, 0, check=False))
+        injections.append(ModuleMap(m, total, inj, 0, check=False))
+        projections.append(ModuleMap(total, m, prj, 0, check=False))
     return total, tuple(injections), tuple(projections)
 
 
@@ -430,7 +412,7 @@ def pullback(f: ModuleMap, g: ModuleMap) -> PullbackResult:
         raise StructuralError("pullback of maps with different degrees")
     total, injs, projs = direct_sum([f.source, g.source])
     cols = list(f.columns) + [-c for c in g.columns]
-    diff = ModuleMap.from_columns(total, f.target, cols, f.degree, check=False)
+    diff = ModuleMap(total, f.target, cols, f.degree, check=False)
     p, incl = kernel(diff)
     return PullbackResult(p, projs[0].compose(incl), projs[1].compose(incl))
 
@@ -475,8 +457,8 @@ def torsion_data(m: PresentedModule, e: str, e_prime: str) -> TorsionData:
     _base_ring(m.ring, e, e_prime)
     d = m.ring.var(e) - m.ring.var(e_prime)
     cols = [d * m.gen(j) for j in range(m.rank)]
-    sub, kept = _kernel_span(ModuleMap.from_columns(m, m, cols, 1, check=False))
-    return TorsionData(kept, f0(sub, e, e_prime))
+    sub, incl = kernel(ModuleMap(m, m, cols, 1, check=False))
+    return TorsionData(incl.columns, f0(sub, e, e_prime))
 
 
 def f1(m: PresentedModule, e: str, e_prime: str) -> PresentedModule:
@@ -489,7 +471,7 @@ def induced_map_f0(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
     tgt0 = f0(phi.target, e, e_prime)
     mapping = {e_prime: e}
     cols = [substitute(c, tgt0.free_cover, mapping) for c in phi.columns]
-    return ModuleMap.from_columns(src0, tgt0, cols, phi.degree, check=True)
+    return ModuleMap(src0, tgt0, cols, phi.degree, check=True)
 
 
 def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
@@ -506,7 +488,7 @@ def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
         if not rem.is_zero():
             raise StructuralError("image of a torsion element is not torsion")
         cols.append(tgt1.free_cover.element([substitute(c, tgt1.ring, mapping) for c in cofs]))
-    return ModuleMap.from_columns(src1, tgt1, cols, phi.degree, check=True)
+    return ModuleMap(src1, tgt1, cols, phi.degree, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +559,7 @@ def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
         if not rem2.is_zero():
             raise StructuralError("(e-e') times the lift does not come from the subobject")
         cols.append(substitute(b_mod.free_cover.element(cof2), f0b.free_cover, mapping))
-    return ModuleMap.from_columns(f1c, f0b, cols, 1, check=True)
+    return ModuleMap(f1c, f0b, cols, 1, check=True)
 
 
 @dataclass(frozen=True)
@@ -676,7 +658,7 @@ def cyclic_submodule(m: PresentedModule, x: FreeElement) -> CyclicSubmodule:
         w = x.weight()
         ann = annihilator(m, x)
         cyc = PresentedModule.from_ideal(m.ring, ann, shift=w)
-        incl = ModuleMap.from_columns(cyc, m, [x], 0, check=True)
+        incl = ModuleMap(cyc, m, [x], 0, check=True)
         return CyclicSubmodule(cyc, incl, w)
     zero_mod = PresentedModule.zero(m.ring)
     return CyclicSubmodule(zero_mod, ModuleMap.zero_map(zero_mod, m), 0)

@@ -300,7 +300,7 @@ def _via_quot(parent: Certificate, pi: ModuleMap, e, e_prime, i, trace, depth) -
     img = image(pi1)
     q2_mod, q2 = cokernel(img.inclusion)
     delta = connecting_map(ShortExactSequence(kappa, pi), e, e_prime)
-    dbar = ModuleMap.from_columns(q2_mod, delta.target, delta.columns, delta.degree, check=True)
+    dbar = ModuleMap(q2_mod, delta.target, delta.columns, delta.degree, check=True)
     return ExtNode(QuotNode(cb1, img.projection), SubNode(ck0, dbar), img.inclusion, q2)
 
 
@@ -317,7 +317,7 @@ def _via_ext(left: Certificate, right: Certificate, inj: ModuleMap, proj: Module
     inj1 = induced_map_f1(inj, e, e_prime)
     proj1 = induced_map_f1(proj, e, e_prime)
     q_mod, q = cokernel(inj1)
-    pbar = ModuleMap.from_columns(q_mod, proj1.target, proj1.columns, proj1.degree, check=True)
+    pbar = ModuleMap(q_mod, proj1.target, proj1.columns, proj1.degree, check=True)
     return ExtNode(cl1, SubNode(cr1, pbar), inj1, q)
 
 
@@ -347,7 +347,7 @@ def _via_sub(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
         p_to_l = pb.to_second
         sp_mod, q = cokernel(p_to_s)
         through = parent.projection.compose(iota)
-        jbar = ModuleMap.from_columns(sp_mod, through.target, through.columns, through.degree, check=True)
+        jbar = ModuleMap(sp_mod, through.target, through.columns, through.degree, check=True)
         new_left = SubNode(parent.left, p_to_l)
         new_right = SubNode(parent.right, jbar)
         return _via_ext(new_left, new_right, p_to_s, q, e, e_prime, i, trace, depth)
@@ -390,7 +390,7 @@ def _sub_of_gen(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
     dcert = pieces[0]
     for nxt in pieces[1:]:
         dcert = _direct_sum_cert(dcert, nxt)
-    theta = ModuleMap.from_columns(dcert.root, f0s, [f0s.gen(j) for j in kept], 0, check=True)
+    theta = ModuleMap(dcert.root, f0s, [f0s.gen(j) for j in kept], 0, check=True)
     return QuotNode(dcert, theta)
 
 

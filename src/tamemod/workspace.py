@@ -7,7 +7,7 @@ canonical monomial order, making serialization deterministic.
 
 A map is written as the matrix that ModuleMap derives from its columns (entry
 [i][j]: the coefficient of target generator i in the image of source generator
-j) and read back through ModuleMap's matrix constructor.
+j) and read back through ModuleMap.from_matrix, which builds the columns.
 
 A certificate is one object per node, tagged with its "kind", a key of
 serre.KINDS.  A Gen node gives its partition id and shift, a Zero node its
@@ -175,7 +175,7 @@ def map_from_json(data, modules: dict, map_id: str) -> ModuleMap:
         for i, row in enumerate(_get_list(data, "matrix", list, where))
     ]
     degree = _get(data, "degree", int, where, 0)
-    return ModuleMap(ends["source"], target, matrix, degree, check=True)
+    return ModuleMap.from_matrix(ends["source"], target, matrix, degree, check=True)
 
 
 def cert_to_json(cert: Certificate, partition_ids: dict, map_ids: dict) -> dict:

@@ -93,7 +93,7 @@ def test_criterion_1_torsion_case_formula():
                 for w in range(WEIGHT_BOUND + 1):
                     assert tor.hilbert_function(w) == merged.hilbert_function(w), (p, w)
                 # explicit isomorphism witness with zero kernel and cokernel
-                iso = ModuleMap(tor, merged, ((merged.ring.one(),),), 0)
+                iso = ModuleMap.from_matrix(tor, merged, ((merged.ring.one(),),), 0)
                 assert kernel(iso)[0].is_zero(), p
                 assert cokernel(iso)[0].is_zero(), p
             checked += 1

@@ -237,6 +237,16 @@ def test_cert_verify_tampered_witness_names_node(tmp_path, capsys):
     assert "not injective" in capsys.readouterr().out
 
 
+def test_cert_verify_ragged_matrix_exits_2(tmp_path, capsys):
+    # the witness matrix [[a]] with a second, empty row appended
+    doc = json.loads(Path(SUB_IDEAL).read_text())
+    doc["maps"]["w0"]["matrix"].append([])
+    bad = tmp_path / "ragged.json"
+    bad.write_text(json.dumps(doc))
+    assert run("cert", "verify", "--in", str(bad), "--cert", "c_ideal") == 2
+    assert "matrix shape 2x1" in capsys.readouterr().err
+
+
 def test_cert_transform_needs_out():
     assert run("cert", "transform", "--in", SUB_IDEAL, "--cert", "c_ideal") == 2
 

@@ -707,16 +707,24 @@ def test_l1_rejects_mixed_or_foreign_input(call):
 
 
 def test_ideal_operations_reject_foreign_input():
-    # free elements, and polys of a ring with three variables
+    # free elements, polys of a ring with three variables, and a non-value;
+    # radical_member answered True for x*g0 against [x*g1] in a rank-2 module
     R = EdgeRing(("x", "y"))
     x, y = R.var("x"), R.var("y")
     z = EdgeRing(("x", "y", "z")).var("z")
+    F = FreeModule(R, (0, 0))
     calls = [
         lambda: intersect_ideals([FreeModule(R, (0, 1)).gen(1)], [x], R),
         lambda: saturate_by_ideal([x], [FreeModule(R, (0,)).gen(0)], R),
         lambda: ideal_contains_one([z], R),
         lambda: saturate_by_ideal([x * y], [z], R),
         lambda: intersect_ideals([z], [x], R),
+        lambda: radical_member(x * F.gen(0), [x * F.gen(1)]),
+        lambda: radical_member(FreeModule(R, (0,)).gen(0), [x]),
+        lambda: radical_member(x, [x * F.gen(1)]),
+        lambda: radical_member(R.zero(), [x * F.gen(1)]),
+        lambda: radical_member(x, [z]),
+        lambda: radical_member(1, [x]),
     ]
     for call in calls:
         with pytest.raises(StructuralError):
@@ -725,6 +733,7 @@ def test_ideal_operations_reject_foreign_input():
     assert intersect_ideals([], [x], R) == ()
     assert saturate_by_ideal([], [], R) == (R.one(),)
     assert not ideal_contains_one([], R)
+    assert not radical_member(x, [])
 
 
 def test_old_slot_names_unpickle():

@@ -101,7 +101,7 @@ def test_map_weight_mismatch_rejected():
     R = EdgeRing(("x",))
     a = PresentedModule.free(R, (0,))
     with pytest.raises(StructuralError):
-        ModuleMap(a, a, ((R.var("x"),),), 0)  # degree-1 entry in a degree-0 map
+        ModuleMap.from_matrix(a, a, ((R.var("x"),),), 0)  # degree-1 entry in a degree-0 map
 
 
 
@@ -109,7 +109,7 @@ def test_from_columns_weight_mismatch_rejected():
     R = EdgeRing(("x",))
     a = PresentedModule.free(R, (0,))
     with pytest.raises(StructuralError, match=r"entry \(0,0\) has weight 1, expected 0"):
-        ModuleMap.from_columns(a, a, [R.var("x") * a.gen(0)], 0)
+        ModuleMap(a, a, [R.var("x") * a.gen(0)], 0)
 
 
 def test_from_columns_foreign_column_rejected():
@@ -119,14 +119,35 @@ def test_from_columns_foreign_column_rejected():
     foreign = R.var("x") * FreeModule(R, (1,)).gen(0)
     src, tgt = PresentedModule.free(R, (1,)), PresentedModule.free(R, (0,))
     with pytest.raises(StructuralError, match="free cover"):
-        ModuleMap.from_columns(src, tgt, [foreign], 0)
+        ModuleMap(src, tgt, [foreign], 0)
+
+
+def test_from_matrix_shape_rejected():
+    # a wrong row count, and a ragged row under the right row count
+    R = EdgeRing(("x",))
+    one, zero = R.one(), R.zero()
+    src = PresentedModule.free(R, (0, 0))
+    for tgt_rank, matrix in ((1, [[one, zero], [zero, one]]), (2, [[one, zero], [one]])):
+        tgt = PresentedModule.free(R, (0,) * tgt_rank)
+        with pytest.raises(StructuralError, match=f"matrix shape 2x2 does not match target rank {tgt_rank} x source rank 2"):
+            ModuleMap.from_matrix(src, tgt, matrix, 0)
+
+
+def test_matrix_is_not_columns():
+    # the constructor takes columns; a matrix is refused, even one whose shape
+    # would pass for a list of columns
+    R = EdgeRing(("x",))
+    a = PresentedModule.free(R, (0,))
+    with pytest.raises(StructuralError, match="column 0 is not in the target's free cover"):
+        ModuleMap(a, a, ((R.one(),),), 0)
+
 
 def test_map_escaping_relation_rejected():
     R = EdgeRing(("x",))
     a = PresentedModule.from_ideal(R, [R.var("x")])  # Q[x]/(x)
     b = PresentedModule.free(R, (0,))
     with pytest.raises(StructuralError):
-        ModuleMap(a, b, ((R.one(),),), 0)  # x*1 must die in the target but does not
+        ModuleMap.from_matrix(a, b, ((R.one(),),), 0)  # x*1 must die in the target but does not
 
 
 def test_identity_and_compose(zp_related):
@@ -147,7 +168,7 @@ def test_cokernel_of_multiplication():
     R = EdgeRing(("x",))
     a0 = PresentedModule.free(R, (0,))
     a1 = PresentedModule.free(R, (1,))
-    mult = ModuleMap(a1, a0, ((R.var("x"),),), 0)
+    mult = ModuleMap.from_matrix(a1, a0, ((R.var("x"),),), 0)
     ck, proj = cokernel(mult)
     assert [ck.hilbert_function(w) for w in range(3)] == [1, 0, 0]
     assert proj.is_epi()
@@ -158,7 +179,7 @@ def test_kernel_of_projection_to_quotient():
     R = EdgeRing(("x", "y"))
     a = PresentedModule.free(R, (0,))
     c = PresentedModule.from_ideal(R, [R.var("x") - R.var("y")])
-    proj = ModuleMap(a, c, ((R.one(),),), 0)
+    proj = ModuleMap.from_matrix(a, c, ((R.one(),),), 0)
     k, incl = kernel(proj)
     assert k.gen_weights == (1,)
     assert incl.columns[0] == a.free_cover.element([R.var("x") - R.var("y")])
@@ -180,7 +201,7 @@ def test_image_factors_map():
     R = EdgeRing(("x",))
     a1 = PresentedModule.free(R, (1,))
     a0 = PresentedModule.free(R, (0,))
-    mult = ModuleMap(a1, a0, ((R.var("x"),),), 0)
+    mult = ModuleMap.from_matrix(a1, a0, ((R.var("x"),),), 0)
     img = image(mult)
     assert img.inclusion.is_mono()
     assert img.projection.is_epi()
@@ -194,7 +215,7 @@ def test_image_projection_with_repeated_and_dead_columns():
     R = EdgeRing(("x",))
     x = R.var("x")
     tgt = PresentedModule.from_ideal(R, [x * x])
-    phi = ModuleMap(PresentedModule.free(R, (1, 2, 1)), tgt, ((x, x * x, x),), 0)
+    phi = ModuleMap.from_matrix(PresentedModule.free(R, (1, 2, 1)), tgt, ((x, x * x, x),), 0)
     img = image(phi)
     zero, one = R.zero(), R.one()
     assert img.module.rank == 2
@@ -214,7 +235,7 @@ def test_pullback_ideal_example():
     a = PresentedModule.free(R, (0,))
     s, s_incl = submodule_from_elements(a, [R.var("x") * a.gen(0)])
     b1 = PresentedModule.free(R, (1,))
-    mult = ModuleMap(b1, a, ((R.var("x"),),), 0)
+    mult = ModuleMap.from_matrix(b1, a, ((R.var("x"),),), 0)
     pb = pullback(s_incl, mult)
     assert pb.to_first.is_epi()
     assert pb.to_second.is_mono()
@@ -279,7 +300,7 @@ def test_induced_f0_kills_difference_multiplication(zp_unrelated):
     m = zp_unrelated
     d = m.ring.var("e") - m.ring.var("e'")
     shifted = m.shift(1)
-    mult = ModuleMap(shifted, m, ((d,),), 0)
+    mult = ModuleMap.from_matrix(shifted, m, ((d,),), 0)
     ind = induced_map_f0(mult, "e", "e'")
     assert all(entry.is_zero() for row in ind.matrix for entry in row)
 
@@ -302,7 +323,7 @@ def test_induced_f1_into_torsion_free_target():
     n = PresentedModule.from_ideal(R, [a])
     assert torsion_data(m, "e", "e'").kgens
     assert not torsion_data(n, "e", "e'").kgens
-    ind = induced_map_f1(ModuleMap(m, n, ((a,),), 1), "e", "e'")
+    ind = induced_map_f1(ModuleMap.from_matrix(m, n, ((a,),), 1), "e", "e'")
     assert (ind.source.rank, ind.target.rank) == (1, 0)
 
 

@@ -112,7 +112,7 @@ def test_verify_sub_rejects_noninjective(p_related):
     # torsion class, so the kernel is nonzero
     src = PresentedModule.free(m.ring, (1,))
     d = m.ring.var("e") - m.ring.var("e'")
-    bad = ModuleMap(src, m, ((d,),), 0)
+    bad = ModuleMap.from_matrix(src, m, ((d,),), 0)
     res = verify(SubNode(base, bad), PRED)
     assert not res and res.reason == "sub witness is not injective"
 
@@ -366,7 +366,7 @@ def _modulo_corpus(per_pred=15):
 
 def test_witness_maps_rebuild_from_their_matrix():
     # a map is stored as its columns; the matrix it derives gives the same map
-    # back through the matrix constructor, transformed witnesses included
+    # back through ModuleMap.from_matrix, transformed witnesses included
     maps = []
     for _, node in _modulo_corpus(per_pred=5):
         if isinstance(node, (SubNode, QuotNode)):
@@ -375,7 +375,7 @@ def test_witness_maps_rebuild_from_their_matrix():
             maps += [node.injection, node.projection]
     assert len(maps) > 80 and any(phi.degree == 1 for phi in maps)
     for phi in maps:
-        again = ModuleMap(phi.source, phi.target, phi.matrix, phi.degree, check=False)
+        again = ModuleMap.from_matrix(phi.source, phi.target, phi.matrix, phi.degree, check=False)
         assert again == phi and hash(again) == hash(phi)
 
 
@@ -394,6 +394,30 @@ def _values_of(node):
     for phi in maps:
         yield from phi.columns
         yield from (x for row in phi.matrix for x in row)
+
+
+def test_is_zero_matches_normal_forms():
+    # is_zero reads the leads of relation_gb(); the oracle is the definition,
+    # every generator's normal form zero.  Over every node root of the corpus,
+    # its witness maps' ends and their cokernels, which are zero with
+    # generators for an epi witness
+    mods = set()
+    for _, node in _modulo_corpus():
+        maps = []
+        if isinstance(node, (SubNode, QuotNode)):
+            maps = [node.witness]
+        elif isinstance(node, ExtNode):
+            maps = [node.injection, node.projection]
+        mods.add(node.root)
+        for phi in maps:
+            mods.update((phi.source, phi.target, cokernel(phi)[0]))
+    verdicts = set()
+    for m in mods:
+        gb = m.relation_gb()
+        expected = all(normal_form(m.gen(i), gb).is_zero() for i in range(m.rank))
+        assert m.is_zero() == expected
+        verdicts.add((expected, m.rank > 0))
+    assert len(mods) > 300 and verdicts == {(True, False), (True, True), (False, True)}
 
 
 def test_values_hold_terms_packed_in_their_own_order():
@@ -450,17 +474,17 @@ def test_skipped_groebner_passes_are_fixed_points(monkeypatch):
         fn.cache_clear()
     spans = []
     counts = {"span": 0, "fixed": 0, "seeded": 0}
-    presentation_of_span, kernel_span = gm._presentation_of_span, gm._kernel_span
+    span, kernel = gm._span, gm.kernel
 
-    def checked_presentation(ambient, gens):
-        sub, kept = presentation_of_span(ambient, gens)
+    def checked_span(ambient, gens):
+        sub, incl = span(ambient, gens)
         assert sub.relation_gb() == groebner(list(sub.relations), module=sub.free_cover)
         counts["seeded"] += bool(sub.relations)
         spans.append(tuple(gens))
-        return sub, kept
+        return sub, incl
 
-    def checked_kernel_span(phi):
-        out = kernel_span(phi)
+    def checked_kernel(phi):
+        out = kernel(phi)
         src = phi.source
         free = src.free_cover
         cols = [phi.apply_free(free.gen(j)) for j in range(src.rank)]
@@ -472,8 +496,9 @@ def test_skipped_groebner_passes_are_fixed_points(monkeypatch):
         counts["fixed"] += spans[-1] == moved
         return out
 
-    monkeypatch.setattr(gm, "_presentation_of_span", checked_presentation)
-    monkeypatch.setattr(gm, "_kernel_span", checked_kernel_span)
+    monkeypatch.setattr(gm, "_span", checked_span)
+    monkeypatch.setattr(gm, "kernel", checked_kernel)
+    monkeypatch.setattr("tamemod.serre.kernel", checked_kernel)
     for split, node in _modulo_corpus():
         m = node.root
         if m.ring.variables == split.split_graph.edges:
