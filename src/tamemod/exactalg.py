@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: graded polynomial rings on edge variables, free
-modules, Groebner bases, normal forms, syzygies, and radical membership.
+modules, Groebner bases, normal forms, syzygies, radical membership, and the
+Hilbert-Poincare numerators of monomial ideals.
 
 Everything is exact over the rationals.  Values are immutable; all operations
 are pure functions of their inputs.  The monomial order is weight-graded
@@ -666,3 +667,44 @@ def intersect_ideals(a: Sequence[GradedPoly], b: Sequence[GradedPoly], ring: Edg
 def ideal_contains_one(gens: Sequence[GradedPoly], ring: EdgeRing) -> bool:
     gb = _groebner_raw(_ideal_terms(gens, ring), _RING_ORDER, ring.nvars)
     return _contains_unit(gb)
+
+
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-Poincare numerators of monomial ideals
+
+
+def hilbert_numerator(gens: Iterable[tuple]) -> dict:
+    """N(t) as {degree: nonzero coefficient}, where HS(R/I) = N(t) / (1 - t)^n
+    for the monomial ideal I of the exponent tuples gens; {} for the unit ideal.
+
+    Bigatti's pivot recursion (Bigatti, "Computation of Hilbert-Poincare
+    series", JPAA 119 (1997)): N(I) = N(I + (p)) + t^deg(p) N(I : p).
+    Pairwise coprime generators give the product of the (1 - t^deg m).
+    Otherwise p = x_i^e, x_i in most generators and e the lower median of its
+    nonzero exponents there.  Two or more generators reach e, so I + (p),
+    which trades them for p, and I : p, which lowers them, both have a smaller
+    sum of generator degrees; the upper median loops on {x*y, x^2}.  Each
+    branch adds with sign +, so they go on a work list, not the call stack.
+    """
+    out: dict = {}
+    work = [(list(set(gens)), 0)]
+    while work:
+        gens, shift = work.pop()
+        # one generator or none is coprime as it stands
+        counts = [sum(1 for g in gens if g[i]) for i in range(len(gens[0]))] if len(gens) > 1 else [0]
+        top = max(counts)
+        if top <= 1:
+            poly = {shift: 1}
+            for d in map(sum, gens):
+                for k, c in list(poly.items()):
+                    poly[k + d] = poly.get(k + d, 0) - c
+            for k, c in poly.items():
+                out[k] = out.get(k, 0) + c
+            continue
+        i = counts.index(top)
+        e = sorted(g[i] for g in gens if g[i])[(top - 1) // 2]
+        work.append(([g for g in gens if g[i] < e] + [tuple(e if j == i else 0 for j in range(len(counts)))], shift))
+        work.append((list({g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens}), shift + e))
+    return {k: c for k, c in sorted(out.items()) if c}

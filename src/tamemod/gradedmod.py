@@ -4,16 +4,20 @@ maps between them.
 Carries the contraction functor F0(M) = M/(e - e'), its derived torsion
 functor F1(M) = ker(M --(e-e')--> M) restricted to the contracted ring, the
 kernel/cokernel/image/pullback toolbox, annihilators and cyclic submodules,
-Hilbert functions, and the support criterion deciding membership in the Serre
-subcategory generated by a list of partition modules.
+and the support criterion deciding membership in the Serre subcategory
+generated by a list of partition modules.
+
+Hilbert functions come from Hilbert-Poincare numerators read off plain relation
+bases (Bigatti); ModuleMap.is_mono and exact_at compare them, with no syzygies.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import le
+from math import comb
 from typing import Sequence
 
 from ._core import impl as K
@@ -25,6 +29,7 @@ from .exactalg import (
     FreeModule,
     GradedPoly,
     groebner,
+    hilbert_numerator,
     intersect_ideals,
     normal_form,
     reduce_with_expression,
@@ -111,23 +116,23 @@ class PresentedModule:
             [FreeElement(free, r.terms) for r in self.relations],
         )
 
-    def hilbert_function(self, w: int) -> int:
-        key = ("hf", w)
-        v = self._cache.get(key)
-        if v is None:
+    def hilbert_numerator(self) -> dict:
+        """N(t) as {weight: nonzero coefficient}, where HS(t) = N(t) / (1 - t)^n;
+        {} exactly for the zero module.  N = sum_p t^{w_p} N_p, N_p the
+        numerator of the leading exponents at position p of relation_gb(), by
+        Bigatti's pivot recursion (exactalg.hilbert_numerator): F/U and F/in(U)
+        have one Hilbert series, and over one ring equal series are equal N."""
+        hn = self._cache.get("hn")
+        if hn is None:
             lms = [self.free_cover.packing.unpack(g.terms[:1])[0][:2] for g in self.relation_gb()]
-            v = 0
-            n = self.ring.nvars
-            for pos, wp in enumerate(self.gen_weights):
-                d = w - wp
-                if d < 0:
-                    continue
-                pos_lms = [e for q, e in lms if q == pos]
-                for expo in _monomials(d, n):
-                    if not any(all(map(le, l, expo)) for l in pos_lms):
-                        v += 1
-            self._cache[key] = v
-        return v
+            hn = _combine(*((1, w, hilbert_numerator(e for q, e in lms if q == p)) for p, w in enumerate(self.gen_weights)))
+            self._cache["hn"] = hn
+        return dict(hn)
+
+    def hilbert_function(self, w: int) -> int:
+        """sum_k N[k] times the number of monomials of degree w - k."""
+        n = self.ring.nvars
+        return sum(c * (comb(w - k + n - 1, n - 1) if n else int(w == k)) for k, c in self.hilbert_numerator().items() if k <= w)
 
     def same_presentation(self, other: "PresentedModule") -> bool:
         """Same ring, same generator weights, same relation submodule."""
@@ -152,6 +157,14 @@ class PresentedModule:
     def __repr__(self):
         rels = "; ".join(str(r) for r in self.relations)
         return f"PresentedModule(vars={','.join(self.ring.variables)} weights={list(self.gen_weights)} rels=[{rels}])"
+
+
+def _combine(*parts) -> dict:
+    """sum of sign * t^shift * N over the (sign, shift, N) parts, zeros dropped."""
+    out: Counter = Counter()
+    for sign, shift, num in parts:
+        out.update({k + shift: sign * c for k, c in num.items()})
+    return {k: c for k, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -211,11 +224,14 @@ class ModuleMap:
     @classmethod
     def from_matrix(cls, source: PresentedModule, target: PresentedModule, matrix, degree: int = 0, check: bool = True) -> "ModuleMap":
         rows = tuple(tuple(row) for row in matrix)
-        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
+        if len(rows) != target.rank:
             raise StructuralError(
                 f"matrix shape {len(rows)}x{'?' if not rows else len(rows[0])} "
                 f"does not match target rank {target.rank} x source rank {source.rank}"
             )
+        for i, row in enumerate(rows):
+            if len(row) != source.rank:
+                raise StructuralError(f"matrix row {i} has {len(row)} entries, not source rank {source.rank}")
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
                 if not isinstance(entry, GradedPoly) or entry.ring != target.ring:
@@ -262,7 +278,11 @@ class ModuleMap:
         return ModuleMap(other.source, self.target, cols, self.degree + other.degree, check=False)
 
     def is_mono(self) -> bool:
-        return kernel(self)[0].is_zero()
+        """Counted (Bigatti numerators, no syzygies): injective iff
+        t^degree N(source) = N(target) - N(coker), as the image has the
+        target's series less the cokernel's and the shifted source's less the kernel's."""
+        parts = ((1, self.degree, self.source), (-1, 0, self.target), (1, 0, cokernel(self)[0]))
+        return not _combine(*((s, d, m.hilbert_numerator()) for s, d, m in parts))
 
     def is_epi(self) -> bool:
         return cokernel(self)[0].is_zero()
@@ -527,9 +547,17 @@ def same_submodule(ambient: PresentedModule, gens_a: Sequence[FreeElement], gens
 
 
 def exact_at(fin: ModuleMap, fout: ModuleMap) -> bool:
-    """Exactness of fin followed by fout: the image of fin is the kernel of fout."""
-    _, ker_incl = kernel(fout)
-    return same_submodule(fin.target, fin.columns, ker_incl.columns)
+    """Exactness of fin: A -> B then fout: B -> C, counted (Bigatti numerators,
+    no syzygies).  fout o fin = 0, one normal form per column, puts im fin in
+    ker fout; nested graded pieces of equal dimension are equal.  HS(im fin) =
+    HS(B) - HS(coker fin) and HS(ker fout) = HS(B) - t^-d (HS(C) - HS(coker
+    fout)), d fout's degree, so exact iff N(coker fin) = t^-d (N(C) - N(coker fout))."""
+    gb = fout.target.relation_gb()
+    if any(not normal_form(fout.apply_free(c), gb).is_zero() for c in fin.columns):
+        return False
+    d = fout.degree
+    parts = ((1, 0, cokernel(fin)[0]), (-1, -d, fout.target), (1, -d, cokernel(fout)[0]))
+    return not _combine(*((s, k, m.hilbert_numerator()) for s, k, m in parts))
 
 
 def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:

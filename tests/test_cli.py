@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tamemod
-from tamemod.cli import main
+from tamemod.cli import MAX_HILBERT_ROWS, main
 from tamemod.workspace import Workspace
 
 RELATED = "workspaces/gen_related.json"
@@ -100,7 +100,8 @@ def test_functor_huge_exponent_exit_3(tmp_path, capsys):
 
 
 def test_functor_weight_bound_over_the_monomial_cap_exit_3(tmp_path, capsys):
-    # a table to weight 100000 over two variables would list ~5e9 monomials
+    # a table to weight 100000 would hold 100001 rows, over the cap on its
+    # length; it is refused before any row is computed
     out = tmp_path / "out.json"
     argv = ("functor", "--in", RELATED, "--module", "M_partition", "--degree", "0",
             "--weight-bound", "100000", "--out", str(out))
@@ -108,6 +109,22 @@ def test_functor_weight_bound_over_the_monomial_cap_exit_3(tmp_path, capsys):
     assert run(*argv) == 3
     assert time.perf_counter() - start < 2
     assert "resource cap exceeded" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_functor_table_at_the_row_cap_is_counted_not_enumerated(tmp_path, capsys):
+    # the longest table allowed: its values come from the Hilbert numerator,
+    # so weight 65535 costs what weight 3 does; one row more is exit 3
+    out = tmp_path / "out.json"
+    argv = ["functor", "--in", RELATED, "--module", "M_partition", "--degree", "0", "--out", str(out)]
+    start = time.perf_counter()
+    assert run(*argv, "--weight-bound", str(MAX_HILBERT_ROWS - 1)) == 0
+    assert time.perf_counter() - start < 2
+    table = json.loads(out.read_text())["hilbert"]
+    assert len(table) == MAX_HILBERT_ROWS and table[str(MAX_HILBERT_ROWS - 1)] == MAX_HILBERT_ROWS
+    out.unlink()
+    assert run(*argv, "--weight-bound", str(MAX_HILBERT_ROWS)) == 3
+    assert "over the cap of 65536" in capsys.readouterr().err
     assert not out.exists()
 
 

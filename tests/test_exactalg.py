@@ -7,6 +7,8 @@ import time
 from collections import deque
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations_with_replacement
+from math import comb
 from operator import le
 
 import pytest
@@ -34,6 +36,7 @@ from tamemod.exactalg import (
     _saturate_raw,
     _tracked_raw,
     groebner,
+    hilbert_numerator,
     ideal_contains_one,
     intersect_ideals,
     normal_form,
@@ -748,3 +751,58 @@ def test_old_slot_names_unpickle():
                 return object.__new__, (type(v),), (None, {slot: v.space, "terms": v.terms})
 
         assert pickle.loads(pickle.dumps(Old())) == v
+
+
+# -- Hilbert-Poincare numerators of monomial ideals -------------------------------------
+
+
+def _standard_monomials(gens, n, d):
+    """Oracle: the monomials of degree d in n variables that no generator divides."""
+    count = 0
+    for vs in combinations_with_replacement(range(n), d):
+        expo = [0] * n
+        for v in vs:
+            expo[v] += 1
+        count += not any(all(map(le, g, expo)) for g in gens)
+    return count
+
+
+def _series_coefficient(num, n, d):
+    """Coefficient of t^d in num(t) / (1 - t)^n."""
+    return sum(c * (comb(d - k + n - 1, n - 1) if n else int(d == k)) for k, c in num.items() if k <= d)
+
+
+_MONOMIAL_IDEALS = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=7))
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_MONOMIAL_IDEALS)
+@example((3, []))  # the zero ideal
+@example((3, [(0, 0, 0)]))  # the unit ideal
+@example((0, [()]))  # the unit ideal with no variables
+@example((4, [(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 4)]))  # pure powers
+@example((2, [(1, 1), (2, 0)]))  # the upper median would pivot on x^2 forever
+@example((3, [(1, 1, 0), (0, 1, 1), (1, 0, 1), (2, 0, 0), (1, 1, 0)]))  # shared variables, a repeat
+def test_hilbert_numerator_counts_standard_monomials(case):
+    n, gens = case
+    num = hilbert_numerator(gens)
+    assert all(c for c in num.values())
+    for d in range(9):
+        assert _series_coefficient(num, n, d) == _standard_monomials(gens, n, d), (gens, d)
+
+
+def test_hilbert_numerator_of_high_pure_powers():
+    # exponents at the packed field limit take a few pivots, not one stack
+    # frame per unit of exponent
+    top = 32767
+    assert hilbert_numerator([(top, 0, 0, 0, 0)]) == {0: 1, top: -1}
+    assert hilbert_numerator([(top, 0), (1, 1), (0, top)]) == {0: 1, 2: -1, top: -2, top + 1: 2}
+    # a staircase under x^top and y^top: R/I is finite, so N(t) = P(t)(1 - t)^2
+    # with P(1) = N''(1)/2 the number of standard monomials, x^a y^b with
+    # b < top and a below every generator's x-exponent whose y-exponent is <= b
+    gens = [(top - i, i) for i in range(5)] + [(0, top)]
+    num = hilbert_numerator(gens)
+    assert sum(num.values()) == 0 and sum(c * k for k, c in num.items()) == 0
+    assert sum(c * k * (k - 1) // 2 for k, c in num.items()) == sum(top - min(b, 4) for b in range(top))

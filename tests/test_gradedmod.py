@@ -2,8 +2,12 @@
 
 import itertools
 import random
+import time
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamemod import gradedmod
 from tamemod import partition as partition_mod
@@ -35,6 +39,7 @@ from tamemod.gradedmod import (
     is_tame_support,
     kernel,
     pullback,
+    same_submodule,
     six_term,
     submodule_from_elements,
     torsion_data,
@@ -94,6 +99,23 @@ def test_free_module_hilbert():
     assert m.hilbert_function(3) == 4
 
 
+def test_hilbert_function_at_a_large_weight():
+    # counted from the numerator: no monomial of the weight is listed, and a
+    # pure power at the packed field limit is one factor (1 - t^top)
+    R = EdgeRing(("a", "b", "c", "d", "x"))
+    top = 32767
+    a, b = R.var("a"), R.var("b")
+    m = PresentedModule.from_ideal(R, [a**top, a * b], shift=3)
+    w = 10**6
+    start = time.perf_counter()
+    value = m.hilbert_function(w)
+    assert time.perf_counter() - start < 1
+    # standard monomials: those free of a, and a^i (0 < i < top) times one free of a and b
+    d = w - 3
+    assert value == comb(d + 3, 3) + sum(comb(d - i + 2, 2) for i in range(1, top))
+    assert m.hilbert_numerator() == {3: 1, 5: -1, top + 3: -1, top + 4: 1}
+
+
 # -- maps ---------------------------------------------------------------------------
 
 
@@ -127,9 +149,13 @@ def test_from_matrix_shape_rejected():
     R = EdgeRing(("x",))
     one, zero = R.one(), R.zero()
     src = PresentedModule.free(R, (0, 0))
-    for tgt_rank, matrix in ((1, [[one, zero], [zero, one]]), (2, [[one, zero], [one]])):
+    cases = (
+        (1, [[one, zero], [zero, one]], "matrix shape 2x2 does not match target rank 1 x source rank 2"),
+        (2, [[one, zero], [one]], "matrix row 1 has 1 entries, not source rank 2"),
+    )
+    for tgt_rank, matrix, message in cases:
         tgt = PresentedModule.free(R, (0,) * tgt_rank)
-        with pytest.raises(StructuralError, match=f"matrix shape 2x2 does not match target rank {tgt_rank} x source rank 2"):
+        with pytest.raises(StructuralError, match=message):
             ModuleMap.from_matrix(src, tgt, matrix, 0)
 
 
@@ -376,6 +402,103 @@ def test_connecting_map_degree(zp_related):
     ses = build_ses(a, [d * a.gen(0)])
     delta = connecting_map(ses, "e", "e'")
     assert delta.degree == 1
+
+
+# -- witness checks by counting against their kernel definitions ------------------------
+
+
+def _kernel_is_mono(phi):
+    """Oracle: injective iff the kernel is zero."""
+    return kernel(phi)[0].is_zero()
+
+
+def _kernel_exact_at(fin, fout):
+    """Oracle: the image of fin spans the kernel of fout."""
+    return same_submodule(fin.target, fin.columns, kernel(fout)[1].columns)
+
+
+def _witness_cases(seed):
+    """(map, is_mono) and (fin, fout, exact_at) cases on a random middle
+    module B and a submodule S: verdicts known by construction, or None."""
+    rng = random.Random(seed)
+    parts = list(iter_partitions(("a", "b", "e", "e'")))
+    mid = partition_module(parts[rng.randrange(len(parts))]).shift(rng.randint(0, 1))
+    if rng.random() < 0.5:
+        mid = direct_sum([mid, partition_module(parts[rng.randrange(len(parts))])])[0]
+    base = min(mid.gen_weights)
+    elems = [random_homogeneous_element(rng, mid, base + rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
+    sub, incl = submodule_from_elements(mid, elems)
+    proj = cokernel(incl)[1]
+    nonzero = not sub.is_zero()
+    x = mid.ring.var(rng.choice(mid.ring.variables))
+    y = mid.ring.var(rng.choice(mid.ring.variables))
+    free = PresentedModule.free(mid.ring, [g.weight() or 0 for g in elems])
+    times_y = ModuleMap(mid, mid, [y * mid.gen(j) for j in range(mid.rank)], 1)
+    torsion, torsion_incl = kernel(times_y)
+    maps = [
+        (incl, True),
+        (proj, not nonzero),
+        (ModuleMap(free, mid, elems), None),
+        (times_y, None),
+        (ModuleMap(sub, mid, [x * c for c in incl.columns], 1), None),
+    ]
+    smaller, smaller_incl = submodule_from_elements(mid, elems[:-1])
+    pairs = [
+        (incl, proj, True),
+        # x S lies in ker(B -> B/S), and is smaller when S is not zero
+        (ModuleMap(sub, mid, [x * c for c in incl.columns], 1), proj, not nonzero),
+        (incl, cokernel(smaller_incl)[1], None),
+        (smaller_incl, proj, None),
+        # degree-1 maps out of B: the kernel of y, and x times it
+        (torsion_incl, times_y, True),
+        (ModuleMap(torsion, mid, [x * c for c in torsion_incl.columns], 1), times_y, None),
+        (incl, times_y, None),
+        # x B and y B: the same series when x and y are nonzerodivisors on B
+        (ModuleMap(mid, mid, [x * mid.gen(j) for j in range(mid.rank)], 1), cokernel(times_y)[1], None),
+    ]
+    return maps, pairs
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_counting_witness_checks_match_kernels(seed):
+    maps, pairs = _witness_cases(seed)
+    for phi, known in maps:
+        verdict = phi.is_mono()
+        assert verdict == _kernel_is_mono(phi)
+        assert known is None or verdict == known
+    for fin, fout, known in pairs:
+        verdict = gradedmod.exact_at(fin, fout)
+        assert verdict == _kernel_exact_at(fin, fout)
+        assert known is None or verdict == known
+
+
+def test_exact_at_needs_the_composite_to_vanish():
+    # R(-1) --x--> R --> R/(y): image and kernel have one series, but differ
+    R = EdgeRing(("x", "y"))
+    x, y = R.var("x"), R.var("y")
+    rank_one = PresentedModule.free(R, (0,))
+    one = rank_one.gen(0)
+    fin = ModuleMap(PresentedModule.free(R, (1,)), rank_one, [x * one])
+    fout = cokernel(ModuleMap(PresentedModule.free(R, (1,)), rank_one, [y * one]))[1]
+    assert not gradedmod.exact_at(fin, fout) and not _kernel_exact_at(fin, fout)
+    # R(-1) --x--> R --> R/(x) is exact
+    fout = cokernel(ModuleMap(rank_one, rank_one, [x * one], 1))[1]
+    assert gradedmod.exact_at(fin, fout) and _kernel_exact_at(fin, fout)
+
+
+def test_counting_witness_checks_see_both_verdicts():
+    # the random cases above hold negatives of every kind, not only exact,
+    # injective witnesses
+    monos, exacts = set(), set()
+    for seed in range(12):
+        maps, pairs = _witness_cases(seed)
+        monos.update(phi.is_mono() for phi, _ in maps)
+        for fin, fout, _ in pairs:
+            composite_zero = all(normal_form(fout.apply_free(c), fout.target.relation_gb()).is_zero() for c in fin.columns)
+            exacts.add((gradedmod.exact_at(fin, fout), composite_zero))
+    assert monos == {True, False}
+    assert exacts == {(True, True), (False, True), (False, False)}
 
 
 # -- annihilators and cyclic covers --------------------------------------------------------

@@ -364,6 +364,46 @@ def _modulo_corpus(per_pred=15):
                 yield split, node
 
 
+def numerator_sum(*parts):
+    """The sum of sign * t^shift * N(module) over (sign, shift, module) parts,
+    as {exponent: nonzero coefficient}; {} when the series cancel."""
+    out = {}
+    for sign, shift, m in parts:
+        for k, c in m.hilbert_numerator().items():
+            out[k + shift] = out.get(k + shift, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+# The numerators below come from plain relation bases, a route that shares no
+# syzygy code with f1, torsion_data or the transformed certificates they check.
+
+
+def test_f0_f1_numerator_identity():
+    # 0 -> F1(M) -> M --(e - e')--> M(1) -> F0(M)(1) -> 0 is exact and F0, F1
+    # are modules in one variable fewer, so N(F0 M) - t N(F1 M) = N(M)
+    checked = set()
+    for split, node in _modulo_corpus():
+        m = node.root
+        if m.ring.variables != split.split_graph.edges or m in checked:
+            continue
+        checked.add(m)
+        e, ep = split.e, split.e_prime
+        assert not numerator_sum((1, 0, f0(m, e, ep)), (-1, 1, f1(m, e, ep)), (-1, 0, m)), m
+    assert len(checked) > 80
+
+
+def test_ext_numerator_identity():
+    # 0 -> L -> M -> R -> 0 with witness degrees a and b:
+    # HS(M) = t^a HS(L) + t^-b HS(R), over the split ring and the base ring
+    rings = set()
+    for _, node in _modulo_corpus():
+        if isinstance(node, ExtNode):
+            a, b = node.injection.degree, node.projection.degree
+            assert not numerator_sum((1, 0, node.root), (-1, a, node.left.root), (-1, -b, node.right.root)), node
+            rings.add(node.root.ring.nvars)
+    assert rings == {4, 5}
+
+
 def test_witness_maps_rebuild_from_their_matrix():
     # a map is stored as its columns; the matrix it derives gives the same map
     # back through ModuleMap.from_matrix, transformed witnesses included
