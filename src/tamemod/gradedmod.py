@@ -5,7 +5,7 @@ Carries the contraction functor F0(M) = M/(e - e'), its derived torsion
 functor F1(M) = ker(M --(e-e')--> M) restricted to the contracted ring, the
 kernel/cokernel/image/pullback toolbox, annihilators and cyclic submodules,
 and the support criterion deciding membership in the Serre subcategory
-generated by a list of partition modules.
+generated by a list of partition modules, one generator's annihilator at a time.
 
 Hilbert functions come from Hilbert-Poincare numerators read off plain relation
 bases (Bigatti); ModuleMap.is_mono and exact_at compare them, with no syzygies.
@@ -193,13 +193,14 @@ class ModuleMap:
     relation must land in the target's relation submodule.
     """
 
-    __slots__ = ("source", "target", "columns", "degree")
+    __slots__ = ("source", "target", "columns", "degree", "_coker")
 
     def __init__(self, source: PresentedModule, target: PresentedModule, columns: Sequence[FreeElement], degree: int = 0, check: bool = True):
         self.source = source
         self.target = target
         self.degree = int(degree)
         self.columns = columns = tuple(columns)
+        self._coker = None  # the cokernel module, built once by _coker
         free = target.free_cover
         if len(columns) != source.rank:
             raise StructuralError(f"{len(columns)} columns for a source of rank {source.rank}")
@@ -281,11 +282,11 @@ class ModuleMap:
         """Counted (Bigatti numerators, no syzygies): injective iff
         t^degree N(source) = N(target) - N(coker), as the image has the
         target's series less the cokernel's and the shifted source's less the kernel's."""
-        parts = ((1, self.degree, self.source), (-1, 0, self.target), (1, 0, cokernel(self)[0]))
+        parts = ((1, self.degree, self.source), (-1, 0, self.target), (1, 0, _coker(self)))
         return not _combine(*((s, d, m.hilbert_numerator()) for s, d, m in parts))
 
     def is_epi(self) -> bool:
-        return cokernel(self)[0].is_zero()
+        return _coker(self).is_zero()
 
     def __eq__(self, other):
         return (
@@ -356,12 +357,19 @@ def kernel(phi: ModuleMap):
     return _span(phi.source, list(span))
 
 
+def _coker(phi: ModuleMap) -> PresentedModule:
+    """phi's cokernel module, built once per map and shared by every check on it."""
+    if phi._coker is None:
+        tgt = phi.target
+        rels = list(tgt.relations) + [c for c in phi.columns if not c.is_zero()]
+        phi._coker = PresentedModule(tgt.ring, tgt.gen_weights, rels)
+    return phi._coker
+
+
 def cokernel(phi: ModuleMap):
     """Cokernel presentation and the projection from the target."""
-    tgt = phi.target
-    rels = list(tgt.relations) + [c for c in phi.columns if not c.is_zero()]
-    coker = PresentedModule(tgt.ring, tgt.gen_weights, rels)
-    proj = ModuleMap(tgt, coker, [coker.gen(j) for j in range(coker.rank)], 0, check=False)
+    coker = _coker(phi)
+    proj = ModuleMap(phi.target, coker, [coker.gen(j) for j in range(coker.rank)], 0, check=False)
     return coker, proj
 
 
@@ -556,7 +564,7 @@ def exact_at(fin: ModuleMap, fout: ModuleMap) -> bool:
     if any(not normal_form(fout.apply_free(c), gb).is_zero() for c in fin.columns):
         return False
     d = fout.degree
-    parts = ((1, 0, cokernel(fin)[0]), (-1, -d, fout.target), (1, -d, cokernel(fout)[0]))
+    parts = ((1, 0, _coker(fin)), (-1, -d, fout.target), (1, -d, _coker(fout)))
     return not _combine(*((s, k, m.hilbert_numerator()) for s, k, m in parts))
 
 
@@ -713,30 +721,23 @@ def _sweep_plan(keep: tuple, ring: EdgeRing) -> tuple:
     """(steps, order) for an antichain of non-discrete partitions.
 
     steps[i] belongs to keep[i]: its chain, the pairs (a, b) joining
-    consecutive elements of a block, each with x_a - x_b, the generators of
-    partition_ideal in their order; and the frozenset of all its same-block
-    pairs (a, b), a before b.  order is the sweep order, most blocks first.
+    consecutive elements of a block, each with x_a - x_b, built once per pair
+    (partition_ideal's generators, in its order); and the frozenset of all its
+    same-block pairs (a, b), a before b.  order is the sweep order, most blocks first.
     """
-    from .partition import partition_ideal
-
-    steps = []
-    for p in keep:
-        chain = [pr for b in p.blocks for pr in zip(b, b[1:])]
-        pairs = frozenset(pr for b in p.blocks for pr in combinations(b, 2))
-        steps.append((tuple(zip(chain, partition_ideal(p, ring))), pairs))
+    chains = [tuple(pr for b in p.blocks for pr in zip(b, b[1:])) for p in keep]
+    forms = {pr: ring.var(pr[0]) - ring.var(pr[1]) for pr in {pr for c in chains for pr in c}}
+    pairs = [frozenset(pr for b in p.blocks for pr in combinations(b, 2)) for p in keep]
+    steps = tuple((tuple((pr, forms[pr]) for pr in c), s) for c, s in zip(chains, pairs))
     order = tuple(sorted(range(len(keep)), key=lambda i: (-keep[i].block_count, keep[i].blocks)))
-    return tuple(steps), order
+    return steps, order
 
 
-def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
-    """Decide Supp(M) within the union of the tame partition subspaces.
-
-    Equivalent to prod_P I_P lying in rad(Ann M).  One successive-saturation
-    sweep decides: Ann M is saturated by each I_P in turn, finest partitions
+def _sweep_covers(current: tuple, steps: tuple, order: tuple, ring: EdgeRing) -> bool:
+    """Whether V(current), a proper ideal, lies in the union of the subspaces
+    of a _sweep_plan: current is saturated by each I_P in turn, finest partitions
     first, which removes the components covered by that subspace; containment
-    holds iff the unit ideal is reached.  More than MAX_TAME_SUBSPACES
-    partitions in the reduced antichain raise ResourceCapError before any
-    algebra is done.
+    holds iff the unit ideal is reached.
 
     Every I_P is generated by linear forms x_a - x_b, so the sweep keeps, for
     the current ideal J, a table of the single saturations J : g^infinity by
@@ -749,6 +750,40 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     no-op g among its same-block pairs leaves J unchanged, since
     J <= J : I_P^infinity <= J : g^infinity = J, and is skipped.  The table
     is rebuilt only when a step really changes J.
+    """
+    sat = {}  # pair -> current : g^infinity
+    noop = set()  # pairs g with current : g^infinity = current, now and from here on
+    for i in order:
+        chain, pairs = steps[i]
+        if not noop.isdisjoint(pairs):
+            continue
+        acc = None
+        for pr, g in chain:
+            if pr not in sat:
+                sat[pr] = saturate_by_ideal(current, [g], ring)
+                if sat[pr] == current:
+                    noop.add(pr)
+                    break
+            acc = sat[pr] if acc is None else intersect_ideals(acc, sat[pr], ring)
+        else:
+            if acc != current:
+                current, sat = acc, {}
+                # a reduced basis, and the reduced basis of the unit ideal is (1)
+                if current == (ring.one(),):
+                    return True
+    return False
+
+
+def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
+    """Decide Supp(M) within the union of the tame partition subspaces.
+
+    Ann M is the intersection of the generators' annihilators Ann(m_i), so
+    Supp M = V(Ann M) is the union of the V(Ann m_i) (Atiyah-Macdonald, Ex.
+    3.19): _sweep_covers runs on each annihilator(m, m_i), and the first one
+    it does not cover decides.  A zero generator, whose annihilator is (1), is
+    skipped, as the sweep tests for (1) only after a step that changes J.
+    More than MAX_TAME_SUBSPACES partitions in the reduced antichain raise
+    ResourceCapError before any algebra is done.
     """
     tame = tuple(dict.fromkeys(tame))
     if not tame:
@@ -769,28 +804,9 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
         raise ResourceCapError(
             f"{len(keep)} tame subspaces exceed the partition cap {MAX_TAME_SUBSPACES}"
         )
-    # M is nonzero, so Ann M is a proper ideal
-    ann = annihilator_ideal(m)
     steps, order = _sweep_plan(keep, m.ring)
-    current = ann
-    sat = {}  # pair -> current : g^infinity
-    noop = set()  # pairs g with current : g^infinity = current, now and from here on
-    for i in order:
-        chain, pairs = steps[i]
-        if not noop.isdisjoint(pairs):
-            continue
-        acc = None
-        for pr, g in chain:
-            if pr not in sat:
-                sat[pr] = saturate_by_ideal(current, [g], m.ring)
-                if sat[pr] == current:
-                    noop.add(pr)
-                    break
-            acc = sat[pr] if acc is None else intersect_ideals(acc, sat[pr], m.ring)
-        else:
-            if acc != current:
-                current, sat = acc, {}
-                # a reduced basis, and the reduced basis of the unit ideal is (1)
-                if current == (m.ring.one(),):
-                    return True
-    return False
+    for i in range(m.rank):
+        ann = annihilator(m, m.gen(i))
+        if ann != (m.ring.one(),) and not _sweep_covers(ann, steps, order, m.ring):
+            return False
+    return True

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamemod import gradedmod
-from tamemod import partition as partition_mod
 from tamemod.errors import ResourceCapError, StructuralError, ValidationError
 from tamemod.exactalg import (
     EdgeRing,
@@ -744,53 +743,87 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
-def test_tame_support_sweep_work(monkeypatch):
-    # Z[abe|ce'] + Z[ae|be'|c] under max-blocks:2 (15 two-block subspaces):
-    # one step removes the tame component, the wild one stays.  One
-    # saturate_by_ideal call per partition made 15; the per-pair table and
-    # the no-op skip make 7.
+def _tame_and_wild_abce():
     g = _split_abce()
     tame_p = make_partition(g.edges, [["a", "b", "e"], ["c", "e'"]])
     wild_p = make_partition(g.edges, [["a", "e"], ["b", "e'"], ["c"]])
+    return tame_p, wild_p, list(tame_partitions(MaxBlockCount(2), g))
+
+
+def test_tame_support_sweep_work(monkeypatch):
+    # Z[abe|ce'] + Z[ae|be'|c] under max-blocks:2 (15 two-block subspaces).
+    # The sweep runs once per generator: 5 saturate_by_ideal calls cover the
+    # tame summand, as in test_tame_support_single_subspace_work, and 3 find
+    # every step a no-op for the wild one, 8 in all.
+    tame_p, wild_p, tame = _tame_and_wild_abce()
     m = direct_sum([partition_module(tame_p), partition_module(wild_p)])[0]
-    tame = list(tame_partitions(MaxBlockCount(2), g))
     calls = _count_calls(monkeypatch, ("saturate_by_ideal",))
     assert not is_tame_support(m, tame)
-    assert calls == {"saturate_by_ideal": 7}
+    assert calls == {"saturate_by_ideal": 8}
+
+
+def test_tame_support_wild_first_exits_early(monkeypatch):
+    # the same sum with the wild summand first: its 3 calls decide, and the
+    # tame generator is never swept
+    tame_p, wild_p, tame = _tame_and_wild_abce()
+    m = direct_sum([partition_module(wild_p), partition_module(tame_p)])[0]
+    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "annihilator"))
+    assert not is_tame_support(m, tame)
+    assert calls == {"saturate_by_ideal": 3, "annihilator": 1}
 
 
 def test_tame_support_single_subspace_work(monkeypatch):
     # Z[abe|ce'] alone under max-blocks:2: its support lies in one of the 15
     # subspaces, and the sweep reaches the unit ideal at that subspace's
     # step after 5 saturate_by_ideal calls
-    g = _split_abce()
-    tame_p = make_partition(g.edges, [["a", "b", "e"], ["c", "e'"]])
-    tame = list(tame_partitions(MaxBlockCount(2), g))
+    tame_p, _, tame = _tame_and_wild_abce()
     calls = _count_calls(monkeypatch, ("saturate_by_ideal",))
     assert is_tame_support(partition_module(tame_p), tame)
     assert calls == {"saturate_by_ideal": 5}
 
 
-def test_tame_support_partition_cap(monkeypatch):
+def _support_edge_cases():
+    """(module, tame list, expected) on {a, b, c, e, e'} under max-blocks:2:
+    a zero-class generator beside a tame one, a free generator beside a tame
+    one, and rank-3 sums whose summands have different supports, with a wild
+    summand in each position."""
+    tame_p, wild_p, tame = _tame_and_wild_abce()
     g = _split_abce()
-    tame = list(tame_partitions(MaxBlockCount(2), g))
+    other_p = make_partition(g.edges, [["a", "c"], ["b", "e", "e'"]])
+    coarse_p = make_partition(g.edges, [["a", "b", "c", "e", "e'"]])
+    ring = partition_module(tame_p).ring
+    free = FreeModule(ring, (0, 1))
+    rels = [free.element([f, ring.zero()]) for f in partition_ideal(tame_p, ring)]
+    zero_class = PresentedModule(ring, (0, 1), rels + [free.gen(1)])
+    with_free = PresentedModule(ring, (0, 1), rels)
+    mods = {p: partition_module(p, ring) for p in (tame_p, wild_p, other_p, coarse_p)}
+    cases = [(zero_class, tame, True), (with_free, tame, False)]
+    cases.append((direct_sum([mods[tame_p], mods[other_p], mods[coarse_p].shift(1)])[0], tame, True))
+    for k in range(3):
+        parts = [tame_p, other_p]
+        parts.insert(k, wild_p)
+        cases.append((direct_sum([mods[p] for p in parts])[0], tame, False))
+    # other_p alone covers other_p's and coarse_p's supports, not tame_p's
+    cases.append((direct_sum([mods[other_p], mods[coarse_p], mods[other_p].shift(2)])[0], [other_p], True))
+    cases.append((direct_sum([mods[other_p], mods[tame_p], mods[coarse_p]])[0], [other_p], False))
+    return cases
+
+
+def test_tame_support_edge_cases_match_reference():
+    for m, tame, expected in _support_edge_cases():
+        assert is_tame_support(m, tame) == expected, (tame, m)
+        assert _reference_tame_support(m, tame) == expected, (tame, m)
+
+
+def test_tame_support_partition_cap(monkeypatch):
+    _, _, tame = _tame_and_wild_abce()
     ring = partition_module(tame[0]).ring
-    built = []
-    ideal_of = partition_mod.partition_ideal
-
-    def recording(p, r=None):
-        built.append(p)
-        return ideal_of(p, r)
-
-    monkeypatch.setattr(partition_mod, "partition_ideal", recording)
     monkeypatch.setattr(gradedmod, "MAX_TAME_SUBSPACES", 3)
-    gradedmod._sweep_plan.cache_clear()  # a plan cached by another test would hide a build
-    calls = _count_calls(monkeypatch, ("annihilator_ideal",))
+    calls = _count_calls(monkeypatch, ("annihilator", "_sweep_plan", "saturate_by_ideal"))
     with pytest.raises(ResourceCapError):
         is_tame_support(PresentedModule.free(ring, (0,)), tame)
     assert is_tame_support(PresentedModule.zero(ring), tame)
-    assert built == []
-    assert calls == {"annihilator_ideal": 0}
+    assert calls == {"annihilator": 0, "_sweep_plan": 0, "saturate_by_ideal": 0}
 
 
 def test_rank_weights_of_annihilator_ideal(zp_related, p_related):
