@@ -335,33 +335,47 @@ def _buchberger(items: Sequence[tuple], pk) -> list:
     degrees, and most of those reductions end in zero.
 
     Two criteria of Buchberger ("A criterion for detecting unnecessary
-    reductions in the construction of Groebner bases", 1979) skip pairs.
-    The product criterion skips a pair whose leading monomials are coprime.
-    It holds only when both elements lie in a single position, where the
-    pair is the polynomial case times one basis vector; it is not valid for
-    elements spread over several positions.  The chain criterion skips a pair
-    (i, j) when some k leads in their position, lt_k divides their lcm, and
-    neither (i, k) nor (j, k) is pending.  A pair skipped by either criterion
-    is no longer pending.
+    reductions in the construction of Groebner bases", 1979) skip pairs; only
+    elements led in the same position pair up, so by_pos lists each
+    position's elements in basis order, and both scans read only that list.
+    The product criterion runs when a pair is made: a pair whose leading
+    monomials are coprime never enters the heap.  It holds only when both
+    elements lie in a single position, where the pair is the polynomial case
+    times one basis vector; it is not valid for elements spread over several
+    positions.  Such an S-polynomial reduces to zero modulo the two elements
+    alone (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, Ch. 2
+    Sec. 10), whatever else is pending, so the pair counts as treated at once.
+    The chain criterion runs when a pair is popped: it skips (i, j) when some
+    k leads in their position, lt_k divides their lcm, and both (i, k) and
+    (j, k) are treated.  A lead in another position never divides the lcm,
+    whose position field it does not share.  A pair skipped by either
+    criterion is treated.
     """
     wdeg = pk.wdeg
     basis = [_monic(f) for f in items if f]
+    if len(basis) > MAX_BASIS:
+        raise ResourceCapError(f"Groebner input has {len(basis)} elements, over {MAX_BASIS}")
     sugar = [max(wdeg(t[0]) for t in f) for f in basis]
     leads = [f[0] for f in basis]
     pos = [lt[1] & FIELD for lt in leads]
     one_pos = [all(t[1] & FIELD == p for t in f) for f, p in zip(basis, pos)]
     support = [pk.support(lt[1]) for lt in leads]
+    by_pos: dict = {}
     heap: list = []
     treated: set = set()
 
     def push_pairs(j: int):
         ltj = leads[j]
-        for i in range(j):
-            if pos[i] == pos[j]:
-                lti = leads[i]
-                lcm_key, lcm_dkey = pk.lcm(lti, ltj)
-                pair_sugar = max(sugar[i] + wdeg(lcm_key - lti[0]), sugar[j] + wdeg(lcm_key - ltj[0]))
-                heapq.heappush(heap, (pair_sugar, lcm_key, i, j, lcm_dkey))
+        same = by_pos.setdefault(pos[j], [])
+        for i in same:
+            if one_pos[i] and one_pos[j] and not support[i] & support[j]:
+                treated.add((i, j))
+                continue
+            lti = leads[i]
+            lcm_key, lcm_dkey = pk.lcm(lti, ltj)
+            pair_sugar = max(sugar[i] + wdeg(lcm_key - lti[0]), sugar[j] + wdeg(lcm_key - ltj[0]))
+            heapq.heappush(heap, (pair_sugar, lcm_key, i, j, lcm_dkey))
+        same.append(j)
 
     for j in range(len(basis)):
         push_pairs(j)
@@ -369,12 +383,10 @@ def _buchberger(items: Sequence[tuple], pk) -> list:
     while heap:
         pair_sugar, lcm_key, i, j, lcm_dkey = heapq.heappop(heap)
         treated.add((i, j))
-        if one_pos[i] and one_pos[j] and not support[i] & support[j]:
-            continue
         skip = False
-        for k, ltk in enumerate(leads):
+        for k in by_pos[pos[i]]:
             if (
-                not (lcm_dkey - ltk[1]) & DIVMASK
+                not (lcm_dkey - leads[k][1]) & DIVMASK
                 and k != i
                 and k != j
                 and (min(i, k), max(i, k)) in treated

@@ -300,6 +300,9 @@ def _raw_elements(nvars, positions, order, max_size=3):
 
 
 _MODULE_ORDER = ((0, 1), 0, 0)
+# unequal weights, so leads land in every position and each position's
+# elements interleave with the others' in basis order
+_RANK3_ORDER = ((1, 0, 2), 0, 0)
 
 _oracle_settings = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -332,20 +335,38 @@ def test_criteria_match_oracle_rabinowitsch(case):
 _COPRIME_PAIR = tuple(K.packing(*_MODULE_ORDER, 2).build(t) for t in ([(0, (1, 0), 1, 1)], [(0, (0, 2), 1, 1), (1, (0, 0), 1, 1)]))
 
 
+_MODULE_CASES = st.sampled_from([([0, 1], _MODULE_ORDER, 4), ([0, 1, 2], _RANK3_ORDER, 5)]).flatmap(
+    lambda c: st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), st.just(c[1]), _raw_elements(n, c[0], c[1], c[2]))
+    )
+)
+
+
 @_oracle_settings
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), _raw_elements(n, [0, 1], _MODULE_ORDER, 4))))
-@example((2, _COPRIME_PAIR))
+@given(_MODULE_CASES)
+@example((2, _MODULE_ORDER, _COPRIME_PAIR))
 def test_criteria_match_oracle_rank2(case):
-    # random positions mix elements in one position with elements in both;
+    # random positions mix elements in one position with elements in several;
     # the example's coprime pair x*e0, y^2*e0 + e1 has S-polynomial -x*e1,
     # which is not zero modulo the pair
-    n, items = case
-    assert _groebner_raw(items, _MODULE_ORDER, n) == _oracle_gb(items, _MODULE_ORDER, n)
+    n, order, items = case
+    assert _groebner_raw(items, order, n) == _oracle_gb(items, order, n)
+
+
+def _tracked_oracle(items, rank, order, nvars, modulo):
+    """_oracle_gb of the items, each with its auxiliary unit, and the modulo
+    elements in _tracked_raw's product order; the input goes through exponent
+    tuples, not through rebase."""
+    porder = _tracked_raw(items, rank, order, nvars, modulo)[1]
+    pk, ppk = K.packing(*order, nvars), K.packing(*porder, nvars)
+    zero = (0,) * nvars
+    embedded = [ppk.pack(pk.unpack(g) + ((rank + i, zero, 1, 1),)) for i, g in enumerate(items)]
+    return _oracle_gb(embedded + [ppk.pack(pk.unpack(g)) for g in modulo], porder, nvars)
 
 
 @_oracle_settings
 @given(
-    st.sampled_from([(1, [0], _RING_ORDER), (2, [0, 1], _MODULE_ORDER)]).flatmap(
+    st.sampled_from([(1, [0], _RING_ORDER), (2, [0, 1], _MODULE_ORDER), (3, [0, 1, 2], _RANK3_ORDER)]).flatmap(
         lambda c: st.tuples(
             st.just(c[0]),
             st.just(c[2]),
@@ -357,11 +378,8 @@ def test_criteria_match_oracle_rank2(case):
 def test_criteria_match_oracle_tracked(case):
     # the modulo elements enter with no auxiliary position
     rank, order, items, modulo = case
-    basis, porder = _tracked_raw(items, rank, order, 2, modulo)
-    # the oracle's input goes through exponent tuples, not through rebase
-    pk, ppk = K.packing(*order, 2), K.packing(*porder, 2)
-    embedded = [ppk.pack(pk.unpack(g) + ((rank + i, (0, 0), 1, 1),)) for i, g in enumerate(items)]
-    assert basis == _oracle_gb(embedded + [ppk.pack(pk.unpack(g)) for g in modulo], porder, 2)
+    basis, _ = _tracked_raw(items, rank, order, 2, modulo)
+    assert basis == _tracked_oracle(items, rank, order, 2, modulo)
     assert all(t[1] & FIELD < rank + len(items) for v in basis for t in v)
 
 
@@ -394,26 +412,72 @@ def test_autoreduce_matches_reference(case):
     assert _autoreduce(basis) == _reference_autoreduce(basis, pk, order)
 
 
-def _count_spolys(monkeypatch):
+def _count_calls(monkeypatch, owner, name):
+    """A list that gains one entry per call of owner.name, counted from
+    cleared L1 caches."""
     _groebner_raw.cache_clear()
     _tracked_raw.cache_clear()
     calls = []
-    spoly = K.spoly
+    fn = getattr(owner, name)
 
     def counting(*args):
         calls.append(1)
-        return spoly(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(K, "spoly", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
+def _count_spolys(monkeypatch):
+    return _count_calls(monkeypatch, K, "spoly")
+
+
+def _count_lcms(monkeypatch):
+    return _count_calls(monkeypatch, _pure.Packing, "lcm")
+
+
 def test_product_criterion_skips_coprime_leads(monkeypatch):
+    # a coprime pair never enters the heap, so not even its lcm is formed
     R = EdgeRing(("x", "y", "z"))
     x, y, z = R.var("x"), R.var("y"), R.var("z")
     calls = _count_spolys(monkeypatch)
+    lcms = _count_lcms(monkeypatch)
     assert set(groebner([x**2, y**2, z**2])) == {x**2, y**2, z**2}
     assert len(calls) == 0
+    assert len(lcms) == 0
+
+
+def test_coprime_pairs_count_as_treated_when_made(monkeypatch):
+    # the relations a^2*e1 and c^2*e1 lie in one position with coprime leads,
+    # so their pair is treated when it is made; the chain criterion through
+    # c^2*e1 then skips the pair of a^2*e1 with the other element led by
+    # c^2*e1: 11 S-polynomials, where marking coprime pairs treated only when
+    # popped made 12
+    R = EdgeRing(("a", "b", "c", "d"))
+    a, b, c, d = (R.var(v) for v in "abcd")
+    F = FreeModule(R, (0, 0))
+    zero = R.zero()
+    gens = [F.element(p) for p in ([a * a + c * c, c * c], [a * c - c * c, a * b + b * c], [a * c + c * c, zero])]
+    modulo = [F.element(p) for p in ([c * d, c * c], [zero, a * a], [zero, c * c])]
+    calls = _count_spolys(monkeypatch)
+    out = syzygies(gens, module=F, modulo=modulo)
+    assert len(calls) == 11
+    items, rels = tuple(g.terms for g in gens), tuple(g.terms for g in modulo)
+    assert _tracked_raw(items, 2, F.order(), 4, rels)[0] == _tracked_oracle(items, 2, F.order(), 4, rels)
+    assert len(out) == 6
+
+
+def test_input_past_the_basis_cap_raises_before_any_pair(monkeypatch):
+    # of these leads only x^2 and y*z are coprime, so making the pairs would
+    # cost lcms; an input over the cap makes none
+    R = EdgeRing(("x", "y", "z"))
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    gens = [x * x, x * y, x * z, y * z]
+    monkeypatch.setattr("tamemod.exactalg.MAX_BASIS", 3)
+    lcms = _count_lcms(monkeypatch)
+    with pytest.raises(ResourceCapError):
+        groebner(gens)
+    assert len(lcms) == 0
 
 
 def test_syzygy_spoly_count(monkeypatch):
@@ -433,15 +497,7 @@ def test_monic_inputs_are_not_rescaled(monkeypatch):
     x, y, z = R.var("x"), R.var("y"), R.var("z")
     f = (x * y + 3 * z * z).terms
     assert _monic(f) is f
-    _groebner_raw.cache_clear()
-    calls = []
-    scale = K.scale
-
-    def counting(*args):
-        calls.append(1)
-        return scale(*args)
-
-    monkeypatch.setattr(K, "scale", counting)
+    calls = _count_calls(monkeypatch, K, "scale")
     groebner([2 * x * x - y * z, x * y + 3 * z * z, y**3 - x * z])
     assert len(calls) == 6
 
