@@ -35,6 +35,7 @@ from .gradedmod import (
     is_tame_support,
     kernel,
     pullback,
+    quotient_by_elements,
     six_term,
     submodule_from_elements,
 )

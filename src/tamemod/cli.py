@@ -21,7 +21,7 @@ from .graphsplit import (
     predicate_from_config,
     split_edge,
 )
-from .serre import harness, transform, type_level, verify
+from .serre import MAX_LEVEL, harness, transform, type_level, verify
 from .workspace import Workspace, module_to_json
 
 WEIGHT_BOUND_ENV = "TAMEMOD_WEIGHT_BOUND"
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_h.add_argument("--samples", type=int, default=16)
     p_h.add_argument("--seed", type=int, default=0)
     p_h.add_argument("--jobs", type=int, default=1)
-    p_h.add_argument("--max-level", type=int, default=2)
+    p_h.add_argument("--max-level", type=int, default=2, help=f"deepest random certificate, at most {MAX_LEVEL} (exit 3 above it)")
     p_h.add_argument("--out", help="write the JSON report here instead of stdout")
     p_h.set_defaults(func=cmd_harness)
 

@@ -3,7 +3,8 @@ maps between them.
 
 Carries the contraction functor F0(M) = M/(e - e'), its derived torsion
 functor F1(M) = ker(M --(e-e')--> M) restricted to the contracted ring, the
-kernel/cokernel/image/pullback toolbox, annihilators and cyclic submodules,
+kernel/cokernel/image/pullback toolbox, quotients by elements (which present
+no submodule, so run no syzygies), annihilators and cyclic submodules,
 and the support criterion deciding membership in the Serre subcategory
 generated by a list of partition modules, one generator's annihilator at a time.
 
@@ -316,8 +317,7 @@ def _span(ambient: PresentedModule, gens: Sequence[FreeElement]):
     Its relations are the syzygy basis, which is already the reduced Groebner
     basis in the new free cover (weights of the kept generators), so they
     also seed its relation_gb."""
-    gb = ambient.relation_gb()
-    kept = [g for g in gens if not normal_form(g, gb).is_zero()]
+    kept = _nonzero_classes(ambient, gens)
     if not kept:
         sub = PresentedModule.zero(ambient.ring)
     else:
@@ -327,14 +327,34 @@ def _span(ambient: PresentedModule, gens: Sequence[FreeElement]):
     return sub, ModuleMap(sub, ambient, kept, 0, check=False)
 
 
-def submodule_from_elements(m: PresentedModule, elems: Sequence[FreeElement]):
-    """Submodule generated by homogeneous elements, with its inclusion."""
+def _nonzero_classes(ambient: PresentedModule, gens: Sequence[FreeElement]) -> list:
+    """The gens whose class in ambient is nonzero, in order."""
+    gb = ambient.relation_gb()
+    return [g for g in gens if not normal_form(g, gb).is_zero()]
+
+
+def _check_elements(m: PresentedModule, elems: Sequence[FreeElement]):
     for x in elems:
         if x.module != m.free_cover:
             raise StructuralError("generator outside the module's free cover")
         if not x.is_homogeneous:
             raise ValidationError(f"inhomogeneous submodule generator {x}")
+
+
+def submodule_from_elements(m: PresentedModule, elems: Sequence[FreeElement]):
+    """Submodule generated by homogeneous elements, with its inclusion."""
+    _check_elements(m, elems)
     return _span(m, list(elems))
+
+
+def quotient_by_elements(m: PresentedModule, elems: Sequence[FreeElement]):
+    """m/<elems> and the projection, as the cokernel of submodule_from_elements'
+    inclusion, but with no syzygies: the cokernel of a free module's map onto
+    the elements of nonzero class."""
+    _check_elements(m, elems)
+    kept = _nonzero_classes(m, elems)
+    free = PresentedModule.free(m.ring, [g.weight() for g in kept])
+    return cokernel(ModuleMap(free, m, kept, 0, check=False))
 
 
 def kernel(phi: ModuleMap):

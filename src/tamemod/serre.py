@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CertificateError, StructuralError, ValidationError
+from .errors import CertificateError, ResourceCapError, StructuralError, ValidationError
 from .exactalg import EdgeRing, FreeElement, normal_form
 from .gradedmod import (
     ModuleMap,
@@ -37,6 +37,7 @@ from .gradedmod import (
     is_tame_support,
     kernel,
     pullback,
+    quotient_by_elements,
     submodule_from_elements,
 )
 from .graphsplit import SplitResult, TamenessPredicate, tame_partitions
@@ -398,10 +399,13 @@ def _sub_of_gen(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
 # Random certificates and the property harness
 
 
-# Random certificates shift a generator by at most MAX_SHIFT and draw witness
-# elements of weight at most the least generator weight plus EXTRA_WEIGHT.
+# Random certificates shift a generator by at most MAX_SHIFT, draw witness
+# elements of weight at most the least generator weight plus EXTRA_WEIGHT, and
+# have at most MAX_LEVEL levels: an Ext node builds both children, so the
+# expected node count grows as (4/3)^level.
 MAX_SHIFT = 1
 EXTRA_WEIGHT = 2
+MAX_LEVEL = 12
 
 
 def random_homogeneous_element(rng: random.Random, m: PresentedModule, weight: int) -> FreeElement:
@@ -436,13 +440,17 @@ def random_certificate(
 ) -> Certificate:
     """Random certificate over the common ground set of tame_list.
 
-    Bounded so the Groebner work stays interactive: levels <= max_level,
-    witness elements of weight at most min generator weight + EXTRA_WEIGHT.
+    Bounded so the Groebner work stays interactive: levels <= max_level <=
+    MAX_LEVEL (above it, ResourceCapError before any draw), witness elements
+    of weight at most min generator weight + EXTRA_WEIGHT.  A Quot step
+    presents no submodule, so it runs no syzygies.
     """
     if not tame_list:
         raise ValidationError("need at least one tame partition to seed certificates")
     if max_level < 0:
         raise ValidationError(f"max_level must be non-negative, got {max_level}")
+    if max_level > MAX_LEVEL:
+        raise ResourceCapError(f"max_level {max_level} exceeds the cap of {MAX_LEVEL}")
     ring = partition_module(tame_list[0]).ring
 
     def build(level: int) -> Certificate:
@@ -458,11 +466,9 @@ def random_certificate(
         if m.rank == 0:
             return parent
         elems = _random_elements(rng, m, rng.randint(1, 2))
-        sub, incl = submodule_from_elements(m, elems)
         if kind == "sub":
-            return SubNode(parent, incl)
-        _, proj = cokernel(incl)
-        return QuotNode(parent, proj)
+            return SubNode(parent, submodule_from_elements(m, elems)[1])
+        return QuotNode(parent, quotient_by_elements(m, elems)[1])
 
     return build(rng.randint(0, max_level))
 
@@ -503,10 +509,7 @@ def _harness_sample(args) -> PropertyReport:
     cert = random_certificate(rng, tame_split, max_level)
     m = cert.root
     if prop == "Q":
-        elems = _random_elements(rng, m, 1)
-        if m.rank:
-            _, incl = submodule_from_elements(m, elems)
-            m = cokernel(incl)[0]
+        m = quotient_by_elements(m, _random_elements(rng, m, 1))[0]
         desc = "quotient of a certified module"
     elif prop == "S":
         elems = _random_elements(rng, m, 1)

@@ -372,6 +372,32 @@ def test_harness_cap_exit_code():
     assert run("harness", "--edges", "12", "--pred", "always-true", "--samples", "1") == 3
 
 
+def test_harness_max_level_past_the_cap_exit_3(capsys):
+    # an Ext node builds both children, so the work grows exponentially with
+    # the level; past MAX_LEVEL the run stops at once instead of hanging
+    start = time.monotonic()
+    assert run("harness", "--graph", "a,b", "--pred", "always-true", "--samples", "1", "--max-level", "50") == 3
+    assert time.monotonic() - start < 2
+    assert "resource cap exceeded" in capsys.readouterr().err
+
+
+# The sha256 of the harness report for fixed seeds on {a, b, c, e} split at e,
+# 16 samples (two of each O/Q/S/E property and degree); no change of internal
+# layout may move them.
+HARNESS_GOLDEN = {
+    1: "2d54f3b8ab3846461b85b480444e4453c4348a8c78eff3168460097f3a833f80",
+    2: "b53a544f7d921f235faecdd1dcffe048fcd1c240b2614af0b5a83663611fdaa6",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HARNESS_GOLDEN))
+def test_harness_golden_reports(tmp_path, seed):
+    out = tmp_path / "report.json"
+    assert run("harness", "--graph", "a,b,c,e", "--split", "e", "--pred", "max-blocks:2",
+               "--samples", "16", "--seed", str(seed), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HARNESS_GOLDEN[seed]
+
+
 def test_harness_needs_edges_or_graph():
     assert run("harness", "--pred", "always-true", "--samples", "1") == 2
 

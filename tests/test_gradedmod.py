@@ -38,6 +38,7 @@ from tamemod.gradedmod import (
     is_tame_support,
     kernel,
     pullback,
+    quotient_by_elements,
     same_submodule,
     six_term,
     submodule_from_elements,
@@ -360,6 +361,59 @@ def test_f1_left_exact_on_monos(zp_related):
         sub, incl = submodule_from_elements(m, elems)
         ind = induced_map_f1(incl, "e", "e'")
         assert ind.is_mono()
+
+
+def _quotient_cases():
+    """(module, elements) over random certificate roots on {a, b, c, e, e'}:
+    the empty list, lists of zero class (the zero element, relation basis
+    elements and a multiple of one), random lists, and random lists with
+    zero-class elements mixed in."""
+    split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
+    rng = random.Random("quotient-by-elements")
+    cases = []
+    for pred in (AlwaysTame(), MaxBlockCount(2), CoBlocked(["a", "b"]), DiscreteOnly()):
+        tame = tame_partitions(pred, split.split_graph)
+        for _ in range(6):
+            m = random_certificate(rng, tame, 2).root
+            if m.rank == 0:
+                continue
+            gb = list(m.relation_gb())
+            zero_class = [m.free_cover.zero()] + gb[:2] + [m.ring.var("a") * g for g in gb[:1]]
+            base = min(m.gen_weights)
+            elems = [random_homogeneous_element(rng, m, base + rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
+            cases += [(m, []), (m, zero_class), (m, elems), (m, elems[:1] + zero_class + elems[1:])]
+    return cases
+
+
+def test_quotient_by_elements_matches_cokernel_of_the_submodule():
+    # equal modules and maps with ==, not only the same relation submodule
+    kinds = set()
+    for m, elems in _quotient_cases():
+        q, proj = quotient_by_elements(m, elems)
+        ref, ref_proj = cokernel(submodule_from_elements(m, elems)[1])
+        assert q == ref and proj.columns == ref_proj.columns and proj == ref_proj
+        zero = tuple(normal_form(x, m.relation_gb()).is_zero() for x in elems)
+        if all(zero):
+            assert q == m
+        kinds.add(zero)
+    assert () in kinds and any(k and all(k) for k in kinds) and any(len(set(k)) == 2 for k in kinds)
+
+
+@pytest.mark.parametrize("bad", ["foreign", "inhomogeneous"])
+def test_quotient_by_elements_rejects_what_submodules_reject(zp_related, bad):
+    m = zp_related
+    a, e = m.ring.var("a"), m.ring.var("e")
+    if bad == "foreign":
+        x = PresentedModule.free(m.ring, (0, 1)).gen(1)
+    else:
+        x = (a + e * e) * m.gen(0)
+    errors = []
+    for route in (quotient_by_elements, submodule_from_elements):
+        with pytest.raises((StructuralError, ValidationError)) as info:
+            route(m, [m.gen(0), x])
+        errors.append((info.type, str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is (StructuralError if bad == "foreign" else ValidationError)
 
 
 # -- six-term sequence ------------------------------------------------------------------

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import tamemod.gradedmod as gm
-from tamemod.errors import CertificateError, StructuralError, ValidationError
+import tamemod.serre as serre
+from tamemod.errors import CertificateError, ResourceCapError, StructuralError, ValidationError
 from tamemod.exactalg import EdgeRing, FreeElement, FreeModule, groebner, normal_form, syzygies
 from tamemod.gradedmod import (
     ModuleMap,
@@ -30,6 +31,7 @@ from tamemod.graphsplit import (
 )
 from tamemod.partition import make_partition, merge_edges, partition_module
 from tamemod.serre import (
+    MAX_LEVEL,
     ExtNode,
     GenNode,
     PropertyReport,
@@ -319,6 +321,59 @@ def test_transform_corpus_rows(split_abe):
     assert all(r["ok"] for r in rows)
 
 
+def test_max_level_past_the_cap_raises_before_any_draw(split_abe):
+    tame = tame_partitions(PRED, split_abe.split_graph)
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ResourceCapError):
+        random_certificate(rng, tame, MAX_LEVEL + 1)
+    assert rng.getstate() == state
+    with pytest.raises(ResourceCapError):
+        transform_corpus(split_abe, PRED, samples=1, seed=0, max_level=MAX_LEVEL + 1)
+
+
+def _old_quotient(m, elems):
+    """The route quotient_by_elements replaces: present the submodule, then
+    take the cokernel of its inclusion."""
+    return cokernel(submodule_from_elements(m, elems)[1])
+
+
+def _syzygy_calls(monkeypatch, fn, *args):
+    """fn(*args) and the number of syzygies runs it makes, from cold caches."""
+    for cached in (gm.torsion_data, gm.f0, gm.annihilator_ideal):
+        cached.cache_clear()
+    calls = []
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return syzygies(*a, **kw)
+
+    monkeypatch.setattr(gm, "syzygies", counting)
+    return fn(*args), len(calls)
+
+
+def test_quot_step_runs_no_syzygies(split_abe, monkeypatch):
+    # this seed draws a level-1 Quot over a Gen leaf whose element has a
+    # nonzero class; presenting the submodule first took one syzygies run
+    tame = tame_partitions(MaxBlockCount(2), split_abe.split_graph)
+    cert, calls = _syzygy_calls(monkeypatch, random_certificate, random.Random("quot-work:2"), tame, 1)
+    assert isinstance(cert, QuotNode) and isinstance(cert.parent, GenNode)
+    assert len(cert.root.relations) > len(cert.parent.root.relations)
+    assert calls == 0
+    monkeypatch.setattr(serre, "quotient_by_elements", _old_quotient)
+    old, old_calls = _syzygy_calls(monkeypatch, random_certificate, random.Random("quot-work:2"), tame, 1)
+    assert old == cert and old_calls == 1
+
+
+def test_q_sample_runs_one_syzygies_fewer(split_abe, monkeypatch):
+    task = (2, 1, split_abe, MaxBlockCount(2), MaxBlockCount(2), 2)
+    assert serre.PROPERTY_CYCLE[task[0]][0] == "Q"
+    report, calls = _syzygy_calls(monkeypatch, serre._harness_sample, task)
+    monkeypatch.setattr(serre, "quotient_by_elements", _old_quotient)
+    old, old_calls = _syzygy_calls(monkeypatch, serre._harness_sample, task)
+    assert report == old and calls == old_calls - 1
+
+
 # -- syzygies modulo relations against the tracked-relations reference --------------
 
 
@@ -539,7 +594,7 @@ def test_skipped_groebner_passes_are_fixed_points(monkeypatch):
     monkeypatch.setattr(gm, "_span", checked_span)
     monkeypatch.setattr(gm, "kernel", checked_kernel)
     monkeypatch.setattr("tamemod.serre.kernel", checked_kernel)
-    for split, node in _modulo_corpus():
+    for split, node in _modulo_corpus(per_pred=20):
         m = node.root
         if m.ring.variables == split.split_graph.edges:
             torsion_data(m, split.e, split.e_prime)

@@ -1,6 +1,7 @@
 """Workspace JSON round-trips and referential integrity."""
 
 import copy
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -71,6 +72,27 @@ def test_workspace_roundtrip_with_certificates(split_abe):
     assert back.certificates == ws.certificates
     # and serialization is stable
     assert back.to_json() == data
+
+
+# The sha256 of the workspace file holding six seeded random certificates of
+# max level 3 on {a, b, e} split at e; no change of internal layout may move it.
+CERTIFICATE_GOLDEN = {
+    "max-blocks:2": "d829acdfc98d0b439b435a6ddae3b2bdf9eb0af893fdc5041ea3bf9747114595",
+    "always-true": "25e8fec0df788ea3b2683f97e9c6194253658075c9b19cba3f1ce26dfa1a5eab",
+}
+
+
+@pytest.mark.parametrize("pred", [MaxBlockCount(2), AlwaysTame()], ids=lambda p: p.describe())
+def test_random_certificates_golden_workspace(tmp_path, split_abe, pred):
+    tame = tame_partitions(pred, split_abe.split_graph)
+    rng = random.Random(f"golden:{pred.describe()}")
+    ws = Workspace(graph=split_abe.base_graph, split="e", predicate=pred)
+    for k in range(6):
+        ws.intern_certificate(f"c{k}", random_certificate(rng, tame, max_level=3))
+    assert {c.kind for c in ws.certificates.values()} >= {"quot", "ext"}
+    out = tmp_path / "ws.json"
+    ws.dump(str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CERTIFICATE_GOLDEN[pred.describe()]
 
 
 def test_each_kind_roundtrips_through_json(p_related):
