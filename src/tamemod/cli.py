@@ -56,14 +56,12 @@ def _split_edges(ws: Workspace, args, ring) -> tuple[str, str]:
     return e, e_prime
 
 
-def _predicate(ws: Workspace, spec: str | None, required: bool = True):
+def _predicate(ws: Workspace, spec: str | None):
     if spec:
         return predicate_from_config(spec)
     if ws.predicate is not None:
         return ws.predicate
-    if required:
-        raise ValidationError("no predicate: pass --pred or set \"predicate\" in the workspace")
-    return None
+    raise ValidationError("no predicate: pass --pred or set \"predicate\" in the workspace")
 
 
 def cmd_functor(args) -> int:

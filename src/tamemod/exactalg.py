@@ -613,31 +613,25 @@ def _contains_unit(gb: tuple) -> bool:
     return any(g[0][1] == 0 for g in gb)
 
 
-def _rabinowitsch_gb(ideal: tuple, h: tuple, nvars: int) -> tuple:
-    """Elimination basis of I + (1 - t*h) in one auxiliary variable t, which
-    comes first and dominates the order."""
-    items = [_lift_terms(g, nvars) for g in ideal]
-    items.append(K.sub(((0, 0, 1, 1),), _lift_terms(h, nvars, 1)))
-    return _elim_gb(items, nvars)
-
-
 def radical_member(f: GradedPoly, ideal_gens: Sequence[GradedPoly]) -> bool:
-    """True iff some power of f lies in the ideal (Rabinowitsch trick: the
-    ideal extended by 1 - t*f in one auxiliary variable becomes the unit ideal)."""
+    """True iff some power of f lies in the ideal, that is, iff the saturation
+    I : f^infinity is the unit ideal (read off _saturate_raw)."""
     if not isinstance(f, GradedPoly):
         raise StructuralError(f"radical membership of a {type(f).__name__}, not a poly")
     ideal = _ideal_terms(ideal_gens, f.ring)
-    if f.is_zero():
-        return True
-    return _contains_unit(_rabinowitsch_gb(ideal, f.terms, f.ring.nvars))
+    return _contains_unit(_saturate_raw(ideal, f.terms, f.ring.nvars))
 
 
 @lru_cache(maxsize=65536)
 def _saturate_raw(ideal: tuple, h: tuple, nvars: int) -> tuple:
-    """(I : h^infinity) = (I + (1 - t*h)) intersected with the ring."""
+    """(I : h^infinity) = (I + (1 - t*h)) intersected with the ring, as a
+    reduced basis; the unit ideal for h = 0.  The auxiliary variable t comes
+    first and dominates the elimination order (Rabinowitsch trick)."""
     if not h:
         return (((0, 0, 1, 1),),)
-    return _t_free(_rabinowitsch_gb(ideal, h, nvars), nvars)
+    items = [_lift_terms(g, nvars) for g in ideal]
+    items.append(K.sub(((0, 0, 1, 1),), _lift_terms(h, nvars, 1)))
+    return _t_free(_elim_gb(items, nvars), nvars)
 
 
 @lru_cache(maxsize=65536)

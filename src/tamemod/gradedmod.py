@@ -3,10 +3,11 @@ maps between them.
 
 Carries the contraction functor F0(M) = M/(e - e'), its derived torsion
 functor F1(M) = ker(M --(e-e')--> M) restricted to the contracted ring, the
-kernel/cokernel/image/pullback toolbox, quotients by elements (which present
-no submodule, so run no syzygies), annihilators and cyclic submodules,
-and the support criterion deciding membership in the Serre subcategory
-generated by a list of partition modules, one generator's annihilator at a time.
+kernel/cokernel/image/pullback toolbox, submodules spanned by elements (a
+cyclic submodule is the span of one), quotients by elements (which present no
+submodule, so run no syzygies), annihilators, and the support criterion
+deciding membership in the Serre subcategory generated by a list of partition
+modules, one generator's annihilator at a time.
 
 Hilbert functions come from Hilbert-Poincare numerators read off plain relation
 bases (Bigatti); ModuleMap.is_mono and exact_at compare them, with no syzygies.
@@ -166,20 +167,6 @@ def _combine(*parts) -> dict:
     for sign, shift, num in parts:
         out.update({k + shift: sign * c for k, c in num.items()})
     return {k: c for k, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def _monomials(total: int, n: int) -> tuple:
-    """All exponent tuples of length n summing to total."""
-    if n == 0:
-        return ((),) if total == 0 else ()
-    if n == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _monomials(total - first, n - 1):
-            out.append((first,) + rest)
-    return tuple(out)
 
 
 class ModuleMap:
@@ -707,17 +694,12 @@ class CyclicSubmodule:
 
 
 def cyclic_submodule(m: PresentedModule, x: FreeElement) -> CyclicSubmodule:
-    """R*x presented as R/Ann(x) with its generator in weight(x)."""
-    if x.module != m.free_cover:
-        raise StructuralError("element outside the module's free cover")
-    if not normal_form(x, m.relation_gb()).is_zero():
-        w = x.weight()
-        ann = annihilator(m, x)
-        cyc = PresentedModule.from_ideal(m.ring, ann, shift=w)
-        incl = ModuleMap(cyc, m, [x], 0, check=True)
-        return CyclicSubmodule(cyc, incl, w)
-    zero_mod = PresentedModule.zero(m.ring)
-    return CyclicSubmodule(zero_mod, ModuleMap.zero_map(zero_mod, m), 0)
+    """R*x as submodule_from_elements(m, [x]) spans it: one generator in
+    weight(x), whose relations are Ann(x), so R*x = R/Ann(x) shifted; the
+    zero module, with shift 0, when x's class is zero.  Like any submodule
+    generator, x must be homogeneous, whatever its class."""
+    sub, incl = submodule_from_elements(m, [x])
+    return CyclicSubmodule(sub, incl, x.weight() if sub.rank else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -108,10 +108,6 @@ def merge_edges(p: Partition, e: str, e_prime: str) -> Partition:
     return make_partition(new_ground, new_blocks)
 
 
-def partition_ring(p: Partition) -> EdgeRing:
-    return EdgeRing(p.ground)
-
-
 def partition_ideal(p: Partition, ring: EdgeRing | None = None) -> tuple[GradedPoly, ...]:
     """Generators x - y chaining the sorted elements of each block.
 
@@ -119,7 +115,7 @@ def partition_ideal(p: Partition, ring: EdgeRing | None = None) -> tuple[GradedP
     the quotient map onto the partition module.
     """
     if ring is None:
-        ring = partition_ring(p)
+        ring = EdgeRing(p.ground)
     elif set(ring.variables) != set(p.ground):
         raise ValidationError("ring variables do not match the partition ground set")
     gens = []
@@ -133,6 +129,6 @@ def partition_module(p: Partition, ring: EdgeRing | None = None) -> PresentedMod
     """Rank-1 presentation of the partition module: one weight-0 generator,
     relations the partition ideal."""
     if ring is None:
-        ring = partition_ring(p)
+        ring = EdgeRing(p.ground)
     ideal = partition_ideal(p, ring)
     return PresentedModule.from_ideal(ring, ideal)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import CertificateError, ResourceCapError, StructuralError, ValidationError
@@ -24,7 +25,6 @@ from .gradedmod import (
     PresentedModule,
     ShortExactSequence,
     _base_ring,
-    _monomials,
     cokernel,
     connecting_map,
     direct_sum,
@@ -52,6 +52,9 @@ class Certificate:
     A leaf's constructor takes its data; any other takes its children, then
     its witnesses, each in the order named.  Equality, hashing, children(),
     witnesses(), verify's walk and the workspace JSON all read these names.
+
+    level is the type level, stored when the node is built: 0 for a leaf,
+    1 + the children's maximum otherwise.
     """
 
     kind = "abstract"
@@ -59,6 +62,7 @@ class Certificate:
     child_parts: tuple[str, ...] = ()
     witness_parts: tuple[str, ...] = ()
     root: PresentedModule
+    level = 0
 
     def children(self) -> tuple["Certificate", ...]:
         return tuple(getattr(self, name) for name in self.child_parts)
@@ -118,6 +122,7 @@ class SubNode(Certificate):
         self.parent = parent
         self.witness = witness
         self.root = witness.source
+        self.level = parent.level + 1
 
 
 class QuotNode(Certificate):
@@ -131,6 +136,7 @@ class QuotNode(Certificate):
         self.parent = parent
         self.witness = witness
         self.root = witness.target
+        self.level = parent.level + 1
 
 
 class ExtNode(Certificate):
@@ -152,6 +158,7 @@ class ExtNode(Certificate):
         self.injection = injection
         self.projection = projection
         self.root = injection.target
+        self.level = max(left.level, right.level) + 1
 
 
 # Every node kind, by its JSON name; a Certificate subclass outside it is
@@ -160,17 +167,8 @@ KINDS: dict[str, type[Certificate]] = {cls.kind: cls for cls in (ZeroNode, GenNo
 
 
 def type_level(c: Certificate) -> int:
-    """0 for leaves; 1 + the maximum over children otherwise.
-
-    Walks an explicit stack, so a deep chain needs no interpreter frame per level."""
-    deepest = 0
-    stack = [(c, 0)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        for child in node.children():
-            stack.append((child, depth + 1))
-    return deepest
+    """0 for leaves; 1 + the maximum over children otherwise (c.level)."""
+    return c.level
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +367,7 @@ def _sub_of_gen(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
         # already handles.
         f1s = f1(s_mod, e, e_prime)
         if f1s.rank == 0:
-            return ZeroNode(f1s.ring)
+            return _zero_cert_for(f1s)
         c1 = _transform(parent, e, e_prime, 1, trace, depth + 1)
         if isinstance(c1, ZeroNode):
             raise CertificateError(
@@ -406,6 +404,20 @@ def _sub_of_gen(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
 MAX_SHIFT = 1
 EXTRA_WEIGHT = 2
 MAX_LEVEL = 12
+
+
+@lru_cache(maxsize=None)
+def _monomials(total: int, n: int) -> tuple:
+    """All exponent tuples of length n summing to total."""
+    if n == 0:
+        return ((),) if total == 0 else ()
+    if n == 1:
+        return ((total,),)
+    out = []
+    for first in range(total + 1):
+        for rest in _monomials(total - first, n - 1):
+            out.append((first,) + rest)
+    return tuple(out)
 
 
 def random_homogeneous_element(rng: random.Random, m: PresentedModule, weight: int) -> FreeElement:
@@ -451,7 +463,7 @@ def random_certificate(
         raise ValidationError(f"max_level must be non-negative, got {max_level}")
     if max_level > MAX_LEVEL:
         raise ResourceCapError(f"max_level {max_level} exceeds the cap of {MAX_LEVEL}")
-    ring = partition_module(tame_list[0]).ring
+    ring = EdgeRing(tame_list[0].ground)
 
     def build(level: int) -> Certificate:
         if level <= 0:

@@ -331,6 +331,56 @@ def test_criteria_match_oracle_rabinowitsch(case):
     assert _groebner_raw(items, _ELIM_ORDER, nvars + 1) == _oracle_gb(items, _ELIM_ORDER, nvars + 1)
 
 
+def _rabinowitsch_member(f, ideal_gens):
+    """The elimination route radical_member once took, kept as its oracle:
+    f is in the radical iff the elimination basis of I + (1 - t*f), t first
+    and dominant, holds a constant."""
+    nvars = f.ring.nvars
+    if f.is_zero():
+        return True
+    items = [_lift_terms(g.terms, nvars) for g in ideal_gens if not g.is_zero()]
+    items.append(K.sub(((0, 0, 1, 1),), _lift_terms(f.terms, nvars, 1)))
+    gb = _groebner_raw(tuple(t for t in items if t), _ELIM_ORDER, nvars + 1)
+    return any(g[0][1] == 0 for g in gb)
+
+
+def _radical_case(nvars, ideal, h, kind):
+    """(f, gens) over x, y: f a random poly, a multiple of gens[0] or zero."""
+    R = EdgeRing(("x", "y")[:nvars])
+    gens = [GradedPoly(R, g) for g in ideal]
+    f = {"random": GradedPoly(R, h), "multiple": gens[0] * GradedPoly(R, h), "zero": R.zero()}[kind]
+    return f, gens
+
+
+_R_XY = EdgeRing(("x", "y"))
+_x, _y, _one = _R_XY.var("x"), _R_XY.var("y"), _R_XY.one()
+
+
+@_oracle_settings
+@given(
+    st.integers(1, 2).flatmap(
+        lambda n: st.tuples(
+            _raw_elements(n, [0], _RING_ORDER, 2),
+            _raw_element(n, [0], _RING_ORDER),
+            st.sampled_from(["random", "multiple", "zero"]),
+        ).map(lambda c: _radical_case(n, *c))
+    )
+)
+@example((_R_XY.zero(), [_x]))
+@example((_R_XY.zero(), []))
+@example((_x, [_one]))
+@example((_x * _y + _one, [_x, _one]))
+@example((_x - _y, [(_x - _y) ** 2]))
+@example((_x + _x**2, [_x**2 + _x**3]))
+@example((_x, [_x**2 + _x**3]))
+@example((_x, [_y]))
+@example((_x, []))
+def test_radical_member_matches_the_elimination_route(case):
+    # zero, unit ideals, members and non-members, by the explicit examples
+    f, gens = case
+    assert radical_member(f, gens) == _rabinowitsch_member(f, gens)
+
+
 # x*e0 and y^2*e0 + e1 over {x, y}
 _COPRIME_PAIR = tuple(K.packing(*_MODULE_ORDER, 2).build(t) for t in ([(0, (1, 0), 1, 1)], [(0, (0, 2), 1, 1), (1, (0, 0), 1, 1)]))
 

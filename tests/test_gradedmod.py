@@ -21,6 +21,7 @@ from tamemod.exactalg import (
     saturate_by_ideal,
 )
 from tamemod.gradedmod import (
+    CyclicSubmodule,
     ModuleMap,
     PresentedModule,
     ShortExactSequence,
@@ -399,20 +400,25 @@ def test_quotient_by_elements_matches_cokernel_of_the_submodule():
     assert () in kinds and any(k and all(k) for k in kinds) and any(len(set(k)) == 2 for k in kinds)
 
 
-@pytest.mark.parametrize("bad", ["foreign", "inhomogeneous"])
+@pytest.mark.parametrize("bad", ["foreign", "inhomogeneous", "inhomogeneous-zero-class"])
 def test_quotient_by_elements_rejects_what_submodules_reject(zp_related, bad):
+    # cyclic_submodule is the span of its one element, so it rejects the same
+    # element with the same error, whether or not the element's class is zero
     m = zp_related
-    a, e = m.ring.var("a"), m.ring.var("e")
+    a, e, ep = m.ring.var("a"), m.ring.var("e"), m.ring.var("e'")
     if bad == "foreign":
         x = PresentedModule.free(m.ring, (0, 1)).gen(1)
-    else:
+    elif bad == "inhomogeneous":
         x = (a + e * e) * m.gen(0)
+    else:
+        x = (e - ep) * (m.ring.one() + a) * m.gen(0)
+        assert normal_form(x, m.relation_gb()).is_zero()
     errors = []
-    for route in (quotient_by_elements, submodule_from_elements):
+    for route in (quotient_by_elements, submodule_from_elements, lambda m, elems: cyclic_submodule(m, elems[-1])):
         with pytest.raises((StructuralError, ValidationError)) as info:
             route(m, [m.gen(0), x])
         errors.append((info.type, str(info.value)))
-    assert errors[0] == errors[1]
+    assert errors[0] == errors[1] == errors[2]
     assert errors[0][0] is (StructuralError if bad == "foreign" else ValidationError)
 
 
@@ -605,6 +611,43 @@ def test_cyclic_submodule_of_zero_element():
     m = PresentedModule.from_ideal(R, [R.var("x")])
     cs = cyclic_submodule(m, R.var("x") * m.gen(0))
     assert cs.module.is_zero()
+
+
+def _cyclic_by_annihilator(m, x):
+    """The annihilator route cyclic_submodule once took, kept as its oracle:
+    R/Ann(x) with its generator in weight(x) and a checked inclusion; the
+    zero module with a zero map when x's class is zero."""
+    if x.module != m.free_cover:
+        raise StructuralError("element outside the module's free cover")
+    if not normal_form(x, m.relation_gb()).is_zero():
+        w = x.weight()
+        ann = annihilator(m, x)
+        cyc = PresentedModule.from_ideal(m.ring, ann, shift=w)
+        incl = ModuleMap(cyc, m, [x], 0, check=True)
+        return CyclicSubmodule(cyc, incl, w)
+    zero_mod = PresentedModule.zero(m.ring)
+    return CyclicSubmodule(zero_mod, ModuleMap.zero_map(zero_mod, m), 0)
+
+
+def test_cyclic_submodule_matches_the_annihilator_route():
+    # criterion 3's draws (a random partition of 1-5 edges, an element of
+    # weight 0-4) with zero classes kept, a relation's multiple of zero class
+    # for each, and every element of _quotient_cases over certificate roots
+    rng = random.Random("cyclic-submodule")
+    letters = ("a", "b", "c", "d", "e")
+    cases = []
+    for _ in range(60):
+        ground = letters[: rng.randint(1, 5)]
+        parts = list(iter_partitions(ground))
+        m = partition_module(parts[rng.randrange(len(parts))])
+        cases.append((m, random_homogeneous_element(rng, m, rng.randint(0, 4))))
+        cases += [(m, m.ring.var(ground[0]) * g) for g in m.relation_gb()[:1]]
+    cases += [(m, x) for m, elems in _quotient_cases() for x in elems]
+    zero = []
+    for m, x in cases:
+        assert cyclic_submodule(m, x) == _cyclic_by_annihilator(m, x), (m, x)
+        zero.append(normal_form(x, m.relation_gb()).is_zero())
+    assert 0 < sum(zero) < len(zero)
 
 
 # -- support criterion ------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 import pytest
 
 from tamemod.errors import ResourceCapError, ValidationError
+from tamemod.partition import merge_edges
 from tamemod.graphsplit import (
+    DEFAULT_ENUM_EDGES,
     AlwaysTame,
     CoBlocked,
     DiscreteOnly,
     EdgeGraph,
     MaxBlockCount,
+    MergeClosureReport,
     check_merge_closure,
     iter_partitions,
     predicate_from_config,
@@ -73,6 +76,10 @@ def test_tame_partitions_cap():
     g = EdgeGraph(tuple(f"x{i}" for i in range(12)))
     with pytest.raises(ResourceCapError):
         tame_partitions(AlwaysTame(), g)
+    # merge closure walks the same enumeration, so it meets the same cap
+    past = split_edge(EdgeGraph(tuple(f"x{i}" for i in range(DEFAULT_ENUM_EDGES))), "x0")
+    with pytest.raises(ResourceCapError):
+        check_merge_closure(AlwaysTame(), AlwaysTame(), past)
 
 
 def test_merge_closure_trivial_predicate(split_abe):
@@ -101,6 +108,37 @@ def test_merge_closure_counterexample(split_abe):
 def test_shipped_predicates_close_under_merge(make, split_abe):
     report = check_merge_closure(make(), make(), split_abe)
     assert report.passed, str(report)
+
+
+def _closure_by_filtering(pred_split, pred_base, s):
+    """The enumerate-and-filter walk check_merge_closure once made, kept as
+    its oracle."""
+    checked = 0
+    for p in iter_partitions(s.split_graph.edges):
+        if not pred_split(p):
+            continue
+        checked += 1
+        merged = merge_edges(p, s.e, s.e_prime)
+        if not pred_base(merged):
+            return MergeClosureReport(False, checked, p, merged)
+    return MergeClosureReport(True, checked)
+
+
+def test_merge_closure_matches_enumerate_and_filter():
+    # every ordered pair of shipped predicates, adversarial pairs included,
+    # on every split of graphs of 1-4 base edges
+    preds = [AlwaysTame(), MaxBlockCount(1), MaxBlockCount(2), CoBlocked(["a", "b"]), CoBlocked(["b", "d"]), DiscreteOnly()]
+    verdicts = set()
+    for n in range(1, 5):
+        graph = EdgeGraph(tuple("abcd"[:n]))
+        for target in graph.edges:
+            s = split_edge(graph, target)
+            for pred_split in preds:
+                for pred_base in preds:
+                    report = check_merge_closure(pred_split, pred_base, s)
+                    assert report == _closure_by_filtering(pred_split, pred_base, s), (s, pred_split, pred_base)
+                    verdicts.add(report.passed)
+    assert verdicts == {True, False}
 
 
 def test_predicate_config_roundtrip():

@@ -459,6 +459,27 @@ def test_ext_numerator_identity():
     assert rings == {4, 5}
 
 
+def _walked_level(c):
+    """The stack walk type_level once made, kept as its oracle."""
+    deepest = 0
+    stack = [(c, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        for child in node.children():
+            stack.append((child, depth + 1))
+    return deepest
+
+
+def test_stored_level_matches_a_walk_of_the_tree():
+    # every node of seeded random certificates and of their transforms
+    kinds = set()
+    for _, node in _modulo_corpus(per_pred=5):
+        assert type_level(node) == node.level == _walked_level(node), node
+        kinds.add(node.kind)
+    assert kinds == set(serre.KINDS)
+
+
 def test_witness_maps_rebuild_from_their_matrix():
     # a map is stored as its columns; the matrix it derives gives the same map
     # back through ModuleMap.from_matrix, transformed witnesses included
