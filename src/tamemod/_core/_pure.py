@@ -323,22 +323,20 @@ def mul_term(f, key, dkey, num, den):
     return tuple((k + key, d + dkey) + _norm(n * num, dn * den) for k, d, n, dn in f)
 
 
-def reduce(f, basis, track=False):
+def reduce(f, basis):
     """Full normal form of packed f modulo packed basis, by heap division.
 
     Division order: the largest pending term (in the monomial order) is taken
     first.  Its divisor is the first basis element, in list order, whose
     leading term has the same position and a monomial dividing it; if there is
     none, the term moves to the remainder.  Exact arithmetic and this order
-    fix every step, so the remainder and the cofactors are fixed too.
+    fix every step, so the remainder is fixed too.
 
-    Returns (remainder, cofactors) where cofactors[i] is the ring poly q_i with
-    f = sum q_i basis_i + remainder, as packed terms whose keys are the deltas
-    of its monomials; cofactors is None unless track is set.  Raises
-    ResourceCapError when a term it takes has a field out of range.
+    Returns the pair (remainder, None); perfbench's tracer reads the
+    remainder as result[0].  Raises ResourceCapError when a term it takes
+    has a field out of range.
     """
     leads = [b[0] for b in basis]
-    cofs = [[] for _ in basis] if track else None
     # Pending terms by key.  The heap holds the negated key of every pending
     # term; a term that cancels leaves its entry behind, to be skipped when
     # popped.
@@ -366,10 +364,6 @@ def reduce(f, basis, track=False):
         qkey = key - lt[0]
         qdkey = dkey - lt[1]
         qn, qden = _norm(t[2] * lt[3], t[3] * lt[2])
-        if track:
-            # popped keys strictly decrease, so each cofactor comes out
-            # canonical: descending and without repeats
-            cofs[i].append((qkey, qdkey, qn, qden))
         # pending -= q * basis[i]; the leading terms cancel exactly, so only
         # the tail is added, and every new monomial is below key.
         tail = iter(basis[i])
@@ -398,9 +392,7 @@ def reduce(f, basis, track=False):
                     pending[k] = (k, old[1], tn, td)
                 else:
                     del pending[k]
-    if track:
-        cofs = [tuple(c) for c in cofs]
-    return tuple(out), cofs
+    return tuple(out), None
 
 
 def spoly(f, g, lcm):

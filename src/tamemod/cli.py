@@ -9,35 +9,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import CertificateError, ResourceCapError, ValidationError
 from .gradedmod import f0, f1
-from .graphsplit import (
-    DEFAULT_ENUM_EDGES,
-    EdgeGraph,
-    check_merge_closure,
-    predicate_from_config,
-    split_edge,
-)
+from .graphsplit import EdgeGraph, check_merge_closure, predicate_from_config, split_edge
 from .serre import MAX_LEVEL, harness, transform, type_level, verify
 from .workspace import Workspace, module_to_json
-
-WEIGHT_BOUND_ENV = "TAMEMOD_WEIGHT_BOUND"
 
 # Most rows a functor's Hilbert table may hold: the output's size.
 MAX_HILBERT_ROWS = 1 << 16
 
 
 def _weight_bound(args, module) -> int:
-    bound = getattr(args, "weight_bound", None)
-    env = os.environ.get(WEIGHT_BOUND_ENV)
-    if bound is None and env:
-        try:
-            bound = int(env)
-        except ValueError:
-            raise ValidationError(f"{WEIGHT_BOUND_ENV} must be an integer, got {env!r}")
+    bound = args.weight_bound
     if bound is None:
         return max(module.gen_weights, default=0) + 5
     if bound < 0:
@@ -46,7 +31,7 @@ def _weight_bound(args, module) -> int:
 
 
 def _split_edges(ws: Workspace, args, ring) -> tuple[str, str]:
-    e = getattr(args, "split", None) or ws.split
+    e = args.split or ws.split
     if not e:
         raise ValidationError("no split edge: pass --split or set \"split\" in the workspace")
     e_prime = e + "'"
@@ -130,11 +115,6 @@ def cmd_harness(args) -> int:
     graph = _harness_graph(args)
     target = args.split or graph.edges[0]
     split = split_edge(graph, target)
-    if split.split_graph.size > DEFAULT_ENUM_EDGES:
-        raise ResourceCapError(
-            f"harness on {split.split_graph.size} split edges exceeds the "
-            f"enumeration cap of {DEFAULT_ENUM_EDGES}"
-        )
     pred_split = predicate_from_config(args.pred)
     pred_base = predicate_from_config(args.base_pred) if args.base_pred else pred_split
     closure = check_merge_closure(pred_split, pred_base, split)
@@ -191,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("--split", help="split edge name (defaults to the workspace's)")
     p_fun.add_argument("--degree", type=int, choices=(0, 1), required=True)
     p_fun.add_argument("--out", required=True, help="output JSON file")
-    p_fun.add_argument("--weight-bound", type=int, help=f"Hilbert table bound (or ${WEIGHT_BOUND_ENV}); the table holds weights 0..bound, at most {MAX_HILBERT_ROWS} rows")
+    p_fun.add_argument("--weight-bound", type=int, help=f"Hilbert table bound: the table holds weights 0..bound, at most {MAX_HILBERT_ROWS} rows (default: the output's highest generator weight + 5)")
     p_fun.set_defaults(func=cmd_functor)
 
     p_cert = sub.add_parser("cert", help="verify, transform, or measure certificates")

@@ -397,7 +397,7 @@ def _buchberger(items: Sequence[tuple], pk) -> list:
         if skip:
             continue
         s = K.spoly(basis[i], basis[j], (lcm_key, lcm_dkey))
-        r, _ = K.reduce(s, basis, False)
+        r, _ = K.reduce(s, basis)
         if r:
             r = _monic(r)
             basis.append(r)
@@ -425,7 +425,7 @@ def _autoreduce(basis: Sequence[tuple]) -> tuple:
         d = g[0][1]
         if any(not (d - h[0][1]) & DIVMASK for h in out):
             continue
-        r, _ = K.reduce(g, out, False)
+        r, _ = K.reduce(g, out)
         out.append(_monic(r))
     out.reverse()
     return tuple(out)
@@ -501,7 +501,7 @@ def groebner(gens: Sequence, module: FreeModule | None = None):
 def normal_form(f, gb: Sequence):
     """Remainder of f on division by gb; canonical when gb is a Groebner basis."""
     kind, space, _, items = _coerce_inputs([f, *gb])
-    r, _ = K.reduce(f.terms, [g for g in items[1:] if g], False)
+    r, _ = K.reduce(f.terms, [g for g in items[1:] if g])
     return kind(space, r)
 
 
@@ -521,7 +521,7 @@ def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
     basis, porder = _tracked_raw(tuple(items[1 : k + 1]), rank, mod.order(), mod.ring.nvars, tuple(items[k + 1 :]))
     pk = mod.packing
     ppk = K.packing(*porder, mod.ring.nvars)
-    r, _ = K.reduce(ppk.rebase(f.terms, pk), basis, False)
+    r, _ = K.reduce(ppk.rebase(f.terms, pk), basis)
     # F's positions lead the product order, so the remainder's F-part comes first
     split = next((j for j, t in enumerate(r) if t[1] & FIELD >= rank), len(r))
     rem = pk.rebase(r[:split], ppk)

@@ -211,7 +211,7 @@ class ModuleMap:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_matrix(cls, source: PresentedModule, target: PresentedModule, matrix, degree: int = 0, check: bool = True) -> "ModuleMap":
+    def from_matrix(cls, source: PresentedModule, target: PresentedModule, matrix, degree: int = 0) -> "ModuleMap":
         rows = tuple(tuple(row) for row in matrix)
         if len(rows) != target.rank:
             raise StructuralError(
@@ -226,7 +226,7 @@ class ModuleMap:
                 if not isinstance(entry, GradedPoly) or entry.ring != target.ring:
                     raise StructuralError(f"matrix entry ({i},{j}) not in the target ring")
         free = target.free_cover
-        return cls(source, target, [free.element([row[j] for row in rows]) for j in range(source.rank)], degree, check)
+        return cls(source, target, [free.element([row[j] for row in rows]) for j in range(source.rank)], degree)
 
     @classmethod
     def identity(cls, m: PresentedModule) -> "ModuleMap":

@@ -4,7 +4,7 @@ associated partition ideals and rank-1 module presentations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ValidationError
 from .exactalg import EdgeRing, GradedPoly
@@ -108,16 +108,14 @@ def merge_edges(p: Partition, e: str, e_prime: str) -> Partition:
     return make_partition(new_ground, new_blocks)
 
 
-def partition_ideal(p: Partition, ring: EdgeRing | None = None) -> tuple[GradedPoly, ...]:
-    """Generators x - y chaining the sorted elements of each block.
+def partition_ideal(p: Partition) -> tuple[GradedPoly, ...]:
+    """Generators x - y chaining the sorted elements of each block, in
+    EdgeRing(p.ground), the ring of partition_module(p).
 
     |block| - 1 generators per block; the generated ideal is the kernel of
     the quotient map onto the partition module.
     """
-    if ring is None:
-        ring = EdgeRing(p.ground)
-    elif set(ring.variables) != set(p.ground):
-        raise ValidationError("ring variables do not match the partition ground set")
+    ring = EdgeRing(p.ground)
     gens = []
     for block in p.blocks:
         for a, b in zip(block, block[1:]):
@@ -125,10 +123,7 @@ def partition_ideal(p: Partition, ring: EdgeRing | None = None) -> tuple[GradedP
     return tuple(gens)
 
 
-def partition_module(p: Partition, ring: EdgeRing | None = None) -> PresentedModule:
-    """Rank-1 presentation of the partition module: one weight-0 generator,
-    relations the partition ideal."""
-    if ring is None:
-        ring = EdgeRing(p.ground)
-    ideal = partition_ideal(p, ring)
-    return PresentedModule.from_ideal(ring, ideal)
+def partition_module(p: Partition) -> PresentedModule:
+    """Rank-1 presentation of the partition module over EdgeRing(p.ground):
+    one weight-0 generator, relations the partition ideal."""
+    return PresentedModule.from_ideal(EdgeRing(p.ground), partition_ideal(p))

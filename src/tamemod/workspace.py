@@ -3,7 +3,10 @@ certificates, cross-referenced by id.
 
 Rationals are serialized as "num/den" strings (plain "num" when the
 denominator is 1) so round-trips stay exact; terms are emitted in the
-canonical monomial order, making serialization deterministic.
+canonical monomial order, making serialization deterministic.  A coefficient
+is read back from a JSON integer or from a string of an optional sign and
+decimal digits, optionally followed by "/" and decimal digits; nothing else,
+so no decimal point or exponent, is a rational here.
 
 A map is written as the matrix that ModuleMap derives from its columns (entry
 [i][j]: the coefficient of target generator i in the image of source generator
@@ -19,6 +22,7 @@ name of that witness part, as the node's class declares them.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -66,10 +70,17 @@ def _coeff_str(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+# the strings _coeff_str writes; Fraction alone also takes decimal points and
+# exponents, and expands "1e100000000" exactly, at a cost that grows with the exponent
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _coeff_parse(s, where) -> tuple[int, int]:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ValidationError(f"{where} must be a rational string, got {type(s).__name__}")
     try:
+        if isinstance(s, str) and not _RATIONAL.fullmatch(s):
+            raise ValueError(s)
         frac = Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{where} is not a rational number: {s!r}") from None
@@ -175,7 +186,7 @@ def map_from_json(data, modules: dict, map_id: str) -> ModuleMap:
         for i, row in enumerate(_get_list(data, "matrix", list, where))
     ]
     degree = _get(data, "degree", int, where, 0)
-    return ModuleMap.from_matrix(ends["source"], target, matrix, degree, check=True)
+    return ModuleMap.from_matrix(ends["source"], target, matrix, degree)
 
 
 def cert_to_json(cert: Certificate, partition_ids: dict, map_ids: dict) -> dict:
@@ -324,6 +335,8 @@ class Workspace:
         with open(path) as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
+                # JSONDecodeError, bytes that are not UTF-8, and an integer
+                # past the interpreter's digit limit
                 raise ValidationError(f"not valid JSON: {exc}") from exc
         return cls.from_json(data)

@@ -54,14 +54,6 @@ def test_functor_degree0_matches_merge(tmp_path):
     assert doc["hilbert"]["2"] == 3
 
 
-def test_functor_weight_bound_env(tmp_path, monkeypatch):
-    out = tmp_path / "env.json"
-    monkeypatch.setenv("TAMEMOD_WEIGHT_BOUND", "2")
-    assert run("functor", "--in", RELATED, "--module", "M_partition", "--degree", "0", "--out", str(out)) == 0
-    doc = json.loads(out.read_text())
-    assert sorted(doc["hilbert"]) == ["0", "1", "2"]
-
-
 def test_functor_unknown_module(tmp_path):
     out = tmp_path / "x.json"
     assert run("functor", "--in", RELATED, "--module", "nope", "--degree", "0", "--out", str(out)) == 2
@@ -137,15 +129,11 @@ def test_functor_weight_bound_under_the_cap_keeps_its_table(tmp_path):
     assert json.loads(out.read_text())["hilbert"] == {str(w): w + 1 for w in range(31)}
 
 
-@pytest.mark.parametrize("where", ["flag", "env"])
-def test_functor_negative_weight_bound_exit_2(tmp_path, monkeypatch, capsys, where):
+@pytest.mark.parametrize("bound", ["-5"], ids=["flag"])
+def test_functor_negative_weight_bound_exit_2(tmp_path, capsys, bound):
     out = tmp_path / "out.json"
     argv = ["functor", "--in", RELATED, "--module", "M_partition", "--degree", "0", "--out", str(out)]
-    if where == "flag":
-        argv += ["--weight-bound", "-5"]
-    else:
-        monkeypatch.setenv("TAMEMOD_WEIGHT_BOUND", "-5")
-    assert run(*argv) == 2
+    assert run(*argv, "--weight-bound", bound) == 2
     assert "must not be negative" in capsys.readouterr().err
     assert not out.exists()
 
@@ -277,10 +265,12 @@ def test_cert_transform_split_not_in_ring(tmp_path, capsys):
 
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, timeout=None):
     """The CLI in a fresh interpreter, so the stack depth is what a user gets."""
     env = dict(os.environ, PYTHONPATH=str(Path(tamemod.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "tamemod.cli", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, "-m", "tamemod.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def _deep_chain(tmp_path, levels):
@@ -328,6 +318,24 @@ def test_workspace_nested_past_the_json_decoder_exit_3(tmp_path):
     assert proc.returncode == 3
     assert "resource cap exceeded" in proc.stderr and "Traceback" not in proc.stderr
 
+
+@pytest.mark.parametrize(
+    "coeff",
+    ['"1e100000000"', '"1e-100000000"', "1" * 5000, '"' + "1" * 5000 + '"'],
+    ids=["exponent", "negative-exponent", "long-integer", "long-string"],
+)
+def test_outside_coefficient_is_a_validation_error(tmp_path, coeff):
+    # one coefficient of M_partition replaced by the given JSON text: an
+    # exponent that Fraction would expand exactly, or more digits than the
+    # interpreter converts to an int; each ends in exit 2 at once
+    text = Path(RELATED).read_text().replace('"c": "1"', f'"c": {coeff}', 1)
+    src = tmp_path / "coeff.json"
+    src.write_text(text)
+    proc = _run_cli("cert", "level", "--in", str(src), "--cert", "c_related", timeout=10)
+    assert proc.returncode == 2
+    assert "validation error" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # -- harness -------------------------------------------------------------------------
 
 
@@ -368,8 +376,9 @@ def test_harness_deterministic_across_jobs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_harness_cap_exit_code():
+def test_harness_cap_exit_code(capsys):
     assert run("harness", "--edges", "12", "--pred", "always-true", "--samples", "1") == 3
+    assert "resource cap exceeded" in capsys.readouterr().err
 
 
 def test_harness_max_level_past_the_cap_exit_3(capsys):

@@ -270,7 +270,7 @@ def _oracle_gb(items, order, nvars):
     while pairs:
         i, j = pairs.popleft()
         lcm = pk.lcm(basis[i][0], basis[j][0])
-        r, _ = K.reduce(K.spoly(basis[i], basis[j], lcm), basis, False)
+        r, _ = K.reduce(K.spoly(basis[i], basis[j], lcm), basis)
         if r:
             basis.append(_monic(r))
             n = len(basis) - 1
@@ -443,7 +443,7 @@ def _reference_autoreduce(basis, pk, order):
         p, e = lead(g)[:2]
         if not any(lead(h)[0] == p and all(map(le, lead(h)[1], e)) for h in mins):
             mins.append(g)
-    out = [_monic(K.reduce(g, mins[:i] + mins[i + 1 :], False)[0]) for i, g in enumerate(mins)]
+    out = [_monic(K.reduce(g, mins[:i] + mins[i + 1 :])[0]) for i, g in enumerate(mins)]
     return tuple(sorted(out, key=key, reverse=True))
 
 

@@ -689,7 +689,7 @@ def _product_oracle(m, tame):
     """Literal support check: every product of one generator from each
     partition ideal lies in rad(Ann M)."""
     ann = annihilator_ideal(m)
-    ideals = [partition_ideal(p, m.ring) for p in tame]
+    ideals = [partition_ideal(p) for p in tame]
     for combo in itertools.product(*ideals):
         g = m.ring.one()
         for f in combo:
@@ -714,10 +714,10 @@ def test_tame_support_routes_agree(p_related):
     ]
     assert len(antichains) == 8
     q = make_partition(ground, [["a", "e"], ["e'"]])
-    modules = [partition_module(p, ring) for p in parts]
+    modules = [partition_module(p) for p in parts]
     modules += [
         PresentedModule.free(ring, (0,)),
-        direct_sum([partition_module(q, ring), partition_module(p_related, ring)])[0],
+        direct_sum([partition_module(q), partition_module(p_related)])[0],
     ]
     for tame in antichains:
         for m in modules:
@@ -757,7 +757,7 @@ def _reference_tame_support(m, tame):
     ann = annihilator_ideal(m)
     if ann and ideal_contains_one(ann, m.ring):
         return True
-    ideals = [partition_ideal(p, m.ring) for p in keep]
+    ideals = [partition_ideal(p) for p in keep]
     for gens in ideals:
         if all(radical_member(g, ann) for g in gens):
             return True
@@ -784,11 +784,10 @@ def _tame_sweep_cases():
     subspace and one-partition tame lists."""
     g = _split_abce()
     parts = list(iter_partitions(g.edges))
-    ring = partition_module(parts[0]).ring
     rng = random.Random(77)
 
     def mod(p):
-        return partition_module(p, ring).shift(rng.randint(0, 1))
+        return partition_module(p).shift(rng.randint(0, 1))
 
     cases = []
     preds = (MaxBlockCount(2), MaxBlockCount(3), CoBlocked(["a", "b"]))
@@ -890,10 +889,10 @@ def _support_edge_cases():
     coarse_p = make_partition(g.edges, [["a", "b", "c", "e", "e'"]])
     ring = partition_module(tame_p).ring
     free = FreeModule(ring, (0, 1))
-    rels = [free.element([f, ring.zero()]) for f in partition_ideal(tame_p, ring)]
+    rels = [free.element([f, ring.zero()]) for f in partition_ideal(tame_p)]
     zero_class = PresentedModule(ring, (0, 1), rels + [free.gen(1)])
     with_free = PresentedModule(ring, (0, 1), rels)
-    mods = {p: partition_module(p, ring) for p in (tame_p, wild_p, other_p, coarse_p)}
+    mods = {p: partition_module(p) for p in (tame_p, wild_p, other_p, coarse_p)}
     cases = [(zero_class, tame, True), (with_free, tame, False)]
     cases.append((direct_sum([mods[tame_p], mods[other_p], mods[coarse_p].shift(1)])[0], tame, True))
     for k in range(3):

@@ -158,28 +158,8 @@ def test_reduce_cancels_leading_terms(K):
     pk = K.packing((0,), 0, 0, 2)
     x2 = ((0, (2, 0), 1, 1),)
     xminusy = ((0, (1, 0), 1, 1), (0, (0, 1), -1, 1))
-    rem, _ = K.reduce(pk.pack(x2), [pk.pack(xminusy)], False)
+    rem, _ = K.reduce(pk.pack(x2), [pk.pack(xminusy)])
     assert pk.unpack(rem) == ((0, (0, 2), 1, 1),)
-
-
-def test_reduce_tracks_exact_cofactors(K):
-    pk = K.packing(*RING, 2)
-    rng = random.Random(3)
-    for _ in range(30):
-        f = pk.build(rand_terms(rng, nvars=2, npos=1))
-        basis = [
-            b
-            for b in (
-                pk.build(rand_terms(rng, nvars=2, npos=1, nterms=3)),
-                pk.build(rand_terms(rng, nvars=2, npos=1, nterms=3)),
-            )
-            if b
-        ]
-        rem, cofs = K.reduce(f, basis, True)
-        recombined = rem
-        for q, b in zip(cofs, basis):
-            recombined = K.add(recombined, K.mul(q, b))
-        assert recombined == f
 
 
 def test_reduce_raises_when_a_degree_leaves_its_field(K):
@@ -189,7 +169,7 @@ def test_reduce_raises_when_a_degree_leaves_its_field(K):
     x2 = pk.pack(((0, (2, 0), 1, 1),))
     g = pk.pack(((0, (1, 0), 1, 1), (0, (0, 20000), -1, 1)))
     with pytest.raises(ResourceCapError):
-        K.reduce(x2, [g], False)
+        K.reduce(x2, [g])
     with pytest.raises(ResourceCapError):
         pk.pack(((0, (LIMIT, 0), 1, 1),))
 
@@ -465,14 +445,13 @@ def test_table_is_emptied_at_its_cap(monkeypatch):
 # -- heap division against the Fraction reference ------------------------------
 
 
-def reference_reduce(f, basis, order, track=False):
+def reference_reduce(f, basis, order):
     """Division on {(pos, expo): Fraction} dicts, kept as the oracle: the
     largest pending term by sort_key goes first, and the first basis element
     whose leading monomial divides it is the divisor.  f and basis are in
     (pos, expo, num, den) terms, descending; returns the remainder in that
-    form and, with track, the cofactors as {(0, expo): Fraction} dicts."""
+    form."""
     work = oracle(f)
-    cofs = [{} for _ in basis] if track else None
     out = []
     while work:
         pos, expo = max(work, key=lambda m: sort_key(*m, *order))
@@ -484,8 +463,6 @@ def reference_reduce(f, basis, order, track=False):
         _, lexpo, lnum, lden = basis[hit][0]
         qe = tuple(x - y for x, y in zip(expo, lexpo))
         q = c / Fraction(lnum, lden)
-        if track:
-            cofs[hit][0, qe] = q
         for p, e, n, d in basis[hit][1:]:
             m = (p, tuple(map(add, e, qe)))
             v = work.get(m, 0) - q * Fraction(n, d)
@@ -493,7 +470,7 @@ def reference_reduce(f, basis, order, track=False):
                 work[m] = v
             else:
                 work.pop(m, None)
-    return tuple(out), cofs
+    return tuple(out)
 
 
 @st.composite
@@ -523,22 +500,17 @@ def division_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(division_cases(), st.booleans())
-def test_reduce_matches_reference(case, track):
-    """Packed remainder and cofactors equal the reference division's."""
+@given(division_cases())
+def test_reduce_matches_reference(case):
+    """The packed remainder equals the reference division's."""
     f, basis, order, nvars, multiple = case
-    pk, ring = impl.packing(*order, nvars), impl.packing((0,), order[1], 0, nvars)
-    expected_rem, expected_cofs = reference_reduce(pk.unpack(f), [pk.unpack(b) for b in basis], order, track)
+    pk = impl.packing(*order, nvars)
+    expected_rem = reference_reduce(pk.unpack(f), [pk.unpack(b) for b in basis], order)
     if multiple:
         assert expected_rem == ()
-    rem, cofs = impl.reduce(f, basis, track)
+    rem, cofs = impl.reduce(f, basis)
     assert pk.unpack(rem) == expected_rem
-    if track:
-        # a cofactor's keys are the deltas of its monomials: ring keys
-        assert [oracle(ring.unpack(c)) for c in cofs] == expected_cofs
-        assert all(c == impl.canon(c) for c in cofs)
-    else:
-        assert cofs is None
+    assert cofs is None
 
 
 def test_kernel_name_consistent():

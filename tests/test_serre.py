@@ -482,7 +482,8 @@ def test_stored_level_matches_a_walk_of_the_tree():
 
 def test_witness_maps_rebuild_from_their_matrix():
     # a map is stored as its columns; the matrix it derives gives the same map
-    # back through ModuleMap.from_matrix, transformed witnesses included
+    # back through ModuleMap.from_matrix, transformed witnesses included, and
+    # the rebuilt map passes the well-definedness check
     maps = []
     for _, node in _modulo_corpus(per_pred=5):
         if isinstance(node, (SubNode, QuotNode)):
@@ -491,7 +492,7 @@ def test_witness_maps_rebuild_from_their_matrix():
             maps += [node.injection, node.projection]
     assert len(maps) > 80 and any(phi.degree == 1 for phi in maps)
     for phi in maps:
-        again = ModuleMap.from_matrix(phi.source, phi.target, phi.matrix, phi.degree, check=False)
+        again = ModuleMap.from_matrix(phi.source, phi.target, phi.matrix, phi.degree)
         assert again == phi and hash(again) == hash(phi)
 
 

@@ -185,9 +185,11 @@ def test_unknown_certificate_id(p_related):
 
 def test_bad_json_file(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ValidationError):
-        Workspace.load(str(path))
+    # not JSON, and a byte that is not UTF-8
+    for data in (b"{not json", b'{"graph": ["\xff"]}'):
+        path.write_bytes(data)
+        with pytest.raises(ValidationError):
+            Workspace.load(str(path))
 
 
 def test_malformed_relation_reported_with_module_id():
@@ -281,9 +283,13 @@ def test_witness_ids_are_checked_before_children():
         (lambda m: m.update(gen_weights=["x"]), r"gen_weights\[0\] must be an integer"),
         (lambda m: m.update(gen_weights=[True]), r"gen_weights\[0\] must be an integer"),
         (lambda m: m["relations"][0][0].update(c="1/0"), "not a rational number"),
+        (lambda m: m["relations"][0][0].update(c="1e5"), "not a rational number"),
+        (lambda m: m["relations"][0][0].update(c="1.5"), "not a rational number"),
+        (lambda m: m["relations"][0][0].update(c="1_000"), "not a rational number"),
         (lambda m: m["relations"][0][0].update(m={"e": -1}), "must not be negative"),
     ],
-    ids=["no-ring", "string-weight", "bool-weight", "zero-denominator", "negative-exponent"],
+    ids=["no-ring", "string-weight", "bool-weight", "zero-denominator", "exponent", "decimal", "underscore",
+         "negative-exponent"],
 )
 def test_module_schema_errors(damage, message):
     data = copy.deepcopy(SHIPPED["workspaces/gen_related.json"]["modules"]["M_partition"])
