@@ -13,7 +13,7 @@ import sys
 
 from .errors import CertificateError, ResourceCapError, ValidationError
 from .gradedmod import f0, f1
-from .graphsplit import EdgeGraph, check_merge_closure, predicate_from_config, split_edge
+from .graphsplit import EdgeGraph, check_enum_size, check_merge_closure, predicate_from_config, split_edge
 from .serre import MAX_LEVEL, harness, transform, type_level, verify
 from .workspace import Workspace, module_to_json
 
@@ -106,17 +106,18 @@ def _harness_graph(args) -> EdgeGraph:
         raise ValidationError("harness needs --edges or --graph")
     if n < 1:
         raise ValidationError("harness needs at least one edge")
+    check_enum_size(n + 1)  # the split graph's partitions, before any name is built
     names = [chr(ord("a") + i) for i in range(min(n, 26))]
     names += [f"x{i}" for i in range(max(0, n - 26))]
     return EdgeGraph(tuple(names))
 
 
 def cmd_harness(args) -> int:
+    pred_split = predicate_from_config(args.pred)
+    pred_base = predicate_from_config(args.base_pred) if args.base_pred else pred_split
     graph = _harness_graph(args)
     target = args.split or graph.edges[0]
     split = split_edge(graph, target)
-    pred_split = predicate_from_config(args.pred)
-    pred_base = predicate_from_config(args.base_pred) if args.base_pred else pred_split
     closure = check_merge_closure(pred_split, pred_base, split)
     reports = harness(
         split,

@@ -11,12 +11,19 @@ modules, one generator's annihilator at a time.
 
 Hilbert functions come from Hilbert-Poincare numerators read off plain relation
 bases (Bigatti); ModuleMap.is_mono and exact_at compare them, with no syzygies.
+
+_prune presents a module on fewer generators by graded Nakayama: a relation
+with a constant entry at a generator makes that generator redundant, and
+dropping both leaves an isomorphic module (`prune` in Macaulay2 and
+Singular).  kernel and pullback present their modules as the syzygies give
+them; the certificate transformer prunes the ones it builds for itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -437,6 +444,48 @@ class PullbackResult:
     module: PresentedModule
     to_first: ModuleMap
     to_second: ModuleMap
+
+
+def _prune(m: PresentedModule):
+    """(M', kept): M presented on fewer generators, by graded Nakayama, with
+    the indices of the generators of M it keeps, in order.
+
+    While some relation r has a constant entry c at a generator j, r says
+    that g_j = -(r - c g_j)/c in M: g_j lies in the span of the other
+    generators.  Solving r for g_j, substituting the solution into the other
+    relations and dropping g_j and r leaves the same module, so the map
+    sending each kept generator of M' to itself is an isomorphism M' -> M.
+    Each relation left has no entry at a dropped generator, so it is
+    presented on the kept ones as it is.  When no constant entry is left,
+    the kept generators minimally generate M.  Models: `prune` and
+    `minimalPresentation` in Macaulay2, `prune` in Singular.
+
+    In a homogeneous relation a constant entry outranks every other term
+    (its Q fields are all the weighted degree; ties go to the lower
+    position), so only leads need reading.  If the relations are M's reduced
+    Groebner basis, no other relation has an entry at a bare lead's
+    generator, and what is left is the reduced basis of M', so it seeds
+    M'.relation_gb.  M itself comes back when it has no constant entry.
+    """
+    rels = list(m.relations)
+    dropped = set()
+    while True:
+        i = next((i for i, r in enumerate(rels) if r.terms[0][1] <= FIELD), None)
+        if i is None:
+            break
+        unit = rels.pop(i)
+        _, j, n, d = unit.terms[0]  # a bare generator's dkey is its position
+        unit = unit * Fraction(d, n)
+        rels = [s for s in (r - r.component(j) * unit for r in rels) if not s.is_zero()]
+        dropped.add(j)
+    if not dropped:
+        return m, tuple(range(m.rank))
+    kept = tuple(j for j in range(m.rank) if j not in dropped)
+    free = FreeModule(m.ring, tuple(m.gen_weights[j] for j in kept))
+    out = PresentedModule(m.ring, free.weights, [free.element([r.component(j) for j in kept]) for r in rels])
+    if m._cache.get("gb") == m.relations:
+        out._cache["gb"] = out.relations
+    return out, kept
 
 
 def pullback(f: ModuleMap, g: ModuleMap) -> PullbackResult:

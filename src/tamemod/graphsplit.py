@@ -249,11 +249,14 @@ def iter_partitions(edges: Sequence[str]) -> Iterator[Partition]:
 def tame_partitions(pred: TamenessPredicate, g: EdgeGraph) -> tuple[Partition, ...]:
     """All partitions of E(g) satisfying pred; Bell-number growth is guarded
     by an edge-count cap."""
-    if g.size > DEFAULT_ENUM_EDGES:
-        raise ResourceCapError(
-            f"enumerating partitions of {g.size} edges exceeds the cap of {DEFAULT_ENUM_EDGES}"
-        )
+    check_enum_size(g.size)
     return tuple(p for p in iter_partitions(g.edges) if pred(p))
+
+
+def check_enum_size(size: int):
+    """Raise ResourceCapError when tame_partitions refuses a graph of size edges."""
+    if size > DEFAULT_ENUM_EDGES:
+        raise ResourceCapError(f"enumerating partitions of {size} edges exceeds the cap of {DEFAULT_ENUM_EDGES}")
 
 
 @dataclass(frozen=True)

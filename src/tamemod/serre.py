@@ -25,6 +25,7 @@ from .gradedmod import (
     PresentedModule,
     ShortExactSequence,
     _base_ring,
+    _prune,
     cokernel,
     connecting_map,
     direct_sum,
@@ -238,7 +239,10 @@ def transform(
 
     The result's root has the same presentation as f0/f1 of the input root and
     verifies under the base predicate whenever the input verifies under the
-    split predicate and the pair satisfies merge closure.  When trace is a
+    split predicate and the pair satisfies merge closure.  The kernels and
+    pullbacks the recursion builds for its internal nodes are pruned
+    (gradedmod._prune), so they may have fewer generators than kernel and
+    pullback give; roots are never pruned.  When trace is a
     list, every recursive call appends (depth, degree, type_level); the pair
     (degree, level) decreases lexicographically along each recursion edge.
     """
@@ -292,7 +296,7 @@ def _via_quot(parent: Certificate, pi: ModuleMap, e, e_prime, i, trace, depth) -
     # F1(B) -> F1(C) -> F0(K) exact: F1(C) is an extension of a quotient of
     # F1(B) by a subobject of F0(K), where K = ker(pi) is itself a subobject
     # of B.  The recursion drops to (1, level-1) and (0, level).
-    k_mod, kappa = kernel(pi)
+    (kappa,) = _pruned_source(kernel(pi)[1])
     cb1 = _transform(parent, e, e_prime, 1, trace, depth + 1)
     ck0 = _transform(SubNode(parent, kappa), e, e_prime, 0, trace, depth + 1)
     pi1 = induced_map_f1(pi, e, e_prime)
@@ -335,15 +339,13 @@ def _via_sub(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
     if isinstance(parent, QuotNode):
         # pull the subobject back along the surjection to a subobject of the
         # smaller-type module, then treat S as a quotient of the pullback
-        pb = pullback(iota, parent.witness)
-        inner = SubNode(parent.parent, pb.to_second)
-        return _via_quot(inner, pb.to_first, e, e_prime, i, trace, depth)
+        to_first, to_second = _pruned_pullback(iota, parent.witness)
+        inner = SubNode(parent.parent, to_second)
+        return _via_quot(inner, to_first, e, e_prime, i, trace, depth)
     if isinstance(parent, ExtNode):
         # intersect with the left part and project to the right part:
         # 0 -> S&L -> S -> S/(S&L) -> 0 with S&L <= L and S/(S&L) <= R
-        pb = pullback(iota, parent.injection)
-        p_to_s = pb.to_first
-        p_to_l = pb.to_second
+        p_to_s, p_to_l = _pruned_pullback(iota, parent.injection)
         sp_mod, q = cokernel(p_to_s)
         through = parent.projection.compose(iota)
         jbar = ModuleMap(sp_mod, through.target, through.columns, through.degree, check=True)
@@ -351,6 +353,21 @@ def _via_sub(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
         new_right = SubNode(parent.right, jbar)
         return _via_ext(new_left, new_right, p_to_s, q, e, e_prime, i, trace, depth)
     raise StructuralError(f"unknown parent node {parent!r}")
+
+
+def _pruned_source(*maps: ModuleMap) -> tuple[ModuleMap, ...]:
+    """The maps, all out of one module, restricted to the generators that
+    gradedmod._prune keeps, so out of its pruned presentation."""
+    m, kept = _prune(maps[0].source)
+    if m is maps[0].source:
+        return maps
+    return tuple(ModuleMap(m, f.target, [f.columns[j] for j in kept], f.degree, check=False) for f in maps)
+
+
+def _pruned_pullback(f: ModuleMap, g: ModuleMap) -> tuple[ModuleMap, ModuleMap]:
+    """The pullback's maps to f's and g's sources, out of its pruned presentation."""
+    pb = pullback(f, g)
+    return _pruned_source(pb.to_first, pb.to_second)
 
 
 def _direct_sum_cert(c1: Certificate, c2: Certificate) -> ExtNode:

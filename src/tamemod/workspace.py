@@ -83,7 +83,8 @@ def _coeff_parse(s, where) -> tuple[int, int]:
             raise ValueError(s)
         frac = Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{where} is not a rational number: {s!r}") from None
+        # s is a string of any length, so only its head is quoted
+        raise ValidationError(f"{where} is not a rational number: {s[:40]!r} ({len(s)} characters)") from None
     return frac.numerator, frac.denominator
 
 

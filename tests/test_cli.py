@@ -320,20 +320,27 @@ def test_workspace_nested_past_the_json_decoder_exit_3(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "coeff",
-    ['"1e100000000"', '"1e-100000000"', "1" * 5000, '"' + "1" * 5000 + '"'],
+    "coeff, message",
+    [
+        ('"1e100000000"', "not a rational number"),
+        ('"1e-100000000"', "not a rational number"),
+        ("1" * 5000, "not valid JSON"),
+        ('"' + "1" * 5000 + '"', "not a rational number: '" + "1" * 40 + "' (5000 characters)"),
+    ],
     ids=["exponent", "negative-exponent", "long-integer", "long-string"],
 )
-def test_outside_coefficient_is_a_validation_error(tmp_path, coeff):
+def test_outside_coefficient_is_a_validation_error(tmp_path, coeff, message):
     # one coefficient of M_partition replaced by the given JSON text: an
     # exponent that Fraction would expand exactly, or more digits than the
-    # interpreter converts to an int; each ends in exit 2 at once
+    # interpreter converts to an int; each ends in exit 2 at once, with a
+    # message that quotes no more than the head of the value
     text = Path(RELATED).read_text().replace('"c": "1"', f'"c": {coeff}', 1)
     src = tmp_path / "coeff.json"
     src.write_text(text)
     proc = _run_cli("cert", "level", "--in", str(src), "--cert", "c_related", timeout=10)
     assert proc.returncode == 2
     assert "validation error" in proc.stderr and "Traceback" not in proc.stderr
+    assert message in proc.stderr and len(proc.stderr) < 300
 
 
 # -- harness -------------------------------------------------------------------------
@@ -379,6 +386,21 @@ def test_harness_deterministic_across_jobs(tmp_path):
 def test_harness_cap_exit_code(capsys):
     assert run("harness", "--edges", "12", "--pred", "always-true", "--samples", "1") == 3
     assert "resource cap exceeded" in capsys.readouterr().err
+
+
+def test_harness_edge_cap_before_any_name_is_built():
+    # at a hundred million edges, building the names alone would take
+    # gigabytes; the cap is checked on the count first
+    start = time.monotonic()
+    proc = _run_cli("harness", "--edges", "100000000", "--pred", "always-true", "--samples", "1", timeout=10)
+    assert time.monotonic() - start < 2
+    assert proc.returncode == 3
+    assert "enumerating partitions of 100000001 edges exceeds the cap" in proc.stderr
+
+
+def test_harness_bad_predicate_before_the_edge_cap(capsys):
+    assert run("harness", "--edges", "100000000", "--pred", "no-such-pred", "--samples", "1") == 2
+    assert "validation error" in capsys.readouterr().err
 
 
 def test_harness_max_level_past_the_cap_exit_3(capsys):

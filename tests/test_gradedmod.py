@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamemod import gradedmod
+from tamemod import gradedmod, serre
 from tamemod.errors import ResourceCapError, StructuralError, ValidationError
 from tamemod.exactalg import (
     EdgeRing,
@@ -57,7 +57,7 @@ from tamemod.graphsplit import (
     tame_partitions,
 )
 from tamemod.partition import make_partition, merge_edges, partition_ideal, partition_module
-from tamemod.serre import random_certificate, random_homogeneous_element
+from tamemod.serre import random_certificate, random_homogeneous_element, transform
 
 
 @pytest.fixture
@@ -266,6 +266,102 @@ def test_pullback_ideal_example():
     pb = pullback(s_incl, mult)
     assert pb.to_first.is_epi()
     assert pb.to_second.is_mono()
+
+
+# -- pruning -----------------------------------------------------------------------
+
+
+def _transform_prunes(monkeypatch, per_pred):
+    """The modules that seeded transform runs hand to _prune: the kernels and
+    pullbacks they present for themselves."""
+    seen = []
+
+    def record(m):
+        seen.append(m)
+        return gradedmod._prune(m)
+
+    monkeypatch.setattr(serre, "_prune", record)
+    split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
+    for pred in (AlwaysTame(), MaxBlockCount(2), CoBlocked(["a", "b"]), DiscreteOnly()):
+        tame = tame_partitions(pred, split.split_graph)
+        rng = random.Random(f"prune:{pred.describe()}")
+        for _ in range(per_pred):
+            cert = random_certificate(rng, tame, 2)
+            for i in (0, 1):
+                transform(cert, split.e, split.e_prime, i)
+    return seen
+
+
+def _disguised(rng, m):
+    """m plus a generator h and the relation u = h - x, x a random element of
+    m's cover of h's weight, with a random multiple of u added to each
+    relation of m: m again, presented so that pruning must substitute."""
+    w = min(m.gen_weights) + rng.randint(1, 2)
+    ring_gen = PresentedModule.free(m.ring, (w,))
+    total, (inj, _), _ = direct_sum([m, ring_gen])
+    unit = total.gen(m.rank) - inj.apply_free(random_homogeneous_element(rng, m, w))
+    rels = [unit]
+    for r in map(inj.apply_free, m.relations):
+        if r.weight() >= w:
+            r += random_homogeneous_element(rng, ring_gen, r.weight()).component(0) * unit
+        rels.append(r)
+    return PresentedModule(m.ring, total.gen_weights, rels)
+
+
+def _prune_cases(monkeypatch):
+    split = split_edge(EdgeGraph(("a", "b", "e")), "e")
+    tame = tame_partitions(AlwaysTame(), split.split_graph)
+    rng = random.Random("prune-cases")
+    cases = []
+    for _ in range(12):
+        m = random_certificate(rng, tame, 2).root
+        if not m.rank:
+            continue
+        # a summand that its unit relation kills, and a disguised copy of m
+        one = PresentedModule.free(m.ring, (1,))
+        dead = PresentedModule(m.ring, (1,), [rng.choice((-2, 3)) * one.gen(0)])
+        cases += [direct_sum([m, dead])[0], direct_sum([dead, m])[0], _disguised(rng, m)]
+    kernels = [k for k in _transform_prunes(monkeypatch, 40) if gradedmod._prune(k)[0] is not k]
+    assert len(kernels) > 20
+    return cases + kernels
+
+
+def test_prune_keeps_the_module(monkeypatch):
+    for m in _prune_cases(monkeypatch):
+        pm, kept = gradedmod._prune(m)
+        assert pm.rank == len(kept) < m.rank
+        assert pm.gen_weights == tuple(m.gen_weights[j] for j in kept)
+        incl = ModuleMap(pm, m, [m.gen(j) for j in kept])
+        assert incl.is_mono() and incl.is_epi()
+        assert pm.hilbert_numerator() == m.hilbert_numerator()
+        # no constant entry left: every term of every relation has a variable
+        assert all(t[1] > gradedmod.FIELD for r in pm.relations for t in r.terms)
+        assert pm.relation_gb() == groebner(list(pm.relations), module=pm.free_cover)
+
+
+def test_prune_returns_a_module_with_no_constant_entry(zp_related):
+    R = EdgeRing(("x", "y"))
+    x, y = R.var("x"), R.var("y")
+    free = PresentedModule.free(R, (0, 1))
+    m = PresentedModule(R, (0, 1), [x * free.gen(1) - y * y * free.gen(0)])
+    for mod in (m, free, zp_related, PresentedModule.zero(R)):
+        pm, kept = gradedmod._prune(mod)
+        assert pm is mod and kept == tuple(range(mod.rank))
+
+
+def test_prune_of_a_fixed_kernel():
+    # the kernel of Q[x,y] -> Q[x,y]/(x^2, xy + y^2) is presented on the
+    # reduced basis y^3, x^2, xy + y^2; y^3 = y x^2 + (y - x)(xy + y^2), so
+    # the last two suffice, with their Koszul relation
+    R = EdgeRing(("x", "y"))
+    x, y = R.var("x"), R.var("y")
+    a = PresentedModule.free(R, (0,))
+    _, pi = quotient_by_elements(a, [x * x * a.gen(0), (x * y + y * y) * a.gen(0)])
+    k, incl = kernel(pi)
+    pk, kept = gradedmod._prune(k)
+    assert (k.rank, pk.rank, kept) == (3, 2, (1, 2))
+    assert [incl.columns[j] for j in kept] == [x * x * a.gen(0), (x * y + y * y) * a.gen(0)]
+    assert pk.relations == (x * x * pk.gen(1) - (x * y + y * y) * pk.gen(0),)
 
 
 # -- functors --------------------------------------------------------------------------

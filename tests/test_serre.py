@@ -540,13 +540,15 @@ def test_is_zero_matches_normal_forms():
 def test_values_hold_terms_packed_in_their_own_order():
     # a value's terms are those its exponent tuples pack to under its own
     # ring's or free module's order, strictly descending; terms carried over
-    # from an order whose bases differ would not be
+    # from an order whose bases differ would not be; transform prunes the
+    # kernels and pullbacks it presents, so eight certificates per predicate
+    # are drawn to reach the floor
     split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
     checked = 0
     for pred in (AlwaysTame(), MaxBlockCount(2), CoBlocked(["a", "b"]), DiscreteOnly()):
         tame = tame_partitions(pred, split.split_graph)
         rng = random.Random(f"layout:{pred.describe()}")
-        for _ in range(3):
+        for _ in range(8):
             cert = random_certificate(rng, tame, 1)
             trees = [cert] + [transform(cert, split.e, split.e_prime, i) for i in (0, 1)]
             for x in (x for tree in trees for node in _nodes(tree) for x in _values_of(node)):
