@@ -28,7 +28,11 @@ sum of e_i * C_i, where the exponent part depends only on (nvars, nelim).
 Under ((0,), nelim, 0) the base is 0, so a ring key is its exponent part and
 the product of a ring term and a module term is the sum of their keys.
 Moving a poly to another order of the same (nvars, nelim), or to another
-position, adds base'[pos'] - base[pos] to each key (Packing.rebase).
+position, adds base'[pos'] - base[pos] to each key (Packing.rebase).  Moving
+a ring poly into the elimination order ((0,), 1, 0) on t and its variables,
+t first, shifts both keys up one field, and t^tdeg adds tdeg times t's
+coefficient; a t-free poly moves back by a right shift (Packing.lift and
+Packing.lower).
 
 The divisibility key packs pos in its lowest field and e_i in field i + 1.
 A divides B iff (dkey_B - dkey_A) & DIVMASK == 0: a field where A's exponent
@@ -275,6 +279,31 @@ class Packing:
         if not safe:
             _check(t[0] for t in out)
         return out
+
+    def lift(self, f, tdeg=0):
+        """t^tdeg times f, a poly packed under the ring order ((0,), 0, 0) on
+        one variable fewer, packed under this order, which must be the
+        elimination order ((0,), 1, 0) with t its first variable.
+
+        Ring variable i is variable i + 1 here, so its exponent sits one
+        field higher in both keys: the dkey moves up one field and gains tdeg
+        in t's field, field 1; the key moves up one field and gains tdeg
+        times t's coefficient, one in each of fields 2..n+3 for n ring
+        variables (Q_1..Q_n, the weighted and the elimination degree).  No
+        exponent tuple is made.  With tdeg 0 every field keeps its value; for
+        0 < tdeg < LIMIT a term whose weighted degree reaches LIMIT raises
+        ResourceCapError, the bound pack() keeps."""
+        kt, dt = tdeg * self.coef[0], tdeg << BITS
+        out = tuple([((k << BITS) + kt, (d << BITS) + dt, n, dn) for k, d, n, dn in f])
+        if tdeg:
+            _check(t[0] for t in out)
+        return out
+
+    def lower(self, f):
+        """The inverse of lift(f, 0) for a t-free f: every field moves down
+        one, which drops t's zero field from the dkey and the zero position
+        field from the key."""
+        return tuple([(k >> BITS, d >> BITS, n, dn) for k, d, n, dn in f])
 
     def lcm(self, s, t):
         """(key, dkey) of the lcm of two packed terms in the same position."""

@@ -15,7 +15,17 @@ space's order.  Every value has is_zero, is_homogeneous, weight, +, -, scalar
 adds ring, component(s), the ring action and str.  The Groebner engine takes
 and returns terms as they are, a ring's polys as elements of its rank-1 free
 module; exponent tuples are read off only to build values from exponents, to
-change the number of variables, and for output.
+change the number of variables, and for output.  Saturation and intersection
+add a variable t in front, which shifts every packed field up one
+(Packing.lift), and shift the t-free result back down (Packing.lower).
+
+Saturation, intersection and syzygies each keep one part of a Groebner basis
+and drop the rest: the elements led by a t-free monomial, or led in an
+auxiliary position.  t dominates the elimination order and F's positions
+dominate the tracked order, so every dropped element leads above every kept
+one, and no dropped lead divides a term of a kept element.  The kept part is
+therefore interreduced alone (_autoreduce), and gives the same reduced basis
+as interreducing everything and then dropping.
 """
 
 from __future__ import annotations
@@ -412,15 +422,21 @@ def _buchberger(items: Sequence[tuple], pk) -> list:
     return basis
 
 
-def _autoreduce(basis: Sequence[tuple]) -> tuple:
+def _autoreduce(basis: Iterable[tuple], below: tuple = ()) -> tuple:
     """The reduced Groebner basis from a packed Groebner basis, largest lead first.
 
     Elements are taken in ascending lead order; one whose lead a kept lead
     divides is dropped, and each kept one is reduced against the smaller ones
     already kept and reduced.  Every tail term lies below its own lead, so no
     larger lead divides it, and the result is the unique reduced basis.
+
+    For the same reason the elements whose leads lie below all the others'
+    reduce among themselves alone, so the part that an elimination or
+    syzygies keeps is interreduced without the part it drops (see the module
+    docstring).  below is such a lowest part, already reduced as _autoreduce
+    returns it; the result is the reduced basis of below and basis together.
     """
-    out: list = []
+    out = list(reversed(below))
     for g in sorted(basis, key=lambda f: f[0][0]):
         d = g[0][1]
         if any(not (d - h[0][1]) & DIVMASK for h in out):
@@ -438,6 +454,32 @@ def _groebner_raw(items: tuple, order: tuple, nvars: int) -> tuple:
 
 
 @lru_cache(maxsize=65536)
+def _tracked_split(items: tuple, rank: int, order: tuple, nvars: int, modulo: tuple) -> tuple:
+    """_tracked_raw's Groebner basis in two parts: (the reduced basis of the
+    elements led in an auxiliary position, the elements led in F as
+    _buchberger gives them, product order).
+
+    F's positions dominate the product order, so every element led in F
+    leads above every element led in an auxiliary position, and the
+    auxiliary part interreduces alone (see _autoreduce): that part is what
+    syzygies keeps, and _tracked_raw finishes the rest only when asked.
+    """
+    weights, nelim, _ = order
+    pk = K.packing(*order, nvars)
+    aux = []
+    for g in items:
+        w = pk.weights(g)
+        aux.append(w.pop() if len(w) == 1 else 0)
+    porder = (tuple(weights) + tuple(aux), nelim, rank)
+    ppk = K.packing(*porder, nvars)
+    embedded = [ppk.rebase(g, pk) + (ppk.unit(rank + i),) for i, g in enumerate(items)]
+    embedded += [ppk.rebase(g, pk) for g in modulo]
+    basis = _buchberger(embedded, ppk)
+    aux = _autoreduce(v for v in basis if v[0][1] & FIELD >= rank)
+    return aux, tuple(v for v in basis if v[0][1] & FIELD < rank), porder
+
+
+@lru_cache(maxsize=65536)
 def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tuple = ()) -> tuple:
     """Reduced Groebner basis of {g_i + eps_i} and the modulo elements in F + R^m.
 
@@ -452,17 +494,8 @@ def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tupl
     packed in order, the basis in the product order.  Returns (basis, product
     order).
     """
-    weights, nelim, _ = order
-    pk = K.packing(*order, nvars)
-    aux = []
-    for g in items:
-        w = pk.weights(g)
-        aux.append(w.pop() if len(w) == 1 else 0)
-    porder = (tuple(weights) + tuple(aux), nelim, rank)
-    ppk = K.packing(*porder, nvars)
-    embedded = [ppk.rebase(g, pk) + (ppk.unit(rank + i),) for i, g in enumerate(items)]
-    embedded += [ppk.rebase(g, pk) for g in modulo]
-    return _autoreduce(_buchberger(embedded, ppk)), porder
+    aux, rest, porder = _tracked_split(items, rank, order, nvars, modulo)
+    return _autoreduce(rest, aux), porder
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +574,11 @@ def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence 
     weights matching the input weights (0 for a zero or inhomogeneous
     generator), and is its reduced Groebner basis, largest lead first.  The
     modulo elements live in the same module as gens and carry no cofactors.
+
+    It is the part of _tracked_raw's basis led in the auxiliary positions,
+    which F's positions dominate, so that part is interreduced alone and the
+    elements led in F are never reduced (_tracked_split); each kept element
+    moves down by rank positions, one delta for every auxiliary position.
     """
     gens = list(gens)
     _, _, mod, items = _coerce_inputs(gens + list(modulo), module)
@@ -548,13 +586,12 @@ def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence 
     if not k:
         return ()
     rank = mod.rank
-    basis, porder = _tracked_raw(tuple(items[:k]), rank, mod.order(), mod.ring.nvars, tuple(items[k:]))
+    aux, _, porder = _tracked_split(tuple(items[:k]), rank, mod.order(), mod.ring.nvars, tuple(items[k:]))
     # the output weights are the k auxiliary ones, so every auxiliary
-    # position moves by one delta and the order is kept; an element with an
-    # F-part leads there
+    # position moves by one delta and the order is kept
     smod = FreeModule(mod.ring, porder[0][-k:])
     ppk = K.packing(*porder, mod.ring.nvars)
-    return tuple(FreeElement(smod, smod.packing.rebase(v, ppk, -rank)) for v in basis if v[0][1] & FIELD >= rank)
+    return tuple(FreeElement(smod, smod.packing.rebase(v, ppk, -rank)) for v in aux)
 
 
 # ---------------------------------------------------------------------------
@@ -580,32 +617,33 @@ _ELIM_ORDER = ((0,), 1, 0)
 
 def _lift_terms(terms: tuple, nvars: int, tdeg: int = 0) -> tuple:
     """t^tdeg times a ring poly on nvars variables, in the elimination order
-    on t and them, t first; the order of its terms is kept."""
-    src = K.packing(*_RING_ORDER, nvars)
-    return K.packing(*_ELIM_ORDER, nvars + 1).pack([(0, (tdeg,) + e, n, d) for _, e, n, d in src.unpack(terms)])
+    on t and them, t first; the order of its terms is kept.
+
+    A shift of the packed fields, with no exponent tuple made: each key and
+    dkey moves up one field, the dkey gains tdeg in t's field and the key
+    tdeg times t's coefficient (Packing.lift).  A term whose degree tdeg
+    lifts to LIMIT raises ResourceCapError."""
+    return K.packing(*_ELIM_ORDER, nvars + 1).lift(terms, tdeg)
 
 
-def _elim_gb(items: Iterable[tuple], nvars: int) -> tuple:
-    return _groebner_raw(tuple(t for t in items if t), _ELIM_ORDER, nvars + 1)
-
-
-def _t_free(gb: tuple, nvars: int) -> tuple:
-    """The t-free elements of a reduced elimination basis, with t dropped.
+def _t_free(items: Iterable[tuple], nvars: int) -> tuple:
+    """The reduced basis, in the ring order, of the ideal of the lifted items
+    intersected with the ring.
 
     By the elimination theorem (Cox-Little-O'Shea, Ideals, Varieties, and
-    Algorithms, Ch. 3 Sec. 1) they are a Groebner basis of the elimination
-    ideal.  The elimination order restricted to t-free monomials is the ring
-    order, so they are already its reduced basis, in _groebner_raw's order; a
-    second Groebner pass would return them unchanged.  t's exponent is field
-    1 of a dkey.
+    Algorithms, Ch. 3 Sec. 1) the t-free elements of a Groebner basis in the
+    elimination order are a Groebner basis of the elimination ideal.  t
+    dominates that order, so an element with a t-free lead (field 1 of its
+    dkey zero) is t-free, and it leads below every element it drops: the
+    t-free part is interreduced alone (see _autoreduce), and the rest of
+    _buchberger's basis is never reduced.  The elimination order restricted
+    to t-free monomials is the ring order, so that part is already the ring's
+    reduced basis; a right shift by one field takes t back out
+    (Packing.lower).
     """
-    src = K.packing(*_ELIM_ORDER, nvars + 1)
-    dst = K.packing(*_RING_ORDER, nvars)
-    return tuple(
-        dst.pack([(0, e[1:], n, d) for _, e, n, d in src.unpack(g)])
-        for g in gb
-        if not any(t[1] >> BITS & FIELD for t in g)
-    )
+    pk = K.packing(*_ELIM_ORDER, nvars + 1)
+    basis = _buchberger(items, pk)
+    return tuple(pk.lower(g) for g in _autoreduce(g for g in basis if not g[0][1] >> BITS & FIELD))
 
 
 def _contains_unit(gb: tuple) -> bool:
@@ -631,7 +669,7 @@ def _saturate_raw(ideal: tuple, h: tuple, nvars: int) -> tuple:
         return (((0, 0, 1, 1),),)
     items = [_lift_terms(g, nvars) for g in ideal]
     items.append(K.sub(((0, 0, 1, 1),), _lift_terms(h, nvars, 1)))
-    return _t_free(_elim_gb(items, nvars), nvars)
+    return _t_free(items, nvars)
 
 
 @lru_cache(maxsize=65536)
@@ -641,7 +679,7 @@ def _intersect_raw(a: tuple, b: tuple, nvars: int) -> tuple:
         return ()
     items = [_lift_terms(g, nvars, 1) for g in a]
     items += [K.sub(_lift_terms(g, nvars), _lift_terms(g, nvars, 1)) for g in b]
-    return _t_free(_elim_gb(items, nvars), nvars)
+    return _t_free(items, nvars)
 
 
 def _ideal_terms(gens: Sequence, ring: EdgeRing) -> tuple:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from test_kernel import cmp_terms
 
 from tamemod._core import _pure
-from tamemod._core._pure import FIELD
+from tamemod._core._pure import BITS, FIELD
 from tamemod.errors import ResourceCapError, StructuralError, ValidationError
 from tamemod.exactalg import (
     _ELIM_ORDER,
@@ -35,6 +35,7 @@ from tamemod.exactalg import (
     _monic,
     _saturate_raw,
     _tracked_raw,
+    _tracked_split,
     groebner,
     hilbert_numerator,
     ideal_contains_one,
@@ -258,6 +259,98 @@ def test_elimination_outputs_are_reduced_bases():
             assert _groebner_raw(out, _RING_ORDER, R.nvars) == out
 
 
+def _lift_by_tuples(terms, nvars, tdeg=0):
+    """t^tdeg times a ring poly, packed in the elimination order through its
+    exponent tuples."""
+    src = K.packing(*_RING_ORDER, nvars)
+    return K.packing(*_ELIM_ORDER, nvars + 1).pack([(0, (tdeg,) + e, n, d) for _, e, n, d in src.unpack(terms)])
+
+
+def _elimination_route(items, nvars):
+    """The elimination route _saturate_raw and _intersect_raw once took, kept
+    as their oracle: the full reduced basis in the elimination order, of
+    which the t-free elements go back to the ring through exponent tuples."""
+    gb = _groebner_raw(tuple(t for t in items if t), _ELIM_ORDER, nvars + 1)
+    src, dst = K.packing(*_ELIM_ORDER, nvars + 1), K.packing(*_RING_ORDER, nvars)
+    return tuple(
+        dst.pack([(0, e[1:], n, d) for _, e, n, d in src.unpack(g)])
+        for g in gb
+        if not any(t[1] >> BITS & FIELD for t in g)
+    )
+
+
+def _saturate_route(ideal, h, nvars):
+    if not h:
+        return (((0, 0, 1, 1),),)
+    items = [_lift_by_tuples(g, nvars) for g in ideal]
+    return _elimination_route(items + [K.sub(((0, 0, 1, 1),), _lift_by_tuples(h, nvars, 1))], nvars)
+
+
+def _intersect_route(a, b, nvars):
+    if not a or not b:
+        return ()
+    items = [_lift_by_tuples(g, nvars, 1) for g in a]
+    items += [K.sub(_lift_by_tuples(g, nvars), _lift_by_tuples(g, nvars, 1)) for g in b]
+    return _elimination_route(items, nvars)
+
+
+def _check_elimination(a, b, h, nvars):
+    for g in a + b + (h,):
+        for tdeg in (0, 1):
+            assert _lift_terms(g, nvars, tdeg) == _lift_by_tuples(g, nvars, tdeg)
+    assert _saturate_raw(a, h, nvars) == _saturate_route(a, h, nvars)
+    assert _intersect_raw(a, b, nvars) == _intersect_route(a, b, nvars)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            _raw_elements(n, [0], _RING_ORDER, 2),
+            _raw_elements(n, [0], _RING_ORDER, 2),
+            _raw_element(n, [0], _RING_ORDER),
+        )
+    )
+)
+def test_elimination_matches_the_full_route(case):
+    # interreducing only the t-free part, lifted and lowered by shifts, gives
+    # the t-free part of the full reduced basis on inhomogeneous input
+    nvars, a, b, h = case
+    _check_elimination(a, b, h, nvars)
+
+
+def test_elimination_matches_the_full_route_on_fixed_ideals():
+    R = EdgeRing(("x", "y", "z"))
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    ideals = [
+        [x * y],
+        [x * x * y, y * z],
+        [x - y, y * z],
+        [x * y - z * z, x * z],
+        [x * x - y * y, x * y * z],
+        [x * y - y * z, x * z - z * z],
+    ]
+    for a in ideals:
+        for b in ideals:
+            for h in (x, y - z, x + y + z):
+                _check_elimination(tuple(g.terms for g in a), tuple(g.terms for g in b), h.terms, R.nvars)
+
+
+def test_shifted_lift_keeps_the_field_bound():
+    # t * x^32767 has degree 32768, which does not fit a packed field; with
+    # no t the lift only moves the fields, and the saturation goes through
+    R = EdgeRing(("x", "y"))
+    y = R.var("y")
+    big = R.poly({(32767, 0): 1})
+    _clear_l1_caches()
+    with pytest.raises(ResourceCapError):
+        saturate_by_ideal([y], [big], R)
+    with pytest.raises(ResourceCapError):
+        intersect_ideals([big], [y], R)
+    assert saturate_by_ideal([big], [y], R) == (big,)
+
+
 # -- pair criteria and selection ------------------------------------------------
 
 
@@ -414,23 +507,43 @@ def _tracked_oracle(items, rank, order, nvars, modulo):
     return _oracle_gb(embedded + [ppk.pack(pk.unpack(g)) for g in modulo], porder, nvars)
 
 
-@_oracle_settings
-@given(
-    st.sampled_from([(1, [0], _RING_ORDER), (2, [0, 1], _MODULE_ORDER), (3, [0, 1, 2], _RANK3_ORDER)]).flatmap(
-        lambda c: st.tuples(
-            st.just(c[0]),
-            st.just(c[2]),
-            _raw_elements(2, c[1], c[2]),
-            st.one_of(st.just(()), _raw_elements(2, c[1], c[2], 2)),
-        )
+# (rank, order, items, modulo) over two variables, with and without modulo
+_TRACKED_CASES = st.sampled_from(
+    [(1, [0], _RING_ORDER), (2, [0, 1], _MODULE_ORDER), (3, [0, 1, 2], _RANK3_ORDER)]
+).flatmap(
+    lambda c: st.tuples(
+        st.just(c[0]),
+        st.just(c[2]),
+        _raw_elements(2, c[1], c[2]),
+        st.one_of(st.just(()), _raw_elements(2, c[1], c[2], 2)),
     )
 )
+
+
+@_oracle_settings
+@given(_TRACKED_CASES)
 def test_criteria_match_oracle_tracked(case):
     # the modulo elements enter with no auxiliary position
     rank, order, items, modulo = case
     basis, _ = _tracked_raw(items, rank, order, 2, modulo)
     assert basis == _tracked_oracle(items, rank, order, 2, modulo)
     assert all(t[1] & FIELD < rank + len(items) for v in basis for t in v)
+
+
+@_oracle_settings
+@given(_TRACKED_CASES)
+def test_syzygies_match_the_aux_part_of_the_oracle(case):
+    # interreducing only the elements led in an auxiliary position gives the
+    # auxiliary part of the full reduced basis, moved down by rank
+    rank, order, items, modulo = case
+    R = EdgeRing(("x", "y"))
+    F = FreeModule(R, order[0])
+    out = syzygies([FreeElement(F, g) for g in items], module=F, modulo=[FreeElement(F, g) for g in modulo])
+    full = _tracked_oracle(items, rank, order, 2, modulo)
+    porder = _tracked_raw(items, rank, order, 2, modulo)[1]
+    ppk, smod = K.packing(*porder, 2), FreeModule(R, porder[0][rank:])
+    assert all(s.module == smod for s in out)
+    assert tuple(s.terms for s in out) == tuple(smod.packing.rebase(v, ppk, -rank) for v in full if _pos(v) >= rank)
 
 
 def _reference_autoreduce(basis, pk, order):
@@ -462,11 +575,15 @@ def test_autoreduce_matches_reference(case):
     assert _autoreduce(basis) == _reference_autoreduce(basis, pk, order)
 
 
+def _clear_l1_caches():
+    for cached in (_groebner_raw, _tracked_raw, _tracked_split, _saturate_raw, _intersect_raw):
+        cached.cache_clear()
+
+
 def _count_calls(monkeypatch, owner, name):
     """A list that gains one entry per call of owner.name, counted from
     cleared L1 caches."""
-    _groebner_raw.cache_clear()
-    _tracked_raw.cache_clear()
+    _clear_l1_caches()
     calls = []
     fn = getattr(owner, name)
 
@@ -538,6 +655,34 @@ def test_syzygy_spoly_count(monkeypatch):
     calls = _count_spolys(monkeypatch)
     syzygies([x * x - y * z, x * y, z * z])
     assert len(calls) == 7
+
+
+def test_syzygies_reduce_only_the_kept_part(monkeypatch):
+    # the same 7 S-polynomials, one reduce each, and one reduce per kept
+    # syzygy; the elements led in F are never interreduced: reducing the
+    # whole basis made 15 reduce calls
+    R = EdgeRing(("x", "y", "z"))
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    spolys = _count_spolys(monkeypatch)
+    reduces = _count_calls(monkeypatch, K, "reduce")
+    syzygies([x * x - y * z, x * y, z * z])
+    assert (len(spolys), len(reduces)) == (7, 11)
+
+
+def test_saturation_makes_no_exponent_tuple():
+    # the lift into the elimination order and the way back shift packed
+    # fields, so the exponent table of that order gains nothing; the route
+    # through exponent tuples entered 7
+    R = EdgeRing(("x", "y", "z"))
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    table, expos = _pure._exponent_table(4, 1)
+    table.clear()
+    expos.clear()
+    _clear_l1_caches()
+    out = saturate_by_ideal([x * y - z * z, x * z], [y - z], R)
+    assert len(table) == 0
+    ideal = ((x * y - z * z).terms, (x * z).terms)
+    assert tuple(g.terms for g in out) == _saturate_route(ideal, (y - z).terms, 3)
 
 
 def test_monic_inputs_are_not_rescaled(monkeypatch):

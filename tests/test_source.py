@@ -36,3 +36,28 @@ def test_every_import_is_used(module):
     }
     unused = imported - _names_read(tree)
     assert not unused, f"{module} never uses {sorted(unused)}"
+
+
+# os functions and mappings that read or change the process environment
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+@pytest.mark.parametrize("module", sorted(p.relative_to(PACKAGE).as_posix() for p in PACKAGE.rglob("*.py")))
+def test_no_module_reads_the_environment(module):
+    # behaviour is set by arguments alone, never by an environment variable
+    tree = ast.parse((PACKAGE / module).read_text())
+    os_names = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names if a.name == "os"}
+    reads = [
+        f"os.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in os_names
+        and node.attr in ENVIRONMENT
+    ]
+    reads += [
+        f"from os import {a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "os"
+        for a in node.names
+        if a.name in ENVIRONMENT
+    ]
+    assert not reads, f"{module} reads the environment: {reads}"
