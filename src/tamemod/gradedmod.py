@@ -9,6 +9,15 @@ submodule, so run no syzygies), annihilators, and the support criterion
 deciding membership in the Serre subcategory generated by a list of partition
 modules, one generator's annihilator at a time.
 
+The support criterion decides linear supports by reduction, not elimination,
+on two standard facts.  Ann of a direct sum is read off its summands
+(Atiyah-Macdonald, Ex. 3.19): when a module's relation basis lies in single
+positions, the annihilator of a generator is the ideal of its position's
+entries, with no syzygies.  A linear ideal J is prime, and for any J, g in J
+gives J : g^infinity = (1) (Cox-Little-O'Shea, Ch. 4 Sec. 4): so J :
+g^infinity is (1) or J as g's normal form modulo J is zero or not, with no
+saturation.
+
 Hilbert functions come from Hilbert-Poincare numerators read off plain relation
 bases (Bigatti); ModuleMap.is_mono and exact_at compare them, with no syzygies.
 
@@ -709,13 +718,28 @@ def six_term(ses: ShortExactSequence, e: str, e_prime: str) -> SixTermSequence:
 def annihilator(m: PresentedModule, x: FreeElement) -> tuple[GradedPoly, ...]:
     """Generators of {r : r*x = 0 in M}, as a reduced Groebner basis.
 
-    They are the syzygies of x modulo the relations of M, a reduced basis in
-    the rank-1 order of weight(x), which is the ring order shifted.
+    When every element of relation_gb() lies in a single position, M is the
+    direct sum of the R/I_j(-w_j), I_j the ideal of the position-j entries,
+    and Ann of a direct sum is read off its summands (Atiyah-Macdonald, Ex.
+    3.19).  So for x a nonzero constant times generator i, Ann(x) = I_i, and
+    its reduced basis is the position-i elements' entries in relation_gb()'s
+    order, as the module order within one position is the ring order: () for
+    a free generator, (1) for one of zero class.  No syzygies are run.
+
+    Otherwise they are the syzygies of x modulo the relations of M, a reduced
+    basis in the rank-1 order of weight(x), which is the ring order shifted.
     """
     if x.module != m.free_cover:
         raise StructuralError("element outside the module's free cover")
     if not x.is_homogeneous:
         raise ValidationError(f"inhomogeneous element {x}")
+    # a constant times generator i is one term whose dkey is i
+    if len(x.terms) == 1 and x.terms[0][1] <= FIELD:
+        gb = m.relation_gb()
+        pos = [g.terms[0][1] & FIELD for g in gb]
+        if all(t[1] & FIELD == p for g, p in zip(gb, pos) for t in g.terms[1:]):
+            i = x.terms[0][1]
+            return tuple(g.component(i) for g, p in zip(gb, pos) if p == i)
     return tuple(s.component(0) for s in syzygies([x], module=m.free_cover, modulo=m.relations))
 
 
@@ -755,7 +779,6 @@ def cyclic_submodule(m: PresentedModule, x: FreeElement) -> CyclicSubmodule:
 # Support criterion for tameness
 
 
-@lru_cache(maxsize=256)
 def _finest(tame: tuple) -> tuple:
     """The partitions in tame that no other one refines, in tame's order.
 
@@ -764,10 +787,41 @@ def _finest(tame: tuple) -> tuple:
     refines p iff q's pair set is a proper subset of p's.
     """
     pairs = [frozenset(pr for b in p.blocks for pr in combinations(b, 2)) for p in tame]
-    return tuple(p for p, s in zip(tame, pairs) if not any(t < s for t in pairs))
+    return tuple(p for p, s in zip(tame, pairs) if not any(map(s.__gt__, pairs)))
+
+
+class _Plan:
+    """What is_tame_support reads of one tame list over one ring.
+
+    keep is the list's antichain reduction, _finest of it without repeats: a
+    partition refined by another tame one covers a smaller subspace and is
+    redundant in the union.  covers says that one of them is discrete, so its
+    subspace is everything.  sweep is _sweep_plan(keep, ring), built by the
+    first decision that sweeps, which has passed the partition cap.
+    """
+
+    __slots__ = ("keep", "covers", "sweep")
+
+    def __init__(self, keep: tuple):
+        self.keep = keep
+        self.covers = any(p.is_discrete() for p in keep)
+        self.sweep = None
 
 
 @lru_cache(maxsize=256)
+def _support_plan(tame: tuple, ring: EdgeRing):
+    """The _Plan of tame over ring, built once; None for an empty list.
+    Every partition's ground must be the ring's variables."""
+    tame = tuple(dict.fromkeys(tame))
+    if not tame:
+        return None
+    ground = set(ring.variables)
+    for p in tame:
+        if set(p.ground) != ground:
+            raise StructuralError(f"partition ground {p.ground} does not match module ring {ring.variables}")
+    return _Plan(_finest(tame))
+
+
 def _sweep_plan(keep: tuple, ring: EdgeRing) -> tuple:
     """(steps, order) for an antichain of non-discrete partitions.
 
@@ -784,16 +838,23 @@ def _sweep_plan(keep: tuple, ring: EdgeRing) -> tuple:
     return steps, order
 
 
+def _is_linear(gb: tuple, ring: EdgeRing) -> bool:
+    """Whether a reduced homogeneous basis has only forms of degree 1, read
+    off the packed weights of its leads; true of the zero ideal's ()."""
+    return ring.packing.weights([g.terms[0] for g in gb]) <= {1}
+
+
 def _sweep_covers(current: tuple, steps: tuple, order: tuple, ring: EdgeRing) -> bool:
-    """Whether V(current), a proper ideal, lies in the union of the subspaces
-    of a _sweep_plan: current is saturated by each I_P in turn, finest partitions
-    first, which removes the components covered by that subspace; containment
-    holds iff the unit ideal is reached.
+    """Whether V(current), a proper ideal given by its reduced homogeneous
+    basis, lies in the union of the subspaces of a _sweep_plan: current is
+    saturated by each I_P in turn, finest partitions first, which removes the
+    components covered by that subspace; containment holds iff the unit ideal
+    is reached.
 
     Every I_P is generated by linear forms x_a - x_b, so the sweep keeps, for
     the current ideal J, a table of the single saturations J : g^infinity by
     those forms, and I_P's step folds intersect_ideals over its chain
-    generators' entries, which is saturate_by_ideal's own rule.  Two standard
+    generators' entries, which is saturate_by_ideal's own rule.  Standard
     facts (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 4 Sec. 4)
     let it skip work: J : I^infinity lies in J : h^infinity for h in I, and
     saturations commute.  So once J : g^infinity = J, g stays a no-op for
@@ -801,9 +862,17 @@ def _sweep_covers(current: tuple, steps: tuple, order: tuple, ring: EdgeRing) ->
     no-op g among its same-block pairs leaves J unchanged, since
     J <= J : I_P^infinity <= J : g^infinity = J, and is skipped.  The table
     is rebuilt only when a step really changes J.
+
+    An entry needs no saturation while J is linear, generated by forms of
+    degree 1: such a J is prime, so J : g^infinity is J for g not in J, and
+    for any J, g in J gives J : g^infinity = (1).  The entry is then read off
+    one normal form of g modulo J.  Whether J is linear is decided again
+    whenever a step changes J; any other J is saturated.
     """
+    one = (ring.one(),)
     sat = {}  # pair -> current : g^infinity
     noop = set()  # pairs g with current : g^infinity = current, now and from here on
+    linear = _is_linear(current, ring)
     for i in order:
         chain, pairs = steps[i]
         if not noop.isdisjoint(pairs):
@@ -811,17 +880,22 @@ def _sweep_covers(current: tuple, steps: tuple, order: tuple, ring: EdgeRing) ->
         acc = None
         for pr, g in chain:
             if pr not in sat:
-                sat[pr] = saturate_by_ideal(current, [g], ring)
+                if linear:
+                    sat[pr] = one if normal_form(g, current).is_zero() else current
+                else:
+                    sat[pr] = saturate_by_ideal(current, [g], ring)
                 if sat[pr] == current:
                     noop.add(pr)
                     break
-            acc = sat[pr] if acc is None else intersect_ideals(acc, sat[pr], ring)
+            # (1) meets any ideal X in X
+            acc = sat[pr] if acc is None or acc == one else intersect_ideals(acc, sat[pr], ring)
         else:
             if acc != current:
                 current, sat = acc, {}
                 # a reduced basis, and the reduced basis of the unit ideal is (1)
-                if current == (ring.one(),):
+                if current == one:
                     return True
+                linear = _is_linear(current, ring)
     return False
 
 
@@ -833,31 +907,35 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     3.19): _sweep_covers runs on each annihilator(m, m_i), and the first one
     it does not cover decides.  A zero generator, whose annihilator is (1), is
     skipped, as the sweep tests for (1) only after a step that changes J.
-    More than MAX_TAME_SUBSPACES partitions in the reduced antichain raise
+
+    Linear supports are decided by reduction, not elimination.  When M's
+    relation basis lies in single positions, M is a direct sum of cyclic
+    modules and each Ann(m_i) is read off that basis, with no syzygies
+    (annihilator); and while the swept ideal is linear, hence prime, each
+    pair's saturation is one normal form (_sweep_covers).
+
+    What depends on the tame list and the ring alone is built once
+    (_support_plan).  The outcomes come in this order: an empty list decides
+    by m.is_zero(); a partition on another ground raises StructuralError; a
+    zero module, or a discrete partition in the list, gives True; more than
+    MAX_TAME_SUBSPACES partitions in the reduced antichain raise
     ResourceCapError before any algebra is done.
     """
-    tame = tuple(dict.fromkeys(tame))
-    if not tame:
+    plan = _support_plan(tuple(tame), m.ring)
+    if plan is None:
         return m.is_zero()
-    for p in tame:
-        if set(p.ground) != set(m.ring.variables):
-            raise StructuralError(
-                f"partition ground {p.ground} does not match module ring {m.ring.variables}"
-            )
-    if m.is_zero():
+    if m.is_zero() or plan.covers:
         return True
-    # Antichain reduction: a partition refined by another tame one covers a
-    # smaller subspace and is redundant in the union.
-    keep = _finest(tame)
-    if any(p.is_discrete() for p in keep):
-        return True
-    if len(keep) > MAX_TAME_SUBSPACES:
+    if len(plan.keep) > MAX_TAME_SUBSPACES:
         raise ResourceCapError(
-            f"{len(keep)} tame subspaces exceed the partition cap {MAX_TAME_SUBSPACES}"
+            f"{len(plan.keep)} tame subspaces exceed the partition cap {MAX_TAME_SUBSPACES}"
         )
-    steps, order = _sweep_plan(keep, m.ring)
+    if plan.sweep is None:
+        plan.sweep = _sweep_plan(plan.keep, m.ring)
+    steps, order = plan.sweep
+    one = (m.ring.one(),)
     for i in range(m.rank):
         ann = annihilator(m, m.gen(i))
-        if ann != (m.ring.one(),) and not _sweep_covers(ann, steps, order, m.ring):
+        if ann != one and not _sweep_covers(ann, steps, order, m.ring):
             return False
     return True

@@ -16,9 +16,11 @@ from tamemod.exactalg import (
     FreeModule,
     groebner,
     ideal_contains_one,
+    intersect_ideals,
     normal_form,
     radical_member,
     saturate_by_ideal,
+    syzygies,
 )
 from tamemod.gradedmod import (
     CyclicSubmodule,
@@ -45,6 +47,8 @@ from tamemod.gradedmod import (
     submodule_from_elements,
     torsion_data,
     _finest,
+    _sweep_covers,
+    _sweep_plan,
 )
 from tamemod.graphsplit import (
     AlwaysTame,
@@ -781,10 +785,31 @@ def test_tame_support_union_of_two(p_related):
     assert not is_tame_support(total, [q])
 
 
+def _syzygy_annihilator(m, x):
+    """annihilator's syzygy route, kept as the oracle of its read-off."""
+    return tuple(s.component(0) for s in syzygies([x], module=m.free_cover, modulo=m.relations))
+
+
+def _syzygy_annihilator_ideal(m):
+    """Ann M by the syzygy route alone: the generators' annihilators,
+    intersected."""
+    if m.rank == 0:
+        return (m.ring.one(),)
+    acc = None
+    for i in range(m.rank):
+        ann = _syzygy_annihilator(m, m.gen(i))
+        if not ann:
+            return ()
+        acc = ann if acc is None else intersect_ideals(acc, ann, m.ring)
+        if not acc:
+            return ()
+    return acc
+
+
 def _product_oracle(m, tame):
     """Literal support check: every product of one generator from each
     partition ideal lies in rad(Ann M)."""
-    ann = annihilator_ideal(m)
+    ann = _syzygy_annihilator_ideal(m)
     ideals = [partition_ideal(p) for p in tame]
     for combo in itertools.product(*ideals):
         g = m.ring.one()
@@ -841,7 +866,8 @@ def test_finest_matches_refines_oracle(base):
 
 def _reference_tame_support(m, tame):
     """Test-only oracle: the saturation sweep as it ran before the per-pair
-    saturation table, one saturate_by_ideal call per partition and step."""
+    saturation table, one saturate_by_ideal call per partition and step, on
+    Ann M by the syzygy route."""
     tame = tuple(dict.fromkeys(tame))
     if not tame:
         return m.is_zero()
@@ -850,7 +876,7 @@ def _reference_tame_support(m, tame):
     keep = _finest(tame)
     if any(p.is_discrete() for p in keep):
         return True
-    ann = annihilator_ideal(m)
+    ann = _syzygy_annihilator_ideal(m)
     if ann and ideal_contains_one(ann, m.ring):
         return True
     ideals = [partition_ideal(p) for p in keep]
@@ -927,9 +953,9 @@ def _count_calls(monkeypatch, names):
     for name in names:
         fn = getattr(gradedmod, name)
 
-        def counting(*args, _fn=fn, _name=name):
+        def counting(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(gradedmod, name, counting)
     return calls
@@ -944,34 +970,180 @@ def _tame_and_wild_abce():
 
 def test_tame_support_sweep_work(monkeypatch):
     # Z[abe|ce'] + Z[ae|be'|c] under max-blocks:2 (15 two-block subspaces).
-    # The sweep runs once per generator: 5 saturate_by_ideal calls cover the
-    # tame summand, as in test_tame_support_single_subspace_work, and 3 find
-    # every step a no-op for the wild one, 8 in all.
+    # The sweep runs once per generator, on an annihilator read off the
+    # diagonal relation basis: 5 normal forms cover the tame summand, as in
+    # test_tame_support_single_subspace_work, and 3 find every step a no-op
+    # for the wild one, 8 in all.  Both annihilators are linear, so nothing
+    # is saturated.
     tame_p, wild_p, tame = _tame_and_wild_abce()
     m = direct_sum([partition_module(tame_p), partition_module(wild_p)])[0]
-    calls = _count_calls(monkeypatch, ("saturate_by_ideal",))
+    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "normal_form", "syzygies"))
     assert not is_tame_support(m, tame)
-    assert calls == {"saturate_by_ideal": 8}
+    assert calls == {"saturate_by_ideal": 0, "normal_form": 8, "syzygies": 0}
 
 
 def test_tame_support_wild_first_exits_early(monkeypatch):
-    # the same sum with the wild summand first: its 3 calls decide, and the
-    # tame generator is never swept
+    # the same sum with the wild summand first: its 3 normal forms decide,
+    # and the tame generator is never swept
     tame_p, wild_p, tame = _tame_and_wild_abce()
     m = direct_sum([partition_module(wild_p), partition_module(tame_p)])[0]
-    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "annihilator"))
+    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "annihilator", "normal_form"))
     assert not is_tame_support(m, tame)
-    assert calls == {"saturate_by_ideal": 3, "annihilator": 1}
+    assert calls == {"saturate_by_ideal": 0, "annihilator": 1, "normal_form": 3}
 
 
 def test_tame_support_single_subspace_work(monkeypatch):
     # Z[abe|ce'] alone under max-blocks:2: its support lies in one of the 15
     # subspaces, and the sweep reaches the unit ideal at that subspace's
-    # step after 5 saturate_by_ideal calls
+    # step after 5 normal forms, with no saturation or intersection
     tame_p, _, tame = _tame_and_wild_abce()
-    calls = _count_calls(monkeypatch, ("saturate_by_ideal",))
+    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "normal_form", "intersect_ideals"))
     assert is_tame_support(partition_module(tame_p), tame)
-    assert calls == {"saturate_by_ideal": 5}
+    assert calls == {"saturate_by_ideal": 0, "normal_form": 5, "intersect_ideals": 0}
+
+
+def test_tame_support_nonlinear_annihilator_work(monkeypatch):
+    # R/((x_a - x_b)(x_c - x_e)): its annihilator is not linear, so the sweep
+    # saturates.  Under max-blocks:2 it takes 6 saturations and 1
+    # intersection to find the two hyperplanes uncovered.  Under the two
+    # subspaces [ab|c|e|e'] and [a|b|ce|e'], one saturation by x_a - x_b
+    # leaves the linear (x_c - x_e), and one normal form reaches (1).
+    _, _, tame = _tame_and_wild_abce()
+    g = _split_abce()
+    ring = partition_module(tame[0]).ring
+    xa, xb, xc, xe = (ring.var(v) for v in "abce")
+    m = PresentedModule.from_ideal(ring, [(xa - xb) * (xc - xe)])
+    names = ("saturate_by_ideal", "intersect_ideals", "normal_form", "syzygies")
+    calls = _count_calls(monkeypatch, names)
+    assert not is_tame_support(m, tame)
+    assert calls == {"saturate_by_ideal": 6, "intersect_ideals": 1, "normal_form": 0, "syzygies": 0}
+    pair = [make_partition(g.edges, [["a", "b"], ["c"], ["e"], ["e'"]]), make_partition(g.edges, [["a"], ["b"], ["c", "e"], ["e'"]])]
+    calls.update(dict.fromkeys(names, 0))
+    assert is_tame_support(m, pair)
+    assert calls == {"saturate_by_ideal": 1, "intersect_ideals": 0, "normal_form": 1, "syzygies": 0}
+
+
+def _read_off_cases():
+    """(module, element, whether the read-off applies) pairs: direct sums of
+    shifted partition modules, R/(x^2) + R/(xy), zero-class and free
+    generators, 2*g_i and non-generators, certificate roots, and
+    non-diagonal presentations, which fall through to the syzygies."""
+    g = _split_abce()
+    parts = list(iter_partitions(g.edges))
+    rng = random.Random("read-off")
+    cases = []
+    for _ in range(6):
+        pick = rng.sample(parts, rng.randint(1, 3))
+        m = direct_sum([partition_module(p).shift(rng.randint(0, 2)) for p in pick])[0]
+        for i in range(m.rank):
+            cases += [(m, m.gen(i), True), (m, m.free_cover.gen(i, 2), True)]
+        cases.append((m, m.ring.var("a") * m.gen(m.rank - 1), False))
+    R = EdgeRing(("x", "y"))
+    x, y = R.var("x"), R.var("y")
+    m = direct_sum([PresentedModule.from_ideal(R, [x * x]), PresentedModule.from_ideal(R, [x * y], shift=1)])[0]
+    cases += [(m, m.gen(0), True), (m, m.gen(1), True), (m, m.free_cover.gen(1, -3), True)]
+    cases += [(m, x * m.gen(0), False), (m, y * m.gen(0) + m.gen(1), False)]
+    free = FreeModule(R, (0, 1, 0))
+    zero_class = PresentedModule(R, (0, 1, 0), [free.element([x * x, R.zero(), R.zero()]), free.gen(2)])
+    cases += [(zero_class, zero_class.gen(i), True) for i in range(3)]
+    free2 = FreeModule(R, (0, 0))
+    mixed = PresentedModule(R, (0, 0), [free2.element([y, -x]), free2.element([x * x, R.zero()])])
+    cases += [(mixed, mixed.gen(0), False), (mixed, mixed.gen(1), False)]
+    tame = list(tame_partitions(MaxBlockCount(2), g))
+    for _ in range(4):
+        root = random_certificate(rng, tame, 2).root
+        diagonal = all(len({t[1] & gradedmod.FIELD for t in r.terms}) == 1 for r in root.relation_gb())
+        cases += [(root, root.gen(i), diagonal) for i in range(root.rank)]
+    return cases
+
+
+def test_annihilator_read_off_matches_syzygies(monkeypatch):
+    cases = _read_off_cases()
+    expected = [_syzygy_annihilator(m, x) for m, x, _ in cases]
+    calls = _count_calls(monkeypatch, ("syzygies",))
+    anns = set()
+    for (m, x, read_off), want in zip(cases, expected):
+        before = calls["syzygies"]
+        got = annihilator(m, x)
+        assert got == want, (m, x)
+        assert calls["syzygies"] - before == (0 if read_off else 1), (m, x)
+        anns.add((read_off, "zero" if not got else "unit" if got == (m.ring.one(),) else "proper"))
+    # the read-off gives the zero, the unit and proper ideals; the syzygies proper ones
+    assert anns == {(True, "zero"), (True, "unit"), (True, "proper"), (False, "proper")}
+
+
+def _saturating_sweep(current, steps, order, ring):
+    """_sweep_covers as it ran before linear ideals were read off normal
+    forms: every table entry is a saturate_by_ideal call."""
+    sat = {}
+    noop = set()
+    for i in order:
+        chain, pairs = steps[i]
+        if not noop.isdisjoint(pairs):
+            continue
+        acc = None
+        for pr, g in chain:
+            if pr not in sat:
+                sat[pr] = saturate_by_ideal(current, [g], ring)
+                if sat[pr] == current:
+                    noop.add(pr)
+                    break
+            acc = sat[pr] if acc is None else intersect_ideals(acc, sat[pr], ring)
+        else:
+            if acc != current:
+                current, sat = acc, {}
+                if current == (ring.one(),):
+                    return True
+    return False
+
+
+def _sweep_ideals(rng, ring):
+    """Proper homogeneous ideals as reduced bases: linear ones (differences
+    of variables and random forms), products and squares of differences,
+    and linear forms plus a quadric."""
+    v = ring.variables
+
+    def diff():
+        a, b = rng.sample(v, 2)
+        return ring.var(a) - ring.var(b)
+
+    def form():
+        return sum((rng.randint(-2, 2) * ring.var(x) for x in v), ring.zero())
+
+    gens = [
+        [diff() for _ in range(rng.randint(1, 3))],
+        [diff() for _ in range(rng.randint(1, 2))] + [form()],
+        [diff() * diff()],
+        [diff() * diff(), diff() * diff()],
+        [diff() ** 2],
+        [diff() for _ in range(rng.randint(1, 2))] + [diff() * diff()],
+        [diff(), form() * form()],
+    ]
+    out = []
+    for gs in gens:
+        gb = groebner([f for f in gs if not f.is_zero()])
+        if gb and gb != (ring.one(),):
+            out.append(gb)
+    return out
+
+
+def test_sweep_covers_matches_saturating_sweep():
+    g = _split_abce()
+    ring = EdgeRing(g.edges)
+    parts = [p for p in iter_partitions(g.edges) if not p.is_discrete()]
+    rng = random.Random("sweep-oracle")
+    verdicts = []
+    kinds = set()
+    for _ in range(12):
+        keep = _finest(tuple(rng.sample(parts, rng.randint(1, 10))))
+        steps, order = _sweep_plan(keep, ring)
+        for current in _sweep_ideals(rng, ring):
+            got = _sweep_covers(current, steps, order, ring)
+            assert got == _saturating_sweep(current, steps, order, ring), (keep, current)
+            verdicts.append(got)
+            kinds.add(gradedmod._is_linear(current, ring))
+    assert set(verdicts) == {True, False}
+    assert kinds == {True, False}
 
 
 def _support_edge_cases():
