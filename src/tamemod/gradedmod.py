@@ -18,6 +18,15 @@ gives J : g^infinity = (1) (Cox-Little-O'Shea, Ch. 4 Sec. 4): so J :
 g^infinity is (1) or J as g's normal form modulo J is zero or not, with no
 saturation.
 
+F1 is read off the same way (torsion_data).  When the relation basis lies in
+single positions, M = sum R/I_j(-w_j) and ker(d on M) = sum (I_j : d)/I_j for
+d = e - e' (Atiyah-Macdonald, Ex. 3.19).  For a linear, hence prime, I_j,
+(I_j : d) is (1) or I_j as d's normal form modulo I_j is zero or not, so each
+summand is all torsion or none, and kernel's syzygies are not run.  The maps
+F1 induces into such a module take their cofactors from one normal form per
+position, as a normal form modulo the tracked basis that
+reduce_with_expression would build is unique (induced_map_f1).
+
 Hilbert functions come from Hilbert-Poincare numerators read off plain relation
 bases (Bigatti); ModuleMap.is_mono and exact_at compare them, with no syzygies.
 
@@ -30,11 +39,12 @@ them; the certificate transformer prunes the ones it builds for itself.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Sequence
 
@@ -531,27 +541,102 @@ def f0(m: PresentedModule, e: str, e_prime: str) -> PresentedModule:
     return PresentedModule(bring, m.gen_weights, [r for r in rels if not r.is_zero()])
 
 
+def _diagonal(m: PresentedModule):
+    """The reduced basis of each position's ideal I_j, as a tuple indexed by
+    position, when every element of relation_gb() lies in a single position;
+    None otherwise.
+
+    Then M is the direct sum of the R/I_j(-w_j), and I_j's reduced basis is
+    the position-j elements' entries in relation_gb()'s order, as the module
+    order within one position is the ring order: () for a free generator,
+    (1) for one of zero class.  Ann and the kernel of a ring element d on a
+    direct sum are read off its summands (Atiyah-Macdonald, Ex. 3.19): Ann(g_j)
+    = I_j, and ker(d on R/I_j) = (I_j : d)/I_j.
+    """
+    gb = m.relation_gb()
+    ideals = [[] for _ in range(m.rank)]
+    for g in gb:
+        p = g.terms[0][1] & FIELD
+        if any(t[1] & FIELD != p for t in g.terms[1:]):
+            return None
+        ideals[p].append(g.component(p))
+    return tuple(map(tuple, ideals))
+
+
 @dataclass(frozen=True)
 class TorsionData:
     """Torsion kernel of multiplication by e - e', before and after contraction.
 
     kgens are the canonical generators of {x : (e-e')x in relations} in the
     split-ring free cover; presentation is the contracted-ring presentation of
-    the torsion submodule with those generators.
+    the torsion submodule with those generators.  positions lists the
+    generators that kgens are, in kgens' order, when they were read off a
+    relation basis in single positions (_torsion_positions); None when they
+    came from kernel.
     """
 
     kgens: tuple[FreeElement, ...]
     presentation: PresentedModule
+    positions: tuple[int, ...] | None = None
+
+
+def _torsion_positions(diag: tuple, d: GradedPoly, ring: EdgeRing):
+    """The positions j whose whole summand R/I_j is killed by d, or None when
+    some summand's torsion is not read off.
+
+    ker(d on R/I_j) = (I_j : d)/I_j.  For I_j = (1) the summand is zero and
+    is skipped; for d in I_j, one normal form, (I_j : d) = (1) and the whole
+    summand is torsion; otherwise a linear I_j is prime, so (I_j : d) = I_j
+    and the summand has no torsion.  Any other I_j gives None.
+    """
+    one = (ring.one(),)
+    kept = []
+    for j, ideal in enumerate(diag):
+        if ideal == one:
+            continue
+        if normal_form(d, ideal).is_zero():
+            kept.append(j)
+        elif not _is_linear(ideal, ring):
+            return None
+    return kept
 
 
 @lru_cache(maxsize=8192)
 def torsion_data(m: PresentedModule, e: str, e_prime: str) -> TorsionData:
-    """The kernel of the degree-1 map (e - e') . : M -> M, contracted by f0."""
-    _base_ring(m.ring, e, e_prime)
-    d = m.ring.var(e) - m.ring.var(e_prime)
-    cols = [d * m.gen(j) for j in range(m.rank)]
-    sub, incl = kernel(ModuleMap(m, m, cols, 1, check=False))
-    return TorsionData(incl.columns, f0(sub, e, e_prime))
+    """The kernel of the degree-1 map (e - e') . : M -> M, contracted by f0.
+
+    When M's relation basis lies in single positions, the kernel is the sum
+    of the (I_j : d)/I_j, d = e - e' (_diagonal), read off by
+    _torsion_positions with no syzygies, and it equals kernel's result.
+    kernel's reduced syzygy basis is the union of the positions' bases of
+    (I_j : d), so its nonzero classes are the g_j of the kept positions,
+    largest packed lead first: higher weight, then lower position.  Their
+    span has I_j's basis at its generator k: the position-j elements of
+    relation_gb() moved to k, in their order, which the new cover keeps (one
+    weight's positions keep their order, and different weights never tie).
+    That is its reduced basis, so it seeds its relation_gb.
+    """
+    ring = m.ring
+    _base_ring(ring, e, e_prime)
+    d = ring.var(e) - ring.var(e_prime)
+    diag = _diagonal(m)
+    kept = None if diag is None else _torsion_positions(diag, d, ring)
+    if kept is None:
+        cols = [d * m.gen(j) for j in range(m.rank)]
+        sub, incl = kernel(ModuleMap(m, m, cols, 1, check=False))
+        return TorsionData(incl.columns, f0(sub, e, e_prime))
+    src = m.free_cover.packing
+    kept.sort(key=src.base.__getitem__, reverse=True)
+    at = {j: k for k, j in enumerate(kept)}
+    free = FreeModule(ring, tuple(m.gen_weights[j] for j in kept))
+    rels = []
+    for g in m.relation_gb():
+        j = g.terms[0][1] & FIELD
+        if j in at:
+            rels.append(FreeElement(free, free.packing.rebase(g.terms, src, at[j] - j)))
+    sub = PresentedModule(ring, free.weights, rels)
+    sub._cache["gb"] = sub.relations
+    return TorsionData(tuple(m.gen(j) for j in kept), f0(sub, e, e_prime), tuple(kept))
 
 
 def f1(m: PresentedModule, e: str, e_prime: str) -> PresentedModule:
@@ -568,17 +653,36 @@ def induced_map_f0(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
 
 
 def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
+    """F1(phi): each source torsion generator x maps to y = phi(x), written
+    in the target's torsion generators.
+
+    In general the cofactors come from reduce_with_expression.  When the
+    target's torsion was read off (TorsionData.positions), the cofactor at
+    kept position j is normal_form(y_j, I_j): the auxiliary part of the
+    tracked basis of {g_j + eps_k} and the relations is the sum of the
+    I_j*eps_k, so -sum normal_form(y_j, I_j)*eps_k is the normal form of y
+    modulo that basis, which is unique.  Every other component y_j must lie
+    in I_j, as such a summand has no torsion, or y is not torsion.
+    """
     td_s = torsion_data(phi.source, e, e_prime)
     td_t = torsion_data(phi.target, e, e_prime)
     src1, tgt1 = td_s.presentation, td_t.presentation
     if not td_s.kgens:
         return ModuleMap.zero_map(src1, tgt1, phi.degree)
     mapping = {e_prime: e}
+    kept = td_t.positions
+    diag = None if kept is None else _diagonal(phi.target)
     cols = []
     for x in td_s.kgens:
         y = phi.apply_free(x)
-        rem, cofs = reduce_with_expression(y, td_t.kgens, modulo=phi.target.relations)
-        if not rem.is_zero():
+        if diag is None:
+            rem, cofs = reduce_with_expression(y, td_t.kgens, modulo=phi.target.relations)
+            torsion = rem.is_zero()
+        else:
+            rems = [normal_form(c, ideal) for c, ideal in zip(y.components(), diag)]
+            cofs = [rems[j] for j in kept]
+            torsion = all(r.is_zero() for j, r in enumerate(rems) if j not in kept)
+        if not torsion:
             raise StructuralError("image of a torsion element is not torsion")
         cols.append(tgt1.free_cover.element([substitute(c, tgt1.ring, mapping) for c in cofs]))
     return ModuleMap(src1, tgt1, cols, phi.degree, check=True)
@@ -718,13 +822,9 @@ def six_term(ses: ShortExactSequence, e: str, e_prime: str) -> SixTermSequence:
 def annihilator(m: PresentedModule, x: FreeElement) -> tuple[GradedPoly, ...]:
     """Generators of {r : r*x = 0 in M}, as a reduced Groebner basis.
 
-    When every element of relation_gb() lies in a single position, M is the
-    direct sum of the R/I_j(-w_j), I_j the ideal of the position-j entries,
-    and Ann of a direct sum is read off its summands (Atiyah-Macdonald, Ex.
-    3.19).  So for x a nonzero constant times generator i, Ann(x) = I_i, and
-    its reduced basis is the position-i elements' entries in relation_gb()'s
-    order, as the module order within one position is the ring order: () for
-    a free generator, (1) for one of zero class.  No syzygies are run.
+    For x a nonzero constant times generator i of a module whose relation
+    basis lies in single positions, Ann(x) = I_i is read off _diagonal, with
+    no syzygies.
 
     Otherwise they are the syzygies of x modulo the relations of M, a reduced
     basis in the rank-1 order of weight(x), which is the ring order shifted.
@@ -735,11 +835,9 @@ def annihilator(m: PresentedModule, x: FreeElement) -> tuple[GradedPoly, ...]:
         raise ValidationError(f"inhomogeneous element {x}")
     # a constant times generator i is one term whose dkey is i
     if len(x.terms) == 1 and x.terms[0][1] <= FIELD:
-        gb = m.relation_gb()
-        pos = [g.terms[0][1] & FIELD for g in gb]
-        if all(t[1] & FIELD == p for g, p in zip(gb, pos) for t in g.terms[1:]):
-            i = x.terms[0][1]
-            return tuple(g.component(i) for g, p in zip(gb, pos) if p == i)
+        diag = _diagonal(m)
+        if diag is not None:
+            return diag[x.terms[0][1]]
     return tuple(s.component(0) for s in syzygies([x], module=m.free_cover, modulo=m.relations))
 
 
@@ -784,10 +882,15 @@ def _finest(tame: tuple) -> tuple:
 
     All share one ground set.  q refines p iff q's same-block pairs are a
     subset of p's, and distinct partitions have distinct pair sets, so q != p
-    refines p iff q's pair set is a proper subset of p's.
+    refines p iff q's pair set is a proper subset of p's.  A proper subset is
+    smaller, so each set is compared only with the strictly smaller ones.
     """
     pairs = [frozenset(pr for b in p.blocks for pr in combinations(b, 2)) for p in tame]
-    return tuple(p for p, s in zip(tame, pairs) if not any(map(s.__gt__, pairs)))
+    by_size = sorted(pairs, key=len)
+    sizes = [len(s) for s in by_size]
+    return tuple(
+        p for p, s in zip(tame, pairs) if not any(map(s.__gt__, islice(by_size, bisect_left(sizes, len(s)))))
+    )
 
 
 class _Plan:

@@ -35,6 +35,19 @@ class Partition:
     def is_discrete(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
 
+    def __hash__(self):
+        # computed once: tame lists are hashed whole as lru keys
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ground, self.blocks))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # str hashes differ between processes, so the cached hash is not pickled
+        return Partition, (self.ground, self.blocks)
+
     def refines(self, other: "Partition") -> bool:
         """True when every block of self is contained in a block of other."""
         if self.ground != other.ground:

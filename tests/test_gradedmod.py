@@ -19,7 +19,9 @@ from tamemod.exactalg import (
     intersect_ideals,
     normal_form,
     radical_member,
+    reduce_with_expression,
     saturate_by_ideal,
+    substitute,
     syzygies,
 )
 from tamemod.gradedmod import (
@@ -1070,6 +1072,180 @@ def test_annihilator_read_off_matches_syzygies(monkeypatch):
         anns.add((read_off, "zero" if not got else "unit" if got == (m.ring.one(),) else "proper"))
     # the read-off gives the zero, the unit and proper ideals; the syzygies proper ones
     assert anns == {(True, "zero"), (True, "unit"), (True, "proper"), (False, "proper")}
+
+
+def _kernel_torsion(m, e, ep):
+    """torsion_data's kernel route, kept as the oracle of its read-off:
+    (kgens, the torsion submodule before contraction)."""
+    d = m.ring.var(e) - m.ring.var(ep)
+    sub, incl = kernel(ModuleMap(m, m, [d * m.gen(j) for j in range(m.rank)], 1, check=False))
+    return incl.columns, sub
+
+
+def _torsion_cases():
+    """(module, whether torsion_data reads it off, None where a diagonal
+    certificate root may go either way) on {a, b, c, e, e'}:
+    partition modules with e and e' in one block and in two, direct sums of
+    shifted partition modules with mixed weights, a zero-class generator, a
+    free summand, R/I summands with I not linear and d = e - e' in I or not,
+    certificate roots, and presentations not in single positions."""
+    g = _split_abce()
+    ring = EdgeRing(g.edges)
+    a, b, e, ep = (ring.var(v) for v in ("a", "b", "e", "e'"))
+    d = e - ep
+    parts = list(iter_partitions(g.edges))
+    joined = [p for p in parts if "e'" in p.block_of("e")]
+    apart = [p for p in parts if "e'" not in p.block_of("e")]
+    rng = random.Random("torsion read-off")
+    cases = [(partition_module(rng.choice(joined)), True), (partition_module(rng.choice(apart)), True)]
+    for _ in range(8):
+        pick = rng.sample(joined, 2) + rng.sample(apart, 1) + rng.sample(parts, rng.randint(0, 2))
+        rng.shuffle(pick)
+        mods = [partition_module(p).shift(rng.randint(0, 2)) for p in pick]
+        cases.append((direct_sum(mods)[0], True))
+    free = FreeModule(ring, (1, 0, 0, 2))
+    zero_class = PresentedModule(ring, free.weights, [free.gen(0), free.element([ring.zero(), d, ring.zero(), ring.zero()])])
+    cases.append((zero_class, True))
+    cases.append((direct_sum([partition_module(joined[0]), PresentedModule.free(ring, (1,))])[0], True))
+    cases.append((PresentedModule.from_ideal(ring, [d, a * a]), True))
+    cases.append((direct_sum([PresentedModule.from_ideal(ring, [a * a, d]), partition_module(joined[-1])])[0], True))
+    for ideal in ([d * d], [a * a], [a * d]):
+        cases.append((direct_sum([partition_module(joined[1]), PresentedModule.from_ideal(ring, ideal, shift=1)])[0], False))
+    free2 = FreeModule(ring, (0, 0))
+    cases.append((PresentedModule(ring, (0, 0), [free2.element([d, -a]), free2.element([b, ring.zero()])]), False))
+    tame = list(tame_partitions(MaxBlockCount(2), g))
+    for _ in range(4):
+        root = random_certificate(rng, tame, 2).root
+        diagonal = all(len({t[1] & gradedmod.FIELD for t in r.terms}) == 1 for r in root.relation_gb())
+        cases.append((root, None if diagonal else False))
+    return cases
+
+
+def test_torsion_read_off_matches_kernel_route(monkeypatch):
+    # kgens, the contracted presentation and the uncontracted torsion
+    # submodule with its seeded relation_gb equal the kernel route's exactly;
+    # the read-off runs no syzygies, and falls back to kernel when a summand
+    # is neither killed by d nor linear
+    e, ep = "e", "e'"
+    cases = _torsion_cases()
+    expected = [_kernel_torsion(m, e, ep) for m, _ in cases]
+    subs = []
+    f0 = gradedmod.f0
+
+    def recording_f0(m, *args):
+        subs.append(m)
+        return f0(m, *args)
+
+    monkeypatch.setattr(gradedmod, "f0", recording_f0)
+    calls = _count_calls(monkeypatch, ("syzygies",))
+    kinds = set()
+    for (m, read_off), (kgens, ref) in zip(cases, expected):
+        before = calls["syzygies"]
+        td = torsion_data.__wrapped__(m, e, ep)
+        sub = subs[-1]
+        assert td.kgens == kgens, m
+        assert sub.gen_weights == ref.gen_weights and sub.relations == ref.relations, m
+        assert td.positions is None or "gb" in sub._cache, m
+        assert sub.relation_gb() == ref.relation_gb() == groebner(list(ref.relations), module=ref.free_cover), m
+        assert td.presentation == f0(ref, e, ep), m
+        if read_off is not None:
+            assert (td.positions is not None) == read_off, m
+        assert (calls["syzygies"] == before) == (td.positions is not None), m
+        if td.positions is not None:
+            assert td.kgens == tuple(m.gen(j) for j in td.positions)
+            kinds.add("sorted" if list(td.positions) != sorted(td.positions) else "kept" if td.kgens else "none")
+    assert kinds == {"sorted", "kept", "none"}
+
+
+def _tracked_induced_f1(phi, e, ep):
+    """induced_map_f1's cofactors by reduce_with_expression, kept as the
+    oracle of the read-off."""
+    td_s, td_t = torsion_data(phi.source, e, ep), torsion_data(phi.target, e, ep)
+    src1, tgt1 = td_s.presentation, td_t.presentation
+    if not td_s.kgens:
+        return ModuleMap.zero_map(src1, tgt1, phi.degree)
+    cols = []
+    for x in td_s.kgens:
+        rem, cofs = reduce_with_expression(phi.apply_free(x), td_t.kgens, modulo=phi.target.relations)
+        if not rem.is_zero():
+            raise StructuralError("image of a torsion element is not torsion")
+        cols.append(tgt1.free_cover.element([substitute(c, tgt1.ring, {ep: e}) for c in cofs]))
+    return ModuleMap(src1, tgt1, cols, phi.degree, check=True)
+
+
+def _torsion_maps():
+    """Maps between direct sums of shifted partition modules on {a, b, c, e,
+    e'}, random entries wherever the source partition refines the target's,
+    so that they are well defined, with the injections and projections of
+    the sums; and maps with check=False whose source torsion lands outside
+    the target's torsion."""
+    g = _split_abce()
+    ring = EdgeRing(g.edges)
+    parts = list(iter_partitions(g.edges))
+    joined = [p for p in parts if "e'" in p.block_of("e")]
+    rng = random.Random("induced read-off")
+    maps = []
+    for _ in range(10):
+        src_p = [rng.choice(joined) for _ in range(rng.randint(1, 2))]
+        tgt_p = [rng.choice(parts) for _ in range(rng.randint(1, 3))] + [rng.choice([q for q in joined if src_p[0].refines(q)])]
+        rng.shuffle(tgt_p)
+        src, s_inj, _ = direct_sum([partition_module(p).shift(rng.randint(1, 2)) for p in src_p])
+        tgt, _, t_proj = direct_sum([partition_module(p).shift(rng.randint(0, 1)) for p in tgt_p])
+        deg = rng.randint(0, 1)
+        cols = []
+        for j, p in enumerate(src_p):
+            entries = []
+            for i, q in enumerate(tgt_p):
+                w = src.gen_weights[j] + deg - tgt.gen_weights[i]
+                ok = p.refines(q) and w >= 0 and rng.random() < 0.8
+                entries.append(random_homogeneous_element(rng, PresentedModule.free(ring, (0,)), w).component(0) if ok else ring.zero())
+            cols.append(tgt.free_cover.element(entries))
+        maps += [ModuleMap(src, tgt, cols, deg), *s_inj, *t_proj]
+    a, e, ep = (ring.var(v) for v in ("a", "e", "e'"))
+    torsion = PresentedModule.from_ideal(ring, [e - ep])
+    apart = direct_sum([PresentedModule.from_ideal(ring, [a]), torsion])[0]
+    maps.append(ModuleMap(torsion, PresentedModule.free(ring, (0,)), [ring.rank_one.gen(0)], 0, check=False))
+    maps.append(ModuleMap(torsion, apart, [apart.gen(0) + apart.gen(1)], 0, check=False))
+    return maps
+
+
+def test_induced_f1_read_off_matches_tracked_route(monkeypatch):
+    e, ep = "e", "e'"
+    maps = _torsion_maps()
+    expected = []
+    for phi in maps:
+        try:
+            expected.append(_tracked_induced_f1(phi, e, ep))
+        except StructuralError as exc:
+            expected.append(str(exc))
+    calls = _count_calls(monkeypatch, ("reduce_with_expression",))
+    nonzero = 0
+    for phi, want in zip(maps, expected):
+        assert torsion_data(phi.target, e, ep).positions is not None
+        if isinstance(want, str):
+            with pytest.raises(StructuralError, match=want):
+                induced_map_f1(phi, e, ep)
+            continue
+        got = induced_map_f1(phi, e, ep)
+        assert got == want, phi
+        nonzero += any(not c.is_zero() for c in got.columns)
+    assert calls["reduce_with_expression"] == 0
+    assert sum(isinstance(w, str) for w in expected) == 2 and nonzero > 10
+
+
+def test_torsion_of_partition_sums_runs_no_syzygies(monkeypatch):
+    # Z[abee'|c] + Z[ae|be'|c](1) + Z[a|b|cee'](2): the first and last
+    # summands are all torsion, the middle one has none, and each is read
+    # off one normal form, with no syzygies; the torsion generators come
+    # higher weight first
+    g = _split_abce()
+    blocks = ([["a", "b", "e", "e'"], ["c"]], [["a", "e"], ["b", "e'"], ["c"]], [["a"], ["b"], ["c", "e", "e'"]])
+    mods = [partition_module(make_partition(g.edges, bl)).shift(k) for k, bl in enumerate(blocks)]
+    m = direct_sum(mods)[0]
+    calls = _count_calls(monkeypatch, ("syzygies", "kernel", "normal_form"))
+    td = torsion_data.__wrapped__(m, "e", "e'")
+    assert td.positions == (2, 0) and td.presentation.gen_weights == (2, 0)
+    assert calls == {"syzygies": 0, "kernel": 0, "normal_form": 3}
 
 
 def _saturating_sweep(current, steps, order, ring):

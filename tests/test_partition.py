@@ -1,10 +1,16 @@
 """Partition validation, merging, ideals, and partition modules."""
 
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tamemod
 from tamemod.errors import ValidationError
 from tamemod.exactalg import groebner, normal_form
 from tamemod.graphsplit import iter_partitions
@@ -168,3 +174,23 @@ def test_hilbert_counts_monomials():
         assert m.hilbert_function(w) == w + 1
         # oracle: monomials of degree w in 2 variables
         assert m.hilbert_function(w) == math.comb(w + 1, 1)
+
+
+def test_unpickled_partition_hashes_in_its_own_process():
+    # the hash is cached on first use, but a pickle carries only the fields:
+    # a process with another str-hash seed (a spawned worker) hashes anew
+    p = make_partition(["a", "b", "e", "e'"], [["a", "e"], ["b", "e'"]])
+    assert hash(p) == hash((p.ground, p.blocks))
+    data = pickle.dumps([p, p])
+    check = (
+        "import pickle, sys\n"
+        "p, q = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert hash(p) == hash((p.ground, p.blocks)) and p == q\n"
+        "print(hash(p))"
+    )
+    current = os.environ.get("PYTHONHASHSEED", "")
+    seed = str(int(current) + 1) if current.isdigit() else "1"
+    env = dict(os.environ, PYTHONPATH=str(Path(tamemod.__file__).parents[1]), PYTHONHASHSEED=seed)
+    out = subprocess.run([sys.executable, "-c", check], input=data, capture_output=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) != hash(p)

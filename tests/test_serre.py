@@ -588,7 +588,9 @@ def test_modulo_path_matches_tracked_relations():
 
 def test_skipped_groebner_passes_are_fixed_points(monkeypatch):
     # over the same corpus, every kernel span that skips its Groebner pass
-    # and every seeded relation_gb equal what the pass would return
+    # and every seeded relation_gb equal what the pass would return; kernel
+    # runs on each node's map (e - e') . : M -> M itself, as torsion_data
+    # reads most of those kernels off a diagonal relation basis
     for fn in (gm.torsion_data, gm.f0, gm.annihilator_ideal):
         fn.cache_clear()
     spans = []
@@ -621,5 +623,6 @@ def test_skipped_groebner_passes_are_fixed_points(monkeypatch):
     for split, node in _modulo_corpus(per_pred=20):
         m = node.root
         if m.ring.variables == split.split_graph.edges:
-            torsion_data(m, split.e, split.e_prime)
+            d = m.ring.var(split.e) - m.ring.var(split.e_prime)
+            gm.kernel(ModuleMap(m, m, [d * m.gen(j) for j in range(m.rank)], 1, check=False))
     assert counts["span"] > 100 and counts["fixed"] > 100 and counts["seeded"] > 100
