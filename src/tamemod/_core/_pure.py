@@ -39,6 +39,10 @@ A divides B iff (dkey_B - dkey_A) & DIVMASK == 0: a field where A's exponent
 is larger borrows and sets its guard bit, the top bit of the field, and a
 different position leaves a nonzero lowest field.
 
+The Groebner engine keeps its basis monic, leading coefficient 1/1, so an
+S-polynomial moves each poly up to the lcm by a shift of its keys (mul_term)
+and reads no coefficient (spoly).
+
 Bound: every field stays below LIMIT = 2**(BITS - 1) = 32768, so the weighted
 degree of every term, and the number of positions, must be below 32768, with
 at most 60 variables.  The sum of two in-range fields cannot carry into the
@@ -341,15 +345,10 @@ def packing(weights, nelim, possplit, nvars):
     return Packing(weights, nelim, possplit, nvars)
 
 
-def mul_term(f, key, dkey, num, den):
-    """Multiply a packed poly by the ring term with packed deltas key, dkey;
-    order-preserving, so no re-sort."""
-    if num == 0:
-        return ()
-    num, den = _norm(num, den)
-    if num == 1 and den == 1:
-        return tuple((k + key, d + dkey, n, dn) for k, d, n, dn in f)
-    return tuple((k + key, d + dkey) + _norm(n * num, dn * den) for k, d, n, dn in f)
+def mul_term(f, key, dkey):
+    """f times the ring monomial with packed deltas key, dkey: a shift of every
+    key and dkey, which keeps the order and the coefficients."""
+    return tuple([(k + key, d + dkey, n, dn) for k, d, n, dn in f])
 
 
 def reduce(f, basis):
@@ -425,13 +424,12 @@ def reduce(f, basis):
 
 
 def spoly(f, g, lcm):
-    """S-polynomial of two packed polys whose leading terms share a position,
-    given the (key, dkey) of the lcm of their leading monomials."""
+    """S-polynomial of two monic packed polys whose leading terms share a
+    position, given the (key, dkey) of the lcm of their leading monomials.
+    Both leading coefficients are 1, so it reads no coefficient."""
     lk, ld = lcm
-    k1, d1, n1, den1 = f[0]
-    k2, d2, n2, den2 = g[0]
-    a = mul_term(f, lk - k1, ld - d1, den1, n1)
-    b = mul_term(g, lk - k2, ld - d2, den2, n2)
+    a = mul_term(f, lk - f[0][0], ld - f[0][1])
+    b = mul_term(g, lk - g[0][0], ld - g[0][1])
     # the leading terms cancel
     return _minus(a, b, 1, 1)
 

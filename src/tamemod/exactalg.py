@@ -25,7 +25,9 @@ auxiliary position.  t dominates the elimination order and F's positions
 dominate the tracked order, so every dropped element leads above every kept
 one, and no dropped lead divides a term of a kept element.  The kept part is
 therefore interreduced alone (_autoreduce), and gives the same reduced basis
-as interreducing everything and then dropping.
+as interreducing everything and then dropping.  reduce_with_expression only
+divides by the tracked basis, so its part led in F stays as _buchberger gives
+it (_tracked_raw).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import ResourceCapError, StructuralError, ValidationError
 # Generous guard against runaway Groebner runs on adversarial random input.
 MAX_BASIS = 8000
 
-Coeff = int | Fraction | tuple
+Coeff = int | Fraction
 
 
 def _coeff(c) -> tuple[int, int]:
@@ -51,8 +53,6 @@ def _coeff(c) -> tuple[int, int]:
         return c, 1
     if isinstance(c, Fraction):
         return c.numerator, c.denominator
-    if isinstance(c, tuple) and len(c) == 2:
-        return int(c[0]), int(c[1])
     raise ValidationError(f"not a rational coefficient: {c!r}")
 
 
@@ -422,7 +422,7 @@ def _buchberger(items: Sequence[tuple], pk) -> list:
     return basis
 
 
-def _autoreduce(basis: Iterable[tuple], below: tuple = ()) -> tuple:
+def _autoreduce(basis: Iterable[tuple]) -> tuple:
     """The reduced Groebner basis from a packed Groebner basis, largest lead first.
 
     Elements are taken in ascending lead order; one whose lead a kept lead
@@ -433,10 +433,9 @@ def _autoreduce(basis: Iterable[tuple], below: tuple = ()) -> tuple:
     For the same reason the elements whose leads lie below all the others'
     reduce among themselves alone, so the part that an elimination or
     syzygies keeps is interreduced without the part it drops (see the module
-    docstring).  below is such a lowest part, already reduced as _autoreduce
-    returns it; the result is the reduced basis of below and basis together.
+    docstring).
     """
-    out = list(reversed(below))
+    out = []
     for g in sorted(basis, key=lambda f: f[0][0]):
         d = g[0][1]
         if any(not (d - h[0][1]) & DIVMASK for h in out):
@@ -462,7 +461,7 @@ def _tracked_split(items: tuple, rank: int, order: tuple, nvars: int, modulo: tu
     F's positions dominate the product order, so every element led in F
     leads above every element led in an auxiliary position, and the
     auxiliary part interreduces alone (see _autoreduce): that part is what
-    syzygies keeps, and _tracked_raw finishes the rest only when asked.
+    syzygies keeps.  Neither syzygies nor _tracked_raw reduces the rest.
     """
     weights, nelim, _ = order
     pk = K.packing(*order, nvars)
@@ -481,7 +480,8 @@ def _tracked_split(items: tuple, rank: int, order: tuple, nvars: int, modulo: tu
 
 @lru_cache(maxsize=65536)
 def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tuple = ()) -> tuple:
-    """Reduced Groebner basis of {g_i + eps_i} and the modulo elements in F + R^m.
+    """A Groebner basis of {g_i + eps_i} and the modulo elements in F + R^m:
+    _tracked_split's reduced auxiliary part, then its part led in F, not reduced.
 
     Only the m items carry an auxiliary basis vector eps_i; the modulo
     elements enter with no auxiliary part, so their cofactors are never
@@ -490,12 +490,14 @@ def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tupl
     modulo, each carrying its expression in the items, and the elements
     supported purely on the auxiliary positions are a reduced basis of
     {a : sum a_i g_i lies in the span of modulo} (the module quotient that
-    Singular and Macaulay2 call modulo).  Items and modulo elements are
-    packed in order, the basis in the product order.  Returns (basis, product
-    order).
+    Singular and Macaulay2 call modulo).  Its one reader,
+    reduce_with_expression, only divides by it, and full division by any
+    Groebner basis leaves the same remainder (Cox, Little and O'Shea, Ch. 2
+    Sec. 6, Prop. 1).  Items and modulo elements are packed in order, the
+    basis in the product order.  Returns (basis, product order).
     """
     aux, rest, porder = _tracked_split(items, rank, order, nvars, modulo)
-    return _autoreduce(rest, aux), porder
+    return aux + rest, porder
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +544,10 @@ def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
     """Normal form of f against the submodule generated by gens and modulo,
     with cofactors for gens alone: f - remainder - sum cof_i * gens_i lies in
     the submodule generated by modulo, and is zero when modulo is empty.
+
+    Both are read off f's normal form modulo _tracked_raw's basis: its F-part
+    is the remainder, and minus its auxiliary part the cofactors.  Every
+    Groebner basis gives that normal form, so the basis need not be reduced.
 
     With no gens, f is still reduced against modulo and the cofactors are ().
     """

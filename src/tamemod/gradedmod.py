@@ -893,28 +893,16 @@ def _finest(tame: tuple) -> tuple:
     )
 
 
-class _Plan:
-    """What is_tame_support reads of one tame list over one ring.
+@lru_cache(maxsize=256)
+def _support_plan(tame: tuple, ring: EdgeRing):
+    """(keep, covers) of tame over ring, built once; None for an empty list.
+    Every partition's ground must be the ring's variables.
 
     keep is the list's antichain reduction, _finest of it without repeats: a
     partition refined by another tame one covers a smaller subspace and is
     redundant in the union.  covers says that one of them is discrete, so its
-    subspace is everything.  sweep is _sweep_plan(keep, ring), built by the
-    first decision that sweeps, which has passed the partition cap.
+    subspace is everything.  Nothing changes the pair once it is cached.
     """
-
-    __slots__ = ("keep", "covers", "sweep")
-
-    def __init__(self, keep: tuple):
-        self.keep = keep
-        self.covers = any(p.is_discrete() for p in keep)
-        self.sweep = None
-
-
-@lru_cache(maxsize=256)
-def _support_plan(tame: tuple, ring: EdgeRing):
-    """The _Plan of tame over ring, built once; None for an empty list.
-    Every partition's ground must be the ring's variables."""
     tame = tuple(dict.fromkeys(tame))
     if not tame:
         return None
@@ -922,11 +910,15 @@ def _support_plan(tame: tuple, ring: EdgeRing):
     for p in tame:
         if set(p.ground) != ground:
             raise StructuralError(f"partition ground {p.ground} does not match module ring {ring.variables}")
-    return _Plan(_finest(tame))
+    keep = _finest(tame)
+    return keep, any(p.is_discrete() for p in keep)
 
 
+@lru_cache(maxsize=256)
 def _sweep_plan(keep: tuple, ring: EdgeRing) -> tuple:
-    """(steps, order) for an antichain of non-discrete partitions.
+    """(steps, order) for an antichain of non-discrete partitions, built once
+    per antichain and ring by the first decision that sweeps, which has
+    passed the partition cap.
 
     steps[i] belongs to keep[i]: its chain, the pairs (a, b) joining
     consecutive elements of a block, each with x_a - x_b, built once per pair
@@ -1018,24 +1010,23 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     pair's saturation is one normal form (_sweep_covers).
 
     What depends on the tame list and the ring alone is built once
-    (_support_plan).  The outcomes come in this order: an empty list decides
-    by m.is_zero(); a partition on another ground raises StructuralError; a
-    zero module, or a discrete partition in the list, gives True; more than
-    MAX_TAME_SUBSPACES partitions in the reduced antichain raise
-    ResourceCapError before any algebra is done.
+    (_support_plan, then _sweep_plan).  The outcomes come in this order: an
+    empty list decides by m.is_zero(); a partition on another ground raises
+    StructuralError; a zero module, or a discrete partition in the list,
+    gives True; more than MAX_TAME_SUBSPACES partitions in the reduced
+    antichain raise ResourceCapError before any algebra is done.
     """
     plan = _support_plan(tuple(tame), m.ring)
     if plan is None:
         return m.is_zero()
-    if m.is_zero() or plan.covers:
+    keep, covers = plan
+    if m.is_zero() or covers:
         return True
-    if len(plan.keep) > MAX_TAME_SUBSPACES:
+    if len(keep) > MAX_TAME_SUBSPACES:
         raise ResourceCapError(
-            f"{len(plan.keep)} tame subspaces exceed the partition cap {MAX_TAME_SUBSPACES}"
+            f"{len(keep)} tame subspaces exceed the partition cap {MAX_TAME_SUBSPACES}"
         )
-    if plan.sweep is None:
-        plan.sweep = _sweep_plan(plan.keep, m.ring)
-    steps, order = plan.sweep
+    steps, order = _sweep_plan(keep, m.ring)
     one = (m.ring.one(),)
     for i in range(m.rank):
         ann = annihilator(m, m.gen(i))

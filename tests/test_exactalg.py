@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from test_kernel import cmp_terms
 
 from tamemod._core import _pure
-from tamemod._core._pure import BITS, FIELD
+from tamemod._core._pure import BITS, DIVMASK, FIELD
 from tamemod.errors import ResourceCapError, StructuralError, ValidationError
 from tamemod.exactalg import (
     _ELIM_ORDER,
@@ -526,8 +526,61 @@ def test_criteria_match_oracle_tracked(case):
     # the modulo elements enter with no auxiliary position
     rank, order, items, modulo = case
     basis, _ = _tracked_raw(items, rank, order, 2, modulo)
-    assert basis == _tracked_oracle(items, rank, order, 2, modulo)
+    assert _autoreduce(basis) == _tracked_oracle(items, rank, order, 2, modulo)
     assert all(t[1] & FIELD < rank + len(items) for v in basis for t in v)
+
+
+def _reference_autoreduce_below(basis, below):
+    """_autoreduce as it was when it took a lowest part below, already
+    reduced, and gave the reduced basis of below and basis together."""
+    out = list(reversed(below))
+    for g in sorted(basis, key=lambda f: f[0][0]):
+        d = g[0][1]
+        if any(not (d - h[0][1]) & DIVMASK for h in out):
+            continue
+        r, _ = K.reduce(g, out)
+        out.append(_monic(r))
+    out.reverse()
+    return tuple(out)
+
+
+def _reference_reduce_with_expression(f, gens, modulo):
+    """reduce_with_expression as it was when it divided by the reduced
+    tracked basis: the part led in F interreduced on top of the reduced
+    auxiliary part."""
+    mod = f.module
+    rank, k = mod.rank, len(gens)
+    items, rels = tuple(g.terms for g in gens), tuple(g.terms for g in modulo)
+    aux, rest, porder = _tracked_split(items, rank, mod.order(), mod.ring.nvars, rels)
+    basis = _reference_autoreduce_below(rest, aux)
+    pk, ppk = mod.packing, K.packing(*porder, mod.ring.nvars)
+    r, _ = K.reduce(ppk.rebase(f.terms, pk), basis)
+    split = next((j for j, t in enumerate(r) if t[1] & FIELD >= rank), len(r))
+    cof_terms = [[] for _ in range(k)]
+    for key, d, n, dn in r[split:]:
+        p = d & FIELD
+        cof_terms[p - rank].append((key - ppk.base[p], d - p, -n, dn))
+    return FreeElement(mod, pk.rebase(r[:split], ppk)), tuple(GradedPoly(mod.ring, tuple(c)) for c in cof_terms)
+
+
+@_oracle_settings
+@given(_TRACKED_CASES, st.data())
+def test_reduce_with_expression_matches_the_reduced_tracked_basis(case, data):
+    # a normal form modulo a Groebner basis is unique, so dividing by the
+    # tracked basis as _buchberger leaves it gives the remainder and the
+    # cofactors that the reduced basis gave; f is random, or a combination
+    # of the items with a random part, so that cofactors are not all zero
+    rank, order, items, modulo = case
+    R = EdgeRing(("x", "y"))
+    F = FreeModule(R, order[0])
+    gens = [FreeElement(F, g) for g in items]
+    rels = [FreeElement(F, g) for g in modulo]
+    f = FreeElement(F, data.draw(_raw_element(2, list(range(rank)), order)))
+    for x in (f, f + gens[0], sum(gens[1:], gens[0])):
+        rem, cofs = reduce_with_expression(x, gens, rels)
+        assert (rem, cofs) == _reference_reduce_with_expression(x, gens, rels)
+        if not rels:
+            assert x - rem == sum((c * g for c, g in zip(cofs, gens)), F.zero())
 
 
 @_oracle_settings
@@ -630,7 +683,8 @@ def test_coprime_pairs_count_as_treated_when_made(monkeypatch):
     out = syzygies(gens, module=F, modulo=modulo)
     assert len(calls) == 11
     items, rels = tuple(g.terms for g in gens), tuple(g.terms for g in modulo)
-    assert _tracked_raw(items, 2, F.order(), 4, rels)[0] == _tracked_oracle(items, 2, F.order(), 4, rels)
+    basis, _ = _tracked_raw(items, 2, F.order(), 4, rels)
+    assert _autoreduce(basis) == _tracked_oracle(items, 2, F.order(), 4, rels)
     assert len(out) == 6
 
 
@@ -907,7 +961,7 @@ def _values(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_shared_value_laws(seed):
-    _, _, polys, elems = _values(seed)
+    R, M, polys, elems = _values(seed)
     for vs in (polys, elems):
         for a, b in zip(vs, vs[1:] + vs[:1]):
             assert (a + b) - b == a
@@ -922,6 +976,11 @@ def test_shared_value_laws(seed):
                     a.weight()
     x, y, z = polys[-2:] + elems[-1:]
     assert x.weight() == 2 and y.weight() == 1 and z.weight() == 2
+    # a coefficient is an int or a Fraction; a (num, den) pair is neither
+    for bad in ((1, 2), 0.5, "1/2"):
+        for make in (R.const, lambda c: R.poly({(1, 0, 0): c}), lambda c: M.gen(0, c)):
+            with pytest.raises(ValidationError):
+                make(bad)
 
 
 def test_values_hash_as_their_space_and_terms():

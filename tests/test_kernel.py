@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamemod._core import impl, kernel_name
-from tamemod._core._pure import DIVMASK, LIMIT
+from tamemod._core._pure import DIVMASK, FIELD, LIMIT, _minus, _norm
 from tamemod.errors import ResourceCapError
 
 ORDER = ((0, 1), 0, 0)  # two positions, weights 0 and 1
@@ -147,10 +147,69 @@ def test_mul_term_preserves_order(K):
     key, dkey = _delta(pk, (1, 2, 0))
     for _ in range(40):
         f = pk.build(rand_terms(rng))
-        g = K.mul_term(f, key, dkey, 3, 2)
+        g = K.mul_term(f, key, dkey)
         assert [t[0] for t in g] == sorted((t[0] for t in g), reverse=True)
-        assert g == K.mul(K.packing(*RING, 3).pack(((0, (1, 2, 0), 3, 2),)), f)
+        assert g == K.mul(K.packing(*RING, 3).pack(((0, (1, 2, 0), 1, 1),)), f)
         assert g == pk.pack(pk.unpack(g))
+
+
+# -- S-polynomials of monic polys -------------------------------------------------
+
+
+def reference_mul_term(f, key, dkey, num, den):
+    """mul_term as it was when it also scaled by num/den, kept as spoly's oracle."""
+    if num == 0:
+        return ()
+    num, den = _norm(num, den)
+    if num == 1 and den == 1:
+        return tuple((k + key, d + dkey, n, dn) for k, d, n, dn in f)
+    return tuple((k + key, d + dkey) + _norm(n * num, dn * den) for k, d, n, dn in f)
+
+
+def reference_spoly(f, g, lcm):
+    """spoly as it was when it divided each poly by its leading coefficient."""
+    lk, ld = lcm
+    k1, d1, n1, den1 = f[0]
+    k2, d2, n2, den2 = g[0]
+    a = reference_mul_term(f, lk - k1, ld - d1, den1, n1)
+    b = reference_mul_term(g, lk - k2, ld - d2, den2, n2)
+    return _minus(a, b, 1, 1)
+
+
+@st.composite
+def spoly_cases(draw):
+    """(f, g, order, nvars): two monic packed polys led in one position,
+    under an order on 1-3 positions with weights that may be negative, nelim
+    0 or 1 (an elimination order) and possplit 0 or 1; their other terms may
+    lie in any position, and their coefficients need not be integers."""
+    npos = draw(st.integers(1, 3))
+    nvars = draw(st.integers(1, 3))
+    weights = tuple(draw(st.lists(st.integers(-2, 2), min_size=npos, max_size=npos)))
+    order = (weights, draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    pk = impl.packing(*order, nvars)
+    expo = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeff = st.tuples(st.integers(-6, 6).filter(bool), st.integers(1, 5))
+    terms = st.lists(st.tuples(st.integers(0, npos - 1), expo, coeff), min_size=1, max_size=5)
+    poly = terms.map(lambda ts: pk.build([(p, e, n, d) for p, e, (n, d) in ts])).filter(bool)
+    f = draw(poly)
+    g = draw(poly.filter(lambda g: g[0][1] & FIELD == f[0][1] & FIELD))
+    # monic, as _buchberger keeps its basis
+    f, g = (impl.scale(h, h[0][3], h[0][2]) for h in (f, g))
+    return f, g, order, nvars
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spoly_cases())
+def test_spoly_of_monic_polys_matches_rescaling_spoly(case):
+    """On monic inputs the S-polynomial that reads no coefficient equals the
+    one that divided by the leading coefficients."""
+    f, g, order, nvars = case
+    pk = impl.packing(*order, nvars)
+    assert f[0][2:] == g[0][2:] == (1, 1)
+    lcm = pk.lcm(f[0], g[0])
+    s = impl.spoly(f, g, lcm)
+    assert s == reference_spoly(f, g, lcm)
+    assert all(t[0] < lcm[0] for t in s)
 
 
 def test_reduce_cancels_leading_terms(K):
