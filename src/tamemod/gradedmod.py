@@ -27,6 +27,12 @@ F1 induces into such a module take their cofactors from one normal form per
 position, as a normal form modulo the tracked basis that
 reduce_with_expression would build is unique (induced_map_f1).
 
+Where the read-off does not apply, F1(M) = 0 is decided by counting.  The
+exact sequence 0 -> F1(M)(-1) -> M(-1) -> M -> F0(M) -> 0 gives t HS(F1 M) =
+HS(F0 M) - (1 - t) HS(M), and F0, F1 live over one variable fewer, so F1(M)
+= 0 exactly when f0(M) and M have one Hilbert numerator.  Only a nonzero F1
+runs kernel's syzygies.
+
 Hilbert functions come from Hilbert-Poincare numerators read off plain relation
 bases (Bigatti); ModuleMap.is_mono and exact_at compare them, with no syzygies.
 
@@ -572,7 +578,7 @@ class TorsionData:
     the torsion submodule with those generators.  positions lists the
     generators that kgens are, in kgens' order, when they were read off a
     relation basis in single positions (_torsion_positions); None when they
-    came from kernel.
+    came from kernel, or when a count found no torsion (torsion_data).
     """
 
     kgens: tuple[FreeElement, ...]
@@ -615,6 +621,13 @@ def torsion_data(m: PresentedModule, e: str, e_prime: str) -> TorsionData:
     relation_gb() moved to k, in their order, which the new cover keeps (one
     weight's positions keep their order, and different weights never tie).
     That is its reduced basis, so it seeds its relation_gb.
+
+    Otherwise F1(M) = 0 is decided before kernel runs.  As 0 -> F1(M)(-1) ->
+    M(-1) -> M -> F0(M) -> 0 is exact, t HS(F1 M) = HS(F0 M) - (1 - t) HS(M),
+    and F0(M) has one variable fewer than M, so F1(M) = 0 exactly when
+    f0(M).hilbert_numerator() == M.hilbert_numerator().  Then the result is
+    kernel's for an empty kernel: no kgens, F0 of the zero module, and
+    positions None.
     """
     ring = m.ring
     _base_ring(ring, e, e_prime)
@@ -622,6 +635,8 @@ def torsion_data(m: PresentedModule, e: str, e_prime: str) -> TorsionData:
     diag = _diagonal(m)
     kept = None if diag is None else _torsion_positions(diag, d, ring)
     if kept is None:
+        if f0(m, e, e_prime).hilbert_numerator() == m.hilbert_numerator():
+            return TorsionData((), f0(PresentedModule.zero(ring), e, e_prime))
         cols = [d * m.gen(j) for j in range(m.rank)]
         sub, incl = kernel(ModuleMap(m, m, cols, 1, check=False))
         return TorsionData(incl.columns, f0(sub, e, e_prime))

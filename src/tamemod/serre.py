@@ -242,7 +242,11 @@ def transform(
     split predicate and the pair satisfies merge closure.  The kernels and
     pullbacks the recursion builds for its internal nodes are pruned
     (gradedmod._prune), so they may have fewer generators than kernel and
-    pullback give; roots are never pruned.  When trace is a
+    pullback give; roots are never pruned.  Below the root, an inner node
+    whose output is zero is certified directly, with no recursion under it,
+    as 0 lies in every Serre subcategory: F0(M) = 0 exactly when M = 0
+    (graded Nakayama), and F1(M) = 0 exactly when f1 presents it on no
+    generator (_zero_output).  When trace is a
     list, every recursive call appends (depth, degree, type_level); the pair
     (degree, level) decreases lexicographically along each recursion edge.
     """
@@ -268,6 +272,20 @@ def _zero_cert_for(presentation: PresentedModule) -> Certificate:
     return QuotNode(zn, ModuleMap.zero_map(zn.root, presentation))
 
 
+def _zero_output(m: PresentedModule, e, e_prime, i) -> Certificate | None:
+    """A certificate for F_i(m) when it is the zero module, else None.
+
+    F0(M) = M/(e - e')M is zero exactly when M is, by graded Nakayama, as
+    e - e' has weight 1.  F1(M) is zero exactly when f1 presents it on no
+    generator: torsion_data's kgens are nonzero classes, and it finds none
+    by its read-off or by counting, with no syzygies.
+    """
+    if i == 0:
+        return _zero_cert_for(f0(m, e, e_prime)) if m.is_zero() else None
+    out = f1(m, e, e_prime)
+    return None if out.rank else _zero_cert_for(out)
+
+
 def _transform(c, e, e_prime, i, trace, depth) -> Certificate:
     if trace is not None:
         trace.append((depth, i, type_level(c)))
@@ -278,6 +296,10 @@ def _transform(c, e, e_prime, i, trace, depth) -> Certificate:
         if i == 0 or related(c.partition, e, e_prime):
             return GenNode(merged, c.shift)
         return ZeroNode(_base_ring(c.root.ring, e, e_prime))
+    if depth and isinstance(c, (QuotNode, ExtNode, SubNode)):
+        zero = _zero_output(c.root, e, e_prime, i)
+        if zero is not None:
+            return zero
     if isinstance(c, QuotNode):
         return _via_quot(c.parent, c.witness, e, e_prime, i, trace, depth)
     if isinstance(c, ExtNode):

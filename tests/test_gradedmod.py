@@ -1150,11 +1150,69 @@ def test_torsion_read_off_matches_kernel_route(monkeypatch):
         assert td.presentation == f0(ref, e, ep), m
         if read_off is not None:
             assert (td.positions is not None) == read_off, m
-        assert (calls["syzygies"] == before) == (td.positions is not None), m
+        # no syzygies exactly when read off or counted zero: an empty kernel
+        # is always counted, so kernel runs only for a nonzero F1
+        assert (calls["syzygies"] == before) == (td.positions is not None or not td.kgens), m
         if td.positions is not None:
             assert td.kgens == tuple(m.gen(j) for j in td.positions)
             kinds.add("sorted" if list(td.positions) != sorted(td.positions) else "kept" if td.kgens else "none")
     assert kinds == {"sorted", "kept", "none"}
+
+
+def _counted_torsion_cases():
+    """Modules on {a, b, c, e, e'} that torsion_data cannot read off: a
+    summand R/I with I not linear and d = e - e' not in I, alone or beside a
+    partition module with e, e' joined or apart, and presentations whose
+    relation basis does not lie in single positions, among them certificate
+    roots.  Some have torsion and some have none."""
+    g = _split_abce()
+    ring = EdgeRing(g.edges)
+    a, b, e, ep = (ring.var(v) for v in ("a", "b", "e", "e'"))
+    d = e - ep
+    parts = list(iter_partitions(g.edges))
+    joined = [p for p in parts if "e'" in p.block_of("e")]
+    apart = [p for p in parts if "e'" not in p.block_of("e")]
+    cases = []
+    for ideal in ([d * d], [a * a], [a * d]):
+        summand = PresentedModule.from_ideal(ring, ideal, shift=1)
+        cases.append(summand)
+        for p in (joined[1], apart[2]):
+            cases.append(direct_sum([partition_module(p), summand])[0])
+    free2 = FreeModule(ring, (0, 0))
+    for rels in ([[d, -a], [b, ring.zero()]], [[d, -a]], [[a, -b]], [[a, -b], [d, ring.zero()]]):
+        cases.append(PresentedModule(ring, (0, 0), [free2.element(r) for r in rels]))
+    mixed = FreeModule(ring, (0, 1))
+    cases.append(PresentedModule(ring, (0, 1), [mixed.element([a * a, -b])]))
+    rng = random.Random("counted torsion")
+    for pred in (MaxBlockCount(2), DiscreteOnly()):
+        tame = list(tame_partitions(pred, g))
+        roots = []
+        while len(roots) < 6:
+            root = random_certificate(rng, tame, 2).root
+            if gradedmod._diagonal(root) is None:
+                roots.append(root)
+        cases += roots
+    return cases
+
+
+def test_counted_zero_torsion_matches_kernel_route(monkeypatch):
+    # where the read-off does not apply, torsion_data decides F1(M) = 0 by
+    # Hilbert numerators; its outputs equal kernel's exactly, and it runs no
+    # syzygies exactly when the kernel is empty
+    e, ep = "e", "e'"
+    cases = _counted_torsion_cases()
+    expected = [_kernel_torsion(m, e, ep) for m in cases]
+    calls = _count_calls(monkeypatch, ("syzygies",))
+    seen = set()
+    for m, (kgens, ref) in zip(cases, expected):
+        before = calls["syzygies"]
+        td = torsion_data.__wrapped__(m, e, ep)
+        assert td.positions is None, m
+        assert td.kgens == kgens, m
+        assert td.presentation == f0(ref, e, ep), m
+        assert (calls["syzygies"] == before) == (not kgens), m
+        seen.add((gradedmod._diagonal(m) is not None, bool(kgens)))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _tracked_induced_f1(phi, e, ep):

@@ -217,6 +217,57 @@ def test_transform_trace_measure_decreases(p_related):
     assert len(trace) > 2
 
 
+# Least recursion steps per (rule, degree) on the yardstick slice below: the
+# coverage the recursion keeps once zero outputs below the root are certified
+# directly.  Its counts were 64, 47, 70, 52, 12, 3, 107, 21, 41, 11, 27, 5.
+RULE_FLOORS = {
+    ("ext", 0): 40, ("ext", 1): 30,
+    ("quot", 0): 45, ("quot", 1): 35,
+    ("sub-of-ext", 0): 8, ("sub-of-ext", 1): 2,
+    ("sub-of-gen", 0): 70, ("sub-of-gen", 1): 14,
+    ("sub-of-quot", 0): 27, ("sub-of-quot", 1): 7,
+    ("sub-of-sub", 0): 18, ("sub-of-sub", 1): 3,
+}
+
+
+def test_recursion_keeps_every_rule_and_certifies_zero_outputs_directly(monkeypatch):
+    # the criterion-4 corpus's first 25 certificates per predicate, both
+    # degrees: a step of a rule is a call on an inner node at the root or with
+    # a nonzero output; below the root a zero output is certified with no
+    # recursion under it, and its root presents f_i of the node's root
+    split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
+    e, ep = split.e, split.e_prime
+    inner = serre._transform
+    steps, direct = {}, {}
+
+    def counted(c, e, ep, i, trace, depth):
+        start = len(trace)
+        out = inner(c, e, ep, i, trace, depth)
+        assert trace[start] == (depth, i, c.level)
+        if isinstance(c, (GenNode, ZeroNode)):
+            return out
+        rule = f"sub-of-{c.parent.kind}" if isinstance(c, SubNode) else c.kind
+        if depth and out.root.is_zero():
+            assert len(trace) == start + 1, (rule, i)
+            assert out.root.same_presentation((f0 if i == 0 else f1)(c.root, e, ep)), (rule, i)
+            direct[rule, i] = direct.get((rule, i), 0) + 1
+        else:
+            steps[rule, i] = steps.get((rule, i), 0) + 1
+        return out
+
+    monkeypatch.setattr(serre, "_transform", counted)
+    for pred in (AlwaysTame(), MaxBlockCount(2), CoBlocked(["a", "b"]), DiscreteOnly()):
+        tame = tame_partitions(pred, split.split_graph)
+        for idx in range(25):
+            cert = random_certificate(random.Random(f"20260810:corpus:{idx}"), tame, 3)
+            for i in (0, 1):
+                trace = []
+                transform(cert, e, ep, i, trace=trace)
+    assert set(steps) == set(RULE_FLOORS)
+    assert all(steps[k] >= n for k, n in RULE_FLOORS.items()), steps
+    assert {i for _, i in direct} == {0, 1} and sum(direct.values()) > 60, direct
+
+
 # -- transform: randomized soundness --------------------------------------------------------
 
 
