@@ -7,7 +7,9 @@ distinguished Zero leaf certifies the zero module.  verify() checks every
 witness locally; transform() compiles a certificate over the split edge set
 into certificates for both functor outputs over the contracted edge set,
 recursing along a measure (degree, type level) that decreases lexicographically
-on every call.
+on every call.  A node whose functor output is zero, leaf or inner, root or
+not, is certified directly: the zero module lies in every Serre subcategory,
+so it needs no derivation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .gradedmod import (
     ModuleMap,
     PresentedModule,
     ShortExactSequence,
-    _base_ring,
     _prune,
     cokernel,
     connecting_map,
@@ -42,7 +43,7 @@ from .gradedmod import (
     submodule_from_elements,
 )
 from .graphsplit import SplitResult, TamenessPredicate, tame_partitions
-from .partition import Partition, merge_edges, partition_module, related
+from .partition import Partition, merge_edges, partition_module
 
 
 class Certificate:
@@ -242,12 +243,14 @@ def transform(
     split predicate and the pair satisfies merge closure.  The kernels and
     pullbacks the recursion builds for its internal nodes are pruned
     (gradedmod._prune), so they may have fewer generators than kernel and
-    pullback give; roots are never pruned.  Below the root, an inner node
-    whose output is zero is certified directly, with no recursion under it,
-    as 0 lies in every Serre subcategory: F0(M) = 0 exactly when M = 0
+    pullback give; roots are never pruned.  At every node, root and leaves
+    included, a zero output is certified directly, with no recursion under
+    it, as 0 lies in every Serre subcategory: F0(M) = 0 exactly when M = 0
     (graded Nakayama), and F1(M) = 0 exactly when f1 presents it on no
-    generator (_zero_output).  When trace is a
-    list, every recursive call appends (depth, degree, type_level); the pair
+    generator (_zero_output).  The rules below a node therefore see only
+    nonzero outputs; a zero witness of a nonzero submodule, which no valid
+    input has, raises CertificateError.  When trace is a list, every
+    recursive call appends (depth, degree, type_level); the pair
     (degree, level) decreases lexicographically along each recursion edge.
     """
     if degree not in (0, 1):
@@ -275,6 +278,11 @@ def _zero_cert_for(presentation: PresentedModule) -> Certificate:
 def _zero_output(m: PresentedModule, e, e_prime, i) -> Certificate | None:
     """A certificate for F_i(m) when it is the zero module, else None.
 
+    _transform asks this first at every node, so one rule certifies every
+    zero output: of a Zero leaf, of a Gen leaf in degree 1 whose e and e' lie
+    in different blocks (e - e' is then a non-zero-divisor), and of any inner
+    node.  The output root keeps f_i(m)'s presentation.
+
     F0(M) = M/(e - e')M is zero exactly when M is, by graded Nakayama, as
     e - e' has weight 1.  F1(M) is zero exactly when f1 presents it on no
     generator: torsion_data's kgens are nonzero classes, and it finds none
@@ -289,24 +297,18 @@ def _zero_output(m: PresentedModule, e, e_prime, i) -> Certificate | None:
 def _transform(c, e, e_prime, i, trace, depth) -> Certificate:
     if trace is not None:
         trace.append((depth, i, type_level(c)))
-    if isinstance(c, ZeroNode):
-        return ZeroNode(_base_ring(c.root.ring, e, e_prime))
+    if KINDS.get(c.kind) is not type(c):
+        raise StructuralError(f"unknown certificate node {c!r}")
+    zero = _zero_output(c.root, e, e_prime, i)
+    if zero is not None:
+        return zero
     if isinstance(c, GenNode):
-        merged = merge_edges(c.partition, e, e_prime)
-        if i == 0 or related(c.partition, e, e_prime):
-            return GenNode(merged, c.shift)
-        return ZeroNode(_base_ring(c.root.ring, e, e_prime))
-    if depth and isinstance(c, (QuotNode, ExtNode, SubNode)):
-        zero = _zero_output(c.root, e, e_prime, i)
-        if zero is not None:
-            return zero
+        return GenNode(merge_edges(c.partition, e, e_prime), c.shift)
     if isinstance(c, QuotNode):
         return _via_quot(c.parent, c.witness, e, e_prime, i, trace, depth)
     if isinstance(c, ExtNode):
         return _via_ext(c.left, c.right, c.injection, c.projection, e, e_prime, i, trace, depth)
-    if isinstance(c, SubNode):
-        return _via_sub(c, e, e_prime, i, trace, depth)
-    raise StructuralError(f"unknown certificate node {c!r}")
+    return _via_sub(c, e, e_prime, i, trace, depth)
 
 
 def _via_quot(parent: Certificate, pi: ModuleMap, e, e_prime, i, trace, depth) -> Certificate:
@@ -350,8 +352,9 @@ def _via_sub(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
     parent = c.parent
     iota = c.witness
     if isinstance(parent, ZeroNode):
-        # a subobject of 0 is 0; keep the functor's actual presentation
-        return _zero_cert_for(f0(c.root, e, e_prime) if i == 0 else f1(c.root, e, e_prime))
+        # S is not zero here (_transform certified that case), and a nonzero
+        # S has no injective witness into 0
+        raise CertificateError("nonzero submodule of the zero module; the input certificate cannot be valid")
     if isinstance(parent, GenNode):
         return _sub_of_gen(c, e, e_prime, i, trace, depth)
     if isinstance(parent, SubNode):
@@ -403,10 +406,8 @@ def _sub_of_gen(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
     s_mod = c.root
     if i == 1:
         # F1 is left exact: F1(S) includes into F1(Z[P]), which the Gen rule
-        # already handles.
-        f1s = f1(s_mod, e, e_prime)
-        if f1s.rank == 0:
-            return _zero_cert_for(f1s)
+        # already handles.  F1(S) is not zero here (_transform certified that
+        # case), so a zero F1(Z[P]) means the witness is not injective.
         c1 = _transform(parent, e, e_prime, 1, trace, depth + 1)
         if isinstance(c1, ZeroNode):
             raise CertificateError(
@@ -421,9 +422,11 @@ def _sub_of_gen(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
     merged = merge_edges(parent.partition, e, e_prime)
     gb = parent.root.relation_gb()
     kept = [j for j, col in enumerate(iota.columns) if not normal_form(col, gb).is_zero()]
-    f0s = f0(s_mod, e, e_prime)
     if not kept:
-        return _zero_cert_for(f0s)
+        # S is not zero here (_transform certified that case), and a zero
+        # witness of a nonzero S is not injective
+        raise CertificateError("zero witness of a nonzero submodule; the input certificate cannot be valid")
+    f0s = f0(s_mod, e, e_prime)
     pieces = [GenNode(merged, s_mod.gen_weights[j]) for j in kept]
     dcert = pieces[0]
     for nxt in pieces[1:]:

@@ -327,7 +327,7 @@ def _prune_cases(monkeypatch):
         one = PresentedModule.free(m.ring, (1,))
         dead = PresentedModule(m.ring, (1,), [rng.choice((-2, 3)) * one.gen(0)])
         cases += [direct_sum([m, dead])[0], direct_sum([dead, m])[0], _disguised(rng, m)]
-    kernels = [k for k in _transform_prunes(monkeypatch, 40) if gradedmod._prune(k)[0] is not k]
+    kernels = [k for k in _transform_prunes(monkeypatch, 60) if gradedmod._prune(k)[0] is not k]
     assert len(kernels) > 20
     return cases + kernels
 

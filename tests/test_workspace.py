@@ -24,6 +24,7 @@ from tamemod.serre import (
     ZeroNode,
     _direct_sum_cert,
     random_certificate,
+    transform,
     verify,
 )
 from tamemod.workspace import (
@@ -148,6 +149,11 @@ def test_node_outside_the_registry_is_rejected(p_related):
         verify(stray, AlwaysTame())
     with pytest.raises(ValidationError, match="cannot serialize"):
         cert_to_json(stray, {}, {})
+    # the kind is checked before the root is read: a stray with a zero root
+    # is not certified as zero
+    nothing = Stray(PresentedModule.zero(stray.root.ring))
+    with pytest.raises(StructuralError, match="unknown certificate node"):
+        transform(nothing, "e", "e'", 0)
 
 
 def test_workspace_file_roundtrip(tmp_path, p_related):
