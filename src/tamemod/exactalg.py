@@ -25,9 +25,10 @@ auxiliary position.  t dominates the elimination order and F's positions
 dominate the tracked order, so every dropped element leads above every kept
 one, and no dropped lead divides a term of a kept element.  The kept part is
 therefore interreduced alone (_autoreduce), and gives the same reduced basis
-as interreducing everything and then dropping.  reduce_with_expression only
-divides by the tracked basis, so its part led in F stays as _buchberger gives
-it (_tracked_raw).
+as interreducing everything and then dropping.  One cached tracked run,
+_tracked_raw, serves both syzygies and reduce_with_expression: the first keeps
+its auxiliary part, the second only divides by the whole basis, so the part
+led in F stays as _buchberger gives it.
 """
 
 from __future__ import annotations
@@ -453,15 +454,24 @@ def _groebner_raw(items: tuple, order: tuple, nvars: int) -> tuple:
 
 
 @lru_cache(maxsize=65536)
-def _tracked_split(items: tuple, rank: int, order: tuple, nvars: int, modulo: tuple) -> tuple:
-    """_tracked_raw's Groebner basis in two parts: (the reduced basis of the
-    elements led in an auxiliary position, the elements led in F as
-    _buchberger gives them, product order).
+def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tuple) -> tuple:
+    """A Groebner basis of {g_i + eps_i} and the modulo elements in F + R^m,
+    as (the reduced basis of its elements led in an auxiliary position, its
+    elements led in F as _buchberger gives them, the product order).
 
-    F's positions dominate the product order, so every element led in F
-    leads above every element led in an auxiliary position, and the
-    auxiliary part interreduces alone (see _autoreduce): that part is what
-    syzygies keeps.  Neither syzygies nor _tracked_raw reduces the rest.
+    Only the m items carry an auxiliary basis vector eps_i; the modulo
+    elements enter with no auxiliary part, so their cofactors are never
+    carried.  The order puts F above the auxiliary positions, so the elements
+    with a nonzero F-part are a Groebner basis of the span of items and
+    modulo, each carrying its expression in the items, and the elements
+    supported purely on the auxiliary positions are a basis of
+    {a : sum a_i g_i lies in the span of modulo} (the module quotient that
+    Singular and Macaulay2 call modulo), which interreduces alone (see
+    _autoreduce).  syzygies reads the first part; reduce_with_expression
+    divides by both, and full division by any Groebner basis leaves the same
+    remainder (Cox, Little and O'Shea, Ch. 2 Sec. 6, Prop. 1), so neither
+    reader reduces the second.  Items and modulo elements are packed in
+    order, the basis in the product order.
     """
     weights, nelim, _ = order
     pk = K.packing(*order, nvars)
@@ -476,28 +486,6 @@ def _tracked_split(items: tuple, rank: int, order: tuple, nvars: int, modulo: tu
     basis = _buchberger(embedded, ppk)
     aux = _autoreduce(v for v in basis if v[0][1] & FIELD >= rank)
     return aux, tuple(v for v in basis if v[0][1] & FIELD < rank), porder
-
-
-@lru_cache(maxsize=65536)
-def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tuple = ()) -> tuple:
-    """A Groebner basis of {g_i + eps_i} and the modulo elements in F + R^m:
-    _tracked_split's reduced auxiliary part, then its part led in F, not reduced.
-
-    Only the m items carry an auxiliary basis vector eps_i; the modulo
-    elements enter with no auxiliary part, so their cofactors are never
-    carried.  The order puts F above the auxiliary positions, so the elements
-    with a nonzero F-part are a Groebner basis of the span of items and
-    modulo, each carrying its expression in the items, and the elements
-    supported purely on the auxiliary positions are a reduced basis of
-    {a : sum a_i g_i lies in the span of modulo} (the module quotient that
-    Singular and Macaulay2 call modulo).  Its one reader,
-    reduce_with_expression, only divides by it, and full division by any
-    Groebner basis leaves the same remainder (Cox, Little and O'Shea, Ch. 2
-    Sec. 6, Prop. 1).  Items and modulo elements are packed in order, the
-    basis in the product order.  Returns (basis, product order).
-    """
-    aux, rest, porder = _tracked_split(items, rank, order, nvars, modulo)
-    return aux + rest, porder
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +533,11 @@ def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
     with cofactors for gens alone: f - remainder - sum cof_i * gens_i lies in
     the submodule generated by modulo, and is zero when modulo is empty.
 
-    Both are read off f's normal form modulo _tracked_raw's basis: its F-part
+    Both are read off f's normal form modulo the tracked basis, both parts
+    of the one cached _tracked_raw run that syzygies also reads: its F-part
     is the remainder, and minus its auxiliary part the cofactors.  Every
-    Groebner basis gives that normal form, so the basis need not be reduced.
+    Groebner basis gives that normal form, so the part led in F need not be
+    reduced.
 
     With no gens, f is still reduced against modulo and the cofactors are ().
     """
@@ -557,10 +547,10 @@ def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
         return f, ()
     k = len(gens)
     rank = mod.rank
-    basis, porder = _tracked_raw(tuple(items[1 : k + 1]), rank, mod.order(), mod.ring.nvars, tuple(items[k + 1 :]))
+    aux, rest, porder = _tracked_raw(tuple(items[1 : k + 1]), rank, mod.order(), mod.ring.nvars, tuple(items[k + 1 :]))
     pk = mod.packing
     ppk = K.packing(*porder, mod.ring.nvars)
-    r, _ = K.reduce(ppk.rebase(f.terms, pk), basis)
+    r, _ = K.reduce(ppk.rebase(f.terms, pk), aux + rest)
     # F's positions lead the product order, so the remainder's F-part comes first
     split = next((j for j, t in enumerate(r) if t[1] & FIELD >= rank), len(r))
     rem = pk.rebase(r[:split], ppk)
@@ -581,10 +571,11 @@ def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence 
     generator), and is its reduced Groebner basis, largest lead first.  The
     modulo elements live in the same module as gens and carry no cofactors.
 
-    It is the part of _tracked_raw's basis led in the auxiliary positions,
-    which F's positions dominate, so that part is interreduced alone and the
-    elements led in F are never reduced (_tracked_split); each kept element
-    moves down by rank positions, one delta for every auxiliary position.
+    It is the auxiliary part of the one cached tracked run, _tracked_raw,
+    that reduce_with_expression also reads: F's positions dominate, so that
+    part is interreduced alone and the elements led in F are never reduced.
+    Each kept element moves down by rank positions, one delta for every
+    auxiliary position.
     """
     gens = list(gens)
     _, _, mod, items = _coerce_inputs(gens + list(modulo), module)
@@ -592,7 +583,7 @@ def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence 
     if not k:
         return ()
     rank = mod.rank
-    aux, _, porder = _tracked_split(tuple(items[:k]), rank, mod.order(), mod.ring.nvars, tuple(items[k:]))
+    aux, _, porder = _tracked_raw(tuple(items[:k]), rank, mod.order(), mod.ring.nvars, tuple(items[k:]))
     # the output weights are the k auxiliary ones, so every auxiliary
     # position moves by one delta and the order is kept
     smod = FreeModule(mod.ring, porder[0][-k:])

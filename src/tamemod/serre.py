@@ -234,7 +234,6 @@ def transform(
     degree: int,
     pred_split: TamenessPredicate | None = None,
     pred_base: TamenessPredicate | None = None,
-    trace: list | None = None,
 ) -> Certificate:
     """Certificate for the degree-0 or degree-1 functor output of c's root.
 
@@ -249,9 +248,9 @@ def transform(
     (graded Nakayama), and F1(M) = 0 exactly when f1 presents it on no
     generator (_zero_output).  The rules below a node therefore see only
     nonzero outputs; a zero witness of a nonzero submodule, which no valid
-    input has, raises CertificateError.  When trace is a list, every
-    recursive call appends (depth, degree, type_level); the pair
-    (degree, level) decreases lexicographically along each recursion edge.
+    input has, raises CertificateError.  The recursion terminates: the pair
+    (degree, type_level) decreases lexicographically along each recursion
+    edge.
     """
     if degree not in (0, 1):
         raise ValidationError("degree must be 0 or 1")
@@ -259,7 +258,7 @@ def transform(
         res = verify(c, pred_split)
         if not res:
             raise CertificateError(f"input certificate does not verify: {res}", res)
-    out = _transform(c, e, e_prime, degree, trace, 0)
+    out = _transform(c, e, e_prime, degree)
     if pred_base is not None:
         res = verify(out, pred_base)
         if not res:
@@ -294,9 +293,7 @@ def _zero_output(m: PresentedModule, e, e_prime, i) -> Certificate | None:
     return None if out.rank else _zero_cert_for(out)
 
 
-def _transform(c, e, e_prime, i, trace, depth) -> Certificate:
-    if trace is not None:
-        trace.append((depth, i, type_level(c)))
+def _transform(c, e, e_prime, i) -> Certificate:
     if KINDS.get(c.kind) is not type(c):
         raise StructuralError(f"unknown certificate node {c!r}")
     zero = _zero_output(c.root, e, e_prime, i)
@@ -305,24 +302,24 @@ def _transform(c, e, e_prime, i, trace, depth) -> Certificate:
     if isinstance(c, GenNode):
         return GenNode(merge_edges(c.partition, e, e_prime), c.shift)
     if isinstance(c, QuotNode):
-        return _via_quot(c.parent, c.witness, e, e_prime, i, trace, depth)
+        return _via_quot(c.parent, c.witness, e, e_prime, i)
     if isinstance(c, ExtNode):
-        return _via_ext(c.left, c.right, c.injection, c.projection, e, e_prime, i, trace, depth)
-    return _via_sub(c, e, e_prime, i, trace, depth)
+        return _via_ext(c.left, c.right, c.injection, c.projection, e, e_prime, i)
+    return _via_sub(c, e, e_prime, i)
 
 
-def _via_quot(parent: Certificate, pi: ModuleMap, e, e_prime, i, trace, depth) -> Certificate:
+def _via_quot(parent: Certificate, pi: ModuleMap, e, e_prime, i) -> Certificate:
     # parent certifies B; pi : B ->> C.
     if i == 0:
         # F0 is right exact, so F0(C) is a quotient of F0(B) directly.
-        cb0 = _transform(parent, e, e_prime, 0, trace, depth + 1)
+        cb0 = _transform(parent, e, e_prime, 0)
         return QuotNode(cb0, induced_map_f0(pi, e, e_prime))
     # F1(B) -> F1(C) -> F0(K) exact: F1(C) is an extension of a quotient of
     # F1(B) by a subobject of F0(K), where K = ker(pi) is itself a subobject
     # of B.  The recursion drops to (1, level-1) and (0, level).
     (kappa,) = _pruned_source(kernel(pi)[1])
-    cb1 = _transform(parent, e, e_prime, 1, trace, depth + 1)
-    ck0 = _transform(SubNode(parent, kappa), e, e_prime, 0, trace, depth + 1)
+    cb1 = _transform(parent, e, e_prime, 1)
+    ck0 = _transform(SubNode(parent, kappa), e, e_prime, 0)
     pi1 = induced_map_f1(pi, e, e_prime)
     img = image(pi1)
     q2_mod, q2 = cokernel(img.inclusion)
@@ -331,16 +328,16 @@ def _via_quot(parent: Certificate, pi: ModuleMap, e, e_prime, i, trace, depth) -
     return ExtNode(QuotNode(cb1, img.projection), SubNode(ck0, dbar), img.inclusion, q2)
 
 
-def _via_ext(left: Certificate, right: Certificate, inj: ModuleMap, proj: ModuleMap, e, e_prime, i, trace, depth) -> Certificate:
+def _via_ext(left: Certificate, right: Certificate, inj: ModuleMap, proj: ModuleMap, e, e_prime, i) -> Certificate:
     if i == 0:
-        cl0 = _transform(left, e, e_prime, 0, trace, depth + 1)
-        cr0 = _transform(right, e, e_prime, 0, trace, depth + 1)
+        cl0 = _transform(left, e, e_prime, 0)
+        cr0 = _transform(right, e, e_prime, 0)
         inj0 = induced_map_f0(inj, e, e_prime)
         proj0 = induced_map_f0(proj, e, e_prime)
         img = image(inj0)
         return ExtNode(QuotNode(cl0, img.projection), cr0, img.inclusion, proj0)
-    cl1 = _transform(left, e, e_prime, 1, trace, depth + 1)
-    cr1 = _transform(right, e, e_prime, 1, trace, depth + 1)
+    cl1 = _transform(left, e, e_prime, 1)
+    cr1 = _transform(right, e, e_prime, 1)
     inj1 = induced_map_f1(inj, e, e_prime)
     proj1 = induced_map_f1(proj, e, e_prime)
     q_mod, q = cokernel(inj1)
@@ -348,7 +345,7 @@ def _via_ext(left: Certificate, right: Certificate, inj: ModuleMap, proj: Module
     return ExtNode(cl1, SubNode(cr1, pbar), inj1, q)
 
 
-def _via_sub(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
+def _via_sub(c: SubNode, e, e_prime, i) -> Certificate:
     parent = c.parent
     iota = c.witness
     if isinstance(parent, ZeroNode):
@@ -356,17 +353,17 @@ def _via_sub(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
         # S has no injective witness into 0
         raise CertificateError("nonzero submodule of the zero module; the input certificate cannot be valid")
     if isinstance(parent, GenNode):
-        return _sub_of_gen(c, e, e_prime, i, trace, depth)
+        return _sub_of_gen(c, e, e_prime, i)
     if isinstance(parent, SubNode):
         # S <= B <= B': recurse on the composite inclusion into B'
         composite = parent.witness.compose(iota)
-        return _transform(SubNode(parent.parent, composite), e, e_prime, i, trace, depth + 1)
+        return _transform(SubNode(parent.parent, composite), e, e_prime, i)
     if isinstance(parent, QuotNode):
         # pull the subobject back along the surjection to a subobject of the
         # smaller-type module, then treat S as a quotient of the pullback
         to_first, to_second = _pruned_pullback(iota, parent.witness)
         inner = SubNode(parent.parent, to_second)
-        return _via_quot(inner, to_first, e, e_prime, i, trace, depth)
+        return _via_quot(inner, to_first, e, e_prime, i)
     if isinstance(parent, ExtNode):
         # intersect with the left part and project to the right part:
         # 0 -> S&L -> S -> S/(S&L) -> 0 with S&L <= L and S/(S&L) <= R
@@ -376,7 +373,7 @@ def _via_sub(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
         jbar = ModuleMap(sp_mod, through.target, through.columns, through.degree, check=True)
         new_left = SubNode(parent.left, p_to_l)
         new_right = SubNode(parent.right, jbar)
-        return _via_ext(new_left, new_right, p_to_s, q, e, e_prime, i, trace, depth)
+        return _via_ext(new_left, new_right, p_to_s, q, e, e_prime, i)
     raise StructuralError(f"unknown parent node {parent!r}")
 
 
@@ -400,7 +397,7 @@ def _direct_sum_cert(c1: Certificate, c2: Certificate) -> ExtNode:
     return ExtNode(c1, c2, injs[0], projs[1])
 
 
-def _sub_of_gen(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
+def _sub_of_gen(c: SubNode, e, e_prime, i) -> Certificate:
     parent: GenNode = c.parent
     iota = c.witness
     s_mod = c.root
@@ -408,7 +405,7 @@ def _sub_of_gen(c: SubNode, e, e_prime, i, trace, depth) -> Certificate:
         # F1 is left exact: F1(S) includes into F1(Z[P]), which the Gen rule
         # already handles.  F1(S) is not zero here (_transform certified that
         # case), so a zero F1(Z[P]) means the witness is not injective.
-        c1 = _transform(parent, e, e_prime, 1, trace, depth + 1)
+        c1 = _transform(parent, e, e_prime, 1)
         if isinstance(c1, ZeroNode):
             raise CertificateError(
                 "nonzero torsion inside a torsion-free generator; "

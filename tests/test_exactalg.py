@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_kernel import cmp_terms
 
+from tamemod import exactalg
 from tamemod._core import _pure
 from tamemod._core._pure import BITS, DIVMASK, FIELD
 from tamemod.errors import ResourceCapError, StructuralError, ValidationError
@@ -35,7 +36,6 @@ from tamemod.exactalg import (
     _monic,
     _saturate_raw,
     _tracked_raw,
-    _tracked_split,
     groebner,
     hilbert_numerator,
     ideal_contains_one,
@@ -500,7 +500,7 @@ def _tracked_oracle(items, rank, order, nvars, modulo):
     """_oracle_gb of the items, each with its auxiliary unit, and the modulo
     elements in _tracked_raw's product order; the input goes through exponent
     tuples, not through rebase."""
-    porder = _tracked_raw(items, rank, order, nvars, modulo)[1]
+    porder = _tracked_raw(items, rank, order, nvars, modulo)[2]
     pk, ppk = K.packing(*order, nvars), K.packing(*porder, nvars)
     zero = (0,) * nvars
     embedded = [ppk.pack(pk.unpack(g) + ((rank + i, zero, 1, 1),)) for i, g in enumerate(items)]
@@ -525,9 +525,9 @@ _TRACKED_CASES = st.sampled_from(
 def test_criteria_match_oracle_tracked(case):
     # the modulo elements enter with no auxiliary position
     rank, order, items, modulo = case
-    basis, _ = _tracked_raw(items, rank, order, 2, modulo)
-    assert _autoreduce(basis) == _tracked_oracle(items, rank, order, 2, modulo)
-    assert all(t[1] & FIELD < rank + len(items) for v in basis for t in v)
+    aux, rest, _ = _tracked_raw(items, rank, order, 2, modulo)
+    assert _autoreduce(aux + rest) == _tracked_oracle(items, rank, order, 2, modulo)
+    assert all(t[1] & FIELD < rank + len(items) for v in aux + rest for t in v)
 
 
 def _reference_autoreduce_below(basis, below):
@@ -551,7 +551,7 @@ def _reference_reduce_with_expression(f, gens, modulo):
     mod = f.module
     rank, k = mod.rank, len(gens)
     items, rels = tuple(g.terms for g in gens), tuple(g.terms for g in modulo)
-    aux, rest, porder = _tracked_split(items, rank, mod.order(), mod.ring.nvars, rels)
+    aux, rest, porder = _tracked_raw(items, rank, mod.order(), mod.ring.nvars, rels)
     basis = _reference_autoreduce_below(rest, aux)
     pk, ppk = mod.packing, K.packing(*porder, mod.ring.nvars)
     r, _ = K.reduce(ppk.rebase(f.terms, pk), basis)
@@ -593,7 +593,7 @@ def test_syzygies_match_the_aux_part_of_the_oracle(case):
     F = FreeModule(R, order[0])
     out = syzygies([FreeElement(F, g) for g in items], module=F, modulo=[FreeElement(F, g) for g in modulo])
     full = _tracked_oracle(items, rank, order, 2, modulo)
-    porder = _tracked_raw(items, rank, order, 2, modulo)[1]
+    porder = _tracked_raw(items, rank, order, 2, modulo)[2]
     ppk, smod = K.packing(*porder, 2), FreeModule(R, porder[0][rank:])
     assert all(s.module == smod for s in out)
     assert tuple(s.terms for s in out) == tuple(smod.packing.rebase(v, ppk, -rank) for v in full if _pos(v) >= rank)
@@ -629,7 +629,7 @@ def test_autoreduce_matches_reference(case):
 
 
 def _clear_l1_caches():
-    for cached in (_groebner_raw, _tracked_raw, _tracked_split, _saturate_raw, _intersect_raw):
+    for cached in (_groebner_raw, _tracked_raw, _saturate_raw, _intersect_raw):
         cached.cache_clear()
 
 
@@ -667,25 +667,47 @@ def test_product_criterion_skips_coprime_leads(monkeypatch):
     assert len(lcms) == 0
 
 
-def test_coprime_pairs_count_as_treated_when_made(monkeypatch):
-    # the relations a^2*e1 and c^2*e1 lie in one position with coprime leads,
-    # so their pair is treated when it is made; the chain criterion through
-    # c^2*e1 then skips the pair of a^2*e1 with the other element led by
-    # c^2*e1: 11 S-polynomials, where marking coprime pairs treated only when
-    # popped made 12
+def _coprime_case():
+    """(F, gens, modulo) in rank 2 over a, b, c, d, whose relations a^2*e1
+    and c^2*e1 lie in one position with coprime leads."""
     R = EdgeRing(("a", "b", "c", "d"))
     a, b, c, d = (R.var(v) for v in "abcd")
     F = FreeModule(R, (0, 0))
     zero = R.zero()
     gens = [F.element(p) for p in ([a * a + c * c, c * c], [a * c - c * c, a * b + b * c], [a * c + c * c, zero])]
     modulo = [F.element(p) for p in ([c * d, c * c], [zero, a * a], [zero, c * c])]
+    return F, gens, modulo
+
+
+def test_coprime_pairs_count_as_treated_when_made(monkeypatch):
+    # the relations a^2*e1 and c^2*e1 lie in one position with coprime leads,
+    # so their pair is treated when it is made; the chain criterion through
+    # c^2*e1 then skips the pair of a^2*e1 with the other element led by
+    # c^2*e1: 11 S-polynomials, where marking coprime pairs treated only when
+    # popped made 12
+    F, gens, modulo = _coprime_case()
     calls = _count_spolys(monkeypatch)
     out = syzygies(gens, module=F, modulo=modulo)
     assert len(calls) == 11
     items, rels = tuple(g.terms for g in gens), tuple(g.terms for g in modulo)
-    basis, _ = _tracked_raw(items, 2, F.order(), 4, rels)
-    assert _autoreduce(basis) == _tracked_oracle(items, 2, F.order(), 4, rels)
+    aux, rest, _ = _tracked_raw(items, 2, F.order(), 4, rels)
+    assert _autoreduce(aux + rest) == _tracked_oracle(items, 2, F.order(), 4, rels)
     assert len(out) == 6
+
+
+def test_one_tracked_run_serves_syzygies_and_reduce_with_expression(monkeypatch):
+    # syzygies keeps the auxiliary part of the tracked run and
+    # reduce_with_expression divides by both parts of the same cached run, so
+    # the second reader costs no Groebner run
+    F, gens, modulo = _coprime_case()
+    runs = _count_calls(monkeypatch, exactalg, "_buchberger")
+    assert len(syzygies(gens, module=F, modulo=modulo)) == 6
+    b, d = F.ring.var("b"), F.ring.var("d")
+    rem, cofs = reduce_with_expression(b * gens[0] + d * gens[2], gens, modulo)
+    assert rem.is_zero() and len(cofs) == 3
+    assert len(runs) == 1
+    info = _tracked_raw.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_input_past_the_basis_cap_raises_before_any_pair(monkeypatch):

@@ -212,7 +212,26 @@ def test_transform_rejects_a_zero_witness_of_a_nonzero_sub(p_related):
         assert isinstance(out, ZeroNode) and verify(out, PRED)
 
 
-def test_transform_trace_measure_decreases(p_related):
+def record_transform(monkeypatch):
+    """A list that gains (depth, degree, type_level) for every call of
+    serre._transform, the root's at depth 0: each recursive call looks
+    _transform up in the module, so the wrapper sees every one."""
+    inner = serre._transform
+    trace, open_calls = [], []
+
+    def recorded(c, e, ep, i):
+        trace.append((len(open_calls), i, type_level(c)))
+        open_calls.append(c)
+        try:
+            return inner(c, e, ep, i)
+        finally:
+            open_calls.pop()
+
+    monkeypatch.setattr(serre, "_transform", recorded)
+    return trace
+
+
+def test_transform_trace_measure_decreases(p_related, monkeypatch):
     # Sub over Quot over Gen: exercises the pullback rewrite in degree 1
     base = GenNode(p_related, 0)
     _, proj = cokernel(ideal_sub_cert(p_related).witness)
@@ -220,8 +239,8 @@ def test_transform_trace_measure_decreases(p_related):
     m = quot.root
     sub, incl = submodule_from_elements(m, [m.ring.var("e") * m.gen(0)])
     cert = SubNode(quot, incl)
-    trace = []
-    transform(cert, "e", "e'", 1, trace=trace)
+    trace = record_transform(monkeypatch)
+    transform(cert, "e", "e'", 1)
     last_at_depth = {}
     for depth, deg, lvl in trace:
         if depth > 0:
@@ -255,13 +274,14 @@ def test_recursion_keeps_every_rule_and_certifies_zero_outputs_directly(monkeypa
     # it, and its root presents f_i of the node's root
     split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
     e, ep = split.e, split.e_prime
+    trace = record_transform(monkeypatch)
     inner = serre._transform
     steps, direct = {}, {}
 
-    def counted(c, e, ep, i, trace, depth):
+    def counted(c, e, ep, i):
         start = len(trace)
-        out = inner(c, e, ep, i, trace, depth)
-        assert trace[start] == (depth, i, c.level)
+        out = inner(c, e, ep, i)
+        assert trace[start][1:] == (i, c.level)
         if isinstance(c, (GenNode, ZeroNode)):
             return out
         rule = f"sub-of-{c.parent.kind}" if isinstance(c, SubNode) else c.kind
@@ -279,8 +299,7 @@ def test_recursion_keeps_every_rule_and_certifies_zero_outputs_directly(monkeypa
         for idx in range(50):
             cert = random_certificate(random.Random(f"20260810:corpus:{idx}"), tame, 3)
             for i in (0, 1):
-                trace = []
-                transform(cert, e, ep, i, trace=trace)
+                transform(cert, e, ep, i)
     assert set(steps) == set(RULE_FLOORS)
     assert all(steps[k] >= n for k, n in RULE_FLOORS.items()), steps
     assert {i for _, i in direct} == {0, 1} and sum(direct.values()) > 60, direct

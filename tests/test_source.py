@@ -61,3 +61,23 @@ def test_no_module_reads_the_environment(module):
         if a.name in ENVIRONMENT
     ]
     assert not reads, f"{module} reads the environment: {reads}"
+
+
+def _is_lru_cache(decorator):
+    """True for @lru_cache, @lru_cache(...) and @functools.lru_cache(...)."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "lru_cache"
+
+
+def test_lru_cached_functions_have_distinct_names():
+    # perfbench's CacheLedger keys each lru cache by its function's name, so
+    # a second cache under a name already taken would go unmeasured
+    found = [
+        (node.name, module)
+        for module in sorted(p.relative_to(PACKAGE).as_posix() for p in PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_lru_cache, node.decorator_list))
+    ]
+    assert ("_tracked_raw", "exactalg.py") in found
+    names = [name for name, _ in found]
+    assert len(set(names)) == len(names), sorted(f for f in found if names.count(f[0]) > 1)
