@@ -449,7 +449,11 @@ def _autoreduce(basis: Iterable[tuple]) -> tuple:
 
 @lru_cache(maxsize=65536)
 def _groebner_raw(items: tuple, order: tuple, nvars: int) -> tuple:
-    """The reduced Groebner basis of packed items in the order on nvars variables."""
+    """The reduced Groebner basis of packed items in the order on nvars variables.
+
+    The packed layout reads each weight less the least one, so orders whose
+    weights differ by a uniform shift pack alike; groebner passes the order
+    with its weights so reduced, and they share one cache entry."""
     return _autoreduce(_buchberger(items, K.packing(*order, nvars))) if items else ()
 
 
@@ -514,10 +518,15 @@ def _coerce_inputs(gens: Sequence, module: FreeModule | None = None):
 def groebner(gens: Sequence, module: FreeModule | None = None):
     """Reduced Groebner basis of the submodule (or ideal) generated by gens.
 
-    Returns values of the same kind as the input (polys in, polys out).
+    Returns values of the same kind as the input (polys in, polys out).  The
+    cache key drops a uniform weight shift, which leaves every packed key as
+    it is, so a module and its shifts M(s) share one run.
     """
     kind, space, mod, items = _coerce_inputs(gens, module)
-    gb = _groebner_raw(tuple(t for t in items if t), mod.order(), mod.ring.nvars)
+    weights, nelim, possplit = mod.order()
+    lo = min(weights)
+    order = (tuple(w - lo for w in weights), nelim, possplit)
+    gb = _groebner_raw(tuple(t for t in items if t), order, mod.ring.nvars)
     return tuple(kind(space, g) for g in gb)
 
 

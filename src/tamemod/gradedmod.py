@@ -36,6 +36,17 @@ runs kernel's syzygies.
 Hilbert functions come from Hilbert-Poincare numerators read off plain relation
 bases (Bigatti); ModuleMap.is_mono and exact_at compare them, with no syzygies.
 
+Some relation bases are known by construction and seed relation_gb with no
+Groebner run.  A reduced Groebner basis is unique, so each seed is the basis
+a run would give.  The syzygy basis of a span (_span) and the read-off
+torsion submodule (torsion_data) are reduced in their new covers, and so is
+what _prune keeps of a reduced basis.  The basis of a direct sum is the
+union of its summands' bases, in descending lead order (direct_sum).  The
+cokernel of a map whose columns hold a constant multiple of every target
+generator has the generators as its basis (_coker).  A shift M(s) has M's
+packed relations, and groebner's cache key drops a uniform weight shift, so
+M(s) reuses M's run.
+
 _prune presents a module on fewer generators by graded Nakayama: a relation
 with a constant entry at a generator makes that generator redundant, and
 dropping both leaves an isomorphic module (`prune` in Macaulay2 and
@@ -169,8 +180,10 @@ class PresentedModule:
         return sum(c * (comb(w - k + n - 1, n - 1) if n else int(w == k)) for k, c in self.hilbert_numerator().items() if k <= w)
 
     def same_presentation(self, other: "PresentedModule") -> bool:
-        """Same ring, same generator weights, same relation submodule."""
-        return (
+        """Same ring, same generator weights, same relation submodule.  A
+        module presents itself, with no relation basis built: node
+        constructors compare a module with itself."""
+        return other is self or (
             isinstance(other, PresentedModule)
             and self.ring == other.ring
             and self.gen_weights == other.gen_weights
@@ -397,11 +410,19 @@ def kernel(phi: ModuleMap):
 
 
 def _coker(phi: ModuleMap) -> PresentedModule:
-    """phi's cokernel module, built once per map and shared by every check on it."""
+    """phi's cokernel module, built once per map and shared by every check on it.
+
+    When the columns hold a constant multiple of every target generator, as
+    the projections of direct_sum and cokernel and the maps F0 induces from
+    them do, the relations span the whole free cover and the cokernel is
+    zero.  The reduced basis of the free cover is its generators, largest
+    lead first; that seeds relation_gb, with no Groebner run."""
     if phi._coker is None:
         tgt = phi.target
-        rels = list(tgt.relations) + [c for c in phi.columns if not c.is_zero()]
-        phi._coker = PresentedModule(tgt.ring, tgt.gen_weights, rels)
+        cols = [c for c in phi.columns if not c.is_zero()]
+        phi._coker = coker = PresentedModule(tgt.ring, tgt.gen_weights, list(tgt.relations) + cols)
+        if {c.terms[0][1] for c in cols if len(c.terms) == 1} >= set(range(tgt.rank)):
+            coker._cache["gb"] = _by_lead(coker.gen(i) for i in range(tgt.rank))
     return phi._coker
 
 
@@ -432,8 +453,21 @@ def image(phi: ModuleMap) -> ImageResult:
     return ImageResult(img, incl, proj)
 
 
+def _by_lead(elems) -> tuple:
+    """The elements in the order of a reduced basis, largest lead first."""
+    return tuple(sorted(elems, key=lambda g: g.terms[0][0], reverse=True))
+
+
 def direct_sum(mods: Sequence[PresentedModule]):
-    """Direct sum with canonical injections and projections."""
+    """Direct sum with canonical injections and projections.
+
+    The total's relation basis is the union of the summands' bases, each
+    rebased to its positions, in descending lead order.  Rebasing keeps the
+    order within a summand, so each summand's part stays reduced.  Leads in
+    different summands lie in different positions, so no S-pair joins two
+    summands and no lead divides a term of another summand's element: the
+    union is a reduced Groebner basis, the unique one, and it seeds
+    relation_gb."""
     mods = list(mods)
     if not mods:
         raise StructuralError("direct_sum needs at least one summand")
@@ -444,6 +478,7 @@ def direct_sum(mods: Sequence[PresentedModule]):
     free = FreeModule(ring, weights)
     pk = free.packing
     rels = []
+    gb = []
     offset = 0
     offsets = []
     for m in mods:
@@ -451,8 +486,10 @@ def direct_sum(mods: Sequence[PresentedModule]):
         # every position of m moves by the same delta, so the order is kept
         src = m.free_cover.packing
         rels += [FreeElement(free, pk.rebase(r.terms, src, offset)) for r in m.relations]
+        gb += [FreeElement(free, pk.rebase(g.terms, src, offset)) for g in m.relation_gb()]
         offset += m.rank
     total = PresentedModule(ring, weights, rels)
+    total._cache["gb"] = _by_lead(gb)
     injections = []
     projections = []
     for m, off in zip(mods, offsets):

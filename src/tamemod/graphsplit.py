@@ -222,12 +222,19 @@ def predicate_from_config(cfg) -> TamenessPredicate:
 
 
 def iter_partitions(edges: Sequence[str]) -> Iterator[Partition]:
-    """All partitions of the edge set, in restricted-growth-string order."""
-    edges = sorted(edges)
-    n = len(edges)
-    if n == 0:
-        yield make_partition([], [])
+    """All partitions of the edge set, in restricted-growth-string order.
+
+    The ground is validated once, as make_partition would.  A restricted
+    growth string on the sorted edges fills each block in sorted order and
+    opens the blocks in the order of their first elements, so every
+    partition comes out in canonical form and is built as it is."""
+    edges = list(edges)
+    if not edges:
+        yield Partition((), ())
         return
+    # the one-block partition validates the ground
+    edges = make_partition(edges, [edges]).ground
+    n = len(edges)
 
     def walk(rgs: list[int], maxval: int):
         i = len(rgs)
@@ -235,7 +242,7 @@ def iter_partitions(edges: Sequence[str]) -> Iterator[Partition]:
             blocks: dict[int, list[str]] = {}
             for x, b in zip(edges, rgs):
                 blocks.setdefault(b, []).append(x)
-            yield make_partition(edges, list(blocks.values()))
+            yield Partition(edges, tuple(map(tuple, blocks.values())))
             return
         for b in range(maxval + 2):
             rgs.append(b)

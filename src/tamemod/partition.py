@@ -105,20 +105,18 @@ def merge_edges(p: Partition, e: str, e_prime: str) -> Partition:
     """Merge the blocks containing e and e', then delete e'.
 
     This inverts an edge split: the result is a partition of the ground set
-    without e', with the contracted edge keeping the name e.
+    without e', with the contracted edge keeping the name e.  It is built in
+    canonical form: the merged block sorted, the other blocks of p kept as
+    they are, and the blocks sorted by their first elements.
     """
     if e == e_prime:
         raise ValidationError("merge_edges needs two distinct edges")
     be = p.block_of(e)
     bep = p.block_of(e_prime)
-    merged = set(be) | set(bep)
-    merged.discard(e_prime)
-    new_blocks = [tuple(sorted(merged))]
-    for b in p.blocks:
-        if b is not be and b is not bep:
-            new_blocks.append(b)
-    new_ground = tuple(x for x in p.ground if x != e_prime)
-    return make_partition(new_ground, new_blocks)
+    merged = tuple(sorted(set(be + bep) - {e_prime}))
+    blocks = [b for b in p.blocks if b is not be and b is not bep] + [merged]
+    blocks.sort(key=lambda b: b[0])
+    return Partition(tuple(x for x in p.ground if x != e_prime), tuple(blocks))
 
 
 def partition_ideal(p: Partition) -> tuple[GradedPoly, ...]:

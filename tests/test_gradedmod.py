@@ -8,8 +8,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_exactalg import _clear_l1_caches
 
-from tamemod import gradedmod, serre
+from tamemod import exactalg, gradedmod, serre
+from tamemod._core._pure import FIELD
 from tamemod.errors import ResourceCapError, StructuralError, ValidationError
 from tamemod.exactalg import (
     EdgeRing,
@@ -1429,3 +1431,108 @@ def test_rank_weights_of_annihilator_ideal(zp_related, p_related):
     R = zp_related.ring
     assert annihilator_ideal(PresentedModule.zero(R)) == (R.one(),)
     assert annihilator_ideal(PresentedModule.free(R, (0,))) == ()
+
+
+# -- relation bases known by construction ----------------------------------------
+
+
+def _random_module(rng, ring, rank):
+    """A module on rank generators of unequal weights whose relations mostly
+    span several positions."""
+    free = PresentedModule.free(ring, [rng.randint(0, 2) for _ in range(rank)])
+    top = max(free.gen_weights, default=0)
+    rels = [random_homogeneous_element(rng, free, top + rng.randint(1, 2)) for _ in range(rank + 1)]
+    return PresentedModule(ring, free.gen_weights, rels)
+
+
+def _constructed_bases():
+    """(module, how it was built) for modules whose relation_gb construction
+    fixes: direct sums, cokernels of surjections onto a module's generators,
+    and shifts."""
+    split = split_edge(EdgeGraph(("a", "b", "e")), "e")
+    ring = EdgeRing(split.split_graph.edges)
+    tame = tame_partitions(AlwaysTame(), split.split_graph)
+    rng = random.Random("constructed-bases")
+    out = []
+    for k in range(12):
+        roots = [random_certificate(rng, tame, 2).root for _ in range(2)]
+        mods = [_random_module(rng, ring, rng.randint(1, 3)) for _ in range(2)] + roots
+        parts = rng.sample(mods, rng.randint(2, 3))
+        if k % 3 == 0:
+            parts.insert(rng.randint(0, len(parts)), PresentedModule.zero(ring))
+        total, _, projs = direct_sum(parts)
+        out.append((total, "direct_sum"))
+        for proj in projs:
+            out.append((gradedmod._coker(proj), "direct_sum projection"))
+            out.append((gradedmod._coker(induced_map_f0(proj, split.e, split.e_prime)), "f0 of a projection"))
+        _, q_proj = cokernel(ModuleMap(PresentedModule.free(ring, [1]), total, [random_homogeneous_element(rng, total, 1)]))
+        out.append((gradedmod._coker(q_proj), "cokernel projection"))
+        out.append((gradedmod._coker(induced_map_f0(q_proj, split.e, split.e_prime)), "f0 of a projection"))
+        for s in (1, 2, 3):
+            out.append((parts[-1].shift(s), "shift"))
+    return out
+
+
+def test_seeded_relation_bases_match_a_groebner_run():
+    cases = _constructed_bases()
+    seeded = [m._cache.get("gb") for m, _ in cases]
+    assert all(gb is not None for gb, (_, how) in zip(seeded, cases) if how != "shift")
+    # most direct sums hold a basis element spread over several positions
+    sums = [gb for gb, (_, how) in zip(seeded, cases) if how == "direct_sum"]
+    assert sum(any(len({t[1] & FIELD for t in g.terms}) > 1 for g in gb) for gb in sums) > len(sums) // 2
+    gbs = [m.relation_gb() for m, _ in cases]
+    _clear_l1_caches()
+    for (m, how), gb in zip(cases, gbs):
+        fresh = PresentedModule(m.ring, m.gen_weights, m.relations)
+        assert gb == groebner(list(fresh.relations), module=fresh.free_cover), how
+
+
+def _counting_buchberger(monkeypatch):
+    calls = []
+    fn = exactalg._buchberger
+
+    def counting(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(exactalg, "_buchberger", counting)
+    return calls
+
+
+def _summands():
+    split = split_edge(EdgeGraph(("a", "b", "e")), "e")
+    ring = EdgeRing(split.split_graph.edges)
+    rng = random.Random("summands")
+    one_block = make_partition(split.split_graph.edges, [split.split_graph.edges])
+    parts = [_random_module(rng, ring, 2), partition_module(one_block).shift(1)]
+    assert all(m.relations for m in parts)
+    return parts
+
+
+def test_direct_sum_basis_runs_no_groebner(monkeypatch):
+    _clear_l1_caches()
+    parts = _summands()
+    for m in parts:
+        m.relation_gb()
+    calls = _counting_buchberger(monkeypatch)
+    total = direct_sum(parts)[0]
+    assert total.relation_gb() and not total.is_zero()
+    assert calls == []
+
+
+def test_cokernel_of_a_projection_runs_no_groebner(monkeypatch):
+    _clear_l1_caches()
+    _, _, projs = direct_sum(_summands())
+    calls = _counting_buchberger(monkeypatch)
+    assert all(gradedmod._coker(p).is_zero() and p.is_epi() for p in projs)
+    assert calls == []
+
+
+def test_a_shift_shares_the_groebner_run():
+    _clear_l1_caches()
+    m = _summands()[0]
+    gb = m.relation_gb()
+    shifted = m.shift(2)
+    assert [g.terms for g in shifted.relation_gb()] == [g.terms for g in gb]
+    info = exactalg._groebner_raw.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -3,7 +3,7 @@
 import pytest
 
 from tamemod.errors import ResourceCapError, ValidationError
-from tamemod.partition import merge_edges
+from tamemod.partition import make_partition, merge_edges
 from tamemod.graphsplit import (
     DEFAULT_ENUM_EDGES,
     AlwaysTame,
@@ -19,7 +19,7 @@ from tamemod.graphsplit import (
     tame_partitions,
 )
 
-BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
+BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
 
 
 def test_split_adds_one_edge():
@@ -60,6 +60,20 @@ def test_enumeration_hits_bell_numbers(n):
     parts = list(iter_partitions(edges))
     assert len(parts) == BELL[n]
     assert len(set(parts)) == len(parts)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_enumeration_is_canonical(n):
+    edges = [chr(ord("a") + i) for i in reversed(range(n))]
+    parts = list(iter_partitions(edges))
+    assert len(parts) == BELL[n]
+    for p in parts:
+        assert p == make_partition(p.ground, p.blocks)
+
+
+def test_enumeration_rejects_a_repeated_edge():
+    with pytest.raises(ValidationError, match="repeated"):
+        list(iter_partitions(["a", "b", "a"]))
 
 
 def test_tame_partitions_filters_and_dedupes():

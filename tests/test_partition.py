@@ -114,7 +114,19 @@ def test_merge_missing_edge():
     with pytest.raises(ValidationError):
         merge_edges(p, "e", "zz")
     with pytest.raises(ValidationError):
+        merge_edges(p, "zz", "e")
+    with pytest.raises(ValidationError):
         merge_edges(p, "e", "e")
+
+
+def test_merge_is_canonical():
+    ground = ["a", "b", "c", "e", "e'", "f"]
+    for p in iter_partitions(ground):
+        for e, e_prime in (("e", "e'"), ("e'", "a"), ("c", "b")):
+            m = merge_edges(p, e, e_prime)
+            assert m == make_partition(m.ground, m.blocks)
+            assert m.ground == tuple(x for x in p.ground if x != e_prime)
+            assert set(m.block_of(e)) == (set(p.block_of(e)) | set(p.block_of(e_prime))) - {e_prime}
 
 
 # -- partition ideals and modules ------------------------------------------------
