@@ -57,8 +57,10 @@ through one exponent table per (nvars, nelim), shared by every order of that
 shape: exponent tuple to (key part, dkey part, degree), and dkey part back to
 the tuple.  The cap is checked on every term, shift[pos] + degree < LIMIT,
 since a tuple entered under a small shift can overflow under a larger one.
-The table is an lru cache like the Packings, so clearing the lru caches
-drops it, and a table that reaches TABLE_CAP entries is emptied before the
+A Packing takes the table of its shape when it is built, and keeps it.
+Clearing the lru caches drops the table for the Packings built afterwards;
+one that a space still holds, and that packing() therefore still returns,
+keeps its own.  A table that reaches TABLE_CAP entries is emptied before the
 next tuple enters.
 """
 
@@ -69,6 +71,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul as _mul
 from operator import or_
+from weakref import WeakValueDictionary
 
 from ..errors import ResourceCapError
 
@@ -163,7 +166,7 @@ class Packing:
     """The packed layout of one order on a fixed number of variables."""
 
     __slots__ = ("args", "base", "shift", "lo", "coef", "dkeys", "table", "expos", "moves",
-                 "wshift", "eshift", "esrc", "prefix", "low", "fill")
+                 "wshift", "eshift", "esrc", "prefix", "low", "fill", "__weakref__")
 
     def __init__(self, weights, nelim, possplit, nvars):
         self.args = (weights, nelim, possplit, nvars)
@@ -270,14 +273,15 @@ class Packing:
         and nelim.  Each key gains base[pos + offset] - src.base[pos], so the
         order within a position is kept, and across positions too when that
         delta is the same for every position."""
-        move = self.moves.get((src, offset))
+        # keyed on src's order, not on src, so no Packing keeps another alive
+        move = self.moves.get((src.args, offset))
         if move is None:
             # a position with no room for a term gets GUARD, setting every guard bit;
             # fields grow by at most their shift's growth, so if none grows no check is due
             room = [p - offset for p, s in enumerate(self.shift) if s < LIMIT]
             delta = tuple(self.base[p + offset] - b if p in room else GUARD for p, b in enumerate(src.base))
             safe = GUARD not in delta and all(self.shift[p + offset] <= s for p, s in enumerate(src.shift))
-            move = self.moves[src, offset] = (delta, safe)
+            move = self.moves[src.args, offset] = (delta, safe)
         delta, safe = move
         out = tuple([(k + delta[d & FIELD], d + offset, n, dn) for k, d, n, dn in f])
         if not safe:
@@ -339,10 +343,21 @@ class Packing:
         return (dkey + self.fill) & GUARD
 
 
+# every live Packing by its order; the lru below keeps the recent ones alive
+_live = WeakValueDictionary()
+
+
 @lru_cache(maxsize=1024)
 def packing(weights, nelim, possplit, nvars):
-    """The Packing of an order on nvars variables, built once per order."""
-    return Packing(weights, nelim, possplit, nvars)
+    """The Packing of an order on nvars variables, one per order while any
+    is alive.  The lru holds the recent orders; a Packing it drops, or that
+    clearing it drops, lives on while a space holds it, and a later call
+    returns that one, not a second Packing of the order."""
+    args = (weights, nelim, possplit, nvars)
+    pk = _live.get(args)
+    if pk is None:
+        pk = _live[args] = Packing(*args)
+    return pk
 
 
 def mul_term(f, key, dkey):

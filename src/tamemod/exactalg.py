@@ -19,6 +19,15 @@ change the number of variables, and for output.  Saturation and intersection
 add a variable t in front, which shifts every packed field up one
 (Packing.lift), and shift the t-free result back down (Packing.lower).
 
+Spaces are interned, hash-consed through a weak table (Filliatre and
+Conchon, "Type-safe modular hash-consing", ML Workshop 2006): EdgeRing and
+FreeModule return the live object of the same variables, or of the same ring
+and weights, and build and validate one only when none is alive.  So values
+compare their spaces by identity, a space's Packing and a ring's variable
+polys are built once, and nothing holds a space that no value uses.  A
+pickle or a deepcopy of a space goes back through its constructor and gets
+the live object, in a worker process too.
+
 Saturation, intersection and syzygies each keep one part of a Groebner basis
 and drop the rest: the elements led by a t-free monomial, or led in an
 auxiliary position.  t dominates the elimination order and F's positions
@@ -34,10 +43,10 @@ led in F stays as _buchberger gives it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
+from weakref import WeakValueDictionary
 
 from ._core import impl as K
 from ._core._pure import BITS, DIVMASK, FIELD, LIMIT
@@ -49,6 +58,10 @@ MAX_BASIS = 8000
 Coeff = int | Fraction
 
 
+def _immutable(self, *_):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _coeff(c) -> tuple[int, int]:
     if isinstance(c, int):
         return c, 1
@@ -57,20 +70,49 @@ def _coeff(c) -> tuple[int, int]:
     raise ValidationError(f"not a rational coefficient: {c!r}")
 
 
-@dataclass(frozen=True)
 class EdgeRing:
     """Polynomial ring on a fixed ordered tuple of edge names, graded with
-    every variable in weight 1; earlier variables are larger in the order."""
+    every variable in weight 1; earlier variables are larger in the order.
 
-    variables: tuple[str, ...]
+    Interned: the constructor returns the live ring of the same variables, so
+    equality is identity; the hash is that of (variables,), computed once."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if len(set(self.variables)) != len(self.variables):
-            raise ValidationError(f"duplicate variable names: {self.variables}")
-        for v in self.variables:
+    __slots__ = ("variables", "packing", "rank_one", "_vars", "_hash", "__weakref__")
+    _live: WeakValueDictionary = WeakValueDictionary()
+
+    def __new__(cls, variables: Sequence[str]):
+        variables = tuple(variables)
+        self = cls._live.get(variables)
+        if self is not None:
+            return self
+        if len(set(variables)) != len(variables):
+            raise ValidationError(f"duplicate variable names: {variables}")
+        for v in variables:
             if not isinstance(v, str) or not v:
                 raise ValidationError(f"bad variable name: {v!r}")
+        n = len(variables)
+        self = object.__new__(cls)
+        init = partial(object.__setattr__, self)
+        init("variables", variables)
+        init("_hash", hash((variables,)))
+        init("packing", K.packing(*_RING_ORDER, n))
+        # polys enter L1 as elements of the rank-1 free module, generator in weight 0
+        init("rank_one", FreeModule(self, (0,)))
+        init("_vars", {v: self.poly({tuple(int(j == i) for j in range(n)): 1}) for i, v in enumerate(variables)})
+        cls._live[variables] = self
+        return self
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        # unpickling and deepcopy go through the constructor, which interns
+        return EdgeRing, (self.variables,)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"EdgeRing(variables={self.variables!r})"
 
     @property
     def nvars(self) -> int:
@@ -88,15 +130,6 @@ class EdgeRing:
     def one(self) -> "GradedPoly":
         return self.const(1)
 
-    @cached_property
-    def packing(self):
-        return K.packing(*_RING_ORDER, self.nvars)
-
-    @cached_property
-    def rank_one(self) -> "FreeModule":
-        """Rank-1 free module, generator in weight 0: polys enter L1 as its elements."""
-        return FreeModule(self, (0,))
-
     def const(self, c: Coeff) -> "GradedPoly":
         n, d = _coeff(c)
         if n == 0:
@@ -105,9 +138,11 @@ class EdgeRing:
         return GradedPoly(self, ((0, 0, n, d),))
 
     def var(self, name: str) -> "GradedPoly":
-        i = self.index(name)
-        expo = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return GradedPoly(self, self.packing.pack(((0, expo, 1, 1),)))
+        """The variable's poly, built once with the ring."""
+        try:
+            return self._vars[name]
+        except (KeyError, TypeError):
+            raise ValidationError(f"unknown variable {name!r} in ring {self.variables}") from None
 
     def poly(self, terms: dict) -> "GradedPoly":
         """Build from {exponent tuple: coefficient}."""
@@ -152,7 +187,7 @@ class _Value:
     def _same(self, other) -> tuple:
         """The terms of other, a value of the same kind and space; an int or a
         Fraction is a constant when the space is a ring."""
-        if type(other) is type(self) and other.space == self.space:
+        if type(other) is type(self) and other.space is self.space:
             return other.terms
         if isinstance(other, (int, Fraction)) and type(self.space) is EdgeRing:
             return self.space.const(other).terms
@@ -182,7 +217,7 @@ class _Value:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.space == other.space and self.terms == other.terms
+        return type(other) is type(self) and self.space is other.space and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.space, self.terms))
@@ -241,15 +276,49 @@ class GradedPoly(_Value):
         return out
 
 
-@dataclass(frozen=True)
 class FreeModule:
-    """Free graded module with one generator per weight entry."""
+    """Free graded module with one generator per weight entry.
 
-    ring: EdgeRing
-    weights: tuple[int, ...]
+    Interned like EdgeRing: the constructor returns the live module of the
+    same ring and weights, so equality is identity; the hash is that of
+    (ring, weights), computed once."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+    __slots__ = ("ring", "weights", "packing", "_hash", "__weakref__")
+    _live: WeakValueDictionary = WeakValueDictionary()
+
+    def __new__(cls, ring: EdgeRing, weights: Sequence[int]):
+        # keyed on the variables, as a key holding the ring would keep it
+        # alive through its own rank_one; a live module holds its ring, the
+        # one ring of those variables
+        if type(weights) is not tuple:
+            weights = tuple(weights)
+        self = cls._live.get((ring.variables, weights))
+        if self is not None:
+            return self
+        # weights given as other numbers are looked up again as ints
+        weights = tuple(map(int, weights))
+        self = cls._live.get((ring.variables, weights))
+        if self is not None:
+            return self
+        self = object.__new__(cls)
+        init = partial(object.__setattr__, self)
+        init("ring", ring)
+        init("weights", weights)
+        init("_hash", hash((ring, weights)))
+        init("packing", K.packing(*self.order(), ring.nvars))
+        cls._live[ring.variables, weights] = self
+        return self
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return FreeModule, (self.ring, self.weights)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"FreeModule(ring={self.ring!r}, weights={self.weights!r})"
 
     @property
     def rank(self) -> int:
@@ -257,10 +326,6 @@ class FreeModule:
 
     def order(self) -> tuple:
         return (self.weights if self.weights else (0,), 0, 0)
-
-    @cached_property
-    def packing(self):
-        return K.packing(*self.order(), self.ring.nvars)
 
     def zero(self) -> "FreeElement":
         return FreeElement(self, ())
@@ -278,7 +343,7 @@ class FreeModule:
             raise StructuralError(f"expected {self.rank} components")
         terms = []
         for i, p in enumerate(components):
-            if p.ring != self.ring:
+            if p.ring is not self.ring:
                 raise StructuralError("component from a different ring")
             terms += self.packing.rebase(p.terms, self.ring.packing, i)
         # keys are distinct across positions, so the sort compares keys only
@@ -307,7 +372,7 @@ class FreeElement(_Value):
     def __rmul__(self, other):
         """The ring action of a poly, or the multiple by an int or a Fraction."""
         if type(other) is GradedPoly:
-            if other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise StructuralError("scalar from a different ring")
             return FreeElement(self.module, K.mul(other.terms, self.terms))
         return _Value.__mul__(self, other)
@@ -506,11 +571,11 @@ def _coerce_inputs(gens: Sequence, module: FreeModule | None = None):
             raise StructuralError("empty input needs an explicit module")
         return FreeElement, module, module, []
     first = gens[0]
-    if not isinstance(first, _Value) or any(type(g) is not type(first) or g.space != first.space for g in gens):
+    if not isinstance(first, _Value) or any(type(g) is not type(first) or g.space is not first.space for g in gens):
         raise StructuralError("input is not values of one kind in one space")
     kind, space = type(first), first.space
     mod = space.rank_one if kind is GradedPoly else space
-    if module is not None and module != mod:
+    if module is not None and module is not mod:
         raise StructuralError("elements do not live in the requested module")
     return kind, space, mod, [g.terms for g in gens]
 

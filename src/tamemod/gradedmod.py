@@ -102,7 +102,7 @@ class PresentedModule:
         self.free_cover = free = FreeModule(ring, self.gen_weights)
         rels = []
         for r in relations:
-            if not isinstance(r, FreeElement) or r.module != free:
+            if not isinstance(r, FreeElement) or r.module is not free:
                 raise StructuralError("relation outside the module's free cover")
             if not r.is_homogeneous:
                 raise ValidationError(f"inhomogeneous relation {r}")
@@ -185,7 +185,7 @@ class PresentedModule:
         constructors compare a module with itself."""
         return other is self or (
             isinstance(other, PresentedModule)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.gen_weights == other.gen_weights
             and self.relation_gb() == other.relation_gb()
         )
@@ -193,7 +193,7 @@ class PresentedModule:
     def __eq__(self, other):
         return (
             isinstance(other, PresentedModule)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.gen_weights == other.gen_weights
             and self.relations == other.relations
         )
@@ -239,13 +239,13 @@ class ModuleMap:
             raise StructuralError(f"{len(columns)} columns for a source of rank {source.rank}")
         weights = free.packing.weights
         for j, col in enumerate(columns):
-            if not isinstance(col, FreeElement) or col.module != free:
+            if not isinstance(col, FreeElement) or col.module is not free:
                 raise StructuralError(f"column {j} is not in the target's free cover")
             top = source.gen_weights[j] + self.degree
             if weights(col.terms) - {top}:
                 (w,), i = next((weights((t,)), t[1] & FIELD) for t in col.terms if weights((t,)) != {top})
                 raise StructuralError(f"entry ({i},{j}) has weight {w - free.weights[i]}, expected {top - free.weights[i]}")
-        if source.ring != target.ring:
+        if source.ring is not target.ring:
             raise StructuralError("source and target over different rings")
         if check:
             gb = target.relation_gb()
@@ -268,7 +268,7 @@ class ModuleMap:
                 raise StructuralError(f"matrix row {i} has {len(row)} entries, not source rank {source.rank}")
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
-                if not isinstance(entry, GradedPoly) or entry.ring != target.ring:
+                if not isinstance(entry, GradedPoly) or entry.ring is not target.ring:
                     raise StructuralError(f"matrix entry ({i},{j}) not in the target ring")
         free = target.free_cover
         return cls(source, target, [free.element([row[j] for row in rows]) for j in range(source.rank)], degree)
@@ -290,7 +290,7 @@ class ModuleMap:
 
     def apply_free(self, x: FreeElement) -> FreeElement:
         """Image of a free-cover representative."""
-        if x.module != self.source.free_cover:
+        if x.module is not self.source.free_cover:
             raise StructuralError("element not in the source free cover")
         # a source term less its position's base is a ring term, and a ring
         # term times a column term is the sum of their keys
@@ -367,7 +367,7 @@ def _nonzero_classes(ambient: PresentedModule, gens: Sequence[FreeElement]) -> l
 
 def _check_elements(m: PresentedModule, elems: Sequence[FreeElement]):
     for x in elems:
-        if x.module != m.free_cover:
+        if x.module is not m.free_cover:
             raise StructuralError("generator outside the module's free cover")
         if not x.is_homogeneous:
             raise ValidationError(f"inhomogeneous submodule generator {x}")
@@ -472,7 +472,7 @@ def direct_sum(mods: Sequence[PresentedModule]):
     if not mods:
         raise StructuralError("direct_sum needs at least one summand")
     ring = mods[0].ring
-    if any(m.ring != ring for m in mods):
+    if any(m.ring is not ring for m in mods):
         raise StructuralError("summands over different rings")
     weights = tuple(w for m in mods for w in m.gen_weights)
     free = FreeModule(ring, weights)
@@ -881,7 +881,7 @@ def annihilator(m: PresentedModule, x: FreeElement) -> tuple[GradedPoly, ...]:
     Otherwise they are the syzygies of x modulo the relations of M, a reduced
     basis in the rank-1 order of weight(x), which is the ring order shifted.
     """
-    if x.module != m.free_cover:
+    if x.module is not m.free_cover:
         raise StructuralError("element outside the module's free cover")
     if not x.is_homogeneous:
         raise ValidationError(f"inhomogeneous element {x}")

@@ -1,9 +1,12 @@
 """Groebner, normal form, syzygy, and radical-membership behavior."""
 
+import copy
+import gc
 import operator
 import pickle
 import random
 import time
+import weakref
 from collections import deque
 from fractions import Fraction
 from functools import cmp_to_key
@@ -1083,6 +1086,98 @@ def test_old_slot_names_unpickle():
                 return object.__new__, (type(v),), (None, {slot: v.space, "terms": v.terms})
 
         assert pickle.loads(pickle.dumps(Old())) == v
+
+
+# -- interned spaces -----------------------------------------------------------
+
+
+def test_equal_keys_give_one_space():
+    R = EdgeRing(("x", "y"))
+    assert EdgeRing(["x", "y"]) is R and EdgeRing(v for v in "xy") is R
+    assert EdgeRing(("y", "x")) is not R
+    M = FreeModule(R, (0, 2))
+    assert FreeModule(R, [0, 2]) is M and FreeModule(EdgeRing(["x", "y"]), (0.0, 2)) is M
+    assert FreeModule(R, (2, 0)) is not M and FreeModule(EdgeRing(("y", "x")), (0, 2)) is not M
+    assert R.rank_one is FreeModule(R, (0,))
+    assert R.var("x") is R.var("x")
+
+
+def test_spaces_pickle_and_copy_to_the_live_object():
+    R = EdgeRing(("x", "y"))
+    M = FreeModule(R, (0, 2))
+    for space in (R, M, R.rank_one):
+        assert pickle.loads(pickle.dumps(space)) is space
+        assert copy.deepcopy(space) is space and copy.copy(space) is space
+    v = M.element([R.var("x"), R.var("y") ** 3])
+    assert pickle.loads(pickle.dumps(v)).space is M and copy.deepcopy(v).space is M
+
+
+def test_space_hashes_are_the_dataclass_values():
+    # a dataclass with eq and frozen hashed the tuple of its fields
+    R = EdgeRing(("x", "y"))
+    M = FreeModule(R, (0, 2))
+    assert hash(R) == hash((("x", "y"),))
+    assert hash(M) == hash((R, (0, 2)))
+
+
+def test_spaces_are_immutable():
+    R = EdgeRing(("x", "y"))
+    M = FreeModule(R, (0, 2))
+    for space, name in ((R, "variables"), (R, "packing"), (R, "other"), (M, "weights"), (M, "ring")):
+        with pytest.raises(AttributeError):
+            setattr(space, name, ())
+        with pytest.raises(AttributeError):
+            delattr(space, name)
+    assert R.variables == ("x", "y") and M.weights == (0, 2) and M.ring is R
+
+
+@pytest.mark.parametrize("names", [("x", "x"), ("x", ""), ("",), ("x", 3)])
+def test_bad_variable_names_raise_on_every_build(names):
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            EdgeRing(names)
+    assert names not in EdgeRing._live
+
+
+def test_unknown_variable_raises():
+    R = EdgeRing(("x", "y"))
+    for name in ("z", "", ["x"]):
+        with pytest.raises(ValidationError):
+            R.var(name)
+
+
+def test_a_dropped_space_leaves_the_table():
+    names = ("interned_u", "interned_v")
+    R = EdgeRing(names)
+    M = FreeModule(R, (5, 7))
+    refs = weakref.ref(R), weakref.ref(M)
+    del R, M
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert names not in EdgeRing._live
+    assert all(variables != names for variables, _ in FreeModule._live.keys())
+
+
+def test_a_live_space_keeps_the_packing_of_its_order():
+    # a Packing that outlives a clear of the packing lru is the one the lru
+    # hands out next, so no second Packing of its order is built beside it
+    M = FreeModule(EdgeRing(("x", "y")), (3, 1, 4))
+    K.packing.cache_clear()
+    assert K.packing(*M.order(), M.ring.nvars) is M.packing
+    assert K.packing(*_RING_ORDER, 2) is M.ring.packing
+
+
+def test_a_move_keeps_no_packing_alive():
+    # a Packing that rebased terms from another remembers the move by the
+    # other's order, so the other dies with its last holder
+    src, dst = K.packing((7, 9), 0, 0, 2), K.packing((1, 7, 9), 0, 0, 2)
+    f = src.build([(1, (1, 0), 1, 1), (0, (0, 3), 2, 1)])
+    assert dst.rebase(f, src, 1) == K.packing((1, 7, 9), 0, 0, 2).build([(2, (1, 0), 1, 1), (1, (0, 3), 2, 1)])
+    ref = weakref.ref(src)
+    del src
+    K.packing.cache_clear()
+    gc.collect()
+    assert ref() is None and dst.moves
 
 
 # -- Hilbert-Poincare numerators of monomial ideals -------------------------------------
