@@ -73,7 +73,6 @@ from .serre import (
     harness,
     random_certificate,
     transform,
-    type_level,
     verify,
 )
 from .workspace import Workspace

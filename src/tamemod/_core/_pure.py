@@ -57,11 +57,12 @@ through one exponent table per (nvars, nelim), shared by every order of that
 shape: exponent tuple to (key part, dkey part, degree), and dkey part back to
 the tuple.  The cap is checked on every term, shift[pos] + degree < LIMIT,
 since a tuple entered under a small shift can overflow under a larger one.
-A Packing takes the table of its shape when it is built, and keeps it.
-Clearing the lru caches drops the table for the Packings built afterwards;
-one that a space still holds, and that packing() therefore still returns,
-keeps its own.  A table that reaches TABLE_CAP entries is emptied before the
-next tuple enters.
+A Packing takes the table of its shape when it is built, and keeps it.  It
+lives while a space, a tracked-run cache entry or a running call holds it,
+and packing() hands out the live one of an order.  Clearing the lru caches
+drops the table for the Packings built afterwards; a live one keeps its own.
+A table that reaches TABLE_CAP entries is emptied before the next tuple
+enters.
 """
 
 import struct
@@ -343,16 +344,14 @@ class Packing:
         return (dkey + self.fill) & GUARD
 
 
-# every live Packing by its order; the lru below keeps the recent ones alive
+# every live Packing by its order
 _live = WeakValueDictionary()
 
 
-@lru_cache(maxsize=1024)
 def packing(weights, nelim, possplit, nvars):
-    """The Packing of an order on nvars variables, one per order while any
-    is alive.  The lru holds the recent orders; a Packing it drops, or that
-    clearing it drops, lives on while a space holds it, and a later call
-    returns that one, not a second Packing of the order."""
+    """The Packing of an order on nvars variables: the live one, or a new one
+    when none is alive.  It lives while a space, a tracked-run cache entry or
+    a running call holds it; nothing here keeps it."""
     args = (weights, nelim, possplit, nvars)
     pk = _live.get(args)
     if pk is None:

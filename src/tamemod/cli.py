@@ -14,7 +14,7 @@ import sys
 from .errors import CertificateError, ResourceCapError, ValidationError
 from .gradedmod import f0, f1
 from .graphsplit import EdgeGraph, check_enum_size, check_merge_closure, predicate_from_config, split_edge
-from .serre import MAX_LEVEL, harness, transform, type_level, verify
+from .serre import MAX_LEVEL, harness, transform, verify
 from .workspace import Workspace, module_to_json
 
 # Most rows a functor's Hilbert table may hold: the output's size.
@@ -75,7 +75,7 @@ def cmd_cert(args) -> int:
     ws = Workspace.load(args.infile)
     cert = ws.certificate(args.cert)
     if args.action == "level":
-        print(type_level(cert))
+        print(cert.level)
         return 0
     if args.action == "verify":
         pred = _predicate(ws, args.pred)

@@ -513,20 +513,23 @@ def _autoreduce(basis: Iterable[tuple]) -> tuple:
 
 
 @lru_cache(maxsize=65536)
-def _groebner_raw(items: tuple, order: tuple, nvars: int) -> tuple:
-    """The reduced Groebner basis of packed items in the order on nvars variables.
+def _groebner_raw(items: tuple, nelim: int, nvars: int) -> tuple:
+    """The reduced Groebner basis of packed items on nvars variables with an
+    elimination block of nelim, in the order they are packed in.
 
-    The packed layout reads each weight less the least one, so orders whose
-    weights differ by a uniform shift pack alike; groebner passes the order
-    with its weights so reduced, and they share one cache entry."""
-    return _autoreduce(_buchberger(items, K.packing(*order, nvars))) if items else ()
+    _buchberger reads only the shape of the order, so the run goes on the
+    ring-shape Packing, and the cache key is the packed items and the shape:
+    items packed alike under two orders, say weights that differ by a uniform
+    shift or only at a position no item uses, share one entry."""
+    return _autoreduce(_buchberger(items, K.packing((0,), nelim, 0, nvars))) if items else ()
 
 
 @lru_cache(maxsize=65536)
 def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tuple) -> tuple:
     """A Groebner basis of {g_i + eps_i} and the modulo elements in F + R^m,
     as (the reduced basis of its elements led in an auxiliary position, its
-    elements led in F as _buchberger gives them, the product order).
+    elements led in F as _buchberger gives them, the Packing of the product
+    order), so the cache entry holds that Packing for its readers.
 
     Only the m items carry an auxiliary basis vector eps_i; the modulo
     elements enter with no auxiliary part, so their cofactors are never
@@ -548,13 +551,12 @@ def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tupl
     for g in items:
         w = pk.weights(g)
         aux.append(w.pop() if len(w) == 1 else 0)
-    porder = (tuple(weights) + tuple(aux), nelim, rank)
-    ppk = K.packing(*porder, nvars)
+    ppk = K.packing(tuple(weights) + tuple(aux), nelim, rank, nvars)
     embedded = [ppk.rebase(g, pk) + (ppk.unit(rank + i),) for i, g in enumerate(items)]
     embedded += [ppk.rebase(g, pk) for g in modulo]
     basis = _buchberger(embedded, ppk)
     aux = _autoreduce(v for v in basis if v[0][1] & FIELD >= rank)
-    return aux, tuple(v for v in basis if v[0][1] & FIELD < rank), porder
+    return aux, tuple(v for v in basis if v[0][1] & FIELD < rank), ppk
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +586,12 @@ def groebner(gens: Sequence, module: FreeModule | None = None):
     """Reduced Groebner basis of the submodule (or ideal) generated by gens.
 
     Returns values of the same kind as the input (polys in, polys out).  The
-    cache key drops a uniform weight shift, which leaves every packed key as
-    it is, so a module and its shifts M(s) share one run.
+    cache key is the packed items and the shape of the order (_groebner_raw):
+    packing drops a uniform weight shift, so a module and its shifts M(s)
+    share one run.
     """
     kind, space, mod, items = _coerce_inputs(gens, module)
-    weights, nelim, possplit = mod.order()
-    lo = min(weights)
-    order = (tuple(w - lo for w in weights), nelim, possplit)
-    gb = _groebner_raw(tuple(t for t in items if t), order, mod.ring.nvars)
+    gb = _groebner_raw(tuple(t for t in items if t), mod.order()[1], mod.ring.nvars)
     return tuple(kind(space, g) for g in gb)
 
 
@@ -621,9 +621,8 @@ def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
         return f, ()
     k = len(gens)
     rank = mod.rank
-    aux, rest, porder = _tracked_raw(tuple(items[1 : k + 1]), rank, mod.order(), mod.ring.nvars, tuple(items[k + 1 :]))
+    aux, rest, ppk = _tracked_raw(tuple(items[1 : k + 1]), rank, mod.order(), mod.ring.nvars, tuple(items[k + 1 :]))
     pk = mod.packing
-    ppk = K.packing(*porder, mod.ring.nvars)
     r, _ = K.reduce(ppk.rebase(f.terms, pk), aux + rest)
     # F's positions lead the product order, so the remainder's F-part comes first
     split = next((j for j, t in enumerate(r) if t[1] & FIELD >= rank), len(r))
@@ -657,11 +656,10 @@ def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence 
     if not k:
         return ()
     rank = mod.rank
-    aux, _, porder = _tracked_raw(tuple(items[:k]), rank, mod.order(), mod.ring.nvars, tuple(items[k:]))
+    aux, _, ppk = _tracked_raw(tuple(items[:k]), rank, mod.order(), mod.ring.nvars, tuple(items[k:]))
     # the output weights are the k auxiliary ones, so every auxiliary
     # position moves by one delta and the order is kept
-    smod = FreeModule(mod.ring, porder[0][-k:])
-    ppk = K.packing(*porder, mod.ring.nvars)
+    smod = FreeModule(mod.ring, ppk.args[0][-k:])
     return tuple(FreeElement(smod, smod.packing.rebase(v, ppk, -rank)) for v in aux)
 
 
@@ -686,18 +684,18 @@ def substitute(x, dst, mapping: dict):
 _ELIM_ORDER = ((0,), 1, 0)
 
 
-def _lift_terms(terms: tuple, nvars: int, tdeg: int = 0) -> tuple:
-    """t^tdeg times a ring poly on nvars variables, in the elimination order
-    on t and them, t first; the order of its terms is kept.
+def _lift_terms(terms: tuple, epk, tdeg: int = 0) -> tuple:
+    """t^tdeg times a ring poly, in the elimination order on t and the ring's
+    variables, t first, whose Packing is epk; the order of its terms is kept.
 
     A shift of the packed fields, with no exponent tuple made: each key and
     dkey moves up one field, the dkey gains tdeg in t's field and the key
     tdeg times t's coefficient (Packing.lift).  A term whose degree tdeg
     lifts to LIMIT raises ResourceCapError."""
-    return K.packing(*_ELIM_ORDER, nvars + 1).lift(terms, tdeg)
+    return epk.lift(terms, tdeg)
 
 
-def _t_free(items: Iterable[tuple], nvars: int) -> tuple:
+def _t_free(items: Iterable[tuple], epk) -> tuple:
     """The reduced basis, in the ring order, of the ideal of the lifted items
     intersected with the ring.
 
@@ -710,11 +708,10 @@ def _t_free(items: Iterable[tuple], nvars: int) -> tuple:
     _buchberger's basis is never reduced.  The elimination order restricted
     to t-free monomials is the ring order, so that part is already the ring's
     reduced basis; a right shift by one field takes t back out
-    (Packing.lower).
+    (Packing.lower).  epk is the elimination order's Packing.
     """
-    pk = K.packing(*_ELIM_ORDER, nvars + 1)
-    basis = _buchberger(items, pk)
-    return tuple(pk.lower(g) for g in _autoreduce(g for g in basis if not g[0][1] >> BITS & FIELD))
+    basis = _buchberger(items, epk)
+    return tuple(epk.lower(g) for g in _autoreduce(g for g in basis if not g[0][1] >> BITS & FIELD))
 
 
 def _contains_unit(gb: tuple) -> bool:
@@ -738,9 +735,10 @@ def _saturate_raw(ideal: tuple, h: tuple, nvars: int) -> tuple:
     first and dominates the elimination order (Rabinowitsch trick)."""
     if not h:
         return (((0, 0, 1, 1),),)
-    items = [_lift_terms(g, nvars) for g in ideal]
-    items.append(K.sub(((0, 0, 1, 1),), _lift_terms(h, nvars, 1)))
-    return _t_free(items, nvars)
+    epk = K.packing(*_ELIM_ORDER, nvars + 1)
+    items = [_lift_terms(g, epk) for g in ideal]
+    items.append(K.sub(((0, 0, 1, 1),), _lift_terms(h, epk, 1)))
+    return _t_free(items, epk)
 
 
 @lru_cache(maxsize=65536)
@@ -748,9 +746,10 @@ def _intersect_raw(a: tuple, b: tuple, nvars: int) -> tuple:
     """I and J intersected = (t*I + (1 - t)*J) intersected with the ring."""
     if not a or not b:
         return ()
-    items = [_lift_terms(g, nvars, 1) for g in a]
-    items += [K.sub(_lift_terms(g, nvars), _lift_terms(g, nvars, 1)) for g in b]
-    return _t_free(items, nvars)
+    epk = K.packing(*_ELIM_ORDER, nvars + 1)
+    items = [_lift_terms(g, epk, 1) for g in a]
+    items += [K.sub(_lift_terms(g, epk), _lift_terms(g, epk, 1)) for g in b]
+    return _t_free(items, epk)
 
 
 def _ideal_terms(gens: Sequence, ring: EdgeRing) -> tuple:
@@ -780,7 +779,7 @@ def intersect_ideals(a: Sequence[GradedPoly], b: Sequence[GradedPoly], ring: Edg
 
 
 def ideal_contains_one(gens: Sequence[GradedPoly], ring: EdgeRing) -> bool:
-    gb = _groebner_raw(_ideal_terms(gens, ring), _RING_ORDER, ring.nvars)
+    gb = _groebner_raw(_ideal_terms(gens, ring), _RING_ORDER[1], ring.nvars)
     return _contains_unit(gb)
 
 

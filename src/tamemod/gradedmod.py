@@ -44,8 +44,8 @@ what _prune keeps of a reduced basis.  The basis of a direct sum is the
 union of its summands' bases, in descending lead order (direct_sum).  The
 cokernel of a map whose columns hold a constant multiple of every target
 generator has the generators as its basis (_coker).  A shift M(s) has M's
-packed relations, and groebner's cache key drops a uniform weight shift, so
-M(s) reuses M's run.
+packed relations, and groebner's cache key is the packed items and the
+shape of the order, so M(s) reuses M's run.
 
 _prune presents a module on fewer generators by graded Nakayama: a relation
 with a constant entry at a generator makes that generator redundant, and

@@ -89,7 +89,7 @@ class Certificate:
         return hash((self.kind, self._parts()))
 
     def __repr__(self):
-        return f"<{self.kind} certificate, level {type_level(self)}, root rank {self.root.rank}>"
+        return f"<{self.kind} certificate, level {self.level}, root rank {self.root.rank}>"
 
 
 class GenNode(Certificate):
@@ -168,11 +168,6 @@ class ExtNode(Certificate):
 KINDS: dict[str, type[Certificate]] = {cls.kind: cls for cls in (ZeroNode, GenNode, SubNode, QuotNode, ExtNode)}
 
 
-def type_level(c: Certificate) -> int:
-    """0 for leaves; 1 + the maximum over children otherwise (c.level)."""
-    return c.level
-
-
 # ---------------------------------------------------------------------------
 # Verification
 
@@ -249,7 +244,7 @@ def transform(
     generator (_zero_output).  The rules below a node therefore see only
     nonzero outputs; a zero witness of a nonzero submodule, which no valid
     input has, raises CertificateError.  The recursion terminates: the pair
-    (degree, type_level) decreases lexicographically along each recursion
+    (degree, level) decreases lexicographically along each recursion
     edge.
     """
     if degree not in (0, 1):
@@ -634,7 +629,7 @@ def transform_roundtrip(
     """Transform one certificate in both degrees and record every check:
     output verification, root-presentation agreement with the functor, and the
     support oracle on both outputs."""
-    out = {"level": type_level(cert)}
+    out = {"level": cert.level}
     for i in (0, 1):
         res = transform(cert, e, e_prime, i)
         ver = verify(res, pred_base)

@@ -252,6 +252,32 @@ def test_cert_verify_ragged_matrix_exits_2(tmp_path, capsys):
     assert "matrix shape 2x1" in capsys.readouterr().err
 
 
+def test_cert_transform_output_failing_the_base_predicate_exits_1(tmp_path, capsys):
+    # max-blocks:1 on the base graph breaks merge closure: the merged
+    # partition {a}{e} has two blocks, so the output does not verify
+    out = tmp_path / "never.json"
+    code = run("cert", "transform", "--in", RELATED, "--cert", "c_related",
+               "--base-pred", "max-blocks:1", "--out", str(out))
+    assert code == 1
+    assert "transformed certificate does not verify" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_workspace_is_an_io_error(tmp_path, capsys):
+    assert run("cert", "verify", "--in", str(tmp_path / "missing.json"), "--cert", "c_ideal") == 2
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_certificate_of_unknown_kind_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(SUB_IDEAL).read_text())
+    doc["certificates"]["c_ideal"]["parent"]["kind"] = "mystery"
+    bad = tmp_path / "unknown.json"
+    bad.write_text(json.dumps(doc))
+    assert run("cert", "verify", "--in", str(bad), "--cert", "c_ideal") == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and "unknown kind 'mystery'" in err
+
+
 def test_cert_transform_needs_out():
     assert run("cert", "transform", "--in", SUB_IDEAL, "--cert", "c_ideal") == 2
 

@@ -256,10 +256,10 @@ def test_elimination_outputs_are_reduced_bases():
         raw_a = tuple(g.terms for g in a)
         for h in hs:
             out = _saturate_raw(raw_a, h.terms, R.nvars)
-            assert _groebner_raw(out, _RING_ORDER, R.nvars) == out
+            assert _groebner_raw(out, _RING_ORDER[1], R.nvars) == out
         for b in ideals:
             out = _intersect_raw(raw_a, tuple(g.terms for g in b), R.nvars)
-            assert _groebner_raw(out, _RING_ORDER, R.nvars) == out
+            assert _groebner_raw(out, _RING_ORDER[1], R.nvars) == out
 
 
 def _lift_by_tuples(terms, nvars, tdeg=0):
@@ -273,7 +273,7 @@ def _elimination_route(items, nvars):
     """The elimination route _saturate_raw and _intersect_raw once took, kept
     as their oracle: the full reduced basis in the elimination order, of
     which the t-free elements go back to the ring through exponent tuples."""
-    gb = _groebner_raw(tuple(t for t in items if t), _ELIM_ORDER, nvars + 1)
+    gb = _groebner_raw(tuple(t for t in items if t), _ELIM_ORDER[1], nvars + 1)
     src, dst = K.packing(*_ELIM_ORDER, nvars + 1), K.packing(*_RING_ORDER, nvars)
     return tuple(
         dst.pack([(0, e[1:], n, d) for _, e, n, d in src.unpack(g)])
@@ -298,9 +298,10 @@ def _intersect_route(a, b, nvars):
 
 
 def _check_elimination(a, b, h, nvars):
+    epk = K.packing(*_ELIM_ORDER, nvars + 1)
     for g in a + b + (h,):
         for tdeg in (0, 1):
-            assert _lift_terms(g, nvars, tdeg) == _lift_by_tuples(g, nvars, tdeg)
+            assert _lift_terms(g, epk, tdeg) == _lift_by_tuples(g, nvars, tdeg)
     assert _saturate_raw(a, h, nvars) == _saturate_route(a, h, nvars)
     assert _intersect_raw(a, b, nvars) == _intersect_route(a, b, nvars)
 
@@ -407,7 +408,7 @@ _oracle_settings = settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), _raw_elements(n, [0], _RING_ORDER))))
 def test_criteria_match_oracle_ideals(case):
     n, items = case
-    assert _groebner_raw(items, _RING_ORDER, n) == _oracle_gb(items, _RING_ORDER, n)
+    assert _groebner_raw(items, _RING_ORDER[1], n) == _oracle_gb(items, _RING_ORDER, n)
 
 
 @_oracle_settings
@@ -420,11 +421,11 @@ def test_criteria_match_oracle_rabinowitsch(case):
     # I + (1 - t*h) under the elimination order: inhomogeneous input
     nvars, ideal, h = case
     epk = K.packing(*_ELIM_ORDER, nvars + 1)
-    th = K.mul(epk.pack(((0, (1,) + (0,) * nvars, 1, 1),)), _lift_terms(h, nvars))
-    assert th == _lift_terms(h, nvars, 1)
+    th = K.mul(epk.pack(((0, (1,) + (0,) * nvars, 1, 1),)), _lift_terms(h, epk))
+    assert th == _lift_terms(h, epk, 1)
     one = epk.pack(((0, (0,) * (nvars + 1), 1, 1),))
-    items = tuple(_lift_terms(g, nvars) for g in ideal) + (K.sub(one, th),)
-    assert _groebner_raw(items, _ELIM_ORDER, nvars + 1) == _oracle_gb(items, _ELIM_ORDER, nvars + 1)
+    items = tuple(_lift_terms(g, epk) for g in ideal) + (K.sub(one, th),)
+    assert _groebner_raw(items, _ELIM_ORDER[1], nvars + 1) == _oracle_gb(items, _ELIM_ORDER, nvars + 1)
 
 
 def _rabinowitsch_member(f, ideal_gens):
@@ -434,9 +435,10 @@ def _rabinowitsch_member(f, ideal_gens):
     nvars = f.ring.nvars
     if f.is_zero():
         return True
-    items = [_lift_terms(g.terms, nvars) for g in ideal_gens if not g.is_zero()]
-    items.append(K.sub(((0, 0, 1, 1),), _lift_terms(f.terms, nvars, 1)))
-    gb = _groebner_raw(tuple(t for t in items if t), _ELIM_ORDER, nvars + 1)
+    epk = K.packing(*_ELIM_ORDER, nvars + 1)
+    items = [_lift_terms(g.terms, epk) for g in ideal_gens if not g.is_zero()]
+    items.append(K.sub(((0, 0, 1, 1),), _lift_terms(f.terms, epk, 1)))
+    gb = _groebner_raw(tuple(t for t in items if t), _ELIM_ORDER[1], nvars + 1)
     return any(g[0][1] == 0 for g in gb)
 
 
@@ -496,15 +498,15 @@ def test_criteria_match_oracle_rank2(case):
     # the example's coprime pair x*e0, y^2*e0 + e1 has S-polynomial -x*e1,
     # which is not zero modulo the pair
     n, order, items = case
-    assert _groebner_raw(items, order, n) == _oracle_gb(items, order, n)
+    assert _groebner_raw(items, order[1], n) == _oracle_gb(items, order, n)
 
 
 def _tracked_oracle(items, rank, order, nvars, modulo):
     """_oracle_gb of the items, each with its auxiliary unit, and the modulo
     elements in _tracked_raw's product order; the input goes through exponent
     tuples, not through rebase."""
-    porder = _tracked_raw(items, rank, order, nvars, modulo)[2]
-    pk, ppk = K.packing(*order, nvars), K.packing(*porder, nvars)
+    ppk = _tracked_raw(items, rank, order, nvars, modulo)[2]
+    porder, pk = ppk.args[:3], K.packing(*order, nvars)
     zero = (0,) * nvars
     embedded = [ppk.pack(pk.unpack(g) + ((rank + i, zero, 1, 1),)) for i, g in enumerate(items)]
     return _oracle_gb(embedded + [ppk.pack(pk.unpack(g)) for g in modulo], porder, nvars)
@@ -554,9 +556,9 @@ def _reference_reduce_with_expression(f, gens, modulo):
     mod = f.module
     rank, k = mod.rank, len(gens)
     items, rels = tuple(g.terms for g in gens), tuple(g.terms for g in modulo)
-    aux, rest, porder = _tracked_raw(items, rank, mod.order(), mod.ring.nvars, rels)
+    aux, rest, ppk = _tracked_raw(items, rank, mod.order(), mod.ring.nvars, rels)
     basis = _reference_autoreduce_below(rest, aux)
-    pk, ppk = mod.packing, K.packing(*porder, mod.ring.nvars)
+    pk = mod.packing
     r, _ = K.reduce(ppk.rebase(f.terms, pk), basis)
     split = next((j for j, t in enumerate(r) if t[1] & FIELD >= rank), len(r))
     cof_terms = [[] for _ in range(k)]
@@ -596,8 +598,8 @@ def test_syzygies_match_the_aux_part_of_the_oracle(case):
     F = FreeModule(R, order[0])
     out = syzygies([FreeElement(F, g) for g in items], module=F, modulo=[FreeElement(F, g) for g in modulo])
     full = _tracked_oracle(items, rank, order, 2, modulo)
-    porder = _tracked_raw(items, rank, order, 2, modulo)[2]
-    ppk, smod = K.packing(*porder, 2), FreeModule(R, porder[0][rank:])
+    ppk = _tracked_raw(items, rank, order, 2, modulo)[2]
+    smod = FreeModule(R, ppk.args[0][rank:])
     assert all(s.module == smod for s in out)
     assert tuple(s.terms for s in out) == tuple(smod.packing.rebase(v, ppk, -rank) for v in full if _pos(v) >= rank)
 
@@ -1159,10 +1161,9 @@ def test_a_dropped_space_leaves_the_table():
 
 
 def test_a_live_space_keeps_the_packing_of_its_order():
-    # a Packing that outlives a clear of the packing lru is the one the lru
-    # hands out next, so no second Packing of its order is built beside it
+    # the Packing a space holds is the one packing hands out for its order,
+    # so no second Packing of its order is built beside it
     M = FreeModule(EdgeRing(("x", "y")), (3, 1, 4))
-    K.packing.cache_clear()
     assert K.packing(*M.order(), M.ring.nvars) is M.packing
     assert K.packing(*_RING_ORDER, 2) is M.ring.packing
 
@@ -1175,9 +1176,65 @@ def test_a_move_keeps_no_packing_alive():
     assert dst.rebase(f, src, 1) == K.packing((1, 7, 9), 0, 0, 2).build([(2, (1, 0), 1, 1), (1, (0, 3), 2, 1)])
     ref = weakref.ref(src)
     del src
-    K.packing.cache_clear()
     gc.collect()
     assert ref() is None and dst.moves
+
+
+def test_a_tracked_run_holds_its_product_packing_while_cached():
+    # the Packing of the product order lives in the tracked run's cache
+    # entry, which syzygies and reduce_with_expression read it from; nothing
+    # else keeps it, so it dies with the entry
+    R = EdgeRing(("tracked_u", "tracked_v"))
+    u, v = R.var("tracked_u"), R.var("tracked_v")
+    gens = [u * v, u * u]
+    assert syzygies(gens) == (FreeModule(R, (2, 2)).element([u, -v]),)
+    ppk = _tracked_raw(tuple(g.terms for g in gens), 1, R.rank_one.order(), 2, ())[2]
+    assert ppk.args == ((0, 2, 2), 0, 1, 2) and K.packing(*ppk.args) is ppk
+    ref = weakref.ref(ppk)
+    del ppk
+    _tracked_raw.cache_clear()
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_saturation_builds_one_elimination_packing(monkeypatch):
+    # _saturate_raw and _intersect_raw look the elimination Packing up once
+    # per run, not once per generator, and hand it to _t_free; nothing keeps
+    # it once the run returns
+    R = EdgeRing(("sat_u", "sat_v", "sat_w"))
+    u, v, w = (R.var(n) for n in R.variables)
+    seen = []
+    t_free = exactalg._t_free
+
+    def recording(items, epk):
+        seen.append((epk.args, weakref.ref(epk)))
+        return t_free(items, epk)
+
+    monkeypatch.setattr(exactalg, "_t_free", recording)
+    lookups = _count_calls(monkeypatch, K, "packing")
+    assert saturate_by_ideal([u * v, u * w], [u], R) == (v, w)
+    assert intersect_ideals([u], [v, w], R) == (u * v, u * w)
+    assert len(lookups) == 2
+    assert [args for args, _ in seen] == [_ELIM_ORDER + (4,)] * 2
+    gc.collect()
+    assert all(ref() is None for _, ref in seen)
+
+
+def test_modules_that_differ_at_a_relation_free_position_share_a_run():
+    # the run is keyed on the packed items and the shape of the order, so
+    # weights that differ only where no item has a term pack alike
+    R = EdgeRing(("x", "y"))
+    x, y, zero = R.var("x"), R.var("y"), R.zero()
+    _clear_l1_caches()
+    bases = []
+    for top in (5, 7):
+        F = FreeModule(R, (0, 1, top))
+        gb = groebner([F.element([x, -R.one(), zero]), F.element([y * y, zero, zero])], module=F)
+        assert all(g.module is F for g in gb)
+        bases.append(tuple(g.terms for g in gb))
+    assert bases[0] == bases[1]
+    info = _groebner_raw.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # -- Hilbert-Poincare numerators of monomial ideals -------------------------------------

@@ -768,6 +768,16 @@ def test_tame_support_empty_list(p_related):
     assert not is_tame_support(PresentedModule.free(ring, (0,)), [])
 
 
+def test_tame_support_partition_on_another_ground_raises(p_related):
+    # every partition's ground is checked against the ring before any
+    # decision, a zero module's included
+    m = partition_module(p_related)
+    other = make_partition(["a", "e"], [["a", "e"]])
+    for mod in (m, PresentedModule.zero(m.ring)):
+        with pytest.raises(StructuralError, match="does not match module ring"):
+            is_tame_support(mod, [p_related, other])
+
+
 def test_tame_support_free_not_in_single_subspace(p_related):
     ring = partition_module(p_related).ring
     assert not is_tame_support(PresentedModule.free(ring, (0,)), [p_related])

@@ -488,12 +488,12 @@ def test_table_is_emptied_at_its_cap(monkeypatch):
     # 29 distinct tuples, over three times the cap, packed and unpacked
     # under two orders that share the table
     monkeypatch.setattr(impl, "TABLE_CAP", 8)
-    impl.packing.cache_clear()  # a table filled by another test starts empty
-    impl._exponent_table.cache_clear()
+    impl._exponent_table.cache_clear()  # a table filled by another test starts empty
     orders = [((0, 2), 1, 0), ((1, -1), 1, 1)]
     # the premise: a Packing that another test holds outlives the clear, so
     # check that both orders' Packings are fresh and share one table
-    assert impl.packing(*orders[0], 3).table is impl.packing(*orders[1], 3).table
+    fresh = [impl.packing(*order, 3) for order in orders]
+    assert fresh[0].table is fresh[1].table
     for k in range(24):
         order = orders[k % 2]
         pk = impl.packing(*order, 3)

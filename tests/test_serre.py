@@ -43,7 +43,6 @@ from tamemod.serre import (
     random_certificate,
     transform,
     transform_corpus,
-    type_level,
     verify,
 )
 
@@ -64,13 +63,13 @@ def ideal_sub_cert(p, weight_one_var="a"):
 
 def test_type_levels(p_related):
     g = GenNode(p_related, 0)
-    assert type_level(g) == 0
+    assert g.level == 0
     s = ideal_sub_cert(p_related)
-    assert type_level(s) == 1
+    assert s.level == 1
     e = _direct_sum_cert(s, GenNode(p_related, 1))
-    assert type_level(e) == 2
+    assert e.level == 2
     # the deeper child on either side
-    assert type_level(_direct_sum_cert(GenNode(p_related, 1), s)) == 2
+    assert _direct_sum_cert(GenNode(p_related, 1), s).level == 2
 
 
 def test_zero_certificate_contract(p_related):
@@ -78,7 +77,7 @@ def test_zero_certificate_contract(p_related):
     z = ZeroNode(ring)
     assert verify(z, PRED)
     assert verify(z, DiscreteOnly())
-    assert type_level(z) == 0
+    assert z.level == 0
     out = transform(z, "e", "e'", 0)
     assert isinstance(out, ZeroNode)
 
@@ -152,7 +151,36 @@ def test_verify_ext_detects_broken_middle(p_related, p_unrelated):
     total, injs, projs = direct_sum([a.root, b.root])
     broken = ExtNode(a, a, injs[0], projs[0])  # projection kills the image of inj
     res = verify(broken, PRED)
-    assert not res and "exact" in res.reason
+    assert not res and res.reason == "extension is not exact in the middle"
+
+
+def test_verify_ext_names_the_failing_witness(p_related, p_unrelated):
+    # the direct sum passes; a zero injection or a zero projection in its
+    # place fails, named (exactness: test_verify_ext_detects_broken_middle)
+    a, b = GenNode(p_related, 0), GenNode(p_unrelated, 0)
+    total, injs, projs = direct_sum([a.root, b.root])
+    cases = [
+        (injs[0], projs[1], None),
+        (ModuleMap.zero_map(a.root, total), projs[1], "extension injection is not injective"),
+        (injs[0], ModuleMap.zero_map(total, b.root), "extension projection is not surjective"),
+    ]
+    for inj, proj, reason in cases:
+        res = verify(ExtNode(a, b, inj, proj), PRED)
+        assert bool(res) is (reason is None) and res.reason == reason
+
+
+def test_ext_and_quot_nodes_reject_mismatched_witnesses(p_related, p_unrelated):
+    a, b = GenNode(p_related, 0), GenNode(p_unrelated, 0)
+    _, injs, projs = direct_sum([a.root, b.root])
+    cases = [
+        (lambda: ExtNode(b, b, injs[0], projs[1]), "injection does not start at the left root"),
+        (lambda: ExtNode(a, a, injs[0], projs[1]), "projection does not end at the right root"),
+        (lambda: ExtNode(a, a, injs[0], ModuleMap.identity(a.root)), "disagree on the middle module"),
+        (lambda: QuotNode(b, ModuleMap.identity(a.root)), "quot witness does not start at the parent's root"),
+    ]
+    for build, message in cases:
+        with pytest.raises(StructuralError, match=message):
+            build()
 
 
 # -- transform: base cases ---------------------------------------------------------------
@@ -191,6 +219,12 @@ def test_transform_zero_checks_split_pair(p_related):
             transform(ZeroNode(ring), e, e_prime, 0)
 
 
+def test_transform_rejects_a_degree_other_than_0_or_1(p_related):
+    for degree in (2, -1):
+        with pytest.raises(ValidationError, match="degree must be 0 or 1"):
+            transform(GenNode(p_related, 0), "e", "e'", degree)
+
+
 def test_transform_rejects_unverifiable_input(p_related):
     cert = GenNode(p_related, 0)
     with pytest.raises(CertificateError):
@@ -213,14 +247,14 @@ def test_transform_rejects_a_zero_witness_of_a_nonzero_sub(p_related):
 
 
 def record_transform(monkeypatch):
-    """A list that gains (depth, degree, type_level) for every call of
+    """A list that gains (depth, degree, level) for every call of
     serre._transform, the root's at depth 0: each recursive call looks
     _transform up in the module, so the wrapper sees every one."""
     inner = serre._transform
     trace, open_calls = [], []
 
     def recorded(c, e, ep, i):
-        trace.append((len(open_calls), i, type_level(c)))
+        trace.append((len(open_calls), i, c.level))
         open_calls.append(c)
         try:
             return inner(c, e, ep, i)
@@ -247,7 +281,7 @@ def test_transform_trace_measure_decreases(p_related, monkeypatch):
             _, pdeg, plvl = last_at_depth[depth - 1]
             assert (deg, lvl) < (pdeg, plvl)
         last_at_depth[depth] = (depth, deg, lvl)
-    assert trace[0] == (0, 1, type_level(cert))
+    assert trace[0] == (0, 1, cert.level)
     assert len(trace) > 2
 
 
@@ -548,7 +582,7 @@ def test_ext_numerator_identity():
 
 
 def _walked_level(c):
-    """The stack walk type_level once made, kept as its oracle."""
+    """The stack walk that once gave a node's level, kept as its oracle."""
     deepest = 0
     stack = [(c, 0)]
     while stack:
@@ -563,7 +597,7 @@ def test_stored_level_matches_a_walk_of_the_tree():
     # every node of seeded random certificates and of their transforms
     kinds = set()
     for _, node in _modulo_corpus(per_pred=5):
-        assert type_level(node) == node.level == _walked_level(node), node
+        assert node.level == _walked_level(node), node
         kinds.add(node.kind)
     assert kinds == set(serre.KINDS)
 
