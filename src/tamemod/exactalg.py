@@ -684,17 +684,6 @@ def substitute(x, dst, mapping: dict):
 _ELIM_ORDER = ((0,), 1, 0)
 
 
-def _lift_terms(terms: tuple, epk, tdeg: int = 0) -> tuple:
-    """t^tdeg times a ring poly, in the elimination order on t and the ring's
-    variables, t first, whose Packing is epk; the order of its terms is kept.
-
-    A shift of the packed fields, with no exponent tuple made: each key and
-    dkey moves up one field, the dkey gains tdeg in t's field and the key
-    tdeg times t's coefficient (Packing.lift).  A term whose degree tdeg
-    lifts to LIMIT raises ResourceCapError."""
-    return epk.lift(terms, tdeg)
-
-
 def _t_free(items: Iterable[tuple], epk) -> tuple:
     """The reduced basis, in the ring order, of the ideal of the lifted items
     intersected with the ring.
@@ -736,8 +725,8 @@ def _saturate_raw(ideal: tuple, h: tuple, nvars: int) -> tuple:
     if not h:
         return (((0, 0, 1, 1),),)
     epk = K.packing(*_ELIM_ORDER, nvars + 1)
-    items = [_lift_terms(g, epk) for g in ideal]
-    items.append(K.sub(((0, 0, 1, 1),), _lift_terms(h, epk, 1)))
+    items = [epk.lift(g) for g in ideal]
+    items.append(K.sub(((0, 0, 1, 1),), epk.lift(h, 1)))
     return _t_free(items, epk)
 
 
@@ -747,8 +736,8 @@ def _intersect_raw(a: tuple, b: tuple, nvars: int) -> tuple:
     if not a or not b:
         return ()
     epk = K.packing(*_ELIM_ORDER, nvars + 1)
-    items = [_lift_terms(g, epk, 1) for g in a]
-    items += [K.sub(_lift_terms(g, epk), _lift_terms(g, epk, 1)) for g in b]
+    items = [epk.lift(g, 1) for g in a]
+    items += [K.sub(epk.lift(g), epk.lift(g, 1)) for g in b]
     return _t_free(items, epk)
 
 
@@ -781,8 +770,6 @@ def intersect_ideals(a: Sequence[GradedPoly], b: Sequence[GradedPoly], ring: Edg
 def ideal_contains_one(gens: Sequence[GradedPoly], ring: EdgeRing) -> bool:
     gb = _groebner_raw(_ideal_terms(gens, ring), _RING_ORDER[1], ring.nvars)
     return _contains_unit(gb)
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -929,60 +929,60 @@ def cyclic_submodule(m: PresentedModule, x: FreeElement) -> CyclicSubmodule:
 # Support criterion for tameness
 
 
-def _finest(tame: tuple) -> tuple:
-    """The partitions in tame that no other one refines, in tame's order.
-
-    All share one ground set.  q refines p iff q's same-block pairs are a
-    subset of p's, and distinct partitions have distinct pair sets, so q != p
-    refines p iff q's pair set is a proper subset of p's.  A proper subset is
-    smaller, so each set is compared only with the strictly smaller ones.
-    """
-    pairs = [frozenset(pr for b in p.blocks for pr in combinations(b, 2)) for p in tame]
-    by_size = sorted(pairs, key=len)
-    sizes = [len(s) for s in by_size]
-    return tuple(
-        p for p, s in zip(tame, pairs) if not any(map(s.__gt__, islice(by_size, bisect_left(sizes, len(s)))))
-    )
-
-
 @lru_cache(maxsize=256)
 def _support_plan(tame: tuple, ring: EdgeRing):
-    """(keep, covers) of tame over ring, built once; None for an empty list.
-    Every partition's ground must be the ring's variables.
+    """(keep, covers, steps, order) of tame over ring, built once; None for
+    an empty list.  Every partition's ground must be the ring's variables.
+    Nothing changes the plan once it is cached.
 
-    keep is the list's antichain reduction, _finest of it without repeats: a
-    partition refined by another tame one covers a smaller subspace and is
-    redundant in the union.  covers says that one of them is discrete, so its
-    subspace is everything.  Nothing changes the pair once it is cached.
+    keep is the list's antichain reduction: the partitions, without repeats
+    and in tame's order, that no other one refines.  A refined partition
+    covers a smaller subspace and is redundant in the union.  covers says
+    that keep is one discrete partition, whose subspace is everything: it
+    refines every other partition, so it is all that is kept, and no pair is
+    looked at.
+
+    Otherwise each same-block pair (a, b), a before b, is one bit of an int,
+    and a partition's mask is the sum of its blocks' masks, each built once.
+    q refines p iff q's pairs are a subset of p's, and distinct partitions
+    have distinct masks, so q != p refines p iff q's mask is a proper subset
+    of p's.  A proper subset has fewer bits, so each mask is compared only
+    with those of lower popcount.
+
+    steps[i] belongs to keep[i]: its chain, the pairs joining consecutive
+    elements of a block, each as (bit, x_a - x_b), with each form built once
+    per pair (partition_ideal's generators, in its order); and its mask.
+    order is the sweep order, most blocks first.
     """
     tame = tuple(dict.fromkeys(tame))
     if not tame:
         return None
     ground = set(ring.variables)
+    for g in dict.fromkeys(p.ground for p in tame):
+        if set(g) != ground:
+            raise StructuralError(f"partition ground {g} does not match module ring {ring.variables}")
     for p in tame:
-        if set(p.ground) != ground:
-            raise StructuralError(f"partition ground {p.ground} does not match module ring {ring.variables}")
-    keep = _finest(tame)
-    return keep, any(p.is_discrete() for p in keep)
-
-
-@lru_cache(maxsize=256)
-def _sweep_plan(keep: tuple, ring: EdgeRing) -> tuple:
-    """(steps, order) for an antichain of non-discrete partitions, built once
-    per antichain and ring by the first decision that sweeps, which has
-    passed the partition cap.
-
-    steps[i] belongs to keep[i]: its chain, the pairs (a, b) joining
-    consecutive elements of a block, each with x_a - x_b, built once per pair
-    (partition_ideal's generators, in its order); and the frozenset of all its
-    same-block pairs (a, b), a before b.  order is the sweep order, most blocks first.
-    """
-    chains = [tuple(pr for b in p.blocks for pr in zip(b, b[1:])) for p in keep]
-    forms = {pr: ring.var(pr[0]) - ring.var(pr[1]) for pr in {pr for c in chains for pr in c}}
-    pairs = [frozenset(pr for b in p.blocks for pr in combinations(b, 2)) for p in keep]
-    steps = tuple((tuple((pr, forms[pr]) for pr in c), s) for c, s in zip(chains, pairs))
+        if p.is_discrete():
+            return (p,), True, (), ()
+    bit = {pr: 1 << i for i, pr in enumerate(combinations(tame[0].ground, 2))}
+    block_mask = {b: sum(bit[pr] for pr in combinations(b, 2)) for b in {b for p in tame for b in p.blocks}}
+    masks = [sum(map(block_mask.__getitem__, p.blocks)) for p in tame]
+    by_count = sorted(masks, key=int.bit_count)
+    counts = [s.bit_count() for s in by_count]
+    keep, steps, forms = [], [], {}
+    for p, s in zip(tame, masks):
+        if any(map(s.__eq__, map(s.__or__, islice(by_count, bisect_left(counts, s.bit_count()))))):
+            continue
+        chain = []
+        for b in p.blocks:
+            for pr in zip(b, b[1:]):
+                if pr not in forms:
+                    forms[pr] = ring.var(pr[0]) - ring.var(pr[1])
+                chain.append((bit[pr], forms[pr]))
+        keep.append(p)
+        steps.append((tuple(chain), s))
     order = tuple(sorted(range(len(keep)), key=lambda i: (-keep[i].block_count, keep[i].blocks)))
-    return steps, order
+    return tuple(keep), False, tuple(steps), order
 
 
 def _is_linear(gb: tuple, ring: EdgeRing) -> bool:
@@ -993,7 +993,8 @@ def _is_linear(gb: tuple, ring: EdgeRing) -> bool:
 
 def _sweep_covers(current: tuple, steps: tuple, order: tuple, ring: EdgeRing) -> bool:
     """Whether V(current), a proper ideal given by its reduced homogeneous
-    basis, lies in the union of the subspaces of a _sweep_plan: current is
+    basis, lies in the union of the subspaces of the partitions a
+    _support_plan keeps, given the plan's steps and order: current is
     saturated by each I_P in turn, finest partitions first, which removes the
     components covered by that subspace; containment holds iff the unit ideal
     is reached.
@@ -1007,8 +1008,9 @@ def _sweep_covers(current: tuple, steps: tuple, order: tuple, ring: EdgeRing) ->
     saturations commute.  So once J : g^infinity = J, g stays a no-op for
     every later J, which is a saturation of this one; and a partition with a
     no-op g among its same-block pairs leaves J unchanged, since
-    J <= J : I_P^infinity <= J : g^infinity = J, and is skipped.  The table
-    is rebuilt only when a step really changes J.
+    J <= J : I_P^infinity <= J : g^infinity = J, and is skipped.  The no-ops
+    are held as an int of pair bits, so the skip test is one AND with the
+    partition's mask.  The table is rebuilt only when a step really changes J.
 
     An entry needs no saturation while J is linear, generated by forms of
     degree 1: such a J is prime, so J : g^infinity is J for g not in J, and
@@ -1017,25 +1019,25 @@ def _sweep_covers(current: tuple, steps: tuple, order: tuple, ring: EdgeRing) ->
     whenever a step changes J; any other J is saturated.
     """
     one = (ring.one(),)
-    sat = {}  # pair -> current : g^infinity
-    noop = set()  # pairs g with current : g^infinity = current, now and from here on
+    sat = {}  # pair bit -> current : g^infinity
+    noop = 0  # bits of the pairs g with current : g^infinity = current, now and from here on
     linear = _is_linear(current, ring)
     for i in order:
-        chain, pairs = steps[i]
-        if not noop.isdisjoint(pairs):
+        chain, mask = steps[i]
+        if noop & mask:
             continue
         acc = None
-        for pr, g in chain:
-            if pr not in sat:
+        for b, g in chain:
+            if b not in sat:
                 if linear:
-                    sat[pr] = one if normal_form(g, current).is_zero() else current
+                    sat[b] = one if normal_form(g, current).is_zero() else current
                 else:
-                    sat[pr] = saturate_by_ideal(current, [g], ring)
-                if sat[pr] == current:
-                    noop.add(pr)
+                    sat[b] = saturate_by_ideal(current, [g], ring)
+                if sat[b] == current:
+                    noop |= b
                     break
             # (1) meets any ideal X in X
-            acc = sat[pr] if acc is None or acc == one else intersect_ideals(acc, sat[pr], ring)
+            acc = sat[b] if acc is None or acc == one else intersect_ideals(acc, sat[b], ring)
         else:
             if acc != current:
                 current, sat = acc, {}
@@ -1061,24 +1063,24 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     (annihilator); and while the swept ideal is linear, hence prime, each
     pair's saturation is one normal form (_sweep_covers).
 
-    What depends on the tame list and the ring alone is built once
-    (_support_plan, then _sweep_plan).  The outcomes come in this order: an
-    empty list decides by m.is_zero(); a partition on another ground raises
-    StructuralError; a zero module, or a discrete partition in the list,
-    gives True; more than MAX_TAME_SUBSPACES partitions in the reduced
-    antichain raise ResourceCapError before any algebra is done.
+    What depends on the tame list and the ring alone is built once, in one
+    plan on bitmasks of same-block pairs (_support_plan).  The outcomes come
+    in this order: an empty list decides by m.is_zero(); a partition on
+    another ground raises StructuralError; a zero module, or a discrete
+    partition in the list, gives True; more than MAX_TAME_SUBSPACES
+    partitions in the reduced antichain raise ResourceCapError before any
+    algebra is done.
     """
     plan = _support_plan(tuple(tame), m.ring)
     if plan is None:
         return m.is_zero()
-    keep, covers = plan
+    keep, covers, steps, order = plan
     if m.is_zero() or covers:
         return True
     if len(keep) > MAX_TAME_SUBSPACES:
         raise ResourceCapError(
             f"{len(keep)} tame subspaces exceed the partition cap {MAX_TAME_SUBSPACES}"
         )
-    steps, order = _sweep_plan(keep, m.ring)
     one = (m.ring.one(),)
     for i in range(m.rank):
         ann = annihilator(m, m.gen(i))

@@ -10,7 +10,7 @@ merge-closure axiom, which check_merge_closure can verify exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ResourceCapError, ValidationError
@@ -159,13 +159,12 @@ class CoBlocked(TamenessPredicate):
             raise ValidationError("co-blocked predicate needs at least one edge")
         if "" in self.edges:
             raise ValidationError("co-blocked edge names must not be empty")
+        self._edges = frozenset(self.edges)
 
     def __call__(self, p: Partition) -> bool:
-        present = [x for x in self.edges if x in p.ground]
-        if not present:
-            return True
-        block = set(p.block_of(present[0]))
-        return all(x in block for x in present)
+        # the designated edges present in p's ground lie in one block iff at
+        # most one block meets them
+        return sum(not self._edges.isdisjoint(b) for b in p.blocks) <= 1
 
     def params(self) -> dict:
         return {"edges": list(self.edges)}
@@ -224,32 +223,19 @@ def predicate_from_config(cfg) -> TamenessPredicate:
 def iter_partitions(edges: Sequence[str]) -> Iterator[Partition]:
     """All partitions of the edge set, in restricted-growth-string order.
 
-    The ground is validated once, as make_partition would.  A restricted
-    growth string on the sorted edges fills each block in sorted order and
-    opens the blocks in the order of their first elements, so every
+    The ground is validated once, as make_partition would.  The partitions
+    are built breadth first: each partition of the first k sorted edges is
+    extended by edge k + 1, put in each of its blocks in turn and then in a
+    new block.  That is the lexicographic order of restricted growth strings
+    (Knuth, TAOCP 4A, Sec. 7.2.1.5).  Each block fills in sorted order and
+    the blocks open in the order of their first elements, so every
     partition comes out in canonical form and is built as it is."""
-    edges = list(edges)
-    if not edges:
-        yield Partition((), ())
-        return
-    # the one-block partition validates the ground
-    edges = make_partition(edges, [edges]).ground
-    n = len(edges)
-
-    def walk(rgs: list[int], maxval: int):
-        i = len(rgs)
-        if i == n:
-            blocks: dict[int, list[str]] = {}
-            for x, b in zip(edges, rgs):
-                blocks.setdefault(b, []).append(x)
-            yield Partition(edges, tuple(map(tuple, blocks.values())))
-            return
-        for b in range(maxval + 2):
-            rgs.append(b)
-            yield from walk(rgs, max(maxval, b))
-            rgs.pop()
-
-    yield from walk([0], 0)
+    # the discrete partition validates the ground
+    edges = make_partition(edges, [[x] for x in edges]).ground
+    parts = [()]
+    for x in edges:
+        parts = [p[:j] + (b + (x,),) + p[j + 1 :] for p in parts for j, b in enumerate(p + ((),))]
+    yield from map(partial(Partition, edges), parts)
 
 
 @lru_cache(maxsize=1024)

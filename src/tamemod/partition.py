@@ -33,7 +33,7 @@ class Partition:
         return len(self.blocks)
 
     def is_discrete(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
+        return len(self.blocks) == len(self.ground)
 
     def __hash__(self):
         # computed once: tame lists are hashed whole as lru keys

@@ -604,14 +604,17 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
     """fn over tasks, in order, on at most `jobs` worker processes.
 
     The pool never has more workers than cores or tasks; with one worker the
-    tasks run in this process.
+    tasks run in this process.  Workers are spawned, each a fresh interpreter
+    that imports fn's module, since a fork of a process that has threads can
+    deadlock.
     """
     jobs = min(jobs, os.cpu_count() or 1, len(tasks))
     if jobs <= 1:
         return [fn(t) for t in tasks]
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, tasks))
 
 

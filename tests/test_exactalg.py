@@ -35,7 +35,6 @@ from tamemod.exactalg import (
     _buchberger,
     _groebner_raw,
     _intersect_raw,
-    _lift_terms,
     _monic,
     _saturate_raw,
     _tracked_raw,
@@ -301,7 +300,7 @@ def _check_elimination(a, b, h, nvars):
     epk = K.packing(*_ELIM_ORDER, nvars + 1)
     for g in a + b + (h,):
         for tdeg in (0, 1):
-            assert _lift_terms(g, epk, tdeg) == _lift_by_tuples(g, nvars, tdeg)
+            assert epk.lift(g, tdeg) == _lift_by_tuples(g, nvars, tdeg)
     assert _saturate_raw(a, h, nvars) == _saturate_route(a, h, nvars)
     assert _intersect_raw(a, b, nvars) == _intersect_route(a, b, nvars)
 
@@ -421,10 +420,10 @@ def test_criteria_match_oracle_rabinowitsch(case):
     # I + (1 - t*h) under the elimination order: inhomogeneous input
     nvars, ideal, h = case
     epk = K.packing(*_ELIM_ORDER, nvars + 1)
-    th = K.mul(epk.pack(((0, (1,) + (0,) * nvars, 1, 1),)), _lift_terms(h, epk))
-    assert th == _lift_terms(h, epk, 1)
+    th = K.mul(epk.pack(((0, (1,) + (0,) * nvars, 1, 1),)), epk.lift(h))
+    assert th == epk.lift(h, 1)
     one = epk.pack(((0, (0,) * (nvars + 1), 1, 1),))
-    items = tuple(_lift_terms(g, epk) for g in ideal) + (K.sub(one, th),)
+    items = tuple(epk.lift(g) for g in ideal) + (K.sub(one, th),)
     assert _groebner_raw(items, _ELIM_ORDER[1], nvars + 1) == _oracle_gb(items, _ELIM_ORDER, nvars + 1)
 
 
@@ -436,8 +435,8 @@ def _rabinowitsch_member(f, ideal_gens):
     if f.is_zero():
         return True
     epk = K.packing(*_ELIM_ORDER, nvars + 1)
-    items = [_lift_terms(g.terms, epk) for g in ideal_gens if not g.is_zero()]
-    items.append(K.sub(((0, 0, 1, 1),), _lift_terms(f.terms, epk, 1)))
+    items = [epk.lift(g.terms) for g in ideal_gens if not g.is_zero()]
+    items.append(K.sub(((0, 0, 1, 1),), epk.lift(f.terms, 1)))
     gb = _groebner_raw(tuple(t for t in items if t), _ELIM_ORDER[1], nvars + 1)
     return any(g[0][1] == 0 for g in gb)
 

@@ -50,9 +50,8 @@ from tamemod.gradedmod import (
     six_term,
     submodule_from_elements,
     torsion_data,
-    _finest,
+    _support_plan,
     _sweep_covers,
-    _sweep_plan,
 )
 from tamemod.graphsplit import (
     AlwaysTame,
@@ -867,15 +866,29 @@ def test_finest_matches_refines_oracle(base):
     split = split_edge(EdgeGraph(base), "e")
     preds = (AlwaysTame(), MaxBlockCount(2), MaxBlockCount(3), CoBlocked(["a", "b"]), DiscreteOnly())
     for g in (split.split_graph, split.base_graph):
+        ring = EdgeRing(g.edges)
         for pred in preds:
             tame = list(tame_partitions(pred, g))
-            assert _finest(tuple(tame)) == tuple(oracle(tame)), pred
+            assert _support_plan(tuple(tame), ring)[0] == tuple(oracle(tame)), pred
         # random subsets, so that the kept list is not always a single partition
         parts = list(iter_partitions(g.edges))
         rng = random.Random(len(parts))
         for _ in range(20):
             tame = rng.sample(parts, rng.randint(1, min(12, len(parts))))
-            assert _finest(tuple(tame)) == tuple(oracle(tame))
+            assert _support_plan(tuple(tame), ring)[0] == tuple(oracle(tame))
+
+
+def test_support_plan_of_a_list_holding_the_discrete_partition():
+    g = _split_abce()
+    ring = EdgeRing(g.edges)
+    *coarse, discrete = iter_partitions(g.edges)
+    assert discrete.is_discrete() and not any(p.is_discrete() for p in coarse)
+    rng = random.Random("discrete-plan")
+    for _ in range(20):
+        tame = rng.sample(coarse, rng.randint(1, 12))
+        assert not _support_plan(tuple(tame), ring)[1]
+        tame.insert(rng.randint(0, len(tame)), discrete)
+        assert _support_plan(tuple(tame), ring)[:2] == ((discrete,), True)
 
 
 def _reference_tame_support(m, tame):
@@ -887,7 +900,7 @@ def _reference_tame_support(m, tame):
         return m.is_zero()
     if m.is_zero():
         return True
-    keep = _finest(tame)
+    keep = _support_plan(tame, m.ring)[0]
     if any(p.is_discrete() for p in keep):
         return True
     ann = _syzygy_annihilator_ideal(m)
@@ -919,6 +932,7 @@ def _tame_sweep_cases():
     then, for the same predicates, modules with support inside a single tame
     subspace and one-partition tame lists."""
     g = _split_abce()
+    ring = EdgeRing(g.edges)
     parts = list(iter_partitions(g.edges))
     rng = random.Random(77)
 
@@ -938,7 +952,7 @@ def _tame_sweep_cases():
             cases.append((direct_sum([mod(p), mod(q)])[0], tame))
     nondiscrete = [p for p in parts if not p.is_discrete()]
     for _ in range(24):
-        tame = list(_finest(tuple(rng.sample(nondiscrete, rng.randint(2, 8)))))
+        tame = list(_support_plan(tuple(rng.sample(nondiscrete, rng.randint(2, 8))), ring)[0])
         pick = [rng.choice(tame if rng.random() < 0.6 else nondiscrete) for _ in range(rng.randint(1, 3))]
         cases.append((direct_sum([mod(p) for p in pick])[0], tame))
     for pred in preds:
@@ -1322,17 +1336,17 @@ def _saturating_sweep(current, steps, order, ring):
     """_sweep_covers as it ran before linear ideals were read off normal
     forms: every table entry is a saturate_by_ideal call."""
     sat = {}
-    noop = set()
+    noop = 0
     for i in order:
         chain, pairs = steps[i]
-        if not noop.isdisjoint(pairs):
+        if noop & pairs:
             continue
         acc = None
         for pr, g in chain:
             if pr not in sat:
                 sat[pr] = saturate_by_ideal(current, [g], ring)
                 if sat[pr] == current:
-                    noop.add(pr)
+                    noop |= pr
                     break
             acc = sat[pr] if acc is None else intersect_ideals(acc, sat[pr], ring)
         else:
@@ -1381,8 +1395,7 @@ def test_sweep_covers_matches_saturating_sweep():
     verdicts = []
     kinds = set()
     for _ in range(12):
-        keep = _finest(tuple(rng.sample(parts, rng.randint(1, 10))))
-        steps, order = _sweep_plan(keep, ring)
+        keep, _, steps, order = _support_plan(tuple(rng.sample(parts, rng.randint(1, 10))), ring)
         for current in _sweep_ideals(rng, ring):
             got = _sweep_covers(current, steps, order, ring)
             assert got == _saturating_sweep(current, steps, order, ring), (keep, current)
@@ -1429,11 +1442,11 @@ def test_tame_support_partition_cap(monkeypatch):
     _, _, tame = _tame_and_wild_abce()
     ring = partition_module(tame[0]).ring
     monkeypatch.setattr(gradedmod, "MAX_TAME_SUBSPACES", 3)
-    calls = _count_calls(monkeypatch, ("annihilator", "_sweep_plan", "saturate_by_ideal"))
+    calls = _count_calls(monkeypatch, ("annihilator", "saturate_by_ideal", "normal_form"))
     with pytest.raises(ResourceCapError):
         is_tame_support(PresentedModule.free(ring, (0,)), tame)
     assert is_tame_support(PresentedModule.zero(ring), tame)
-    assert calls == {"annihilator": 0, "_sweep_plan": 0, "saturate_by_ideal": 0}
+    assert calls == {"annihilator": 0, "saturate_by_ideal": 0, "normal_form": 0}
 
 
 def test_rank_weights_of_annihilator_ideal(zp_related, p_related):

@@ -3,7 +3,7 @@
 import pytest
 
 from tamemod.errors import ResourceCapError, ValidationError
-from tamemod.partition import make_partition, merge_edges
+from tamemod.partition import Partition, make_partition, merge_edges
 from tamemod.graphsplit import (
     DEFAULT_ENUM_EDGES,
     AlwaysTame,
@@ -19,7 +19,7 @@ from tamemod.graphsplit import (
     tame_partitions,
 )
 
-BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
+BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
 
 def test_split_adds_one_edge():
@@ -69,6 +69,65 @@ def test_enumeration_is_canonical(n):
     assert len(parts) == BELL[n]
     for p in parts:
         assert p == make_partition(p.ground, p.blocks)
+
+
+def _depth_first_partitions(edges):
+    """(restricted growth string, partition) pairs from the recursive
+    depth-first walk iter_partitions once ran, kept as its oracle."""
+    edges = tuple(sorted(edges))
+    if not edges:
+        return [((), Partition((), ()))]
+    out = []
+
+    def walk(rgs, maxval):
+        if len(rgs) == len(edges):
+            blocks = {}
+            for x, b in zip(edges, rgs):
+                blocks.setdefault(b, []).append(x)
+            out.append((tuple(rgs), Partition(edges, tuple(map(tuple, blocks.values())))))
+            return
+        for b in range(maxval + 2):
+            rgs.append(b)
+            walk(rgs, max(maxval, b))
+            rgs.pop()
+
+    walk([0], 0)
+    return out
+
+
+def _growth_string(p):
+    """Each edge's block index, the blocks numbered in p's order."""
+    index = {x: i for i, b in enumerate(p.blocks) for x in b}
+    return tuple(index[x] for x in p.ground)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumeration_is_in_restricted_growth_string_order(n):
+    edges = [chr(ord("a") + i) for i in reversed(range(n))]
+    parts = list(iter_partitions(edges))
+    strings = [_growth_string(p) for p in parts]
+    assert len(parts) == BELL[n]
+    assert all(s < t for s, t in zip(strings, strings[1:]))
+    for s in strings:
+        assert all(x <= max(s[:i], default=-1) + 1 for i, x in enumerate(s))
+    oracle = _depth_first_partitions(edges)
+    assert strings == [s for s, _ in oracle]
+    assert parts == [p for _, p in oracle]
+
+
+def test_co_blocked_and_discrete_only_match_their_definitions():
+    ground = ("a", "b", "c", "e", "e'")
+    parts = list(iter_partitions(ground))
+    # designated edges all present, partly absent (one or none present) and all absent
+    designated = (["a"], ["a", "b"], ["b", "e", "e'"], ground, ["a", "z"], ["e'", "y", "z"], ["z"], ["y", "z"])
+    for edges in designated:
+        pred = CoBlocked(edges)
+        present = set(edges) & set(ground)
+        for p in parts:
+            assert pred(p) == any(present <= set(b) for b in p.blocks), (edges, p)
+    for p in parts:
+        assert DiscreteOnly()(p) == all(len(b) == 1 for b in p.blocks), p
+    assert sum(map(DiscreteOnly(), parts)) == 1
 
 
 def test_enumeration_rejects_a_repeated_edge():

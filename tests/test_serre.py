@@ -399,12 +399,15 @@ def test_harness_deterministic_across_jobs(split_abe):
 
 
 class RecordingExecutor:
-    """Stand-in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stand-in for ProcessPoolExecutor: records max_workers and the start
+    method of mp_context, runs in-process."""
 
     created = []
+    methods = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context):
         self.created.append(max_workers)
+        self.methods.append(mp_context.get_start_method())
 
     def __enter__(self):
         return self
@@ -424,11 +427,13 @@ def test_jobs_clamped_to_cores_and_tasks(split_abe, monkeypatch, cores, samples,
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     monkeypatch.setattr(RecordingExecutor, "created", [])
+    monkeypatch.setattr(RecordingExecutor, "methods", [])
     reports = harness(split_abe, PRED, PRED, samples=samples, seed=9, max_level=1, jobs=10**6)
     assert len(reports) == samples
     rows = transform_corpus(split_abe, PRED, samples=samples, seed=5, max_level=1, jobs=10**6)
     assert [r["sample"] for r in rows] == list(range(samples))
     assert RecordingExecutor.created == expected * 2
+    assert RecordingExecutor.methods == ["spawn"] * len(expected) * 2
 
 
 @pytest.mark.parametrize("samples, jobs", [(-1, 1), (2, 0)])
