@@ -52,21 +52,13 @@ key it keeps, rebase() every key it moves, and reduce() every term it takes
 as a divisor's target or into the remainder; a term out of range raises
 ResourceCapError.
 
-Exponent tuples enter through pack() and leave through unpack(), which go
-through one exponent table per (nvars, nelim), shared by every order of that
-shape: exponent tuple to (key part, dkey part, degree), and dkey part back to
-the tuple.  The cap is checked on every term, shift[pos] + degree < LIMIT,
-since a tuple entered under a small shift can overflow under a larger one.
-A Packing takes the table of its shape when it is built, and keeps it.  It
-lives while a space, a tracked-run cache entry or a running call holds it,
-and packing() hands out the live one of an order.  Clearing the lru caches
-drops the table for the Packings built afterwards; a live one keeps its own.
-A table that reaches TABLE_CAP entries is emptied before the next tuple
-enters.
+Exponent tuples enter through pack() and leave through unpack(), which
+encode and decode each term.  pack() checks shift[pos] + degree < LIMIT
+before it encodes a term, so an exponent too large for a field raises
+ResourceCapError, not a struct error.
 """
 
 import struct
-from functools import lru_cache
 from functools import reduce as _fold
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -150,23 +142,10 @@ def mul(f, g):
     return canon([(kf + kg, df + dg, nf * ng, dnf * dng) for kf, df, nf, dnf in f for kg, dg, ng, dng in g])
 
 
-# entries an exponent table holds before it is emptied; a dropped tuple is
-# encoded again on its next use
-TABLE_CAP = 65536
-
-
-@lru_cache(maxsize=None)
-def _exponent_table(nvars, nelim):
-    """The exponent table of every Packing on nvars variables with an
-    elimination block of nelim: a dict from exponent tuple to (key part,
-    dkey part, degree), and a dict from dkey part back to the tuple."""
-    return {}, {}
-
-
 class Packing:
     """The packed layout of one order on a fixed number of variables."""
 
-    __slots__ = ("args", "base", "shift", "lo", "coef", "dkeys", "table", "expos", "moves",
+    __slots__ = ("args", "base", "shift", "lo", "coef", "dkeys", "moves",
                  "wshift", "eshift", "esrc", "prefix", "low", "fill", "__weakref__")
 
     def __init__(self, weights, nelim, possplit, nvars):
@@ -201,7 +180,6 @@ class Packing:
             for i in range(n)
         )
         self.dkeys = struct.Struct(f"<{n + 1}H")
-        self.table, self.expos = _exponent_table(nvars, nelim)
         self.prefix = sum(1 << (BITS * j) for j in range(n))
         self.low = sum(FIELD << (BITS * q) for q in range(1, n + 1))
         self.fill = sum((LIMIT - 1) << (BITS * q) for q in range(1, n + 1))
@@ -211,35 +189,18 @@ class Packing:
         # a pickle holds the order alone; unpickling looks its Packing up
         return packing, self.args
 
-    def _enter(self, expo):
-        """Add an exponent tuple to the table; its degree must fit a field."""
-        deg = sum(expo)
-        if deg >= LIMIT:
-            raise ResourceCapError(f"degree {deg} does not fit a packed field (limit {LIMIT - 1})")
-        dpart = int.from_bytes(self.dkeys.pack(0, *expo), "little")
-        if len(self.table) >= TABLE_CAP:
-            self.table.clear()
-            self.expos.clear()
-        entry = self.table[expo] = (sum(map(_mul, expo, self.coef)), dpart, deg)
-        self.expos[dpart] = expo
-        return entry
-
     def pack(self, f):
-        """Packed terms of (pos, expo, num, den) terms, in the same order."""
-        base, shift, table = self.base, self.shift, self.table
+        """Packed terms of (pos, expo, num, den) terms, in the same order.
+        Raises ResourceCapError when a term's weighted degree does not fit a
+        field."""
+        base, shift, coef, dkeys = self.base, self.shift, self.coef, self.dkeys
         out = []
         for pos, expo, num, den in f:
-            entry = table.get(expo)
-            if entry is None:
-                entry = self._enter(expo)
-            kpart, dpart, deg = entry
-            # a tuple entered under a small shift can overflow under this one
-            if shift[pos] + deg >= LIMIT:
-                raise ResourceCapError(
-                    f"weighted degree {shift[pos] + deg} does not fit a packed field "
-                    f"(limit {LIMIT - 1})"
-                )
-            out.append((base[pos] + kpart, dpart + pos, num, den))
+            deg = shift[pos] + sum(expo)
+            if deg >= LIMIT:
+                raise ResourceCapError(f"weighted degree {deg} does not fit a packed field (limit {LIMIT - 1})")
+            key = base[pos] + sum(map(_mul, expo, coef))
+            out.append((key, int.from_bytes(dkeys.pack(pos, *expo), "little"), num, den))
         return tuple(out)
 
     def build(self, f):
@@ -248,18 +209,12 @@ class Packing:
         return canon(self.pack([t for t in f if t[2]]))
 
     def unpack(self, f):
-        """(pos, expo, num, den) terms of a packed poly, with the table's own
-        exponent tuples."""
-        expos = self.expos
+        """(pos, expo, num, den) terms of a packed poly."""
+        size, decode = self.dkeys.size, self.dkeys.unpack
         out = []
         for t in f:
-            pos = t[1] & FIELD
-            dpart = t[1] - pos
-            expo = expos.get(dpart)
-            if expo is None:
-                expo = self.dkeys.unpack(dpart.to_bytes(self.dkeys.size, "little"))[1:]
-                self._enter(expo)
-            out.append((pos, expo, t[2], t[3]))
+            fields = decode(t[1].to_bytes(size, "little"))
+            out.append((fields[0], fields[1:], t[2], t[3]))
         return tuple(out)
 
     def unit(self, pos, num=1, den=1):

@@ -13,7 +13,9 @@ import pytest
 
 import tamemod
 from tamemod.cli import MAX_HILBERT_ROWS, main
-from tamemod.workspace import Workspace
+from tamemod.errors import ResourceCapError
+from tamemod.exactalg import EdgeRing, FreeModule
+from tamemod.workspace import Workspace, free_from_json
 
 RELATED = "workspaces/gen_related.json"
 UNRELATED = "workspaces/gen_unrelated.json"
@@ -77,18 +79,38 @@ def test_functor_bad_module_json_is_validation_error(tmp_path, capsys, damage, m
     assert not out.exists()
 
 
-def test_functor_huge_exponent_exit_3(tmp_path, capsys):
-    # a^40000 does not fit a packed monomial field (weighted degree < 32768)
-    data = json.loads(Path(RELATED).read_text())
-    data["modules"]["M_partition"]["relations"] = [[{"c": "1", "g": 0, "m": {"a": 40000}}]]
-    src = tmp_path / "huge.json"
-    src.write_text(json.dumps(data))
-    out = tmp_path / "out.json"
-    argv = ("functor", "--in", str(src), "--module", "M_partition", "--split", "e", "--degree", "0", "--out", str(out))
-    assert run(*argv) == 3
-    assert "resource cap exceeded" in capsys.readouterr().err
-    assert not out.exists()
+# monomials whose degree is past a packed field (at most 32767): a^70000 and
+# a^(2^70) do not fit 16 bits either, and a^30000 e^3000 has each exponent
+# below 2^15 and their sum past it
+HUGE_MONOMIALS = ({"a": 40000}, {"a": 70000}, {"a": 2**70}, {"a": 30000, "e": 3000})
 
+
+def test_functor_huge_exponent_exit_3(tmp_path, capsys):
+    # pack checks the degree before it encodes a term, so each monomial is a
+    # resource cap (exit 3), never a struct error or a key out of range
+    data = json.loads(Path(RELATED).read_text())
+    ring = EdgeRing(tuple(data["modules"]["M_partition"]["ring"]))
+    module = FreeModule(ring, (0, 1))
+    for m in HUGE_MONOMIALS:
+        expo = tuple(m.get(v, 0) for v in ring.variables)
+        with pytest.raises(ResourceCapError):
+            ring.packing.pack([(0, expo, 1, 1)])
+        with pytest.raises(ResourceCapError):
+            ring.poly({expo: 1})
+        with pytest.raises(ResourceCapError):
+            free_from_json(module, [{"c": "1", "g": 1, "m": m}])
+        data["modules"]["M_partition"]["relations"] = [[{"c": "1", "g": 0, "m": m}]]
+        src = tmp_path / "huge.json"
+        src.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        argv = ("functor", "--in", str(src), "--module", "M_partition", "--split", "e", "--degree", "0",
+                "--out", str(out))
+        assert run(*argv) == 3, m
+        assert "resource cap exceeded" in capsys.readouterr().err
+        assert not out.exists()
+    # a component that fits the ring and not its generator's weight shift
+    with pytest.raises(ResourceCapError):
+        module.element([ring.zero(), ring.poly({(32767, 0, 0): 1})])
 
 
 def test_functor_weight_bound_over_the_monomial_cap_exit_3(tmp_path, capsys):

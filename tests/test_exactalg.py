@@ -749,20 +749,17 @@ def test_syzygies_reduce_only_the_kept_part(monkeypatch):
     assert (len(spolys), len(reduces)) == (7, 11)
 
 
-def test_saturation_makes_no_exponent_tuple():
+def test_saturation_makes_no_exponent_tuple(monkeypatch):
     # the lift into the elimination order and the way back shift packed
-    # fields, so the exponent table of that order gains nothing; the route
-    # through exponent tuples entered 7
+    # fields, so no term is packed from or unpacked to an exponent tuple
     R = EdgeRing(("x", "y", "z"))
     x, y, z = R.var("x"), R.var("y"), R.var("z")
-    table, expos = _pure._exponent_table(4, 1)
-    table.clear()
-    expos.clear()
-    _clear_l1_caches()
-    out = saturate_by_ideal([x * y - z * z, x * z], [y - z], R)
-    assert len(table) == 0
-    ideal = ((x * y - z * z).terms, (x * z).terms)
-    assert tuple(g.terms for g in out) == _saturate_route(ideal, (y - z).terms, 3)
+    f, g, h = x * y - z * z, x * z, y - z
+    packs = _count_calls(monkeypatch, _pure.Packing, "pack")
+    unpacks = _count_calls(monkeypatch, _pure.Packing, "unpack")
+    out = saturate_by_ideal([f, g], [h], R)
+    assert (len(packs), len(unpacks)) == (0, 0)
+    assert tuple(p.terms for p in out) == _saturate_route((f.terms, g.terms), h.terms, 3)
 
 
 def test_monic_inputs_are_not_rescaled(monkeypatch):
@@ -877,9 +874,9 @@ def test_power_past_the_field_limit_raises_at_once():
     assert (a + b) ** 2 == a * a + 2 * a * b + b * b
 
 
-def test_values_survive_the_exponent_table_emptying(monkeypatch):
-    # values hold packed integers, not table entries: emptying the exponent
-    # tables leaves their str, JSON, equality and hash as they were
+def test_values_survive_the_exponent_table_emptying():
+    # values hold packed integers, not exponent tuples: packing other terms
+    # in between leaves their str, JSON, equality and hash as they were
     R = EdgeRing(("x", "y", "z"))
     M = FreeModule(R, (0, 1))
 
@@ -892,11 +889,9 @@ def test_values_survive_the_exponent_table_emptying(monkeypatch):
 
     before = build()
     seen = shown(before)
-    monkeypatch.setattr(_pure, "TABLE_CAP", 4)
     for k in range(40):
         R.poly({(k, 1, 0): 1})
         M.element([R.poly({(0, k, 2): 1}), R.zero()])
-    assert len(R.packing.table) <= 4 and all(e not in R.packing.table for e in ((1, 1, 0), (0, 0, 2)))
     after = build()
     assert shown(before) == seen == shown(after)
     assert before == after

@@ -411,12 +411,12 @@ def test_rebase_matches_repacking(case):
             dst.rebase(f, src, offset)
 
 
-# -- the shared exponent table against per-term encoding ----------------------
+# -- pack and unpack against the struct reference -----------------------------
 
 
 def reference_pack(pk, f):
-    """The struct-based Packing.pack that the exponent table replaced, kept as
-    the oracle: every term is checked and encoded afresh."""
+    """The oracle of Packing.pack: every term is checked, then encoded through
+    struct, with its key summed from the coefficients."""
     base, shift, coef = pk.base, pk.shift, pk.coef
     dkeys = struct.Struct(f"<{len(coef) + 1}H")
     out = []
@@ -432,10 +432,10 @@ def reference_pack(pk, f):
 
 
 @st.composite
-def table_cases(draw):
+def pack_cases(draw):
     """Orders on one variable count, with both elimination blocks 0 and 1,
     weights that may be negative and possplit 0 or some k, and polys drawn
-    from a few shared exponent tuples, one of them often of a degree just
+    from a few exponent tuples, one of them often of a degree just
     below LIMIT, so that it fits some positions of some orders and not
     others."""
     nvars = draw(st.integers(1, 4))
@@ -461,14 +461,11 @@ def table_cases(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(table_cases())
-def test_table_pack_matches_reference(case):
+@given(pack_cases())
+def test_pack_matches_reference(case):
     nvars, steps = case
-    tables = {}
     for order, terms in steps:
         pk = impl.packing(*order, nvars)
-        # orders of one nelim share one table, whatever their weights
-        assert tables.setdefault(order[1], pk.expos) is pk.expos
         f = reference_canon(terms, *order)
         try:
             expected = reference_pack(pk, f)
@@ -478,30 +475,7 @@ def test_table_pack_matches_reference(case):
             continue
         packed = pk.pack(f)
         assert packed == expected
-        back = pk.unpack(packed)
-        assert back == f
-        # the exponent tuples are the table's own
-        assert all(e is pk.expos[d - p] for (p, e, _, _), (_, d, _, _) in zip(back, packed))
-
-
-def test_table_is_emptied_at_its_cap(monkeypatch):
-    # 29 distinct tuples, over three times the cap, packed and unpacked
-    # under two orders that share the table
-    monkeypatch.setattr(impl, "TABLE_CAP", 8)
-    impl._exponent_table.cache_clear()  # a table filled by another test starts empty
-    orders = [((0, 2), 1, 0), ((1, -1), 1, 1)]
-    # the premise: a Packing that another test holds outlives the clear, so
-    # check that both orders' Packings are fresh and share one table
-    fresh = [impl.packing(*order, 3) for order in orders]
-    assert fresh[0].table is fresh[1].table
-    for k in range(24):
-        order = orders[k % 2]
-        pk = impl.packing(*order, 3)
-        f = reference_canon([(k % 2, (k, 1, 0), 1, 1), (0, (k % 5, 0, 2), -2, 1)], *order)
-        packed = pk.pack(f)
-        assert packed == reference_pack(pk, f)
         assert pk.unpack(packed) == f
-        assert len(pk.table) <= 8 and len(pk.expos) <= 8
 
 
 # -- heap division against the Fraction reference ------------------------------

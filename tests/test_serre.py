@@ -43,6 +43,7 @@ from tamemod.serre import (
     random_certificate,
     transform,
     transform_corpus,
+    transform_roundtrip,
     verify,
 )
 
@@ -366,6 +367,21 @@ def test_certificate_roots_are_support_tame(split_abe):
         cert = random_certificate(rng, tame_split, max_level=2)
         assert verify(cert, pred)
         assert is_tame_support(cert.root, list(tame_split))
+
+
+def test_transform_roundtrip_at_level_five():
+    # the corpus tests draw certificates of level 3 at most; these are the
+    # first 11 draws of max level 5 from seed 1 on the criterion-4 split
+    # graph, the fewest draws of that seed that hold every level 0..5
+    split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
+    tame_split = tame_partitions(PRED, split.split_graph)
+    tame_base = tame_partitions(PRED, split.base_graph)
+    rng = random.Random(1)
+    certs = [random_certificate(rng, tame_split, max_level=5) for _ in range(11)]
+    assert {c.level for c in certs} == set(range(6))
+    for k, cert in enumerate(certs):
+        row = transform_roundtrip(cert, split.e, split.e_prime, PRED, tame_base)
+        assert row["ok"], (k, row)
 
 
 # -- harness ----------------------------------------------------------------------------------
