@@ -931,9 +931,9 @@ def cyclic_submodule(m: PresentedModule, x: FreeElement) -> CyclicSubmodule:
 
 @lru_cache(maxsize=256)
 def _support_plan(tame: tuple, ring: EdgeRing):
-    """(keep, covers, steps, order) of tame over ring, built once; None for
-    an empty list.  Every partition's ground must be the ring's variables.
-    Nothing changes the plan once it is cached.
+    """(keep, covers, steps, order, pairs) of tame over ring, built once;
+    None for an empty list.  Every partition's ground must be the ring's
+    variables.  Nothing changes the plan once it is cached.
 
     keep is the list's antichain reduction: the partitions, without repeats
     and in tame's order, that no other one refines.  A refined partition
@@ -949,6 +949,9 @@ def _support_plan(tame: tuple, ring: EdgeRing):
     of p's.  A proper subset has fewer bits, so each mask is compared only
     with those of lower popcount.
 
+    pairs is the pair table: each pair's (bit, i, j), with i and j the ring
+    indices of a and b, looked up by name, so a mask read off an ideal in the
+    ring's own variable order means the same pairs as the partitions' masks.
     steps[i] belongs to keep[i]: its chain, the pairs joining consecutive
     elements of a block, each as (bit, x_a - x_b), with each form built once
     per pair (partition_ideal's generators, in its order); and its mask.
@@ -963,7 +966,7 @@ def _support_plan(tame: tuple, ring: EdgeRing):
             raise StructuralError(f"partition ground {g} does not match module ring {ring.variables}")
     for p in tame:
         if p.is_discrete():
-            return (p,), True, (), ()
+            return (p,), True, (), (), ()
     bit = {pr: 1 << i for i, pr in enumerate(combinations(tame[0].ground, 2))}
     block_mask = {b: sum(bit[pr] for pr in combinations(b, 2)) for b in {b for p in tame for b in p.blocks}}
     masks = [sum(map(block_mask.__getitem__, p.blocks)) for p in tame]
@@ -982,7 +985,8 @@ def _support_plan(tame: tuple, ring: EdgeRing):
         keep.append(p)
         steps.append((tuple(chain), s))
     order = tuple(sorted(range(len(keep)), key=lambda i: (-keep[i].block_count, keep[i].blocks)))
-    return tuple(keep), False, tuple(steps), order
+    pairs = tuple((b, ring.index(x), ring.index(y)) for (x, y), b in bit.items())
+    return tuple(keep), False, tuple(steps), order, pairs
 
 
 def _is_linear(gb: tuple, ring: EdgeRing) -> bool:
@@ -991,37 +995,58 @@ def _is_linear(gb: tuple, ring: EdgeRing) -> bool:
     return ring.packing.weights([g.terms[0] for g in gb]) <= {1}
 
 
-def _sweep_covers(current: tuple, steps: tuple, order: tuple, ring: EdgeRing) -> bool:
+def _linear_covers(current: tuple, steps: tuple, pairs: tuple, ring: EdgeRing) -> bool:
+    """_sweep_covers on a linear current, in closed form.
+
+    A reduced basis of degree-1 forms is monic, and no lead variable occurs
+    in any tail, so each variable's normal form is read at sight: minus the
+    tail of the element it leads, or the variable itself when it leads none.
+    x_a - x_b lies in current iff the normal forms of x_a and x_b are equal,
+    and current's pair mask is the OR of those pairs' bits.  I_P lies in
+    current iff P's mask is a subset of it.
+    """
+    tails = {g.terms[0][0]: g.terms[1:] for g in current}
+    nf = [K.neg(tails[t[0]]) if t[0] in tails else (t,) for t in (ring.var(v).terms[0] for v in ring.variables)]
+    have = sum(b for b, i, j in pairs if nf[i] == nf[j])
+    return any(not mask & ~have for _, mask in steps)
+
+
+def _sweep_covers(current: tuple, steps: tuple, order: tuple, pairs: tuple, ring: EdgeRing) -> bool:
     """Whether V(current), a proper ideal given by its reduced homogeneous
     basis, lies in the union of the subspaces of the partitions a
-    _support_plan keeps, given the plan's steps and order: current is
-    saturated by each I_P in turn, finest partitions first, which removes the
-    components covered by that subspace; containment holds iff the unit ideal
-    is reached.
+    _support_plan keeps, given the plan's steps, order and pairs.
 
-    Every I_P is generated by linear forms x_a - x_b, so the sweep keeps, for
-    the current ideal J, a table of the single saturations J : g^infinity by
-    those forms, and I_P's step folds intersect_ideals over its chain
-    generators' entries, which is saturate_by_ideal's own rule.  Standard
-    facts (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 4 Sec. 4)
-    let it skip work: J : I^infinity lies in J : h^infinity for h in I, and
-    saturations commute.  So once J : g^infinity = J, g stays a no-op for
-    every later J, which is a saturation of this one; and a partition with a
-    no-op g among its same-block pairs leaves J unchanged, since
-    J <= J : I_P^infinity <= J : g^infinity = J, and is skipped.  The no-ops
-    are held as an int of pair bits, so the skip test is one AND with the
-    partition's mask.  The table is rebuilt only when a step really changes J.
+    A linear current, generated by forms of degree 1, is prime, so V(current)
+    lies in a finite union of the V(I_P) iff it lies in one of them, iff some
+    I_P lies in current (prime avoidance: Atiyah-Macdonald, Prop. 1.11).
+    That is decided on pair masks, with no division (_linear_covers).
 
-    An entry needs no saturation while J is linear, generated by forms of
-    degree 1: such a J is prime, so J : g^infinity is J for g not in J, and
-    for any J, g in J gives J : g^infinity = (1).  The entry is then read off
-    one normal form of g modulo J.  Whether J is linear is decided again
-    whenever a step changes J; any other J is saturated.
+    Any other current is saturated by each I_P in turn, finest partitions
+    first, which removes the components covered by that subspace;
+    containment holds iff the unit ideal is reached.  Every I_P is generated
+    by linear forms x_a - x_b, so the sweep keeps, for the current ideal J, a
+    table of the single saturations J : g^infinity by those forms, and I_P's
+    step folds intersect_ideals over its chain generators' entries, which is
+    saturate_by_ideal's own rule.  Standard facts (Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, Ch. 4 Sec. 4) let it skip work: J :
+    I^infinity lies in J : h^infinity for h in I, and saturations commute.
+    So once J : g^infinity = J, g stays a no-op for every later J, which is a
+    saturation of this one; and a partition with a no-op g among its
+    same-block pairs leaves J unchanged, since J <= J : I_P^infinity <= J :
+    g^infinity = J, and is skipped.  The no-ops are held as an int of pair
+    bits, so the skip test is one AND with the partition's mask.  The table
+    is rebuilt only when a step really changes J.
+
+    When a step leaves J linear, the closed form decides over every kept
+    partition.  A partition already swept or skipped leaves every later J
+    unchanged, as saturations commute and each is idempotent; a proper J
+    holding its I_P would saturate to (1), so it cannot change the verdict.
     """
+    if _is_linear(current, ring):
+        return _linear_covers(current, steps, pairs, ring)
     one = (ring.one(),)
     sat = {}  # pair bit -> current : g^infinity
     noop = 0  # bits of the pairs g with current : g^infinity = current, now and from here on
-    linear = _is_linear(current, ring)
     for i in order:
         chain, mask = steps[i]
         if noop & mask:
@@ -1029,10 +1054,7 @@ def _sweep_covers(current: tuple, steps: tuple, order: tuple, ring: EdgeRing) ->
         acc = None
         for b, g in chain:
             if b not in sat:
-                if linear:
-                    sat[b] = one if normal_form(g, current).is_zero() else current
-                else:
-                    sat[b] = saturate_by_ideal(current, [g], ring)
+                sat[b] = saturate_by_ideal(current, [g], ring)
                 if sat[b] == current:
                     noop |= b
                     break
@@ -1044,7 +1066,8 @@ def _sweep_covers(current: tuple, steps: tuple, order: tuple, ring: EdgeRing) ->
                 # a reduced basis, and the reduced basis of the unit ideal is (1)
                 if current == one:
                     return True
-                linear = _is_linear(current, ring)
+                if _is_linear(current, ring):
+                    return _linear_covers(current, steps, pairs, ring)
     return False
 
 
@@ -1055,13 +1078,14 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     Supp M = V(Ann M) is the union of the V(Ann m_i) (Atiyah-Macdonald, Ex.
     3.19): _sweep_covers runs on each annihilator(m, m_i), and the first one
     it does not cover decides.  A zero generator, whose annihilator is (1), is
-    skipped, as the sweep tests for (1) only after a step that changes J.
+    skipped, as the sweep decides only proper ideals.
 
-    Linear supports are decided by reduction, not elimination.  When M's
-    relation basis lies in single positions, M is a direct sum of cyclic
-    modules and each Ann(m_i) is read off that basis, with no syzygies
-    (annihilator); and while the swept ideal is linear, hence prime, each
-    pair's saturation is one normal form (_sweep_covers).
+    Linear supports are decided in closed form, with no elimination and no
+    division.  When M's relation basis lies in single positions, M is a
+    direct sum of cyclic modules and each Ann(m_i) is read off that basis,
+    with no syzygies (annihilator).  A linear Ann(m_i) is prime, so it is
+    covered iff it holds one kept I_P, which its pair mask shows
+    (_sweep_covers).
 
     What depends on the tame list and the ring alone is built once, in one
     plan on bitmasks of same-block pairs (_support_plan).  The outcomes come
@@ -1074,7 +1098,7 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     plan = _support_plan(tuple(tame), m.ring)
     if plan is None:
         return m.is_zero()
-    keep, covers, steps, order = plan
+    keep, covers, steps, order, pairs = plan
     if m.is_zero() or covers:
         return True
     if len(keep) > MAX_TAME_SUBSPACES:
@@ -1084,6 +1108,6 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     one = (m.ring.one(),)
     for i in range(m.rank):
         ann = annihilator(m, m.gen(i))
-        if ann != one and not _sweep_covers(ann, steps, order, m.ring):
+        if ann != one and not _sweep_covers(ann, steps, order, pairs, m.ring):
             return False
     return True

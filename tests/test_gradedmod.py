@@ -999,56 +999,57 @@ def _tame_and_wild_abce():
 def test_tame_support_sweep_work(monkeypatch):
     # Z[abe|ce'] + Z[ae|be'|c] under max-blocks:2 (15 two-block subspaces).
     # The sweep runs once per generator, on an annihilator read off the
-    # diagonal relation basis: 5 normal forms cover the tame summand, as in
-    # test_tame_support_single_subspace_work, and 3 find every step a no-op
-    # for the wild one, 8 in all.  Both annihilators are linear, so nothing
-    # is saturated.
+    # diagonal relation basis.  Both annihilators are linear, so each is
+    # decided by one closed form on its pair mask: the tame summand's holds
+    # [abe|ce']'s pairs, and the wild one's holds no kept partition's.
+    # Nothing is saturated, and no normal form is taken.
     tame_p, wild_p, tame = _tame_and_wild_abce()
     m = direct_sum([partition_module(tame_p), partition_module(wild_p)])[0]
-    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "normal_form", "syzygies"))
+    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "normal_form", "syzygies", "_linear_covers"))
     assert not is_tame_support(m, tame)
-    assert calls == {"saturate_by_ideal": 0, "normal_form": 8, "syzygies": 0}
+    assert calls == {"saturate_by_ideal": 0, "normal_form": 0, "syzygies": 0, "_linear_covers": 2}
 
 
 def test_tame_support_wild_first_exits_early(monkeypatch):
-    # the same sum with the wild summand first: its 3 normal forms decide,
-    # and the tame generator is never swept
+    # the same sum with the wild summand first: its one closed form
+    # decides, and the tame generator is never swept
     tame_p, wild_p, tame = _tame_and_wild_abce()
     m = direct_sum([partition_module(wild_p), partition_module(tame_p)])[0]
-    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "annihilator", "normal_form"))
+    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "annihilator", "normal_form", "_linear_covers"))
     assert not is_tame_support(m, tame)
-    assert calls == {"saturate_by_ideal": 0, "annihilator": 1, "normal_form": 3}
+    assert calls == {"saturate_by_ideal": 0, "annihilator": 1, "normal_form": 0, "_linear_covers": 1}
 
 
 def test_tame_support_single_subspace_work(monkeypatch):
     # Z[abe|ce'] alone under max-blocks:2: its support lies in one of the 15
-    # subspaces, and the sweep reaches the unit ideal at that subspace's
-    # step after 5 normal forms, with no saturation or intersection
+    # subspaces, which one closed form finds, as its annihilator's pair mask
+    # holds that subspace's, with no saturation, intersection or normal form
     tame_p, _, tame = _tame_and_wild_abce()
-    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "normal_form", "intersect_ideals"))
+    calls = _count_calls(monkeypatch, ("saturate_by_ideal", "normal_form", "intersect_ideals", "_linear_covers"))
     assert is_tame_support(partition_module(tame_p), tame)
-    assert calls == {"saturate_by_ideal": 0, "normal_form": 5, "intersect_ideals": 0}
+    assert calls == {"saturate_by_ideal": 0, "normal_form": 0, "intersect_ideals": 0, "_linear_covers": 1}
 
 
 def test_tame_support_nonlinear_annihilator_work(monkeypatch):
     # R/((x_a - x_b)(x_c - x_e)): its annihilator is not linear, so the sweep
     # saturates.  Under max-blocks:2 it takes 6 saturations and 1
-    # intersection to find the two hyperplanes uncovered.  Under the two
-    # subspaces [ab|c|e|e'] and [a|b|ce|e'], one saturation by x_a - x_b
-    # leaves the linear (x_c - x_e), and one normal form reaches (1).
+    # intersection to find the two hyperplanes uncovered, and no step leaves
+    # it linear.  Under the two subspaces [ab|c|e|e'] and [a|b|ce|e'], one
+    # saturation by x_a - x_b leaves the linear (x_c - x_e), whose pair mask
+    # holds [a|b|ce|e']'s, so one closed form decides, with no normal form.
     _, _, tame = _tame_and_wild_abce()
     g = _split_abce()
     ring = partition_module(tame[0]).ring
     xa, xb, xc, xe = (ring.var(v) for v in "abce")
     m = PresentedModule.from_ideal(ring, [(xa - xb) * (xc - xe)])
-    names = ("saturate_by_ideal", "intersect_ideals", "normal_form", "syzygies")
+    names = ("saturate_by_ideal", "intersect_ideals", "normal_form", "syzygies", "_linear_covers")
     calls = _count_calls(monkeypatch, names)
     assert not is_tame_support(m, tame)
-    assert calls == {"saturate_by_ideal": 6, "intersect_ideals": 1, "normal_form": 0, "syzygies": 0}
+    assert calls == {"saturate_by_ideal": 6, "intersect_ideals": 1, "normal_form": 0, "syzygies": 0, "_linear_covers": 0}
     pair = [make_partition(g.edges, [["a", "b"], ["c"], ["e"], ["e'"]]), make_partition(g.edges, [["a"], ["b"], ["c", "e"], ["e'"]])]
     calls.update(dict.fromkeys(names, 0))
     assert is_tame_support(m, pair)
-    assert calls == {"saturate_by_ideal": 1, "intersect_ideals": 0, "normal_form": 1, "syzygies": 0}
+    assert calls == {"saturate_by_ideal": 1, "intersect_ideals": 0, "normal_form": 0, "syzygies": 0, "_linear_covers": 1}
 
 
 def _read_off_cases():
@@ -1333,8 +1334,8 @@ def test_torsion_of_partition_sums_runs_no_syzygies(monkeypatch):
 
 
 def _saturating_sweep(current, steps, order, ring):
-    """_sweep_covers as it ran before linear ideals were read off normal
-    forms: every table entry is a saturate_by_ideal call."""
+    """_sweep_covers as it ran before linear ideals were decided in closed
+    form: every table entry is a saturate_by_ideal call."""
     sat = {}
     noop = 0
     for i in order:
@@ -1395,14 +1396,98 @@ def test_sweep_covers_matches_saturating_sweep():
     verdicts = []
     kinds = set()
     for _ in range(12):
-        keep, _, steps, order = _support_plan(tuple(rng.sample(parts, rng.randint(1, 10))), ring)
+        keep, _, steps, order, pairs = _support_plan(tuple(rng.sample(parts, rng.randint(1, 10))), ring)
         for current in _sweep_ideals(rng, ring):
-            got = _sweep_covers(current, steps, order, ring)
+            got = _sweep_covers(current, steps, order, pairs, ring)
             assert got == _saturating_sweep(current, steps, order, ring), (keep, current)
             verdicts.append(got)
             kinds.add(gradedmod._is_linear(current, ring))
     assert set(verdicts) == {True, False}
     assert kinds == {True, False}
+
+
+def _split_abcde():
+    return split_edge(EdgeGraph(("a", "b", "c", "d", "e")), "e").split_graph
+
+
+def _linear_ideals(rng, ring, parts):
+    """Linear ideals, proper as they are homogeneous, as reduced bases:
+    partition ideals, partition ideals plus random forms with coefficients
+    -2..2, whose reduced bases carry the differences in their tails, random
+    forms alone, and (0)."""
+    v = ring.variables
+
+    def form():
+        return sum((rng.randint(-2, 2) * ring.var(x) for x in v), ring.zero())
+
+    def chain(p):
+        return [ring.var(a) - ring.var(b) for bl in p.blocks for a, b in zip(bl, bl[1:])]
+
+    gens = []
+    for _ in range(8):
+        gens.append(chain(rng.choice(parts)))
+        gens.append(chain(rng.choice(parts)) + [form() for _ in range(rng.randint(1, 2))])
+        gens.append([form() for _ in range(rng.randint(1, 4))])
+    out = [()]
+    for gs in gens:
+        gs = [f for f in gs if not f.is_zero()]
+        if gs:
+            out.append(groebner(gs))
+    return out
+
+
+def test_linear_sweep_matches_saturating_sweep_on_every_antichain_size():
+    # max-blocks:3 on {a,b,c,d,e,e'} keeps the 90 three-block partitions;
+    # every kept size from 1 to 90 is swept, on linear ideals only, so each
+    # verdict is the closed form's
+    g = _split_abcde()
+    ring = EdgeRing(g.edges)
+    parts = list(iter_partitions(g.edges))
+    three = [p for p in parts if p.block_count == 3]
+    assert _support_plan(tuple(tame_partitions(MaxBlockCount(3), g)), ring)[0] == tuple(three)
+    rng = random.Random("linear-sweep-oracle")
+    ideals = _linear_ideals(rng, ring, parts)
+    assert all(gradedmod._is_linear(j, ring) for j in ideals)
+    assert any(any(len(f.terms) > 2 for f in j) for j in ideals)
+    verdicts = []
+    for k in range(1, len(three) + 1):
+        keep, _, steps, order, pairs = _support_plan(tuple(rng.sample(three, k)), ring)
+        assert len(keep) == k
+        for current in ideals:
+            got = _sweep_covers(current, steps, order, pairs, ring)
+            assert got == _saturating_sweep(current, steps, order, ring), (keep, current)
+            verdicts.append(got)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def test_tame_support_does_not_depend_on_the_ring_order():
+    # one module presented over EdgeRing in sorted order and over permuted
+    # orders: a pair's bit is looked up by name, so verdicts agree
+    g = _split_abcde()
+    names = g.edges
+    parts = list(iter_partitions(names))
+    rng = random.Random("ring-order")
+    specs = []
+    for _ in range(30):
+        q = rng.choice(parts)
+        rels = [{a: 1, b: -1} for bl in q.blocks for a, b in zip(bl, bl[1:])]
+        if rng.random() < 0.5:
+            rels.append({x: rng.randint(-2, 2) for x in names})
+        specs.append(rels)
+
+    def module(ring, rels):
+        return PresentedModule.from_ideal(ring, [sum((c * ring.var(x) for x, c in r.items()), ring.zero()) for r in rels])
+
+    tames = [list(tame_partitions(MaxBlockCount(3), g))] + [rng.sample(parts, rng.randint(1, 12)) for _ in range(4)]
+    rings = [EdgeRing(names)] + [EdgeRing(rng.sample(names, len(names))) for _ in range(3)]
+    assert len(set(rings)) == len(rings)
+    verdicts = []
+    for tame in tames:
+        for rels in specs:
+            got = [is_tame_support(module(ring, rels), tame) for ring in rings]
+            assert len(set(got)) == 1, (tame, rels)
+            verdicts.append(got[0])
+    assert set(verdicts) == {True, False}
 
 
 def _support_edge_cases():
