@@ -9,14 +9,18 @@ submodule, so run no syzygies), annihilators, and the support criterion
 deciding membership in the Serre subcategory generated by a list of partition
 modules, one generator's annihilator at a time.
 
-The support criterion decides linear supports by reduction, not elimination,
-on two standard facts.  Ann of a direct sum is read off its summands
-(Atiyah-Macdonald, Ex. 3.19): when a module's relation basis lies in single
-positions, the annihilator of a generator is the ideal of its position's
-entries, with no syzygies.  A linear ideal J is prime, and for any J, g in J
-gives J : g^infinity = (1) (Cox-Little-O'Shea, Ch. 4 Sec. 4): so J :
-g^infinity is (1) or J as g's normal form modulo J is zero or not, with no
-saturation.
+The support criterion decides linear supports in closed form, not by
+elimination, on two standard facts.  Ann of a direct sum is read off its
+summands (Atiyah-Macdonald, Ex. 3.19): when a module's relation basis lies in
+single positions, the annihilator of a generator is the ideal of its
+position's entries, with no syzygies (_diagonal, stored with the module, so
+its relation basis is read once).  A linear ideal J is prime, so V(J) lies in
+a finite union of partition subspaces iff J holds one partition ideal (prime
+avoidance, Atiyah-Macdonald, Prop. 1.11), which J's mask of same-block pairs
+shows, with no division.  The plan cached per tame list holds only what every
+decision reads: the kept partitions, their pair masks and the pair table.  A
+sweep that saturates a non-linear ideal reads its chains and its order off
+the kept partitions itself.
 
 F1 is read off the same way (torsion_data).  When the relation basis lies in
 single positions, M = sum R/I_j(-w_j) and ker(d on M) = sum (I_j : d)/I_j for
@@ -595,15 +599,22 @@ def _diagonal(m: PresentedModule):
     (1) for one of zero class.  Ann and the kernel of a ring element d on a
     direct sum are read off its summands (Atiyah-Macdonald, Ex. 3.19): Ann(g_j)
     = I_j, and ker(d on R/I_j) = (I_j : d)/I_j.
+
+    The result, None too, is stored in m's _cache beside "gb" and "hn", so
+    annihilator, torsion_data and induced_map_f1 read a module's relation
+    basis once between them.
     """
-    gb = m.relation_gb()
-    ideals = [[] for _ in range(m.rank)]
-    for g in gb:
-        p = g.terms[0][1] & FIELD
-        if any(t[1] & FIELD != p for t in g.terms[1:]):
-            return None
-        ideals[p].append(g.component(p))
-    return tuple(map(tuple, ideals))
+    if "diag" not in m._cache:
+        ideals = [[] for _ in range(m.rank)]
+        for g in m.relation_gb():
+            p = g.terms[0][1] & FIELD
+            if any(t[1] & FIELD != p for t in g.terms[1:]):
+                m._cache["diag"] = None
+                break
+            ideals[p].append(g.component(p))
+        else:
+            m._cache["diag"] = tuple(map(tuple, ideals))
+    return m._cache["diag"]
 
 
 @dataclass(frozen=True)
@@ -931,9 +942,11 @@ def cyclic_submodule(m: PresentedModule, x: FreeElement) -> CyclicSubmodule:
 
 @lru_cache(maxsize=256)
 def _support_plan(tame: tuple, ring: EdgeRing):
-    """(keep, covers, steps, order, pairs) of tame over ring, built once;
-    None for an empty list.  Every partition's ground must be the ring's
-    variables.  Nothing changes the plan once it is cached.
+    """(keep, covers, masks, pairs) of tame over ring, built once; None for an
+    empty list.  Every partition's ground must be the ring's variables.
+    Nothing changes the plan once it is cached.  It holds what every decision
+    reads, and nothing that only a saturating sweep reads: _sweep_covers
+    takes its chains and its order from keep itself.
 
     keep is the list's antichain reduction: the partitions, without repeats
     and in tame's order, that no other one refines.  A refined partition
@@ -947,15 +960,11 @@ def _support_plan(tame: tuple, ring: EdgeRing):
     q refines p iff q's pairs are a subset of p's, and distinct partitions
     have distinct masks, so q != p refines p iff q's mask is a proper subset
     of p's.  A proper subset has fewer bits, so each mask is compared only
-    with those of lower popcount.
+    with those of lower popcount.  masks[i] is keep[i]'s mask.
 
     pairs is the pair table: each pair's (bit, i, j), with i and j the ring
     indices of a and b, looked up by name, so a mask read off an ideal in the
     ring's own variable order means the same pairs as the partitions' masks.
-    steps[i] belongs to keep[i]: its chain, the pairs joining consecutive
-    elements of a block, each as (bit, x_a - x_b), with each form built once
-    per pair (partition_ideal's generators, in its order); and its mask.
-    order is the sweep order, most blocks first.
     """
     tame = tuple(dict.fromkeys(tame))
     if not tame:
@@ -966,27 +975,21 @@ def _support_plan(tame: tuple, ring: EdgeRing):
             raise StructuralError(f"partition ground {g} does not match module ring {ring.variables}")
     for p in tame:
         if p.is_discrete():
-            return (p,), True, (), (), ()
+            return (p,), True, (), ()
     bit = {pr: 1 << i for i, pr in enumerate(combinations(tame[0].ground, 2))}
-    block_mask = {b: sum(bit[pr] for pr in combinations(b, 2)) for b in {b for p in tame for b in p.blocks}}
+    block_mask = {b: sum(map(bit.__getitem__, combinations(b, 2))) for b in {b for p in tame for b in p.blocks}}
     masks = [sum(map(block_mask.__getitem__, p.blocks)) for p in tame]
     by_count = sorted(masks, key=int.bit_count)
     counts = [s.bit_count() for s in by_count]
-    keep, steps, forms = [], [], {}
-    for p, s in zip(tame, masks):
-        if any(map(s.__eq__, map(s.__or__, islice(by_count, bisect_left(counts, s.bit_count()))))):
-            continue
-        chain = []
-        for b in p.blocks:
-            for pr in zip(b, b[1:]):
-                if pr not in forms:
-                    forms[pr] = ring.var(pr[0]) - ring.var(pr[1])
-                chain.append((bit[pr], forms[pr]))
-        keep.append(p)
-        steps.append((tuple(chain), s))
-    order = tuple(sorted(range(len(keep)), key=lambda i: (-keep[i].block_count, keep[i].blocks)))
+    kept = [
+        (p, s)
+        for p, s in zip(tame, masks)
+        if not any(map(s.__eq__, map(s.__or__, islice(by_count, bisect_left(counts, s.bit_count())))))
+    ]
+    # nonempty: a partition with the fewest pairs is kept
+    keep, masks = zip(*kept)
     pairs = tuple((b, ring.index(x), ring.index(y)) for (x, y), b in bit.items())
-    return tuple(keep), False, tuple(steps), order, pairs
+    return keep, False, masks, pairs
 
 
 def _is_linear(gb: tuple, ring: EdgeRing) -> bool:
@@ -995,8 +998,9 @@ def _is_linear(gb: tuple, ring: EdgeRing) -> bool:
     return ring.packing.weights([g.terms[0] for g in gb]) <= {1}
 
 
-def _linear_covers(current: tuple, steps: tuple, pairs: tuple, ring: EdgeRing) -> bool:
-    """_sweep_covers on a linear current, in closed form.
+def _linear_covers(current: tuple, masks: tuple, pairs: tuple, ring: EdgeRing) -> bool:
+    """_sweep_covers on a linear current, in closed form, from the plan's
+    masks and pair table alone.
 
     A reduced basis of degree-1 forms is monic, and no lead variable occurs
     in any tail, so each variable's normal form is read at sight: minus the
@@ -1008,13 +1012,13 @@ def _linear_covers(current: tuple, steps: tuple, pairs: tuple, ring: EdgeRing) -
     tails = {g.terms[0][0]: g.terms[1:] for g in current}
     nf = [K.neg(tails[t[0]]) if t[0] in tails else (t,) for t in (ring.var(v).terms[0] for v in ring.variables)]
     have = sum(b for b, i, j in pairs if nf[i] == nf[j])
-    return any(not mask & ~have for _, mask in steps)
+    return any(not mask & ~have for mask in masks)
 
 
-def _sweep_covers(current: tuple, steps: tuple, order: tuple, pairs: tuple, ring: EdgeRing) -> bool:
+def _sweep_covers(current: tuple, keep: tuple, masks: tuple, pairs: tuple, ring: EdgeRing) -> bool:
     """Whether V(current), a proper ideal given by its reduced homogeneous
-    basis, lies in the union of the subspaces of the partitions a
-    _support_plan keeps, given the plan's steps, order and pairs.
+    basis, lies in the union of the subspaces of the partitions keep, given
+    a _support_plan's keep, masks and pairs.
 
     A linear current, generated by forms of degree 1, is prime, so V(current)
     lies in a finite union of the V(I_P) iff it lies in one of them, iff some
@@ -1023,19 +1027,23 @@ def _sweep_covers(current: tuple, steps: tuple, order: tuple, pairs: tuple, ring
 
     Any other current is saturated by each I_P in turn, finest partitions
     first, which removes the components covered by that subspace;
-    containment holds iff the unit ideal is reached.  Every I_P is generated
-    by linear forms x_a - x_b, so the sweep keeps, for the current ideal J, a
-    table of the single saturations J : g^infinity by those forms, and I_P's
-    step folds intersect_ideals over its chain generators' entries, which is
-    saturate_by_ideal's own rule.  Standard facts (Cox-Little-O'Shea, Ideals,
-    Varieties, and Algorithms, Ch. 4 Sec. 4) let it skip work: J :
-    I^infinity lies in J : h^infinity for h in I, and saturations commute.
-    So once J : g^infinity = J, g stays a no-op for every later J, which is a
-    saturation of this one; and a partition with a no-op g among its
-    same-block pairs leaves J unchanged, since J <= J : I_P^infinity <= J :
-    g^infinity = J, and is skipped.  The no-ops are held as an int of pair
-    bits, so the skip test is one AND with the partition's mask.  The table
-    is rebuilt only when a step really changes J.
+    containment holds iff the unit ideal is reached.  The sweep sorts its
+    own order, most blocks first and then by blocks, and reads each I_P's
+    chain off P's blocks: the pairs joining consecutive elements of a block,
+    in partition_ideal's order, each with its bit from the pair table.  The
+    form x_a - x_b is built only when the sweep saturates by it.  The sweep
+    keeps, for the current ideal J, a table of the single saturations J :
+    g^infinity by those forms, and I_P's step folds intersect_ideals over
+    its chain generators' entries, which is saturate_by_ideal's own rule.
+    Standard facts (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+    Ch. 4 Sec. 4) let it skip work: J : I^infinity lies in J : h^infinity for
+    h in I, and saturations commute.  So once J : g^infinity = J, g stays a
+    no-op for every later J, which is a saturation of this one; and a
+    partition with a no-op g among its same-block pairs leaves J unchanged,
+    since J <= J : I_P^infinity <= J : g^infinity = J, and is skipped.  The
+    no-ops are held as an int of pair bits, so the skip test is one AND with
+    the partition's mask.  The table is rebuilt only when a step really
+    changes J.
 
     When a step leaves J linear, the closed form decides over every kept
     partition.  A partition already swept or skipped leaves every later J
@@ -1043,18 +1051,20 @@ def _sweep_covers(current: tuple, steps: tuple, order: tuple, pairs: tuple, ring
     holding its I_P would saturate to (1), so it cannot change the verdict.
     """
     if _is_linear(current, ring):
-        return _linear_covers(current, steps, pairs, ring)
+        return _linear_covers(current, masks, pairs, ring)
+    names = ring.variables
+    bit = {(names[i], names[j]): b for b, i, j in pairs}
     one = (ring.one(),)
     sat = {}  # pair bit -> current : g^infinity
     noop = 0  # bits of the pairs g with current : g^infinity = current, now and from here on
-    for i in order:
-        chain, mask = steps[i]
-        if noop & mask:
+    for i in sorted(range(len(keep)), key=lambda i: (-keep[i].block_count, keep[i].blocks)):
+        if noop & masks[i]:
             continue
         acc = None
-        for b, g in chain:
+        for x, y in (pr for blk in keep[i].blocks for pr in zip(blk, blk[1:])):
+            b = bit[x, y]
             if b not in sat:
-                sat[b] = saturate_by_ideal(current, [g], ring)
+                sat[b] = saturate_by_ideal(current, [ring.var(x) - ring.var(y)], ring)
                 if sat[b] == current:
                     noop |= b
                     break
@@ -1067,7 +1077,7 @@ def _sweep_covers(current: tuple, steps: tuple, order: tuple, pairs: tuple, ring
                 if current == one:
                     return True
                 if _is_linear(current, ring):
-                    return _linear_covers(current, steps, pairs, ring)
+                    return _linear_covers(current, masks, pairs, ring)
     return False
 
 
@@ -1087,18 +1097,20 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     covered iff it holds one kept I_P, which its pair mask shows
     (_sweep_covers).
 
-    What depends on the tame list and the ring alone is built once, in one
-    plan on bitmasks of same-block pairs (_support_plan).  The outcomes come
-    in this order: an empty list decides by m.is_zero(); a partition on
-    another ground raises StructuralError; a zero module, or a discrete
-    partition in the list, gives True; more than MAX_TAME_SUBSPACES
-    partitions in the reduced antichain raise ResourceCapError before any
-    algebra is done.
+    What every decision reads, and depends on the tame list and the ring
+    alone, is built once, in one plan on bitmasks of same-block pairs
+    (_support_plan): the kept partitions, their masks and the pair table.
+    What only a saturating sweep reads, its chain forms and its order, the
+    sweep builds for itself.  The outcomes come in this order: an empty list
+    decides by m.is_zero(); a partition on another ground raises
+    StructuralError; a zero module, or a discrete partition in the list,
+    gives True; more than MAX_TAME_SUBSPACES partitions in the reduced
+    antichain raise ResourceCapError before any algebra is done.
     """
     plan = _support_plan(tuple(tame), m.ring)
     if plan is None:
         return m.is_zero()
-    keep, covers, steps, order, pairs = plan
+    keep, covers, masks, pairs = plan
     if m.is_zero() or covers:
         return True
     if len(keep) > MAX_TAME_SUBSPACES:
@@ -1108,6 +1120,6 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     one = (m.ring.one(),)
     for i in range(m.rank):
         ann = annihilator(m, m.gen(i))
-        if ann != one and not _sweep_covers(ann, steps, order, pairs, m.ring):
+        if ann != one and not _sweep_covers(ann, keep, masks, pairs, m.ring):
             return False
     return True

@@ -3,6 +3,8 @@
 import itertools
 import random
 import time
+from bisect import bisect_left
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from test_exactalg import _clear_l1_caches
 
 from tamemod import exactalg, gradedmod, serre
+from tamemod._core import impl as K
 from tamemod._core._pure import FIELD
 from tamemod.errors import ResourceCapError, StructuralError, ValidationError
 from tamemod.exactalg import (
@@ -1333,6 +1336,120 @@ def test_torsion_of_partition_sums_runs_no_syzygies(monkeypatch):
     assert calls == {"syzygies": 0, "kernel": 0, "normal_form": 3}
 
 
+def test_diagonal_is_read_once_per_module(monkeypatch):
+    # Z[abee'|c] + Z[ae|be'|c](1) + Z[a|b|cee'](2): the first annihilator
+    # reads the relation basis, one component per element, and stores the
+    # result; the other generators' annihilators and torsion_data read it
+    # from the module
+    g = _split_abce()
+    blocks = ([["a", "b", "e", "e'"], ["c"]], [["a", "e"], ["b", "e'"], ["c"]], [["a"], ["b"], ["c", "e", "e'"]])
+    parts = [make_partition(g.edges, bl) for bl in blocks]
+    m = direct_sum([partition_module(q).shift(k) for k, q in enumerate(parts)])[0]
+    ring = m.ring
+    n = len(m.relation_gb())
+    calls = {"component": 0, "relation_gb": 0}
+    for cls, name in ((exactalg.FreeElement, "component"), (PresentedModule, "relation_gb")):
+
+        def counting(*args, _fn=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cls, name, counting)
+    anns = [annihilator(m, m.gen(i)) for i in range(m.rank)]
+    assert calls == {"component": n, "relation_gb": 1}
+    assert anns == [groebner(list(partition_ideal(q))) for q in parts]
+    td = torsion_data.__wrapped__(m, "e", "e'")
+    assert td.positions == (2, 0)
+    assert calls["component"] == n
+    assert m._cache["diag"] == tuple(anns)
+    fresh = PresentedModule(ring, m.gen_weights, m.relations)
+    assert "diag" not in fresh._cache and gradedmod._diagonal(fresh) == m._cache["diag"]
+    # a relation across two positions: None is stored, and read again with
+    # no work
+    free2 = FreeModule(ring, (0, 0))
+    mixed = PresentedModule(ring, (0, 0), [free2.element([ring.var("a"), -ring.var("b")])])
+    assert gradedmod._diagonal(mixed) is None and mixed._cache["diag"] is None
+    before = dict(calls)
+    assert gradedmod._diagonal(mixed) is None
+    assert calls == before
+    assert gradedmod._diagonal(PresentedModule(ring, (0, 0), mixed.relations)) is None
+
+
+def _chain_support_plan(tame, ring):
+    """_support_plan as it was built while the plan held each kept
+    partition's chain forms and the sweep order, kept as the oracle of the
+    plan and of the order and chains the sweep now builds for itself."""
+    tame = tuple(dict.fromkeys(tame))
+    if not tame:
+        return None
+    ground = set(ring.variables)
+    for g in dict.fromkeys(p.ground for p in tame):
+        if set(g) != ground:
+            raise StructuralError(f"partition ground {g} does not match module ring {ring.variables}")
+    for p in tame:
+        if p.is_discrete():
+            return (p,), True, (), (), ()
+    bit = {pr: 1 << i for i, pr in enumerate(combinations(tame[0].ground, 2))}
+    block_mask = {b: sum(bit[pr] for pr in combinations(b, 2)) for b in {b for p in tame for b in p.blocks}}
+    masks = [sum(map(block_mask.__getitem__, p.blocks)) for p in tame]
+    by_count = sorted(masks, key=int.bit_count)
+    counts = [s.bit_count() for s in by_count]
+    keep, steps, forms = [], [], {}
+    for p, s in zip(tame, masks):
+        if any(map(s.__eq__, map(s.__or__, islice(by_count, bisect_left(counts, s.bit_count()))))):
+            continue
+        chain = []
+        for b in p.blocks:
+            for pr in zip(b, b[1:]):
+                if pr not in forms:
+                    forms[pr] = ring.var(pr[0]) - ring.var(pr[1])
+                chain.append((bit[pr], forms[pr]))
+        keep.append(p)
+        steps.append((tuple(chain), s))
+    order = tuple(sorted(range(len(keep)), key=lambda i: (-keep[i].block_count, keep[i].blocks)))
+    pairs = tuple((b, ring.index(x), ring.index(y)) for (x, y), b in bit.items())
+    return tuple(keep), False, tuple(steps), order, pairs
+
+
+def _chain_linear_covers(current, steps, pairs, ring):
+    """_linear_covers on the chain plan's steps."""
+    tails = {g.terms[0][0]: g.terms[1:] for g in current}
+    nf = [K.neg(tails[t[0]]) if t[0] in tails else (t,) for t in (ring.var(v).terms[0] for v in ring.variables)]
+    have = sum(b for b, i, j in pairs if nf[i] == nf[j])
+    return any(not mask & ~have for _, mask in steps)
+
+
+def _chain_sweep_covers(current, steps, order, pairs, ring):
+    """_sweep_covers on the chain plan, whose chains and order it reads."""
+    if gradedmod._is_linear(current, ring):
+        return _chain_linear_covers(current, steps, pairs, ring)
+    one = (ring.one(),)
+    sat = {}  # pair bit -> current : g^infinity
+    noop = 0  # bits of the pairs g with current : g^infinity = current, now and from here on
+    for i in order:
+        chain, mask = steps[i]
+        if noop & mask:
+            continue
+        acc = None
+        for b, g in chain:
+            if b not in sat:
+                sat[b] = saturate_by_ideal(current, [g], ring)
+                if sat[b] == current:
+                    noop |= b
+                    break
+            # (1) meets any ideal X in X
+            acc = sat[b] if acc is None or acc == one else intersect_ideals(acc, sat[b], ring)
+        else:
+            if acc != current:
+                current, sat = acc, {}
+                # a reduced basis, and the reduced basis of the unit ideal is (1)
+                if current == one:
+                    return True
+                if gradedmod._is_linear(current, ring):
+                    return _chain_linear_covers(current, steps, pairs, ring)
+    return False
+
+
 def _saturating_sweep(current, steps, order, ring):
     """_sweep_covers as it ran before linear ideals were decided in closed
     form: every table entry is a saturate_by_ideal call."""
@@ -1396,9 +1513,11 @@ def test_sweep_covers_matches_saturating_sweep():
     verdicts = []
     kinds = set()
     for _ in range(12):
-        keep, _, steps, order, pairs = _support_plan(tuple(rng.sample(parts, rng.randint(1, 10))), ring)
+        tame = tuple(rng.sample(parts, rng.randint(1, 10)))
+        keep, _, masks, pairs = _support_plan(tame, ring)
+        _, _, steps, order, _ = _chain_support_plan(tame, ring)
         for current in _sweep_ideals(rng, ring):
-            got = _sweep_covers(current, steps, order, pairs, ring)
+            got = _sweep_covers(current, keep, masks, pairs, ring)
             assert got == _saturating_sweep(current, steps, order, ring), (keep, current)
             verdicts.append(got)
             kinds.add(gradedmod._is_linear(current, ring))
@@ -1451,13 +1570,61 @@ def test_linear_sweep_matches_saturating_sweep_on_every_antichain_size():
     assert any(any(len(f.terms) > 2 for f in j) for j in ideals)
     verdicts = []
     for k in range(1, len(three) + 1):
-        keep, _, steps, order, pairs = _support_plan(tuple(rng.sample(three, k)), ring)
+        tame = tuple(rng.sample(three, k))
+        keep, _, masks, pairs = _support_plan(tame, ring)
+        _, _, steps, order, _ = _chain_support_plan(tame, ring)
         assert len(keep) == k
         for current in ideals:
-            got = _sweep_covers(current, steps, order, pairs, ring)
+            got = _sweep_covers(current, keep, masks, pairs, ring)
             assert got == _saturating_sweep(current, steps, order, ring), (keep, current)
             verdicts.append(got)
     assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def test_slim_plan_matches_the_chain_plan(monkeypatch):
+    # The plan holds the kept partitions, their masks and the pair table;
+    # the sweep reads its chains and its order off the kept partitions.
+    # Against the plan that held them, on random lists of 1-10 partitions of
+    # {a,b,c,d,e,e'} and on max-blocks:3 (90 kept of 122): keep and masks are
+    # equal, verdicts are equal, and a non-linear ideal's sweep makes the
+    # same saturate_by_ideal calls in the same order.
+    g = _split_abcde()
+    ring = EdgeRing(g.edges)
+    parts = list(iter_partitions(g.edges))
+    rng = random.Random("slim-plan")
+    tames = [tuple(rng.sample(parts, rng.randint(1, 10))) for _ in range(30)]
+    tames.append(tuple(tame_partitions(MaxBlockCount(3), g)))
+    log = []
+    saturate = exactalg.saturate_by_ideal
+
+    def recording(current, gens, ring):
+        log.append((current, tuple(gens)))
+        return saturate(current, gens, ring)
+
+    monkeypatch.setattr(gradedmod, "saturate_by_ideal", recording)
+    monkeypatch.setitem(globals(), "saturate_by_ideal", recording)
+    verdicts = []
+    lengths = []
+    for tame in tames:
+        keep, covers, masks, pairs = _support_plan(tame, ring)
+        ref_keep, ref_covers, steps, order, ref_pairs = _chain_support_plan(tame, ring)
+        assert (keep, covers, pairs) == (ref_keep, ref_covers, ref_pairs)
+        assert masks == tuple(mask for _, mask in steps)
+        if covers:
+            continue
+        for current in _sweep_ideals(rng, ring):
+            log.clear()
+            got = _sweep_covers(current, keep, masks, pairs, ring)
+            calls = list(log)
+            log.clear()
+            assert got == _chain_sweep_covers(current, steps, order, pairs, ring), (keep, current)
+            if not gradedmod._is_linear(current, ring):
+                assert calls == log, (keep, current)
+                verdicts.append(got)
+                lengths.append(len(calls))
+    assert len(keep) == 90
+    assert set(verdicts) == {True, False}
+    assert sum(n > 1 for n in lengths) > len(lengths) / 2
 
 
 def test_tame_support_does_not_depend_on_the_ring_order():
@@ -1532,6 +1699,26 @@ def test_tame_support_partition_cap(monkeypatch):
         is_tame_support(PresentedModule.free(ring, (0,)), tame)
     assert is_tame_support(PresentedModule.zero(ring), tame)
     assert calls == {"annihilator": 0, "saturate_by_ideal": 0, "normal_form": 0}
+    # the cap bounds the antichain, not the list: [ab|c|e|e'] and four
+    # partitions it refines reduce to one, and an antichain of exactly
+    # three, and each decides as it does under no cap
+    g = _split_abce()
+    tame_p, wild_p, _ = _tame_and_wild_abce()
+    coarser = [[["a", "b", "c"], ["e"], ["e'"]], [["a", "b", "e"], ["c"], ["e'"]], [["a", "b"], ["c", "e"], ["e'"]], [["a", "b"], ["c"], ["e", "e'"]]]
+    listed = [make_partition(g.edges, bl) for bl in coarser] + [make_partition(g.edges, [["a", "b"], ["c"], ["e"], ["e'"]])]
+    at_cap = [tame_p] + [make_partition(g.edges, bl) for bl in ([["a", "c"], ["b", "e", "e'"]], [["a", "e'"], ["b", "c", "e"]])]
+    assert _support_plan(tuple(listed), ring)[0] == (listed[-1],) and len(listed) > 3
+    assert len(_support_plan(tuple(at_cap), ring)[0]) == 3
+    mods = {q: partition_module(q) for q in listed + at_cap + [wild_p]}
+    cases = [
+        (mods[listed[1]], listed, True),
+        (direct_sum([mods[listed[0]], mods[wild_p]])[0], listed, False),
+        (direct_sum([mods[at_cap[1]], mods[at_cap[2]].shift(1)])[0], at_cap, True),
+        (direct_sum([mods[at_cap[2]], mods[wild_p]])[0], at_cap, False),
+    ]
+    for m, tl, expected in cases:
+        assert is_tame_support(m, tl) == expected == _reference_tame_support(m, tl), (tl, m)
+    assert calls["annihilator"] == 7
 
 
 def test_rank_weights_of_annihilator_ideal(zp_related, p_related):
