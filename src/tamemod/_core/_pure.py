@@ -39,6 +39,13 @@ A divides B iff (dkey_B - dkey_A) & DIVMASK == 0: a field where A's exponent
 is larger borrows and sets its guard bit, the top bit of the field, and a
 different position leaves a nonzero lowest field.
 
+The key follows from the dkey: one multiply of the dkey's exponent fields
+gives every prefix sum e_0 + ... + e_(k-1) at once (Packing.key).  pack,
+lcm and contract share it: pack keys the dkeys it encodes, lcm keys the
+dkey of lcm / s, and contract keys the dkeys it moves when a variable is sent
+to another and dropped, the edge contraction e' -> e, with no exponent
+tuple made.
+
 The Groebner engine keeps its basis monic, leading coefficient 1/1, so an
 S-polynomial moves each poly up to the lcm by a shift of its keys (mul_term)
 and reads no coefficient (spoly).
@@ -62,7 +69,6 @@ import struct
 from functools import reduce as _fold
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import mul as _mul
 from operator import or_
 from weakref import WeakValueDictionary
 
@@ -193,15 +199,46 @@ class Packing:
         """Packed terms of (pos, expo, num, den) terms, in the same order.
         Raises ResourceCapError when a term's weighted degree does not fit a
         field."""
-        base, shift, coef, dkeys = self.base, self.shift, self.coef, self.dkeys
+        shift, encode, key = self.shift, self.dkeys.pack, self.key
         out = []
         for pos, expo, num, den in f:
             deg = shift[pos] + sum(expo)
             if deg >= LIMIT:
                 raise ResourceCapError(f"weighted degree {deg} does not fit a packed field (limit {LIMIT - 1})")
-            key = base[pos] + sum(map(_mul, expo, coef))
-            out.append((key, int.from_bytes(dkeys.pack(pos, *expo), "little"), num, den))
+            dkey = int.from_bytes(encode(pos, *expo), "little")
+            out.append((key(dkey), dkey, num, den))
         return tuple(out)
+
+    def key(self, dkey):
+        """The key of a term from its dkey.  The exponent part of the dkey
+        times `prefix` holds the prefix sums e_0 + ... + e_(q-1) in fields
+        q = 1..n, which are Q_q less the weight shift, one field below where
+        the key keeps them; Q_n is the weighted degree.  The elimination
+        degree is the prefix sum in field nelim."""
+        pos = dkey & FIELD
+        p = (dkey - pos) * self.prefix
+        key = self.base[pos] + ((p & self.low) << BITS)
+        if self.eshift:
+            key += ((p >> self.esrc) & FIELD) << self.eshift
+        return key
+
+    def contract(self, f, i, j):
+        """The canonical poly of f, packed under this order's weights, nelim
+        and possplit on one variable more, after the ring map that sends
+        variable j to variable i: in each dkey, field j + 1 is added into
+        field i + 1 and dropped, which moves the fields above it down one,
+        and the key is computed again from the new dkey.  No exponent tuple
+        is made.  A sum e_i + e_j is at most the term's degree, so it stays
+        in its field.  Two moved terms can meet, so canon merges them."""
+        at, up = BITS * (i + 1), BITS * (j + 1)
+        below = (1 << up) - 1
+        key = self.key
+        out = []
+        for _, d, n, dn in f:
+            d += ((d >> up) & FIELD) << at
+            d = (d & below) | (d >> (up + BITS) << up)
+            out.append((key(d), d, n, dn))
+        return canon(out)
 
     def build(self, f):
         """The canonical poly of (pos, expo, num, den) terms given in any
@@ -276,13 +313,8 @@ class Packing:
         ge = ((a | GUARD) - b) & GUARD  # guard set where a's field >= b's
         m = ge - (ge >> (BITS - 1))
         d = b ^ ((a ^ b) & m)
-        # the key delta of lcm / s from its dkey delta, whose product with
-        # `prefix` holds the prefix sums e_0 + ... + e_(q-1) in fields q = 1..n
-        p = (d - a) * self.prefix
-        key = s[0] + ((p & self.low) << BITS)
-        if self.eshift:
-            key += ((p >> self.esrc) & FIELD) << self.eshift
-        return key, d
+        # d - a is the dkey of lcm / s at position 0, and the key is linear
+        return s[0] + self.key(d - a) - self.base[0], d
 
     def wdeg(self, key):
         """The weighted-degree field of a key or key delta."""

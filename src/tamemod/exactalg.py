@@ -14,10 +14,11 @@ space's order.  Every value has is_zero, is_homogeneous, weight, +, -, scalar
 *, ==, hash and repr; GradedPoly adds poly * poly, ** and str, FreeElement
 adds ring, component(s), the ring action and str.  The Groebner engine takes
 and returns terms as they are, a ring's polys as elements of its rank-1 free
-module; exponent tuples are read off only to build values from exponents, to
-change the number of variables, and for output.  Saturation and intersection
-add a variable t in front, which shifts every packed field up one
-(Packing.lift), and shift the t-free result back down (Packing.lower).
+module; exponent tuples are read off only to build values from exponents and
+for output.  The contraction e' -> e, which drops a variable, moves packed
+fields (contract).  Saturation and intersection add a variable t in front,
+which shifts every packed field up one (Packing.lift), and shift the t-free
+result back down (Packing.lower).
 
 Spaces are interned, hash-consed through a weak table (Filliatre and
 Conchon, "Type-safe modular hash-consing", ML Workshop 2006): EdgeRing and
@@ -664,21 +665,29 @@ def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence 
 
 
 # ---------------------------------------------------------------------------
-# Ring maps and variable elimination
+# The contraction and variable elimination
 
 
-def substitute(x, dst, mapping: dict):
-    """Push x along the ring map sending each variable to mapping.get(v, v),
-    into dst: a ring for a poly, a free module of x's rank for an element."""
-    dst_ring = dst if isinstance(dst, EdgeRing) else dst.ring
-    imap = [dst_ring.index(mapping.get(v, v)) for v in x.ring.variables]
-    raw = []
-    for p, e, n, d in x.space.packing.unpack(x.terms):
-        out = [0] * dst_ring.nvars
-        for i, c in enumerate(e):
-            out[imap[i]] += c
-        raw.append((p, tuple(out), n, d))
-    return type(x)(dst, dst.packing.build(raw))
+def contract(x, dst, e: str, e_prime: str):
+    """Push x along the contraction e' -> e, the ring map that sends e' to e
+    and fixes every other variable, into dst: x's ring less e', in order,
+    for a poly, or the free module of x's weights over that ring for an
+    element.  The terms move on their packed fields (Packing.contract).
+
+    Raises ValidationError unless e and e' are distinct variables of x's
+    ring, and StructuralError when dst is not that space."""
+    ring = x.ring
+    if e == e_prime:
+        raise ValidationError("split edges must be distinct")
+    i, j = ring.index(e), ring.index(e_prime)
+    names = ring.variables[:j] + ring.variables[j + 1 :]
+    if type(x) is GradedPoly:
+        ok = type(dst) is EdgeRing and dst.variables == names
+    else:
+        ok = type(dst) is FreeModule and dst.ring.variables == names and dst.weights == x.module.weights
+    if not ok:
+        raise StructuralError(f"contracting {e_prime!r} into {e!r} leaves the variables {names}, not the space {dst!r}")
+    return type(x)(dst, dst.packing.contract(x.terms, i, j))
 
 
 _ELIM_ORDER = ((0,), 1, 0)

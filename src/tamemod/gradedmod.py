@@ -45,11 +45,17 @@ Groebner run.  A reduced Groebner basis is unique, so each seed is the basis
 a run would give.  The syzygy basis of a span (_span) and the read-off
 torsion submodule (torsion_data) are reduced in their new covers, and so is
 what _prune keeps of a reduced basis.  The basis of a direct sum is the
-union of its summands' bases, in descending lead order (direct_sum).  The
-cokernel of a map whose columns hold a constant multiple of every target
-generator has the generators as its basis (_coker).  A shift M(s) has M's
-packed relations, and groebner's cache key is the packed items and the
-shape of the order, so M(s) reuses M's run.
+union of its summands' bases, in descending lead order (direct_sum).  A
+partition module, one per partition, has each block element minus the
+block's last (partition.partition_module).  The cokernel of a map whose
+columns are units at positions U, constant multiples of target generators,
+has those units and the elements of the target's stored basis outside U,
+when no element has terms both in U and outside it: all the generators
+when U is every position, as for projections, and the other summands'
+bases for a direct sum's injections (_coker).  A shift M(s) has M's packed
+relations and carries M's stored basis; an M(s) of no stored basis still
+reuses M's run, as groebner's cache key is the packed items and the shape
+of the order.
 
 _prune presents a module on fewer generators by graded Nakayama: a relation
 with a constant entry at a generator makes that generator redundant, and
@@ -77,13 +83,13 @@ from .exactalg import (
     FreeElement,
     FreeModule,
     GradedPoly,
+    contract,
     groebner,
     hilbert_numerator,
     intersect_ideals,
     normal_form,
     reduce_with_expression,
     saturate_by_ideal,
-    substitute,
     syzygies,
 )
 
@@ -155,15 +161,17 @@ class PresentedModule:
         return all(i in leads for i in range(self.rank))
 
     def shift(self, s: int) -> "PresentedModule":
-        """Add s to every generator weight."""
+        """Add s to every generator weight.  A uniform shift leaves every
+        packed term as it is, so the relations, and a stored relation basis,
+        carry over unchanged."""
         if s == 0:
             return self
         free = FreeModule(self.ring, tuple(w + s for w in self.gen_weights))
-        return PresentedModule(
-            self.ring,
-            free.weights,
-            [FreeElement(free, r.terms) for r in self.relations],
-        )
+        out = PresentedModule(self.ring, free.weights, [FreeElement(free, r.terms) for r in self.relations])
+        gb = self._cache.get("gb")
+        if gb is not None:
+            out._cache["gb"] = tuple(FreeElement(free, g.terms) for g in gb)
+        return out
 
     def hilbert_numerator(self) -> dict:
         """N(t) as {weight: nonzero coefficient}, where HS(t) = N(t) / (1 - t)^n;
@@ -416,17 +424,35 @@ def kernel(phi: ModuleMap):
 def _coker(phi: ModuleMap) -> PresentedModule:
     """phi's cokernel module, built once per map and shared by every check on it.
 
-    When the columns hold a constant multiple of every target generator, as
-    the projections of direct_sum and cokernel and the maps F0 induces from
-    them do, the relations span the whole free cover and the cokernel is
-    zero.  The reduced basis of the free cover is its generators, largest
-    lead first; that seeds relation_gb, with no Groebner run."""
+    Its relation basis is seeded, with no Groebner run, when some columns
+    are bare units, constant multiples of target generators, at positions
+    U.  When U holds every position, as for the projections of direct_sum
+    and cokernel and the maps F0 induces from them, the relations span the
+    whole free cover and the cokernel is zero: its reduced basis is the
+    generators.  Otherwise, when every nonzero column is such a unit, as
+    for direct_sum's injections, and the target's stored basis G has no
+    element with terms both in U and outside it, the relations span F_U +
+    <G>, and that is F_U plus the span of the elements of G outside U, each
+    in its own positions.  A lead of G outside U divides only terms outside
+    U, so those elements are a Groebner basis of their span, reduced as
+    part of G, and with the units of U they are the reduced basis."""
     if phi._coker is None:
         tgt = phi.target
         cols = [c for c in phi.columns if not c.is_zero()]
         phi._coker = coker = PresentedModule(tgt.ring, tgt.gen_weights, list(tgt.relations) + cols)
-        if {c.terms[0][1] for c in cols if len(c.terms) == 1} >= set(range(tgt.rank)):
-            coker._cache["gb"] = _by_lead(coker.gen(i) for i in range(tgt.rank))
+        # a constant times generator i is one term whose dkey is i
+        at = [c.terms[0][1] if len(c.terms) == 1 and c.terms[0][1] <= FIELD else None for c in cols]
+        units = set(at) - {None}
+        gb = tgt._cache.get("gb")
+        rest = None
+        if len(units) == tgt.rank:
+            rest = []
+        elif None not in at and gb is not None:
+            sides = [{t[1] & FIELD in units for t in g.terms} for g in gb]
+            if {True, False} not in sides:
+                rest = [g for g, side in zip(gb, sides) if side == {False}]
+        if rest is not None:
+            coker._cache["gb"] = _by_lead([coker.gen(i) for i in units] + rest)
     return phi._coker
 
 
@@ -581,10 +607,10 @@ def _base_ring(ring: EdgeRing, e: str, e_prime: str) -> EdgeRing:
 
 @lru_cache(maxsize=8192)
 def f0(m: PresentedModule, e: str, e_prime: str) -> PresentedModule:
-    """Change of scalars M/(e - e'): substitute e' by e in all relations."""
+    """Change of scalars M/(e - e'): contract e' to e in all relations."""
     bring = _base_ring(m.ring, e, e_prime)
     free = FreeModule(bring, m.gen_weights)
-    rels = [substitute(r, free, {e_prime: e}) for r in m.relations]
+    rels = [contract(r, free, e, e_prime) for r in m.relations]
     return PresentedModule(bring, m.gen_weights, [r for r in rels if not r.is_zero()])
 
 
@@ -710,8 +736,7 @@ def f1(m: PresentedModule, e: str, e_prime: str) -> PresentedModule:
 def induced_map_f0(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
     src0 = f0(phi.source, e, e_prime)
     tgt0 = f0(phi.target, e, e_prime)
-    mapping = {e_prime: e}
-    cols = [substitute(c, tgt0.free_cover, mapping) for c in phi.columns]
+    cols = [contract(c, tgt0.free_cover, e, e_prime) for c in phi.columns]
     return ModuleMap(src0, tgt0, cols, phi.degree, check=True)
 
 
@@ -732,7 +757,6 @@ def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
     src1, tgt1 = td_s.presentation, td_t.presentation
     if not td_s.kgens:
         return ModuleMap.zero_map(src1, tgt1, phi.degree)
-    mapping = {e_prime: e}
     kept = td_t.positions
     diag = None if kept is None else _diagonal(phi.target)
     cols = []
@@ -747,7 +771,7 @@ def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
             torsion = all(r.is_zero() for j, r in enumerate(rems) if j not in kept)
         if not torsion:
             raise StructuralError("image of a torsion element is not torsion")
-        cols.append(tgt1.free_cover.element([substitute(c, tgt1.ring, mapping) for c in cofs]))
+        cols.append(tgt1.free_cover.element([contract(c, tgt1.ring, e, e_prime) for c in cofs]))
     return ModuleMap(src1, tgt1, cols, phi.degree, check=True)
 
 
@@ -816,7 +840,6 @@ def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
     if not td_c.kgens:
         return ModuleMap.zero_map(f1c, f0b, 1)
     d = a_mod.ring.var(e) - a_mod.ring.var(e_prime)
-    mapping = {e_prime: e}
     cols = []
     for c in td_c.kgens:
         rem, cof = reduce_with_expression(c, ses.proj.columns, modulo=c_mod.relations)
@@ -826,7 +849,7 @@ def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
         rem2, cof2 = reduce_with_expression(w, ses.incl.columns, modulo=a_mod.relations)
         if not rem2.is_zero():
             raise StructuralError("(e-e') times the lift does not come from the subobject")
-        cols.append(substitute(b_mod.free_cover.element(cof2), f0b.free_cover, mapping))
+        cols.append(contract(b_mod.free_cover.element(cof2), f0b.free_cover, e, e_prime))
     return ModuleMap(f1c, f0b, cols, 1, check=True)
 
 

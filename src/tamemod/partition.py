@@ -4,11 +4,12 @@ associated partition ideals and rank-1 module presentations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import ValidationError
-from .exactalg import EdgeRing, GradedPoly
-from .gradedmod import PresentedModule
+from .exactalg import EdgeRing, FreeElement, GradedPoly
+from .gradedmod import PresentedModule, _by_lead
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,18 @@ def partition_ideal(p: Partition) -> tuple[GradedPoly, ...]:
     return tuple(gens)
 
 
+@lru_cache(maxsize=8192)
 def partition_module(p: Partition) -> PresentedModule:
     """Rank-1 presentation of the partition module over EdgeRing(p.ground):
-    one weight-0 generator, relations the partition ideal."""
-    return PresentedModule.from_ideal(EdgeRing(p.ground), partition_ideal(p))
+    one weight-0 generator, relations the partition ideal.  One module per
+    partition, shared by every caller.
+
+    Its relation basis is known by construction and stored with no Groebner
+    run: each element of a block minus the block's last element, largest
+    lead first.  Earlier variables are larger, so these forms lead with
+    distinct variables, none of which is a block's last, and no lead occurs
+    in a tail: that is the reduced Groebner basis, the unique one."""
+    m = PresentedModule.from_ideal(EdgeRing(p.ground), partition_ideal(p))
+    ring, free = m.ring, m.free_cover
+    m._cache["gb"] = _by_lead(FreeElement(free, (ring.var(a) - ring.var(b[-1])).terms) for b in p.blocks for a in b[:-1])
+    return m

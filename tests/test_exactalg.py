@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import operator
 import pickle
 import random
@@ -21,7 +22,7 @@ from test_kernel import cmp_terms
 
 from tamemod import exactalg
 from tamemod._core import _pure
-from tamemod._core._pure import BITS, DIVMASK, FIELD
+from tamemod._core._pure import BITS, DIVMASK, FIELD, LIMIT
 from tamemod.errors import ResourceCapError, StructuralError, ValidationError
 from tamemod.exactalg import (
     _ELIM_ORDER,
@@ -38,6 +39,7 @@ from tamemod.exactalg import (
     _monic,
     _saturate_raw,
     _tracked_raw,
+    contract,
     groebner,
     hilbert_numerator,
     ideal_contains_one,
@@ -46,7 +48,6 @@ from tamemod.exactalg import (
     radical_member,
     reduce_with_expression,
     saturate_by_ideal,
-    substitute,
     syzygies,
 )
 from tamemod.workspace import free_to_json, poly_to_json
@@ -1015,11 +1016,109 @@ def test_values_hash_as_their_space_and_terms():
 def test_substitute_free_element_by_components():
     R, M, _, elems = _values(4)
     dst = EdgeRing(("x", "y"))
-    mapping = {"z": "x"}
     free = FreeModule(dst, M.weights)
     for v in elems:
-        assert substitute(v, free, mapping) == free.element([substitute(c, dst, mapping) for c in v.components()])
-    assert substitute(R.var("z") * R.var("y"), dst, mapping) == dst.var("x") * dst.var("y")
+        assert contract(v, free, "x", "z") == free.element([contract(c, dst, "x", "z") for c in v.components()])
+    assert contract(R.var("z") * R.var("y"), dst, "x", "z") == dst.var("x") * dst.var("y")
+
+
+def _substitute(x, dst, mapping: dict):
+    """The ring map sending each variable to mapping.get(v, v), by unpacking
+    every term and packing it again: the route contract replaced, kept as its
+    oracle."""
+    dst_ring = dst if isinstance(dst, EdgeRing) else dst.ring
+    imap = [dst_ring.index(mapping.get(v, v)) for v in x.ring.variables]
+    raw = []
+    for p, e, n, d in x.space.packing.unpack(x.terms):
+        out = [0] * dst_ring.nvars
+        for i, c in enumerate(e):
+            out[imap[i]] += c
+        raw.append((p, tuple(out), n, d))
+    return type(x)(dst, dst.packing.build(raw))
+
+
+def _contraction_values(rng, ring, e, ep):
+    """Random polys and elements over ring, with terms where e and e' meet
+    and merge, and some of degree near the field limit: a poly whose e and
+    e' exponents sum to nearly LIMIT, and elements on generators of weights
+    up to 30000, each with a term at the limit of the position of least room."""
+    n = ring.nvars
+    i, j = ring.index(e), ring.index(ep)
+
+    def mono(a, b, rest=0):
+        expo = [rng.randint(0, rest) for _ in range(n)]
+        expo[i], expo[j] = a, b
+        return tuple(expo)
+
+    polys = [rand_poly(rng, ring) for _ in range(2)]
+    k = rng.randint(1, 3)
+    # e^(k+1) e'^2 and e^(k+3) meet in e^(k+3)
+    polys.append(ring.poly({mono(k + 1, 2): 1, mono(k + 3, 0): -1, mono(0, 1, 1): Fraction(2, 3)}))
+    top = LIMIT - 1 - rng.randint(0, 4)
+    a = rng.randint(0, top)
+    polys.append(ring.poly({mono(a, top - a): 3, mono(top, 0): 1}))
+    weights = (rng.randint(0, 30000), 0, rng.randint(0, 30000))
+    free = FreeModule(ring, weights)
+    # the terms at position p stay below LIMIT - shift[p]
+    room = [LIMIT - 1 - (w - min(weights)) for w in weights]
+    elems = []
+    for _ in range(2):
+        comps = [rand_poly(rng, ring) for _ in room]
+        big = min(room)
+        b = rng.randint(0, big)
+        comps[room.index(big)] += ring.poly({mono(b, big - b): -1})
+        elems.append(free.element(comps))
+    return polys, elems
+
+
+def test_contract_matches_the_unpack_and_pack_route():
+    rng = random.Random("contract")
+    names = ("a", "b", "c", "d")
+    checked = 0
+    for order in itertools.permutations(names):
+        ring = EdgeRing(order)
+        for e, ep in itertools.permutations(names, 2):
+            dst = EdgeRing(tuple(v for v in order if v != ep))
+            polys, elems = _contraction_values(rng, ring, e, ep)
+            for x in polys:
+                assert contract(x, dst, e, ep) == _substitute(x, dst, {ep: e}), (order, e, ep, x)
+            for x in elems:
+                free = FreeModule(dst, x.module.weights)
+                assert contract(x, free, e, ep) == _substitute(x, free, {ep: e}), (order, e, ep, x)
+            checked += len(polys) + len(elems)
+    assert checked == 24 * 12 * 6
+
+
+@pytest.mark.parametrize("e, ep", [("y", "y"), ("w", "y"), ("x", "w"), ("", "z")])
+def test_contract_needs_two_distinct_variables(e, ep):
+    R = EdgeRing(("x", "y", "z"))
+    dst = EdgeRing(("x", "z"))
+    for x in (R.var("y") * R.var("x"), FreeModule(R, (0, 1)).gen(1)):
+        with pytest.raises(ValidationError):
+            contract(x, dst if type(x) is GradedPoly else FreeModule(dst, (0, 1)), e, ep)
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("z", "x"), ("x", "y", "z"), ("x", "z", "w")])
+def test_contract_into_a_ring_that_is_not_the_contracted_one(names):
+    R = EdgeRing(("x", "y", "z"))
+    dst = EdgeRing(names)
+    with pytest.raises(StructuralError):
+        contract(R.var("y") - R.var("x"), dst, "x", "y")
+    with pytest.raises(StructuralError):
+        contract(FreeModule(R, (0,)).gen(0), FreeModule(dst, (0,)), "x", "y")
+
+
+def test_contract_into_a_module_that_is_not_the_contracted_one():
+    R = EdgeRing(("x", "y", "z"))
+    dst = EdgeRing(("x", "z"))
+    v = FreeModule(R, (0, 1)).element([R.var("y"), R.one()])
+    assert contract(v, FreeModule(dst, (0, 1)), "x", "y") == FreeModule(dst, (0, 1)).element([dst.var("x"), dst.one()])
+    for wrong in (FreeModule(dst, (1, 2)), FreeModule(dst, (0,)), FreeModule(dst, (0, 1, 1)), dst, dst.rank_one):
+        with pytest.raises(StructuralError):
+            contract(v, wrong, "x", "y")
+    # a poly goes into the ring, not into its rank-1 module
+    with pytest.raises(StructuralError):
+        contract(R.var("y"), dst.rank_one, "x", "y")
 
 
 @pytest.mark.parametrize(

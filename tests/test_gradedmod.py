@@ -19,6 +19,7 @@ from tamemod.errors import ResourceCapError, StructuralError, ValidationError
 from tamemod.exactalg import (
     EdgeRing,
     FreeModule,
+    contract,
     groebner,
     ideal_contains_one,
     intersect_ideals,
@@ -26,7 +27,6 @@ from tamemod.exactalg import (
     radical_member,
     reduce_with_expression,
     saturate_by_ideal,
-    substitute,
     syzygies,
 )
 from tamemod.gradedmod import (
@@ -1257,7 +1257,7 @@ def _tracked_induced_f1(phi, e, ep):
         rem, cofs = reduce_with_expression(phi.apply_free(x), td_t.kgens, modulo=phi.target.relations)
         if not rem.is_zero():
             raise StructuralError("image of a torsion element is not torsion")
-        cols.append(tgt1.free_cover.element([substitute(c, tgt1.ring, {ep: e}) for c in cofs]))
+        cols.append(tgt1.free_cover.element([contract(c, tgt1.ring, e, ep) for c in cofs]))
     return ModuleMap(src1, tgt1, cols, phi.degree, check=True)
 
 
@@ -1743,11 +1743,14 @@ def _random_module(rng, ring, rank):
 def _constructed_bases():
     """(module, how it was built) for modules whose relation_gb construction
     fixes: direct sums, cokernels of surjections onto a module's generators,
-    and shifts."""
+    cokernels of a direct sum's injections, and shifts.  Some sums have a
+    zero summand, and some a summand with a zero generator."""
     split = split_edge(EdgeGraph(("a", "b", "e")), "e")
     ring = EdgeRing(split.split_graph.edges)
     tame = tame_partitions(AlwaysTame(), split.split_graph)
     rng = random.Random("constructed-bases")
+    free = FreeModule(ring, (0, 1))
+    dead = PresentedModule(ring, free.weights, [free.gen(0), ring.var("a") * free.gen(1)])
     out = []
     for k in range(12):
         roots = [random_certificate(rng, tame, 2).root for _ in range(2)]
@@ -1755,8 +1758,12 @@ def _constructed_bases():
         parts = rng.sample(mods, rng.randint(2, 3))
         if k % 3 == 0:
             parts.insert(rng.randint(0, len(parts)), PresentedModule.zero(ring))
-        total, _, projs = direct_sum(parts)
+        if k % 4 == 1:
+            parts.insert(rng.randint(0, len(parts)), dead)
+        total, injs, projs = direct_sum(parts)
         out.append((total, "direct_sum"))
+        for inj in injs:
+            out.append((gradedmod._coker(inj), "direct_sum injection"))
         for proj in projs:
             out.append((gradedmod._coker(proj), "direct_sum projection"))
             out.append((gradedmod._coker(induced_map_f0(proj, split.e, split.e_prime)), "f0 of a projection"))
@@ -1771,7 +1778,7 @@ def _constructed_bases():
 def test_seeded_relation_bases_match_a_groebner_run():
     cases = _constructed_bases()
     seeded = [m._cache.get("gb") for m, _ in cases]
-    assert all(gb is not None for gb, (_, how) in zip(seeded, cases) if how != "shift")
+    assert all(gb is not None for gb in seeded)
     # most direct sums hold a basis element spread over several positions
     sums = [gb for gb, (_, how) in zip(seeded, cases) if how == "direct_sum"]
     assert sum(any(len({t[1] & FIELD for t in g.terms}) > 1 for g in gb) for gb in sums) > len(sums) // 2
@@ -1823,11 +1830,59 @@ def test_cokernel_of_a_projection_runs_no_groebner(monkeypatch):
     assert calls == []
 
 
+def _groebner_of(m):
+    """The reduced basis a Groebner run gives for m's relations, from a
+    fresh presentation, so nothing stored with m is read."""
+    fresh = PresentedModule(m.ring, m.gen_weights, m.relations)
+    return groebner(list(fresh.relations), module=fresh.free_cover)
+
+
+def test_unit_columns_into_a_basis_across_their_positions():
+    """Unit columns at U seed no basis when the target's basis has an
+    element with terms both in U and outside it; the cokernel's basis is
+    then a Groebner run's, and the map keeps its unit rule when U is every
+    position."""
+    ring = EdgeRing(("a", "b", "c"))
+    a, b, c = (ring.var(v) for v in ring.variables)
+    free = FreeModule(ring, (0, 0, 1))
+    tgt = PresentedModule(ring, free.weights, [free.element([a, -b, ring.zero()]), free.element([ring.zero(), ring.zero(), c])])
+    assert any(len({t[1] & FIELD for t in g.terms}) > 1 for g in tgt.relation_gb())
+    cases = [
+        ([tgt.gen(0)], False),
+        ([tgt.gen(1), 2 * tgt.gen(1)], False),
+        ([tgt.gen(2)], True),
+        ([tgt.gen(2), tgt.gen(1), tgt.gen(0)], True),
+    ]
+    for cols, seeded in cases:
+        src = PresentedModule.free(ring, [free.weights[col.terms[0][1]] for col in cols])
+        coker = gradedmod._coker(ModuleMap(src, tgt, cols, 0, check=False))
+        assert ("gb" in coker._cache) == seeded, cols
+        assert coker.relation_gb() == _groebner_of(coker), cols
+    # a non-unit column keeps the rule from applying, unless units cover every position
+    src = PresentedModule.free(ring, [0, 1])
+    coker = gradedmod._coker(ModuleMap(src, tgt, [tgt.gen(0), a * tgt.gen(1)], 0, check=False))
+    assert "gb" not in coker._cache
+    src = PresentedModule.free(ring, [0, 0, 1, 1])
+    coker = gradedmod._coker(ModuleMap(src, tgt, [tgt.gen(0), tgt.gen(1), tgt.gen(2), a * tgt.gen(1)], 0, check=False))
+    assert coker._cache["gb"] == _groebner_of(coker) == gradedmod._by_lead(coker.gen(i) for i in range(3))
+
+
+def test_cokernel_of_an_injection_runs_no_groebner(monkeypatch):
+    _clear_l1_caches()
+    parts = _summands()
+    _, injs, _ = direct_sum(parts + [PresentedModule.zero(parts[0].ring)])
+    calls = _counting_buchberger(monkeypatch)
+    cokers = [gradedmod._coker(i) for i in injs]
+    assert all(c.relation_gb() and not c.is_zero() for c in cokers)
+    assert calls == []
+
+
 def test_a_shift_shares_the_groebner_run():
     _clear_l1_caches()
     m = _summands()[0]
     gb = m.relation_gb()
     shifted = m.shift(2)
     assert [g.terms for g in shifted.relation_gb()] == [g.terms for g in gb]
+    # the shift holds m's basis, so it makes no lookup
     info = exactalg._groebner_raw.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 0)

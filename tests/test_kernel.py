@@ -478,6 +478,34 @@ def test_pack_matches_reference(case):
         assert pk.unpack(packed) == f
 
 
+def test_key_from_dkey_matches_the_summed_coefficients():
+    """Packing.key(dkey) is the key the exponent tuple sums from the
+    coefficients, base[pos] + sum(map(mul, expo, coef)), under elimination
+    blocks 0 and 1, possplit 0 and above 0, and exponents up to the field
+    limit."""
+    rng = random.Random("key from dkey")
+    seen = set()
+    for _ in range(400):
+        nvars = rng.randint(1, 6)
+        npos = rng.randint(1, 4)
+        weights = tuple(rng.randint(-3, 30000) if rng.random() < 0.3 else rng.randint(-3, 3) for _ in range(npos))
+        order = (weights, rng.randint(0, 1), rng.choice([0, rng.randint(1, npos)]))
+        pk = impl.packing(*order, nvars)
+        dkeys = struct.Struct(f"<{nvars + 1}H")
+        for _ in range(10):
+            pos = rng.randrange(npos)
+            expo = [0] * nvars
+            for _ in range(rng.randint(0, 3)):
+                expo[rng.randrange(nvars)] += rng.randint(0, 3)
+            if rng.random() < 0.2:
+                # the weighted degree at the field limit
+                expo[rng.randrange(nvars)] += LIMIT - 1 - pk.shift[pos] - sum(expo)
+            dkey = int.from_bytes(dkeys.pack(pos, *expo), "little")
+            assert pk.key(dkey) == pk.base[pos] + sum(map(mul, expo, pk.coef)), (order, pos, expo)
+            seen.add((order[1], order[2] > 0))
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+
 # -- heap division against the Fraction reference ------------------------------
 
 

@@ -188,6 +188,31 @@ def test_hilbert_counts_monomials():
         assert m.hilbert_function(w) == math.comb(w + 1, 1)
 
 
+def _fresh_groebner(m):
+    """The reduced basis a Groebner run gives for m's relations."""
+    return groebner(list(m.relations), module=m.free_cover)
+
+
+def test_partition_module_stores_the_reduced_basis():
+    """Every partition of up to 6 edges: the stored basis, each element of a
+    block minus the block's last, is the one a Groebner run gives, and so is
+    the basis each shift by 1 to 3 carries over; one module per partition."""
+    names = ("a", "b", "c", "e", "e'", "f")
+    count = 0
+    for k in range(1, 7):
+        for p in iter_partitions(names[:k]):
+            m = partition_module(p)
+            assert partition_module(make_partition(p.ground, p.blocks)) is m
+            assert m._cache["gb"] == _fresh_groebner(m), p
+            assert len(m._cache["gb"]) == len(p.ground) - p.block_count
+            for s in (1, 2, 3):
+                shifted = m.shift(s)
+                assert shifted.gen_weights == (s,)
+                assert shifted._cache["gb"] == _fresh_groebner(shifted), (p, s)
+            count += 1
+    assert count == 1 + 2 + 5 + 15 + 52 + 203
+
+
 def test_unpickled_partition_hashes_in_its_own_process():
     # the hash is cached on first use, but a pickle carries only the fields:
     # a process with another str-hash seed (a spawned worker) hashes anew
