@@ -31,7 +31,7 @@ Moving a poly to another order of the same (nvars, nelim), or to another
 position, adds base'[pos'] - base[pos] to each key (Packing.rebase).  Moving
 a ring poly into the elimination order ((0,), 1, 0) on t and its variables,
 t first, shifts both keys up one field, and t^tdeg adds tdeg times t's
-coefficient; a t-free poly moves back by a right shift (Packing.lift and
+C_0; a t-free poly moves back by a right shift (Packing.lift and
 Packing.lower).
 
 The divisibility key packs pos in its lowest field and e_i in field i + 1.
@@ -41,10 +41,10 @@ different position leaves a nonzero lowest field.
 
 The key follows from the dkey: one multiply of the dkey's exponent fields
 gives every prefix sum e_0 + ... + e_(k-1) at once (Packing.key).  pack,
-lcm and contract share it: pack keys the dkeys it encodes, lcm keys the
-dkey of lcm / s, and contract keys the dkeys it moves when a variable is sent
-to another and dropped, the edge contraction e' -> e, with no exponent
-tuple made.
+lcm, lift and contract share it: pack keys the dkeys it encodes, lcm keys the
+dkey of lcm / s, lift keys t's field, and contract keys the dkeys it moves
+when a variable is sent to another and dropped, the edge contraction e' ->
+e, with no exponent tuple made.
 
 The Groebner engine keeps its basis monic, leading coefficient 1/1, so an
 S-polynomial moves each poly up to the lcm by a shift of its keys (mul_term)
@@ -151,7 +151,7 @@ def mul(f, g):
 class Packing:
     """The packed layout of one order on a fixed number of variables."""
 
-    __slots__ = ("args", "base", "shift", "lo", "coef", "dkeys", "moves",
+    __slots__ = ("args", "base", "shift", "lo", "dkeys", "moves",
                  "wshift", "eshift", "esrc", "prefix", "low", "fill", "__weakref__")
 
     def __init__(self, weights, nelim, possplit, nvars):
@@ -176,14 +176,6 @@ class Packing:
             + (w - lo) * qfields
             + (npos - 1 - p)
             for p, w in enumerate(weights)
-        )
-        # e_i counts in Q_k for k > i (fields i+2..n), the weighted degree,
-        # and the elimination degree when i < nelim
-        self.coef = tuple(
-            sum(1 << (BITS * (k + 1)) for k in range(i + 1, n))
-            + (1 << self.wshift)
-            + ((1 << self.eshift) if i < nelim else 0)
-            for i in range(n)
         )
         self.dkeys = struct.Struct(f"<{n + 1}H")
         self.prefix = sum(1 << (BITS * j) for j in range(n))
@@ -289,12 +281,13 @@ class Packing:
         Ring variable i is variable i + 1 here, so its exponent sits one
         field higher in both keys: the dkey moves up one field and gains tdeg
         in t's field, field 1; the key moves up one field and gains tdeg
-        times t's coefficient, one in each of fields 2..n+3 for n ring
-        variables (Q_1..Q_n, the weighted and the elimination degree).  No
+        times t's key delta, one in each of fields 2..n+3 for n ring
+        variables (Q_1..Q_n, the weighted and the elimination degree), keyed
+        from t's dkey less base[0], as lcm keys a delta.  No
         exponent tuple is made.  With tdeg 0 every field keeps its value; for
         0 < tdeg < LIMIT a term whose weighted degree reaches LIMIT raises
         ResourceCapError, the bound pack() keeps."""
-        kt, dt = tdeg * self.coef[0], tdeg << BITS
+        kt, dt = tdeg * (self.key(1 << BITS) - self.base[0]), tdeg << BITS
         out = tuple([((k << BITS) + kt, (d << BITS) + dt, n, dn) for k, d, n, dn in f])
         if tdeg:
             _check(t[0] for t in out)

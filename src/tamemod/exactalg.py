@@ -759,15 +759,31 @@ def _ideal_terms(gens: Sequence, ring: EdgeRing) -> tuple:
 
 
 def saturate_by_ideal(ideal_gens: Sequence[GradedPoly], by: Sequence[GradedPoly], ring: EdgeRing) -> tuple:
-    """Saturation (I : J^infinity) = intersection of the single-generator saturations."""
+    """Saturation (I : J^infinity) = intersection of the single-generator
+    saturations I : h^infinity over J's generators h, as a reduced basis.
+
+    Two standard facts (Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, Ch. 4 Sec. 4) cut the fold short.  A single saturation whose
+    basis is I's given terms ends it with that basis: I <= I : J^infinity <=
+    I : h^infinity = I.  And the unit ideal meets any ideal X in X, so a meet
+    with (1) on either side is not computed.  A reduced basis is unique, so
+    neither changes the result.
+    """
     ideal = _ideal_terms(ideal_gens, ring)
     hs = _ideal_terms(by, ring)
     if not hs:
         return (ring.one(),)
+    unit = (ring.one().terms,)
     acc = None
     for h in hs:
         part = _saturate_raw(ideal, h, ring.nvars)
-        acc = part if acc is None else _intersect_raw(acc, part, ring.nvars)
+        if part == ideal:
+            acc = part
+            break
+        if acc is None or acc == unit:
+            acc = part
+        elif part != unit:
+            acc = _intersect_raw(acc, part, ring.nvars)
     return tuple(GradedPoly(ring, g) for g in acc)
 
 

@@ -19,8 +19,9 @@ a finite union of partition subspaces iff J holds one partition ideal (prime
 avoidance, Atiyah-Macdonald, Prop. 1.11), which J's mask of same-block pairs
 shows, with no division.  The plan cached per tame list holds only what every
 decision reads: the kept partitions, their pair masks and the pair table.  A
-sweep that saturates a non-linear ideal reads its chains and its order off
-the kept partitions itself.
+non-linear ideal is saturated by each kept partition ideal in turn, one
+exactalg.saturate_by_ideal each, which stops at a no-op generator and skips
+meets with (1); the sweep keeps no table of its own.
 
 F1 is read off the same way (torsion_data).  When the relation basis lies in
 single positions, M = sum R/I_j(-w_j) and ker(d on M) = sum (I_j : d)/I_j for
@@ -52,10 +53,9 @@ columns are units at positions U, constant multiples of target generators,
 has those units and the elements of the target's stored basis outside U,
 when no element has terms both in U and outside it: all the generators
 when U is every position, as for projections, and the other summands'
-bases for a direct sum's injections (_coker).  A shift M(s) has M's packed
-relations and carries M's stored basis; an M(s) of no stored basis still
-reuses M's run, as groebner's cache key is the packed items and the shape
-of the order.
+bases for a direct sum's injections (_coker).  A shift M(s) stores no
+basis: it has M's packed relations, and groebner's cache key is the packed
+items and the shape of the order, so M(s) reuses M's run when M has had one.
 
 _prune presents a module on fewer generators by graded Nakayama: a relation
 with a constant entry at a generator makes that generator redundant, and
@@ -162,16 +162,12 @@ class PresentedModule:
 
     def shift(self, s: int) -> "PresentedModule":
         """Add s to every generator weight.  A uniform shift leaves every
-        packed term as it is, so the relations, and a stored relation basis,
-        carry over unchanged."""
+        packed term as it is, so the relations carry over unchanged, and the
+        shift's relation basis reuses M's Groebner run when M has had one."""
         if s == 0:
             return self
         free = FreeModule(self.ring, tuple(w + s for w in self.gen_weights))
-        out = PresentedModule(self.ring, free.weights, [FreeElement(free, r.terms) for r in self.relations])
-        gb = self._cache.get("gb")
-        if gb is not None:
-            out._cache["gb"] = tuple(FreeElement(free, g.terms) for g in gb)
-        return out
+        return PresentedModule(self.ring, free.weights, [FreeElement(free, r.terms) for r in self.relations])
 
     def hilbert_numerator(self) -> dict:
         """N(t) as {weight: nonzero coefficient}, where HS(t) = N(t) / (1 - t)^n;
@@ -1051,56 +1047,29 @@ def _sweep_covers(current: tuple, keep: tuple, masks: tuple, pairs: tuple, ring:
     Any other current is saturated by each I_P in turn, finest partitions
     first, which removes the components covered by that subspace;
     containment holds iff the unit ideal is reached.  The sweep sorts its
-    own order, most blocks first and then by blocks, and reads each I_P's
-    chain off P's blocks: the pairs joining consecutive elements of a block,
-    in partition_ideal's order, each with its bit from the pair table.  The
-    form x_a - x_b is built only when the sweep saturates by it.  The sweep
-    keeps, for the current ideal J, a table of the single saturations J :
-    g^infinity by those forms, and I_P's step folds intersect_ideals over
-    its chain generators' entries, which is saturate_by_ideal's own rule.
-    Standard facts (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-    Ch. 4 Sec. 4) let it skip work: J : I^infinity lies in J : h^infinity for
-    h in I, and saturations commute.  So once J : g^infinity = J, g stays a
-    no-op for every later J, which is a saturation of this one; and a
-    partition with a no-op g among its same-block pairs leaves J unchanged,
-    since J <= J : I_P^infinity <= J : g^infinity = J, and is skipped.  The
-    no-ops are held as an int of pair bits, so the skip test is one AND with
-    the partition's mask.  The table is rebuilt only when a step really
-    changes J.
+    own order, most blocks first and then by blocks, and makes one
+    saturate_by_ideal per partition, on P's chain: the forms x_a - x_b
+    joining consecutive elements of each block, in partition_ideal's order.
+    saturate_by_ideal stops at a chain form that leaves current unchanged
+    and meets nothing with (1); a single saturation that a later partition's
+    chain repeats is a hit in its lru cache.
 
-    When a step leaves J linear, the closed form decides over every kept
-    partition.  A partition already swept or skipped leaves every later J
-    unchanged, as saturations commute and each is idempotent; a proper J
+    When a step leaves current linear, the closed form decides over every
+    kept partition.  A partition already swept leaves every later current
+    unchanged, as saturations commute and each is idempotent; a proper ideal
     holding its I_P would saturate to (1), so it cannot change the verdict.
     """
     if _is_linear(current, ring):
         return _linear_covers(current, masks, pairs, ring)
-    names = ring.variables
-    bit = {(names[i], names[j]): b for b, i, j in pairs}
     one = (ring.one(),)
-    sat = {}  # pair bit -> current : g^infinity
-    noop = 0  # bits of the pairs g with current : g^infinity = current, now and from here on
-    for i in sorted(range(len(keep)), key=lambda i: (-keep[i].block_count, keep[i].blocks)):
-        if noop & masks[i]:
-            continue
-        acc = None
-        for x, y in (pr for blk in keep[i].blocks for pr in zip(blk, blk[1:])):
-            b = bit[x, y]
-            if b not in sat:
-                sat[b] = saturate_by_ideal(current, [ring.var(x) - ring.var(y)], ring)
-                if sat[b] == current:
-                    noop |= b
-                    break
-            # (1) meets any ideal X in X
-            acc = sat[b] if acc is None or acc == one else intersect_ideals(acc, sat[b], ring)
-        else:
-            if acc != current:
-                current, sat = acc, {}
-                # a reduced basis, and the reduced basis of the unit ideal is (1)
-                if current == one:
-                    return True
-                if _is_linear(current, ring):
-                    return _linear_covers(current, masks, pairs, ring)
+    for p in sorted(keep, key=lambda p: (-p.block_count, p.blocks)):
+        chain = [ring.var(x) - ring.var(y) for blk in p.blocks for x, y in zip(blk, blk[1:])]
+        current = saturate_by_ideal(current, chain, ring)
+        # a reduced basis, and the reduced basis of the unit ideal is (1)
+        if current == one:
+            return True
+        if _is_linear(current, ring):
+            return _linear_covers(current, masks, pairs, ring)
     return False
 
 
@@ -1124,11 +1093,13 @@ def is_tame_support(m: PresentedModule, tame: Sequence) -> bool:
     alone, is built once, in one plan on bitmasks of same-block pairs
     (_support_plan): the kept partitions, their masks and the pair table.
     What only a saturating sweep reads, its chain forms and its order, the
-    sweep builds for itself.  The outcomes come in this order: an empty list
-    decides by m.is_zero(); a partition on another ground raises
-    StructuralError; a zero module, or a discrete partition in the list,
-    gives True; more than MAX_TAME_SUBSPACES partitions in the reduced
-    antichain raise ResourceCapError before any algebra is done.
+    sweep builds for itself, and it saturates by one kept partition ideal at
+    a time through saturate_by_ideal, with no table of its own.  The
+    outcomes come in this order: an empty list decides by m.is_zero(); a
+    partition on another ground raises StructuralError; a zero module, or a
+    discrete partition in the list, gives True; more than MAX_TAME_SUBSPACES
+    partitions in the reduced antichain raise ResourceCapError before any
+    algebra is done.
     """
     plan = _support_plan(tuple(tame), m.ring)
     if plan is None:

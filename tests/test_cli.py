@@ -477,6 +477,16 @@ def test_harness_golden_reports(tmp_path, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HARNESS_GOLDEN[seed]
 
 
+def test_harness_golden_report_on_a_90_partition_plan(tmp_path):
+    # max-blocks:3 on {a,b,c,d,e,f} split at f keeps 90 partitions; three of
+    # the report's support decisions saturate a non-linear annihilator
+    # partition by partition, 15 single saturations in all
+    out = tmp_path / "report.json"
+    assert run("harness", "--graph", "a,b,c,d,e,f", "--split", "f", "--pred", "max-blocks:3",
+               "--samples", "8", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "28f7a5ba955ae877011cee9931937d6390a8e29e43619051d29804e37d94ea85"
+
+
 def test_harness_needs_edges_or_graph():
     assert run("harness", "--pred", "always-true", "--samples", "1") == 2
 

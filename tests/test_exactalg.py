@@ -238,6 +238,88 @@ def test_saturate_by_zero_ideal(ring_xy):
     assert out == (ring_xy.one(),)
 
 
+def _saturate_by_folding(ideal_gens, by, ring):
+    """saturate_by_ideal as a plain fold: every single saturation is run and
+    met with the others by _intersect_raw."""
+    ideal = exactalg._ideal_terms(ideal_gens, ring)
+    hs = exactalg._ideal_terms(by, ring)
+    if not hs:
+        return (ring.one(),)
+    acc = None
+    for h in hs:
+        part = _saturate_raw(ideal, h, ring.nvars)
+        acc = part if acc is None else _intersect_raw(acc, part, ring.nvars)
+    return tuple(GradedPoly(ring, g) for g in acc)
+
+
+def _saturation_rule_cases():
+    """(ideal generators, saturating generators, kind) over {x, y, z}.  Each
+    ideal is 1-3 products of two linear forms, some with a squared factor,
+    given as its reduced basis or as the products themselves.  Each list has
+    a no-op generator (a form h with I : h^infinity = I) first, in the middle
+    or last, or a generator in the radical of I (the product of the distinct
+    factors of a squared generator, or a generator of I) on either side of
+    other forms."""
+    R = EdgeRing(("x", "y", "z"))
+    rng = random.Random("saturation rules")
+    variables = [R.var(v) for v in R.variables]
+
+    def form():
+        f = R.zero()
+        while f.is_zero():
+            f = sum((rng.randint(-2, 2) * v for v in variables), R.zero())
+        return f
+
+    cases = []
+    for k in range(40):
+        factors = [(form(), form()) for _ in range(rng.randint(1, 3))]
+        if k % 3 == 0:
+            factors[0] = (factors[0][0], factors[0][0])
+        gens = [f * g for f, g in factors]
+        basis = groebner(gens)
+        if k % 2:
+            gens = list(basis)
+        noops = [h for h in variables + [form() for _ in range(4)] if saturate_by_ideal(basis, [h], R) == basis]
+        others = [form() for _ in range(2)] + [rng.choice(variables)]
+        a, b = rng.sample(others, 2)
+        rad = factors[0][0] if k % 3 == 0 else gens[0]
+        for noop in noops[:1]:
+            cases += [(gens, [noop, a, b], "no-op first"), (gens, [a, noop, b], "no-op middle"), (gens, [a, b, noop], "no-op last")]
+        cases += [(gens, [rad, a], "radical first"), (gens, [a, rad, b], "radical middle"), (gens, [a, b, rad], "radical last")]
+        cases.append((gens, [a, b], "plain"))
+    return R, cases
+
+
+def test_saturation_rules_match_the_plain_fold():
+    # A single saturation equal to the given basis ends the fold with it, and
+    # a meet with (1) on either side is not run; both give the fold's
+    # reduced basis.  The cases make each rule decide: a no-op after forms
+    # whose saturations meet in more than I, where skipping the no-op would
+    # be wrong, and a unit part before or after a part that is not (1).
+    R, cases = _saturation_rule_cases()
+    unit = (R.one().terms,)
+    seen = set()
+    for gens, by, kind in cases:
+        assert saturate_by_ideal(gens, by, R) == _saturate_by_folding(gens, by, R), (gens, by)
+        ideal = exactalg._ideal_terms(gens, R)
+        parts = [_saturate_raw(ideal, h.terms, R.nvars) for h in by]
+        if ideal in parts:
+            at = parts.index(ideal)
+            rest = [p for i, p in enumerate(parts) if i != at]
+            wider = _saturate_by_folding(gens, [h for i, h in enumerate(by) if i != at], R)
+            if rest and [g.terms for g in wider] != list(ideal):
+                seen.add(kind)
+        elif unit in parts:
+            at = parts.index(unit)
+            if any(p != unit for p in parts[:at]):
+                seen.add("unit after a proper part")
+            if any(p != unit for p in parts[at + 1:]):
+                seen.add("unit before a proper part")
+        else:
+            assert "no-op" not in kind or gens != list(groebner(gens)), (gens, by)
+    assert seen >= {"no-op first", "no-op middle", "no-op last", "unit after a proper part", "unit before a proper part"}
+
+
 def test_elimination_outputs_are_reduced_bases():
     # the t-free part of the elimination basis is already the reduced basis
     # in the ring order: a Groebner pass leaves it unchanged

@@ -1033,26 +1033,37 @@ def test_tame_support_single_subspace_work(monkeypatch):
     assert calls == {"saturate_by_ideal": 0, "normal_form": 0, "intersect_ideals": 0, "_linear_covers": 1}
 
 
+def _l1_misses():
+    """Single saturations and intersections run since the L1 caches were
+    cleared: the misses of _saturate_raw and _intersect_raw."""
+    return exactalg._saturate_raw.cache_info().misses, exactalg._intersect_raw.cache_info().misses
+
+
 def test_tame_support_nonlinear_annihilator_work(monkeypatch):
     # R/((x_a - x_b)(x_c - x_e)): its annihilator is not linear, so the sweep
-    # saturates.  Under max-blocks:2 it takes 6 saturations and 1
-    # intersection to find the two hyperplanes uncovered, and no step leaves
-    # it linear.  Under the two subspaces [ab|c|e|e'] and [a|b|ce|e'], one
-    # saturation by x_a - x_b leaves the linear (x_c - x_e), whose pair mask
-    # holds [a|b|ce|e']'s, so one closed form decides, with no normal form.
+    # saturates, one saturate_by_ideal per kept partition.  Under max-blocks:2
+    # it visits all 15 and runs 9 single saturations and 1 intersection to
+    # find the two hyperplanes uncovered, and no step leaves it linear.  Under
+    # the two subspaces [ab|c|e|e'] and [a|b|ce|e'], the first call, by
+    # x_a - x_b, leaves the linear (x_c - x_e), whose pair mask holds
+    # [a|b|ce|e']'s, so one closed form decides, with no normal form.
     _, _, tame = _tame_and_wild_abce()
     g = _split_abce()
     ring = partition_module(tame[0]).ring
     xa, xb, xc, xe = (ring.var(v) for v in "abce")
     m = PresentedModule.from_ideal(ring, [(xa - xb) * (xc - xe)])
-    names = ("saturate_by_ideal", "intersect_ideals", "normal_form", "syzygies", "_linear_covers")
+    names = ("saturate_by_ideal", "normal_form", "syzygies", "_linear_covers")
     calls = _count_calls(monkeypatch, names)
+    _clear_l1_caches()
     assert not is_tame_support(m, tame)
-    assert calls == {"saturate_by_ideal": 6, "intersect_ideals": 1, "normal_form": 0, "syzygies": 0, "_linear_covers": 0}
+    assert calls == {"saturate_by_ideal": 15, "normal_form": 0, "syzygies": 0, "_linear_covers": 0}
+    assert _l1_misses() == (9, 1)
     pair = [make_partition(g.edges, [["a", "b"], ["c"], ["e"], ["e'"]]), make_partition(g.edges, [["a"], ["b"], ["c", "e"], ["e'"]])]
     calls.update(dict.fromkeys(names, 0))
+    _clear_l1_caches()
     assert is_tame_support(m, pair)
-    assert calls == {"saturate_by_ideal": 1, "intersect_ideals": 0, "normal_form": 0, "syzygies": 0, "_linear_covers": 1}
+    assert calls == {"saturate_by_ideal": 1, "normal_form": 0, "syzygies": 0, "_linear_covers": 1}
+    assert _l1_misses() == (1, 0)
 
 
 def _read_off_cases():
@@ -1586,10 +1597,14 @@ def test_slim_plan_matches_the_chain_plan(monkeypatch):
     # the sweep reads its chains and its order off the kept partitions.
     # Against the plan that held them, on random lists of 1-10 partitions of
     # {a,b,c,d,e,e'} and on max-blocks:3 (90 kept of 122): keep and masks are
-    # equal, verdicts are equal, and a non-linear ideal's sweep makes the
-    # same saturate_by_ideal calls in the same order.
+    # equal, and verdicts equal the chain plan's sweep.  A non-linear ideal's
+    # sweep makes one saturate_by_ideal per kept partition it visits, with
+    # that partition's chain forms, in the chain plan's order, each on the
+    # ideal the call before it gave; it stops early only at (1) or at a
+    # linear ideal.
     g = _split_abcde()
     ring = EdgeRing(g.edges)
+    one = (ring.one(),)
     parts = list(iter_partitions(g.edges))
     rng = random.Random("slim-plan")
     tames = [tuple(rng.sample(parts, rng.randint(1, 10))) for _ in range(30)]
@@ -1598,11 +1613,11 @@ def test_slim_plan_matches_the_chain_plan(monkeypatch):
     saturate = exactalg.saturate_by_ideal
 
     def recording(current, gens, ring):
-        log.append((current, tuple(gens)))
-        return saturate(current, gens, ring)
+        out = saturate(current, gens, ring)
+        log.append((current, tuple(gens), out))
+        return out
 
     monkeypatch.setattr(gradedmod, "saturate_by_ideal", recording)
-    monkeypatch.setitem(globals(), "saturate_by_ideal", recording)
     verdicts = []
     lengths = []
     for tame in tames:
@@ -1612,16 +1627,21 @@ def test_slim_plan_matches_the_chain_plan(monkeypatch):
         assert masks == tuple(mask for _, mask in steps)
         if covers:
             continue
+        chains = [tuple(form for _, form in steps[i][0]) for i in order]
         for current in _sweep_ideals(rng, ring):
             log.clear()
             got = _sweep_covers(current, keep, masks, pairs, ring)
-            calls = list(log)
-            log.clear()
             assert got == _chain_sweep_covers(current, steps, order, pairs, ring), (keep, current)
-            if not gradedmod._is_linear(current, ring):
-                assert calls == log, (keep, current)
-                verdicts.append(got)
-                lengths.append(len(calls))
+            if gradedmod._is_linear(current, ring):
+                assert log == []
+                continue
+            assert [gens for _, gens, _ in log] == chains[: len(log)], (keep, current)
+            assert [j for j, _, _ in log] == [current] + [out for _, _, out in log[:-1]]
+            last = log[-1][2]
+            if len(log) < len(chains):
+                assert last == one or gradedmod._is_linear(last, ring)
+            verdicts.append(got)
+            lengths.append(len(log))
     assert len(keep) == 90
     assert set(verdicts) == {True, False}
     assert sum(n > 1 for n in lengths) > len(lengths) / 2
@@ -1743,8 +1763,8 @@ def _random_module(rng, ring, rank):
 def _constructed_bases():
     """(module, how it was built) for modules whose relation_gb construction
     fixes: direct sums, cokernels of surjections onto a module's generators,
-    cokernels of a direct sum's injections, and shifts.  Some sums have a
-    zero summand, and some a summand with a zero generator."""
+    and cokernels of a direct sum's injections.  Some sums have a zero
+    summand, and some a summand with a zero generator."""
     split = split_edge(EdgeGraph(("a", "b", "e")), "e")
     ring = EdgeRing(split.split_graph.edges)
     tame = tame_partitions(AlwaysTame(), split.split_graph)
@@ -1770,8 +1790,6 @@ def _constructed_bases():
         _, q_proj = cokernel(ModuleMap(PresentedModule.free(ring, [1]), total, [random_homogeneous_element(rng, total, 1)]))
         out.append((gradedmod._coker(q_proj), "cokernel projection"))
         out.append((gradedmod._coker(induced_map_f0(q_proj, split.e, split.e_prime)), "f0 of a projection"))
-        for s in (1, 2, 3):
-            out.append((parts[-1].shift(s), "shift"))
     return out
 
 
@@ -1883,6 +1901,7 @@ def test_a_shift_shares_the_groebner_run():
     gb = m.relation_gb()
     shifted = m.shift(2)
     assert [g.terms for g in shifted.relation_gb()] == [g.terms for g in gb]
-    # the shift holds m's basis, so it makes no lookup
+    # the shift stores no basis: its packed relations are m's, so its one
+    # lookup hits m's run
     info = exactalg._groebner_raw.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+    assert (info.misses, info.hits) == (1, 1)

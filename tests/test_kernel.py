@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamemod._core import impl, kernel_name
-from tamemod._core._pure import DIVMASK, FIELD, LIMIT, _minus, _norm
+from tamemod._core._pure import BITS, DIVMASK, FIELD, LIMIT, _minus, _norm
 from tamemod.errors import ResourceCapError
 
 ORDER = ((0, 1), 0, 0)  # two positions, weights 0 and 1
@@ -414,10 +414,24 @@ def test_rebase_matches_repacking(case):
 # -- pack and unpack against the struct reference -----------------------------
 
 
+def reference_coef(pk):
+    """The key coefficients C_i of pk's variables, key = base[pos] + sum of
+    e_i * C_i: e_i counts in Q_k for k > i (fields i+2..n), in the weighted
+    degree (field n+1), and in the elimination degree (field n+2) when
+    i < nelim."""
+    _, nelim, _, n = pk.args
+    return tuple(
+        sum(1 << (BITS * (k + 1)) for k in range(i + 1, n))
+        + (1 << (BITS * (n + 1)))
+        + ((1 << (BITS * (n + 2))) if i < nelim else 0)
+        for i in range(n)
+    )
+
+
 def reference_pack(pk, f):
     """The oracle of Packing.pack: every term is checked, then encoded through
     struct, with its key summed from the coefficients."""
-    base, shift, coef = pk.base, pk.shift, pk.coef
+    base, shift, coef = pk.base, pk.shift, reference_coef(pk)
     dkeys = struct.Struct(f"<{len(coef) + 1}H")
     out = []
     for pos, expo, num, den in f:
@@ -480,7 +494,7 @@ def test_pack_matches_reference(case):
 
 def test_key_from_dkey_matches_the_summed_coefficients():
     """Packing.key(dkey) is the key the exponent tuple sums from the
-    coefficients, base[pos] + sum(map(mul, expo, coef)), under elimination
+    coefficients, base[pos] + sum(map(mul, expo, C)), under elimination
     blocks 0 and 1, possplit 0 and above 0, and exponents up to the field
     limit."""
     rng = random.Random("key from dkey")
@@ -491,6 +505,7 @@ def test_key_from_dkey_matches_the_summed_coefficients():
         weights = tuple(rng.randint(-3, 30000) if rng.random() < 0.3 else rng.randint(-3, 3) for _ in range(npos))
         order = (weights, rng.randint(0, 1), rng.choice([0, rng.randint(1, npos)]))
         pk = impl.packing(*order, nvars)
+        coef = reference_coef(pk)
         dkeys = struct.Struct(f"<{nvars + 1}H")
         for _ in range(10):
             pos = rng.randrange(npos)
@@ -501,7 +516,7 @@ def test_key_from_dkey_matches_the_summed_coefficients():
                 # the weighted degree at the field limit
                 expo[rng.randrange(nvars)] += LIMIT - 1 - pk.shift[pos] - sum(expo)
             dkey = int.from_bytes(dkeys.pack(pos, *expo), "little")
-            assert pk.key(dkey) == pk.base[pos] + sum(map(mul, expo, pk.coef)), (order, pos, expo)
+            assert pk.key(dkey) == pk.base[pos] + sum(map(mul, expo, coef)), (order, pos, expo)
             seen.add((order[1], order[2] > 0))
     assert seen == {(0, False), (0, True), (1, False), (1, True)}
 

@@ -195,8 +195,9 @@ def _fresh_groebner(m):
 
 def test_partition_module_stores_the_reduced_basis():
     """Every partition of up to 6 edges: the stored basis, each element of a
-    block minus the block's last, is the one a Groebner run gives, and so is
-    the basis each shift by 1 to 3 carries over; one module per partition."""
+    block minus the block's last, is the one a Groebner run gives, and the
+    Groebner run of each shift by 1 to 3 has the same packed terms; one
+    module per partition."""
     names = ("a", "b", "c", "e", "e'", "f")
     count = 0
     for k in range(1, 7):
@@ -208,7 +209,7 @@ def test_partition_module_stores_the_reduced_basis():
             for s in (1, 2, 3):
                 shifted = m.shift(s)
                 assert shifted.gen_weights == (s,)
-                assert shifted._cache["gb"] == _fresh_groebner(shifted), (p, s)
+                assert [g.terms for g in _fresh_groebner(shifted)] == [g.terms for g in m._cache["gb"]], (p, s)
             count += 1
     assert count == 1 + 2 + 5 + 15 + 52 + 203
 
