@@ -39,6 +39,12 @@ as interreducing everything and then dropping.  One cached tracked run,
 _tracked_raw, serves both syzygies and reduce_with_expression: the first keeps
 its auxiliary part, the second only divides by the whole basis, so the part
 led in F stays as _buchberger gives it.
+
+Hilbert numerators are counted on packed leads.  A module's count hands
+_hilbert_raw the lead dkeys of one position with the position field shifted
+out, a frozenset, so each monomial ideal's numerator is computed once in the
+lru cache, for every position and module that has it; exponent fields are
+decoded only on a miss, which runs hilbert_numerator's recursion.
 """
 
 from __future__ import annotations
@@ -834,3 +840,16 @@ def hilbert_numerator(gens: Iterable[tuple]) -> dict:
         work.append(([g for g in gens if g[i] < e] + [tuple(e if j == i else 0 for j in range(len(counts)))], shift))
         work.append((list({g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens}), shift + e))
     return {k: c for k, c in sorted(out.items()) if c}
+
+
+@lru_cache(maxsize=8192)
+def _hilbert_raw(dkeys: frozenset, nvars: int) -> tuple:
+    """hilbert_numerator of the monomial ideal of position-free packed
+    exponents, a dkey shifted down past its position field (exponent i in
+    field i), as its (degree, coefficient) pairs in ascending degree.
+
+    A module's count keys one entry per position, so positions and modules
+    with the same leads share it.  Fields are decoded only on a miss; the
+    entry is a tuple, so no caller can change what a later one reads."""
+    shifts = [BITS * i for i in range(nvars)]
+    return tuple(hilbert_numerator([tuple((d >> s) & FIELD for s in shifts) for d in dkeys]).items())

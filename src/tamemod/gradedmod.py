@@ -40,6 +40,10 @@ runs kernel's syzygies.
 
 Hilbert functions come from Hilbert-Poincare numerators read off plain relation
 bases (Bigatti); ModuleMap.is_mono and exact_at compare them, with no syzygies.
+A module's numerator is counted on packed leads: one pass over relation_gb()
+groups the lead dkeys by position, and each position's monomial ideal has one
+numerator, cached in exactalg._hilbert_raw on its position-free dkeys, so
+the modules and positions of a round that share an ideal count it once.
 
 Some relation bases are known by construction and seed relation_gb with no
 Groebner run.  A reduced Groebner basis is unique, so each seed is the basis
@@ -66,26 +70,24 @@ them; the certificate transformer prunes the ones it builds for itself.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
 from ._core import impl as K
-from ._core._pure import FIELD
+from ._core._pure import BITS, FIELD
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .exactalg import (
     EdgeRing,
     FreeElement,
     FreeModule,
     GradedPoly,
+    _hilbert_raw,
     contract,
     groebner,
-    hilbert_numerator,
     intersect_ideals,
     normal_form,
     reduce_with_expression,
@@ -174,12 +176,18 @@ class PresentedModule:
         {} exactly for the zero module.  N = sum_p t^{w_p} N_p, N_p the
         numerator of the leading exponents at position p of relation_gb(), by
         Bigatti's pivot recursion (exactalg.hilbert_numerator): F/U and F/in(U)
-        have one Hilbert series, and over one ring equal series are equal N."""
+        have one Hilbert series, and over one ring equal series are equal N.
+        One pass groups the packed lead dkeys by position, and each N_p is
+        read from exactalg._hilbert_raw's cache, keyed on them."""
         hn = self._cache.get("hn")
         if hn is None:
-            lms = [self.free_cover.packing.unpack(g.terms[:1])[0][:2] for g in self.relation_gb()]
-            hn = _combine(*((1, w, hilbert_numerator(e for q, e in lms if q == p)) for p, w in enumerate(self.gen_weights)))
-            self._cache["hn"] = hn
+            leads = [set() for _ in self.gen_weights]
+            for g in self.relation_gb():
+                d = g.terms[0][1]
+                leads[d & FIELD].add(d >> BITS)
+            n = self.ring.nvars
+            parts = ((1, w, _hilbert_raw(frozenset(s), n)) for w, s in zip(self.gen_weights, leads))
+            hn = self._cache["hn"] = _combine(*parts)
         return dict(hn)
 
     def hilbert_function(self, w: int) -> int:
@@ -215,10 +223,14 @@ class PresentedModule:
 
 
 def _combine(*parts) -> dict:
-    """sum of sign * t^shift * N over the (sign, shift, N) parts, zeros dropped."""
-    out: Counter = Counter()
+    """sum of sign * t^shift * N over the (sign, shift, N) parts, each N as
+    its (degree, coefficient) pairs, zeros dropped."""
+    out: dict = {}
+    get = out.get
     for sign, shift, num in parts:
-        out.update({k + shift: sign * c for k, c in num.items()})
+        for k, c in num:
+            k += shift
+            out[k] = get(k, 0) + sign * c
     return {k: c for k, c in out.items() if c}
 
 
@@ -324,7 +336,7 @@ class ModuleMap:
         t^degree N(source) = N(target) - N(coker), as the image has the
         target's series less the cokernel's and the shifted source's less the kernel's."""
         parts = ((1, self.degree, self.source), (-1, 0, self.target), (1, 0, _coker(self)))
-        return not _combine(*((s, d, m.hilbert_numerator()) for s, d, m in parts))
+        return not _combine(*((s, d, m.hilbert_numerator().items()) for s, d, m in parts))
 
     def is_epi(self) -> bool:
         return _coker(self).is_zero()
@@ -817,7 +829,7 @@ def exact_at(fin: ModuleMap, fout: ModuleMap) -> bool:
         return False
     d = fout.degree
     parts = ((1, 0, _coker(fin)), (-1, -d, fout.target), (1, -d, _coker(fout)))
-    return not _combine(*((s, k, m.hilbert_numerator()) for s, k, m in parts))
+    return not _combine(*((s, k, m.hilbert_numerator().items()) for s, k, m in parts))
 
 
 def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
@@ -978,8 +990,11 @@ def _support_plan(tame: tuple, ring: EdgeRing):
     and a partition's mask is the sum of its blocks' masks, each built once.
     q refines p iff q's pairs are a subset of p's, and distinct partitions
     have distinct masks, so q != p refines p iff q's mask is a proper subset
-    of p's.  A proper subset has fewer bits, so each mask is compared only
-    with those of lower popcount.  masks[i] is keep[i]'s mask.
+    of p's.  A strict refinement has more blocks, so the partitions are taken
+    by block count, most blocks first, and each mask is compared only with
+    the kept masks of more blocks: refinement is transitive, so a dropped
+    finer partition is refined by a kept one.  keep then is tame filtered
+    in its own order.  masks[i] is keep[i]'s mask.
 
     pairs is the pair table: each pair's (bit, i, j), with i and j the ring
     indices of a and b, looked up by name, so a mask read off an ideal in the
@@ -998,15 +1013,15 @@ def _support_plan(tame: tuple, ring: EdgeRing):
     bit = {pr: 1 << i for i, pr in enumerate(combinations(tame[0].ground, 2))}
     block_mask = {b: sum(map(bit.__getitem__, combinations(b, 2))) for b in {b for p in tame for b in p.blocks}}
     masks = [sum(map(block_mask.__getitem__, p.blocks)) for p in tame]
-    by_count = sorted(masks, key=int.bit_count)
-    counts = [s.bit_count() for s in by_count]
-    kept = [
-        (p, s)
-        for p, s in zip(tame, masks)
-        if not any(map(s.__eq__, map(s.__or__, islice(by_count, bisect_left(counts, s.bit_count())))))
-    ]
-    # nonempty: a partition with the fewest pairs is kept
-    keep, masks = zip(*kept)
+    by_blocks: dict = {}
+    for p, s in zip(tame, masks):
+        by_blocks.setdefault(p.block_count, []).append(s)
+    finer: list = []
+    for c in sorted(by_blocks, reverse=True):
+        finer += [s for s in by_blocks[c] if 0 not in map((~s).__and__, finer)]
+    kept = set(finer)
+    # nonempty: a partition with the most blocks is kept
+    keep, masks = zip(*((p, s) for p, s in zip(tame, masks) if s in kept))
     pairs = tuple((b, ring.index(x), ring.index(y)) for (x, y), b in bit.items())
     return keep, False, masks, pairs
 

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from bisect import bisect_left
+from collections import Counter
 from itertools import combinations, islice
 from math import comb
 
@@ -21,6 +22,7 @@ from tamemod.exactalg import (
     FreeModule,
     contract,
     groebner,
+    hilbert_numerator,
     ideal_contains_one,
     intersect_ideals,
     normal_form,
@@ -125,6 +127,103 @@ def test_hilbert_function_at_a_large_weight():
     d = w - 3
     assert value == comb(d + 3, 3) + sum(comb(d - i + 2, 2) for i in range(1, top))
     assert m.hilbert_numerator() == {3: 1, 5: -1, top + 3: -1, top + 4: 1}
+
+
+def _counter_combine(*parts):
+    """gradedmod._combine as it was, on numerators given as dicts."""
+    out = Counter()
+    for sign, shift, num in parts:
+        out.update({k + shift: sign * c for k, c in num.items()})
+    return {k: c for k, c in out.items() if c}
+
+
+def _unpacked_numerator(m):
+    """Test-only oracle: the module numerator as it was counted before the
+    leads were read packed, with exponent tuples unpacked from every lead and
+    one generator pass over them per position, uncached."""
+    lms = [m.free_cover.packing.unpack(g.terms[:1])[0][:2] for g in m.relation_gb()]
+    return _counter_combine(*((1, w, hilbert_numerator(e for q, e in lms if q == p)) for p, w in enumerate(m.gen_weights)))
+
+
+@st.composite
+def _count_cases(draw):
+    """(nvars, weights, relations, zero-class positions, shift): each relation
+    is {position: [(exponent, coefficient)]} of one weight, so homogeneous."""
+    n = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
+    rels = []
+    for _ in range(draw(st.integers(0, 6))):
+        # positions outside every relation stay free
+        at = draw(st.lists(st.integers(0, rank - 1), min_size=1, max_size=rank, unique=True))
+        top = max(weights[p] for p in at) + draw(st.integers(1, 2))
+        rel = {}
+        for p in at:
+            terms = []
+            for _ in range(draw(st.integers(1, 2))):
+                expo = [0] * n
+                for v in draw(st.lists(st.integers(0, n - 1), min_size=top - weights[p], max_size=top - weights[p])):
+                    expo[v] += 1
+                terms.append((tuple(expo), draw(st.integers(-3, 3).filter(bool))))
+            rel[p] = terms
+        rels.append(rel)
+    units = draw(st.lists(st.integers(0, rank - 1), max_size=2))
+    return n, weights, rels, units, draw(st.integers(-3, 3))
+
+
+def _count_module(ring, case):
+    n, weights, rels, units, shift = case
+    free = FreeModule(ring, weights)
+    elements = [free.element([ring.poly(dict(rel.get(p, ()))) for p in range(len(weights))]) for rel in rels]
+    m = PresentedModule(ring, weights, elements + [free.gen(p) for p in units])
+    return m.shift(shift)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_count_cases())
+def test_numerator_matches_the_unpacked_count(case):
+    # two rings with the same number of variables pack the same leads, so
+    # the second one's counts come from the first one's cache entries
+    n = case[0]
+    for names in ([f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]):
+        m = _count_module(EdgeRing(names), case)
+        want = _unpacked_numerator(m)
+        assert m.hilbert_numerator() == want
+        low = min(m.gen_weights)
+        for w in range(low - 1, low + 5):
+            assert m.hilbert_function(w) == sum(c * comb(w - k + n - 1, n - 1) for k, c in want.items() if k <= w)
+
+
+def test_a_returned_numerator_is_the_callers_own():
+    R = EdgeRing(("a", "b", "c"))
+    a, b, c = map(R.var, R.variables)
+    free = FreeModule(R, (0, 1))
+    m = PresentedModule(R, (0, 1), [g * free.gen(p) for g in (a * b, c**2) for p in (0, 1)])
+    want = _unpacked_numerator(m)
+    exactalg._hilbert_raw.cache_clear()
+    got = m.hilbert_numerator()
+    assert got == want
+    # both positions hold one monomial ideal, counted once
+    info = exactalg._hilbert_raw.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    got[0] = 99
+    got.clear()
+    assert m.hilbert_numerator() == want
+    # the same leads over another ring read the cached entry, unchanged
+    S = EdgeRing(("x", "y", "z"))
+    x, y, z = map(S.var, S.variables)
+    free = FreeModule(S, (0, 1))
+    other = PresentedModule(S, (0, 1), [g * free.gen(p) for g in (x * y, z**2) for p in (0, 1)])
+    assert other.hilbert_numerator() == want
+    assert exactalg._hilbert_raw.cache_info().misses == 1
+    # a cyclic module's numerator is its one position's entry, unshifted
+    cyclic = PresentedModule.from_ideal(R, [a * b, c**2])
+    want = _unpacked_numerator(cyclic)
+    got = cyclic.hilbert_numerator()
+    got[5] = 1
+    assert cyclic.hilbert_numerator() == want
+    assert PresentedModule.from_ideal(S, [x * y, z**2]).hilbert_numerator() == want
+    assert exactalg._hilbert_raw.cache_info().misses == 1
 
 
 # -- maps ---------------------------------------------------------------------------
