@@ -27,10 +27,7 @@ F1 is read off the same way (torsion_data).  When the relation basis lies in
 single positions, M = sum R/I_j(-w_j) and ker(d on M) = sum (I_j : d)/I_j for
 d = e - e' (Atiyah-Macdonald, Ex. 3.19).  For a linear, hence prime, I_j,
 (I_j : d) is (1) or I_j as d's normal form modulo I_j is zero or not, so each
-summand is all torsion or none, and kernel's syzygies are not run.  The maps
-F1 induces into such a module take their cofactors from one normal form per
-position, as a normal form modulo the tracked basis that
-reduce_with_expression would build is unique (induced_map_f1).
+summand is all torsion or none, and kernel's syzygies are not run.
 
 Where the read-off does not apply, F1(M) = 0 is decided by counting.  The
 exact sequence 0 -> F1(M)(-1) -> M(-1) -> M -> F0(M) -> 0 gives t HS(F1 M) =
@@ -47,19 +44,18 @@ the modules and positions of a round that share an ideal count it once.
 
 Some relation bases are known by construction and seed relation_gb with no
 Groebner run.  A reduced Groebner basis is unique, so each seed is the basis
-a run would give.  The syzygy basis of a span (_span) and the read-off
-torsion submodule (torsion_data) are reduced in their new covers, and so is
-what _prune keeps of a reduced basis.  The basis of a direct sum is the
-union of its summands' bases, in descending lead order (direct_sum).  A
-partition module, one per partition, has each block element minus the
-block's last (partition.partition_module).  The cokernel of a map whose
-columns are units at positions U, constant multiples of target generators,
-has those units and the elements of the target's stored basis outside U,
-when no element has terms both in U and outside it: all the generators
-when U is every position, as for projections, and the other summands'
-bases for a direct sum's injections (_coker).  A shift M(s) stores no
-basis: it has M's packed relations, and groebner's cache key is the packed
-items and the shape of the order, so M(s) reuses M's run when M has had one.
+a run would give.  The syzygy basis of a span (_span) is reduced in its new
+cover.  The basis of a direct sum is the union of its summands' bases, in
+descending lead order (direct_sum).  A partition module, one per partition,
+has each block element minus the block's last (partition.partition_module).
+The cokernel of a map whose columns are units at positions U, constant
+multiples of target generators, has those units and the elements of the
+target's stored basis outside U, when no element has terms both in U and
+outside it: all the generators when U is every position, as for projections,
+and the other summands' bases for a direct sum's injections (_coker).  A
+shift M(s) stores no basis: it has M's packed relations, and groebner's
+cache key is the packed items and the shape of the order, so M(s) reuses M's
+run when M has had one.
 
 _prune presents a module on fewer generators by graded Nakayama: a relation
 with a constant entry at a generator makes that generator redundant, and
@@ -562,10 +558,8 @@ def _prune(m: PresentedModule):
 
     In a homogeneous relation a constant entry outranks every other term
     (its Q fields are all the weighted degree; ties go to the lower
-    position), so only leads need reading.  If the relations are M's reduced
-    Groebner basis, no other relation has an entry at a bare lead's
-    generator, and what is left is the reduced basis of M', so it seeds
-    M'.relation_gb.  M itself comes back when it has no constant entry.
+    position), so only leads need reading.  M itself comes back when it has
+    no constant entry.
     """
     rels = list(m.relations)
     dropped = set()
@@ -583,8 +577,6 @@ def _prune(m: PresentedModule):
     kept = tuple(j for j in range(m.rank) if j not in dropped)
     free = FreeModule(m.ring, tuple(m.gen_weights[j] for j in kept))
     out = PresentedModule(m.ring, free.weights, [free.element([r.component(j) for j in kept]) for r in rels])
-    if m._cache.get("gb") == m.relations:
-        out._cache["gb"] = out.relations
     return out, kept
 
 
@@ -635,8 +627,8 @@ def _diagonal(m: PresentedModule):
     = I_j, and ker(d on R/I_j) = (I_j : d)/I_j.
 
     The result, None too, is stored in m's _cache beside "gb" and "hn", so
-    annihilator, torsion_data and induced_map_f1 read a module's relation
-    basis once between them.
+    annihilator and torsion_data read a module's relation basis once between
+    them.
     """
     if "diag" not in m._cache:
         ideals = [[] for _ in range(m.rank)]
@@ -657,15 +649,12 @@ class TorsionData:
 
     kgens are the canonical generators of {x : (e-e')x in relations} in the
     split-ring free cover; presentation is the contracted-ring presentation of
-    the torsion submodule with those generators.  positions lists the
-    generators that kgens are, in kgens' order, when they were read off a
-    relation basis in single positions (_torsion_positions); None when they
-    came from kernel, or when a count found no torsion (torsion_data).
+    the torsion submodule with those generators.  Both are kernel's, however
+    torsion_data finds them.
     """
 
     kgens: tuple[FreeElement, ...]
     presentation: PresentedModule
-    positions: tuple[int, ...] | None = None
 
 
 def _torsion_positions(diag: tuple, d: GradedPoly, ring: EdgeRing):
@@ -701,15 +690,14 @@ def torsion_data(m: PresentedModule, e: str, e_prime: str) -> TorsionData:
     largest packed lead first: higher weight, then lower position.  Their
     span has I_j's basis at its generator k: the position-j elements of
     relation_gb() moved to k, in their order, which the new cover keeps (one
-    weight's positions keep their order, and different weights never tie).
-    That is its reduced basis, so it seeds its relation_gb.
+    weight's positions keep their order, and different weights never tie),
+    so its relations are its reduced basis.
 
     Otherwise F1(M) = 0 is decided before kernel runs.  As 0 -> F1(M)(-1) ->
     M(-1) -> M -> F0(M) -> 0 is exact, t HS(F1 M) = HS(F0 M) - (1 - t) HS(M),
     and F0(M) has one variable fewer than M, so F1(M) = 0 exactly when
     f0(M).hilbert_numerator() == M.hilbert_numerator().  Then the result is
-    kernel's for an empty kernel: no kgens, F0 of the zero module, and
-    positions None.
+    kernel's for an empty kernel: no kgens and F0 of the zero module.
     """
     ring = m.ring
     _base_ring(ring, e, e_prime)
@@ -732,8 +720,7 @@ def torsion_data(m: PresentedModule, e: str, e_prime: str) -> TorsionData:
         if j in at:
             rels.append(FreeElement(free, free.packing.rebase(g.terms, src, at[j] - j)))
     sub = PresentedModule(ring, free.weights, rels)
-    sub._cache["gb"] = sub.relations
-    return TorsionData(tuple(m.gen(j) for j in kept), f0(sub, e, e_prime), tuple(kept))
+    return TorsionData(tuple(m.gen(j) for j in kept), f0(sub, e, e_prime))
 
 
 def f1(m: PresentedModule, e: str, e_prime: str) -> PresentedModule:
@@ -750,34 +737,17 @@ def induced_map_f0(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
 
 def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
     """F1(phi): each source torsion generator x maps to y = phi(x), written
-    in the target's torsion generators.
-
-    In general the cofactors come from reduce_with_expression.  When the
-    target's torsion was read off (TorsionData.positions), the cofactor at
-    kept position j is normal_form(y_j, I_j): the auxiliary part of the
-    tracked basis of {g_j + eps_k} and the relations is the sum of the
-    I_j*eps_k, so -sum normal_form(y_j, I_j)*eps_k is the normal form of y
-    modulo that basis, which is unique.  Every other component y_j must lie
-    in I_j, as such a summand has no torsion, or y is not torsion.
-    """
+    in the target's torsion generators by reduce_with_expression modulo the
+    target's relations; a nonzero remainder means y is not torsion."""
     td_s = torsion_data(phi.source, e, e_prime)
     td_t = torsion_data(phi.target, e, e_prime)
     src1, tgt1 = td_s.presentation, td_t.presentation
     if not td_s.kgens:
         return ModuleMap.zero_map(src1, tgt1, phi.degree)
-    kept = td_t.positions
-    diag = None if kept is None else _diagonal(phi.target)
     cols = []
     for x in td_s.kgens:
-        y = phi.apply_free(x)
-        if diag is None:
-            rem, cofs = reduce_with_expression(y, td_t.kgens, modulo=phi.target.relations)
-            torsion = rem.is_zero()
-        else:
-            rems = [normal_form(c, ideal) for c, ideal in zip(y.components(), diag)]
-            cofs = [rems[j] for j in kept]
-            torsion = all(r.is_zero() for j, r in enumerate(rems) if j not in kept)
-        if not torsion:
+        rem, cofs = reduce_with_expression(phi.apply_free(x), td_t.kgens, modulo=phi.target.relations)
+        if not rem.is_zero():
             raise StructuralError("image of a torsion element is not torsion")
         cols.append(tgt1.free_cover.element([contract(c, tgt1.ring, e, e_prime) for c in cofs]))
     return ModuleMap(src1, tgt1, cols, phi.degree, check=True)

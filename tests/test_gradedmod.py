@@ -27,7 +27,6 @@ from tamemod.exactalg import (
     intersect_ideals,
     normal_form,
     radical_member,
-    reduce_with_expression,
     saturate_by_ideal,
     syzygies,
 )
@@ -36,6 +35,7 @@ from tamemod.gradedmod import (
     ModuleMap,
     PresentedModule,
     ShortExactSequence,
+    SixTermSequence,
     annihilator,
     annihilator_ideal,
     cokernel,
@@ -647,6 +647,17 @@ def test_six_term_on_principal_ideal(zp_related):
     # connecting map must be nonzero here: F1(C) = Z[P] flows into F0(B)
     delta = st.maps[2]
     assert any(not e.is_zero() for row in delta.matrix for e in row)
+    # a zero connecting map breaks exactness on both of its sides
+    f1i, f1p, _, f0i, f0p = st.maps
+    broken = SixTermSequence(st.modules, (f1i, f1p, ModuleMap.zero_map(delta.source, delta.target, 1), f0i, f0p))
+    assert broken.exactness_failures() == ["exactness fails at F1(C)", "exactness fails at F0(B)"]
+    # a zero inclusion is not injective, and its image, 0, is not the
+    # projection's kernel
+    zero_incl = ModuleMap.zero_map(ses.incl.source, ses.incl.target, ses.incl.degree)
+    assert ShortExactSequence(zero_incl, ses.proj).check() == [
+        "inclusion is not injective",
+        "image of the inclusion differs from the kernel of the projection",
+    ]
 
 
 def test_six_term_hilbert_additivity(zp_related):
@@ -1263,9 +1274,9 @@ def _torsion_cases():
 
 def test_torsion_read_off_matches_kernel_route(monkeypatch):
     # kgens, the contracted presentation and the uncontracted torsion
-    # submodule with its seeded relation_gb equal the kernel route's exactly;
-    # the read-off runs no syzygies, and falls back to kernel when a summand
-    # is neither killed by d nor linear
+    # submodule with its relation_gb equal the kernel route's exactly; the
+    # read-off contracts only the torsion submodule, runs no syzygies, and
+    # falls back to kernel when a summand is neither killed by d nor linear
     e, ep = "e", "e'"
     cases = _torsion_cases()
     expected = [_kernel_torsion(m, e, ep) for m, _ in cases]
@@ -1280,22 +1291,25 @@ def test_torsion_read_off_matches_kernel_route(monkeypatch):
     calls = _count_calls(monkeypatch, ("syzygies",))
     kinds = set()
     for (m, read_off), (kgens, ref) in zip(cases, expected):
-        before = calls["syzygies"]
+        before, contracted = calls["syzygies"], len(subs)
         td = torsion_data.__wrapped__(m, e, ep)
         sub = subs[-1]
+        # the count and kernel contract m itself, the read-off does not
+        read = all(x is not m for x in subs[contracted:])
         assert td.kgens == kgens, m
         assert sub.gen_weights == ref.gen_weights and sub.relations == ref.relations, m
-        assert td.positions is None or "gb" in sub._cache, m
         assert sub.relation_gb() == ref.relation_gb() == groebner(list(ref.relations), module=ref.free_cover), m
         assert td.presentation == f0(ref, e, ep), m
         if read_off is not None:
-            assert (td.positions is not None) == read_off, m
+            assert read == read_off, m
         # no syzygies exactly when read off or counted zero: an empty kernel
         # is always counted, so kernel runs only for a nonzero F1
-        assert (calls["syzygies"] == before) == (td.positions is not None or not td.kgens), m
-        if td.positions is not None:
-            assert td.kgens == tuple(m.gen(j) for j in td.positions)
-            kinds.add("sorted" if list(td.positions) != sorted(td.positions) else "kept" if td.kgens else "none")
+        assert (calls["syzygies"] == before) == (read or not td.kgens), m
+        if read:
+            # each generator read off is a bare generator of m
+            positions = [x.terms[0][1] for x in td.kgens]
+            assert td.kgens == tuple(m.gen(j) for j in positions), m
+            kinds.add("sorted" if positions != sorted(positions) else "kept" if td.kgens else "none")
     assert kinds == {"sorted", "kept", "none"}
 
 
@@ -1337,17 +1351,27 @@ def _counted_torsion_cases():
 
 def test_counted_zero_torsion_matches_kernel_route(monkeypatch):
     # where the read-off does not apply, torsion_data decides F1(M) = 0 by
-    # Hilbert numerators; its outputs equal kernel's exactly, and it runs no
-    # syzygies exactly when the kernel is empty
+    # Hilbert numerators, which contracts m itself; its outputs equal
+    # kernel's exactly, and it runs no syzygies exactly when the kernel is
+    # empty
     e, ep = "e", "e'"
     cases = _counted_torsion_cases()
     expected = [_kernel_torsion(m, e, ep) for m in cases]
+    contracted = []
+    f0 = gradedmod.f0
+
+    def recording_f0(m, *args):
+        contracted.append(m)
+        return f0(m, *args)
+
+    monkeypatch.setattr(gradedmod, "f0", recording_f0)
     calls = _count_calls(monkeypatch, ("syzygies",))
     seen = set()
     for m, (kgens, ref) in zip(cases, expected):
         before = calls["syzygies"]
+        del contracted[:]
         td = torsion_data.__wrapped__(m, e, ep)
-        assert td.positions is None, m
+        assert contracted[0] is m, m
         assert td.kgens == kgens, m
         assert td.presentation == f0(ref, e, ep), m
         assert (calls["syzygies"] == before) == (not kgens), m
@@ -1355,17 +1379,28 @@ def test_counted_zero_torsion_matches_kernel_route(monkeypatch):
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def _tracked_induced_f1(phi, e, ep):
-    """induced_map_f1's cofactors by reduce_with_expression, kept as the
-    oracle of the read-off."""
+def _read_off_induced_f1(phi, e, ep):
+    """induced_map_f1 as it was when it read its cofactors off a target whose
+    torsion was read off, kept as the oracle of the route by
+    reduce_with_expression: the cofactor at kept position j is
+    normal_form(y_j, I_j), and every other component y_j must lie in I_j, as
+    such a summand has no torsion, or y is not torsion.  The kept positions,
+    which torsion_data once returned, are those of the target's torsion
+    generators."""
     td_s, td_t = torsion_data(phi.source, e, ep), torsion_data(phi.target, e, ep)
     src1, tgt1 = td_s.presentation, td_t.presentation
     if not td_s.kgens:
         return ModuleMap.zero_map(src1, tgt1, phi.degree)
+    kept = [x.terms[0][1] for x in td_t.kgens]
+    assert td_t.kgens == tuple(phi.target.gen(j) for j in kept)
+    diag = gradedmod._diagonal(phi.target)
+    assert diag is not None
     cols = []
     for x in td_s.kgens:
-        rem, cofs = reduce_with_expression(phi.apply_free(x), td_t.kgens, modulo=phi.target.relations)
-        if not rem.is_zero():
+        y = phi.apply_free(x)
+        rems = [normal_form(c, ideal) for c, ideal in zip(y.components(), diag)]
+        cofs = [rems[j] for j in kept]
+        if not all(r.is_zero() for j, r in enumerate(rems) if j not in kept):
             raise StructuralError("image of a torsion element is not torsion")
         cols.append(tgt1.free_cover.element([contract(c, tgt1.ring, e, ep) for c in cofs]))
     return ModuleMap(src1, tgt1, cols, phi.degree, check=True)
@@ -1407,19 +1442,20 @@ def _torsion_maps():
     return maps
 
 
-def test_induced_f1_read_off_matches_tracked_route(monkeypatch):
+def test_induced_f1_read_off_matches_tracked_route():
+    # every target's torsion is read off, so the old read-off route applies
+    # to each map, and the one route, by reduce_with_expression, agrees with
+    # it on every column and on both maps that raise
     e, ep = "e", "e'"
     maps = _torsion_maps()
     expected = []
     for phi in maps:
         try:
-            expected.append(_tracked_induced_f1(phi, e, ep))
+            expected.append(_read_off_induced_f1(phi, e, ep))
         except StructuralError as exc:
             expected.append(str(exc))
-    calls = _count_calls(monkeypatch, ("reduce_with_expression",))
     nonzero = 0
     for phi, want in zip(maps, expected):
-        assert torsion_data(phi.target, e, ep).positions is not None
         if isinstance(want, str):
             with pytest.raises(StructuralError, match=want):
                 induced_map_f1(phi, e, ep)
@@ -1427,7 +1463,6 @@ def test_induced_f1_read_off_matches_tracked_route(monkeypatch):
         got = induced_map_f1(phi, e, ep)
         assert got == want, phi
         nonzero += any(not c.is_zero() for c in got.columns)
-    assert calls["reduce_with_expression"] == 0
     assert sum(isinstance(w, str) for w in expected) == 2 and nonzero > 10
 
 
@@ -1442,7 +1477,7 @@ def test_torsion_of_partition_sums_runs_no_syzygies(monkeypatch):
     m = direct_sum(mods)[0]
     calls = _count_calls(monkeypatch, ("syzygies", "kernel", "normal_form"))
     td = torsion_data.__wrapped__(m, "e", "e'")
-    assert td.positions == (2, 0) and td.presentation.gen_weights == (2, 0)
+    assert td.kgens == (m.gen(2), m.gen(0)) and td.presentation.gen_weights == (2, 0)
     assert calls == {"syzygies": 0, "kernel": 0, "normal_form": 3}
 
 
@@ -1469,7 +1504,7 @@ def test_diagonal_is_read_once_per_module(monkeypatch):
     assert calls == {"component": n, "relation_gb": 1}
     assert anns == [groebner(list(partition_ideal(q))) for q in parts]
     td = torsion_data.__wrapped__(m, "e", "e'")
-    assert td.positions == (2, 0)
+    assert td.kgens == (m.gen(2), m.gen(0))
     assert calls["component"] == n
     assert m._cache["diag"] == tuple(anns)
     fresh = PresentedModule(ring, m.gen_weights, m.relations)

@@ -38,6 +38,8 @@ def test_make_partition_single_block():
 def test_overlapping_blocks_rejected():
     with pytest.raises(ValidationError, match="'e'"):
         make_partition(["e", "a"], [["e"], ["e", "a"]])
+    with pytest.raises(ValidationError, match="'e' repeated inside one block"):
+        make_partition(["e", "a"], [["e", "e"], ["a"]])
 
 
 def test_uncovered_element_rejected():

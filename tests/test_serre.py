@@ -247,6 +247,34 @@ def test_transform_rejects_a_zero_witness_of_a_nonzero_sub(p_related):
         assert isinstance(out, ZeroNode) and verify(out, PRED)
 
 
+def test_transform_rejects_torsion_inside_a_torsion_free_generator():
+    # S = R/(e - e') is all torsion, Z[a,e | e'] has none, so F1 of a SubNode
+    # of S under that generator cannot include into F1 of the generator
+    p = make_partition(["a", "e", "e'"], [["a", "e"], ["e'"]])
+    gen = GenNode(p, 0)
+    ring = gen.root.ring
+    s_mod = PresentedModule.from_ideal(ring, [ring.var("e") - ring.var("e'")])
+    cert = SubNode(gen, ModuleMap.zero_map(s_mod, gen.root))
+    with pytest.raises(CertificateError, match="nonzero torsion inside a torsion-free generator"):
+        transform(cert, "e", "e'", 1)
+
+
+def test_certificates_differ_in_any_part(p_related):
+    # two nodes of one kind are equal only when every part is, and equal
+    # nodes hash alike
+    assert GenNode(p_related, 0) != GenNode(p_related, 1)
+    assert GenNode(p_related, 1) == GenNode(p_related, 1)
+    assert hash(GenNode(p_related, 1)) == hash(GenNode(p_related, 1))
+    gen = GenNode(p_related, 0)
+    ring = gen.root.ring
+    src = PresentedModule.free(ring, (1,))
+    a_incl = ModuleMap(src, gen.root, [ring.var("a") * gen.root.gen(0)], 0)
+    zero = ModuleMap.zero_map(src, gen.root)
+    assert SubNode(gen, a_incl) != SubNode(gen, zero)
+    assert SubNode(gen, a_incl) == SubNode(GenNode(p_related, 0), a_incl)
+    assert hash(SubNode(gen, a_incl)) == hash(SubNode(GenNode(p_related, 0), a_incl))
+
+
 def record_transform(monkeypatch):
     """A list that gains (depth, degree, level) for every call of
     serre._transform, the root's at depth 0: each recursive call looks
