@@ -38,7 +38,12 @@ therefore interreduced alone (_autoreduce), and gives the same reduced basis
 as interreducing everything and then dropping.  One cached tracked run,
 _tracked_raw, serves both syzygies and reduce_with_expression: the first keeps
 its auxiliary part, the second only divides by the whole basis, so the part
-led in F stays as _buchberger gives it.
+led in F stays as _buchberger gives it.  The run starts from each item's
+remainder on division by the modulo elements, which callers give as a
+relation basis: that changes neither the submodule the run spans nor its
+order, and reduced bases and normal forms are unique (Cox, Little and O'Shea,
+Ideals, Varieties, and Algorithms, Ch. 2 Sec. 6, Prop. 1), so both outputs
+keep.
 
 Hilbert numerators are counted on packed leads.  A module's count hands
 _hilbert_raw the lead dkeys of one position with the position field shifted
@@ -551,6 +556,16 @@ def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tupl
     remainder (Cox, Little and O'Shea, Ch. 2 Sec. 6, Prop. 1), so neither
     reader reduces the second.  Items and modulo elements are packed in
     order, the basis in the product order.
+
+    Each item's auxiliary weight is read off the item as given, and the item
+    then enters as its remainder g_i' on division by the modulo elements, so
+    the run starts from items that no modulo lead divides.  g_i - g_i' lies
+    in the span of modulo, so g_i' + eps_i is g_i + eps_i less an element of
+    that span, and the run spans the same submodule of F + R^m in the same
+    order.  Its reduced basis and every normal form modulo it are unique
+    (Cox, Little and O'Shea, Ch. 2 Sec. 6, Prop. 1), so neither reader's
+    output changes.  The cache key stays the items and modulo as the caller
+    gave them, so syzygies and reduce_with_expression still share one run.
     """
     weights, nelim, _ = order
     pk = K.packing(*order, nvars)
@@ -559,6 +574,8 @@ def _tracked_raw(items: tuple, rank: int, order: tuple, nvars: int, modulo: tupl
         w = pk.weights(g)
         aux.append(w.pop() if len(w) == 1 else 0)
     ppk = K.packing(tuple(weights) + tuple(aux), nelim, rank, nvars)
+    divisors = [g for g in modulo if g]
+    items = [K.reduce(g, divisors)[0] for g in items] if divisors else items
     embedded = [ppk.rebase(g, pk) + (ppk.unit(rank + i),) for i, g in enumerate(items)]
     embedded += [ppk.rebase(g, pk) for g in modulo]
     basis = _buchberger(embedded, ppk)
@@ -618,7 +635,10 @@ def reduce_with_expression(f, gens: Sequence, modulo: Sequence = ()):
     of the one cached _tracked_raw run that syzygies also reads: its F-part
     is the remainder, and minus its auxiliary part the cofactors.  Every
     Groebner basis gives that normal form, so the part led in F need not be
-    reduced.
+    reduced.  The run divides each gen by modulo first (_tracked_raw); that
+    leaves the tracked submodule as it is, so the normal form, remainder and
+    cofactors are those of the undivided gens.  A relation basis as modulo
+    makes that division cheap and complete.
 
     With no gens, f is still reduced against modulo and the cofactors are ().
     """
@@ -655,7 +675,10 @@ def syzygies(gens: Sequence, module: FreeModule | None = None, modulo: Sequence 
     that reduce_with_expression also reads: F's positions dominate, so that
     part is interreduced alone and the elements led in F are never reduced.
     Each kept element moves down by rank positions, one delta for every
-    auxiliary position.
+    auxiliary position.  The run starts from each gen's remainder modulo
+    modulo, with the weight of the gen as given (_tracked_raw): s is a
+    relation of the gens exactly when it is one of the remainders, and the
+    reduced basis in one order is unique, so the output is the same.
     """
     gens = list(gens)
     _, _, mod, items = _coerce_inputs(gens + list(modulo), module)

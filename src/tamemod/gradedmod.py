@@ -46,16 +46,23 @@ Some relation bases are known by construction and seed relation_gb with no
 Groebner run.  A reduced Groebner basis is unique, so each seed is the basis
 a run would give.  The syzygy basis of a span (_span) is reduced in its new
 cover.  The basis of a direct sum is the union of its summands' bases, in
-descending lead order (direct_sum).  A partition module, one per partition,
-has each block element minus the block's last (partition.partition_module).
-The cokernel of a map whose columns are units at positions U, constant
-multiples of target generators, has those units and the elements of the
-target's stored basis outside U, when no element has terms both in U and
-outside it: all the generators when U is every position, as for projections,
-and the other summands' bases for a direct sum's injections (_coker).  A
-shift M(s) stores no basis: it has M's packed relations, and groebner's
-cache key is the packed items and the shape of the order, so M(s) reuses M's
-run when M has had one.
+descending lead order (direct_sum).  A partition module, one per partition
+and shift, has each block element minus the block's last
+(partition.partition_module); a shifted Gen root is that module, so it runs
+no Groebner run either.  The cokernel of a map whose columns are units at
+positions U, constant multiples of target generators, has those units and
+the elements of the target's stored basis outside U, when no element has
+terms both in U and outside it: all the generators when U is every
+position, as for projections, and the other summands' bases for a direct
+sum's injections (_coker).  A shift M(s) stores no basis: it has M's packed
+relations, and groebner's cache key is the packed items and the shape of
+the order, so M(s) reuses M's run when M has had one.
+
+Every syzygy and lift modulo a module's relations (_span, kernel,
+annihilator, induced_map_f1, connecting_map) hands the tracked run the
+module's relation_gb(), which those callers have already built: the run
+spans the same submodule from either, and starts from items reduced modulo
+the basis (exactalg._tracked_raw).
 
 _prune presents a module on fewer generators by graded Nakayama: a relation
 with a constant entry at a generator makes that generator redundant, and
@@ -369,7 +376,7 @@ def _span(ambient: PresentedModule, gens: Sequence[FreeElement]):
     if not kept:
         sub = PresentedModule.zero(ambient.ring)
     else:
-        rels = syzygies(kept, module=ambient.free_cover, modulo=ambient.relations)
+        rels = syzygies(kept, module=ambient.free_cover, modulo=ambient.relation_gb())
         sub = PresentedModule(ambient.ring, tuple(g.weight() for g in kept), rels)
         sub._cache["gb"] = sub.relations
     return sub, ModuleMap(sub, ambient, kept, 0, check=False)
@@ -417,7 +424,7 @@ def kernel(phi: ModuleMap):
     basis is used as it is; otherwise a Groebner pass in the source cover
     gives it."""
     free = phi.source.free_cover
-    syz = syzygies(phi.columns, module=phi.target.free_cover, modulo=phi.target.relations)
+    syz = syzygies(phi.columns, module=phi.target.free_cover, modulo=phi.target.relation_gb())
     if not any(c.is_zero() for c in phi.columns):
         span = [FreeElement(free, s.terms) for s in syz]
     else:
@@ -746,7 +753,7 @@ def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
         return ModuleMap.zero_map(src1, tgt1, phi.degree)
     cols = []
     for x in td_s.kgens:
-        rem, cofs = reduce_with_expression(phi.apply_free(x), td_t.kgens, modulo=phi.target.relations)
+        rem, cofs = reduce_with_expression(phi.apply_free(x), td_t.kgens, modulo=phi.target.relation_gb())
         if not rem.is_zero():
             raise StructuralError("image of a torsion element is not torsion")
         cols.append(tgt1.free_cover.element([contract(c, tgt1.ring, e, e_prime) for c in cofs]))
@@ -820,11 +827,11 @@ def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
     d = a_mod.ring.var(e) - a_mod.ring.var(e_prime)
     cols = []
     for c in td_c.kgens:
-        rem, cof = reduce_with_expression(c, ses.proj.columns, modulo=c_mod.relations)
+        rem, cof = reduce_with_expression(c, ses.proj.columns, modulo=c_mod.relation_gb())
         if not rem.is_zero():
             raise StructuralError("projection is not surjective; cannot lift torsion class")
         w = d * a_mod.free_cover.element(cof)
-        rem2, cof2 = reduce_with_expression(w, ses.incl.columns, modulo=a_mod.relations)
+        rem2, cof2 = reduce_with_expression(w, ses.incl.columns, modulo=a_mod.relation_gb())
         if not rem2.is_zero():
             raise StructuralError("(e-e') times the lift does not come from the subobject")
         cols.append(contract(b_mod.free_cover.element(cof2), f0b.free_cover, e, e_prime))
@@ -902,7 +909,7 @@ def annihilator(m: PresentedModule, x: FreeElement) -> tuple[GradedPoly, ...]:
         diag = _diagonal(m)
         if diag is not None:
             return diag[x.terms[0][1]]
-    return tuple(s.component(0) for s in syzygies([x], module=m.free_cover, modulo=m.relations))
+    return tuple(s.component(0) for s in syzygies([x], module=m.free_cover, modulo=m.relation_gb()))
 
 
 @lru_cache(maxsize=8192)

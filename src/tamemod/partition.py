@@ -136,17 +136,22 @@ def partition_ideal(p: Partition) -> tuple[GradedPoly, ...]:
 
 
 @lru_cache(maxsize=8192)
-def partition_module(p: Partition) -> PresentedModule:
-    """Rank-1 presentation of the partition module over EdgeRing(p.ground):
-    one weight-0 generator, relations the partition ideal.  One module per
-    partition, shared by every caller.
+def partition_module(p: Partition, shift: int = 0) -> PresentedModule:
+    """Rank-1 presentation of the partition module over EdgeRing(p.ground),
+    shifted by shift: one generator in weight shift, relations the partition
+    ideal.  One module per (p, shift), shared by every caller, so every Gen
+    leaf of one partition and shift has one root.  The lru cache keys the
+    arguments as passed, so partition_module(p) and partition_module(p, 0)
+    are two equal modules; serre.GenNode always passes the shift.
 
     Its relation basis is known by construction and stored with no Groebner
     run: each element of a block minus the block's last element, largest
     lead first.  Earlier variables are larger, so these forms lead with
     distinct variables, none of which is a block's last, and no lead occurs
-    in a tail: that is the reduced Groebner basis, the unique one."""
-    m = PresentedModule.from_ideal(EdgeRing(p.ground), partition_ideal(p))
+    in a tail: that is the reduced Groebner basis, the unique one.  A rank-1
+    cover of one weight packs its terms as the ring does, whatever the
+    shift, so the same forms are the basis of every shift."""
+    m = PresentedModule.from_ideal(EdgeRing(p.ground), partition_ideal(p), shift)
     ring, free = m.ring, m.free_cover
     m._cache["gb"] = _by_lead(FreeElement(free, (ring.var(a) - ring.var(b[-1])).terms) for b in p.blocks for a in b[:-1])
     return m

@@ -93,13 +93,18 @@ class Certificate:
 
 
 class GenNode(Certificate):
+    """Leaf for a partition module shifted by shift.  Its root is
+    partition_module(partition, shift), so every leaf of one partition and
+    shift shares one module, with the relation basis stored at construction
+    and the Hilbert numerator and diagonal read off it once."""
+
     kind = "gen"
     data_parts = ("partition", "shift")
 
     def __init__(self, partition: Partition, shift: int = 0):
         self.partition = partition
         self.shift = int(shift)
-        self.root = partition_module(partition).shift(self.shift)
+        self.root = partition_module(partition, self.shift)
 
 
 class ZeroNode(Certificate):

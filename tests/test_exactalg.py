@@ -927,6 +927,99 @@ def test_reduce_with_expression_no_gens_still_reduces_modulo(ring_xy):
     assert reduce_with_expression(x + y, []) == (x + y, ())
 
 
+def _undivided_tracked_raw(items, rank, order, nvars, modulo):
+    """_tracked_raw as it was before it divided the items by modulo: the
+    items enter the run as given."""
+    weights, nelim, _ = order
+    pk = K.packing(*order, nvars)
+    aux = []
+    for g in items:
+        w = pk.weights(g)
+        aux.append(w.pop() if len(w) == 1 else 0)
+    ppk = K.packing(tuple(weights) + tuple(aux), nelim, rank, nvars)
+    embedded = [ppk.rebase(g, pk) + (ppk.unit(rank + i),) for i, g in enumerate(items)]
+    embedded += [ppk.rebase(g, pk) for g in modulo]
+    basis = _buchberger(embedded, ppk)
+    aux = _autoreduce(v for v in basis if v[0][1] & FIELD >= rank)
+    return aux, tuple(v for v in basis if v[0][1] & FIELD < rank), ppk
+
+
+def _undivided_syzygies(gens, modulo, module):
+    """syzygies read off _undivided_tracked_raw."""
+    k, rank = len(gens), module.rank
+    items, rels = tuple(g.terms for g in gens), tuple(g.terms for g in modulo)
+    aux, _, ppk = _undivided_tracked_raw(items, rank, module.order(), module.ring.nvars, rels)
+    smod = FreeModule(module.ring, ppk.args[0][-k:])
+    return tuple(FreeElement(smod, smod.packing.rebase(v, ppk, -rank)) for v in aux)
+
+
+def _undivided_reduce_with_expression(f, gens, modulo):
+    """reduce_with_expression read off _undivided_tracked_raw."""
+    mod = f.module
+    rank, k = mod.rank, len(gens)
+    items, rels = tuple(g.terms for g in gens), tuple(g.terms for g in modulo)
+    aux, rest, ppk = _undivided_tracked_raw(items, rank, mod.order(), mod.ring.nvars, rels)
+    pk = mod.packing
+    r, _ = K.reduce(ppk.rebase(f.terms, pk), aux + rest)
+    split = next((j for j, t in enumerate(r) if t[1] & FIELD >= rank), len(r))
+    cof_terms = [[] for _ in range(k)]
+    for key, d, n, dn in r[split:]:
+        p = d & FIELD
+        cof_terms[p - rank].append((key - ppk.base[p], d - p, -n, dn))
+    return FreeElement(mod, pk.rebase(r[:split], ppk)), tuple(GradedPoly(mod.ring, tuple(c)) for c in cof_terms)
+
+
+# (rank, order, items, modulo, extra items, f) over two variables; the
+# random elements are mostly inhomogeneous, modulo is never empty
+_DIVIDED_CASES = st.sampled_from(
+    [(1, [0], _RING_ORDER), (2, [0, 1], _MODULE_ORDER), (3, [0, 1, 2], _RANK3_ORDER)]
+).flatmap(
+    lambda c: st.tuples(
+        st.just(c[0]),
+        st.just(c[2]),
+        _raw_elements(2, c[1], c[2]),
+        _raw_elements(2, c[1], c[2], 3),
+        st.lists(st.sampled_from(["in N", "in the span", "zero", "repeat", "homogeneous"]), max_size=3),
+        _raw_element(2, c[1], c[2]),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_DIVIDED_CASES)
+@example((2, _MODULE_ORDER, _COPRIME_PAIR, _COPRIME_PAIR[:1], ["in N", "in the span", "zero", "repeat"], _COPRIME_PAIR[1]))
+def test_divided_items_give_the_undivided_outputs(case):
+    # dividing the items by modulo before the run leaves the tracked
+    # submodule as it is, so syzygies and reduce_with_expression (remainder
+    # and cofactors) are what the undivided run gives, with modulo as given
+    # or as its reduced basis; the extra items lie in the span of modulo (so
+    # they divide to zero, and the weight they carry is only the given
+    # item's), are zero, repeat an item, or are a homogeneous term of one
+    rank, order, items, modulo, extra, fraw = case
+    R = EdgeRing(("x", "y"))
+    x, y = R.var("x"), R.var("y")
+    F = FreeModule(R, order[0])
+    rels = [FreeElement(F, g) for g in modulo]
+    gens = [FreeElement(F, g) for g in items]
+    for kind in extra:
+        gens.append(
+            {
+                "in N": x * rels[0],
+                "in the span": x * rels[0] + y * y * rels[-1],
+                "zero": F.zero(),
+                "repeat": gens[0],
+                "homogeneous": FreeElement(F, gens[-1].terms[:1]),
+            }[kind]
+        )
+    f = FreeElement(F, fraw)
+    basis = list(groebner(rels, module=F))
+    want_syz = _undivided_syzygies(gens, rels, F)
+    for mods in (rels, basis):
+        assert syzygies(gens, module=F, modulo=mods) == want_syz
+        for z in (f, f + gens[0], sum(gens[1:], gens[0])):
+            assert reduce_with_expression(z, gens, mods) == _undivided_reduce_with_expression(z, gens, rels)
+
+
 # -- arithmetic exactness --------------------------------------------------------
 
 

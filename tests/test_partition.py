@@ -199,7 +199,8 @@ def test_partition_module_stores_the_reduced_basis():
     """Every partition of up to 6 edges: the stored basis, each element of a
     block minus the block's last, is the one a Groebner run gives, and the
     Groebner run of each shift by 1 to 3 has the same packed terms; one
-    module per partition."""
+    module per partition, and one per partition and shift, each storing the
+    basis a fresh Groebner run gives in its own cover."""
     names = ("a", "b", "c", "e", "e'", "f")
     count = 0
     for k in range(1, 7):
@@ -212,6 +213,11 @@ def test_partition_module_stores_the_reduced_basis():
                 shifted = m.shift(s)
                 assert shifted.gen_weights == (s,)
                 assert [g.terms for g in _fresh_groebner(shifted)] == [g.terms for g in m._cache["gb"]], (p, s)
+            for s in (0, 1, 2):
+                ms = partition_module(p, s)
+                assert partition_module(p, s) is ms
+                assert ms.gen_weights == (s,)
+                assert ms._cache["gb"] == _fresh_groebner(ms), (p, s)
             count += 1
     assert count == 1 + 2 + 5 + 15 + 52 + 203
 

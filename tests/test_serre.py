@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tamemod.exactalg as exactalg
 import tamemod.gradedmod as gm
 import tamemod.serre as serre
 from tamemod.errors import CertificateError, ResourceCapError, StructuralError, ValidationError
@@ -273,6 +274,23 @@ def test_certificates_differ_in_any_part(p_related):
     assert SubNode(gen, a_incl) != SubNode(gen, zero)
     assert SubNode(gen, a_incl) == SubNode(GenNode(p_related, 0), a_incl)
     assert hash(SubNode(gen, a_incl)) == hash(SubNode(GenNode(p_related, 0), a_incl))
+
+
+def test_gen_roots_share_one_module_that_stores_its_basis(p_related, monkeypatch):
+    # a Gen root is partition_module(p, shift): every leaf of one partition
+    # and shift has one root, and a shifted root's basis is stored with it,
+    # so reading it makes no Groebner run
+    assert GenNode(p_related, 1).root is GenNode(p_related, 1).root
+    partition_module.cache_clear()
+    exactalg._groebner_raw.cache_clear()
+    runs = []
+    run = exactalg._buchberger
+    monkeypatch.setattr(exactalg, "_buchberger", lambda *args: runs.append(1) or run(*args))
+    root = GenNode(p_related, 1).root
+    gb = root.relation_gb()
+    assert root.gen_weights == (1,)
+    assert runs == []
+    assert gb == groebner(list(root.relations), module=root.free_cover)
 
 
 def record_transform(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tamemod.errors import StructuralError, ValidationError
 from tamemod.exactalg import EdgeRing, FreeModule
 from tamemod.gradedmod import ModuleMap, PresentedModule, cokernel, submodule_from_elements
-from tamemod.graphsplit import AlwaysTame, EdgeGraph, MaxBlockCount, tame_partitions, split_edge
+from tamemod.graphsplit import AlwaysTame, CoBlocked, DiscreteOnly, EdgeGraph, MaxBlockCount, split_edge, tame_partitions
 from tamemod.partition import make_partition, partition_module
 from tamemod.serre import (
     Certificate,
@@ -94,6 +94,32 @@ def test_random_certificates_golden_workspace(tmp_path, split_abe, pred):
     out = tmp_path / "ws.json"
     ws.dump(str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CERTIFICATE_GOLDEN[pred.describe()]
+
+
+# The sha256 of the sorted JSON of a workspace holding both transforms of 25
+# seeded random certificates of max level 3 on {a, b, c, e} split at e, per
+# predicate.  rows_sha256 holds only booleans, so it cannot see a witness
+# column; this digest does, and no change of internal route may move it.
+TRANSFORM_GOLDEN = {
+    "always-true": "1699342e68925b700e12fe7fb116fcd622aeb1fccc61bd36284337f92f51a396",
+    "max-blocks:2": "4e87f444b00fd2ac75bf844cd5b2d7bb72f3a6fb1fd548c5c2c2ef4e105faffd",
+    "co-blocked:a,b": "6110a8bb47d00b06170a4612a0f8ee739b5964f45e2c08a159ee9dd76ba0eb5f",
+    "discrete-only": "168d6c9c041d72bb1c2d09a1e0aaf2bfaa3936cdf6784480749fe646eddc3e2f",
+}
+
+
+@pytest.mark.parametrize("pred", [AlwaysTame(), MaxBlockCount(2), CoBlocked(["a", "b"]), DiscreteOnly()], ids=lambda p: p.describe())
+def test_transform_outputs_golden_workspace(pred):
+    split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
+    tame = tame_partitions(pred, split.split_graph)
+    rng = random.Random(f"transform-golden:{pred.describe()}")
+    ws = Workspace(graph=split.base_graph, split=split.e, predicate=pred)
+    for k in range(25):
+        cert = random_certificate(rng, tame, max_level=3)
+        for i in (0, 1):
+            ws.intern_certificate(f"c{k}_f{i}", transform(cert, split.e, split.e_prime, i))
+    digest = hashlib.sha256(json.dumps(ws.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == TRANSFORM_GOLDEN[pred.describe()]
 
 
 def test_each_kind_roundtrips_through_json(p_related):
