@@ -42,21 +42,23 @@ groups the lead dkeys by position, and each position's monomial ideal has one
 numerator, cached in exactalg._hilbert_raw on its position-free dkeys, so
 the modules and positions of a round that share an ideal count it once.
 
-Some relation bases are known by construction and seed relation_gb with no
-Groebner run.  A reduced Groebner basis is unique, so each seed is the basis
-a run would give.  The syzygy basis of a span (_span) is reduced in its new
-cover.  The basis of a direct sum is the union of its summands' bases, in
-descending lead order (direct_sum).  A partition module, one per partition
-and shift, has each block element minus the block's last
+Some relation bases are known by construction.  The function that builds
+such a module hands its basis to the constructor (PresentedModule's basis),
+which stores it as relation_gb, so no Groebner run is made; no code outside
+this module reads or writes what a module stores.  A reduced Groebner basis
+is unique, so each seed is the basis a run would give.  The syzygy basis of
+a span (_span) is reduced in its new cover.  The basis of a direct sum is
+the union of its summands' bases (direct_sum).  A partition module, one per
+partition and shift, has each block element minus the block's last
 (partition.partition_module); a shifted Gen root is that module, so it runs
 no Groebner run either.  The cokernel of a map whose columns are units at
 positions U, constant multiples of target generators, has those units and
 the elements of the target's stored basis outside U, when no element has
-terms both in U and outside it: all the generators when U is every
-position, as for projections, and the other summands' bases for a direct
-sum's injections (_coker).  A shift M(s) stores no basis: it has M's packed
-relations, and groebner's cache key is the packed items and the shape of
-the order, so M(s) reuses M's run when M has had one.
+terms both in U and outside it: all the generators when U is every position,
+as for projections, and the other summands' bases for a direct sum's
+injections (_coker).  A shift M(s) stores no basis: it has M's packed
+relations, and groebner's cache key is the packed items and the shape of the
+order, so M(s) reuses M's run when M has had one.
 
 Every syzygy and lift modulo a module's relations (_span, kernel,
 annihilator, induced_map_f1, connecting_map) hands the tracked run the
@@ -107,11 +109,18 @@ class PresentedModule:
 
     The zero module is canonically the empty-generator presentation.  Treat
     instances as immutable; equality and hashing are structural.
+
+    basis, when given, must be the reduced Groebner basis of the relations,
+    in the free cover: construction data from a builder that knows it (the
+    module docstring lists them), not a setting.  It is stored largest lead
+    first, the order a Groebner run gives, as relation_gb().  A reduced
+    basis is unique, so every result is the same with it or without it; it
+    saves the Groebner run only.
     """
 
     __slots__ = ("ring", "gen_weights", "free_cover", "relations", "_cache")
 
-    def __init__(self, ring: EdgeRing, gen_weights: Sequence[int], relations: Sequence[FreeElement] = ()):
+    def __init__(self, ring: EdgeRing, gen_weights: Sequence[int], relations: Sequence[FreeElement] = (), basis: Sequence[FreeElement] | None = None):
         self.ring = ring
         self.gen_weights = tuple(int(w) for w in gen_weights)
         self.free_cover = free = FreeModule(ring, self.gen_weights)
@@ -124,7 +133,7 @@ class PresentedModule:
             if not r.is_zero():
                 rels.append(r)
         self.relations = tuple(rels)
-        self._cache = {}
+        self._cache = {} if basis is None else {"gb": tuple(sorted(basis, key=lambda g: g.terms[0][0], reverse=True))}
 
     # -- constructors -------------------------------------------------
 
@@ -140,8 +149,7 @@ class PresentedModule:
     def from_ideal(cls, ring: EdgeRing, ideal: Sequence[GradedPoly], shift: int = 0) -> "PresentedModule":
         """Rank-1 module R/(ideal) with its generator in weight `shift`."""
         free = FreeModule(ring, (shift,))
-        rels = [FreeElement(free, g.terms) for g in ideal if not g.is_zero()]
-        return cls(ring, (shift,), rels)
+        return cls(ring, (shift,), [FreeElement(free, g.terms) for g in ideal])
 
     # -- basic structure ----------------------------------------------
 
@@ -377,8 +385,7 @@ def _span(ambient: PresentedModule, gens: Sequence[FreeElement]):
         sub = PresentedModule.zero(ambient.ring)
     else:
         rels = syzygies(kept, module=ambient.free_cover, modulo=ambient.relation_gb())
-        sub = PresentedModule(ambient.ring, tuple(g.weight() for g in kept), rels)
-        sub._cache["gb"] = sub.relations
+        sub = PresentedModule(ambient.ring, tuple(g.weight() for g in kept), rels, basis=rels)
     return sub, ModuleMap(sub, ambient, kept, 0, check=False)
 
 
@@ -450,7 +457,6 @@ def _coker(phi: ModuleMap) -> PresentedModule:
     if phi._coker is None:
         tgt = phi.target
         cols = [c for c in phi.columns if not c.is_zero()]
-        phi._coker = coker = PresentedModule(tgt.ring, tgt.gen_weights, list(tgt.relations) + cols)
         # a constant times generator i is one term whose dkey is i
         at = [c.terms[0][1] if len(c.terms) == 1 and c.terms[0][1] <= FIELD else None for c in cols]
         units = set(at) - {None}
@@ -462,8 +468,9 @@ def _coker(phi: ModuleMap) -> PresentedModule:
             sides = [{t[1] & FIELD in units for t in g.terms} for g in gb]
             if {True, False} not in sides:
                 rest = [g for g, side in zip(gb, sides) if side == {False}]
-        if rest is not None:
-            coker._cache["gb"] = _by_lead([coker.gen(i) for i in units] + rest)
+        # the cokernel's free cover is the target's, one interned module
+        basis = None if rest is None else [tgt.gen(i) for i in units] + rest
+        phi._coker = PresentedModule(tgt.ring, tgt.gen_weights, list(tgt.relations) + cols, basis=basis)
     return phi._coker
 
 
@@ -492,11 +499,6 @@ def image(phi: ModuleMap) -> ImageResult:
     cols = [img.gen(col_index[c]) if c in col_index else zero for c in phi.columns]
     proj = ModuleMap(phi.source, img, cols, phi.degree, check=True)
     return ImageResult(img, incl, proj)
-
-
-def _by_lead(elems) -> tuple:
-    """The elements in the order of a reduced basis, largest lead first."""
-    return tuple(sorted(elems, key=lambda g: g.terms[0][0], reverse=True))
 
 
 def direct_sum(mods: Sequence[PresentedModule]):
@@ -529,8 +531,7 @@ def direct_sum(mods: Sequence[PresentedModule]):
         rels += [FreeElement(free, pk.rebase(r.terms, src, offset)) for r in m.relations]
         gb += [FreeElement(free, pk.rebase(g.terms, src, offset)) for g in m.relation_gb()]
         offset += m.rank
-    total = PresentedModule(ring, weights, rels)
-    total._cache["gb"] = _by_lead(gb)
+    total = PresentedModule(ring, weights, rels, basis=gb)
     injections = []
     projections = []
     for m, off in zip(mods, offsets):
@@ -617,8 +618,7 @@ def f0(m: PresentedModule, e: str, e_prime: str) -> PresentedModule:
     """Change of scalars M/(e - e'): contract e' to e in all relations."""
     bring = _base_ring(m.ring, e, e_prime)
     free = FreeModule(bring, m.gen_weights)
-    rels = [contract(r, free, e, e_prime) for r in m.relations]
-    return PresentedModule(bring, m.gen_weights, [r for r in rels if not r.is_zero()])
+    return PresentedModule(bring, m.gen_weights, [contract(r, free, e, e_prime) for r in m.relations])
 
 
 def _diagonal(m: PresentedModule):

@@ -8,8 +8,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import ValidationError
-from .exactalg import EdgeRing, FreeElement, GradedPoly
-from .gradedmod import PresentedModule, _by_lead
+from .exactalg import EdgeRing, FreeElement, FreeModule, GradedPoly
+from .gradedmod import PresentedModule
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def partition_module(p: Partition, shift: int = 0) -> PresentedModule:
     in a tail: that is the reduced Groebner basis, the unique one.  A rank-1
     cover of one weight packs its terms as the ring does, whatever the
     shift, so the same forms are the basis of every shift."""
-    m = PresentedModule.from_ideal(EdgeRing(p.ground), partition_ideal(p), shift)
-    ring, free = m.ring, m.free_cover
-    m._cache["gb"] = _by_lead(FreeElement(free, (ring.var(a) - ring.var(b[-1])).terms) for b in p.blocks for a in b[:-1])
-    return m
+    ring = EdgeRing(p.ground)
+    free = FreeModule(ring, (shift,))
+    basis = [FreeElement(free, (ring.var(a) - ring.var(b[-1])).terms) for b in p.blocks for a in b[:-1]]
+    return PresentedModule(ring, free.weights, [FreeElement(free, g.terms) for g in partition_ideal(p)], basis=basis)

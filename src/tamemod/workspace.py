@@ -246,6 +246,8 @@ class Workspace:
     modules: dict = field(default_factory=dict)
     maps: dict = field(default_factory=dict)
     certificates: dict = field(default_factory=dict)
+    # the set of each table's values, by id prefix, kept by _intern
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- access with validation ----------------------------------------
 
@@ -276,10 +278,18 @@ class Workspace:
         for child in cert.children():
             self._intern_nodes(child)
 
-    @staticmethod
-    def _intern(table: dict, prefix: str, value) -> None:
-        """Add value to table, unless it is there, under the id prefix + its count."""
-        if value not in table.values():
+    def _intern(self, table: dict, prefix: str, value) -> None:
+        """Add value to table, unless it is there, under the id prefix + its count.
+
+        Membership is looked up in a set of the table's values, so n values
+        cost O(n) hashes, not O(n^2) comparisons.  The set is built from the
+        table when it is first needed, and again when the table's size has
+        changed other than here."""
+        values = self._values.get(prefix)
+        if values is None or len(values) != len(table):
+            values = self._values[prefix] = set(table.values())
+        if value not in values:
+            values.add(value)
             table[f"{prefix}{len(table)}"] = value
 
     # -- (de)serialization ----------------------------------------------

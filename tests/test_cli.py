@@ -170,6 +170,8 @@ GOLDEN = {
     ("cert", "gen_unrelated", "c_unrelated", 1): "121c3c55a4cfd170b89fd1ebcb626103eb8ab6cba519a7b9f6470219f3bcb9a7",
     ("cert", "sub_ideal", "c_ideal", 0): "b7142caa90538cff4a00ec0edaf42868236538b5bc0e9a117ca96c5525fd14a3",
     ("cert", "sub_ideal", "c_ideal", 1): "a8472043e7f7b821df4087d5e2184adee33069563e5afbc5a0f8b5ccf2e919e6",
+    ("cert", "ext_quot", "c_ext_quot", 0): "241c01b960c437a5f1e260a9ed4dd36dee337cd1affcbcf37bcef7265e3a5a8c",
+    ("cert", "ext_quot", "c_ext_quot", 1): "0fd156fb5ed3abc90053d194cf9bdcfdca341a615271412af89e4f0fc6b7e580",
     ("functor", "gen_related", "M_partition", 0): "3d7e3fc7b1ddc3c77e4f5c941b321f8fa8c9958ce6e956932944844bdd381cca",
     ("functor", "gen_related", "M_partition", 1): "5cc0c3e0377819782a40eec0ebdf3e9a5a117e0409826b08d3238baa5b9ce8ef",
     ("functor", "gen_unrelated", "M_free", 0): "3d7e3fc7b1ddc3c77e4f5c941b321f8fa8c9958ce6e956932944844bdd381cca",

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 from bisect import bisect_left
 from collections import Counter
@@ -1941,6 +1942,47 @@ def test_seeded_relation_bases_match_a_groebner_run():
         assert gb == groebner(list(fresh.relations), module=fresh.free_cover), how
 
 
+def test_seeds_over_real_traffic_match_a_groebner_run(monkeypatch):
+    """Every module built with a basis, on a criterion-4 corpus slice, a
+    harness and the support workload's sums of shifted partition modules,
+    stores the basis a Groebner run of its relations gives, with no cache
+    read; each of the four builders that hand one over seeds at least once."""
+    seeded = []
+    init = PresentedModule.__init__
+
+    def recording(self, *args, basis=None, **kwargs):
+        init(self, *args, basis=basis, **kwargs)
+        if basis is not None:
+            seeded.append((self, sys._getframe(1).f_code.co_name))
+
+    for cached in (partition_module, f0, torsion_data):
+        cached.cache_clear()
+    _clear_l1_caches()
+    monkeypatch.setattr(PresentedModule, "__init__", recording)
+    split = split_edge(EdgeGraph(("a", "b", "c", "e")), "e")
+    for pred in (AlwaysTame(), MaxBlockCount(2), CoBlocked(["a", "b"]), DiscreteOnly()):
+        rows = serre.transform_corpus(split, pred, samples=10, seed=20260810, max_level=3)
+        assert all(row["ok"] for row in rows), pred
+    wide = split_edge(EdgeGraph(("a", "b", "c", "d", "e")), "e")
+    reports = serre.harness(wide, MaxBlockCount(2), MaxBlockCount(2), samples=8, seed=0)
+    assert all(r.passed for r in reports)
+    rng = random.Random("seed-oracle:support")
+    tame = tame_partitions(MaxBlockCount(3), wide.split_graph)
+    for _ in range(8):
+        total = direct_sum([partition_module(rng.choice(tame)).shift(rng.randint(0, 1)) for _ in range(2)])[0]
+        assert is_tame_support(total, tame)
+    monkeypatch.undo()
+    assert {how for _, how in seeded} == {"_span", "direct_sum", "_coker", "partition_module"}
+    fresh = exactalg._groebner_raw.__wrapped__
+    checked = set()
+    for m, how in seeded:
+        gb = tuple(g.terms for g in m._cache["gb"])
+        key = (m.free_cover, tuple(r.terms for r in m.relations), gb)
+        if key not in checked:
+            checked.add(key)
+            assert gb == fresh(key[1], m.free_cover.order()[1], m.ring.nvars), (how, m)
+
+
 def _counting_buchberger(monkeypatch):
     calls = []
     fn = exactalg._buchberger
@@ -2016,7 +2058,7 @@ def test_unit_columns_into_a_basis_across_their_positions():
     assert "gb" not in coker._cache
     src = PresentedModule.free(ring, [0, 0, 1, 1])
     coker = gradedmod._coker(ModuleMap(src, tgt, [tgt.gen(0), tgt.gen(1), tgt.gen(2), a * tgt.gen(1)], 0, check=False))
-    assert coker._cache["gb"] == _groebner_of(coker) == gradedmod._by_lead(coker.gen(i) for i in range(3))
+    assert coker._cache["gb"] == _groebner_of(coker) == tuple(sorted((coker.gen(i) for i in range(3)), key=lambda g: g.terms[0][0], reverse=True))
 
 
 def test_cokernel_of_an_injection_runs_no_groebner(monkeypatch):

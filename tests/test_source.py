@@ -81,3 +81,12 @@ def test_lru_cached_functions_have_distinct_names():
     assert ("_tracked_raw", "exactalg.py") in found
     names = [name for name, _ in found]
     assert len(set(names)) == len(names), sorted(f for f in found if names.count(f[0]) > 1)
+
+
+@pytest.mark.parametrize("module", sorted(p.relative_to(PACKAGE).as_posix() for p in PACKAGE.rglob("*.py") if p.name != "gradedmod.py"))
+def test_only_gradedmod_touches_a_module_cache(module):
+    # what a PresentedModule stores, and in what order, is gradedmod's
+    # business; a basis known by construction goes in through the constructor
+    tree = ast.parse((PACKAGE / module).read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_cache"]
+    assert not lines, f"{module} touches _cache at lines {lines}"

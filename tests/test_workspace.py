@@ -160,6 +160,31 @@ def test_intern_numbers_witnesses_before_children(p_related):
     assert ws.maps == {"w0": ext.injection, "w1": ext.projection, "w2": incl}
 
 
+def test_interning_compares_no_map_with_every_earlier_one(monkeypatch, p_related):
+    # 500 distinct witnesses, one certificate each: a scan of the table's
+    # values would make about 125,000 equality tests, a hash lookup next to none
+    gen = GenNode(p_related, 0)
+    m = gen.root
+    x = m.ring.var("a") * m.gen(0)
+    src = PresentedModule.free(m.ring, [x.weight()])
+    certs = [SubNode(gen, ModuleMap(src, m, [k * x], 0, check=False)) for k in range(1, 501)]
+    calls = []
+    eq = ModuleMap.__eq__
+    monkeypatch.setattr(ModuleMap, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+    ws = Workspace()
+    for k, cert in enumerate(certs):
+        ws.intern_certificate(f"c{k}", cert)
+    ws.intern_certificate("again", certs[7])
+    assert len(calls) < 1000
+    assert ws.maps == {f"w{k}": c.witness for k, c in enumerate(certs)}
+    assert ws.modules == {"M0": src, "M1": m} and ws.partitions == {"P0": p_related}
+    # a table changed other than by interning is indexed again
+    extra = SubNode(gen, ModuleMap(src, m, [501 * x], 0, check=False))
+    ws.maps["extra"] = extra.witness
+    ws.intern_certificate("extra", extra)
+    assert len(ws.maps) == 501 and list(ws.maps)[-1] == "extra"
+
+
 def test_node_outside_the_registry_is_rejected(p_related):
     class Stray(Certificate):
         kind = "stray"
