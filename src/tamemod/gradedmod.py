@@ -54,17 +54,23 @@ partition and shift, has each block element minus the block's last
 no Groebner run either.  The cokernel of a map whose columns are units at
 positions U, constant multiples of target generators, has those units and
 the elements of the target's stored basis outside U, when no element has
-terms both in U and outside it: all the generators when U is every position,
-as for projections, and the other summands' bases for a direct sum's
-injections (_coker).  A shift M(s) stores no basis: it has M's packed
-relations, and groebner's cache key is the packed items and the shape of the
-order, so M(s) reuses M's run when M has had one.
+terms both in U and outside it (_unit_items): all the generators when U is
+every position, as for projections, and the other summands' bases for a
+direct sum's injections (_coker).  A shift M(s) stores no basis: it has M's
+packed relations, and groebner's cache key is the packed items and the shape
+of the order, so M(s) reuses M's run when M has had one.
 
 Every syzygy and lift modulo a module's relations (_span, kernel,
-annihilator, induced_map_f1, connecting_map) hands the tracked run the
-module's relation_gb(), which those callers have already built: the run
-spans the same submodule from either, and starts from items reduced modulo
-the basis (exactalg._tracked_raw).
+annihilator, induced_map_f1, connecting_map) goes through _syzygies or
+_lift, which hand the tracked run the module's relation_gb(), which those
+callers have already built: the run spans the same submodule from either,
+and starts from items reduced modulo the basis (exactalg._tracked_raw).
+Items that are bare generators, as the columns of direct-sum injections and
+projections and of cokernel projections are, make no run when the basis
+splits at their positions (_unit_items): the syzygies are the basis elements
+at those positions, moved to the items' cover, and a lift is one normal form
+modulo the basis, split by position.  Reduced bases and normal forms are
+unique, so either route gives the same result.
 
 _prune presents a module on fewer generators by graded Nakayama: a relation
 with a constant entry at a generator makes that generator redundant, and
@@ -377,14 +383,16 @@ def _span(ambient: PresentedModule, gens: Sequence[FreeElement]):
     """Submodule generated by gens (given in the free cover), with its
     inclusion, whose columns are exactly the nonzero classes among gens.
 
-    Its relations are the syzygy basis, which is already the reduced Groebner
-    basis in the new free cover (weights of the kept generators), so they
-    also seed its relation_gb."""
+    Its relations are the syzygy basis (_syzygies, read off the relation
+    basis when the kept gens are bare generators at positions where it
+    splits, as for the F0 image of a direct sum's injection), which is
+    already the reduced Groebner basis in the new free cover (weights of the
+    kept generators), so they also seed its relation_gb."""
     kept = _nonzero_classes(ambient, gens)
     if not kept:
         sub = PresentedModule.zero(ambient.ring)
     else:
-        rels = syzygies(kept, module=ambient.free_cover, modulo=ambient.relation_gb())
+        rels = _syzygies(ambient, kept)
         sub = PresentedModule(ambient.ring, tuple(g.weight() for g in kept), rels, basis=rels)
     return sub, ModuleMap(sub, ambient, kept, 0, check=False)
 
@@ -424,14 +432,16 @@ def kernel(phi: ModuleMap):
 
     The inclusion's columns are the nonzero classes of the reduced Groebner
     basis, in the source free cover, of the syzygies of phi's columns modulo
-    the target relations.  That syzygy basis is reduced in the order its own
-    weights give: the column weights, with 0 for a zero column.  ModuleMap
-    checks every column's weight, so a nonzero column has its source weight
-    plus phi's degree, and with no zero column the two orders agree and the
-    basis is used as it is; otherwise a Groebner pass in the source cover
-    gives it."""
+    the target relations (_syzygies; for a cokernel projection, whose
+    columns are all the target's generators, they are the target's
+    relation basis, with no tracked run).  That syzygy basis is reduced in
+    the order its own weights give: the column weights, with 0 for a zero
+    column.  ModuleMap checks every column's weight, so a nonzero column has
+    its source weight plus phi's degree, and with no zero column the two
+    orders agree and the basis is used as it is; otherwise a Groebner pass
+    in the source cover gives it."""
     free = phi.source.free_cover
-    syz = syzygies(phi.columns, module=phi.target.free_cover, modulo=phi.target.relation_gb())
+    syz = _syzygies(phi.target, phi.columns)
     if not any(c.is_zero() for c in phi.columns):
         span = [FreeElement(free, s.terms) for s in syz]
     else:
@@ -449,29 +459,91 @@ def _coker(phi: ModuleMap) -> PresentedModule:
     whole free cover and the cokernel is zero: its reduced basis is the
     generators.  Otherwise, when every nonzero column is such a unit, as
     for direct_sum's injections, and the target's stored basis G has no
-    element with terms both in U and outside it, the relations span F_U +
-    <G>, and that is F_U plus the span of the elements of G outside U, each
-    in its own positions.  A lead of G outside U divides only terms outside
+    element with terms both in U and outside it (_unit_items), the
+    relations span F_U + <G>, and that is F_U plus the span of the elements
+    of G outside U, each in its own positions.  A lead of G outside U divides only terms outside
     U, so those elements are a Groebner basis of their span, reduced as
     part of G, and with the units of U they are the reduced basis."""
     if phi._coker is None:
         tgt = phi.target
         cols = [c for c in phi.columns if not c.is_zero()]
         # a constant times generator i is one term whose dkey is i
-        at = [c.terms[0][1] if len(c.terms) == 1 and c.terms[0][1] <= FIELD else None for c in cols]
-        units = set(at) - {None}
-        gb = tgt._cache.get("gb")
-        rest = None
-        if len(units) == tgt.rank:
-            rest = []
-        elif None not in at and gb is not None:
-            sides = [{t[1] & FIELD in units for t in g.terms} for g in gb]
-            if {True, False} not in sides:
-                rest = [g for g, side in zip(gb, sides) if side == {False}]
+        at = [c.terms[0][1] for c in cols if len(c.terms) == 1 and c.terms[0][1] <= FIELD]
+        units = set(at)
         # the cokernel's free cover is the target's, one interned module
-        basis = None if rest is None else [tgt.gen(i) for i in units] + rest
+        gens = [tgt.gen(i) for i in sorted(units)]
+        gb = tgt._cache.get("gb")
+        basis = None
+        if len(units) == tgt.rank or len(at) == len(cols) and gb is not None and _unit_items(tgt, gens) is not None:
+            basis = gens + [g for g in gb or () if g.terms[0][1] & FIELD not in units]
         phi._coker = PresentedModule(tgt.ring, tgt.gen_weights, list(tgt.relations) + cols, basis=basis)
     return phi._coker
+
+
+def _unit_items(m: PresentedModule, items: Sequence[FreeElement]):
+    """The positions at of items, when every item is a bare generator of m
+    with coefficient 1/1, among generators of equal weight the positions
+    strictly increase, and no element of m.relation_gb() has terms both at
+    those positions and elsewhere; None otherwise.
+
+    The position is the order's only tie-break after the weights, so then
+    k -> at[k] keeps the order of the items' cover and of the tracked run's
+    auxiliary positions (_syzygies, _lift), and a basis that does not
+    straddle the positions splits there (_coker)."""
+    at, top = [], {}
+    for x in items:
+        # generator i itself is one term whose dkey is i, with coefficient 1/1
+        if len(x.terms) != 1 or x.terms[0][1] > FIELD or x.terms[0][2:] != (1, 1):
+            return None
+        p = x.terms[0][1]
+        if top.get(m.gen_weights[p], -1) >= p:
+            return None
+        top[m.gen_weights[p]] = p
+        at.append(p)
+    units = set(at)
+    if any(len({t[1] & FIELD in units for t in g.terms}) > 1 for g in m.relation_gb()):
+        return None
+    return at
+
+
+def _syzygies(m: PresentedModule, items: Sequence[FreeElement]) -> tuple:
+    """syzygies(items, module=m.free_cover, modulo=m.relation_gb()).
+
+    When _unit_items gives positions S = at, each element of the reduced
+    basis G lies inside S or outside it, so U = <G> splits and U & F_S is
+    spanned by the elements of G inside S: they are its reduced basis.  The
+    syzygies are that submodule moved to the items' cover by k <- at[k],
+    which keeps the order, so they are those elements moved, largest lead
+    first, with no tracked run; a reduced basis is unique (Cox, Little and
+    O'Shea, Ch. 2 Sec. 7, Prop. 6), so the result is the tracked run's."""
+    at = _unit_items(m, items)
+    if at is None:
+        return syzygies(items, module=m.free_cover, modulo=m.relation_gb())
+    smod = FreeModule(m.ring, [m.gen_weights[p] for p in at])
+    src, dst = m.free_cover.packing.base, smod.packing.base
+    move = {p: (dst[k] - src[p], k - p) for k, p in enumerate(at)}
+    return tuple(
+        FreeElement(smod, tuple((key + move[d & FIELD][0], d + move[d & FIELD][1], n, dn) for key, d, n, dn in g.terms))
+        for g in m.relation_gb()
+        if g.terms[0][1] & FIELD in move
+    )
+
+
+def _lift(m: PresentedModule, f: FreeElement, items: Sequence[FreeElement]):
+    """reduce_with_expression(f, items, modulo=m.relation_gb()).
+
+    When _unit_items gives positions S = at, the tracked basis is the units
+    e_s + eps_k, G's elements outside S, and the syzygies (_syzygies), so
+    f's normal form modulo it splits by position: the remainder is the part
+    of f's normal form modulo G outside S, and cofactor k is its component
+    at at[k].  Normal forms are unique (Cox, Little and O'Shea, Ch. 2
+    Sec. 6, Prop. 1), so the result is the tracked run's."""
+    at = _unit_items(m, items)
+    if at is None:
+        return reduce_with_expression(f, items, modulo=m.relation_gb())
+    r = normal_form(f, m.relation_gb())
+    units = set(at)
+    return FreeElement(m.free_cover, tuple(t for t in r.terms if t[1] & FIELD not in units)), tuple(map(r.component, at))
 
 
 def cokernel(phi: ModuleMap):
@@ -745,7 +817,10 @@ def induced_map_f0(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
 def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
     """F1(phi): each source torsion generator x maps to y = phi(x), written
     in the target's torsion generators by reduce_with_expression modulo the
-    target's relations; a nonzero remainder means y is not torsion."""
+    target's relations (_lift); a nonzero remainder means y is not torsion.
+    When those generators are read off (torsion_data), they are bare
+    generators at positions where the relation basis splits, and the lift is
+    one normal form, with no tracked run."""
     td_s = torsion_data(phi.source, e, e_prime)
     td_t = torsion_data(phi.target, e, e_prime)
     src1, tgt1 = td_s.presentation, td_t.presentation
@@ -753,7 +828,7 @@ def induced_map_f1(phi: ModuleMap, e: str, e_prime: str) -> ModuleMap:
         return ModuleMap.zero_map(src1, tgt1, phi.degree)
     cols = []
     for x in td_s.kgens:
-        rem, cofs = reduce_with_expression(phi.apply_free(x), td_t.kgens, modulo=phi.target.relation_gb())
+        rem, cofs = _lift(phi.target, phi.apply_free(x), td_t.kgens)
         if not rem.is_zero():
             raise StructuralError("image of a torsion element is not torsion")
         cols.append(tgt1.free_cover.element([contract(c, tgt1.ring, e, e_prime) for c in cofs]))
@@ -814,7 +889,9 @@ def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
 
     Sends a torsion class of C to the class of (e - e') times any preimage in
     A, pulled back into B; preimages come from deterministic normal-form
-    lifting, so the matrix is reproducible.
+    lifting (_lift), so the matrix is reproducible.  Through a cokernel
+    projection, whose columns are all of C's generators, the preimage is the
+    class's normal form modulo C's relation basis, with no tracked run.
     """
     b_mod = ses.incl.source
     a_mod = ses.incl.target
@@ -827,11 +904,11 @@ def connecting_map(ses: ShortExactSequence, e: str, e_prime: str) -> ModuleMap:
     d = a_mod.ring.var(e) - a_mod.ring.var(e_prime)
     cols = []
     for c in td_c.kgens:
-        rem, cof = reduce_with_expression(c, ses.proj.columns, modulo=c_mod.relation_gb())
+        rem, cof = _lift(c_mod, c, ses.proj.columns)
         if not rem.is_zero():
             raise StructuralError("projection is not surjective; cannot lift torsion class")
         w = d * a_mod.free_cover.element(cof)
-        rem2, cof2 = reduce_with_expression(w, ses.incl.columns, modulo=a_mod.relation_gb())
+        rem2, cof2 = _lift(a_mod, w, ses.incl.columns)
         if not rem2.is_zero():
             raise StructuralError("(e-e') times the lift does not come from the subobject")
         cols.append(contract(b_mod.free_cover.element(cof2), f0b.free_cover, e, e_prime))
@@ -898,7 +975,10 @@ def annihilator(m: PresentedModule, x: FreeElement) -> tuple[GradedPoly, ...]:
     no syzygies.
 
     Otherwise they are the syzygies of x modulo the relations of M, a reduced
-    basis in the rank-1 order of weight(x), which is the ring order shifted.
+    basis in the rank-1 order of weight(x), which is the ring order shifted
+    (_syzygies).  For x generator i itself, when no basis element has terms
+    both at i and elsewhere, that is the position-i basis elements' entries,
+    with no tracked run.
     """
     if x.module is not m.free_cover:
         raise StructuralError("element outside the module's free cover")
@@ -909,7 +989,7 @@ def annihilator(m: PresentedModule, x: FreeElement) -> tuple[GradedPoly, ...]:
         diag = _diagonal(m)
         if diag is not None:
             return diag[x.terms[0][1]]
-    return tuple(s.component(0) for s in syzygies([x], module=m.free_cover, modulo=m.relation_gb()))
+    return tuple(s.component(0) for s in _syzygies(m, [x]))
 
 
 @lru_cache(maxsize=8192)

@@ -279,18 +279,24 @@ class Workspace:
             self._intern_nodes(child)
 
     def _intern(self, table: dict, prefix: str, value) -> None:
-        """Add value to table, unless it is there, under the id prefix + its count.
+        """Add value to table, unless it is there, under the id prefix + n,
+        n the first index at or above the table's count whose id is free.
 
-        Membership is looked up in a set of the table's values, so n values
-        cost O(n) hashes, not O(n^2) comparisons.  The set is built from the
-        table when it is first needed, and again when the table's size has
-        changed other than here."""
+        A table with the ids prefix0 .. prefix(count - 1) gets the next one,
+        and a table holding other ids keeps every entry it has.  Membership
+        is looked up in a set of the table's values, so n values cost O(n)
+        hashes, not O(n^2) comparisons.  The set is built from the table when
+        it is first needed, and again when the table's size has changed
+        other than here."""
         values = self._values.get(prefix)
         if values is None or len(values) != len(table):
             values = self._values[prefix] = set(table.values())
         if value not in values:
             values.add(value)
-            table[f"{prefix}{len(table)}"] = value
+            n = len(table)
+            while f"{prefix}{n}" in table:
+                n += 1
+            table[f"{prefix}{n}"] = value
 
     # -- (de)serialization ----------------------------------------------
 

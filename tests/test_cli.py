@@ -172,6 +172,8 @@ GOLDEN = {
     ("cert", "sub_ideal", "c_ideal", 1): "a8472043e7f7b821df4087d5e2184adee33069563e5afbc5a0f8b5ccf2e919e6",
     ("cert", "ext_quot", "c_ext_quot", 0): "241c01b960c437a5f1e260a9ed4dd36dee337cd1affcbcf37bcef7265e3a5a8c",
     ("cert", "ext_quot", "c_ext_quot", 1): "0fd156fb5ed3abc90053d194cf9bdcfdca341a615271412af89e4f0fc6b7e580",
+    ("cert", "sub_ext", "c_sub_ext", 0): "4fe207d748e2430d885d4f43ad4ccb841e52848fbfe84987a5098e91aed87340",
+    ("cert", "sub_ext", "c_sub_ext", 1): "9ec3018f4f8f0b9df4ef49571521e8b18e9eea023b6afea72bfd4b323b22805a",
     ("functor", "gen_related", "M_partition", 0): "3d7e3fc7b1ddc3c77e4f5c941b321f8fa8c9958ce6e956932944844bdd381cca",
     ("functor", "gen_related", "M_partition", 1): "5cc0c3e0377819782a40eec0ebdf3e9a5a117e0409826b08d3238baa5b9ce8ef",
     ("functor", "gen_unrelated", "M_free", 0): "3d7e3fc7b1ddc3c77e4f5c941b321f8fa8c9958ce6e956932944844bdd381cca",

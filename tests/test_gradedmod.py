@@ -2061,6 +2061,78 @@ def test_unit_columns_into_a_basis_across_their_positions():
     assert coker._cache["gb"] == _groebner_of(coker) == tuple(sorted((coker.gen(i) for i in range(3)), key=lambda g: g.terms[0][0], reverse=True))
 
 
+def _unit_case(seed, variant):
+    """(m, items, fs): a module whose relation basis splits at the items'
+    positions, bare generators, and elements to lift.  Summands of weights 0
+    and 1 give equal-weight positions, and some have a zero-class generator.
+    variant "split" keeps the items read off; the others fall back: two
+    equal-weight items swapped (or one repeated), an item times 2, or a
+    relation joining an item's position to one outside them."""
+    rng = random.Random(f"unit-case:{seed}")
+    ring = EdgeRing(("a", "b", "c"))
+    parts = []
+    for _ in range(rng.randint(2, 4)):
+        free = PresentedModule.free(ring, [rng.randint(0, 1) for _ in range(rng.randint(1, 2))])
+        top = max(free.gen_weights)
+        rels = [random_homogeneous_element(rng, free, top + rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.3:
+            rels.append(free.gen(rng.randrange(free.rank)))
+        parts.append(PresentedModule(ring, free.gen_weights, rels))
+    inside = rng.sample(range(len(parts)), rng.randint(1, len(parts)))
+    if variant == "straddled":
+        w = rng.randint(0, 1)
+        inside.append(len(parts))
+        parts += [PresentedModule.free(ring, [w]), PresentedModule.free(ring, [w])]
+    total = direct_sum(parts)[0]
+    starts = [sum(p.rank for p in parts[:k]) for k in range(len(parts))]
+    at = [starts[k] + j for k in inside for j in range(parts[k].rank)]
+    rels = list(total.relations)
+    if variant == "straddled":
+        i, j = starts[-2], starts[-1]
+        rels.append(ring.var("a") * total.gen(i) - ring.var("b") * total.gen(j))
+    m = PresentedModule(ring, total.gen_weights, rels)
+    weights = m.gen_weights
+    # a random order, with each weight's positions put back in increasing order
+    rng.shuffle(at)
+    for w in set(weights):
+        slots = [k for k, p in enumerate(at) if weights[p] == w]
+        for k, p in zip(slots, sorted(at[k] for k in slots)):
+            at[k] = p
+    items = [m.gen(p) for p in at]
+    if variant == "permuted":
+        pairs = [(k, l) for k, l in combinations(range(len(at)), 2) if weights[at[k]] == weights[at[l]]]
+        if pairs:
+            k, l = rng.choice(pairs)
+            items[k], items[l] = items[l], items[k]
+        else:
+            k = rng.randrange(len(items))
+            items.insert(k, items[k])
+    elif variant == "scaled":
+        k = rng.randrange(len(items))
+        items[k] = 2 * items[k]
+    fs = [random_homogeneous_element(rng, m, rng.randint(0, 3)) for _ in range(3)]
+    # a combination of the items, whose remainder is zero
+    ring_free = PresentedModule.free(ring, [0])
+    fs.append(sum((random_homogeneous_element(rng, ring_free, 2 - weights[p]).component(0) * m.gen(p) for p in at), m.free_cover.zero()))
+    return m, items, fs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from(["split", "split", "permuted", "scaled", "straddled"]))
+def test_unit_read_offs_match_the_tracked_run(seed, variant):
+    """_syzygies and _lift read the split cases off the relation basis, and
+    fall back to the tracked run otherwise; both give what syzygies and
+    reduce_with_expression give modulo relation_gb()."""
+    m, items, fs = _unit_case(seed, variant)
+    gb = m.relation_gb()
+    assert (gradedmod._unit_items(m, items) is not None) == (variant == "split")
+    out = gradedmod._syzygies(m, items)
+    ref = syzygies(items, module=m.free_cover, modulo=gb)
+    assert out == ref and all(s.module is r.module for s, r in zip(out, ref))
+    for f in fs:
+        assert gradedmod._lift(m, f, items) == exactalg.reduce_with_expression(f, items, modulo=gb)
+
+
 def test_cokernel_of_an_injection_runs_no_groebner(monkeypatch):
     _clear_l1_caches()
     parts = _summands()

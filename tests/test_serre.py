@@ -815,3 +815,32 @@ def test_skipped_groebner_passes_are_fixed_points(monkeypatch):
             d = m.ring.var(split.e) - m.ring.var(split.e_prime)
             gm.kernel(ModuleMap(m, m, [d * m.gen(j) for j in range(m.rank)], 1, check=False))
     assert counts["span"] > 100 and counts["fixed"] > 100 and counts["seeded"] > 100
+
+
+def _tracked_misses(c, degree):
+    """transform(c, e, e', degree) and its _tracked_raw misses, from cold caches."""
+    for cached in (gm.torsion_data, gm.f0, gm.annihilator_ideal, partition_module):
+        cached.cache_clear()
+    exactalg._groebner_raw.cache_clear()
+    exactalg._tracked_raw.cache_clear()
+    out = transform(c, "e", "e'", degree)
+    return out, exactalg._tracked_raw.cache_info().misses
+
+
+def test_unit_maps_read_their_syzygies_and_lifts_off_the_relation_basis(p_related):
+    # the F0 image of a direct sum's injection is a span of bare generators,
+    # and a Quot witness's kernel and the connecting map's lift through it are
+    # taken at a cokernel projection: those runs are read off the basis
+    # (gradedmod._syzygies, gradedmod._lift), where the tracked route makes 1 and 8
+    p_other = make_partition(["a", "e", "e'"], [["a", "e"], ["e'"]])
+    ext = _direct_sum_cert(ideal_sub_cert(p_related), GenNode(p_other, 1))
+    out, misses = _tracked_misses(ext, 0)
+    assert misses == 0
+    assert out.root.same_presentation(f0(ext.root, "e", "e'"))
+    parent = _direct_sum_cert(GenNode(p_related, 0), GenNode(p_related, 1))
+    r = parent.root
+    x = r.ring.var("e") * r.gen(0) - r.gen(1)
+    quot = QuotNode(parent, cokernel(ModuleMap(PresentedModule.free(r.ring, [1]), r, [x]))[1])
+    out, misses = _tracked_misses(quot, 1)
+    assert misses == 4
+    assert out.root.same_presentation(f1(quot.root, "e", "e'"))

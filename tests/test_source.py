@@ -90,3 +90,26 @@ def test_only_gradedmod_touches_a_module_cache(module):
     tree = ast.parse((PACKAGE / module).read_text())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_cache"]
     assert not lines, f"{module} touches _cache at lines {lines}"
+
+
+def test_gradedmod_divides_modulo_a_relation_basis():
+    # the tracked run divides its items by modulo before it starts, and the
+    # unit read-offs split that basis by position; both hold only when
+    # modulo is a module's reduced relation basis
+    tree = ast.parse((PACKAGE / "gradedmod.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in {"syzygies", "reduce_with_expression"}
+    ]
+    assert {c.func.id for c in calls} == {"syzygies", "reduce_with_expression"}
+    for c in calls:
+        modulo = [k.value for k in c.keywords if k.arg == "modulo"]
+        ok = (
+            len(modulo) == 1
+            and isinstance(modulo[0], ast.Call)
+            and isinstance(modulo[0].func, ast.Attribute)
+            and modulo[0].func.attr == "relation_gb"
+            and not modulo[0].args
+        )
+        assert ok, f"gradedmod.py:{c.lineno} calls {c.func.id} without modulo=<module>.relation_gb()"

@@ -185,6 +185,20 @@ def test_interning_compares_no_map_with_every_earlier_one(monkeypatch, p_related
     assert len(ws.maps) == 501 and list(ws.maps)[-1] == "extra"
 
 
+def test_interning_keeps_an_entry_whose_id_is_the_count(p_related):
+    # {"M1": src} has one entry, so the next id by count is "M1", src's own
+    gen = GenNode(p_related, 0)
+    m = gen.root
+    x = m.ring.var("a") * m.gen(0)
+    src = PresentedModule.free(m.ring, [x.weight()])
+    incl = ModuleMap(src, m, [x], 0, check=False)
+    ws = Workspace(modules={"M1": src})
+    ws.intern_certificate("c", SubNode(gen, incl))
+    assert ws.modules == {"M1": src, "M2": m}
+    assert ws.maps == {"w0": incl}
+    assert Workspace.from_json(ws.to_json()).certificate("c") == SubNode(gen, incl)
+
+
 def test_node_outside_the_registry_is_rejected(p_related):
     class Stray(Certificate):
         kind = "stray"
