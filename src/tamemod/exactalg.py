@@ -29,6 +29,21 @@ polys are built once, and nothing holds a space that no value uses.  A
 pickle or a deepcopy of a space goes back through its constructor and gets
 the live object, in a worker process too.
 
+A reduced basis of packed items, _groebner_raw, takes one of two routes,
+chosen by the items alone.  When every item is a linear form times one
+generator, as for partition ideals, their direct sums and their contractions,
+the submodule is the direct sum over positions of the spans of those forms,
+and Buchberger's algorithm is row reduction.  The reduced row echelon form of
+each position's coefficient rows, with columns in descending key order, is a
+Groebner basis: its leads are distinct variables, so any two are coprime and
+every S-polynomial reduces to zero.  It is reduced, as no pivot column occurs
+outside its row (Cox, Little and O'Shea, Ch. 2 Sec. 5-7; Faugere's F4, JPAA
+139 (1999), does Buchberger's reduction step as linear algebra).  _echelon
+computes it by Gauss-Jordan elimination on primitive integer rows; every
+other input takes _buchberger and _autoreduce.  A reduced basis is unique
+(Ch. 2 Sec. 7, Prop. 6), so the two routes agree term for term, and the
+route never shows in the output.
+
 Saturation, intersection and syzygies each keep one part of a Groebner basis
 and drop the rest: the elements led by a t-free monomial, or led in an
 auxiliary position.  t dominates the elimination order and F's positions
@@ -57,11 +72,12 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import gcd, lcm
 from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
 
 from ._core import impl as K
-from ._core._pure import BITS, DIVMASK, FIELD, LIMIT
+from ._core._pure import BITS, DIVMASK, FIELD, LIMIT, MAX_FIELDS, _norm
 from .errors import ResourceCapError, StructuralError, ValidationError
 
 # Generous guard against runaway Groebner runs on adversarial random input.
@@ -524,16 +540,85 @@ def _autoreduce(basis: Iterable[tuple]) -> tuple:
     return tuple(out)
 
 
+# the exponent parts of the dkeys of the variables, field i + 1 for variable i
+_VARIABLES = frozenset(1 << BITS * i for i in range(1, MAX_FIELDS))
+
+
+def _linear(items: tuple) -> bool:
+    """Whether every item is a linear form times one generator: each term is
+    a variable at the position of the item's lead.  A term at another
+    position leaves a nonzero position field, or borrows from the exponent
+    fields, so it fails the same test."""
+    for f in items:
+        p = f[0][1] & FIELD
+        if any(t[1] - p not in _VARIABLES for t in f):
+            return False
+    return True
+
+
+def _echelon(items: tuple) -> tuple:
+    """The reduced Groebner basis of linear items (see _linear), largest lead
+    first: position by position, the reduced row echelon form of the items'
+    coefficient rows, with columns in descending key order.
+
+    Rows are integer: each is cleared of denominators, and its content is
+    divided out after every update (_cancel), so entries stay bounded.  A new
+    row is reduced by the pivot rows so far, and its pivot is then cleared
+    from them (Gauss-Jordan), so every pivot column stays zero outside its
+    row.  Each row leaves as a monic packed poly."""
+    groups: dict = {}
+    for f in items:
+        groups.setdefault(f[0][1] & FIELD, []).append(f)
+    out = []
+    for fs in groups.values():
+        cols = sorted({t[:2] for f in fs for t in f}, reverse=True)
+        at = {c[0]: j for j, c in enumerate(cols)}
+        pivots: list = []  # (pivot column, row)
+        for f in fs:
+            den = lcm(*(t[3] for t in f))
+            row = [0] * len(cols)
+            for k, _, n, d in f:
+                row[at[k]] = n * (den // d)
+            for c, r in pivots:
+                if row[c]:
+                    row = _cancel(row, r, c)
+            p = next((j for j, x in enumerate(row) if x), None)
+            if p is None:
+                continue
+            pivots = [(c, _cancel(r, row, p) if r[p] else r) for c, r in pivots]
+            pivots.append((p, row))
+        for c, r in pivots:
+            out.append(tuple(cols[j] + _norm(x, r[c]) for j, x in enumerate(r) if x))
+    out.sort(reverse=True)
+    return tuple(out)
+
+
+def _cancel(row: list, r: list, c: int) -> list:
+    """row less the multiple of r that clears column c, divided by its content."""
+    out = [r[c] * x - row[c] * y for x, y in zip(row, r)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
 @lru_cache(maxsize=65536)
 def _groebner_raw(items: tuple, nelim: int, nvars: int) -> tuple:
-    """The reduced Groebner basis of packed items on nvars variables with an
-    elimination block of nelim, in the order they are packed in.
+    """The reduced Groebner basis of the nonzero packed items on nvars
+    variables with an elimination block of nelim, in the order they are
+    packed in, largest lead first.
 
-    _buchberger reads only the shape of the order, so the run goes on the
-    ring-shape Packing, and the cache key is the packed items and the shape:
-    items packed alike under two orders, say weights that differ by a uniform
-    shift or only at a position no item uses, share one entry."""
-    return _autoreduce(_buchberger(items, K.packing((0,), nelim, 0, nvars))) if items else ()
+    Input over MAX_BASIS items raises ResourceCapError before either route.
+    Linear items (_linear) take _echelon, which reads only their keys; all
+    others take _buchberger and _autoreduce.  _buchberger reads only the
+    shape of the order, so the run goes on the ring-shape Packing.  Both
+    routes give the unique reduced basis (see the module docstring), so the
+    route never shows in the output.  The cache key is the packed items and
+    the shape: items packed alike under two orders, say weights that differ
+    by a uniform shift or only at a position no item uses, share one entry."""
+    if len(items) > MAX_BASIS:
+        raise ResourceCapError(f"Groebner input has {len(items)} elements, over {MAX_BASIS}")
+    if _linear(items):
+        return _echelon(items)
+    return _autoreduce(_buchberger(items, K.packing((0,), nelim, 0, nvars)))
 
 
 @lru_cache(maxsize=65536)
@@ -612,7 +697,9 @@ def groebner(gens: Sequence, module: FreeModule | None = None):
     Returns values of the same kind as the input (polys in, polys out).  The
     cache key is the packed items and the shape of the order (_groebner_raw):
     packing drops a uniform weight shift, so a module and its shifts M(s)
-    share one run.
+    share one run.  Linear forms times generators, such as the relations of
+    a partition module or of a direct sum or contraction of them, are
+    row-reduced with no Buchberger run (see the module docstring).
     """
     kind, space, mod, items = _coerce_inputs(gens, module)
     gb = _groebner_raw(tuple(t for t in items if t), mod.order()[1], mod.ring.nvars)

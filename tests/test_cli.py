@@ -113,6 +113,21 @@ def test_functor_huge_exponent_exit_3(tmp_path, capsys):
         module.element([ring.zero(), ring.poly({(32767, 0, 0): 1})])
 
 
+def test_functor_of_linear_relations_over_the_basis_cap_exit_3(tmp_path, capsys):
+    # 9,000 linear relations a - k*e: the cap on a Groebner input's length
+    # holds on the elimination route too
+    data = json.loads(Path(RELATED).read_text())
+    data["modules"]["M_partition"]["relations"] = [
+        [{"c": "1", "g": 0, "m": {"a": 1}}, {"c": str(-k), "g": 0, "m": {"e": 1}}] for k in range(1, 9001)
+    ]
+    src = tmp_path / "linear.json"
+    src.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert run("functor", "--in", str(src), "--module", "M_partition", "--degree", "0", "--out", str(out)) == 3
+    assert "Groebner input has 9000 elements, over 8000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_functor_weight_bound_over_the_monomial_cap_exit_3(tmp_path, capsys):
     # a table to weight 100000 would hold 100001 rows, over the cap on its
     # length; it is refused before any row is computed

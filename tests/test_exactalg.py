@@ -4,8 +4,11 @@ import copy
 import gc
 import itertools
 import operator
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 import weakref
 from collections import deque
@@ -14,6 +17,7 @@ from functools import cmp_to_key
 from itertools import combinations_with_replacement
 from math import comb
 from operator import le
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,8 +38,10 @@ from tamemod.exactalg import (
     K,
     _autoreduce,
     _buchberger,
+    _echelon,
     _groebner_raw,
     _intersect_raw,
+    _linear,
     _monic,
     _saturate_raw,
     _tracked_raw,
@@ -808,6 +814,109 @@ def test_input_past_the_basis_cap_raises_before_any_pair(monkeypatch):
     with pytest.raises(ResourceCapError):
         groebner(gens)
     assert len(lcms) == 0
+
+
+def test_linear_input_past_the_basis_cap_raises(monkeypatch):
+    # the cap holds on the elimination route as on Buchberger's
+    R = EdgeRing(("x", "y", "z"))
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    gens = [x - y, y - z, x - z, x + 2 * y]
+    assert _linear(tuple(g.terms for g in gens))
+    _clear_l1_caches()
+    monkeypatch.setattr("tamemod.exactalg.MAX_BASIS", 3)
+    with pytest.raises(ResourceCapError, match="input has 4 elements, over 3"):
+        groebner(gens)
+
+
+# -- linear input: Gauss-Jordan elimination ------------------------------------
+
+
+@st.composite
+def _linear_cases(draw):
+    """(nelim, nvars, items): linear forms times the generators of a free
+    module of rank 1-4 over 1-7 variables, packed in its order.  Rows may
+    repeat an earlier one, be a multiple of one, which cancels to zero, or
+    the sum of two in one position, which is dependent on them."""
+    nvars = draw(st.integers(1, 7))
+    nelim = draw(st.integers(0, 1))
+    rank = draw(st.integers(1, 4))
+    pk = K.packing(tuple(draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))), nelim, 0, nvars)
+    num = st.one_of(st.integers(-3, 3).filter(bool), st.integers(2**200, 2**210), st.integers(-(2**210), -(2**200)))
+    den = st.one_of(st.just(1), st.integers(1, 2**60))
+    items = []
+    for _ in range(draw(st.integers(1, 8))):
+        how = draw(st.sampled_from(["new", "new", "repeat", "multiple", "sum"])) if items else "new"
+        f = draw(st.sampled_from(items)) if items else None
+        if how == "new":
+            pos = draw(st.integers(0, rank - 1))
+            at = draw(st.sets(st.integers(0, nvars - 1), min_size=1))
+            f = pk.build([(pos, tuple(int(j == i) for j in range(nvars)), draw(num), draw(den)) for i in at])
+        elif how == "multiple":
+            f = K.scale(f, draw(num), draw(den))
+        elif how == "sum":
+            f = K.add(f, draw(st.sampled_from([g for g in items if _pos(g) == _pos(f)])))
+        if f:
+            items.append(f)
+    return nelim, nvars, tuple(items)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_linear_cases())
+def test_echelon_matches_buchberger_on_linear_items(case):
+    # the reduced row echelon form is the unique reduced basis, so the two
+    # routes of _groebner_raw agree term for term
+    nelim, nvars, items = case
+    assert _linear(items)
+    assert _echelon(items) == _autoreduce(_buchberger(items, K.packing((0,), nelim, 0, nvars)))
+
+
+def test_linear_route_takes_linear_forms_times_one_generator():
+    R = EdgeRing(("x", "y", "z"))
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    F = FreeModule(R, (0, 1))
+    e0, e1 = F.gen(0), F.gen(1)
+    ideal = (x - y, 3 * z)
+    sums = ((x - y) * e0, z * e1, (y + 2 * z) * e0)
+    assert _linear(tuple(g.terms for g in ideal))
+    assert _linear(tuple(g.terms for g in sums))
+    rejected = [
+        (x * e0, 2 * e0),  # a constant times a generator
+        (x * e0, (x * x - y * z) * e1),  # a quadratic term
+        (x * e0 + y * e1,),  # a relation across two positions
+    ]
+    for items in rejected:
+        assert not _linear(tuple(g.terms for g in items))
+
+
+_DENSE_ROWS = """
+import random
+from tamemod._core import impl as K
+from tamemod.exactalg import _autoreduce, _buchberger, _echelon, _linear
+
+rng = random.Random("dense")
+n = 16
+base = [[rng.getrandbits(100) - 2**99 for _ in range(n)] for _ in range(12)]
+mix = [[rng.randint(-3, 3) for _ in base] for _ in range(8)]
+rows = base + [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(n)] for cs in mix]
+rng.shuffle(rows)
+pk = K.packing((0,), 0, 0, n)
+items = tuple(pk.build([(0, tuple(int(j == i) for j in range(n)), r[i], 1) for i in range(n)]) for r in rows)
+assert _linear(items)
+gb = _echelon(items)
+assert gb == _autoreduce(_buchberger(items, pk))
+print(len(gb), max(max(abs(t[2]), t[3]).bit_length() for g in gb for t in g))
+"""
+
+
+def test_dense_linear_rows_stay_primitive():
+    # 20 dense rows of rank 12 in 16 variables with 100-bit coefficients,
+    # whose basis carries 1193-bit coefficients: the route takes about 20 ms
+    # with each row's content divided out after every update, and ran for
+    # minutes without it; a fresh interpreter, so a runaway ends at the timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(exactalg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _DENSE_ROWS], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "12 1193\n"
 
 
 def test_syzygy_spoly_count(monkeypatch):

@@ -2016,6 +2016,33 @@ def test_direct_sum_basis_runs_no_groebner(monkeypatch):
     assert calls == []
 
 
+def _fresh(m):
+    """m's relations in a new presentation, which stores no basis."""
+    return PresentedModule(m.ring, m.gen_weights, m.relations)
+
+
+def test_linear_presentations_take_the_elimination_route(monkeypatch):
+    # partition ideals are linear, and so are their direct sums and their
+    # contractions: their bases come by elimination, with no Buchberger run,
+    # equal to the bases that construction stores
+    _clear_l1_caches()
+    ground = ("a", "b", "c", "e", "e'")
+    p = make_partition(ground, [("a", "b"), ("c", "e", "e'")])
+    q = make_partition(ground, [("a", "e"), ("b", "c", "e'")])
+    stored = direct_sum([partition_module(p).shift(1), partition_module(q)])[0]
+    total = _fresh(stored)
+    contracted = f0.__wrapped__(partition_module(p), "e", "e'")
+    ring = EdgeRing(ground)
+    a, b, c = ring.var("a"), ring.var("b"), ring.var("c")
+    quadratic = PresentedModule.from_ideal(ring, [a * b - c * c])
+    calls = _counting_buchberger(monkeypatch)
+    assert [g.terms for g in total.relation_gb()] == [g.terms for g in stored.relation_gb()]
+    assert len(contracted.relation_gb()) == 2
+    assert calls == []
+    assert len(quadratic.relation_gb()) == 1
+    assert len(calls) == 1
+
+
 def test_cokernel_of_a_projection_runs_no_groebner(monkeypatch):
     _clear_l1_caches()
     _, _, projs = direct_sum(_summands())
